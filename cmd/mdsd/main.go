@@ -74,7 +74,7 @@ func run(args []string, stdout io.Writer) error {
 	queue := fs.Int("queue", 64, "max queued jobs beyond the running ones (full queue sheds with 503)")
 	cacheEntries := fs.Int("cache", 256, "content-addressed result cache capacity (entries)")
 	timeout := fs.Duration("timeout", 0, "per-job solve timeout (0: unbounded)")
-	pipelineWorkers := fs.Int("pipeline-workers", 1, "ComponentSolve fan-out per job (1: scale across requests, not within one)")
+	pipelineWorkers := fs.Int("pipeline-workers", 1, "Cuts and ComponentSolve fan-out per job (1: scale across requests, not within one)")
 	authTokens := fs.String("auth-tokens", "", "bearer-token file, one tenant:token per line (empty: anonymous tier)")
 	rate := fs.Float64("rate", 0, "per-tenant request rate limit in req/s (0: unlimited)")
 	rateBurst := fs.Int("rate-burst", 0, "per-tenant rate-limit burst (0: derived from -rate)")

@@ -26,10 +26,14 @@
 // -alg alg1-huge is the huge-graph ingestion path: csrbin files are
 // mmap'd straight into the solver (near-zero load time), text inputs take
 // the parallel chunked parser, and the partition-first driver
-// (core.Alg1Huge) runs on the shared CSR with -workers component solvers —
-// no adjacency-list intermediate is ever materialized. The report skips
-// the diameter (an O(n·m) scan that would dwarf the solve) and the exact
-// optimum probe; -opt and -dot are rejected.
+// (core.Alg1Huge) runs on the shared CSR — no adjacency-list
+// intermediate is ever materialized. The report skips the diameter (an
+// O(n·m) scan that would dwarf the solve) and the exact optimum probe;
+// -opt and -dot are rejected.
+//
+// -workers bounds the Algorithm 1 fan-out of -alg alg1 and alg1-huge: the
+// Cuts vertex loop and the component solves (and alg1-huge's text
+// parser). The solution is the same at every worker count.
 //
 // With -alg alg1 or alg1-huge, -stages additionally prints the per-stage
 // wall-time/allocation/size table recorded in core.Alg1Result.StageStats,
@@ -77,7 +81,7 @@ func run(args []string, stdout io.Writer) error {
 	p := fs.Float64("p", 0.05, "edge probability (gnp)")
 	r1 := fs.Int("r1", 4, "Algorithm 1 local 1-cut radius")
 	r2 := fs.Int("r2", 4, "Algorithm 1 local 2-cut radius")
-	workers := fs.Int("workers", 0, "parse/solve worker count for -alg alg1-huge (0: GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "worker count for -alg alg1 and alg1-huge: the Cuts and ComponentSolve fan-out, plus alg1-huge's text parse (0: GOMAXPROCS)")
 	optFlag := fs.Bool("opt", false, "require the exact optimum and |S|/OPT ratio (error when the instance exceeds the solver cap)")
 	stages := fs.Bool("stages", false, "print the Algorithm 1 pipeline per-stage timing/size table (requires -alg alg1 or alg1-huge)")
 	traceOut := fs.String("trace", "", "write the solve span tree in Chrome trace-event format to this file (requires -alg alg1 or alg1-huge)")
@@ -131,7 +135,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	tr, root := newCLITrace(*traceOut)
-	sol, stats, stageStats, err := solve(g, *alg, core.Params{R1: *r1, R2: *r2}, core.SpanHooks(root))
+	sol, stats, stageStats, err := solve(g, *alg, core.Params{R1: *r1, R2: *r2}, *workers, core.SpanHooks(root))
 	if err != nil {
 		return err
 	}
@@ -326,10 +330,10 @@ func loadGraph(in, format, kind string, n, tParam int, p float64, seed int64) (*
 	return graphio.ReadFile(in, f)
 }
 
-func solve(g *graph.Graph, alg string, p core.Params, hooks core.TraceHooks) ([]int, *local.Stats, core.StageStats, error) {
+func solve(g *graph.Graph, alg string, p core.Params, workers int, hooks core.TraceHooks) ([]int, *local.Stats, core.StageStats, error) {
 	switch alg {
 	case "alg1":
-		res, err := core.Alg1Pipeline(g, p, core.PipelineOptions{Hooks: hooks})
+		res, err := core.Alg1Pipeline(g, p, core.PipelineOptions{Workers: workers, Hooks: hooks})
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -190,3 +190,28 @@ func TestRunOptFlagOverCapFailsCleanly(t *testing.T) {
 		t.Errorf("no optimum line expected on failure:\n%s", out.String())
 	}
 }
+
+// TestRunAlg1WorkersSameSolution checks that -workers reaches -alg alg1
+// without changing the answer: one worker and three print the same report
+// and write the same solution into the DOT file.
+func TestRunAlg1WorkersSameSolution(t *testing.T) {
+	var outs, dots [2]string
+	path := filepath.Join(t.TempDir(), "out.dot") // one path, so the reports match
+	for i, w := range []string{"1", "3"} {
+		var out strings.Builder
+		if err := run([]string{"-graph", "ding", "-n", "150", "-seed", "4", "-alg", "alg1", "-workers", w, "-dot", path}, &out); err != nil {
+			t.Fatalf("-workers %s: %v", w, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("dot file: %v", err)
+		}
+		outs[i], dots[i] = out.String(), string(data)
+	}
+	if !strings.Contains(outs[0], "valid dominating set: true") {
+		t.Fatalf("-workers 1 output invalid:\n%s", outs[0])
+	}
+	if outs[0] != outs[1] || dots[0] != dots[1] {
+		t.Errorf("-workers 1 and -workers 3 differ:\n%s\nvs\n%s", outs[0], outs[1])
+	}
+}

@@ -15,8 +15,8 @@ import (
 // frozen (possibly mmap-backed, read-only) graph.CSR directly, and
 // materializing an adjacency intermediate for a 10^8-edge instance would
 // double peak RSS before the solver ran. Alg1Huge runs every stage on the
-// shared CSR: TwinReduceCSR instead of TwinReduction, the same CSR-native
-// cut enumeration and partitioning, and a component fan-out that never
+// shared CSR: the same TwinReduceCSR, CSR-native cut enumeration and
+// partitioning as the pipeline, and a component fan-out that never
 // holds more than `workers` induced component copies at once — each worker
 // owns one reusable componentSolver whose buffers grow to the largest
 // component it sees and are recycled across all the components it solves.
@@ -32,8 +32,9 @@ type Submitter interface {
 
 // HugeOptions tunes Alg1Huge.
 type HugeOptions struct {
-	// Pool fans the per-component solves out; nil solves them in the
-	// calling goroutine. The result is identical either way.
+	// Pool fans the per-component solves out, and its Workers() count
+	// bounds the Cuts vertex-loop fan-out; nil runs both in the calling
+	// goroutine. The result is identical either way.
 	Pool Submitter
 	// Hooks receives stage/component span callbacks; nil (the default)
 	// disables tracing at zero cost. Hooks never change the result.
@@ -72,12 +73,17 @@ func Alg1Huge(csr *graph.CSR, p Params, opt HugeOptions) (*Alg1Result, error) {
 	res.Active = append([]int(nil), active...)
 
 	arena := graph.NewArena()
+	workers := 1
+	if opt.Pool != nil {
+		workers = opt.Pool.Workers()
+	}
 
-	// Cuts: steps 2 and 3 on the reduced CSR.
+	// Cuts: steps 2 and 3 on the reduced CSR, each vertex loop split
+	// across the pool's worker count.
 	var xLocal, iLocal []int
 	res.runStage(hooks, "Cuts", "cut vertices", sample, func() int {
-		xLocal = cuts.LocalOneCutsCSR(rcsr, p.R1, arena)
-		iLocal = cuts.LocallyInterestingVerticesCSR(rcsr, p.R2, arena)
+		xLocal = cuts.LocalOneCutsWorkers(rcsr, p.R1, workers, arena)
+		iLocal = cuts.LocallyInterestingVerticesWorkers(rcsr, p.R2, workers, arena)
 		return len(xLocal) + len(iLocal)
 	})
 
@@ -103,14 +109,8 @@ func Alg1Huge(csr *graph.CSR, p Params, opt HugeOptions) (*Alg1Result, error) {
 	// reuse) when done.
 	outs := make([]compOut, len(comps))
 	res.runStage(hooks, "ComponentSolve", "solved components", sample, func() int {
-		w := 1
-		if opt.Pool != nil {
-			w = opt.Pool.Workers()
-		}
-		if w > len(comps) {
-			w = len(comps)
-		}
-		if opt.Pool == nil || w <= 1 {
+		w := min(workers, len(comps))
+		if w <= 1 {
 			solver := componentSolver{csr: rcsr, dominated: dominated, p: p, arena: graph.NewArena(), hooks: hooks}
 			for i := range comps {
 				outs[i] = solver.solve(i, comps[i])

@@ -17,12 +17,13 @@ import (
 // This file is the staged CSR pipeline behind Alg1. The monolithic
 // reference implementation (Alg1Sequential) re-derived induced subgraphs
 // and neighborhood balls through the allocating *graph.Graph accessors at
-// every step; the pipeline freezes the twin-reduced graph once and runs
-// every subsequent stage — cut enumeration, partitioning, per-component
-// solving — over the flat CSR view with reusable arena scratch, fanning the
-// independent component solves out over a bounded worker pool. Stage
-// boundaries are explicit so each one records wall time, allocations, and
-// a size statistic into Alg1Result.StageStats.
+// every step; the pipeline freezes the input once, twin-reduces the CSR,
+// and runs every subsequent stage — cut enumeration, partitioning,
+// per-component solving — over the flat CSR view with reusable arena
+// scratch, fanning the Cuts vertex loop and the independent component
+// solves out over a bounded set of workers. Stage boundaries are explicit
+// so each one records wall time, allocations, and a size statistic into
+// Alg1Result.StageStats.
 
 // StageStat is one pipeline stage's diagnostics. The JSON form (used by
 // the mdsd service and any result archive) carries Wall as integer
@@ -75,8 +76,9 @@ func (ss StageStats) Render() string {
 
 // PipelineOptions tunes the staged solver.
 type PipelineOptions struct {
-	// Workers bounds the ComponentSolve fan-out; <= 0 means GOMAXPROCS.
-	// The result is identical for every worker count.
+	// Workers bounds the fan-out of the Cuts vertex loop and of
+	// ComponentSolve; <= 0 means GOMAXPROCS. The result is identical for
+	// every worker count.
 	Workers int
 	// Hooks receives stage/component span callbacks; nil (the default)
 	// disables tracing at zero cost. Hooks never change the result.
@@ -142,10 +144,11 @@ type compOut struct {
 }
 
 // Alg1Pipeline runs Algorithm 1 as the staged CSR pipeline
-// TwinReduce → Cuts → Partition → ComponentSolve → Stitch, with the
-// component solves fanned out over opt.Workers goroutines. The result is
-// deterministic: equal to Alg1Sequential's field for field, at every worker
-// count.
+// TwinReduce → Cuts → Partition → ComponentSolve → Stitch, with the Cuts
+// vertex loop and the component solves fanned out over opt.Workers
+// goroutines. The result is deterministic: equal to Alg1Sequential's field
+// for field, at every worker count. It freezes g (Graph.Freeze), so it
+// must not run concurrently with another Freeze or a mutation of g.
 func Alg1Pipeline(g *graph.Graph, p Params, opt PipelineOptions) (*Alg1Result, error) {
 	p, err := p.normalized()
 	if err != nil {
@@ -169,20 +172,19 @@ func Alg1Pipeline(g *graph.Graph, p Params, opt PipelineOptions) (*Alg1Result, e
 	var csr *graph.CSR
 	var active []int
 	res.runStage(hooks, "TwinReduce", "active vertices", sample, func() int {
-		var reduced *graph.Graph
-		reduced, active = g.TwinReduction()
-		csr = reduced.Freeze()
+		csr, active = graph.TwinReduceCSR(g.Freeze())
 		return len(active)
 	})
 	res.Active = append([]int(nil), active...)
 
 	arena := graph.NewArena()
 
-	// Cuts: steps 2 and 3 on the reduced graph.
+	// Cuts: steps 2 and 3 on the reduced graph, each vertex loop split
+	// across the workers.
 	var xLocal, iLocal []int
 	res.runStage(hooks, "Cuts", "cut vertices", sample, func() int {
-		xLocal = cuts.LocalOneCutsCSR(csr, p.R1, arena)
-		iLocal = cuts.LocallyInterestingVerticesCSR(csr, p.R2, arena)
+		xLocal = cuts.LocalOneCutsWorkers(csr, p.R1, workers, arena)
+		iLocal = cuts.LocallyInterestingVerticesWorkers(csr, p.R2, workers, arena)
 		return len(xLocal) + len(iLocal)
 	})
 

@@ -1,134 +1,181 @@
-// CSR-native cut enumeration: ports of the Algorithm 1 step-2/step-3
-// detectors (r-local minimal 1-cuts and r-interesting vertices) that run
-// over a frozen graph.CSR with arena scratch instead of rebuilding induced
-// ball subgraphs through the allocating Graph accessors. Each port returns
-// exactly the set its adjacency-list counterpart returns; the pipeline
-// equivalence suite in internal/core checks that on randomized instances.
+// CSR-native cut enumeration: the Algorithm 1 step-2/step-3 detectors
+// (r-local minimal 1-cuts and r-interesting vertices) over a frozen
+// graph.CSR. No ball is ever copied out: a ball is a generation stamp over
+// the host CSR's own vertex ids (graph.CSR.MarkBall), and the cut tests
+// are BFS probes restricted to it that stop as soon as the answer is
+// known (graph.CSR.NeighborsSplit). The vertex loop splits across a fixed set of workers. Each
+// detector returns exactly the set its *graph.Graph counterpart returns,
+// at every worker count; csr_test.go checks that on the Table 1 families.
 package cuts
 
 import (
-	"slices"
+	"sync"
+	"sync/atomic"
 
 	"localmds/internal/graph"
 )
 
 // LocalOneCutsCSR returns all vertices v such that {v} is an r-local
-// minimal 1-cut of c (Definition 2.1 with k = 1), ascending. A ball
-// subgraph is always connected (every member reaches its center inside the
-// ball), so v is a local 1-cut iff removing v disconnects c[N^r[v]].
+// minimal 1-cut of c (Definition 2.1 with k = 1), ascending. It is
+// LocalOneCutsWorkers with one worker.
 func LocalOneCutsCSR(c *graph.CSR, r int, a *graph.Arena) []int {
-	var out []int
-	var ball []int32
-	var sub graph.CSR
-	for v := 0; v < c.N(); v++ {
-		ball = c.AppendBall(ball[:0], v, r, a)
-		if len(ball) < 3 {
-			continue // graphs on <= 2 vertices have no cut vertex
+	return LocalOneCutsWorkers(c, r, 1, a)
+}
+
+// LocalOneCutsWorkers is LocalOneCutsCSR with the vertex loop split across
+// min(workers, n) goroutines; a serves the first of them. The result is
+// the same at every worker count.
+//
+// A ball subgraph is always connected, and every component of
+// c[N^r[v]] - v contains a neighbor of v (the last step of a shortest
+// path to v), so v is a local 1-cut iff its neighbors lie in at least two
+// components of N^r[v] - v.
+func LocalOneCutsWorkers(c *graph.CSR, r, workers int, a *graph.Arena) []int {
+	return forEachVertex(c.N(), workers, a, func(a *graph.Arena, cut []bool) func(int) {
+		return func(v int) {
+			c.MarkBall(v, -1, r, a)
+			cut[v] = c.NeighborsSplit(v, -1, a)
 		}
-		c.InducedInto(&sub, ball, a)
-		local, _ := slices.BinarySearch(ball, int32(v))
-		if !sub.ConnectedWithout(local, a) {
-			out = append(out, v)
-		}
-	}
-	return out
+	})
 }
 
 // LocallyInterestingVerticesCSR returns the set I of Algorithm 1 step 3 —
 // all vertices that are r-interesting through some r-local minimal 2-cut
-// (§3.2) — ascending, over the CSR view.
+// (§3.2) — ascending. It is LocallyInterestingVerticesWorkers with one
+// worker.
 func LocallyInterestingVerticesCSR(c *graph.CSR, r int, a *graph.Arena) []int {
-	n := c.N()
-	interesting := make([]bool, n)
-	var ballU, ball2, pair []int32
-	var sub graph.CSR
-	var flags []bool // per-component scratch for the interestingness count
-	for u := 0; u < n; u++ {
-		ballU = c.AppendBall(ballU[:0], u, r, a)
-		for _, v32 := range ballU {
-			v := int(v32)
-			if v == u || (interesting[u] && interesting[v]) {
-				continue
+	return LocallyInterestingVerticesWorkers(c, r, 1, a)
+}
+
+// LocallyInterestingVerticesWorkers is LocallyInterestingVerticesCSR with
+// the vertex loop split across min(workers, n) goroutines; a serves the
+// first of them. The result is the same at every worker count: each
+// worker skips only directions its own bitmap already holds, so the skips
+// save work and never change the union.
+//
+// Each unordered pair {u, v} at distance at most r is tested once, from
+// its smaller end: the ball N^r[{u, v}] and the test are symmetric, and
+// one test decides both directions. The cheapest checks run first:
+//
+//  1. A direction is needed only if its vertex is not yet known to be
+//     interesting and N[self] ⊈ N[other].
+//  2. {u, v} is a minimal 2-cut of its ball only if u and v each have
+//     neighbors in two components of ball - {u, v} (NeighborsSplit). All
+//     of u's neighbors lie in N^r[u], a subset of every pair ball, so if
+//     they are connected in N^r[u] - {u, v} the pair fails without its
+//     ball being marked. That pre-check is skipped for a u whose
+//     neighbors are already split in N^r[u] - u, where it rarely rejects.
+//  3. Only pairs passing both probes in the pair ball get its components
+//     labeled for the direction test: at least two of them hold a vertex
+//     not adjacent to other.
+func LocallyInterestingVerticesWorkers(c *graph.CSR, r, workers int, a *graph.Arena) []int {
+	return forEachVertex(c.N(), workers, a, func(a *graph.Arena, interesting []bool) func(int) {
+		var ballU []int32
+		return func(u int) {
+			if c.Degree(u) < 2 {
+				return // u cannot have neighbors in two components
 			}
-			// Build c[N^r[{u, v}]] once for the cut test and both
-			// interestingness directions.
-			pair = append(pair[:0], int32(u), v32)
-			ball2 = c.AppendBallOfSet(ball2[:0], pair, r, a)
-			c.InducedInto(&sub, ball2, a)
-			lu, _ := slices.BinarySearch(ball2, int32(u))
-			lv, _ := slices.BinarySearch(ball2, v32)
-			// One component labeling of sub - {lu, lv} serves the cut test
-			// and both interestingness directions (the exclusion order is
-			// irrelevant, and nothing below invalidates the arena labels).
-			labels, num := sub.ComponentLabels(lu, lv, a)
-			if num < 2 || !seesTwoComponentsCSR(&sub, lu, labels) || !seesTwoComponentsCSR(&sub, lv, labels) {
-				continue
+			ballU = c.AppendBall(ballU[:0], u, r, a)
+			marked := true // AppendBall left N^r[u] as the current ball
+			preCheck := !c.NeighborsSplit(u, -1, a)
+			for _, v32 := range ballU {
+				v := int(v32)
+				if v <= u || c.Degree(v) < 2 {
+					continue
+				}
+				needU := !interesting[u] && !c.ClosedSubset(u, v)
+				needV := !interesting[v] && !c.ClosedSubset(v, u)
+				if !needU && !needV {
+					continue
+				}
+				if preCheck {
+					if !marked {
+						c.MarkBall(u, -1, r, a)
+						marked = true
+					}
+					if !c.NeighborsSplit(u, v, a) {
+						continue
+					}
+				}
+				c.MarkBall(u, v, r, a)
+				marked = false
+				if !c.NeighborsSplit(u, v, a) || !c.NeighborsSplit(v, u, a) {
+					continue
+				}
+				c.LabelPairComponents(u, v, a)
+				if needU && c.ComponentsNotCoveredBy(v, a) >= 2 {
+					interesting[u] = true
+				}
+				if needV && c.ComponentsNotCoveredBy(u, a) >= 2 {
+					interesting[v] = true
+				}
 			}
-			if !interesting[u] && isInterestingDirectionCSR(c, &sub, u, v, lv, labels, num, &flags) {
-				interesting[u] = true
+		}
+	})
+}
+
+// rangeSize is how many consecutive vertices a worker claims at a time:
+// large enough that the shared cursor is touched rarely, small enough that
+// the last ranges balance uneven per-vertex cost.
+const rangeSize = 32
+
+// forEachVertex runs a visit function for every vertex 0..n-1 and returns,
+// ascending, the vertices any visit flagged. The loop splits across
+// min(workers, n) goroutines that claim vertex ranges from an atomic
+// cursor; the call starts and joins them before it returns, and with one
+// worker it starts none. newVisit builds each worker's visit function
+// over that worker's own arena (a, or a fresh one, for the first) and its
+// own flag bitmap; the bitmaps are OR-merged in vertex order.
+func forEachVertex(n, workers int, a *graph.Arena, newVisit func(a *graph.Arena, flagged []bool) func(v int)) []int {
+	workers = max(1, min(workers, n))
+	flags := make([][]bool, workers)
+	for k := range flags {
+		flags[k] = make([]bool, n)
+	}
+	if workers == 1 {
+		visit := newVisit(a, flags[0])
+		for v := 0; v < n; v++ {
+			visit(v)
+		}
+	} else {
+		var cursor atomic.Int64
+		var wg sync.WaitGroup
+		for k := range flags {
+			wa := a
+			if k > 0 {
+				wa = graph.NewArena()
 			}
-			if !interesting[v] && isInterestingDirectionCSR(c, &sub, v, u, lu, labels, num, &flags) {
-				interesting[v] = true
+			visit := newVisit(wa, flags[k])
+			wg.Add(1)
+			//mdsvet:ignore boundedgo -- fixed set of min(workers, n) goroutines, joined before return; cuts cannot import runner.Pool (cycle)
+			go func() {
+				defer wg.Done()
+				for {
+					lo := int(cursor.Add(rangeSize)) - rangeSize
+					if lo >= n {
+						return
+					}
+					for v := lo; v < min(lo+rangeSize, n); v++ {
+						visit(v)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	hit := flags[0]
+	for _, f := range flags[1:] {
+		for v, ok := range f {
+			if ok {
+				hit[v] = true
 			}
 		}
 	}
 	var out []int
-	for v, ok := range interesting {
+	for v, ok := range hit {
 		if ok {
 			out = append(out, v)
 		}
 	}
 	return out
-}
-
-// seesTwoComponentsCSR reports whether w has neighbors in at least two
-// distinct components per the labeling.
-func seesTwoComponentsCSR(sub *graph.CSR, w int, labels []int32) bool {
-	first := int32(-1)
-	for _, y := range sub.Row(w) {
-		c := labels[y]
-		if c < 0 {
-			continue
-		}
-		if first < 0 {
-			first = c
-		} else if c != first {
-			return true
-		}
-	}
-	return false
-}
-
-// isInterestingDirectionCSR reports whether self is r-interesting through
-// the cut {self, other} (§3.2): N[self] ⊈ N[other] in the full graph, and
-// at least two components of sub - cut each contain a vertex non-adjacent
-// to other. sub must be c[N^r[{self, other}]], labels/num its component
-// labeling with the cut pair excluded, and lOther the local index of
-// other.
-func isInterestingDirectionCSR(c, sub *graph.CSR, self, other, lOther int, labels []int32, num int, flags *[]bool) bool {
-	if c.ClosedSubset(self, other) {
-		return false
-	}
-	if cap(*flags) < num {
-		*flags = make([]bool, num)
-	}
-	f := (*flags)[:num]
-	for i := range f {
-		f[i] = false
-	}
-	count := 0
-	otherRow := sub.Row(lOther)
-	for x := 0; x < sub.N(); x++ {
-		lbl := labels[x]
-		if lbl < 0 || f[lbl] {
-			continue
-		}
-		if _, adjacent := slices.BinarySearch(otherRow, int32(x)); !adjacent {
-			f[lbl] = true
-			if count++; count >= 2 {
-				return true
-			}
-		}
-	}
-	return false
 }

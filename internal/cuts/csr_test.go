@@ -1,9 +1,12 @@
 package cuts
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"localmds/internal/ding"
+	"localmds/internal/gen"
 	"localmds/internal/graph"
 )
 
@@ -52,6 +55,65 @@ func TestLocallyInterestingVerticesCSRMatchesLegacy(t *testing.T) {
 			got := LocallyInterestingVerticesCSR(c, r, a)
 			if !graph.EqualSets(got, want) {
 				t.Fatalf("trial %d r=%d: CSR = %v, legacy = %v", trial, r, got, want)
+			}
+		}
+	}
+}
+
+// cutFamilies returns the differential inputs: the Table 1 families and
+// the random cut graphs, each twin-reduced as the drivers reduce them.
+func cutFamilies() map[string]*graph.CSR {
+	rng := rand.New(rand.NewSource(23))
+	raw := map[string]*graph.Graph{
+		"grid8x9":       gen.Grid(8, 9),
+		"dingMixed120":  ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 120, T: 5}, rng),
+		"outerplanar20": gen.MaximalOuterplanar(20, rng),
+		"cactus40":      gen.RandomCactus(40, rng),
+	}
+	for i := 0; i < 4; i++ {
+		raw[fmt.Sprintf("random%d", i)] = randomCutGraph(20, 0.08, rng)
+	}
+	out := make(map[string]*graph.CSR, len(raw))
+	for name, g := range raw {
+		out[name], _ = graph.TwinReduceCSR(g.Freeze())
+	}
+	return out
+}
+
+// TestCutsCSRMatchSpecAtEveryWorkerCount compares both CSR detectors with
+// the *graph.Graph spec detectors, and every worker count with one worker.
+func TestCutsCSRMatchSpecAtEveryWorkerCount(t *testing.T) {
+	for name, c := range cutFamilies() {
+		spec := graph.FromCSR(c)
+		for r := 1; r <= 4; r++ {
+			want1 := LocalOneCuts(spec, r)
+			var want2 []int
+			if r >= 2 {
+				want2 = LocallyInterestingVertices(spec, r)
+			}
+			var one1, one2 []int
+			for _, w := range []int{1, 2, 3, 8} {
+				got1 := LocalOneCutsWorkers(c, r, w, graph.NewArena())
+				if !graph.EqualSets(got1, want1) {
+					t.Errorf("%s r=%d workers=%d: LocalOneCuts = %v, spec %v", name, r, w, got1, want1)
+				}
+				if w == 1 {
+					one1 = got1
+				} else if !graph.EqualSets(got1, one1) {
+					t.Errorf("%s r=%d: LocalOneCuts at %d workers = %v, at 1 = %v", name, r, w, got1, one1)
+				}
+				if r < 2 {
+					continue
+				}
+				got2 := LocallyInterestingVerticesWorkers(c, r, w, graph.NewArena())
+				if !graph.EqualSets(got2, want2) {
+					t.Errorf("%s r=%d workers=%d: LocallyInterestingVertices = %v, spec %v", name, r, w, got2, want2)
+				}
+				if w == 1 {
+					one2 = got2
+				} else if !graph.EqualSets(got2, one2) {
+					t.Errorf("%s r=%d: LocallyInterestingVertices at %d workers = %v, at 1 = %v", name, r, w, got2, one2)
+				}
 			}
 		}
 	}

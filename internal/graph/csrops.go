@@ -11,53 +11,56 @@ import (
 // per-component solvers) never fall back to the allocating Graph accessors
 // (Neighbors, Ball, Induced, Edges) inside their inner loops.
 
-// Arena is reusable scratch for CSR traversals: a stamped visited array, a
-// BFS queue and distance array, a stamped position map for induced-subgraph
-// relabeling, and a component-label array. Arenas grow on demand and are
-// sized to the largest CSR they have served, so a long-lived Arena makes
-// repeated traversals allocation-free.
+// Arena is reusable scratch for CSR traversals: a stamped mark array with a
+// BFS queue (balls and visited sets), a stamped position map for
+// induced-subgraph relabeling, and a second stamped visited array with
+// component labels for probes inside a marked ball. Arenas grow on demand
+// and are sized to the largest CSR they have served, so a long-lived Arena
+// makes repeated traversals allocation-free.
 //
 // An Arena is not safe for concurrent use; give each goroutine its own.
 // Each operation taking an Arena invalidates the arena-owned outputs of the
 // previous operation (appended dst slices are caller-owned and stay valid).
 type Arena struct {
-	mark  []int32 // visited iff mark[v] == stamp
+	mark  []int32 // marked iff mark[v] == stamp
 	stamp int32
-	dist  []int32 // BFS distance, valid where mark[v] == stamp
 	queue []int32
 
 	pos     []int32 // induced relabel map, valid where posMark[v] == posGen
 	posMark []int32
 	posGen  int32
 
-	labels []int32 // ComponentLabels output
+	seen     []int32 // probe visited iff seen[v] == seenGen
+	seenGen  int32
+	labels   []int32 // probe and component labels, valid where seen[v] == seenGen
+	compSize []int32 // vertex count per label of the last labeling
+	compHits []int32 // ComponentsNotCoveredBy scratch, one slot per label
+
+	probeParent  []int32 // NeighborsSplit union-find over w's neighbors
+	probePending []int32 // queued, unscanned vertices per union-find root
 }
 
 // NewArena returns an empty Arena; it grows to fit the graphs it serves.
 func NewArena() *Arena { return &Arena{} }
 
-// growMark ensures the visited/dist/queue arrays cover n vertices.
+// nextGen starts a fresh generation of a stamp array. At math.MaxInt32 it
+// clears the array and restarts at 1, so a stamp written about 2^31
+// generations ago can never read as current.
+func nextGen(marks []int32, gen *int32) int32 {
+	if *gen == math.MaxInt32 {
+		clear(marks)
+		*gen = 0
+	}
+	*gen++
+	return *gen
+}
+
+// growMark ensures the mark array covers n vertices.
 func (a *Arena) growMark(n int) {
 	if len(a.mark) < n {
 		a.mark = make([]int32, n)
-		a.dist = make([]int32, n)
 		a.stamp = 0
 	}
-	if cap(a.queue) < n {
-		a.queue = make([]int32, 0, n)
-	}
-}
-
-// nextMark starts a fresh visited generation.
-func (a *Arena) nextMark() int32 {
-	if a.stamp == math.MaxInt32 {
-		for i := range a.mark {
-			a.mark[i] = 0
-		}
-		a.stamp = 0
-	}
-	a.stamp++
-	return a.stamp
 }
 
 // growPos ensures the position-map arrays cover n vertices.
@@ -69,69 +72,210 @@ func (a *Arena) growPos(n int) {
 	}
 }
 
-// nextPos starts a fresh position-map generation.
-func (a *Arena) nextPos() int32 {
-	if a.posGen == math.MaxInt32 {
-		for i := range a.posMark {
-			a.posMark[i] = 0
-		}
-		a.posGen = 0
+// growSeen ensures the probe visited and label arrays cover n vertices.
+func (a *Arena) growSeen(n int) {
+	if len(a.seen) < n {
+		a.seen = make([]int32, n)
+		a.labels = make([]int32, n)
+		a.seenGen = 0
 	}
-	a.posGen++
-	return a.posGen
 }
 
 // boundedBFS runs a multi-source BFS truncated at radius r (r < 0 means
-// unbounded) and returns the reached vertices in BFS order as a view into
-// the arena queue. Distances are in a.dist under the current mark.
-func (c *CSR) boundedBFS(sources []int32, r int, a *Arena) []int32 {
-	n := c.N()
-	a.growMark(n)
-	stamp := a.nextMark()
+// unbounded), marks the reached vertices under a fresh stamp, and returns
+// them in BFS order as a view into the arena queue, together with the
+// distance of the farthest one.
+func (c *CSR) boundedBFS(sources []int32, r int, a *Arena) ([]int32, int) {
+	a.growMark(c.N())
+	stamp := nextGen(a.mark, &a.stamp)
 	q := a.queue[:0]
 	for _, s := range sources {
 		if a.mark[s] != stamp {
 			a.mark[s] = stamp
-			a.dist[s] = 0
 			q = append(q, s)
 		}
 	}
 	offs, tgts := c.Offsets, c.Targets
-	for head := 0; head < len(q); head++ {
-		v := q[head]
-		d := a.dist[v]
-		if int(d) == r {
-			continue
-		}
-		for k := offs[v]; k < offs[v+1]; k++ {
-			u := tgts[k]
-			if a.mark[u] != stamp {
-				a.mark[u] = stamp
-				a.dist[u] = d + 1
-				q = append(q, u)
+	far := 0
+	for head := 0; head < len(q) && far != r; {
+		end := len(q)
+		for ; head < end; head++ {
+			v := q[head]
+			for k := offs[v]; k < offs[v+1]; k++ {
+				u := tgts[k]
+				if a.mark[u] != stamp {
+					a.mark[u] = stamp
+					q = append(q, u)
+				}
 			}
 		}
+		if len(q) > end {
+			far++
+		}
 	}
-	a.queue = q[:0:cap(q)]
-	return q
+	a.queue = q[:0]
+	return q, far
 }
 
 // AppendBall appends N^r[v] (all vertices at distance at most r from v) to
-// dst in ascending order and returns the extended slice.
+// dst in ascending order and returns the extended slice. Like MarkBall it
+// leaves N^r[v] marked as the arena's current ball.
 func (c *CSR) AppendBall(dst []int32, v, r int, a *Arena) []int32 {
-	return c.appendReached(dst, []int32{int32(v)}, r, a)
-}
-
-// AppendBallOfSet appends N^r[sources] to dst in ascending order.
-func (c *CSR) AppendBallOfSet(dst []int32, sources []int32, r int, a *Arena) []int32 {
-	return c.appendReached(dst, sources, r, a)
-}
-
-func (c *CSR) appendReached(dst []int32, sources []int32, r int, a *Arena) []int32 {
 	start := len(dst)
-	dst = append(dst, c.boundedBFS(sources, r, a)...)
+	ball, _ := c.boundedBFS([]int32{int32(v)}, r, a)
+	dst = append(dst, ball...)
 	slices.Sort(dst[start:])
 	return dst
+}
+
+// MarkBall marks N^r[{u, v}] as the arena's current ball (v < 0 marks
+// N^r[u]; r < 0 means unbounded) and returns its members in BFS order, as
+// a view into the arena that the next operation overwrites. The marks
+// themselves stay current for NeighborsSplit and LabelPairComponents until
+// the next operation that marks a ball or visits vertices (AppendBall,
+// MarkBall, SubsetComponents, Eccentricity). Nothing is copied: the ball is
+// a stamp over c's own vertex ids.
+func (c *CSR) MarkBall(u, v, r int, a *Arena) []int32 {
+	src := [2]int32{int32(u), int32(v)}
+	sources := src[:2]
+	if v < 0 {
+		sources = src[:1]
+	}
+	ball, _ := c.boundedBFS(sources, r, a)
+	return ball
+}
+
+// NeighborsSplit reports whether the neighbors of w inside the current
+// ball, other excepted, lie in at least two components of ball - {w, other}
+// (other < 0 removes only w). One BFS, restricted to the ball, grows from
+// all of those neighbors at once; the groups it grows merge in a small
+// union-find as they touch. It stops with false once everything has
+// merged, and with true once some group's frontier runs dry while another
+// group remains: that group is a whole component.
+func (c *CSR) NeighborsSplit(w, other int, a *Arena) bool {
+	in := a.stamp
+	a.growSeen(c.N())
+	gen := nextGen(a.seen, &a.seenGen)
+	a.seen[w], a.labels[w] = gen, -1
+	if other >= 0 {
+		a.seen[other], a.labels[other] = gen, -1
+	}
+	parent, pending, q := a.probeParent[:0], a.probePending[:0], a.queue[:0]
+	for _, y := range c.Row(w) {
+		if a.mark[y] == in && a.seen[y] != gen {
+			a.seen[y], a.labels[y] = gen, int32(len(parent))
+			parent = append(parent, int32(len(parent)))
+			pending = append(pending, 1)
+			q = append(q, y)
+		}
+	}
+	a.probeParent, a.probePending = parent, pending
+	groups := len(parent)
+	find := func(l int32) int32 {
+		for parent[l] != l {
+			parent[l] = parent[parent[l]]
+			l = parent[l]
+		}
+		return l
+	}
+	split := false
+	offs, tgts := c.Offsets, c.Targets
+search:
+	for head := 0; groups >= 2 && head < len(q); head++ {
+		x := q[head]
+		root := find(a.labels[x])
+		for k := offs[x]; k < offs[x+1]; k++ {
+			y := tgts[k]
+			if a.mark[y] != in {
+				continue
+			}
+			if a.seen[y] != gen {
+				a.seen[y], a.labels[y] = gen, root
+				pending[root]++
+				q = append(q, y)
+				continue
+			}
+			if a.labels[y] < 0 {
+				continue // w or other
+			}
+			if ry := find(a.labels[y]); ry != root {
+				parent[ry] = root
+				pending[root] += pending[ry]
+				if groups--; groups == 1 {
+					break search
+				}
+			}
+		}
+		if pending[root]--; pending[root] == 0 {
+			split = true
+			break
+		}
+	}
+	a.queue = q[:0]
+	return split
+}
+
+// LabelPairComponents labels the components of ball - {u, v} that contain
+// a neighbor of u or v, in order of discovery, and returns how many there
+// are. When the current ball is N^r[{u, v}] with r >= 1 that is every
+// component: each ball vertex reaches u or v along a shortest path inside
+// the ball, and the last step before u or v is a neighbor. The labeling is
+// read by ComponentsNotCoveredBy.
+func (c *CSR) LabelPairComponents(u, v int, a *Arena) int {
+	in := a.stamp
+	a.growSeen(c.N())
+	gen := nextGen(a.seen, &a.seenGen)
+	a.seen[u], a.seen[v] = gen, gen
+	a.labels[u], a.labels[v] = -1, -1
+	sizes, q := a.compSize[:0], a.queue[:0]
+	offs, tgts := c.Offsets, c.Targets
+	for _, w := range [2]int{u, v} {
+		for _, s := range c.Row(w) {
+			if a.mark[s] != in || a.seen[s] == gen {
+				continue
+			}
+			label := int32(len(sizes))
+			a.seen[s], a.labels[s] = gen, label
+			q = append(q[:0], s)
+			for head := 0; head < len(q); head++ {
+				x := q[head]
+				for k := offs[x]; k < offs[x+1]; k++ {
+					y := tgts[k]
+					if a.mark[y] == in && a.seen[y] != gen {
+						a.seen[y], a.labels[y] = gen, label
+						q = append(q, y)
+					}
+				}
+			}
+			sizes = append(sizes, int32(len(q)))
+		}
+	}
+	a.compSize, a.queue = sizes, q[:0]
+	return len(sizes)
+}
+
+// ComponentsNotCoveredBy returns how many components of the last
+// LabelPairComponents call contain a vertex not adjacent to x: a component
+// is covered when x's neighbors in it are all of it.
+func (c *CSR) ComponentsNotCoveredBy(x int, a *Arena) int {
+	num := len(a.compSize)
+	if cap(a.compHits) < num {
+		a.compHits = make([]int32, num)
+	}
+	hits := a.compHits[:num]
+	clear(hits)
+	for _, y := range c.Row(x) {
+		if a.seen[y] == a.seenGen && a.labels[y] >= 0 {
+			hits[a.labels[y]]++
+		}
+	}
+	count := 0
+	for l, h := range hits {
+		if h < a.compSize[l] {
+			count++
+		}
+	}
+	return count
 }
 
 // AppendClosed appends the closed neighborhood N[v] = {v} ∪ N(v) to dst in
@@ -198,7 +342,7 @@ func (c *CSR) ClosedSubset(v, u int) bool {
 // sorted). The position map lives in the arena and is consumed by the call.
 func (c *CSR) InducedInto(out *CSR, verts []int32, a *Arena) {
 	a.growPos(c.N())
-	gen := a.nextPos()
+	gen := nextGen(a.posMark, &a.posGen)
 	for i, v := range verts {
 		a.pos[v] = int32(i)
 		a.posMark[v] = gen
@@ -225,12 +369,12 @@ func (c *CSR) InducedInto(out *CSR, verts []int32, a *Arena) {
 // traversal itself is arena-scratch only.
 func (c *CSR) SubsetComponents(members []int32, a *Arena) [][]int32 {
 	a.growPos(c.N())
-	gen := a.nextPos()
+	gen := nextGen(a.posMark, &a.posGen)
 	for _, v := range members {
 		a.posMark[v] = gen
 	}
 	a.growMark(c.N())
-	stamp := a.nextMark()
+	stamp := nextGen(a.mark, &a.stamp)
 	var comps [][]int32
 	offs, tgts := c.Offsets, c.Targets
 	for _, v := range members {
@@ -255,98 +399,10 @@ func (c *CSR) SubsetComponents(members []int32, a *Arena) [][]int32 {
 	return comps
 }
 
-// ConnectedWithout reports whether c - {x} is connected. Graphs with at
-// most one remaining vertex count as connected. For a connected c this is
-// the cut-vertex test: x is a cut vertex iff ConnectedWithout(x) is false.
-func (c *CSR) ConnectedWithout(x int, a *Arena) bool {
-	n := c.N()
-	if n <= 2 {
-		return true
-	}
-	a.growMark(n)
-	stamp := a.nextMark()
-	a.mark[x] = stamp // pre-mark the excluded vertex so BFS never enters it
-	start := 0
-	if start == x {
-		start = 1
-	}
-	a.mark[start] = stamp
-	q := a.queue[:0]
-	q = append(q, int32(start))
-	reached := 1
-	offs, tgts := c.Offsets, c.Targets
-	for head := 0; head < len(q); head++ {
-		v := q[head]
-		for k := offs[v]; k < offs[v+1]; k++ {
-			u := tgts[k]
-			if a.mark[u] != stamp {
-				a.mark[u] = stamp
-				reached++
-				q = append(q, u)
-			}
-		}
-	}
-	a.queue = q[:0:cap(q)]
-	return reached == n-1
-}
-
-// ComponentLabels labels the connected components of c - {u, v}: the
-// returned slice has -1 at u and v and component IDs 0..k-1 elsewhere,
-// assigned in order of smallest contained vertex; k is returned alongside.
-// Pass v = -1 to exclude only u, and u = v = -1 to exclude nothing. The
-// label slice is arena-owned and valid until the next ComponentLabels call
-// on the same arena.
-func (c *CSR) ComponentLabels(u, v int, a *Arena) ([]int32, int) {
-	n := c.N()
-	if len(a.labels) < n {
-		a.labels = make([]int32, n)
-	}
-	labels := a.labels[:n]
-	for i := range labels {
-		labels[i] = -2
-	}
-	if u >= 0 {
-		labels[u] = -1
-	}
-	if v >= 0 {
-		labels[v] = -1
-	}
-	a.growMark(n)
-	offs, tgts := c.Offsets, c.Targets
-	num := int32(0)
-	q := a.queue[:0]
-	for s := 0; s < n; s++ {
-		if labels[s] != -2 {
-			continue
-		}
-		labels[s] = num
-		q = append(q[:0], int32(s))
-		for head := 0; head < len(q); head++ {
-			x := q[head]
-			for k := offs[x]; k < offs[x+1]; k++ {
-				y := tgts[k]
-				if labels[y] == -2 {
-					labels[y] = num
-					q = append(q, y)
-				}
-			}
-		}
-		num++
-	}
-	a.queue = q[:0:cap(q)]
-	return labels, int(num)
-}
-
 // Eccentricity returns the maximum distance from v to any reachable vertex.
 func (c *CSR) Eccentricity(v int, a *Arena) int {
-	reached := c.boundedBFS([]int32{int32(v)}, -1, a)
-	ecc := int32(0)
-	for _, u := range reached {
-		if d := a.dist[u]; d > ecc {
-			ecc = d
-		}
-	}
-	return int(ecc)
+	_, ecc := c.boundedBFS([]int32{int32(v)}, -1, a)
+	return ecc
 }
 
 // Diameter returns the largest eccentricity over all vertices, considering

@@ -44,7 +44,7 @@ func TestCSRAppendBallMatchesBall(t *testing.T) {
 	}
 }
 
-func TestCSRAppendBallOfSet(t *testing.T) {
+func TestCSRMarkBall(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := opsRandomGraph(30, 0.08, rng)
 	c := g.Freeze()
@@ -52,9 +52,137 @@ func TestCSRAppendBallOfSet(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		u, v := rng.Intn(30), rng.Intn(30)
 		want := g.BallOfSet([]int{u, v}, 3)
-		got := toInts(c.AppendBallOfSet(nil, []int32{int32(u), int32(v)}, 3, a))
-		if !EqualSets(got, want) {
-			t.Fatalf("BallOfSet({%d,%d}, 3) = %v, want %v", u, v, got, want)
+		got := toInts(c.MarkBall(u, v, 3, a))
+		if !EqualSets(Dedup(got), want) || len(got) != len(want) {
+			t.Fatalf("MarkBall(%d, %d, 3) = %v, want %v", u, v, got, want)
+		}
+		if got := toInts(c.MarkBall(u, -1, 2, a)); !EqualSets(Dedup(got), g.Ball(u, 2)) {
+			t.Fatalf("MarkBall(%d, -1, 2) = %v, want %v", u, got, g.Ball(u, 2))
+		}
+	}
+}
+
+// pairBallComponents is the spec for the ball probes: the component IDs of
+// g[N^r[{u, v}]] - {u, v} (v < 0: g[N^r[u]] - u), indexed by original
+// vertex, with -1 outside that graph, plus the component count.
+func pairBallComponents(g *Graph, u, v, r int) ([]int, int) {
+	cut := []int{u}
+	if v >= 0 {
+		cut = append(cut, v)
+	}
+	ball, idx := g.Induced(g.BallOfSet(cut, r))
+	var local []int
+	for i, x := range idx {
+		if x == u || x == v {
+			local = append(local, i)
+		}
+	}
+	del, keep := ball.Delete(local)
+	ids := del.ComponentIDs()
+	comp := make([]int, g.N())
+	for i := range comp {
+		comp[i] = -1
+	}
+	for i, k := range keep {
+		comp[idx[k]] = ids[i]
+	}
+	return comp, del.NumComponents()
+}
+
+// randomPair returns a vertex u and a distinct v within distance r of it,
+// or v = -1 when u's ball is {u}.
+func randomPair(g *Graph, r int, rng *rand.Rand) (int, int) {
+	u := rng.Intn(g.N())
+	ball := g.Ball(u, r)
+	if len(ball) < 2 {
+		return u, -1
+	}
+	for {
+		if v := ball[rng.Intn(len(ball))]; v != u {
+			return u, v
+		}
+	}
+}
+
+func TestCSRNeighborsSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 25; trial++ {
+		g := opsRandomGraph(16, 0.15, rng)
+		c := g.Freeze()
+		a := NewArena()
+		for _, r := range []int{1, 2, 3} {
+			for k := 0; k < g.N(); k++ {
+				u, v := randomPair(g, r, rng)
+				if k%2 == 0 {
+					v = -1
+				}
+				comp, _ := pairBallComponents(g, u, v, r)
+				c.MarkBall(u, v, r, a)
+				for _, w := range []int{u, v} {
+					if w < 0 {
+						continue
+					}
+					seen := map[int]bool{}
+					for _, y := range g.Neighbors(w) {
+						if comp[y] >= 0 {
+							seen[comp[y]] = true
+						}
+					}
+					other := u + v - w
+					if v < 0 {
+						other = -1
+					}
+					if got, want := c.NeighborsSplit(w, other, a), len(seen) >= 2; got != want {
+						t.Fatalf("r=%d cut {%d, %d}: NeighborsSplit(%d) = %v, want %v", r, u, v, w, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCSRLabelPairComponents(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 25; trial++ {
+		g := opsRandomGraph(18, 0.12, rng)
+		c := g.Freeze()
+		a := NewArena()
+		for _, r := range []int{1, 2, 3} {
+			u, v := randomPair(g, r, rng)
+			if v < 0 {
+				continue
+			}
+			comp, want := pairBallComponents(g, u, v, r)
+			c.MarkBall(u, v, r, a)
+			if got := c.LabelPairComponents(u, v, a); got != want {
+				t.Fatalf("r=%d LabelPairComponents(%d, %d) = %d, want %d", r, u, v, got, want)
+			}
+			// The labeling is the spec's partition up to renaming.
+			rename := map[int32]int{}
+			for x, id := range comp {
+				if id < 0 {
+					continue
+				}
+				l := a.labels[x]
+				if prev, ok := rename[l]; ok && prev != id {
+					t.Fatalf("label %d covers components %d and %d", l, prev, id)
+				}
+				rename[l] = id
+			}
+			if len(rename) != want {
+				t.Fatalf("%d labels for %d components", len(rename), want)
+			}
+			for _, x := range []int{u, v} {
+				missing := map[int]bool{}
+				for y, id := range comp {
+					if id >= 0 && !g.HasEdge(x, y) {
+						missing[id] = true
+					}
+				}
+				if got := c.ComponentsNotCoveredBy(x, a); got != len(missing) {
+					t.Fatalf("ComponentsNotCoveredBy(%d) = %d, want %d", x, got, len(missing))
+				}
+			}
 		}
 	}
 }
@@ -129,46 +257,6 @@ func TestCSRSubsetComponentsMatchesGraph(t *testing.T) {
 			if !EqualSets(toInts(got[i]), want[i]) {
 				t.Fatalf("component %d = %v, want %v", i, got[i], want[i])
 			}
-		}
-	}
-}
-
-func TestCSRConnectedWithoutMatchesDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 25; trial++ {
-		g := opsRandomGraph(16, 0.15, rng)
-		c := g.Freeze()
-		a := NewArena()
-		for v := 0; v < g.N(); v++ {
-			del, _ := g.Delete([]int{v})
-			want := del.Connected()
-			if got := c.ConnectedWithout(v, a); got != want {
-				t.Fatalf("ConnectedWithout(%d) = %v, want %v", v, got, want)
-			}
-		}
-	}
-}
-
-func TestCSRComponentLabels(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		g := opsRandomGraph(18, 0.12, rng)
-		c := g.Freeze()
-		a := NewArena()
-		u, v := rng.Intn(18), rng.Intn(18)
-		labels, num := c.ComponentLabels(u, v, a)
-		del, idx := g.Delete(Dedup([]int{u, v}))
-		if want := del.NumComponents(); num != want {
-			t.Fatalf("ComponentLabels(%d, %d) count = %d, want %d", u, v, num, want)
-		}
-		wantIDs := del.ComponentIDs()
-		for i, orig := range idx {
-			if int(labels[orig]) != wantIDs[i] {
-				t.Fatalf("label[%d] = %d, want %d", orig, labels[orig], wantIDs[i])
-			}
-		}
-		if labels[u] != -1 || labels[v] != -1 {
-			t.Fatalf("excluded vertices labeled %d/%d", labels[u], labels[v])
 		}
 	}
 }

@@ -1,0 +1,8 @@
+package graph
+
+// SetGenerations moves every generation counter of a to g, so a test can
+// drive the counters across math.MaxInt32 without 2^31 operations. Call it
+// after a has served the graph, or the next grow resets the counters.
+func (a *Arena) SetGenerations(g int32) {
+	a.stamp, a.posGen, a.seenGen = g, g, g
+}

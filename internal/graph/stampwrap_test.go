@@ -1,0 +1,39 @@
+package graph_test
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"localmds/internal/cuts"
+	"localmds/internal/ding"
+	"localmds/internal/graph"
+)
+
+// TestArenaStampWrapKeepsCutsExact runs the cut detectors across the wrap
+// of the arena's generation counters, at every wrap point over the first
+// few hundred generations of a run. Before each run every vertex carries
+// the stamp 1 in both stamp arrays, as if marked 2^31 generations ago: a
+// wrap that restarted the counters without clearing would make all of
+// those stale stamps current at once and change the cut sets.
+func TestArenaStampWrapKeepsCutsExact(t *testing.T) {
+	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 80, T: 5}, rand.New(rand.NewSource(5)))
+	c := g.Freeze()
+	const r = 3
+	want1, want2 := cuts.LocalOneCuts(g, r), cuts.LocallyInterestingVertices(g, r)
+	staleArena := func(left int) *graph.Arena {
+		a := graph.NewArena()
+		c.MarkBall(0, -1, -1, a)       // mark stamp 1 on every vertex (g is connected)
+		c.LabelPairComponents(0, 1, a) // seen stamp 1 on every vertex
+		a.SetGenerations(math.MaxInt32 - int32(left))
+		return a
+	}
+	for left := 0; left <= 2*c.N(); left++ {
+		if got := cuts.LocalOneCutsCSR(c, r, staleArena(left)); !graph.EqualSets(got, want1) {
+			t.Fatalf("wrap after %d generations: LocalOneCuts = %v, spec %v", left, got, want1)
+		}
+		if got := cuts.LocallyInterestingVerticesCSR(c, r, staleArena(left)); !graph.EqualSets(got, want2) {
+			t.Fatalf("wrap after %d generations: LocallyInterestingVertices = %v, spec %v", left, got, want2)
+		}
+	}
+}

@@ -63,7 +63,8 @@ type Config struct {
 	// JobTimeout bounds each solve (0 = unbounded); a job that exceeds it
 	// fails with HTTP 504 semantics instead of stalling the queue.
 	JobTimeout time.Duration
-	// PipelineWorkers bounds each solve's ComponentSolve fan-out; the
+	// PipelineWorkers bounds each solve's Cuts and ComponentSolve fan-out
+	// (core.PipelineOptions.Workers); the
 	// default 1 keeps one request on one core so concurrent requests
 	// scale by request, not within one.
 	PipelineWorkers int
