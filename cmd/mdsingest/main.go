@@ -296,7 +296,7 @@ func runSolve(rep *report, in, format string, workers int, p core.Params) error 
 // finishCSR records the graph-shaped fields shared by every loading mode.
 func finishCSR(rep *report, c *graph.CSR, fingerprint bool) {
 	rep.N = c.N()
-	rep.M = len(c.Targets) / 2
+	rep.M = c.M()
 	if fingerprint {
 		fp := c.Fingerprint()
 		rep.Fingerprint = fp.String()

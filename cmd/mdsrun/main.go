@@ -273,7 +273,7 @@ func runHuge(stdout io.Writer, in, format, kind string, n, tParam int, p float64
 	}
 
 	fmt.Fprintf(stdout, "graph: n=%d m=%d (csr%s, diameter skipped on the huge path)\n",
-		csr.N(), len(csr.Targets)/2, mappedTag(mapped))
+		csr.N(), csr.M(), mappedTag(mapped))
 	tr, root := newCLITrace(traceOut)
 	res, err := core.Alg1Huge(csr, params, core.HugeOptions{Pool: pool, Hooks: core.SpanHooks(root)})
 	if err != nil {

@@ -9,12 +9,10 @@ import (
 	"localmds/internal/graph"
 )
 
-// This file is the partition-first driver for huge inputs. Alg1Pipeline
-// starts from an adjacency-list *graph.Graph — fine when the graph arrived
-// through a text parser, but the huge-graph ingestion path produces a
-// frozen (possibly mmap-backed, read-only) graph.CSR directly, and
-// materializing an adjacency intermediate for a 10^8-edge instance would
-// double peak RSS before the solver ran. Alg1Huge runs every stage on the
+// This file is the partition-first driver for huge inputs. The huge-graph
+// ingestion path produces a frozen (possibly mmap-backed, read-only)
+// graph.CSR directly and schedules on a caller-owned worker pool, where
+// Alg1CSR fans out over its own goroutines. Alg1Huge runs every stage on the
 // shared CSR: the same TwinReduceCSR, CSR-native cut enumeration and
 // partitioning as the pipeline, and a component fan-out that never
 // holds more than `workers` induced component copies at once — each worker

@@ -97,7 +97,7 @@ type PipelineOptions struct {
 // The result is always a dominating set of g; the 50-approximation
 // guarantee of the paper applies for the PaperParams radii on
 // K_{2,t}-minor-free inputs. Alg1 executes as a staged CSR pipeline with
-// default options; see Alg1Pipeline to bound the component-solve fan-out.
+// default options; see Alg1CSR to bound the component-solve fan-out.
 func Alg1(g *graph.Graph, p Params) (*Alg1Result, error) {
 	return Alg1Pipeline(g, p, PipelineOptions{})
 }
@@ -143,18 +143,26 @@ type compOut struct {
 	err      error
 }
 
-// Alg1Pipeline runs Algorithm 1 as the staged CSR pipeline
-// TwinReduce → Cuts → Partition → ComponentSolve → Stitch, with the Cuts
-// vertex loop and the component solves fanned out over opt.Workers
-// goroutines. The result is deterministic: equal to Alg1Sequential's field
-// for field, at every worker count. It freezes g (Graph.Freeze), so it
+// Alg1Pipeline is Alg1CSR on g's frozen view. It is the only driver that
+// freezes its input: Graph.Freeze caches the CSR in g, so Alg1Pipeline
 // must not run concurrently with another Freeze or a mutation of g.
 func Alg1Pipeline(g *graph.Graph, p Params, opt PipelineOptions) (*Alg1Result, error) {
+	return Alg1CSR(g.Freeze(), p, opt)
+}
+
+// Alg1CSR runs Algorithm 1 as the staged CSR pipeline
+// TwinReduce → Cuts → Partition → ComponentSolve → Stitch on a frozen
+// graph, with the Cuts vertex loop and the component solves fanned out
+// over opt.Workers goroutines. The result is deterministic: equal to
+// Alg1Sequential's field for field, at every worker count. in is only
+// read, never frozen or mutated, so callers that parse straight to a CSR
+// (graphio.ParseCSR) need no *graph.Graph at all.
+func Alg1CSR(in *graph.CSR, p Params, opt PipelineOptions) (*Alg1Result, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err
 	}
-	if g.N() == 0 {
+	if in.N() == 0 {
 		return &Alg1Result{}, nil
 	}
 	workers := opt.Workers
@@ -172,7 +180,7 @@ func Alg1Pipeline(g *graph.Graph, p Params, opt PipelineOptions) (*Alg1Result, e
 	var csr *graph.CSR
 	var active []int
 	res.runStage(hooks, "TwinReduce", "active vertices", sample, func() int {
-		csr, active = graph.TwinReduceCSR(g.Freeze())
+		csr, active = graph.TwinReduceCSR(in)
 		return len(active)
 	})
 	res.Active = append([]int(nil), active...)

@@ -16,6 +16,9 @@ type CSR struct {
 // N returns the number of vertices.
 func (c *CSR) N() int { return len(c.Offsets) - 1 }
 
+// M returns the number of edges.
+func (c *CSR) M() int { return len(c.Targets) / 2 }
+
 // Degree returns the degree of v.
 func (c *CSR) Degree(v int) int { return int(c.Offsets[v+1] - c.Offsets[v]) }
 

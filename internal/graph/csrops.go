@@ -431,5 +431,5 @@ func FromCSR(c *CSR) *Graph {
 	for v := 0; v < n; v++ {
 		adj[v] = buf[c.Offsets[v]:c.Offsets[v+1]:c.Offsets[v+1]]
 	}
-	return &Graph{adj: adj, m: len(c.Targets) / 2}
+	return &Graph{adj: adj, m: c.M()}
 }

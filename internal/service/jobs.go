@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -18,6 +19,9 @@ const (
 )
 
 // SolveOutcome is the immutable, cacheable payload of a finished solve.
+// Outcomes this process serves are sealed once, when a job finishes or a
+// disk entry is decoded: the cache hands the same value, and the same
+// encoded bytes, to every response.
 type SolveOutcome struct {
 	Fingerprint string           `json:"fingerprint"`
 	N           int              `json:"n"`
@@ -25,6 +29,23 @@ type SolveOutcome struct {
 	Params      core.Params      `json:"params"`
 	Valid       bool             `json:"valid"`
 	Result      *core.Alg1Result `json:"result"`
+
+	// encoded is json.Marshal of the fields above, set by seal before the
+	// outcome is shared and never written again: responses splice it in
+	// and the disk store persists it. nil on an outcome decoded from a
+	// response.
+	encoded []byte
+}
+
+// seal computes the outcome's JSON encoding. It must run before the
+// outcome is shared.
+func (o *SolveOutcome) seal() error {
+	b, err := json.Marshal(o)
+	if err != nil {
+		return err
+	}
+	o.encoded = b
+	return nil
 }
 
 // Job tracks one solve through the queue. Mutable state is guarded by mu;
@@ -52,31 +73,61 @@ type Job struct {
 }
 
 // JobView is the JSON snapshot served by GET /v1/jobs/{id} and embedded
-// in solve responses.
+// in solve responses: the per-request header fields, then the outcome's
+// fields flattened in when done.
 type JobView struct {
-	ID            string     `json:"job_id"`
-	Status        string     `json:"status"`
-	Source        string     `json:"source,omitempty"`
-	Cached        bool       `json:"cached"`
-	Created       time.Time  `json:"created"`
-	Started       *time.Time `json:"started,omitempty"`
-	Finished      *time.Time `json:"finished,omitempty"`
-	Error         string     `json:"error,omitempty"`
-	CacheAgeS     *float64   `json:"cache_age_s,omitempty"` // served entry's age, cache hits only
-	*SolveOutcome            // flattened when done
+	jobHeader
+	*SolveOutcome // flattened when done
+}
+
+// jobHeader is the per-request part of a JobView.
+type jobHeader struct {
+	ID        string     `json:"job_id"`
+	Status    string     `json:"status"`
+	Source    string     `json:"source,omitempty"`
+	Cached    bool       `json:"cached"`
+	Created   time.Time  `json:"created"`
+	Started   *time.Time `json:"started,omitempty"`
+	Finished  *time.Time `json:"finished,omitempty"`
+	Error     string     `json:"error,omitempty"`
+	CacheAgeS *float64   `json:"cache_age_s,omitempty"` // served entry's age, cache hits only
+}
+
+// encode is the view's JSON as served: the header fields, then the
+// outcome's sealed bytes spliced in, so a cache hit encodes only the
+// header. The bytes equal the default encoding of the view (JobView has
+// no MarshalJSON, so json.Marshal of it stays the reference).
+func (v JobView) encode() ([]byte, error) {
+	head, err := json.Marshal(v.jobHeader)
+	if err != nil || v.SolveOutcome == nil {
+		return head, err
+	}
+	out := v.SolveOutcome.encoded
+	if out == nil {
+		if out, err = json.Marshal(v.SolveOutcome); err != nil {
+			return nil, err
+		}
+	}
+	// head is {...} with at least the job_id member, out is {...} with
+	// at least the fingerprint member: join them with one comma. The
+	// extra byte of capacity is writeJSON's newline.
+	b := make([]byte, 0, len(head)+len(out)+1)
+	b = append(b, head[:len(head)-1]...)
+	b = append(b, ',')
+	return append(b, out[1:]...), nil
 }
 
 // view snapshots the job under its lock.
 func (j *Job) view() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	v := JobView{
+	v := JobView{jobHeader: jobHeader{
 		ID:      j.ID,
 		Status:  j.status,
 		Source:  j.source,
 		Cached:  j.cached,
 		Created: j.created,
-	}
+	}}
 	if !j.started.IsZero() {
 		t := j.started
 		v.Started = &t
@@ -134,7 +185,17 @@ func (j *Job) markRunning() (started time.Time, queueWait time.Duration) {
 	return started, queueWait
 }
 
+// finish records the terminal state and releases the job's waiters.
 func (j *Job) finish(out *SolveOutcome, err error) {
+	j.settle(out, err)
+	close(j.done)
+}
+
+// settle records the terminal state without releasing waiters. runJob
+// publishes the terminal event between settle and close(j.done): a
+// client released by done may send its next request at once, and that
+// request's events must not overtake this job's.
+func (j *Job) settle(out *SolveOutcome, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	if err != nil {
@@ -145,7 +206,6 @@ func (j *Job) finish(out *SolveOutcome, err error) {
 		j.outcome = out
 	}
 	j.mu.Unlock()
-	close(j.done)
 }
 
 // jobStore is the in-memory job registry. Jobs are kept until the store's

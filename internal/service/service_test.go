@@ -362,7 +362,7 @@ func TestJobTimeout(t *testing.T) {
 		if stall.Load() {
 			<-release
 		}
-		return core.Alg1Pipeline(ps.g, ps.params, core.PipelineOptions{Workers: 1})
+		return core.Alg1CSR(ps.csr, ps.params, core.PipelineOptions{Workers: 1})
 	}
 	var v JobView
 	req := SolveRequest{Generator: &GeneratorSpec{Kind: "grid", N: 25, Seed: 1}}

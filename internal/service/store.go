@@ -63,9 +63,11 @@ func (s *Server) storeStatus() string {
 
 // storeLookup is the second cache tier: on a memory miss it consults the
 // disk store, revalidates that the decoded outcome really answers this
-// key, warms the memory cache with the persisted computation instant, and
-// returns the outcome plus its true age. A miss, a quarantined entry, or a
-// degraded store all return ok=false and the solve proceeds to compute.
+// key, re-seals it (the stored bytes may predate the current schema, so
+// they are never served verbatim), warms the memory cache with the
+// persisted computation instant, and returns the outcome plus its true
+// age. A miss, a quarantined entry, or a degraded store all return
+// ok=false and the solve proceeds to compute.
 func (s *Server) storeLookup(ps *parsedSolve) (*SolveOutcome, time.Duration, bool) {
 	if !s.storeEnabled() {
 		return nil, 0, false
@@ -78,7 +80,7 @@ func (s *Server) storeLookup(ps *parsedSolve) (*SolveOutcome, time.Duration, boo
 		return nil, 0, false
 	}
 	var out SolveOutcome
-	if jerr := json.Unmarshal(e.Payload, &out); jerr != nil || !outcomeMatches(&out, ps) {
+	if jerr := json.Unmarshal(e.Payload, &out); jerr != nil || !outcomeMatches(&out, ps) || out.seal() != nil {
 		// The bytes were checksum-valid but the payload does not answer
 		// this key — a schema drift or a forged entry. Stop offering it.
 		s.store.Discard(storeKey(ps.key))
@@ -99,21 +101,15 @@ func outcomeMatches(out *SolveOutcome, ps *parsedSolve) bool {
 	return err == nil && paramsKeyString(p) == ps.key.params
 }
 
-// storePersist writes one completed outcome to the disk tier. It runs on
-// the job's worker, before the job finishes, so the durability contract
+// storePersist writes one completed, sealed outcome to the disk tier: the
+// payload is the same encoding the responses splice in. It runs on the
+// job's worker, before the job finishes, so the durability contract
 // holds; failures degrade to memory-only and the job still succeeds.
 func (s *Server) storePersist(ps *parsedSolve, out *SolveOutcome, computedAt time.Time) {
 	if !s.storeEnabled() {
 		return
 	}
-	payload, err := json.Marshal(out)
-	if err != nil {
-		// Outcomes are plain data; this cannot happen, but an encode bug
-		// must not take down the disk tier silently mid-run.
-		s.degradeStore("encode", err)
-		return
-	}
-	if err := s.store.Put(storeKey(ps.key), computedAt.UnixNano(), payload); err != nil {
+	if err := s.store.Put(storeKey(ps.key), computedAt.UnixNano(), out.encoded); err != nil {
 		s.degradeStore("put", err)
 	}
 }
