@@ -1,6 +1,6 @@
 // Command mdsingest generates, converts, and benchmarks huge-graph
 // instances for the ingestion pipeline (text parse → csrbin → mmap →
-// partition-first solve). Every invocation performs one mode and emits a
+// Alg1CSR solve). Every invocation performs one mode and emits a
 // single JSON report on stdout, so a shell script can compose runs into a
 // BENCH_ingest.json without parsing human-readable logs.
 //
@@ -23,8 +23,8 @@
 //   - convert: parallel parse, then WriteCSRBinFile.
 //   - load: OpenCSRBin — mmap on supported platforms, so the wall time is
 //     independent of the graph size.
-//   - solve: load (mmap for csrbin, parallel parse for text), then the
-//     partition-first driver core.Alg1Huge, validated against the CSR.
+//   - solve: load (mmap for csrbin, parallel parse for text), then
+//     core.Alg1CSR on the loaded CSR, validated against it.
 //
 // wall_seconds always times the mode's headline operation only;
 // -fingerprint hashes the loaded CSR *outside* the timed window (it
@@ -281,7 +281,7 @@ func runSolve(rep *report, in, format string, workers int, p core.Params) error 
 	rep.WallSeconds = time.Since(start).Seconds()
 
 	solveStart := time.Now()
-	res, err := core.Alg1Huge(csr, p, core.HugeOptions{Pool: pool})
+	res, err := core.Alg1CSR(csr, p, core.PipelineOptions{Workers: pool.Workers()})
 	if err != nil {
 		return err
 	}

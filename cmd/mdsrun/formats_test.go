@@ -114,7 +114,7 @@ func TestRunHugeMatchesAlg1(t *testing.T) {
 	refSize := sizeLine(t, ref.String())
 
 	for _, args := range [][]string{
-		{"-in", csrbinPath, "-alg", "alg1-huge", "-r1", "1", "-r2", "2"},            // auto-sniffed mmap
+		{"-in", csrbinPath, "-alg", "alg1-huge", "-r1", "1", "-r2", "2"}, // auto-sniffed mmap
 		{"-in", csrbinPath, "-alg", "alg1-huge", "-format", "csrbin", "-r1", "1", "-r2", "2"},
 		{"-in", edgesPath, "-alg", "alg1-huge", "-workers", "3", "-r1", "1", "-r2", "2"}, // parallel text
 		{"-graph", "grid", "-n", "100", "-seed", "11", "-alg", "alg1-huge", "-r1", "1", "-r2", "2", "-stages"},

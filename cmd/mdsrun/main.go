@@ -25,11 +25,11 @@
 //
 // -alg alg1-huge is the huge-graph ingestion path: csrbin files are
 // mmap'd straight into the solver (near-zero load time), text inputs take
-// the parallel chunked parser, and the partition-first driver
-// (core.Alg1Huge) runs on the shared CSR — no adjacency-list
-// intermediate is ever materialized. The report skips the diameter (an
-// O(n·m) scan that would dwarf the solve) and the exact optimum probe;
-// -opt and -dot are rejected.
+// the parallel chunked parser, and the same driver as -alg alg1
+// (core.Alg1CSR) runs on the loaded CSR — no adjacency-list intermediate
+// is ever materialized. The report skips the diameter (an O(n·m) scan
+// that would dwarf the solve) and the exact optimum probe; -opt and -dot
+// are rejected.
 //
 // -workers bounds the Algorithm 1 fan-out of -alg alg1 and alg1-huge: the
 // Cuts vertex loop and the component solves (and alg1-huge's text
@@ -205,10 +205,6 @@ func optimum(g *graph.Graph, isMVC bool, maxNodes int64) (int, error) {
 	return len(sol), err
 }
 
-// runHuge is the -alg alg1-huge path: load the instance straight into a
-// frozen CSR (mmap for csrbin files, parallel chunked parse for text),
-// run the partition-first driver on a bounded pool, and report against
-// the CSR — the adjacency-list *graph.Graph is never built.
 // newCLITrace creates the CLI solve trace, or (nil, nil) when -trace is
 // off. The fixed trace ID keeps span IDs deterministic run to run, so two
 // traces of the same instance diff cleanly.
@@ -235,6 +231,10 @@ func writeChromeTrace(path string, tr *obs.Trace) error {
 	return nil
 }
 
+// runHuge is the -alg alg1-huge path: load the instance straight into a
+// frozen CSR (mmap for csrbin files, parallel chunked parse for text),
+// run Alg1CSR on it, and report against the CSR — the adjacency-list
+// *graph.Graph is never built.
 func runHuge(stdout io.Writer, in, format, kind string, n, tParam int, p float64, seed int64,
 	params core.Params, workers int, stages bool, traceOut string) error {
 	if workers <= 0 {
@@ -275,7 +275,7 @@ func runHuge(stdout io.Writer, in, format, kind string, n, tParam int, p float64
 	fmt.Fprintf(stdout, "graph: n=%d m=%d (csr%s, diameter skipped on the huge path)\n",
 		csr.N(), csr.M(), mappedTag(mapped))
 	tr, root := newCLITrace(traceOut)
-	res, err := core.Alg1Huge(csr, params, core.HugeOptions{Pool: pool, Hooks: core.SpanHooks(root)})
+	res, err := core.Alg1CSR(csr, params, core.PipelineOptions{Workers: pool.Workers(), Hooks: core.SpanHooks(root)})
 	if err != nil {
 		return err
 	}

@@ -186,7 +186,7 @@ var sortFuncs = map[string]bool{
 	"sort.Ints": true, "sort.Strings": true, "sort.Float64s": true,
 	"sort.Sort": true, "sort.Stable": true, "sort.Slice": true,
 	"sort.SliceStable": true,
-	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
+	"slices.Sort":      true, "slices.SortFunc": true, "slices.SortStableFunc": true,
 }
 
 // isSortOf reports whether st is (or begins with) a recognized sort call

@@ -29,7 +29,8 @@ const (
 	// must come from a bounded pool. internal/runner is deliberately
 	// absent: it implements the sanctioned pool primitives.
 	goroutineScope = "localmds/internal/core,localmds/internal/mds," +
-		"localmds/internal/cuts,localmds/internal/local,localmds/internal/service,localmds/internal/obs," +
+		"localmds/internal/cuts,localmds/internal/graph,localmds/internal/local," +
+		"localmds/internal/service,localmds/internal/obs," +
 		"localmds/cmd/mdsd,localmds/internal/store,localmds/cmd/mdsctl"
 
 	// spanScope is everywhere spans are minted: the obs package itself,

@@ -18,7 +18,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // badHandler bypasses the central writer three ways.
 func badHandler(w http.ResponseWriter, r *http.Request) {
-	http.Error(w, "nope", http.StatusBadRequest) // want `http.Error bypasses the service's central error writer`
+	http.Error(w, "nope", http.StatusBadRequest)  // want `http.Error bypasses the service's central error writer`
 	w.WriteHeader(http.StatusInternalServerError) // want `direct WriteHeader on an http.ResponseWriter`
 	_ = json.NewEncoder(w).Encode("x")            // want `json.NewEncoder\(w\).Encode writes a response outside the central`
 }

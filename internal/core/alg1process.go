@@ -285,10 +285,10 @@ func (a *alg1Process) solveComponent() {
 		if err == nil {
 			chosen = sol
 		} else {
-			chosen = greedyBDominating(comp, target)
+			chosen = mds.GreedyBDominatingCSR(comp.Freeze(), target)
 		}
 	} else {
-		chosen = greedyBDominating(comp, target)
+		chosen = mds.GreedyBDominatingCSR(comp.Freeze(), target)
 	}
 	me := pos[a.info.ID]
 	for _, v := range chosen {

@@ -11,6 +11,9 @@ import (
 	"localmds/internal/mds"
 )
 
+// TestRunAlg1MatchesCentralized pins the simulator to the centralized
+// driver. The second params value caps brute force at two vertices, so
+// components fall back to the greedy (mds.GreedyBDominatingCSR in both).
 func TestRunAlg1MatchesCentralized(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tests := []struct {
@@ -24,25 +27,41 @@ func TestRunAlg1MatchesCentralized(t *testing.T) {
 		{"cliquependants", gen.CliquePendants(5)},
 		{"ding", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 20, T: 5}, rng)},
 		{"twins", gen.Complete(5)},
+		{"grid", gen.Grid(6, 6)},
 	}
-	p := Params{R1: 3, R2: 3}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			want, err := Alg1(tt.g, p)
-			if err != nil {
-				t.Fatalf("Alg1: %v", err)
-			}
-			got, stats, err := RunAlg1(tt.g, nil, p, local.Sequential)
-			if err != nil {
-				t.Fatalf("RunAlg1: %v", err)
-			}
-			if !graph.EqualSets(got, want.S) {
-				t.Errorf("process = %v, centralized = %v", got, want.S)
-			}
-			if stats.Rounds > want.RoundsEstimate {
-				t.Errorf("rounds %d exceed estimate %d", stats.Rounds, want.RoundsEstimate)
-			}
-		})
+	params := []struct {
+		suffix string
+		p      Params
+	}{
+		{"", Params{R1: 3, R2: 3}},
+		{"/brute2", Params{R1: 3, R2: 3, MaxBruteComponent: 2}},
+	}
+	fallbacks := 0
+	for _, pc := range params {
+		for _, tt := range tests {
+			t.Run(tt.name+pc.suffix, func(t *testing.T) {
+				want, err := Alg1(tt.g, pc.p)
+				if err != nil {
+					t.Fatalf("Alg1: %v", err)
+				}
+				if pc.suffix != "" {
+					fallbacks += want.BruteFallbacks
+				}
+				got, stats, err := RunAlg1(tt.g, nil, pc.p, local.Sequential)
+				if err != nil {
+					t.Fatalf("RunAlg1: %v", err)
+				}
+				if !graph.EqualSets(got, want.S) {
+					t.Errorf("process = %v, centralized = %v", got, want.S)
+				}
+				if stats.Rounds > want.RoundsEstimate {
+					t.Errorf("rounds %d exceed estimate %d", stats.Rounds, want.RoundsEstimate)
+				}
+			})
+		}
+	}
+	if fallbacks == 0 {
+		t.Error("no case reached the greedy fallback")
 	}
 }
 

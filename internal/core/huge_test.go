@@ -1,13 +1,17 @@
 package core_test
 
-// Alg1Huge is the partition-first CSR driver for the huge-graph ingestion
-// path; these tests pin it field for field to Alg1Pipeline. They live in an
-// external test package so they can schedule on the real runner.Pool —
-// core itself only sees the Submitter slice of it (importing runner from
-// package core would cycle through experiments).
+// The alg1-huge path of mdsrun and mdsingest loads a graph straight into
+// a CSR — the parallel text parser on a runner.Pool, or a csrbin file,
+// mmap'd read-only — and hands it to Alg1CSR at the pool's worker count.
+// These tests drive that path and pin it field for field to Alg1Pipeline
+// on the adjacency-list graph. They live in an external test package so
+// they can use graphio and the real runner.Pool (package core cannot
+// import runner: it would cycle through experiments).
 
 import (
+	"bytes"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -15,9 +19,26 @@ import (
 	"localmds/internal/ding"
 	"localmds/internal/gen"
 	"localmds/internal/graph"
+	"localmds/internal/graphio"
 	"localmds/internal/mds"
 	"localmds/internal/runner"
 )
+
+// parseHuge encodes g in format f and loads it back the way the alg1-huge
+// path does: graphio.ParseCSR with the pool driving the text parser.
+func parseHuge(g *graph.Graph, f graphio.Format, pool *runner.Pool) (*graph.CSR, error) {
+	var buf bytes.Buffer
+	var err error
+	if f == graphio.FormatCSRBin {
+		err = graphio.WriteCSRBin(&buf, g.Freeze())
+	} else {
+		err = graphio.Write(&buf, g, f)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return graphio.ParseCSR(buf.Bytes(), f, graphio.CSROptions{Pool: pool})
+}
 
 // equalAlg1Results fails the test unless the two results agree on every
 // algorithmic field (StageStats carries timings and is never compared).
@@ -57,9 +78,10 @@ func equalAlg1Results(t *testing.T, got, want *core.Alg1Result) {
 	}
 }
 
-// TestAlg1HugeMatchesPipelineOnFamilies pins the huge driver to the
-// pipeline on every workload family, including twin-heavy and
-// multi-component instances and the greedy-fallback regime.
+// TestAlg1HugeMatchesPipelineOnFamilies pins the huge path (edge-list
+// text through the pooled parser, then Alg1CSR) to the pipeline on every
+// workload family, including twin-heavy and multi-component instances and
+// the greedy-fallback regime.
 func TestAlg1HugeMatchesPipelineOnFamilies(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	multi := graph.DisjointUnion(
@@ -95,21 +117,25 @@ func TestAlg1HugeMatchesPipelineOnFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Alg1Pipeline: %v", err)
 			}
-			got, err := core.Alg1Huge(tt.g.Freeze(), tt.p, core.HugeOptions{Pool: pool})
+			csr, err := parseHuge(tt.g, graphio.FormatEdgeList, pool)
 			if err != nil {
-				t.Fatalf("Alg1Huge: %v", err)
+				t.Fatalf("ParseCSR: %v", err)
+			}
+			got, err := core.Alg1CSR(csr, tt.p, core.PipelineOptions{Workers: pool.Workers()})
+			if err != nil {
+				t.Fatalf("Alg1CSR: %v", err)
 			}
 			equalAlg1Results(t, got, want)
-			if tt.g.N() > 0 && !mds.IsDominatingSet(tt.g, got.S) {
-				t.Fatal("huge-driver result is not dominating")
+			if tt.g.N() > 0 && !mds.IsDominatingSetCSR(csr, got.S) {
+				t.Fatal("huge-path result is not dominating")
 			}
 		})
 	}
 }
 
-// Property: on randomized multi-component instances the huge driver and
-// the pipeline agree on all fields, for random radii. CI runs this under
-// -race, which also guards the solver free list against data races.
+// Property: on randomized multi-component instances the huge path (csrbin
+// bytes, then Alg1CSR) and the pipeline agree on all fields, for random
+// radii. CI runs this under -race.
 func TestAlg1HugeMatchesPipelineProperty(t *testing.T) {
 	pool := runner.NewPool(3, 8)
 	defer pool.Close()
@@ -130,7 +156,11 @@ func TestAlg1HugeMatchesPipelineProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := core.Alg1Huge(g.Freeze(), p, core.HugeOptions{Pool: pool})
+		csr, err := parseHuge(g, graphio.FormatCSRBin, pool)
+		if err != nil {
+			return false
+		}
+		got, err := core.Alg1CSR(csr, p, core.PipelineOptions{Workers: pool.Workers()})
 		if err != nil {
 			return false
 		}
@@ -148,44 +178,34 @@ func TestAlg1HugeMatchesPipelineProperty(t *testing.T) {
 	}
 }
 
-// The huge driver's output must not depend on the worker count, and the
-// nil-pool inline path must match the pooled one.
-func TestAlg1HugeWorkerCountInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := graph.DisjointUnion(
-		ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: 60, T: 5}, rng),
-		ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 60, T: 5}, rng),
-	)
-	csr := g.Freeze()
-	base, err := core.Alg1Huge(csr, core.PracticalParams(), core.HugeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		pool := runner.NewPool(w, 4*w)
-		got, err := core.Alg1Huge(csr, core.PracticalParams(), core.HugeOptions{Pool: pool})
-		pool.Close()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		equalAlg1Results(t, got, base)
-	}
-}
-
-// The huge driver must not mutate its input CSR (it may be a read-only
-// mmap), and must record the same five stages as the pipeline.
+// Alg1CSR must not write its input CSR: on the huge path it is a
+// read-only mmap of a csrbin file, where a write would fault. It must
+// also record the five pipeline stages.
 func TestAlg1HugeInputUntouchedAndStages(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 60, T: 5}, rng)
-	csr := g.Freeze()
-	before := csr.Fingerprint()
-	res, err := core.Alg1Huge(csr, core.PracticalParams(), core.HugeOptions{})
+	path := filepath.Join(t.TempDir(), "g.csrbin")
+	if err := graphio.WriteCSRBinFile(path, g.Freeze()); err != nil {
+		t.Fatal(err)
+	}
+	m, err := graphio.OpenCSRBin(path, graphio.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if csr.Fingerprint() != before {
-		t.Fatal("Alg1Huge mutated its input CSR")
+	defer m.Close()
+	before := m.CSR.Fingerprint()
+	res, err := core.Alg1CSR(&m.CSR, core.PracticalParams(), core.PipelineOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if m.CSR.Fingerprint() != before {
+		t.Fatal("Alg1CSR mutated its input CSR")
+	}
+	want, err := core.Alg1Pipeline(g, core.PracticalParams(), core.PipelineOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalAlg1Results(t, res, want)
 	wantStages := []string{"TwinReduce", "Cuts", "Partition", "ComponentSolve", "Stitch"}
 	if len(res.StageStats) != len(wantStages) {
 		t.Fatalf("got %d stages, want %d", len(res.StageStats), len(wantStages))

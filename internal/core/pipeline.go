@@ -6,7 +6,6 @@ import (
 	"runtime/metrics"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"localmds/internal/cuts"
@@ -14,15 +13,13 @@ import (
 	"localmds/internal/mds"
 )
 
-// This file is the staged CSR pipeline behind Alg1. The monolithic
-// reference implementation (Alg1Sequential) re-derived induced subgraphs
-// and neighborhood balls through the allocating *graph.Graph accessors at
-// every step; the pipeline freezes the input once, twin-reduces the CSR,
-// and runs every subsequent stage — cut enumeration, partitioning,
-// per-component solving — over the flat CSR view with reusable arena
-// scratch, fanning the Cuts vertex loop and the independent component
-// solves out over a bounded set of workers. Stage boundaries are explicit
-// so each one records wall time, allocations, and a size statistic into
+// This file is the staged CSR pipeline behind Alg1, the one Algorithm 1
+// driver. It twin-reduces the input CSR and runs every subsequent stage —
+// cut enumeration, partitioning, per-component solving — over the flat
+// CSR view with reusable arena scratch, fanning the Cuts vertex loop and
+// the independent component solves out over a bounded set of workers
+// (graph.ParallelFor). Stage boundaries are explicit so each one records
+// wall time, allocations, and a size statistic into
 // Alg1Result.StageStats.
 
 // StageStat is one pipeline stage's diagnostics. The JSON form (used by
@@ -85,8 +82,8 @@ type PipelineOptions struct {
 	Hooks TraceHooks
 }
 
-// Alg1 runs the centralized reference implementation of Algorithm 1
-// (Theorem 4.1) on g with the given radii:
+// Alg1 runs the centralized Algorithm 1 (Theorem 4.1) on g with the
+// given radii:
 //
 //  1. reduce true twins,
 //  2. take every vertex of an R1-local minimal 1-cut,
@@ -153,10 +150,12 @@ func Alg1Pipeline(g *graph.Graph, p Params, opt PipelineOptions) (*Alg1Result, e
 // Alg1CSR runs Algorithm 1 as the staged CSR pipeline
 // TwinReduce → Cuts → Partition → ComponentSolve → Stitch on a frozen
 // graph, with the Cuts vertex loop and the component solves fanned out
-// over opt.Workers goroutines. The result is deterministic: equal to
-// Alg1Sequential's field for field, at every worker count. in is only
-// read, never frozen or mutated, so callers that parse straight to a CSR
-// (graphio.ParseCSR) need no *graph.Graph at all.
+// over opt.Workers goroutines. The result is deterministic: the same
+// field for field at every worker count. in is only read, never frozen
+// or written, so it may be a read-only mmap of a csrbin file, and callers
+// that parse straight to a CSR (graphio.ParseCSR) need no *graph.Graph at
+// all. Only residual components are ever copied out of the reduced CSR,
+// at most one per worker at a time.
 func Alg1CSR(in *graph.CSR, p Params, opt PipelineOptions) (*Alg1Result, error) {
 	p, err := p.normalized()
 	if err != nil {
@@ -214,39 +213,16 @@ func Alg1CSR(in *graph.CSR, p Params, opt PipelineOptions) (*Alg1Result, error) 
 
 	// ComponentSolve: brute-force (or greedy, above the cap) each residual
 	// component against its undominated vertices. Components are
-	// independent, so they fan out over the pool; each worker owns its
-	// arena and scratch CSR, and results land in a component-indexed slice.
+	// independent, so they fan out over the workers; each worker owns one
+	// componentSolver (its arena and scratch CSR, so at most `workers`
+	// induced component copies are live at once), and results land in a
+	// component-indexed slice.
 	outs := make([]compOut, len(comps))
 	res.runStage(hooks, "ComponentSolve", "solved components", sample, func() int {
-		w := workers
-		if w > len(comps) {
-			w = len(comps)
-		}
-		if w <= 1 {
-			solver := componentSolver{csr: csr, dominated: dominated, p: p, arena: graph.NewArena(), hooks: hooks}
-			for i := range comps {
-				outs[i] = solver.solve(i, comps[i])
-			}
-		} else {
-			idxCh := make(chan int)
-			var wg sync.WaitGroup
-			for k := 0; k < w; k++ {
-				wg.Add(1)
-				//mdsvet:ignore boundedgo -- bounded fan-out: exactly w <= PipelineOptions.Workers goroutines, joined below; core cannot import runner.Pool (cycle)
-				go func() {
-					defer wg.Done()
-					solver := componentSolver{csr: csr, dominated: dominated, p: p, arena: graph.NewArena(), hooks: hooks}
-					for i := range idxCh {
-						outs[i] = solver.solve(i, comps[i])
-					}
-				}()
-			}
-			for i := range comps {
-				idxCh <- i
-			}
-			close(idxCh)
-			wg.Wait()
-		}
+		graph.ParallelFor(len(comps), workers, 1, func(int) func(int) {
+			solver := &componentSolver{csr: csr, dominated: dominated, p: p, arena: graph.NewArena(), hooks: hooks}
+			return func(i int) { outs[i] = solver.solve(i, comps[i]) }
+		})
 		solved := 0
 		for i := range outs {
 			if outs[i].solved {
@@ -271,8 +247,7 @@ func Alg1CSR(in *graph.CSR, p Params, opt PipelineOptions) (*Alg1Result, error) 
 // partitionResidual computes the Partition stage's split of the reduced
 // graph: the domination bitmap induced by S1 = X ∪ I, the saturated set U
 // (dominated vertices whose whole closed neighborhood is dominated), and
-// the residual vertex set of Ĝ - (S1 ∪ U). Shared by Alg1Pipeline and
-// Alg1Huge so the two drivers cannot drift.
+// the residual vertex set of Ĝ - (S1 ∪ U).
 func partitionResidual(csr *graph.CSR, s1Local []int) (dominated []bool, uLocal []int, rest []int32) {
 	n := csr.N()
 	dominated = make([]bool, n)
@@ -301,7 +276,7 @@ func partitionResidual(csr *graph.CSR, s1Local []int) (dominated []bool, uLocal 
 // stitchSolution assembles the final solution and diagnostics in component
 // order, filling res.S, Components, MaxComponentDiameter, BruteFallbacks,
 // and RoundsEstimate. It returns the solution size (the Stitch stage's
-// item count). Shared by Alg1Pipeline and Alg1Huge.
+// item count).
 func stitchSolution(res *Alg1Result, p Params, active, s1Local []int, comps [][]int32, outs []compOut) int {
 	sol := append([]int(nil), s1Local...)
 	for i := range outs {
@@ -371,9 +346,8 @@ func (cs *componentSolver) solveBody(comp []int32) compOut {
 		chosen, err = mds.ExactBDominatingCSROpt(&cs.sub, target, mds.ExactOptions{MaxNodes: BruteNodeBudget})
 		if err != nil {
 			// Budget exhausted (the only reachable error here): greedy
-			// fallback, mirroring the legacy path exactly — node counts
-			// are input-determined, so both sides fall back on the same
-			// components.
+			// fallback. Node counts are input-determined, so the same
+			// components fall back on every run and in Alg1Process.
 			out.fallback = true
 			chosen = mds.GreedyBDominatingCSR(&cs.sub, target)
 		}

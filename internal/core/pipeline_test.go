@@ -137,23 +137,34 @@ func TestPipelineMatchesSequentialProperty(t *testing.T) {
 	}
 }
 
-// The pipeline output must not depend on the worker count.
+// The pipeline output must not depend on the worker count, on the CSR
+// entry point the huge-graph path calls. The second input has many
+// residual components, so ComponentSolve fans out at every count.
 func TestPipelineWorkerCountInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	g := graph.DisjointUnion(
-		ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: 60, T: 5}, rng),
-		ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 60, T: 5}, rng),
-	)
-	base, err := Alg1Pipeline(g, PracticalParams(), PipelineOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	inputs := []*graph.Graph{
+		graph.DisjointUnion(
+			ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: 60, T: 5}, rng),
+			ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 60, T: 5}, rng),
+		),
+		graph.DisjointUnion(
+			ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: 60, T: 5}, rng),
+			graph.DisjointUnion(gen.Grid(4, 5), gen.RandomCactus(40, rng)),
+		),
 	}
-	for _, w := range []int{2, 4, 8} {
-		got, err := Alg1Pipeline(g, PracticalParams(), PipelineOptions{Workers: w})
+	for _, g := range inputs {
+		csr := g.Freeze()
+		base, err := Alg1CSR(csr, PracticalParams(), PipelineOptions{Workers: 1})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
-		equalResults(t, got, base)
+		for _, w := range []int{2, 4, 8} {
+			got, err := Alg1CSR(csr, PracticalParams(), PipelineOptions{Workers: w})
+			if err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
+			}
+			equalResults(t, got, base)
+		}
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"localmds/internal/obs"
 )
 
-// TraceHooks receives span lifecycle callbacks from the staged drivers
-// (Alg1Pipeline, Alg1Huge). A nil hooks field disables tracing with zero
-// overhead — the drivers only ever test the interface against nil, so
-// deterministic output and the committed BENCH numbers are untouched.
+// TraceHooks receives span lifecycle callbacks from the staged driver
+// (Alg1CSR). A nil hooks field disables tracing with zero overhead — the
+// driver only ever tests the interface against nil, so deterministic
+// output and the committed BENCH numbers are untouched.
 //
 // Implementations must be safe for concurrent ComponentStart calls: the
 // component solves fan out across workers.

@@ -75,33 +75,41 @@ func TestSpanHooksRecordStageAndComponentSpans(t *testing.T) {
 	}
 }
 
+// TestSpanHooksHugeMatchesAndRecords traces Alg1CSR on a frozen CSR, as
+// the huge-graph path calls it, at four workers: component spans open and
+// close concurrently, and the hooks must neither race nor change the
+// result.
 func TestSpanHooksHugeMatchesAndRecords(t *testing.T) {
 	g := traceTestGraph(t)
 	p := Params{R1: 2, R2: 2, MaxBruteComponent: 64}
 	csr := g.Freeze()
 
-	plain, err := Alg1Huge(csr, p, HugeOptions{})
+	plain, err := Alg1CSR(csr, p, PipelineOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr, root := obs.NewTrace("req-huge-trace", "solve", obs.TraceOptions{})
-	traced, err := Alg1Huge(csr, p, HugeOptions{Hooks: SpanHooks(root)})
+	traced, err := Alg1CSR(csr, p, PipelineOptions{Workers: 4, Hooks: SpanHooks(root)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	root.End()
 
 	// Hooks must never change the result.
-	if !graph.EqualSets(plain.S, traced.S) {
-		t.Errorf("traced S = %v, want %v", traced.S, plain.S)
-	}
-	if plain.BruteFallbacks != traced.BruteFallbacks {
-		t.Errorf("traced fallbacks = %d, want %d", traced.BruteFallbacks, plain.BruteFallbacks)
-	}
+	equalResults(t, traced, plain)
 
 	view := tr.View()
 	if view.Root == nil || len(view.Root.Children) != len(traceStageNames) {
-		t.Fatalf("huge driver recorded %d stage spans, want %d", len(view.Root.Children), len(traceStageNames))
+		t.Fatalf("recorded %d stage spans, want %d", len(view.Root.Children), len(traceStageNames))
+	}
+	compStage := view.Root.Children[3]
+	if want := len(traced.Components); len(compStage.Children) != want {
+		t.Fatalf("component spans = %d, want %d (one per residual component)", len(compStage.Children), want)
+	}
+	for _, c := range compStage.Children {
+		if c.Open {
+			t.Errorf("component span %q left open", c.Name)
+		}
 	}
 }
 

@@ -8,12 +8,7 @@
 // at every worker count; csr_test.go checks that on the Table 1 families.
 package cuts
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"localmds/internal/graph"
-)
+import "localmds/internal/graph"
 
 // LocalOneCutsCSR returns all vertices v such that {v} is an r-local
 // minimal 1-cut of c (Definition 2.1 with k = 1), ascending. It is
@@ -121,48 +116,20 @@ const rangeSize = 32
 
 // forEachVertex runs a visit function for every vertex 0..n-1 and returns,
 // ascending, the vertices any visit flagged. The loop splits across
-// min(workers, n) goroutines that claim vertex ranges from an atomic
-// cursor; the call starts and joins them before it returns, and with one
-// worker it starts none. newVisit builds each worker's visit function
-// over that worker's own arena (a, or a fresh one, for the first) and its
-// own flag bitmap; the bitmaps are OR-merged in vertex order.
+// min(workers, n) workers (graph.ParallelFor, claiming rangeSize vertices
+// at a time); newVisit builds each worker's visit function over that
+// worker's own arena (a, or a fresh one, for the first) and its own flag
+// bitmap; the bitmaps are OR-merged in vertex order.
 func forEachVertex(n, workers int, a *graph.Arena, newVisit func(a *graph.Arena, flagged []bool) func(v int)) []int {
-	workers = max(1, min(workers, n))
-	flags := make([][]bool, workers)
-	for k := range flags {
-		flags[k] = make([]bool, n)
-	}
-	if workers == 1 {
-		visit := newVisit(a, flags[0])
-		for v := 0; v < n; v++ {
-			visit(v)
+	var flags [][]bool
+	graph.ParallelFor(n, workers, rangeSize, func(k int) func(int) {
+		wa := a
+		if k > 0 {
+			wa = graph.NewArena()
 		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for k := range flags {
-			wa := a
-			if k > 0 {
-				wa = graph.NewArena()
-			}
-			visit := newVisit(wa, flags[k])
-			wg.Add(1)
-			//mdsvet:ignore boundedgo -- fixed set of min(workers, n) goroutines, joined before return; cuts cannot import runner.Pool (cycle)
-			go func() {
-				defer wg.Done()
-				for {
-					lo := int(cursor.Add(rangeSize)) - rangeSize
-					if lo >= n {
-						return
-					}
-					for v := lo; v < min(lo+rangeSize, n); v++ {
-						visit(v)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
+		flags = append(flags, make([]bool, n))
+		return newVisit(wa, flags[k])
+	})
 	hit := flags[0]
 	for _, f := range flags[1:] {
 		for v, ok := range f {

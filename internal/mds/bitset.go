@@ -27,18 +27,14 @@
 //
 // The search is allocation-free after construction: all stacks are
 // preallocated from the greedy upper bound and grown amortized. The
-// sequential search is fully deterministic (all ties break on the lowest
-// index), so both entry points return identical sets on identical inputs.
-// Root-level parallel branching over runner.Pool (ExactOptions.Workers) is
-// deterministic in the returned size but not the returned set.
+// search is fully deterministic (all ties break on the lowest index), so
+// both entry points return identical sets on identical inputs.
 package mds
 
 import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"localmds/internal/graph"
 )
@@ -67,7 +63,6 @@ type engine struct {
 
 	best    []int32
 	bestLen int
-	shared  *atomic.Int64 // cross-worker upper bound; nil when sequential
 
 	nodes    int64
 	maxNodes int64 // 0: unbounded
@@ -253,30 +248,10 @@ func (e *engine) undoTo(cMark, kMark int) {
 	}
 }
 
-// bound returns the current pruning bound: the best known size, shared
-// across workers when branching in parallel.
-func (e *engine) bound() int {
-	b := e.bestLen
-	if e.shared != nil {
-		if s := int(e.shared.Load()); s < b {
-			b = s
-		}
-	}
-	return b
-}
-
 // record stores the chosen stack as the new incumbent.
 func (e *engine) record() {
 	e.best = append(e.best[:0], e.chosen...)
 	e.bestLen = len(e.chosen)
-	if e.shared != nil {
-		for {
-			cur := e.shared.Load()
-			if int64(e.bestLen) >= cur || e.shared.CompareAndSwap(cur, int64(e.bestLen)) {
-				break
-			}
-		}
-	}
 }
 
 // pickTarget scans the undominated targets for the one with the fewest
@@ -399,7 +374,7 @@ func (e *engine) search(depth int) {
 	cMark, kMark := len(e.chosen), len(e.killed)
 	var pick int
 	for {
-		if len(e.chosen) >= e.bound() {
+		if len(e.chosen) >= e.bestLen {
 			e.undoTo(cMark, kMark)
 			return
 		}
@@ -421,7 +396,7 @@ func (e *engine) search(depth int) {
 		break
 	}
 	lb := e.lowerBound()
-	if lb == 0 || len(e.chosen)+lb >= e.bound() {
+	if lb == 0 || len(e.chosen)+lb >= e.bestLen {
 		e.undoTo(cMark, kMark)
 		return
 	}
@@ -570,28 +545,8 @@ func (e *engine) solution() []int {
 	return out
 }
 
-// cloneForBranch copies the mutable search state (masks, stacks, bound)
-// for one root branch; the packed structure tables are shared read-only.
-func (e *engine) cloneForBranch() *engine {
-	cl := &engine{
-		nt: e.nt, tw: e.tw, nc: e.nc,
-		candVert: e.candVert, cover: e.cover, coverers: e.coverers, ballMask: e.ballMask,
-		alive:  append([]bool(nil), e.alive...),
-		u:      append([]uint64(nil), e.u...),
-		remain: e.remain,
-		chosen: append([]int32(nil), e.chosen...),
-		deltas: append([]uint64(nil), e.deltas...),
-		best:   append([]int32(nil), e.best...),
-		bestLen: e.bestLen,
-		shared:  e.shared,
-		maxNodes: e.maxNodes,
-		pack:    make([]uint64, e.tw),
-	}
-	return cl
-}
-
 // solve runs the engine to optimality: root reductions, greedy seeding,
-// then sequential search or root-parallel branching over a runner.Pool.
+// then the search.
 func (e *engine) solve(opt ExactOptions) ([]int, error) {
 	e.maxNodes = opt.MaxNodes
 	e.reduceRoot()
@@ -601,95 +556,9 @@ func (e *engine) solve(opt ExactOptions) ([]int, error) {
 		return e.solution(), nil
 	}
 	e.seedGreedy()
-	if opt.Workers > 1 || opt.Pool != nil {
-		e.solveParallel(opt.Workers, opt.Pool)
-	} else {
-		e.search(0)
-	}
+	e.search(0)
 	if e.aborted {
 		return nil, fmt.Errorf("mds: exact search exceeded the %d-node budget", opt.MaxNodes)
 	}
 	return e.solution(), nil
-}
-
-// solveParallel fans the root branches out over the injected worker pool
-// (runner.Pool at every production call site) or, absent one, a transient
-// set of `workers` goroutines. Every worker prunes against a shared
-// atomic upper bound; the final incumbent is the smallest over branches
-// (earliest branch on ties), so the returned size is optimal and
-// deterministic even though the particular set may vary with scheduling.
-func (e *engine) solveParallel(workers int, pool Pool) {
-	if len(e.chosen) >= e.bound() || e.remain == 0 {
-		e.search(0) // degenerate roots: the sequential entry handles them
-		return
-	}
-	pick, cnt, _ := e.pickTarget()
-	if cnt <= 1 {
-		e.search(0) // forced root: cheaper sequentially
-		return
-	}
-	cands, _ := e.frameBufs(0)
-	for _, c := range e.coverers[pick] {
-		if e.alive[c] {
-			cands = append(cands, c)
-		}
-	}
-	// Most-covering-first, as in the sequential branch order.
-	sort.SliceStable(cands, func(i, j int) bool {
-		return e.residCover(cands[i]) > e.residCover(cands[j])
-	})
-	shared := &atomic.Int64{}
-	shared.Store(int64(e.bestLen))
-	e.shared = shared
-	clones := make([]*engine, len(cands))
-	for i := range cands {
-		cl := e.cloneForBranch()
-		for j := 0; j < i; j++ { // branch i excludes candidates 0..i-1
-			cl.alive[cands[j]] = false
-		}
-		cl.choose(cands[i])
-		clones[i] = cl
-	}
-	submit := make(chan func())
-	if pool == nil {
-		var fallback sync.WaitGroup
-		fallback.Add(workers)
-		for i := 0; i < workers; i++ {
-			//mdsvet:ignore boundedgo -- bounded fallback pool of exactly `workers` goroutines when no runner.Pool is injected (mds cannot import runner: cycle)
-			go func() {
-				defer fallback.Done()
-				for fn := range submit {
-					fn()
-				}
-			}()
-		}
-		defer fallback.Wait()
-		defer close(submit)
-	}
-	var wg sync.WaitGroup
-	for _, cl := range clones {
-		cl := cl
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			cl.search(1)
-		}
-		if pool != nil {
-			pool.Submit(task)
-		} else {
-			submit <- task
-		}
-	}
-	wg.Wait()
-	e.shared = nil
-	for _, cl := range clones {
-		if cl.aborted {
-			e.aborted = true
-		}
-		if cl.bestLen < e.bestLen {
-			e.bestLen = cl.bestLen
-			e.best = append(e.best[:0], cl.best...)
-		}
-		e.nodes += cl.nodes
-	}
 }

@@ -80,25 +80,9 @@ type ExactOptions struct {
 	// MaxNodes bounds the number of search-tree nodes (0: unbounded). An
 	// exhausted budget returns an error instead of a possibly suboptimal
 	// set; callers use it to keep best-effort OPT probes from stalling.
-	// The sequential node count is deterministic, so a budgeted failure
-	// is reproducible.
+	// The node count is deterministic, so a budgeted failure is
+	// reproducible.
 	MaxNodes int64
-	// Workers > 1 fans the root-level branches out in parallel. The
-	// returned size is still exactly optimal (and deterministic), but the
-	// particular optimum returned may vary between runs; leave 0 in paths
-	// that require byte-identical outputs.
-	Workers int
-	// Pool optionally supplies the worker pool driving parallel branching
-	// (*runner.Pool satisfies it; mds cannot import runner without a
-	// cycle). When nil and Workers > 1, the engine spins Workers
-	// transient goroutines instead.
-	Pool Pool
-}
-
-// Pool is the worker-pool surface the engine needs for parallel
-// branching; runner.Pool implements it.
-type Pool interface {
-	Submit(fn func())
 }
 
 // ExactMDS returns a minimum dominating set of g. Forests dispatch to a
@@ -171,10 +155,6 @@ func GreedyMDS(g *graph.Graph) []int {
 		covers[v] = g.Ball(v, 1)
 	}
 	return greedyBDominatingGeneric(g, allVertices(g), covers)
-}
-
-func greedyBDominating(g *graph.Graph, target []int, covers [][]int) []int {
-	return greedyBDominatingGeneric(g, target, covers)
 }
 
 func greedyBDominatingGeneric(g *graph.Graph, target []int, covers [][]int) []int {

@@ -54,7 +54,7 @@ func newBnbState(g *graph.Graph, target []int) *bnbState {
 		}
 	}
 	// Greedy solution seeds the upper bound.
-	greedy := greedyBDominating(g, target, covers)
+	greedy := greedyBDominatingGeneric(g, target, covers)
 	return &bnbState{g: g, inB: inB, covers: covers, best: greedy, bestLen: len(greedy)}
 }
 

@@ -1,7 +1,6 @@
 package mds
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"testing"
@@ -59,26 +58,6 @@ func BenchmarkExactMDS(b *testing.B) {
 				size = len(referenceBDominating(tc.g, target))
 			}
 			b.ReportMetric(float64(size), "opt")
-		})
-	}
-}
-
-// BenchmarkExactMDSParallel measures root-parallel branching on the
-// largest grid the sequential engine handles in seconds.
-func BenchmarkExactMDSParallel(b *testing.B) {
-	g := gen.Grid(10, 10)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("grid-10x10/workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				opt := ExactOptions{}
-				if workers > 1 {
-					opt.Workers = workers
-				}
-				if _, err := ExactMDSOpt(g, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -5,7 +5,7 @@
 # The run generates a near-planar instance (disjoint 12x12 grid
 # components) at INGEST_EDGES edges, then measures every stage through
 # cmd/mdsingest: sequential text parse, parallel text parse, text→csrbin
-# conversion, csrbin mmap load, and the partition-first solve. The JSON
+# conversion, csrbin mmap load, and the core.Alg1CSR solve. The JSON
 # records one entry per stage (wall time, peak RSS, fingerprint where
 # computed) plus the two headline ratios:
 #
