@@ -178,6 +178,33 @@ func TestAlg1HugeMatchesPipelineProperty(t *testing.T) {
 	}
 }
 
+// The huge path (text parsed on a w-worker pool, then Alg1CSR at w
+// workers) returns the same result at every worker count.
+func TestAlg1HugeWorkerCountInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := graph.DisjointUnion(
+		ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: 60, T: 5}, rng),
+		ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 60, T: 5}, rng),
+	)
+	base, err := core.Alg1CSR(g.Freeze(), core.PracticalParams(), core.PipelineOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 4, 8} {
+		pool := runner.NewPool(w, 4*w)
+		csr, err := parseHuge(g, graphio.FormatEdgeList, pool)
+		pool.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: ParseCSR: %v", w, err)
+		}
+		got, err := core.Alg1CSR(csr, core.PracticalParams(), core.PipelineOptions{Workers: w})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		equalAlg1Results(t, got, base)
+	}
+}
+
 // Alg1CSR must not write its input CSR: on the huge path it is a
 // read-only mmap of a csrbin file, where a write would fault. It must
 // also record the five pipeline stages.
