@@ -254,8 +254,6 @@ func runLoad(rep *report, in string, fingerprint bool) error {
 }
 
 func runSolve(rep *report, in, format string, workers int, p core.Params) error {
-	pool := runner.NewPool(workers, 4*workers)
-	defer pool.Close()
 	rep.Workers = workers
 
 	f, err := graphio.ParseFormat(format)
@@ -273,7 +271,9 @@ func runSolve(rep *report, in, format string, workers int, p core.Params) error 
 		rep.Mapped = &m.Mapped
 		csr = &m.CSR
 	} else {
+		pool := runner.NewPool(workers, 4*workers)
 		csr, err = graphio.ParseCSRFile(in, f, graphio.CSROptions{Pool: pool})
+		pool.Close()
 		if err != nil {
 			return err
 		}
@@ -281,7 +281,7 @@ func runSolve(rep *report, in, format string, workers int, p core.Params) error 
 	rep.WallSeconds = time.Since(start).Seconds()
 
 	solveStart := time.Now()
-	res, err := core.Alg1CSR(csr, p, core.PipelineOptions{Workers: pool.Workers()})
+	res, err := core.Alg1CSR(csr, p, core.PipelineOptions{Workers: workers})
 	if err != nil {
 		return err
 	}

@@ -240,9 +240,6 @@ func runHuge(stdout io.Writer, in, format, kind string, n, tParam int, p float64
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pool := runner.NewPool(workers, 4*workers)
-	defer pool.Close()
-
 	var csr *graph.CSR
 	var mapped *graphio.MappedCSR
 	switch {
@@ -265,7 +262,9 @@ func runHuge(stdout io.Writer, in, format, kind string, n, tParam int, p float64
 			defer mapped.Close()
 			csr = &mapped.CSR
 		} else {
+			pool := runner.NewPool(workers, 4*workers)
 			csr, err = graphio.ParseCSRFile(in, f, graphio.CSROptions{Pool: pool})
+			pool.Close()
 			if err != nil {
 				return err
 			}
@@ -275,7 +274,7 @@ func runHuge(stdout io.Writer, in, format, kind string, n, tParam int, p float64
 	fmt.Fprintf(stdout, "graph: n=%d m=%d (csr%s, diameter skipped on the huge path)\n",
 		csr.N(), csr.M(), mappedTag(mapped))
 	tr, root := newCLITrace(traceOut)
-	res, err := core.Alg1CSR(csr, params, core.PipelineOptions{Workers: pool.Workers(), Hooks: core.SpanHooks(root)})
+	res, err := core.Alg1CSR(csr, params, core.PipelineOptions{Workers: workers, Hooks: core.SpanHooks(root)})
 	if err != nil {
 		return err
 	}

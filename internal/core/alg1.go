@@ -29,8 +29,9 @@ type Alg1Result struct {
 	// component flooding phase (see Alg1Process, which measures it for
 	// real).
 	RoundsEstimate int `json:"rounds_estimate"`
-	// BruteFallbacks counts components that exceeded MaxBruteComponent
-	// and were solved greedily instead of exactly.
+	// BruteFallbacks counts components solved greedily instead of
+	// exactly: those that exceeded MaxBruteComponent, and those under it
+	// whose exact search ran out of BruteNodeBudget.
 	BruteFallbacks int `json:"brute_fallbacks"`
 	// StageStats records per-stage wall time, allocation, and size
 	// diagnostics of the pipeline run (TwinReduce → Cuts → Partition →

@@ -136,7 +136,7 @@ type compOut struct {
 	chosen   []int // picked vertices, in reduced-graph labels
 	diam     int   // component subgraph diameter
 	solved   bool  // false when the component had no undominated vertex
-	fallback bool  // solved greedily because it exceeded MaxBruteComponent
+	fallback bool  // solved greedily: over MaxBruteComponent, or out of BruteNodeBudget
 	err      error
 }
 
@@ -190,8 +190,7 @@ func Alg1CSR(in *graph.CSR, p Params, opt PipelineOptions) (*Alg1Result, error) 
 	// across the workers.
 	var xLocal, iLocal []int
 	res.runStage(hooks, "Cuts", "cut vertices", sample, func() int {
-		xLocal = cuts.LocalOneCutsWorkers(csr, p.R1, workers, arena)
-		iLocal = cuts.LocallyInterestingVerticesWorkers(csr, p.R2, workers, arena)
+		xLocal, iLocal = cuts.LocalCutsWorkers(csr, p.R1, p.R2, workers, arena)
 		return len(xLocal) + len(iLocal)
 	})
 

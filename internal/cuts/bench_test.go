@@ -14,10 +14,12 @@ import (
 // cutsSink keeps the benchmarked results live.
 var cutsSink int
 
-// BenchmarkCuts times the Cuts stage — the 1-cut and the 2-cut detector at
-// the same radius — on twin-reduced grid, ding and cactus instances, at
-// one worker and at GOMAXPROCS. Each worker count reuses one arena across
-// iterations, as the drivers reuse theirs.
+// BenchmarkCuts times the Cuts stage as the pipeline runs it
+// (LocalCutsWorkers) on twin-reduced grid, ding and cactus instances: at
+// r1 = r2 = r, at one worker and at GOMAXPROCS, and once at the paper's
+// radii for t = 5 (R1 = 217, R2 = 369, where every ball covers its
+// component) on one worker. Each row reuses one arena across iterations,
+// as the drivers reuse theirs.
 func BenchmarkCuts(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	families := []struct {
@@ -28,19 +30,25 @@ func BenchmarkCuts(b *testing.B) {
 		{"dingMixed2000", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 2000, T: 5}, rng)},
 		{"cactus2000", gen.RandomCactus(2000, rng)},
 	}
+	run := func(name string, c *graph.CSR, r1, r2, w int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			a := graph.NewArena()
+			for b.Loop() {
+				x, i := LocalCutsWorkers(c, r1, r2, w, a)
+				cutsSink = len(x) + len(i)
+			}
+		})
+	}
 	for _, f := range families {
 		c, _ := graph.TwinReduceCSR(f.g.Freeze())
 		for _, r := range []int{1, 2, 4} {
 			for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-				b.Run(fmt.Sprintf("%s/r=%d/workers=%d", f.name, r, w), func(b *testing.B) {
-					b.ReportAllocs()
-					a := graph.NewArena()
-					for b.Loop() {
-						cutsSink = len(LocalOneCutsWorkers(c, r, w, a)) +
-							len(LocallyInterestingVerticesWorkers(c, r, w, a))
-					}
-				})
+				run(fmt.Sprintf("%s/r=%d/workers=%d", f.name, r, w), c, r, r, w)
 			}
 		}
 	}
+	paper := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 1200, T: 5}, rand.New(rand.NewSource(1)))
+	c, _ := graph.TwinReduceCSR(paper.Freeze())
+	run("dingMixed1200/paper/workers=1", c, 217, 369, 1)
 }

@@ -2,80 +2,130 @@
 // (r-local minimal 1-cuts and r-interesting vertices) over a frozen
 // graph.CSR. No ball is ever copied out: a ball is a generation stamp over
 // the host CSR's own vertex ids (graph.CSR.MarkBall), and the cut tests
-// are BFS probes restricted to it that stop as soon as the answer is
-// known (graph.CSR.NeighborsSplit). The vertex loop splits across a fixed set of workers. Each
-// detector returns exactly the set its *graph.Graph counterpart returns,
-// at every worker count; csr_test.go checks that on the Table 1 families.
+// are searches restricted to it (graph.CSR.NeighborsSplit,
+// graph.CSR.AppendSeparators). The kernel makes two passes over the
+// vertices, each split across a fixed set of workers: the first finds the
+// 1-cuts and builds a separator table, the second tests only the pairs
+// the table admits from both ends. Each detector returns exactly the set
+// its *graph.Graph counterpart returns, at every worker count; csr_test.go
+// checks that on the Table 1 families.
 package cuts
 
-import "localmds/internal/graph"
+import (
+	"math"
+	"slices"
+
+	"localmds/internal/graph"
+)
 
 // LocalOneCutsCSR returns all vertices v such that {v} is an r-local
-// minimal 1-cut of c (Definition 2.1 with k = 1), ascending. It is
-// LocalOneCutsWorkers with one worker.
+// minimal 1-cut of c (Definition 2.1 with k = 1), ascending.
 func LocalOneCutsCSR(c *graph.CSR, r int, a *graph.Arena) []int {
-	return LocalOneCutsWorkers(c, r, 1, a)
+	var out []int
+	for v := range c.N() {
+		if isOneCut(c, v, r, a) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
-// LocalOneCutsWorkers is LocalOneCutsCSR with the vertex loop split across
-// min(workers, n) goroutines; a serves the first of them. The result is
-// the same at every worker count.
-//
-// A ball subgraph is always connected, and every component of
-// c[N^r[v]] - v contains a neighbor of v (the last step of a shortest
-// path to v), so v is a local 1-cut iff its neighbors lie in at least two
-// components of N^r[v] - v.
-func LocalOneCutsWorkers(c *graph.CSR, r, workers int, a *graph.Arena) []int {
-	return forEachVertex(c.N(), workers, a, func(a *graph.Arena, cut []bool) func(int) {
-		return func(v int) {
-			c.MarkBall(v, -1, r, a)
-			cut[v] = c.NeighborsSplit(v, -1, a)
-		}
-	})
+// isOneCut is the 1-cut test. A ball subgraph is always connected, and
+// every component of c[N^r[v]] - v contains a neighbor of v (the last step
+// of a shortest path to v), so v is a local 1-cut iff its neighbors lie in
+// at least two components of N^r[v] - v.
+func isOneCut(c *graph.CSR, v, r int, a *graph.Arena) bool {
+	if c.Degree(v) < 2 {
+		return false
+	}
+	c.MarkBall(v, -1, r, a)
+	return c.NeighborsSplit(v, -1, a)
 }
 
 // LocallyInterestingVerticesCSR returns the set I of Algorithm 1 step 3 —
 // all vertices that are r-interesting through some r-local minimal 2-cut
-// (§3.2) — ascending. It is LocallyInterestingVerticesWorkers with one
-// worker.
+// (§3.2) — ascending. It is the i of LocalCutsWorkers at r1 = r2 = r with
+// one worker.
 func LocallyInterestingVerticesCSR(c *graph.CSR, r int, a *graph.Arena) []int {
-	return LocallyInterestingVerticesWorkers(c, r, 1, a)
+	_, i := LocalCutsWorkers(c, r, r, 1, a)
+	return i
 }
 
-// LocallyInterestingVerticesWorkers is LocallyInterestingVerticesCSR with
-// the vertex loop split across min(workers, n) goroutines; a serves the
-// first of them. The result is the same at every worker count: each
-// worker skips only directions its own bitmap already holds, so the skips
-// save work and never change the union.
+// LocalCutsWorkers returns Algorithm 1's X — the r1-local minimal 1-cuts
+// — and I — the r2-interesting vertices — both ascending, with each vertex
+// loop split across min(workers, n) goroutines; a serves the first of
+// them. The result is the same at every worker count.
 //
-// Each unordered pair {u, v} at distance at most r is tested once, from
-// its smaller end: the ball N^r[{u, v}] and the test are symmetric, and
-// one test decides both directions. The cheapest checks run first:
+// Pass 1 visits every vertex u once. It runs the 1-cut test at r1 and, on
+// the ball N^r2[u] (the same ball when r1 = r2, which then also answers
+// the 1-cut test), records in a separator table the set S(u) of ball
+// vertices v for which u's neighbors lie in two components of
+// N^r2[u] - {u, v} (graph.CSR.AppendSeparators) — or "all" when they
+// already do in N^r2[u] - u.
+//
+// Pass 2 tests each unordered pair {u, v} at distance at most r2 once,
+// from its smaller end, and only when v ∈ S(u) (or u is "all") and
+// u ∈ S(v) (or v is "all"). A pair {u, v} is a minimal 2-cut of its ball
+// only if u and v each have neighbors in two components of
+// ball - {u, v}; all of u's neighbors lie in N^r2[u], a subset of the pair
+// ball, so v ∉ S(u) rules the pair out, and likewise u ∉ S(v). The ball
+// and the test are symmetric, and one test decides both directions. The
+// cheapest checks run first:
 //
 //  1. A direction is needed only if its vertex is not yet known to be
-//     interesting and N[self] ⊈ N[other].
-//  2. {u, v} is a minimal 2-cut of its ball only if u and v each have
-//     neighbors in two components of ball - {u, v} (NeighborsSplit). All
-//     of u's neighbors lie in N^r[u], a subset of every pair ball, so if
-//     they are connected in N^r[u] - {u, v} the pair fails without its
-//     ball being marked. That pre-check is skipped for a u whose
-//     neighbors are already split in N^r[u] - u, where it rarely rejects.
-//  3. Only pairs passing both probes in the pair ball get its components
+//     interesting and N[self] ⊈ N[other]. Each worker skips only
+//     directions its own bitmap already holds, so the skips save work and
+//     never change the union.
+//  2. Both ends must have neighbors in two components of pair ball -
+//     {u, v} (NeighborsSplit).
+//  3. Only pairs passing both probes get the pair ball's components
 //     labeled for the direction test: at least two of them hold a vertex
 //     not adjacent to other.
-func LocallyInterestingVerticesWorkers(c *graph.CSR, r, workers int, a *graph.Arena) []int {
-	return forEachVertex(c.N(), workers, a, func(a *graph.Arena, interesting []bool) func(int) {
-		var ballU []int32
+func LocalCutsWorkers(c *graph.CSR, r1, r2, workers int, a *graph.Arena) (x, i []int) {
+	n := c.N()
+	arenas := workerArenas{a}
+	t := sepTable{off: make([]int32, n+1)}
+	var parts []*sepRows
+	x = forEachVertex(n, workers, &arenas, func(a *graph.Arena, cut []bool) func(int) {
+		w := &sepRows{}
+		parts = append(parts, w)
 		return func(u int) {
+			w.claim(u)
+			if r1 != r2 {
+				cut[u] = isOneCut(c, u, r1, a)
+			}
 			if c.Degree(u) < 2 {
 				return // u cannot have neighbors in two components
 			}
-			ballU = c.AppendBall(ballU[:0], u, r, a)
-			marked := true // AppendBall left N^r[u] as the current ball
-			preCheck := !c.NeighborsSplit(u, -1, a)
-			for _, v32 := range ballU {
+			c.MarkBall(u, -1, r2, a)
+			start := len(w.ent)
+			var ok bool
+			w.ent, ok = c.AppendSeparators(w.ent, u, a)
+			if !ok {
+				w.ent = append(w.ent, allPartners)
+			}
+			if r1 == r2 {
+				cut[u] = !ok
+			}
+			t.off[u+1] = int32(len(w.ent) - start)
+		}
+	})
+	t.merge(parts)
+
+	i = forEachVertex(n, workers, &arenas, func(a *graph.Arena, interesting []bool) func(int) {
+		var ball []int32
+		return func(u int) {
+			if c.Degree(u) < 2 {
+				return
+			}
+			partners, all := t.row(u)
+			if all {
+				ball = append(ball[:0], c.MarkBall(u, -1, r2, a)...)
+				partners = ball
+			}
+			for _, v32 := range partners {
 				v := int(v32)
-				if v <= u || c.Degree(v) < 2 {
+				if v <= u || c.Degree(v) < 2 || !t.admits(v, u) {
 					continue
 				}
 				needU := !interesting[u] && !c.ClosedSubset(u, v)
@@ -83,17 +133,7 @@ func LocallyInterestingVerticesWorkers(c *graph.CSR, r, workers int, a *graph.Ar
 				if !needU && !needV {
 					continue
 				}
-				if preCheck {
-					if !marked {
-						c.MarkBall(u, -1, r, a)
-						marked = true
-					}
-					if !c.NeighborsSplit(u, v, a) {
-						continue
-					}
-				}
-				c.MarkBall(u, v, r, a)
-				marked = false
+				c.MarkBall(u, v, r2, a)
 				if !c.NeighborsSplit(u, v, a) || !c.NeighborsSplit(v, u, a) {
 					continue
 				}
@@ -107,6 +147,95 @@ func LocallyInterestingVerticesWorkers(c *graph.CSR, r, workers int, a *graph.Ar
 			}
 		}
 	})
+	return x, i
+}
+
+// allPartners is the single entry of a separator-table row whose vertex
+// admits every ball vertex as a partner.
+const allPartners = -1
+
+// sepTable is pass 1's output, one row per vertex in a flat array: row u
+// is ent[off[u]:off[u+1]], S(u) ascending or [allPartners]. A row depends
+// only on its vertex's ball, so the table is the same at every worker
+// count. A table too large for int32 offsets is dropped (off == nil):
+// every row then reads as allPartners, which only costs the filtering.
+type sepTable struct {
+	off []int32
+	ent []int32
+}
+
+// sepRows is one worker's share of pass 1: the rows of the vertices it
+// visited, in visiting order, and those vertices as ascending [lo, hi)
+// runs (the shared cursor hands each worker increasing ranges).
+type sepRows struct {
+	ent  []int32
+	runs [][2]int32
+}
+
+// claim records that the worker visits u next.
+func (w *sepRows) claim(u int) {
+	if k := len(w.runs) - 1; k >= 0 && w.runs[k][1] == int32(u) {
+		w.runs[k][1]++
+		return
+	}
+	w.runs = append(w.runs, [2]int32{int32(u), int32(u) + 1})
+}
+
+// merge lays the workers' rows out in vertex order; on entry off[u+1]
+// holds row u's length. A run's rows are contiguous in its worker's
+// buffer and in the table, so each run is one copy; a lone worker's
+// buffer already is the table.
+func (t *sepTable) merge(parts []*sepRows) {
+	total := int64(0)
+	for u := 1; u < len(t.off); u++ {
+		total += int64(t.off[u])
+		if total > math.MaxInt32 {
+			t.off = nil
+			return
+		}
+		t.off[u] = int32(total)
+	}
+	if len(parts) == 1 {
+		t.ent = parts[0].ent
+		return
+	}
+	t.ent = make([]int32, total)
+	for _, w := range parts {
+		pos := 0
+		for _, r := range w.runs {
+			pos += copy(t.ent[t.off[r[0]]:t.off[r[1]]], w.ent[pos:])
+		}
+	}
+}
+
+// row returns S(u), or all = true when u admits every ball vertex.
+func (t *sepTable) row(u int) (s []int32, all bool) {
+	if t.off == nil {
+		return nil, true
+	}
+	s = t.ent[t.off[u]:t.off[u+1]]
+	return s, len(s) == 1 && s[0] == allPartners
+}
+
+// admits reports whether v is a candidate partner in u's row.
+func (t *sepTable) admits(u, v int) bool {
+	s, all := t.row(u)
+	if all {
+		return true
+	}
+	_, ok := slices.BinarySearch(s, int32(v))
+	return ok
+}
+
+// workerArenas hands worker k of a pass its arena: the caller's for the
+// first, fresh ones after it, kept so the next pass reuses them.
+type workerArenas []*graph.Arena
+
+func (as *workerArenas) get(k int) *graph.Arena {
+	if k == len(*as) {
+		*as = append(*as, graph.NewArena())
+	}
+	return (*as)[k]
 }
 
 // rangeSize is how many consecutive vertices a worker claims at a time:
@@ -118,17 +247,13 @@ const rangeSize = 32
 // ascending, the vertices any visit flagged. The loop splits across
 // min(workers, n) workers (graph.ParallelFor, claiming rangeSize vertices
 // at a time); newVisit builds each worker's visit function over that
-// worker's own arena (a, or a fresh one, for the first) and its own flag
-// bitmap; the bitmaps are OR-merged in vertex order.
-func forEachVertex(n, workers int, a *graph.Arena, newVisit func(a *graph.Arena, flagged []bool) func(v int)) []int {
+// worker's own arena (arenas.get) and its own flag bitmap; the bitmaps are
+// OR-merged in vertex order.
+func forEachVertex(n, workers int, arenas *workerArenas, newVisit func(a *graph.Arena, flagged []bool) func(v int)) []int {
 	var flags [][]bool
 	graph.ParallelFor(n, workers, rangeSize, func(k int) func(int) {
-		wa := a
-		if k > 0 {
-			wa = graph.NewArena()
-		}
 		flags = append(flags, make([]bool, n))
-		return newVisit(wa, flags[k])
+		return newVisit(arenas.get(k), flags[k])
 	})
 	hit := flags[0]
 	for _, f := range flags[1:] {

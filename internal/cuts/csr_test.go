@@ -80,39 +80,36 @@ func cutFamilies() map[string]*graph.CSR {
 	return out
 }
 
-// TestCutsCSRMatchSpecAtEveryWorkerCount compares both CSR detectors with
-// the *graph.Graph spec detectors, and every worker count with one worker.
+// TestCutsCSRMatchSpecAtEveryWorkerCount runs LocalCutsWorkers at every
+// pair of radii r1 ∈ 1..4, r2 ∈ 2..4 and compares X and I with the
+// *graph.Graph spec detectors, and every worker count with one worker.
 func TestCutsCSRMatchSpecAtEveryWorkerCount(t *testing.T) {
 	for name, c := range cutFamilies() {
 		spec := graph.FromCSR(c)
+		want1 := map[int][]int{}
+		want2 := map[int][]int{}
 		for r := 1; r <= 4; r++ {
-			want1 := LocalOneCuts(spec, r)
-			var want2 []int
+			want1[r] = LocalOneCuts(spec, r)
 			if r >= 2 {
-				want2 = LocallyInterestingVertices(spec, r)
+				want2[r] = LocallyInterestingVertices(spec, r)
 			}
-			var one1, one2 []int
-			for _, w := range []int{1, 2, 3, 8} {
-				got1 := LocalOneCutsWorkers(c, r, w, graph.NewArena())
-				if !graph.EqualSets(got1, want1) {
-					t.Errorf("%s r=%d workers=%d: LocalOneCuts = %v, spec %v", name, r, w, got1, want1)
-				}
-				if w == 1 {
-					one1 = got1
-				} else if !graph.EqualSets(got1, one1) {
-					t.Errorf("%s r=%d: LocalOneCuts at %d workers = %v, at 1 = %v", name, r, w, got1, one1)
-				}
-				if r < 2 {
-					continue
-				}
-				got2 := LocallyInterestingVerticesWorkers(c, r, w, graph.NewArena())
-				if !graph.EqualSets(got2, want2) {
-					t.Errorf("%s r=%d workers=%d: LocallyInterestingVertices = %v, spec %v", name, r, w, got2, want2)
-				}
-				if w == 1 {
-					one2 = got2
-				} else if !graph.EqualSets(got2, one2) {
-					t.Errorf("%s r=%d: LocallyInterestingVertices at %d workers = %v, at 1 = %v", name, r, w, got2, one2)
+		}
+		for r1 := 1; r1 <= 4; r1++ {
+			for r2 := 2; r2 <= 4; r2++ {
+				var one1, one2 []int
+				for _, w := range []int{1, 2, 3, 8} {
+					got1, got2 := LocalCutsWorkers(c, r1, r2, w, graph.NewArena())
+					if !graph.EqualSets(got1, want1[r1]) {
+						t.Errorf("%s r1=%d r2=%d workers=%d: X = %v, spec %v", name, r1, r2, w, got1, want1[r1])
+					}
+					if !graph.EqualSets(got2, want2[r2]) {
+						t.Errorf("%s r1=%d r2=%d workers=%d: I = %v, spec %v", name, r1, r2, w, got2, want2[r2])
+					}
+					if w == 1 {
+						one1, one2 = got1, got2
+					} else if !graph.EqualSets(got1, one1) || !graph.EqualSets(got2, one2) {
+						t.Errorf("%s r1=%d r2=%d: at %d workers X, I = %v, %v; at 1 = %v, %v", name, r1, r2, w, got1, got2, one1, one2)
+					}
 				}
 			}
 		}

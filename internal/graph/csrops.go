@@ -14,7 +14,8 @@ import (
 // Arena is reusable scratch for CSR traversals: a stamped mark array with a
 // BFS queue (balls and visited sets), a stamped position map for
 // induced-subgraph relabeling, and a second stamped visited array with
-// component labels for probes inside a marked ball. Arenas grow on demand
+// component labels (or DFS discovery indices, beside a frame stack) for
+// probes inside a marked ball. Arenas grow on demand
 // and are sized to the largest CSR they have served, so a long-lived Arena
 // makes repeated traversals allocation-free.
 //
@@ -38,6 +39,8 @@ type Arena struct {
 
 	probeParent  []int32 // NeighborsSplit union-find over w's neighbors
 	probePending []int32 // queued, unscanned vertices per union-find root
+
+	sepStack []sepFrame // AppendSeparators DFS frames, one per tree vertex on the path
 }
 
 // NewArena returns an empty Arena; it grows to fit the graphs it serves.
@@ -117,24 +120,13 @@ func (c *CSR) boundedBFS(sources []int32, r int, a *Arena) ([]int32, int) {
 	return q, far
 }
 
-// AppendBall appends N^r[v] (all vertices at distance at most r from v) to
-// dst in ascending order and returns the extended slice. Like MarkBall it
-// leaves N^r[v] marked as the arena's current ball.
-func (c *CSR) AppendBall(dst []int32, v, r int, a *Arena) []int32 {
-	start := len(dst)
-	ball, _ := c.boundedBFS([]int32{int32(v)}, r, a)
-	dst = append(dst, ball...)
-	slices.Sort(dst[start:])
-	return dst
-}
-
 // MarkBall marks N^r[{u, v}] as the arena's current ball (v < 0 marks
 // N^r[u]; r < 0 means unbounded) and returns its members in BFS order, as
 // a view into the arena that the next operation overwrites. The marks
-// themselves stay current for NeighborsSplit and LabelPairComponents until
-// the next operation that marks a ball or visits vertices (AppendBall,
-// MarkBall, SubsetComponents, Eccentricity). Nothing is copied: the ball is
-// a stamp over c's own vertex ids.
+// themselves stay current for NeighborsSplit, AppendSeparators and
+// LabelPairComponents until the next operation that marks a ball or visits
+// vertices (MarkBall, SubsetComponents, Eccentricity). Nothing is copied:
+// the ball is a stamp over c's own vertex ids.
 func (c *CSR) MarkBall(u, v, r int, a *Arena) []int32 {
 	src := [2]int32{int32(u), int32(v)}
 	sources := src[:2]
@@ -213,6 +205,111 @@ search:
 	}
 	a.queue = q[:0]
 	return split
+}
+
+// sepFrame is one vertex on AppendSeparators' DFS path.
+type sepFrame struct {
+	v     int32 // the vertex
+	next  int32 // index into Targets of its next unscanned edge
+	low   int32 // smallest discovery index reached from its subtree
+	nbrs  int32 // neighbors of the center in its subtree
+	own   int32 // 1 if the vertex itself neighbors the center
+	parts int32 // child subtrees cut off by removing it that hold a center neighbor
+	cut   int32 // center neighbors in those cut-off subtrees
+}
+
+// AppendSeparators appends to dst, ascending, every vertex v of the current
+// ball H = ball - w whose removal splits w's neighbors: those neighbors lie
+// in at least two components of H - v. It is {v : NeighborsSplit(w, v)}
+// over the same ball, from one articulation-point DFS (Hopcroft–Tarjan)
+// instead of one probe per v. The DFS counts w's neighbors per subtree;
+// removing v leaves as parts its children c with low[c] >= disc[v] plus
+// the rest of H, and v is appended when two parts hold a neighbor.
+//
+// It reports false, with dst unchanged, when w's neighbors already lie in
+// two components of H — exactly when NeighborsSplit(w, -1) holds — and
+// then computes no separators. With fewer than two neighbors in the ball
+// nothing can split them: it reports true and appends nothing.
+// The DFS marks visits in the arena's seen/labels arrays (labels hold
+// discovery indices) and keeps its path in a ball-deep frame stack.
+func (c *CSR) AppendSeparators(dst []int32, w int, a *Arena) ([]int32, bool) {
+	const neighbor = -2 // label of a neighbor of w not yet visited
+	in := a.stamp
+	a.growSeen(c.N())
+	gen := nextGen(a.seen, &a.seenGen)
+	a.seen[w], a.labels[w] = gen, -1
+	root, total := int32(-1), int32(0)
+	for _, y := range c.Row(w) {
+		if a.mark[y] == in {
+			a.seen[y], a.labels[y] = gen, neighbor
+			total++
+			if root < 0 {
+				root = y
+			}
+		}
+	}
+	if total < 2 {
+		return dst, true // one neighbor is never split
+	}
+	start := len(dst)
+	offs, tgts := c.Offsets, c.Targets
+	disc := int32(0)
+	a.labels[root] = disc
+	stack := append(a.sepStack[:0], sepFrame{v: root, next: offs[root], nbrs: 1, own: 1})
+	for {
+		f := &stack[len(stack)-1]
+		if f.next < offs[f.v+1] {
+			y := tgts[f.next]
+			f.next++
+			if a.mark[y] != in {
+				continue
+			}
+			own := int32(0)
+			if a.seen[y] == gen {
+				switch l := a.labels[y]; {
+				case l >= 0:
+					f.low = min(f.low, l) // visited: an ancestor or descendant
+					continue
+				case l != neighbor:
+					continue // w
+				}
+				own = 1
+			}
+			disc++
+			a.seen[y], a.labels[y] = gen, disc
+			stack = append(stack, sepFrame{v: y, next: offs[y], low: disc, nbrs: own, own: own})
+			continue
+		}
+		// f.v is finished: the rest of H outside its cut-off subtrees is
+		// one more part when it holds a neighbor. At the root the rest is
+		// empty, since every child subtree is cut off.
+		parts := f.parts
+		if total-f.cut-f.own > 0 {
+			parts++
+		}
+		if parts >= 2 {
+			dst = append(dst, f.v)
+		}
+		done := *f
+		stack = stack[:len(stack)-1]
+		if len(stack) == 0 {
+			a.sepStack = stack
+			if done.nbrs < total {
+				return dst[:start], false // some neighbor lies outside root's component
+			}
+			slices.Sort(dst[start:])
+			return dst, true
+		}
+		p := &stack[len(stack)-1]
+		p.low = min(p.low, done.low)
+		p.nbrs += done.nbrs
+		if done.low >= a.labels[p.v] {
+			p.cut += done.nbrs
+			if done.nbrs > 0 {
+				p.parts++
+			}
+		}
+	}
 }
 
 // LabelPairComponents labels the components of ball - {u, v} that contain

@@ -15,12 +15,15 @@ import (
 // few hundred generations of a run. Before each run every vertex carries
 // the stamp 1 in both stamp arrays, as if marked 2^31 generations ago: a
 // wrap that restarted the counters without clearing would make all of
-// those stale stamps current at once and change the cut sets.
+// those stale stamps current at once and change the cut sets. The pipeline
+// entry point runs at r1 = 2, r2 = 3 too, so a wrap between a 1-cut ball
+// and a separator ball is crossed as well.
 func TestArenaStampWrapKeepsCutsExact(t *testing.T) {
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 80, T: 5}, rand.New(rand.NewSource(5)))
 	c := g.Freeze()
-	const r = 3
+	const r, r1 = 3, 2
 	want1, want2 := cuts.LocalOneCuts(g, r), cuts.LocallyInterestingVertices(g, r)
+	wantX := cuts.LocalOneCuts(g, r1)
 	staleArena := func(left int) *graph.Arena {
 		a := graph.NewArena()
 		c.MarkBall(0, -1, -1, a)       // mark stamp 1 on every vertex (g is connected)
@@ -34,6 +37,9 @@ func TestArenaStampWrapKeepsCutsExact(t *testing.T) {
 		}
 		if got := cuts.LocallyInterestingVerticesCSR(c, r, staleArena(left)); !graph.EqualSets(got, want2) {
 			t.Fatalf("wrap after %d generations: LocallyInterestingVertices = %v, spec %v", left, got, want2)
+		}
+		if x, i := cuts.LocalCutsWorkers(c, r1, r, 1, staleArena(left)); !graph.EqualSets(x, wantX) || !graph.EqualSets(i, want2) {
+			t.Fatalf("wrap after %d generations: LocalCutsWorkers(r1=%d, r2=%d) = %v, %v; spec %v, %v", left, r1, r, x, i, wantX, want2)
 		}
 	}
 }
