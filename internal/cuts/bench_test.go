@@ -16,8 +16,9 @@ var cutsSink int
 
 // BenchmarkCuts times the Cuts stage as the pipeline runs it
 // (LocalCutsWorkers) on twin-reduced grid, ding and cactus instances: at
-// r1 = r2 = r, at one worker and at GOMAXPROCS, and once at the paper's
-// radii for t = 5 (R1 = 217, R2 = 369, where every ball covers its
+// r1 = r2 = r, at one worker and at GOMAXPROCS; once on ding at r1 = 2,
+// r2 = 4, where the 1-cut test runs on its own ball; and once at the
+// paper's radii for t = 5 (R1 = 217, R2 = 369, where every ball covers its
 // component) on one worker. Each row reuses one arena across iterations,
 // as the drivers reuse theirs.
 func BenchmarkCuts(b *testing.B) {
@@ -46,6 +47,9 @@ func BenchmarkCuts(b *testing.B) {
 			for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 				run(fmt.Sprintf("%s/r=%d/workers=%d", f.name, r, w), c, r, r, w)
 			}
+		}
+		if f.name == "dingMixed2000" {
+			run(f.name+"/r1=2,r2=4/workers=1", c, 2, 4, 1)
 		}
 	}
 	paper := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 1200, T: 5}, rand.New(rand.NewSource(1)))

@@ -2,13 +2,15 @@
 // (r-local minimal 1-cuts and r-interesting vertices) over a frozen
 // graph.CSR. No ball is ever copied out: a ball is a generation stamp over
 // the host CSR's own vertex ids (graph.CSR.MarkBall), and the cut tests
-// are searches restricted to it (graph.CSR.NeighborsSplit,
-// graph.CSR.AppendSeparators). The kernel makes two passes over the
-// vertices, each split across a fixed set of workers: the first finds the
-// 1-cuts and builds a separator table, the second tests only the pairs
-// the table admits from both ends. Each detector returns exactly the set
-// its *graph.Graph counterpart returns, at every worker count; csr_test.go
-// checks that on the Table 1 families.
+// are searches restricted to it: one articulation-point DFS per ball
+// (graph.CSR.AppendSeparators) and one component labeling per tested cut
+// (graph.CSR.LabelComponents), from which every test reads its answer.
+// The kernel makes two passes over the vertices, each split across a
+// fixed set of workers: the first finds the 1-cuts and builds a separator
+// table, the second tests only the pairs the table admits from both ends.
+// Each detector returns exactly the set its *graph.Graph counterpart
+// returns, at every worker count; csr_test.go checks that on the Table 1
+// families.
 package cuts
 
 import (
@@ -32,14 +34,14 @@ func LocalOneCutsCSR(c *graph.CSR, r int, a *graph.Arena) []int {
 
 // isOneCut is the 1-cut test. A ball subgraph is always connected, and
 // every component of c[N^r[v]] - v contains a neighbor of v (the last step
-// of a shortest path to v), so v is a local 1-cut iff its neighbors lie in
-// at least two components of N^r[v] - v.
+// of a shortest path to v), so v is a local 1-cut iff N^r[v] - v has at
+// least two components.
 func isOneCut(c *graph.CSR, v, r int, a *graph.Arena) bool {
 	if c.Degree(v) < 2 {
 		return false
 	}
 	c.MarkBall(v, -1, r, a)
-	return c.NeighborsSplit(v, -1, a)
+	return c.LabelComponents(v, -1, a) >= 2
 }
 
 // LocallyInterestingVerticesCSR returns the set I of Algorithm 1 step 3 —
@@ -56,12 +58,13 @@ func LocallyInterestingVerticesCSR(c *graph.CSR, r int, a *graph.Arena) []int {
 // loop split across min(workers, n) goroutines; a serves the first of
 // them. The result is the same at every worker count.
 //
-// Pass 1 visits every vertex u once. It runs the 1-cut test at r1 and, on
-// the ball N^r2[u] (the same ball when r1 = r2, which then also answers
-// the 1-cut test), records in a separator table the set S(u) of ball
-// vertices v for which u's neighbors lie in two components of
-// N^r2[u] - {u, v} (graph.CSR.AppendSeparators) — or "all" when they
-// already do in N^r2[u] - u.
+// Pass 1 visits every vertex u once. On the ball N^r2[u] it records in a
+// separator table the set S(u) of ball vertices v for which u's neighbors
+// lie in two components of N^r2[u] - {u, v} (graph.CSR.AppendSeparators)
+// — or "all" when they already do in N^r2[u] - u, which is the 1-cut test
+// on that ball. That answers the 1-cut test at r1 whenever N^r1[u] is the
+// same ball: when r1 = r2, or when both balls cover u's component, as at
+// the paper's radii. Otherwise the test labels N^r1[u] - u.
 //
 // Pass 2 tests each unordered pair {u, v} at distance at most r2 once,
 // from its smaller end, and only when v ∈ S(u) (or u is "all") and
@@ -69,18 +72,19 @@ func LocallyInterestingVerticesCSR(c *graph.CSR, r int, a *graph.Arena) []int {
 // only if u and v each have neighbors in two components of
 // ball - {u, v}; all of u's neighbors lie in N^r2[u], a subset of the pair
 // ball, so v ∉ S(u) rules the pair out, and likewise u ∉ S(v). The ball
-// and the test are symmetric, and one test decides both directions. The
-// cheapest checks run first:
+// and the test are symmetric, and one test decides both directions:
 //
 //  1. A direction is needed only if its vertex is not yet known to be
 //     interesting and N[self] ⊈ N[other]. Each worker skips only
 //     directions its own bitmap already holds, so the skips save work and
 //     never change the union.
-//  2. Both ends must have neighbors in two components of pair ball -
-//     {u, v} (NeighborsSplit).
-//  3. Only pairs passing both probes get the pair ball's components
-//     labeled for the direction test: at least two of them hold a vertex
-//     not adjacent to other.
+//  2. The pair ball's components are labeled once (LabelComponents), and
+//     one scan of each end's row counts the components it touches and
+//     those it does not cover (ComponentsSeenBy). Every component holds a
+//     neighbor of u or v, so the labeling sees them all.
+//  3. The pair is a minimal 2-cut iff both ends touch two components; a
+//     direction self holds iff at least two components are not covered
+//     by other.
 func LocalCutsWorkers(c *graph.CSR, r1, r2, workers int, a *graph.Arena) (x, i []int) {
 	n := c.N()
 	arenas := workerArenas{a}
@@ -91,23 +95,22 @@ func LocalCutsWorkers(c *graph.CSR, r1, r2, workers int, a *graph.Arena) (x, i [
 		parts = append(parts, w)
 		return func(u int) {
 			w.claim(u)
-			if r1 != r2 {
-				cut[u] = isOneCut(c, u, r1, a)
-			}
 			if c.Degree(u) < 2 {
 				return // u cannot have neighbors in two components
 			}
-			c.MarkBall(u, -1, r2, a)
+			ball := len(c.MarkBall(u, -1, r2, a))
 			start := len(w.ent)
 			var ok bool
 			w.ent, ok = c.AppendSeparators(w.ent, u, a)
 			if !ok {
 				w.ent = append(w.ent, allPartners)
 			}
-			if r1 == r2 {
-				cut[u] = !ok
-			}
 			t.off[u+1] = int32(len(w.ent) - start)
+			if r1 == r2 || len(c.MarkBall(u, -1, r1, a)) == ball {
+				cut[u] = !ok // N^r1[u] is the separator ball
+			} else {
+				cut[u] = c.LabelComponents(u, -1, a) >= 2 // as isOneCut
+			}
 		}
 	})
 	t.merge(parts)
@@ -134,14 +137,16 @@ func LocalCutsWorkers(c *graph.CSR, r1, r2, workers int, a *graph.Arena) (x, i [
 					continue
 				}
 				c.MarkBall(u, v, r2, a)
-				if !c.NeighborsSplit(u, v, a) || !c.NeighborsSplit(v, u, a) {
+				c.LabelComponents(u, v, a)
+				touchedU, uncoveredU := c.ComponentsSeenBy(u, a)
+				touchedV, uncoveredV := c.ComponentsSeenBy(v, a)
+				if touchedU < 2 || touchedV < 2 {
 					continue
 				}
-				c.LabelPairComponents(u, v, a)
-				if needU && c.ComponentsNotCoveredBy(v, a) >= 2 {
+				if needU && uncoveredV >= 2 {
 					interesting[u] = true
 				}
-				if needV && c.ComponentsNotCoveredBy(u, a) >= 2 {
+				if needV && uncoveredU >= 2 {
 					interesting[v] = true
 				}
 			}

@@ -15,9 +15,9 @@ import (
 // BFS queue (balls and visited sets), a stamped position map for
 // induced-subgraph relabeling, and a second stamped visited array with
 // component labels (or DFS discovery indices, beside a frame stack) for
-// probes inside a marked ball. Arenas grow on demand
-// and are sized to the largest CSR they have served, so a long-lived Arena
-// makes repeated traversals allocation-free.
+// searches inside a marked ball. Arenas grow on demand and are sized to
+// the largest CSR they have served, so a long-lived Arena makes repeated
+// traversals allocation-free.
 //
 // An Arena is not safe for concurrent use; give each goroutine its own.
 // Each operation taking an Arena invalidates the arena-owned outputs of the
@@ -31,14 +31,11 @@ type Arena struct {
 	posMark []int32
 	posGen  int32
 
-	seen     []int32 // probe visited iff seen[v] == seenGen
+	seen     []int32 // in-ball search visited iff seen[v] == seenGen
 	seenGen  int32
-	labels   []int32 // probe and component labels, valid where seen[v] == seenGen
+	labels   []int32 // component labels or DFS indices, valid where seen[v] == seenGen
 	compSize []int32 // vertex count per label of the last labeling
-	compHits []int32 // ComponentsNotCoveredBy scratch, one slot per label
-
-	probeParent  []int32 // NeighborsSplit union-find over w's neighbors
-	probePending []int32 // queued, unscanned vertices per union-find root
+	compHits []int32 // ComponentsSeenBy scratch, one slot per label
 
 	sepStack []sepFrame // AppendSeparators DFS frames, one per tree vertex on the path
 }
@@ -75,7 +72,7 @@ func (a *Arena) growPos(n int) {
 	}
 }
 
-// growSeen ensures the probe visited and label arrays cover n vertices.
+// growSeen ensures the in-ball visited and label arrays cover n vertices.
 func (a *Arena) growSeen(n int) {
 	if len(a.seen) < n {
 		a.seen = make([]int32, n)
@@ -123,10 +120,10 @@ func (c *CSR) boundedBFS(sources []int32, r int, a *Arena) ([]int32, int) {
 // MarkBall marks N^r[{u, v}] as the arena's current ball (v < 0 marks
 // N^r[u]; r < 0 means unbounded) and returns its members in BFS order, as
 // a view into the arena that the next operation overwrites. The marks
-// themselves stay current for NeighborsSplit, AppendSeparators and
-// LabelPairComponents until the next operation that marks a ball or visits
-// vertices (MarkBall, SubsetComponents, Eccentricity). Nothing is copied:
-// the ball is a stamp over c's own vertex ids.
+// themselves stay current for AppendSeparators and LabelComponents until
+// the next operation that marks a ball or visits vertices (MarkBall,
+// SubsetComponents, Eccentricity). Nothing is copied: the ball is a stamp
+// over c's own vertex ids.
 func (c *CSR) MarkBall(u, v, r int, a *Arena) []int32 {
 	src := [2]int32{int32(u), int32(v)}
 	sources := src[:2]
@@ -135,76 +132,6 @@ func (c *CSR) MarkBall(u, v, r int, a *Arena) []int32 {
 	}
 	ball, _ := c.boundedBFS(sources, r, a)
 	return ball
-}
-
-// NeighborsSplit reports whether the neighbors of w inside the current
-// ball, other excepted, lie in at least two components of ball - {w, other}
-// (other < 0 removes only w). One BFS, restricted to the ball, grows from
-// all of those neighbors at once; the groups it grows merge in a small
-// union-find as they touch. It stops with false once everything has
-// merged, and with true once some group's frontier runs dry while another
-// group remains: that group is a whole component.
-func (c *CSR) NeighborsSplit(w, other int, a *Arena) bool {
-	in := a.stamp
-	a.growSeen(c.N())
-	gen := nextGen(a.seen, &a.seenGen)
-	a.seen[w], a.labels[w] = gen, -1
-	if other >= 0 {
-		a.seen[other], a.labels[other] = gen, -1
-	}
-	parent, pending, q := a.probeParent[:0], a.probePending[:0], a.queue[:0]
-	for _, y := range c.Row(w) {
-		if a.mark[y] == in && a.seen[y] != gen {
-			a.seen[y], a.labels[y] = gen, int32(len(parent))
-			parent = append(parent, int32(len(parent)))
-			pending = append(pending, 1)
-			q = append(q, y)
-		}
-	}
-	a.probeParent, a.probePending = parent, pending
-	groups := len(parent)
-	find := func(l int32) int32 {
-		for parent[l] != l {
-			parent[l] = parent[parent[l]]
-			l = parent[l]
-		}
-		return l
-	}
-	split := false
-	offs, tgts := c.Offsets, c.Targets
-search:
-	for head := 0; groups >= 2 && head < len(q); head++ {
-		x := q[head]
-		root := find(a.labels[x])
-		for k := offs[x]; k < offs[x+1]; k++ {
-			y := tgts[k]
-			if a.mark[y] != in {
-				continue
-			}
-			if a.seen[y] != gen {
-				a.seen[y], a.labels[y] = gen, root
-				pending[root]++
-				q = append(q, y)
-				continue
-			}
-			if a.labels[y] < 0 {
-				continue // w or other
-			}
-			if ry := find(a.labels[y]); ry != root {
-				parent[ry] = root
-				pending[root] += pending[ry]
-				if groups--; groups == 1 {
-					break search
-				}
-			}
-		}
-		if pending[root]--; pending[root] == 0 {
-			split = true
-			break
-		}
-	}
-	a.queue = q[:0]
-	return split
 }
 
 // sepFrame is one vertex on AppendSeparators' DFS path.
@@ -220,14 +147,15 @@ type sepFrame struct {
 
 // AppendSeparators appends to dst, ascending, every vertex v of the current
 // ball H = ball - w whose removal splits w's neighbors: those neighbors lie
-// in at least two components of H - v. It is {v : NeighborsSplit(w, v)}
-// over the same ball, from one articulation-point DFS (Hopcroft–Tarjan)
-// instead of one probe per v. The DFS counts w's neighbors per subtree;
+// in at least two components of H - v. It is the set of v for which
+// LabelComponents(w, v) gives w's neighbors two labels over the same ball,
+// from one articulation-point DFS (Hopcroft–Tarjan) instead of one
+// labeling per v. The DFS counts w's neighbors per subtree;
 // removing v leaves as parts its children c with low[c] >= disc[v] plus
 // the rest of H, and v is appended when two parts hold a neighbor.
 //
 // It reports false, with dst unchanged, when w's neighbors already lie in
-// two components of H — exactly when NeighborsSplit(w, -1) holds — and
+// two components of H — exactly when LabelComponents(w, -1) >= 2 — and
 // then computes no separators. With fewer than two neighbors in the ball
 // nothing can split them: it reports true and appends nothing.
 // The DFS marks visits in the arena's seen/labels arrays (labels hold
@@ -312,21 +240,27 @@ func (c *CSR) AppendSeparators(dst []int32, w int, a *Arena) ([]int32, bool) {
 	}
 }
 
-// LabelPairComponents labels the components of ball - {u, v} that contain
-// a neighbor of u or v, in order of discovery, and returns how many there
-// are. When the current ball is N^r[{u, v}] with r >= 1 that is every
-// component: each ball vertex reaches u or v along a shortest path inside
-// the ball, and the last step before u or v is a neighbor. The labeling is
-// read by ComponentsNotCoveredBy.
-func (c *CSR) LabelPairComponents(u, v int, a *Arena) int {
+// LabelComponents labels the components of ball - {u, v} that contain a
+// neighbor of u or v, in order of discovery, and returns how many there
+// are (v < 0 removes only u, as in MarkBall). When the current ball is
+// N^r[{u, v}] with r >= 1 that is every component: each ball vertex
+// reaches u or v along a shortest path inside the ball, and the last step
+// before u or v is a neighbor. The labeling is read by ComponentsSeenBy.
+func (c *CSR) LabelComponents(u, v int, a *Arena) int {
 	in := a.stamp
 	a.growSeen(c.N())
 	gen := nextGen(a.seen, &a.seenGen)
-	a.seen[u], a.seen[v] = gen, gen
-	a.labels[u], a.labels[v] = -1, -1
+	cut := [2]int{u, v}
+	ends := cut[:2]
+	if v < 0 {
+		ends = cut[:1]
+	}
+	for _, w := range ends {
+		a.seen[w], a.labels[w] = gen, -1
+	}
 	sizes, q := a.compSize[:0], a.queue[:0]
 	offs, tgts := c.Offsets, c.Targets
-	for _, w := range [2]int{u, v} {
+	for _, w := range ends {
 		for _, s := range c.Row(w) {
 			if a.mark[s] != in || a.seen[s] == gen {
 				continue
@@ -351,10 +285,11 @@ func (c *CSR) LabelPairComponents(u, v int, a *Arena) int {
 	return len(sizes)
 }
 
-// ComponentsNotCoveredBy returns how many components of the last
-// LabelPairComponents call contain a vertex not adjacent to x: a component
-// is covered when x's neighbors in it are all of it.
-func (c *CSR) ComponentsNotCoveredBy(x int, a *Arena) int {
+// ComponentsSeenBy reads the last LabelComponents call from x's row: how
+// many of its components hold a neighbor of x (touched), and how many hold
+// a vertex not adjacent to x (uncovered: x's neighbors in the component
+// are not all of it).
+func (c *CSR) ComponentsSeenBy(x int, a *Arena) (touched, uncovered int) {
 	num := len(a.compSize)
 	if cap(a.compHits) < num {
 		a.compHits = make([]int32, num)
@@ -366,32 +301,15 @@ func (c *CSR) ComponentsNotCoveredBy(x int, a *Arena) int {
 			hits[a.labels[y]]++
 		}
 	}
-	count := 0
 	for l, h := range hits {
+		if h > 0 {
+			touched++
+		}
 		if h < a.compSize[l] {
-			count++
+			uncovered++
 		}
 	}
-	return count
-}
-
-// AppendClosed appends the closed neighborhood N[v] = {v} ∪ N(v) to dst in
-// ascending order and returns the extended slice.
-func (c *CSR) AppendClosed(dst []int32, v int) []int32 {
-	row := c.Row(v)
-	self := int32(v)
-	placed := false
-	for _, u := range row {
-		if !placed && self < u {
-			dst = append(dst, self)
-			placed = true
-		}
-		dst = append(dst, u)
-	}
-	if !placed {
-		dst = append(dst, self)
-	}
-	return dst
+	return touched, uncovered
 }
 
 // ClosedSubset reports whether N[v] ⊆ N[u] (closed neighborhoods in c),

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -70,7 +71,7 @@ func TestCSRMarkBall(t *testing.T) {
 	}
 }
 
-// pairBallComponents is the spec for the ball probes: the component IDs of
+// pairBallComponents is the spec for the ball labelings: the component IDs of
 // g[N^r[{u, v}]] - {u, v} (v < 0: g[N^r[u]] - u), indexed by original
 // vertex, with -1 outside that graph, plus the component count.
 func pairBallComponents(g *Graph, u, v, r int) ([]int, int) {
@@ -112,7 +113,28 @@ func randomPair(g *Graph, r int, rng *rand.Rand) (int, int) {
 	}
 }
 
-func TestCSRNeighborsSplit(t *testing.T) {
+// checkSeenBy checks ComponentsSeenBy(w) after a labeling against the
+// spec's components comp (from pairBallComponents): the components
+// holding a neighbor of w, and those holding a vertex not adjacent to w.
+func checkSeenBy(t *testing.T, g *Graph, c *CSR, a *Arena, comp []int, w int, ctx string) {
+	t.Helper()
+	touched, uncovered := map[int]bool{}, map[int]bool{}
+	for _, y := range g.Neighbors(w) {
+		if comp[y] >= 0 {
+			touched[comp[y]] = true
+		}
+	}
+	for y, id := range comp {
+		if id >= 0 && !g.HasEdge(w, y) {
+			uncovered[id] = true
+		}
+	}
+	if gotT, gotU := c.ComponentsSeenBy(w, a); gotT != len(touched) || gotU != len(uncovered) {
+		t.Fatalf("%s: ComponentsSeenBy(%d) = %d, %d; want %d, %d", ctx, w, gotT, gotU, len(touched), len(uncovered))
+	}
+}
+
+func TestCSRComponentsSeenBy(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 25; trial++ {
 		g := opsRandomGraph(16, 0.15, rng)
@@ -126,30 +148,19 @@ func TestCSRNeighborsSplit(t *testing.T) {
 				}
 				comp, _ := pairBallComponents(g, u, v, r)
 				c.MarkBall(u, v, r, a)
+				c.LabelComponents(u, v, a)
 				for _, w := range []int{u, v} {
 					if w < 0 {
 						continue
 					}
-					seen := map[int]bool{}
-					for _, y := range g.Neighbors(w) {
-						if comp[y] >= 0 {
-							seen[comp[y]] = true
-						}
-					}
-					other := u + v - w
-					if v < 0 {
-						other = -1
-					}
-					if got, want := c.NeighborsSplit(w, other, a), len(seen) >= 2; got != want {
-						t.Fatalf("r=%d cut {%d, %d}: NeighborsSplit(%d) = %v, want %v", r, u, v, w, got, want)
-					}
+					checkSeenBy(t, g, c, a, comp, w, fmt.Sprintf("r=%d cut {%d, %d}", r, u, v))
 				}
 			}
 		}
 	}
 }
 
-func TestCSRLabelPairComponents(t *testing.T) {
+func TestCSRLabelComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
 		g := opsRandomGraph(18, 0.12, rng)
@@ -157,55 +168,41 @@ func TestCSRLabelPairComponents(t *testing.T) {
 		a := NewArena()
 		for _, r := range []int{1, 2, 3} {
 			u, v := randomPair(g, r, rng)
-			if v < 0 {
-				continue
-			}
-			comp, want := pairBallComponents(g, u, v, r)
-			c.MarkBall(u, v, r, a)
-			if got := c.LabelPairComponents(u, v, a); got != want {
-				t.Fatalf("r=%d LabelPairComponents(%d, %d) = %d, want %d", r, u, v, got, want)
-			}
-			// The labeling is the spec's partition up to renaming.
-			rename := map[int32]int{}
-			for x, id := range comp {
-				if id < 0 {
-					continue
+			for _, v := range []int{v, -1} {
+				comp, want := pairBallComponents(g, u, v, r)
+				c.MarkBall(u, v, r, a)
+				if got := c.LabelComponents(u, v, a); got != want {
+					t.Fatalf("r=%d LabelComponents(%d, %d) = %d, want %d", r, u, v, got, want)
 				}
-				l := a.labels[x]
-				if prev, ok := rename[l]; ok && prev != id {
-					t.Fatalf("label %d covers components %d and %d", l, prev, id)
-				}
-				rename[l] = id
-			}
-			if len(rename) != want {
-				t.Fatalf("%d labels for %d components", len(rename), want)
-			}
-			for _, x := range []int{u, v} {
-				missing := map[int]bool{}
-				for y, id := range comp {
-					if id >= 0 && !g.HasEdge(x, y) {
-						missing[id] = true
+				// The labeling is the spec's partition up to renaming.
+				rename := map[int32]int{}
+				for x, id := range comp {
+					if id < 0 {
+						continue
 					}
+					l := a.labels[x]
+					if prev, ok := rename[l]; ok && prev != id {
+						t.Fatalf("label %d covers components %d and %d", l, prev, id)
+					}
+					rename[l] = id
 				}
-				if got := c.ComponentsNotCoveredBy(x, a); got != len(missing) {
-					t.Fatalf("ComponentsNotCoveredBy(%d) = %d, want %d", x, got, len(missing))
+				if len(rename) != want {
+					t.Fatalf("%d labels for %d components", len(rename), want)
+				}
+				for _, x := range []int{u, v} {
+					if x >= 0 {
+						checkSeenBy(t, g, c, a, comp, x, fmt.Sprintf("r=%d cut {%d, %d}", r, u, v))
+					}
 				}
 			}
 		}
 	}
 }
 
-func TestCSRAppendClosedAndClosedSubset(t *testing.T) {
+func TestCSRClosedSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := opsRandomGraph(20, 0.15, rng)
 	c := g.Freeze()
-	for v := 0; v < g.N(); v++ {
-		want := g.ClosedNeighborhood(v)
-		got := toInts(c.AppendClosed(nil, v))
-		if !EqualSets(got, want) {
-			t.Fatalf("AppendClosed(%d) = %v, want %v", v, got, want)
-		}
-	}
 	for u := 0; u < g.N(); u++ {
 		for v := 0; v < g.N(); v++ {
 			want := IsSubset(g.ClosedNeighborhood(v), g.ClosedNeighborhood(u))

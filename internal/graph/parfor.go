@@ -30,8 +30,11 @@ func ParallelFor(n, workers, chunk int, newWorker func(k int) func(i int)) {
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		visit := newWorker(k)
+	visits := make([]func(int), workers)
+	for k := range visits {
+		visits[k] = newWorker(k)
+	}
+	for _, visit := range visits {
 		//mdsvet:ignore boundedgo -- fixed set of min(workers, n) goroutines, joined before return; graph sits below runner.Pool in the import graph
 		go func() {
 			defer wg.Done()

@@ -12,10 +12,10 @@ import (
 )
 
 // TestAppendSeparatorsMatchesProbes checks the articulation-point DFS
-// against one NeighborsSplit probe per ball vertex: for every u and r, it
+// against one component labeling per ball vertex: for every u and r, it
 // reports false exactly when u's neighbors are split in N^r[u] - u, and
-// otherwise appends exactly {v ∈ N^r[u] : NeighborsSplit(u, v)},
-// ascending, after whatever dst held. The inputs are the Table 1 families
+// otherwise appends exactly the v ∈ N^r[u] for which u touches two
+// components of N^r[u] - {u, v}, ascending, after whatever dst held. The inputs are the Table 1 families
 // and sparse random graphs, twin-reduced as the drivers reduce them.
 func TestAppendSeparatorsMatchesProbes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -44,10 +44,9 @@ func TestAppendSeparatorsMatchesProbes(t *testing.T) {
 		for r := 1; r <= 5; r++ {
 			for u := range c.N() {
 				ball := slices.Clone(c.MarkBall(u, -1, r, a))
-				split := c.NeighborsSplit(u, -1, a)
 				got, ok := c.AppendSeparators(slices.Clone(prefix), u, a)
-				if ok == split {
-					t.Fatalf("%s r=%d u=%d: AppendSeparators ok = %v, NeighborsSplit(u, -1) = %v", name, r, u, ok, split)
+				if split := splits(c, u, -1, a); ok == split {
+					t.Fatalf("%s r=%d u=%d: AppendSeparators ok = %v, labeling split = %v", name, r, u, ok, split)
 				}
 				if !slices.Equal(got[:1], prefix) {
 					t.Fatalf("%s r=%d u=%d: dst prefix overwritten: %v", name, r, u, got)
@@ -61,13 +60,13 @@ func TestAppendSeparatorsMatchesProbes(t *testing.T) {
 				tables++
 				var want []int32
 				for _, v := range ball {
-					if int(v) != u && c.NeighborsSplit(u, int(v), a) {
+					if int(v) != u && splits(c, u, int(v), a) {
 						want = append(want, v)
 					}
 				}
 				slices.Sort(want)
 				if !slices.Equal(got[1:], want) {
-					t.Fatalf("%s r=%d u=%d: separators %v, probes %v", name, r, u, got[1:], want)
+					t.Fatalf("%s r=%d u=%d: separators %v, labelings %v", name, r, u, got[1:], want)
 				}
 			}
 		}
@@ -75,4 +74,12 @@ func TestAppendSeparatorsMatchesProbes(t *testing.T) {
 			t.Fatalf("%s: no vertex had connected neighbors", name)
 		}
 	}
+}
+
+// splits reports whether u's neighbors lie in two components of the
+// current ball - {u, v} (v < 0 removes only u), from one labeling.
+func splits(c *graph.CSR, u, v int, a *graph.Arena) bool {
+	c.LabelComponents(u, v, a)
+	touched, _ := c.ComponentsSeenBy(u, a)
+	return touched >= 2
 }

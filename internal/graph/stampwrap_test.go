@@ -26,8 +26,8 @@ func TestArenaStampWrapKeepsCutsExact(t *testing.T) {
 	wantX := cuts.LocalOneCuts(g, r1)
 	staleArena := func(left int) *graph.Arena {
 		a := graph.NewArena()
-		c.MarkBall(0, -1, -1, a)       // mark stamp 1 on every vertex (g is connected)
-		c.LabelPairComponents(0, 1, a) // seen stamp 1 on every vertex
+		c.MarkBall(0, -1, -1, a)   // mark stamp 1 on every vertex (g is connected)
+		c.LabelComponents(0, 1, a) // seen stamp 1 on every vertex
 		a.SetGenerations(math.MaxInt32 - int32(left))
 		return a
 	}
