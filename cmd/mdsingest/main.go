@@ -7,7 +7,6 @@
 // Usage:
 //
 //	mdsingest -mode gen -edges E -o huge.edges
-//	mdsingest -mode parse-seq -in huge.edges [-fingerprint]
 //	mdsingest -mode parse     -in huge.edges [-workers W] [-fingerprint]
 //	mdsingest -mode convert   -in huge.edges -o huge.csrbin [-workers W]
 //	mdsingest -mode load      -in huge.csrbin [-fingerprint]
@@ -18,8 +17,8 @@
 //   - gen: write a deterministic near-planar edge list — disjoint 12x12
 //     grid components replicated until the target edge count — without
 //     ever holding the graph in memory.
-//   - parse-seq: the pre-existing sequential path (graphio.Read + Freeze).
-//   - parse: the chunked parallel parser (graphio.ParseCSRFile).
+//   - parse: the chunked text parser (graphio.ParseCSRFile) at W workers;
+//     -workers 1 is the single-core baseline.
 //   - convert: parallel parse, then WriteCSRBinFile.
 //   - load: OpenCSRBin — mmap on supported platforms, so the wall time is
 //     independent of the graph size.
@@ -77,7 +76,7 @@ type report struct {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mdsingest", flag.ContinueOnError)
-	mode := fs.String("mode", "", "gen|parse-seq|parse|convert|load|solve")
+	mode := fs.String("mode", "", "gen|parse|convert|load|solve")
 	in := fs.String("in", "", "input graph file")
 	out := fs.String("o", "", "output file (gen, convert)")
 	format := fs.String("format", "auto", "input encoding: auto|json|edgelist|dimacs|csrbin")
@@ -99,8 +98,6 @@ func run(args []string, stdout io.Writer) error {
 	case "gen":
 		rep.File = *out
 		err = runGen(&rep, *out, *edges)
-	case "parse-seq":
-		err = runParseSeq(&rep, *in, *format, *fingerprint)
 	case "parse":
 		err = runParse(&rep, *in, *format, *workers, *fingerprint)
 	case "convert":
@@ -110,7 +107,7 @@ func run(args []string, stdout io.Writer) error {
 	case "solve":
 		err = runSolve(&rep, *in, *format, *workers, core.Params{R1: *r1, R2: *r2})
 	default:
-		return fmt.Errorf("unknown -mode %q (want gen|parse-seq|parse|convert|load|solve)", *mode)
+		return fmt.Errorf("unknown -mode %q (want gen|parse|convert|load|solve)", *mode)
 	}
 	if err != nil {
 		return err
@@ -180,22 +177,6 @@ func appendEdge(b []byte, u, v int) []byte {
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, int64(v), 10)
 	return append(b, '\n')
-}
-
-func runParseSeq(rep *report, in, format string, fingerprint bool) error {
-	f, err := graphio.ParseFormat(format)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	g, err := graphio.ReadFile(in, f)
-	if err != nil {
-		return err
-	}
-	c := g.Freeze()
-	rep.WallSeconds = time.Since(start).Seconds()
-	finishCSR(rep, c, fingerprint)
-	return nil
 }
 
 func runParse(rep *report, in, format string, workers int, fingerprint bool) error {

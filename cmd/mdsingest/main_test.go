@@ -35,7 +35,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("gen n=%d m=%d, want %d/%d", gen.N, gen.M, 4*gridVertices, 4*gridEdgeCount)
 	}
 
-	seq := runJSON(t, "-mode", "parse-seq", "-in", edges, "-fingerprint")
+	seq := runJSON(t, "-mode", "parse", "-in", edges, "-workers", "1", "-fingerprint")
 	par := runJSON(t, "-mode", "parse", "-in", edges, "-workers", "3", "-fingerprint")
 	conv := runJSON(t, "-mode", "convert", "-in", edges, "-o", bin)
 	load := runJSON(t, "-mode", "load", "-in", bin, "-fingerprint")

@@ -16,6 +16,9 @@ import (
 //   - every rejection of a text format is a *ParseError with a 1-based
 //     line position;
 //   - ReadLimited never accepts a graph above its vertex bound;
+//   - on the text formats, ReadLimited agrees with the streaming
+//     reference reader (reference_test.go): the same graph, or the same
+//     error string;
 //   - every accepted graph validates and round-trips bit-identically
 //     through the matching writer (parse → write → parse → Equal).
 //
@@ -35,6 +38,7 @@ const (
 func checkTextParse(t *testing.T, data []byte, f Format) *graph.Graph {
 	t.Helper()
 	g, err := ReadLimited(bytes.NewReader(data), f, fuzzVertexLimit, fuzzEdgeLimit)
+	checkMatchesReference(t, data, f, g, err)
 	if err != nil {
 		var pe *ParseError
 		if !errors.As(err, &pe) {
@@ -55,6 +59,25 @@ func checkTextParse(t *testing.T, data []byte, f Format) *graph.Graph {
 		t.Fatalf("%v accepted graph fails validation: %v", f, err)
 	}
 	return g
+}
+
+// checkMatchesReference asserts that ReadLimited's outcome (g, err) on a
+// text input equals the reference reader's at the fuzz limits.
+func checkMatchesReference(t *testing.T, data []byte, f Format, g *graph.Graph, err error) {
+	t.Helper()
+	want, wantErr := referenceRead(data, f, fuzzVertexLimit, fuzzEdgeLimit)
+	switch {
+	case err != nil && wantErr != nil:
+		if err.Error() != wantErr.Error() {
+			t.Fatalf("%v error %q, reference %q", f, err, wantErr)
+		}
+	case err != nil:
+		t.Fatalf("%v rejects what the reference accepts: %v", f, err)
+	case wantErr != nil:
+		t.Fatalf("%v accepts what the reference rejects (%v)", f, wantErr)
+	case !g.Equal(want):
+		t.Fatalf("%v graph differs from the reference: n=%d m=%d vs n=%d m=%d", f, g.N(), g.M(), want.N(), want.M())
+	}
 }
 
 // roundTrip writes g in format f and re-parses it, requiring equality.
@@ -144,6 +167,9 @@ func FuzzReadAuto(f *testing.F) {
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadLimited(bytes.NewReader(data), FormatAuto, fuzzVertexLimit, fuzzEdgeLimit)
+		if text, derr := Detect(data[:min(len(data), 512)]); derr == nil && (text == FormatEdgeList || text == FormatDIMACS) {
+			checkMatchesReference(t, data, text, g, err)
+		}
 		if err != nil {
 			return
 		}

@@ -2,21 +2,23 @@
 // CLIs and the mdsd service accept: the repository's JSON encoding
 // ({"n": ..., "edges": [[u,v], ...]}), plain whitespace-separated edge
 // lists, DIMACS, and the binary csrbin encoding (a checksummed on-disk
-// graph.CSR that OpenCSRBin can mmap without parsing). The text parsers
-// are streaming — they scan the input line by line and batch-build the
-// graph through graph.FromEdgesUnchecked — and every malformed input is
-// reported as a *ParseError (text) or *FormatError (csrbin) carrying the
-// position of the offending token, never as a panic. ParseCSR is the
-// parallel text-ingestion path: it chunk-splits the input across a worker
-// pool and builds the frozen CSR directly.
+// graph.CSR that OpenCSRBin can mmap without parsing). Every reader goes
+// through ParseCSR, which takes the whole input as one byte slice and
+// builds the frozen CSR directly: the text formats are chunk-split at
+// line boundaries (in parallel when a pool is given), JSON edges go
+// through graph.CSRFromEdges, and csrbin is decoded in place. Read,
+// ReadLimited and ReadFile wrap it for callers that want a *graph.Graph.
+// Every malformed input is reported as a *ParseError (text) or
+// *FormatError (csrbin) carrying the position of the offending token,
+// never as a panic.
 package graphio
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"localmds/internal/graph"
@@ -108,66 +110,50 @@ func Read(r io.Reader, f Format) (*graph.Graph, error) {
 // an input declaring or implying more vertices or edges is rejected before
 // anything proportional to the count is allocated. Services parsing
 // untrusted payloads must use it — a 40-byte DIMACS or csrbin header can
-// otherwise declare a multi-gigabyte vertex or edge count.
+// otherwise declare a multi-gigabyte vertex or edge count. It reads r to
+// the end and parses the bytes with ParseCSR.
 func ReadLimited(r io.Reader, f Format, maxVertices, maxEdges int) (*graph.Graph, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	if f == FormatAuto {
-		var err error
-		f, err = detectReader(br)
-		if err != nil {
-			return nil, err
-		}
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("graphio: read: %w", err)
 	}
-	switch f {
-	case FormatJSON:
-		return readJSON(br, maxVertices, maxEdges)
-	case FormatEdgeList:
-		return readEdgeList(br, maxVertices, maxEdges)
-	case FormatDIMACS:
-		return readDIMACS(br, maxVertices, maxEdges)
-	case FormatCSRBin:
-		c, err := readCSRBin(br, maxVertices, maxEdges)
-		if err != nil {
-			return nil, err
-		}
-		return graph.FromCSR(c), nil
+	c, err := ParseCSR(data, f, CSROptions{MaxVertices: maxVertices, MaxEdges: maxEdges})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("graphio: unsupported format %v", f)
+	return graph.FromCSR(c), nil
 }
 
 // ReadFile reads a graph from path ("-" reads stdin) in the given
 // format, prefixing errors with the input name — the shared loader
 // behind the CLIs' -in flags.
 func ReadFile(path string, f Format) (*graph.Graph, error) {
-	r := io.Reader(os.Stdin)
-	name := "stdin"
-	if path != "-" {
-		file, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer file.Close()
-		r, name = file, path
-	}
-	g, err := Read(r, f)
+	c, err := ParseCSRFile(path, f, CSROptions{})
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, err
 	}
-	return g, nil
+	return graph.FromCSR(c), nil
 }
 
 // readJSON decodes the repository encoding {"n": ..., "edges": [...]},
-// enforcing the vertex and edge limits before the graph (whose adjacency
-// storage is proportional to n + m) is built. Validation matches
-// graph.ReadJSON: duplicate edges, self-loops, and out-of-range endpoints
-// are rejected.
-func readJSON(br *bufio.Reader, maxVertices, maxEdges int) (*graph.Graph, error) {
+// enforcing the vertex and edge limits before the CSR (whose storage is
+// proportional to n + m) is built. Only whitespace may follow the
+// document. Validation matches graph.FromEdges, error for error:
+// out-of-range endpoints, self-loops and duplicate edges are rejected,
+// the first offending edge in input order is the one reported, and the
+// build stays linear-time.
+func readJSON(data []byte, maxVertices, maxEdges int) (*graph.CSR, error) {
 	var jg struct {
 		N     int      `json:"n"`
 		Edges [][2]int `json:"edges"`
 	}
-	if err := json.NewDecoder(br).Decode(&jg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if err := dec.Decode(&jg); err != nil {
 		return nil, fmt.Errorf("graphio: json: %w", err)
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("graphio: json: unexpected data after the document ending at byte offset %d", end)
 	}
 	if jg.N < 0 {
 		return nil, fmt.Errorf("graphio: json: negative vertex count %d", jg.N)
@@ -178,11 +164,54 @@ func readJSON(br *bufio.Reader, maxVertices, maxEdges int) (*graph.Graph, error)
 	if maxEdges > 0 && len(jg.Edges) > maxEdges {
 		return nil, fmt.Errorf("graphio: json: edge count %d exceeds the limit %d", len(jg.Edges), maxEdges)
 	}
-	g, err := graph.FromEdges(jg.N, jg.Edges)
+	c, err := csrFromJSONEdges(jg.N, jg.Edges)
 	if err != nil {
 		return nil, fmt.Errorf("graphio: json: %w", err)
 	}
-	return g, nil
+	return c, nil
+}
+
+// csrFromJSONEdges is graph.FromEdges(n, edges).Freeze() in linear time:
+// one range and self-loop scan, then graph.CSRFromEdges, which collapses
+// duplicates — so a CSR with fewer than len(edges) edges means the input
+// held one. Only the error paths look for the first duplicate, since
+// FromEdges reports whichever offending edge comes first.
+func csrFromJSONEdges(n int, edges [][2]int) (*graph.CSR, error) {
+	for i, e := range edges {
+		u, v := e[0], e[1]
+		var bad error
+		switch {
+		case u < 0 || u >= n || v < 0 || v >= n:
+			bad = fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
+		case u == v:
+			bad = fmt.Errorf("graph: self-loop at %d", u)
+		default:
+			continue
+		}
+		if dup := firstDuplicate(edges[:i]); dup != nil {
+			return nil, dup
+		}
+		return nil, bad
+	}
+	c := graph.CSRFromEdges(n, edges)
+	if c.M() != len(edges) {
+		return nil, firstDuplicate(edges)
+	}
+	return c, nil
+}
+
+// firstDuplicate reports the first edge that repeats an earlier one (in
+// either orientation), in FromEdges' words, or nil if there is none.
+func firstDuplicate(edges [][2]int) error {
+	seen := make(map[[2]int]struct{}, len(edges))
+	for _, e := range edges {
+		key := [2]int{min(e[0], e[1]), max(e[0], e[1])}
+		if _, ok := seen[key]; ok {
+			return fmt.Errorf("graph: duplicate edge {%d,%d}", e[0], e[1])
+		}
+		seen[key] = struct{}{}
+	}
+	return nil
 }
 
 // Detect sniffs the format from the first non-blank byte of a prefix of
@@ -207,13 +236,4 @@ func Detect(prefix []byte) (Format, error) {
 		}
 	}
 	return FormatAuto, fmt.Errorf("graphio: cannot detect format of empty input")
-}
-
-// detectReader peeks into br without consuming it.
-func detectReader(br *bufio.Reader) (Format, error) {
-	prefix, err := br.Peek(512)
-	if err != nil && err != io.EOF {
-		return FormatAuto, fmt.Errorf("graphio: detect: %w", err)
-	}
-	return Detect(prefix)
 }

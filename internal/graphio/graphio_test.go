@@ -2,10 +2,12 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -245,5 +247,99 @@ func TestParseFormat(t *testing.T) {
 	}
 	if _, err := ParseFormat("xml"); err == nil {
 		t.Fatal("ParseFormat(xml): want error")
+	}
+}
+
+// JSON edges build the CSR in linear time but keep graph.FromEdges'
+// semantics exactly: the same CSR, or the same first offending edge and
+// message, on random lists and on lists whose errors compete for first
+// place.
+func TestJSONEdgesMatchFromEdges(t *testing.T) {
+	type edgeList struct {
+		n     int
+		edges [][2]int
+	}
+	lists := []edgeList{
+		{0, nil},
+		{3, nil},
+		{0, [][2]int{{0, 0}}},
+		{3, [][2]int{{0, 1}, {1, 2}, {2, 0}}},
+		{3, [][2]int{{0, 1}, {1, 0}}}, // reversed duplicate
+		{3, [][2]int{{0, 1}, {1, 2}, {2, 1}, {1, 0}}}, // first duplicate wins
+		{3, [][2]int{{0, 1}, {0, 1}, {0, 5}}},         // duplicate before range
+		{3, [][2]int{{0, 1}, {0, 5}, {0, 1}}},         // range before duplicate
+		{3, [][2]int{{0, 1}, {1, 1}, {1, 0}}},         // loop before duplicate
+		{3, [][2]int{{0, 1}, {1, 0}, {2, 2}}},         // duplicate before loop
+		{3, [][2]int{{-1, 0}}},
+		{3, [][2]int{{0, -1}}},
+		{3, [][2]int{{3, 0}}},
+		{3, [][2]int{{1, 2}, {2, 2}, {7, 7}}},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for range 400 {
+		n := rng.Intn(12)
+		edges := make([][2]int, rng.Intn(20))
+		for i := range edges {
+			edges[i] = [2]int{rng.Intn(n+2) - 1, rng.Intn(n+2) - 1}
+		}
+		lists = append(lists, edgeList{n, edges})
+	}
+	for range 100 { // valid simple graphs, shuffled
+		n := 2 + rng.Intn(30)
+		var edges [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Intn(4) == 0 {
+					edges = append(edges, [2]int{v, u})
+				}
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		lists = append(lists, edgeList{n, edges})
+	}
+	for i, l := range lists {
+		want, wantErr := graph.FromEdges(l.n, l.edges)
+		got, err := csrFromJSONEdges(l.n, l.edges)
+		switch {
+		case wantErr != nil:
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("list %d %v: error %v, FromEdges %q", i, l.edges, err, wantErr)
+			}
+		case err != nil:
+			t.Fatalf("list %d %v: rejected (%v), FromEdges accepts", i, l.edges, err)
+		case !slices.Equal(got.Offsets, want.Freeze().Offsets) || !slices.Equal(got.Targets, want.Freeze().Targets):
+			t.Fatalf("list %d %v: CSR differs from FromEdges(...).Freeze()", i, l.edges)
+		}
+		// The same through the JSON front door, with its prefix.
+		data, merr := json.Marshal(map[string]any{"n": l.n, "edges": l.edges})
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		_, err = ParseCSR(data, FormatJSON, CSROptions{})
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != "graphio: json: "+wantErr.Error()) {
+			t.Fatalf("list %d: ParseCSR error %v, want FromEdges' %v", i, err, wantErr)
+		}
+	}
+}
+
+// Only whitespace may follow a JSON document.
+func TestReadJSONRejectsTrailingData(t *testing.T) {
+	for _, input := range []string{
+		`{"n":2,"edges":[[0,1]]}{"n":9}`,
+		`{"n": 2, "edges": [[0, 1]]} trailing`,
+		`{"n":2} ,`,
+		"{\"n\":2}\n\n}",
+	} {
+		if _, err := Read(strings.NewReader(input), FormatJSON); err == nil ||
+			!strings.Contains(err.Error(), "after the document") {
+			t.Fatalf("Read(%q) = %v, want a trailing-data error", input, err)
+		}
+		if _, err := ParseCSR([]byte(input), FormatAuto, CSROptions{}); err == nil {
+			t.Fatalf("ParseCSR(%q) accepted trailing data", input)
+		}
+	}
+	g, err := Read(strings.NewReader("{\"n\":2,\"edges\":[[0,1]]} \r\n\t\n"), FormatJSON)
+	if err != nil || g.M() != 1 {
+		t.Fatalf("trailing whitespace: %v, %v", g, err)
 	}
 }

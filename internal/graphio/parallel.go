@@ -1,9 +1,9 @@
 package graphio
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -13,17 +13,18 @@ import (
 	"localmds/internal/runner"
 )
 
-// This file is the huge-graph text-ingestion path: ParseCSR takes the
+// This file is the text parser behind every reader: ParseCSR takes the
 // whole input as one byte slice, splits it into line-aligned chunks, and
-// parses the chunks concurrently on a runner.Pool, feeding the per-chunk
-// edge buffers straight into graph.CSRFromEdgeChunks — no adjacency-list
-// intermediate, no concatenating copy, and a hand-rolled digit parser
-// instead of bufio.Scanner + strconv per token. The result is
-// deterministic by construction at any worker count: the chunking is a
-// pure function of the input length, CSRFromEdgeChunks depends only on the
-// concatenated edge order, and errors are merged by picking the
-// smallest (line, column), so the reported error is the first one the
-// sequential parser would have hit.
+// parses the chunks (concurrently when a runner.Pool is given), feeding
+// the per-chunk edge buffers straight into graph.CSRFromEdgeChunks — no
+// adjacency-list intermediate, no concatenating copy, and a hand-rolled
+// digit parser instead of strconv per token. The result is deterministic
+// by construction at any worker count: the chunking is a pure function of
+// the input length, CSRFromEdgeChunks depends only on the concatenated
+// edge order, and chunk results are merged in input order, so the
+// reported error is the first one a line-by-line reading would hit. The
+// tests pin graphs and error strings to a streaming line-by-line
+// reference reader at several worker counts.
 
 // CSROptions tune ParseCSR.
 type CSROptions struct {
@@ -31,20 +32,19 @@ type CSROptions struct {
 	// goroutine (still through the same chunk parser, so results are
 	// identical).
 	Pool *runner.Pool
-	// MaxVertices and MaxEdges mirror ReadLimited's bounds (0 =
-	// unlimited). Edge-count overflow is reported as a totals error, not
-	// a positioned *ParseError: the total is chunking-independent, so
-	// the message is stable at any worker count.
+	// MaxVertices and MaxEdges bound the vertex and edge counts (0 =
+	// unlimited), as ReadLimited documents. For the text formats, edge
+	// overflow is a *ParseError at the first edge line past the cap.
 	MaxVertices int
 	MaxEdges    int
 }
 
 // ParseCSR parses a graph held entirely in memory into its frozen CSR
 // view, in parallel for the line-oriented text formats (edge list,
-// DIMACS). FormatAuto sniffs like Detect; JSON and csrbin inputs take
-// their sequential readers (csrbin is already binary, JSON grammar does
-// not chunk on lines). The CSR is bit-identical to
-// Read(...).Freeze() on the same input.
+// DIMACS). FormatAuto sniffs like Detect; JSON and csrbin inputs are
+// decoded in the calling goroutine (csrbin is already binary, JSON
+// grammar does not chunk on lines). The CSR is the same at every worker
+// count.
 func ParseCSR(data []byte, f Format, opt CSROptions) (*graph.CSR, error) {
 	if f == FormatAuto {
 		prefix := data
@@ -58,11 +58,7 @@ func ParseCSR(data []byte, f Format, opt CSROptions) (*graph.CSR, error) {
 	}
 	switch f {
 	case FormatJSON:
-		g, err := readJSON(bufio.NewReader(bytes.NewReader(data)), opt.MaxVertices, opt.MaxEdges)
-		if err != nil {
-			return nil, err
-		}
-		return g.Freeze(), nil
+		return readJSON(data, opt.MaxVertices, opt.MaxEdges)
 	case FormatCSRBin:
 		return readCSRBin(bytes.NewReader(data), opt.MaxVertices, opt.MaxEdges)
 	case FormatEdgeList:
@@ -96,9 +92,9 @@ func ParseCSRFile(path string, f Format, opt CSROptions) (*graph.CSR, error) {
 }
 
 // readAll is io.ReadAll with a growth-friendly initial buffer.
-func readAll(f *os.File) ([]byte, error) {
+func readAll(r io.Reader) ([]byte, error) {
 	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(f); err != nil {
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -159,51 +155,80 @@ func splitChunks(data []byte, pos, startLine, count int) []chunkSpan {
 type chunkResult struct {
 	edges [][2]int
 	maxV  int // largest endpoint seen, -1 if none
-	extra int // edges counted but not stored once MaxEdges was hit
-	err   *ParseError
+	extra int // edge lines past the chunk's budget: counted, not stored
+	// overLine and overCol locate the first edge line past the budget.
+	overLine, overCol int
+	err               *ParseError // the chunk's first error; parsing stops there
 }
 
-// runChunks parses every span with fn, on the pool when one is available.
-func runChunks(spans []chunkSpan, pool *runner.Pool, fn func(chunkSpan) chunkResult) []chunkResult {
+// count is the number of valid edge lines before the chunk's error (all
+// of them if it has none).
+func (r *chunkResult) count() int { return len(r.edges) + r.extra }
+
+// add stores the edge {u, v} read from line lineNo. Past the budget it
+// only counts the edge, remembering where the first such line starts: its
+// first token, the edge's first field.
+func (r *chunkResult) add(u, v int, line []byte, lineNo, budget int) {
+	if len(r.edges) >= budget {
+		if r.extra == 0 {
+			r.overLine, r.overCol = lineNo, firstTokenCol(line)
+		}
+		r.extra++
+		return
+	}
+	r.edges = append(r.edges, [2]int{u, v})
+}
+
+// parseChunks parses data[pos:], whose first line is line startLine, in
+// line-aligned chunks with parse (on opt.Pool when set), then merges the
+// results in input order as a line-by-line reader would: the first chunk
+// error wins, unless the MaxEdges cap is crossed before it. The one chunk
+// where the running edge count crosses the cap is then parsed again with
+// the budget left, which locates the first edge line past the cap; only
+// this error path pays for it.
+func parseChunks(data []byte, pos, startLine int, opt CSROptions,
+	parse func(chunk []byte, line, budget int) chunkResult) (chunks [][][2]int, maxV int, err *ParseError) {
+	spans := splitChunks(data, pos, startLine, chunkCount(opt.Pool))
+	budget := opt.MaxEdges // no chunk stores more than the whole graph may hold
+	if budget <= 0 {
+		budget = math.MaxInt
+	}
 	results := make([]chunkResult, len(spans))
-	if pool == nil || len(spans) == 1 {
+	if opt.Pool == nil || len(spans) == 1 {
 		for i, sp := range spans {
-			results[i] = fn(sp)
+			results[i] = parse(data[sp.lo:sp.hi], sp.line, budget)
 		}
-		return results
+	} else {
+		var wg sync.WaitGroup
+		for i, sp := range spans {
+			wg.Add(1)
+			opt.Pool.Submit(func() {
+				defer wg.Done()
+				results[i] = parse(data[sp.lo:sp.hi], sp.line, budget)
+			})
+		}
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	for i, sp := range spans {
-		wg.Add(1)
-		pool.Submit(func() {
-			defer wg.Done()
-			results[i] = fn(sp)
-		})
-	}
-	wg.Wait()
-	return results
-}
-
-// mergeChunks combines per-chunk results into the final edge chunks,
-// reporting the error the sequential parser would have hit first (smallest
-// line, then column) and the chunking-independent totals.
-func mergeChunks(results []chunkResult) (chunks [][][2]int, maxV, total int, err *ParseError) {
 	maxV = -1
+	total := 0
 	chunks = make([][][2]int, 0, len(results))
-	for _, r := range results {
-		if r.err != nil && (err == nil || r.err.Line < err.Line ||
-			(r.err.Line == err.Line && r.err.Col < err.Col)) {
-			err = r.err
+	for i, sp := range spans {
+		r := &results[i]
+		if total+r.count() > budget {
+			over := parse(data[sp.lo:sp.hi], sp.line, budget-total)
+			return nil, 0, &ParseError{Line: over.overLine, Col: over.overCol,
+				Msg: "edge count exceeds the limit " + strconv.Itoa(opt.MaxEdges)}
 		}
-		if r.maxV > maxV {
-			maxV = r.maxV
+		if r.err != nil {
+			return nil, 0, r.err
 		}
-		total += len(r.edges) + r.extra
+		total += r.count()
+		maxV = max(maxV, r.maxV)
 		if len(r.edges) > 0 {
 			chunks = append(chunks, r.edges)
 		}
 	}
-	return chunks, maxV, total, err
+	return chunks, maxV, nil
 }
 
 func chunkCount(pool *runner.Pool) int {
@@ -221,16 +246,11 @@ func parseEdgeListCSR(data []byte, opt CSROptions) (*graph.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	spans := splitChunks(data, pos, line, chunkCount(opt.Pool))
-	results := runChunks(spans, opt.Pool, func(sp chunkSpan) chunkResult {
-		return parseEdgeListChunk(data[sp.lo:sp.hi], sp.line, declaredN, opt.MaxVertices, opt.MaxEdges)
+	chunks, maxV, perr := parseChunks(data, pos, line, opt, func(chunk []byte, line, budget int) chunkResult {
+		return parseEdgeListChunk(chunk, line, declaredN, opt.MaxVertices, budget)
 	})
-	chunks, maxV, total, perr := mergeChunks(results)
 	if perr != nil {
 		return nil, perr
-	}
-	if opt.MaxEdges > 0 && total > opt.MaxEdges {
-		return nil, fmt.Errorf("graphio: edgelist: edge count %d exceeds the limit %d", total, opt.MaxEdges)
 	}
 	n := declaredN
 	if n < 0 {
@@ -272,9 +292,9 @@ func edgeListProlog(data []byte, maxVertices int) (declaredN, pos, line int, err
 	return -1, len(data), lineNo + 1, nil
 }
 
-// parseEdgeListChunk parses one line-aligned chunk of edge lines,
-// replicating readEdgeList's per-line semantics and error messages.
-func parseEdgeListChunk(data []byte, startLine, declaredN, maxVertices, maxEdges int) chunkResult {
+// parseEdgeListChunk parses one line-aligned chunk of edge lines, storing
+// at most budget edges.
+func parseEdgeListChunk(data []byte, startLine, declaredN, maxVertices, budget int) chunkResult {
 	res := chunkResult{maxV: -1}
 	res.edges = make([][2]int, 0, len(data)/8)
 	lineNo := startLine - 1
@@ -295,11 +315,7 @@ func parseEdgeListChunk(data []byte, startLine, declaredN, maxVertices, maxEdges
 			if v > res.maxV {
 				res.maxV = v
 			}
-			if maxEdges > 0 && len(res.edges) >= maxEdges {
-				res.extra++
-				continue
-			}
-			res.edges = append(res.edges, [2]int{u, v})
+			res.add(u, v, lineBytes, lineNo, budget)
 			continue
 		}
 		toks = splitFieldsBytes(stripCommentBytes(lineBytes), toks)
@@ -348,11 +364,7 @@ func parseEdgeListChunk(data []byte, startLine, declaredN, maxVertices, maxEdges
 		if v > res.maxV {
 			res.maxV = v
 		}
-		if maxEdges > 0 && len(res.edges) >= maxEdges {
-			res.extra++ // keep the chunking-independent total exact
-			continue
-		}
-		res.edges = append(res.edges, [2]int{u, v})
+		res.add(u, v, lineBytes, lineNo, budget)
 	}
 	return res
 }
@@ -365,22 +377,16 @@ func parseDIMACSCSR(data []byte, opt CSROptions) (*graph.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	spans := splitChunks(data, pos, line, chunkCount(opt.Pool))
-	results := runChunks(spans, opt.Pool, func(sp chunkSpan) chunkResult {
-		return parseDIMACSChunk(data[sp.lo:sp.hi], sp.line, n, opt.MaxEdges)
+	chunks, _, perr := parseChunks(data, pos, line, opt, func(chunk []byte, line, budget int) chunkResult {
+		return parseDIMACSChunk(chunk, line, n, budget)
 	})
-	chunks, _, total, perr := mergeChunks(results)
 	if perr != nil {
 		return nil, perr
-	}
-	if opt.MaxEdges > 0 && total > opt.MaxEdges {
-		return nil, fmt.Errorf("graphio: dimacs: edge count %d exceeds the limit %d", total, opt.MaxEdges)
 	}
 	return graph.CSRFromEdgeChunks(n, chunks), nil
 }
 
-// dimacsProlog scans up to and including the 'p' problem line, replicating
-// readDIMACS's validation and error messages for that prefix.
+// dimacsProlog scans up to and including the 'p' problem line.
 func dimacsProlog(data []byte, maxVertices, maxEdges int) (n, pos, line int, err error) {
 	lineNo := 0
 	var toks []btok
@@ -433,8 +439,8 @@ func dimacsProlog(data []byte, maxVertices, maxEdges int) (n, pos, line int, err
 }
 
 // parseDIMACSChunk parses one line-aligned chunk of DIMACS lines after the
-// problem line, replicating readDIMACS's semantics and error messages.
-func parseDIMACSChunk(data []byte, startLine, n, maxEdges int) chunkResult {
+// problem line, storing at most budget edges.
+func parseDIMACSChunk(data []byte, startLine, n, budget int) chunkResult {
 	res := chunkResult{maxV: -1}
 	res.edges = make([][2]int, 0, len(data)/10)
 	lineNo := startLine - 1
@@ -448,11 +454,7 @@ func parseDIMACSChunk(data []byte, startLine, n, maxEdges int) chunkResult {
 		// columns — falls back to the general tokenizer below.
 		if u, v, ok := fastDIMACSEdgeLine(lineBytes); ok &&
 			u >= 1 && v >= 1 && u <= n && v <= n {
-			if maxEdges > 0 && len(res.edges) >= maxEdges {
-				res.extra++
-				continue
-			}
-			res.edges = append(res.edges, [2]int{u - 1, v - 1})
+			res.add(u-1, v-1, lineBytes, lineNo, budget)
 			continue
 		}
 		toks = splitFieldsBytes(lineBytes, toks)
@@ -481,11 +483,7 @@ func parseDIMACSChunk(data []byte, startLine, n, maxEdges int) chunkResult {
 				res.err = err
 				return res
 			}
-			if maxEdges > 0 && len(res.edges) >= maxEdges {
-				res.extra++
-				continue
-			}
-			res.edges = append(res.edges, [2]int{u - 1, v - 1})
+			res.add(u-1, v-1, lineBytes, lineNo, budget)
 		default:
 			res.err = &ParseError{Line: lineNo, Col: toks[0].col,
 				Msg: "unknown line type " + strconv.Quote(string(toks[0].s)) + " (want c, p, or e)"}
@@ -572,6 +570,15 @@ func fastUint(line []byte, i int) (int, int, bool) {
 	return v, i, true
 }
 
+// firstTokenCol is the 1-based column of line's first token.
+func firstTokenCol(line []byte) int {
+	i := 0
+	for i < len(line) && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r') {
+		i++
+	}
+	return i + 1
+}
+
 // nextLine returns the line starting at pos (without its '\n') and the
 // offset just past it.
 func nextLine(data []byte, pos int) ([]byte, int) {
@@ -581,15 +588,14 @@ func nextLine(data []byte, pos int) ([]byte, int) {
 	return data[pos:], len(data)
 }
 
-// btok is splitFields' token over bytes: one whitespace-delimited field
-// with its 1-based starting column.
+// btok is one whitespace-delimited field with its 1-based starting
+// column.
 type btok struct {
 	s   []byte
 	col int
 }
 
-// splitFieldsBytes tokenizes a line on ' ', '\t', '\r' — the byte-slice
-// twin of splitFields.
+// splitFieldsBytes tokenizes a line on ' ', '\t', '\r'.
 func splitFieldsBytes(line []byte, toks []btok) []btok {
 	toks = toks[:0]
 	start := -1
@@ -624,8 +630,7 @@ func stripCommentBytes(line []byte) []byte {
 
 // parseIntBytes parses a decimal integer with strconv.Atoi's accepted
 // syntax (optional sign, digits, no other bytes, overflow rejected) but
-// without the per-token string allocation — this is where the parallel
-// parser's single-core speedup over the Scanner+Atoi path comes from.
+// without the per-token string allocation.
 func parseIntBytes(s []byte) (int, bool) {
 	if len(s) == 0 {
 		return 0, false
@@ -655,8 +660,7 @@ func parseIntBytes(s []byte) (int, bool) {
 	return v, true
 }
 
-// parseVertexBytes parses a non-negative vertex index, with parseVertex's
-// exact error message.
+// parseVertexBytes parses a non-negative vertex index.
 func parseVertexBytes(t btok, line int) (int, *ParseError) {
 	v, ok := parseIntBytes(t.s)
 	if !ok || v < 0 {
@@ -666,8 +670,8 @@ func parseVertexBytes(t btok, line int) (int, *ParseError) {
 	return v, nil
 }
 
-// parseDIMACSVertexBytes parses a 1-based endpoint and range-checks it,
-// with parseDIMACSVertex's exact error messages.
+// parseDIMACSVertexBytes parses a 1-based endpoint and range-checks it
+// against the declared vertex count.
 func parseDIMACSVertexBytes(t btok, line, n int) (int, *ParseError) {
 	v, ok := parseIntBytes(t.s)
 	if !ok || v < 1 {

@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,7 +14,7 @@ import (
 )
 
 // genEdgeListText renders a random messy edge list (comments, blank lines,
-// optional header) and returns it with the sequentially-parsed reference.
+// optional header) and returns it with the reference reader's parse.
 func genEdgeListText(t *testing.T, seed int64, lines int, header bool) (string, *graph.CSR) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -38,9 +39,9 @@ func genEdgeListText(t *testing.T, seed int64, lines int, header bool) (string, 
 		}
 	}
 	text := b.String()
-	g, err := Read(strings.NewReader(text), FormatEdgeList)
+	g, err := referenceRead([]byte(text), FormatEdgeList, 0, 0)
 	if err != nil {
-		t.Fatalf("sequential reference parse: %v", err)
+		t.Fatalf("reference parse: %v", err)
 	}
 	return text, g.Freeze()
 }
@@ -60,17 +61,17 @@ func genDIMACSText(t *testing.T, seed int64, lines int) (string, *graph.CSR) {
 		fmt.Fprintf(&b, "e %d %d\n", rng.Intn(n)+1, rng.Intn(n)+1)
 	}
 	text := b.String()
-	g, err := Read(strings.NewReader(text), FormatDIMACS)
+	g, err := referenceRead([]byte(text), FormatDIMACS, 0, 0)
 	if err != nil {
-		t.Fatalf("sequential reference parse: %v", err)
+		t.Fatalf("reference parse: %v", err)
 	}
 	return text, g.Freeze()
 }
 
 // Parallel parse determinism: the same graph, with byte-identical
-// fingerprint, at every worker count — and equal to the sequential
-// Read(...).Freeze() reference. minChunkBytes would keep these small
-// inputs in one chunk, so the inputs are padded past it by comment lines.
+// fingerprint, at every worker count — and equal to the reference
+// reader's graph, frozen. minChunkBytes would keep these small inputs in
+// one chunk, so the inputs are padded past it by comment lines.
 func TestParseCSRWorkerCountInvariance(t *testing.T) {
 	pad := strings.Repeat("# padding to push the input well past one chunk\n", 3000)
 	cases := []struct {
@@ -96,7 +97,7 @@ func TestParseCSRWorkerCountInvariance(t *testing.T) {
 				text, want = genDIMACSText(t, int64(ci)+3, 4000)
 				text = strings.Repeat("c padding to push the input well past one chunk\n", 3000) + text
 			}
-			ref, err := Read(strings.NewReader(text), tc.format)
+			ref, err := referenceRead([]byte(text), tc.format, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +114,7 @@ func TestParseCSRWorkerCountInvariance(t *testing.T) {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
 				if got.Fingerprint() != want.Fingerprint() {
-					t.Fatalf("workers=%d: fingerprint %s != sequential %s",
+					t.Fatalf("workers=%d: fingerprint %s != reference %s",
 						w, got.Fingerprint(), want.Fingerprint())
 				}
 			}
@@ -121,39 +122,67 @@ func TestParseCSRWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// The parallel parser reports the same first error as the sequential one,
-// at any worker count: chunk errors merge by smallest (line, column).
+// ParseCSR reports the reference reader's first error, string for string,
+// at every worker count: chunk results merge in input order, and an edge
+// cap crossed before a chunk's error is located by rescanning the one
+// chunk where the running count crosses it.
 func TestParseCSRErrorsMatchSequential(t *testing.T) {
 	pad := strings.Repeat("0 1\n", 40000) // multiple chunks of valid edges
+	epad := strings.Repeat("e 1 2\n", 40000)
 	cases := []struct {
-		name   string
-		format Format
-		text   string
+		name                  string
+		format                Format
+		text                  string
+		maxVertices, maxEdges int
 	}{
-		{"bad token late", FormatEdgeList, pad + "3 x\n" + pad},
-		{"three fields", FormatEdgeList, pad + "1 2 3\n" + pad},
-		{"negative vertex", FormatEdgeList, pad + "-4 1\n" + pad},
-		{"out of declared range", FormatEdgeList, "9\n" + pad + "1 9\n" + pad},
-		{"two errors keep first", FormatEdgeList, pad + "a b\n" + pad + "c d\n"},
-		{"dimacs bad endpoint", FormatDIMACS, "p edge 2 1\n" + strings.Repeat("e 1 2\n", 40000) + "e 1 99\n"},
-		{"dimacs duplicate p", FormatDIMACS, "p edge 2 1\n" + strings.Repeat("e 1 2\n", 40000) + "p edge 2 1\n"},
-		{"dimacs unknown type", FormatDIMACS, "p edge 2 1\n" + strings.Repeat("e 1 2\n", 40000) + "q 1 2\n"},
+		{name: "bad token late", format: FormatEdgeList, text: pad + "3 x\n" + pad},
+		{name: "three fields", format: FormatEdgeList, text: pad + "1 2 3\n" + pad},
+		{name: "negative vertex", format: FormatEdgeList, text: pad + "-4 1\n" + pad},
+		{name: "out of declared range", format: FormatEdgeList, text: "9\n" + pad + "1 9\n" + pad},
+		{name: "two errors keep first", format: FormatEdgeList, text: pad + "a b\n" + pad + "c d\n"},
+		{name: "vertex over the cap", format: FormatEdgeList, text: pad + "7 70\n" + pad, maxVertices: 50},
+		{name: "dimacs bad endpoint", format: FormatDIMACS, text: "p edge 2 1\n" + epad + "e 1 99\n"},
+		{name: "dimacs duplicate p", format: FormatDIMACS, text: "p edge 2 1\n" + epad + "p edge 2 1\n"},
+		{name: "dimacs unknown type", format: FormatDIMACS, text: "p edge 2 1\n" + epad + "q 1 2\n"},
+		// Edge caps: the first edge line past the cap, unless a syntax
+		// error comes first.
+		{name: "cap in a late chunk", format: FormatEdgeList, text: pad + pad + pad, maxEdges: 100_003},
+		{name: "cap on the first edge", format: FormatEdgeList, text: "# c\n\n  5 6\n" + pad, maxEdges: 1},
+		{name: "cap at the last edge", format: FormatEdgeList, text: pad + pad, maxEdges: 79_999},
+		{name: "cap line indented", format: FormatEdgeList,
+			text: pad + strings.Repeat(" \t3 4 # c\n", 30000) + pad, maxEdges: 50_000},
+		{name: "cap after header and comments", format: FormatEdgeList,
+			text: "% x\n9\n" + strings.Repeat("0 1\n# c\n\n", 30000), maxEdges: 20_000},
+		{name: "cap counts loops and duplicates", format: FormatEdgeList,
+			text: strings.Repeat("2 2\n1 0\n0 1\n", 30000), maxEdges: 50_000},
+		{name: "syntax error before the cap", format: FormatEdgeList, text: pad + "x y\n" + pad, maxEdges: 60_000},
+		{name: "cap before a syntax error", format: FormatEdgeList, text: pad + "x y\n" + pad, maxEdges: 30_000},
+		{name: "cap right before a syntax error", format: FormatEdgeList, text: pad + "x y\n" + pad, maxEdges: 40_000},
+		{name: "dimacs cap", format: FormatDIMACS, text: "c x\np edge 2 1\n" + epad + "c y\n" + epad, maxEdges: 50_000},
+		{name: "dimacs cap indented", format: FormatDIMACS,
+			text: "p edge 5 0\n" + strings.Repeat("  e 1 5\n", 80000), maxEdges: 70_000},
+		{name: "dimacs syntax error before the cap", format: FormatDIMACS,
+			text: "p edge 2 1\n" + epad + "e 1\n" + epad, maxEdges: 50_000},
 	}
-	pool := runner.NewPool(4, 16)
-	defer pool.Close()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, wantErr := Read(strings.NewReader(tc.text), tc.format)
+			_, wantErr := referenceRead([]byte(tc.text), tc.format, tc.maxVertices, tc.maxEdges)
 			if wantErr == nil {
 				t.Fatal("reference parse unexpectedly succeeded")
 			}
-			for _, opt := range []CSROptions{{}, {Pool: pool}} {
+			for _, w := range []int{0, 1, 2, 4, 8} {
+				opt := CSROptions{MaxVertices: tc.maxVertices, MaxEdges: tc.maxEdges}
+				if w > 0 {
+					pool := runner.NewPool(w, 4*w)
+					defer pool.Close()
+					opt.Pool = pool
+				}
 				_, err := ParseCSR([]byte(tc.text), tc.format, opt)
 				if err == nil {
-					t.Fatal("parallel parse unexpectedly succeeded")
+					t.Fatalf("workers=%d: parse unexpectedly succeeded", w)
 				}
 				if err.Error() != wantErr.Error() {
-					t.Fatalf("error %q != sequential %q", err, wantErr)
+					t.Fatalf("workers=%d: error %q != reference %q", w, err, wantErr)
 				}
 			}
 		})
@@ -187,13 +216,24 @@ func TestParseCSROtherFormats(t *testing.T) {
 	}
 }
 
-// ParseCSR enforces the same limits as ReadLimited.
+// ParseCSR enforces the same limits as ReadLimited; text edge overflow
+// is positioned at the first edge line past the cap.
 func TestParseCSRLimits(t *testing.T) {
 	if _, err := ParseCSR([]byte("1000001\n0 1\n"), FormatEdgeList, CSROptions{MaxVertices: 1_000_000}); err == nil {
 		t.Fatal("vertex limit not enforced")
 	}
-	if _, err := ParseCSR([]byte("0 1\n1 2\n2 3\n"), FormatEdgeList, CSROptions{MaxEdges: 2}); err == nil {
-		t.Fatal("edge limit not enforced")
+	for _, tc := range []struct {
+		text string
+		f    Format
+	}{
+		{"0 1\n1 2\n 2 3\n", FormatEdgeList},
+		{"p edge 4 2\ne 1 2\ne 2 3\n e 3 4\n", FormatDIMACS},
+	} {
+		_, err := ParseCSR([]byte(tc.text), tc.f, CSROptions{MaxEdges: 2})
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Col != 2 || pe.Msg != "edge count exceeds the limit 2" {
+			t.Fatalf("%v edge limit: %v, want a *ParseError at column 2", tc.f, err)
+		}
 	}
 	if _, err := ParseCSR([]byte("p edge 4 3\n"), FormatDIMACS, CSROptions{MaxEdges: 2}); err == nil {
 		t.Fatal("declared edge limit not enforced")
@@ -224,5 +264,54 @@ func TestParseCSRFile(t *testing.T) {
 	if _, err := ParseCSRFile(bad, FormatEdgeList, CSROptions{}); err == nil ||
 		!strings.Contains(err.Error(), "bad.edges") {
 		t.Fatalf("error not name-prefixed: %v", err)
+	}
+}
+
+// BenchmarkParseCSR times ParseCSR without a pool, one row per format.
+// The reversed star K_{1,m} lists its edges by descending leaf, so each
+// edge lands at the front of the centre's sorted row: the worst case for
+// an insertion-sorted adjacency build.
+func BenchmarkParseCSR(b *testing.B) {
+	m := 100_000
+	edges := make([][2]int, m)
+	for i := range edges {
+		edges[i] = [2]int{0, m - i}
+	}
+	var js bytes.Buffer
+	fmt.Fprintf(&js, `{"n":%d,"edges":[`, m+1)
+	for i, e := range edges {
+		if i > 0 {
+			js.WriteByte(',')
+		}
+		fmt.Fprintf(&js, "[%d,%d]", e[0], e[1])
+	}
+	js.WriteString("]}")
+	var el, dm bytes.Buffer
+	for _, e := range edges {
+		fmt.Fprintf(&el, "%d %d\n", e[0], e[1])
+	}
+	fmt.Fprintf(&dm, "p edge %d %d\n", m+1, m)
+	for _, e := range edges {
+		fmt.Fprintf(&dm, "e %d %d\n", e[0]+1, e[1]+1)
+	}
+	rows := []struct {
+		name string
+		f    Format
+		data []byte
+	}{
+		{"json/reversed-star-100k", FormatJSON, js.Bytes()},
+		{"edgelist/reversed-star-100k", FormatEdgeList, el.Bytes()},
+		{"dimacs/reversed-star-100k", FormatDIMACS, dm.Bytes()},
+	}
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			b.SetBytes(int64(len(r.data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := ParseCSR(r.data, r.f, CSROptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -17,8 +17,11 @@ import (
 )
 
 // readLimitedCSR is the spec for parseSolve's payload path: the same
-// request checks, then the streaming graphio.ReadLimited and Freeze.
-// ok is false for generator requests, which parse no payload.
+// request checks, then graphio.ReadLimited and Freeze. graphio's own
+// tests pin ReadLimited to its streaming reference reader on the text
+// formats (that oracle lives in graphio's _test.go files, out of this
+// package's reach) and its JSON edges to graph.FromEdges. ok is false
+// for generator requests, which parse no payload.
 func readLimitedCSR(req *SolveRequest) (csr *graph.CSR, ok bool, err error) {
 	if req.Generator != nil && len(req.Graph) == 0 && req.Data == "" {
 		return nil, false, nil
@@ -84,8 +87,8 @@ func checkMatchesReadLimited(t *testing.T, req *SolveRequest) {
 	}
 }
 
-// TestParseSolveMatchesReadLimited pins the CSR parse path to the
-// streaming reader it replaced, on every format, auto-sniffing, the
+// TestParseSolveMatchesReadLimited pins the request parse path to
+// ReadLimited(...).Freeze(), on every format, auto-sniffing, the
 // limits, malformed payloads and every FuzzParseSolve seed: equal
 // fingerprints keep cache keys and existing store entries valid.
 func TestParseSolveMatchesReadLimited(t *testing.T) {
@@ -137,6 +140,7 @@ func TestParseSolveMatchesReadLimited(t *testing.T) {
 		{Data: `{"n": -1}`},
 		{Data: `{"n": 3000000}`},
 		{Data: `{"n": 2, "edges": [[0, 1]]} trailing`},
+		{Data: `{"n":2,"edges":[[0,1]]}{"n":9}`},
 		{Graph: json.RawMessage(`{"n": 2, "edges": [[1, 1]]}`)},
 		{Graph: json.RawMessage(`[1, 2]`)},
 		{Data: "@0 1\n"},
@@ -160,6 +164,17 @@ func TestParseSolveMatchesReadLimited(t *testing.T) {
 	for i := range 9 {
 		if _, err := parseSolve(&reqs[i]); err != nil {
 			t.Errorf("request %d rejected: %v", i, err)
+		}
+	}
+	// JSON with data after the document is rejected by both, not
+	// truncated to its first document.
+	for _, data := range []string{`{"n": 2, "edges": [[0, 1]]} trailing`, `{"n":2,"edges":[[0,1]]}{"n":9}`} {
+		req := SolveRequest{Data: data}
+		if _, err := parseSolve(&req); err == nil {
+			t.Errorf("parseSolve accepts trailing data: %q", data)
+		}
+		if _, _, err := readLimitedCSR(&req); err == nil {
+			t.Errorf("ReadLimited accepts trailing data: %q", data)
 		}
 	}
 }
