@@ -21,6 +21,55 @@ func CSRFromEdges(n int, edges [][2]int) *CSR {
 	return CSRFromEdgeChunks(n, [][][2]int{edges})
 }
 
+// CSRFromEdgesChecked is CSRFromEdges for edge lists that must already
+// be simple: an out-of-range endpoint, a self-loop or a duplicate edge (in
+// either orientation) is rejected with the error AddEdgeChecked gives for
+// the first offending edge in input order. It stays linear-time: one
+// range and self-loop scan, then CSRFromEdges, which collapses duplicates
+// — so a CSR with fewer than len(edges) edges means the input held one.
+// Only the error paths look for the first duplicate. It panics on a
+// negative n, matching New.
+func CSRFromEdgesChecked(n int, edges [][2]int) (*CSR, error) {
+	if n < 0 {
+		panic(fmt.Sprintf("graph: negative vertex count %d", n))
+	}
+	for i, e := range edges {
+		u, v := e[0], e[1]
+		var bad error
+		switch {
+		case u < 0 || u >= n || v < 0 || v >= n:
+			bad = errOutOfRange(u, v, n)
+		case u == v:
+			bad = errSelfLoop(u)
+		default:
+			continue
+		}
+		if dup := firstDuplicate(edges[:i]); dup != nil {
+			return nil, dup
+		}
+		return nil, bad
+	}
+	c := CSRFromEdges(n, edges)
+	if c.M() != len(edges) {
+		return nil, firstDuplicate(edges)
+	}
+	return c, nil
+}
+
+// firstDuplicate reports the first edge of a loop-free list that repeats
+// an earlier one (in either orientation), or nil if there is none.
+func firstDuplicate(edges [][2]int) error {
+	seen := make(map[[2]int]struct{}, len(edges))
+	for _, e := range edges {
+		key := [2]int{min(e[0], e[1]), max(e[0], e[1])}
+		if _, ok := seen[key]; ok {
+			return errDuplicate(e[0], e[1])
+		}
+		seen[key] = struct{}{}
+	}
+	return nil
+}
+
 // CSRFromEdgeChunks is CSRFromEdges over a pre-chunked edge list: the
 // chunks are treated as one concatenated list, so parallel parsers can
 // hand over their per-chunk buffers without a concatenating copy. The

@@ -129,3 +129,86 @@ func TestCSRFromEdgesPanicsLikeAddEdge(t *testing.T) {
 		CSRFromEdges(-1, nil)
 	}()
 }
+
+// CSRFromEdgesChecked keeps the per-edge AddEdgeChecked semantics exactly
+// while building in linear time: the same CSR, or the same first offending
+// edge and message, on random lists and on lists whose errors compete for
+// first place. FromEdges, built on it, is checked the same way.
+func TestCSRFromEdgesCheckedMatchesAddEdgeChecked(t *testing.T) {
+	type edgeList struct {
+		n     int
+		edges [][2]int
+	}
+	lists := []edgeList{
+		{0, nil},
+		{3, nil},
+		{0, [][2]int{{0, 0}}},
+		{3, [][2]int{{0, 1}, {1, 2}, {2, 0}}},
+		{3, [][2]int{{0, 1}, {1, 0}}}, // reversed duplicate
+		{3, [][2]int{{0, 1}, {1, 2}, {2, 1}, {1, 0}}}, // first duplicate wins
+		{3, [][2]int{{0, 1}, {0, 1}, {0, 5}}},         // duplicate before range
+		{3, [][2]int{{0, 1}, {0, 5}, {0, 1}}},         // range before duplicate
+		{3, [][2]int{{0, 1}, {1, 1}, {1, 0}}},         // loop before duplicate
+		{3, [][2]int{{0, 1}, {1, 0}, {2, 2}}},         // duplicate before loop
+		{3, [][2]int{{-1, 0}}},
+		{3, [][2]int{{0, -1}}},
+		{3, [][2]int{{3, 0}}},
+		{3, [][2]int{{1, 2}, {2, 2}, {7, 7}}},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for range 400 {
+		n := rng.Intn(12)
+		edges := make([][2]int, rng.Intn(20))
+		for i := range edges {
+			edges[i] = [2]int{rng.Intn(n+2) - 1, rng.Intn(n+2) - 1}
+		}
+		lists = append(lists, edgeList{n, edges})
+	}
+	for range 100 { // valid simple graphs, shuffled
+		n := 2 + rng.Intn(30)
+		var edges [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Intn(4) == 0 {
+					edges = append(edges, [2]int{v, u})
+				}
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		lists = append(lists, edgeList{n, edges})
+	}
+	for i, l := range lists {
+		want := New(l.n)
+		var wantErr error
+		for _, e := range l.edges {
+			if wantErr = want.AddEdgeChecked(e[0], e[1]); wantErr != nil {
+				break
+			}
+		}
+		got, err := CSRFromEdgesChecked(l.n, l.edges)
+		g, gErr := FromEdges(l.n, l.edges)
+		switch {
+		case wantErr != nil:
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("list %d %v: error %v, AddEdgeChecked %q", i, l.edges, err, wantErr)
+			}
+			if gErr == nil || gErr.Error() != wantErr.Error() {
+				t.Fatalf("list %d %v: FromEdges error %v, AddEdgeChecked %q", i, l.edges, gErr, wantErr)
+			}
+		case err != nil || gErr != nil:
+			t.Fatalf("list %d %v: rejected (%v, %v), AddEdgeChecked accepts", i, l.edges, err, gErr)
+		case !equalCSR(got, want.Freeze()):
+			t.Fatalf("list %d %v: CSR differs from the AddEdgeChecked build", i, l.edges)
+		case !g.Equal(want) || g.Validate() != nil:
+			t.Fatalf("list %d %v: FromEdges differs from the AddEdgeChecked build", i, l.edges)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("negative vertex count did not panic")
+			}
+		}()
+		CSRFromEdgesChecked(-1, [][2]int{{0, 1}})
+	}()
+}

@@ -31,16 +31,16 @@ func New(n int) *Graph {
 }
 
 // FromEdges builds a graph on n vertices from the given edge list.
-// Duplicate edges and self-loops are rejected with an error so that
-// generator bugs surface early.
+// Out-of-range endpoints, duplicate edges and self-loops are rejected
+// with AddEdgeChecked's error for the first offending edge, so that
+// generator bugs surface early. It runs in linear time through
+// CSRFromEdgesChecked.
 func FromEdges(n int, edges [][2]int) (*Graph, error) {
-	g := New(n)
-	for _, e := range edges {
-		if err := g.AddEdgeChecked(e[0], e[1]); err != nil {
-			return nil, err
-		}
+	c, err := CSRFromEdgesChecked(n, edges)
+	if err != nil {
+		return nil, err
 	}
-	return g, nil
+	return FromCSR(c), nil
 }
 
 // MustFromEdges is FromEdges for static test fixtures; it panics on error.
@@ -84,16 +84,16 @@ func (g *Graph) AddEdgeChecked(u, v int) error {
 
 func (g *Graph) addEdge(u, v int, allowDup bool) error {
 	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
-		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, len(g.adj))
+		return errOutOfRange(u, v, len(g.adj))
 	}
 	if u == v {
-		return fmt.Errorf("graph: self-loop at %d", u)
+		return errSelfLoop(u)
 	}
 	if g.HasEdge(u, v) {
 		if allowDup {
 			return nil
 		}
-		return fmt.Errorf("graph: duplicate edge {%d,%d}", u, v)
+		return errDuplicate(u, v)
 	}
 	g.adj[u] = insertSorted(g.adj[u], v)
 	g.adj[v] = insertSorted(g.adj[v], u)
@@ -258,6 +258,15 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
+
+// The edge errors of AddEdgeChecked, shared with CSRFromEdgesChecked.
+func errOutOfRange(u, v, n int) error {
+	return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
+}
+
+func errSelfLoop(u int) error { return fmt.Errorf("graph: self-loop at %d", u) }
+
+func errDuplicate(u, v int) error { return fmt.Errorf("graph: duplicate edge {%d,%d}", u, v) }
 
 func insertSorted(a []int, x int) []int {
 	i := sort.SearchInts(a, x)

@@ -66,6 +66,13 @@ func checkTextParse(t *testing.T, data []byte, f Format) *graph.Graph {
 func checkMatchesReference(t *testing.T, data []byte, f Format, g *graph.Graph, err error) {
 	t.Helper()
 	want, wantErr := referenceRead(data, f, fuzzVertexLimit, fuzzEdgeLimit)
+	sameOutcome(t, f, g, err, want, wantErr)
+}
+
+// sameOutcome asserts that a parse (g, err) equals the reference reader's
+// (want, wantErr): the same graph, or the same error string.
+func sameOutcome(t *testing.T, f Format, g *graph.Graph, err error, want *graph.Graph, wantErr error) {
+	t.Helper()
 	switch {
 	case err != nil && wantErr != nil:
 		if err.Error() != wantErr.Error() {

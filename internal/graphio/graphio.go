@@ -2,12 +2,14 @@
 // CLIs and the mdsd service accept: the repository's JSON encoding
 // ({"n": ..., "edges": [[u,v], ...]}), plain whitespace-separated edge
 // lists, DIMACS, and the binary csrbin encoding (a checksummed on-disk
-// graph.CSR that OpenCSRBin can mmap without parsing). Every reader goes
-// through ParseCSR, which takes the whole input as one byte slice and
-// builds the frozen CSR directly: the text formats are chunk-split at
-// line boundaries (in parallel when a pool is given), JSON edges go
-// through graph.CSRFromEdges, and csrbin is decoded in place. Read,
-// ReadLimited and ReadFile wrap it for callers that want a *graph.Graph.
+// graph.CSR that OpenCSRBin can mmap without parsing). The text formats
+// and JSON have one parser, ParseCSR, which takes the whole input as one
+// byte slice and builds the frozen CSR directly: the text formats are
+// chunk-split at line boundaries (in parallel when a pool is given) and
+// JSON edges go through graph.CSRFromEdgesChecked. csrbin has one
+// validating decoder, fed from memory by ParseCSR and from the stream by
+// Read. Read, ReadLimited and ReadFile wrap them for callers that want a
+// *graph.Graph.
 // Every malformed input is reported as a *ParseError (text) or
 // *FormatError (csrbin) carrying the position of the offending token,
 // never as a panic.
@@ -107,17 +109,16 @@ func Read(r io.Reader, f Format) (*graph.Graph, error) {
 }
 
 // ReadLimited is Read bounded by maxVertices and maxEdges (0 = unlimited):
-// an input declaring or implying more vertices or edges is rejected before
-// anything proportional to the count is allocated. Services parsing
-// untrusted payloads must use it — a 40-byte DIMACS or csrbin header can
-// otherwise declare a multi-gigabyte vertex or edge count. It reads r to
-// the end and parses the bytes with ParseCSR.
+// an input declaring or implying more vertices or edges is rejected with
+// an error instead of a graph of that size. Services parsing untrusted
+// payloads must use it — a 40-byte DIMACS or csrbin header can otherwise
+// declare a multi-gigabyte vertex or edge count. A csrbin stream is
+// decoded as it is read, allocating nothing proportional to its counts
+// before they pass the limits; every other format is read to the end of r
+// first and parsed with ParseCSR, so a caller facing untrusted input must
+// also bound the length of r (mdsd caps its request bodies).
 func ReadLimited(r io.Reader, f Format, maxVertices, maxEdges int) (*graph.Graph, error) {
-	data, err := readAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("graphio: read: %w", err)
-	}
-	c, err := ParseCSR(data, f, CSROptions{MaxVertices: maxVertices, MaxEdges: maxEdges})
+	c, err := readCSR(r, 0, f, CSROptions{MaxVertices: maxVertices, MaxEdges: maxEdges})
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +127,7 @@ func ReadLimited(r io.Reader, f Format, maxVertices, maxEdges int) (*graph.Graph
 
 // ReadFile reads a graph from path ("-" reads stdin) in the given
 // format, prefixing errors with the input name — the shared loader
-// behind the CLIs' -in flags.
+// behind the CLIs' -in flags. It is ParseCSRFile plus graph.FromCSR.
 func ReadFile(path string, f Format) (*graph.Graph, error) {
 	c, err := ParseCSRFile(path, f, CSROptions{})
 	if err != nil {
@@ -138,10 +139,8 @@ func ReadFile(path string, f Format) (*graph.Graph, error) {
 // readJSON decodes the repository encoding {"n": ..., "edges": [...]},
 // enforcing the vertex and edge limits before the CSR (whose storage is
 // proportional to n + m) is built. Only whitespace may follow the
-// document. Validation matches graph.FromEdges, error for error:
-// out-of-range endpoints, self-loops and duplicate edges are rejected,
-// the first offending edge in input order is the one reported, and the
-// build stays linear-time.
+// document. The edges go through graph.CSRFromEdgesChecked, so they are
+// validated exactly as graph.FromEdges validates them, in linear time.
 func readJSON(data []byte, maxVertices, maxEdges int) (*graph.CSR, error) {
 	var jg struct {
 		N     int      `json:"n"`
@@ -164,54 +163,11 @@ func readJSON(data []byte, maxVertices, maxEdges int) (*graph.CSR, error) {
 	if maxEdges > 0 && len(jg.Edges) > maxEdges {
 		return nil, fmt.Errorf("graphio: json: edge count %d exceeds the limit %d", len(jg.Edges), maxEdges)
 	}
-	c, err := csrFromJSONEdges(jg.N, jg.Edges)
+	c, err := graph.CSRFromEdgesChecked(jg.N, jg.Edges)
 	if err != nil {
 		return nil, fmt.Errorf("graphio: json: %w", err)
 	}
 	return c, nil
-}
-
-// csrFromJSONEdges is graph.FromEdges(n, edges).Freeze() in linear time:
-// one range and self-loop scan, then graph.CSRFromEdges, which collapses
-// duplicates — so a CSR with fewer than len(edges) edges means the input
-// held one. Only the error paths look for the first duplicate, since
-// FromEdges reports whichever offending edge comes first.
-func csrFromJSONEdges(n int, edges [][2]int) (*graph.CSR, error) {
-	for i, e := range edges {
-		u, v := e[0], e[1]
-		var bad error
-		switch {
-		case u < 0 || u >= n || v < 0 || v >= n:
-			bad = fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
-		case u == v:
-			bad = fmt.Errorf("graph: self-loop at %d", u)
-		default:
-			continue
-		}
-		if dup := firstDuplicate(edges[:i]); dup != nil {
-			return nil, dup
-		}
-		return nil, bad
-	}
-	c := graph.CSRFromEdges(n, edges)
-	if c.M() != len(edges) {
-		return nil, firstDuplicate(edges)
-	}
-	return c, nil
-}
-
-// firstDuplicate reports the first edge that repeats an earlier one (in
-// either orientation), in FromEdges' words, or nil if there is none.
-func firstDuplicate(edges [][2]int) error {
-	seen := make(map[[2]int]struct{}, len(edges))
-	for _, e := range edges {
-		key := [2]int{min(e[0], e[1]), max(e[0], e[1])}
-		if _, ok := seen[key]; ok {
-			return fmt.Errorf("graph: duplicate edge {%d,%d}", e[0], e[1])
-		}
-		seen[key] = struct{}{}
-	}
-	return nil
 }
 
 // Detect sniffs the format from the first non-blank byte of a prefix of

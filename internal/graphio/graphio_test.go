@@ -250,74 +250,39 @@ func TestParseFormat(t *testing.T) {
 	}
 }
 
-// JSON edges build the CSR in linear time but keep graph.FromEdges'
-// semantics exactly: the same CSR, or the same first offending edge and
-// message, on random lists and on lists whose errors compete for first
-// place.
+// JSON edges go through graph.CSRFromEdgesChecked, whose own tests pin
+// it to AddEdgeChecked: the JSON front door gives graph.FromEdges' CSR,
+// or its error behind the "graphio: json: " prefix, on lists whose
+// errors compete for first place.
 func TestJSONEdgesMatchFromEdges(t *testing.T) {
-	type edgeList struct {
-		n     int
-		edges [][2]int
+	lists := [][][2]int{
+		nil,
+		{{0, 1}, {1, 2}, {2, 0}},
+		{{0, 1}, {1, 0}},                 // reversed duplicate
+		{{0, 1}, {1, 2}, {2, 1}, {1, 0}}, // first duplicate wins
+		{{0, 1}, {0, 1}, {0, 5}},         // duplicate before range
+		{{0, 1}, {0, 5}, {0, 1}},         // range before duplicate
+		{{0, 1}, {1, 1}, {1, 0}},         // loop before duplicate
+		{{0, 1}, {1, 0}, {2, 2}},         // duplicate before loop
+		{{-1, 0}},
+		{{3, 0}},
 	}
-	lists := []edgeList{
-		{0, nil},
-		{3, nil},
-		{0, [][2]int{{0, 0}}},
-		{3, [][2]int{{0, 1}, {1, 2}, {2, 0}}},
-		{3, [][2]int{{0, 1}, {1, 0}}}, // reversed duplicate
-		{3, [][2]int{{0, 1}, {1, 2}, {2, 1}, {1, 0}}}, // first duplicate wins
-		{3, [][2]int{{0, 1}, {0, 1}, {0, 5}}},         // duplicate before range
-		{3, [][2]int{{0, 1}, {0, 5}, {0, 1}}},         // range before duplicate
-		{3, [][2]int{{0, 1}, {1, 1}, {1, 0}}},         // loop before duplicate
-		{3, [][2]int{{0, 1}, {1, 0}, {2, 2}}},         // duplicate before loop
-		{3, [][2]int{{-1, 0}}},
-		{3, [][2]int{{0, -1}}},
-		{3, [][2]int{{3, 0}}},
-		{3, [][2]int{{1, 2}, {2, 2}, {7, 7}}},
-	}
-	rng := rand.New(rand.NewSource(11))
-	for range 400 {
-		n := rng.Intn(12)
-		edges := make([][2]int, rng.Intn(20))
-		for i := range edges {
-			edges[i] = [2]int{rng.Intn(n+2) - 1, rng.Intn(n+2) - 1}
+	for i, edges := range lists {
+		want, wantErr := graph.FromEdges(3, edges)
+		data, err := json.Marshal(map[string]any{"n": 3, "edges": edges})
+		if err != nil {
+			t.Fatal(err)
 		}
-		lists = append(lists, edgeList{n, edges})
-	}
-	for range 100 { // valid simple graphs, shuffled
-		n := 2 + rng.Intn(30)
-		var edges [][2]int
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Intn(4) == 0 {
-					edges = append(edges, [2]int{v, u})
-				}
-			}
-		}
-		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-		lists = append(lists, edgeList{n, edges})
-	}
-	for i, l := range lists {
-		want, wantErr := graph.FromEdges(l.n, l.edges)
-		got, err := csrFromJSONEdges(l.n, l.edges)
+		got, err := ParseCSR(data, FormatJSON, CSROptions{})
 		switch {
 		case wantErr != nil:
-			if err == nil || err.Error() != wantErr.Error() {
-				t.Fatalf("list %d %v: error %v, FromEdges %q", i, l.edges, err, wantErr)
+			if err == nil || err.Error() != "graphio: json: "+wantErr.Error() {
+				t.Fatalf("list %d: ParseCSR error %v, want FromEdges' %v", i, err, wantErr)
 			}
 		case err != nil:
-			t.Fatalf("list %d %v: rejected (%v), FromEdges accepts", i, l.edges, err)
+			t.Fatalf("list %d: rejected (%v), FromEdges accepts", i, err)
 		case !slices.Equal(got.Offsets, want.Freeze().Offsets) || !slices.Equal(got.Targets, want.Freeze().Targets):
-			t.Fatalf("list %d %v: CSR differs from FromEdges(...).Freeze()", i, l.edges)
-		}
-		// The same through the JSON front door, with its prefix.
-		data, merr := json.Marshal(map[string]any{"n": l.n, "edges": l.edges})
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		_, err = ParseCSR(data, FormatJSON, CSROptions{})
-		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != "graphio: json: "+wantErr.Error()) {
-			t.Fatalf("list %d: ParseCSR error %v, want FromEdges' %v", i, err, wantErr)
+			t.Fatalf("list %d: CSR differs from FromEdges(...).Freeze()", i)
 		}
 	}
 }

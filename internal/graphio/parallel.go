@@ -1,6 +1,7 @@
 package graphio
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -70,30 +71,59 @@ func ParseCSR(data []byte, f Format, opt CSROptions) (*graph.CSR, error) {
 }
 
 // ParseCSRFile is ParseCSR over a file's contents ("-" reads stdin),
-// prefixing errors with the input name.
+// prefixing errors with the input name. A csrbin input is decoded as it
+// is read, never held whole.
 func ParseCSRFile(path string, f Format, opt CSROptions) (*graph.CSR, error) {
-	var data []byte
-	var err error
-	name := path
-	if path == "-" {
-		name = "stdin"
-		data, err = readAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
+	r, name, size := io.Reader(os.Stdin), "stdin", 0
+	if path != "-" {
+		file, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer file.Close()
+		if st, err := file.Stat(); err == nil {
+			size = int(st.Size())
+		}
+		r, name = file, path
 	}
-	if err != nil {
-		return nil, err
-	}
-	c, err := ParseCSR(data, f, opt)
+	c, err := readCSR(r, size, f, opt)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	return c, nil
 }
 
-// readAll is io.ReadAll with a growth-friendly initial buffer.
-func readAll(r io.Reader) ([]byte, error) {
+// readCSR parses the graph read from r, whose length is expected to be
+// size bytes (0 if unknown). FormatAuto sniffs like Detect. csrbin is
+// decoded as it streams in, allocating nothing proportional to its
+// declared counts before they pass the limits; any other format is read
+// to the end of r and handed to ParseCSR.
+func readCSR(r io.Reader, size int, f Format, opt CSROptions) (*graph.CSR, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	if f == FormatAuto {
+		prefix, err := br.Peek(512)
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("graphio: detect: %w", err)
+		}
+		if f, err = Detect(prefix); err != nil {
+			return nil, err
+		}
+	}
+	if f == FormatCSRBin {
+		return readCSRBin(br, opt.MaxVertices, opt.MaxEdges)
+	}
+	data, err := readAll(br, size)
+	if err != nil {
+		return nil, fmt.Errorf("graphio: read: %w", err)
+	}
+	return ParseCSR(data, f, opt)
+}
+
+// readAll reads r to the end into one buffer sized for size bytes, so a
+// correct size hint costs a single allocation.
+func readAll(r io.Reader, size int) ([]byte, error) {
 	var buf bytes.Buffer
+	buf.Grow(size + bytes.MinRead)
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, err
 	}
@@ -296,7 +326,7 @@ func edgeListProlog(data []byte, maxVertices int) (declaredN, pos, line int, err
 // at most budget edges.
 func parseEdgeListChunk(data []byte, startLine, declaredN, maxVertices, budget int) chunkResult {
 	res := chunkResult{maxV: -1}
-	res.edges = make([][2]int, 0, len(data)/8)
+	res.edges = make([][2]int, 0, min(len(data)/8, budget))
 	lineNo := startLine - 1
 	var toks []btok
 	for pos := 0; pos < len(data); {
@@ -442,7 +472,7 @@ func dimacsProlog(data []byte, maxVertices, maxEdges int) (n, pos, line int, err
 // problem line, storing at most budget edges.
 func parseDIMACSChunk(data []byte, startLine, n, budget int) chunkResult {
 	res := chunkResult{maxV: -1}
-	res.edges = make([][2]int, 0, len(data)/10)
+	res.edges = make([][2]int, 0, min(len(data)/10, budget))
 	lineNo := startLine - 1
 	var toks []btok
 	for pos := 0; pos < len(data); {

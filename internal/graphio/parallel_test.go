@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"localmds/internal/gen"
 	"localmds/internal/graph"
 	"localmds/internal/runner"
 )
@@ -189,6 +190,95 @@ func TestParseCSRErrorsMatchSequential(t *testing.T) {
 	}
 }
 
+// The vertex and edge caps of mdsd's /v1/solve payloads (maxRequestVertices
+// and maxRequestEdges in internal/service).
+const (
+	serviceMaxVertices = 2_000_000
+	serviceMaxEdges    = 20_000_000
+)
+
+// The text payloads internal/service's request tests send, read at the
+// service's caps, agree with the reference reader: the same graph and
+// fingerprint, or the same error string, through ReadLimited and through
+// ParseCSR at every worker count. FormatAuto payloads are resolved by
+// Detect first, as both front doors do; the reference has no sniffing.
+func TestServicePayloadsMatchReference(t *testing.T) {
+	g, err := gen.FromKind("ding", 300, 5, 0, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges, dimacs bytes.Buffer
+	if err := WriteEdgeList(&edges, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDIMACS(&dimacs, g); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		text   string
+		format Format
+	}{
+		{edges.String(), FormatAuto},
+		{edges.String(), FormatEdgeList},
+		{dimacs.String(), FormatAuto},
+		{dimacs.String(), FormatDIMACS},
+		{"# comment\n% other\n\n5\n0 1\n1 2\r\n2 0 \n", FormatAuto}, // header, isolated vertices, CRLF
+		{"0 1\n1 0\n0 1\n2 2\n", FormatAuto},                        // duplicates and a self-loop
+		{"  \n\t0 1\n", FormatAuto},
+		{"0 1\nx 2\n", FormatAuto},
+		{"0 1 2\n", FormatAuto},
+		{"-1 2\n", FormatEdgeList}, // Detect rejects the leading '-'
+		{"3\n0 5\n", FormatAuto},
+		{"0 1\n", FormatDIMACS},
+		{"c hi\np edge 4 1\ne 1 4\n", FormatAuto},
+		{"p edge 3 1\ne 0 1\n", FormatAuto},
+		{"p edge 3 1\ne 1 4\n", FormatAuto},
+		{"p edge 3 1\ne 1 2\ne 2 3\n", FormatAuto},
+		{"p edge 3000000 0\n", FormatAuto},
+		{"p edge 3 30000000\n", FormatAuto},
+		{"p col 3 1\ne 1 2\n", FormatAuto},
+		{"0 1\n1 2\n", FormatAuto},
+		{"p edge 3 2\ne 1 2\ne 2 3\n", FormatDIMACS},
+		{"0 1\n", FormatAuto},
+		{"2000000001\n0 1\n", FormatAuto},
+		// At and just past the caps.
+		{"2000001\n0 1\n", FormatAuto},
+		{"0 2000000\n", FormatAuto},
+		{"1 0\n\n1999999 2000000 # x\n", FormatAuto},
+		{"p edge 2000001 0\n", FormatAuto},
+		{"p edge 3 20000000\ne 1 2\n", FormatAuto},
+		{"p edge 3 20000001\r\ne 1 2\n", FormatAuto},
+		{"p edge 3 1\r\ne 1 2\r\ne 2 4\r\n", FormatAuto},
+	}
+	for i, tc := range cases {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			f := tc.format
+			if f == FormatAuto {
+				if f, err = Detect([]byte(tc.text)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, wantErr := referenceRead([]byte(tc.text), f, serviceMaxVertices, serviceMaxEdges)
+			got, err := ReadLimited(strings.NewReader(tc.text), tc.format, serviceMaxVertices, serviceMaxEdges)
+			sameOutcome(t, f, got, err, want, wantErr)
+			for _, w := range []int{1, 2, 4, 8} {
+				pool := runner.NewPool(w, 4*w)
+				c, err := ParseCSR([]byte(tc.text), tc.format,
+					CSROptions{Pool: pool, MaxVertices: serviceMaxVertices, MaxEdges: serviceMaxEdges})
+				pool.Close()
+				var g *graph.Graph
+				if err == nil {
+					g = graph.FromCSR(c)
+				}
+				sameOutcome(t, f, g, err, want, wantErr)
+				if err == nil && c.Fingerprint() != want.Freeze().Fingerprint() {
+					t.Fatalf("workers=%d: fingerprint differs from the reference", w)
+				}
+			}
+		})
+	}
+}
+
 // ParseCSR handles the non-chunking formats through the same front door.
 func TestParseCSROtherFormats(t *testing.T) {
 	g := graph.FromEdgesUnchecked(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
@@ -264,6 +354,30 @@ func TestParseCSRFile(t *testing.T) {
 	if _, err := ParseCSRFile(bad, FormatEdgeList, CSROptions{}); err == nil ||
 		!strings.Contains(err.Error(), "bad.edges") {
 		t.Fatalf("error not name-prefixed: %v", err)
+	}
+	// csrbin streams through the same decoder ParseCSR runs in memory:
+	// the same CSR, and the same error on a truncated file.
+	want := graph.FromEdgesUnchecked(5, [][2]int{{0, 1}, {1, 2}, {3, 4}}).Freeze()
+	bin := encodeCSRBin(t, want)
+	binPath := dir + "/g.csrbin"
+	if err := os.WriteFile(binPath, bin, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []Format{FormatAuto, FormatCSRBin} {
+		c, err := ParseCSRFile(binPath, f, CSROptions{})
+		if err != nil || c.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("csrbin (%v): %v", f, err)
+		}
+	}
+	short := dir + "/short.csrbin"
+	if err := os.WriteFile(short, bin[:len(bin)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, wantErr := ParseCSR(bin[:len(bin)-3], FormatAuto, CSROptions{})
+	var fe *FormatError
+	if _, err := ParseCSRFile(short, FormatAuto, CSROptions{}); !errors.As(err, &fe) ||
+		err.Error() != short+": "+wantErr.Error() {
+		t.Fatalf("truncated csrbin: %v, want %q", err, wantErr)
 	}
 }
 

@@ -16,12 +16,14 @@ import (
 	"localmds/internal/graphio"
 )
 
-// readLimitedCSR is the spec for parseSolve's payload path: the same
-// request checks, then graphio.ReadLimited and Freeze. graphio's own
-// tests pin ReadLimited to its streaming reference reader on the text
-// formats (that oracle lives in graphio's _test.go files, out of this
-// package's reach) and its JSON edges to graph.FromEdges. ok is false
-// for generator requests, which parse no payload.
+// readLimitedCSR is the spec for parseSolve's request plumbing: the same
+// request checks, then graphio.ReadLimited and Freeze. Both end in
+// graphio's one text parser, so the parser itself is pinned elsewhere:
+// graphio's TestServicePayloadsMatchReference reads this file's text
+// payloads at the service's caps and compares them with the streaming
+// reference reader kept in graphio's tests, and graph's tests pin JSON
+// edge validation to AddEdgeChecked. ok is false for generator requests,
+// which parse no payload.
 func readLimitedCSR(req *SolveRequest) (csr *graph.CSR, ok bool, err error) {
 	if req.Generator != nil && len(req.Graph) == 0 && req.Data == "" {
 		return nil, false, nil
