@@ -229,7 +229,7 @@ func BenchmarkLemma518MinorBound(b *testing.B) {
 func BenchmarkTheorem44MVC(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 120, T: 5}, rng)
-	opt, err := mds.ExactMVC(g)
+	opt, err := mds.ExactMVC(g, mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -31,16 +31,17 @@
 // that would dwarf the solve) and the exact optimum probe; -opt and -dot
 // are rejected.
 //
-// -workers bounds the Algorithm 1 fan-out of -alg alg1 and alg1-huge: the
-// Cuts vertex loop and the component solves (and alg1-huge's text
-// parser). The solution is the same at every worker count.
+// -workers bounds the Algorithm 1 fan-out of -alg alg1, alg1-huge and
+// mvc-alg1: the Cuts vertex loop and the component solves (and
+// alg1-huge's text parser). The solution is the same at every worker
+// count.
 //
-// With -alg alg1 or alg1-huge, -stages additionally prints the per-stage
-// wall-time/allocation/size table recorded in core.Alg1Result.StageStats,
-// and -trace out.json dumps the solve's span tree (stages plus per-
-// component solves) in Chrome trace-event format, loadable directly in
-// chrome://tracing or Perfetto. Other algorithms have no staged driver to
-// trace; -trace with them is a clean one-line error.
+// With the staged drivers -alg alg1, alg1-huge or mvc-alg1, -stages
+// additionally prints the per-stage wall-time/allocation/size table
+// recorded in the result's StageStats, and -trace out.json dumps the
+// solve's span tree (stages plus per-component solves) in Chrome
+// trace-event format, loadable directly in chrome://tracing or Perfetto;
+// with other algorithms either flag is a clean one-line error.
 package main
 
 import (
@@ -81,10 +82,10 @@ func run(args []string, stdout io.Writer) error {
 	p := fs.Float64("p", 0.05, "edge probability (gnp)")
 	r1 := fs.Int("r1", 4, "Algorithm 1 local 1-cut radius")
 	r2 := fs.Int("r2", 4, "Algorithm 1 local 2-cut radius")
-	workers := fs.Int("workers", 0, "worker count for -alg alg1 and alg1-huge: the Cuts and ComponentSolve fan-out, plus alg1-huge's text parse (0: GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "worker count for -alg alg1, alg1-huge and mvc-alg1: the Cuts and ComponentSolve fan-out, plus alg1-huge's text parse (0: GOMAXPROCS)")
 	optFlag := fs.Bool("opt", false, "require the exact optimum and |S|/OPT ratio (error when the instance exceeds the solver cap)")
-	stages := fs.Bool("stages", false, "print the Algorithm 1 pipeline per-stage timing/size table (requires -alg alg1 or alg1-huge)")
-	traceOut := fs.String("trace", "", "write the solve span tree in Chrome trace-event format to this file (requires -alg alg1 or alg1-huge)")
+	stages := fs.Bool("stages", false, "print the Algorithm 1 pipeline per-stage timing/size table (requires -alg alg1, alg1-huge or mvc-alg1)")
+	traceOut := fs.String("trace", "", "write the solve span tree in Chrome trace-event format to this file (requires -alg alg1, alg1-huge or mvc-alg1)")
 	dotOut := fs.String("dot", "", "write the graph with the solution highlighted to this DOT file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -106,11 +107,12 @@ func run(args []string, stdout io.Writer) error {
 	if *r1 < 0 || *r2 < 0 {
 		return fmt.Errorf("-r1 and -r2 must be >= 0, got %d and %d", *r1, *r2)
 	}
-	if *stages && *alg != "alg1" && *alg != "alg1-huge" {
-		return fmt.Errorf("-stages requires -alg alg1 or alg1-huge (the staged drivers), got -alg %s", *alg)
+	staged := *alg == "alg1" || *alg == "alg1-huge" || *alg == "mvc-alg1"
+	if *stages && !staged {
+		return fmt.Errorf("-stages requires -alg alg1, alg1-huge or mvc-alg1 (the staged drivers), got -alg %s", *alg)
 	}
-	if *traceOut != "" && *alg != "alg1" && *alg != "alg1-huge" {
-		return fmt.Errorf("-trace requires -alg alg1 or alg1-huge (the staged drivers record spans), got -alg %s", *alg)
+	if *traceOut != "" && !staged {
+		return fmt.Errorf("-trace requires -alg alg1, alg1-huge or mvc-alg1 (the staged drivers), got -alg %s", *alg)
 	}
 	if *alg == "alg1-huge" {
 		if *optFlag || *dotOut != "" {
@@ -194,11 +196,10 @@ func run(args []string, stdout io.Writer) error {
 const autoOptNodeBudget = 100_000
 
 // optimum computes the exact optimum for ratio reporting. maxNodes > 0
-// bounds the MDS engine's search (the MVC solver has no budget knob; its
-// lower cap keeps it snappy).
+// bounds the exact solver's search.
 func optimum(g *graph.Graph, isMVC bool, maxNodes int64) (int, error) {
 	if isMVC {
-		sol, err := mds.ExactMVC(g)
+		sol, err := mds.ExactMVC(g, mds.ExactOptions{MaxNodes: maxNodes})
 		return len(sol), err
 	}
 	sol, err := mds.ExactMDSOpt(g, mds.ExactOptions{MaxNodes: maxNodes})
@@ -353,11 +354,11 @@ func solve(g *graph.Graph, alg string, p core.Params, workers int, hooks core.Tr
 		sol, err := mds.ExactMDS(g)
 		return sol, nil, nil, err
 	case "mvc-alg1":
-		res, err := core.MVCAlg1(g, p)
+		res, err := core.MVCAlg1(g, p, core.PipelineOptions{Workers: workers, Hooks: hooks})
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return res.S, nil, nil, nil
+		return res.S, nil, res.StageStats, nil
 	case "mvc-d2":
 		return core.MVCD2(g).S, nil, nil, nil
 	default:

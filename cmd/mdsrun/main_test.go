@@ -215,3 +215,42 @@ func TestRunAlg1WorkersSameSolution(t *testing.T) {
 		t.Errorf("-workers 1 and -workers 3 differ:\n%s\nvs\n%s", outs[0], outs[1])
 	}
 }
+
+// TestRunMVCAlg1StagesAndWorkers checks that -stages and -workers reach
+// -alg mvc-alg1: the stage table names its four stages (it has no
+// TwinReduce), and one worker and three write the same report and the
+// same cover into the DOT file.
+func TestRunMVCAlg1StagesAndWorkers(t *testing.T) {
+	var staged strings.Builder
+	if err := run([]string{"-graph", "ding", "-n", "60", "-alg", "mvc-alg1", "-stages"}, &staged); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, want := range []string{"pipeline stages:", "Cuts", "Partition", "ComponentSolve", "Stitch"} {
+		if !strings.Contains(staged.String(), want) {
+			t.Errorf("-stages output missing %q:\n%s", want, staged.String())
+		}
+	}
+	if strings.Contains(staged.String(), "TwinReduce") {
+		t.Errorf("mvc-alg1 stage table lists TwinReduce:\n%s", staged.String())
+	}
+
+	var outs, dots [2]string
+	path := filepath.Join(t.TempDir(), "out.dot")
+	for i, w := range []string{"1", "3"} {
+		var out strings.Builder
+		if err := run([]string{"-graph", "ding", "-n", "150", "-seed", "4", "-alg", "mvc-alg1", "-workers", w, "-dot", path}, &out); err != nil {
+			t.Fatalf("-workers %s: %v", w, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("dot file: %v", err)
+		}
+		outs[i], dots[i] = out.String(), string(data)
+	}
+	if !strings.Contains(outs[0], "valid vertex cover: true") {
+		t.Fatalf("-workers 1 output invalid:\n%s", outs[0])
+	}
+	if outs[0] != outs[1] || dots[0] != dots[1] {
+		t.Errorf("-workers 1 and -workers 3 differ:\n%s\nvs\n%s", outs[0], outs[1])
+	}
+}

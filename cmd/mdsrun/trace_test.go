@@ -36,7 +36,14 @@ func readTrace(t *testing.T, path string) chromeDump {
 	return dump
 }
 
-func assertStagedTrace(t *testing.T, dump chromeDump) {
+// alg1Stages are Alg1CSR's stage spans; mvcStages are MVCAlg1's, which
+// has no TwinReduce.
+var (
+	alg1Stages = []string{"solve", "TwinReduce", "Cuts", "Partition", "ComponentSolve", "Stitch"}
+	mvcStages  = []string{"solve", "Cuts", "Partition", "ComponentSolve", "Stitch"}
+)
+
+func assertStagedTrace(t *testing.T, dump chromeDump, stages []string) {
 	t.Helper()
 	names := make(map[string]int)
 	for _, ev := range dump.TraceEvents {
@@ -45,7 +52,7 @@ func assertStagedTrace(t *testing.T, dump chromeDump) {
 		}
 		names[ev.Name]++
 	}
-	for _, stage := range []string{"solve", "TwinReduce", "Cuts", "Partition", "ComponentSolve", "Stitch"} {
+	for _, stage := range stages {
 		if names[stage] == 0 {
 			t.Errorf("trace missing a %q event; got %v", stage, names)
 		}
@@ -62,7 +69,7 @@ func TestRunTraceAlg1(t *testing.T) {
 		t.Errorf("output missing trace confirmation:\n%s", out.String())
 	}
 	dump := readTrace(t, path)
-	assertStagedTrace(t, dump)
+	assertStagedTrace(t, dump, alg1Stages)
 	if dump.Metadata.TraceID != "mdsrun" {
 		t.Errorf("trace_id = %q, want mdsrun", dump.Metadata.TraceID)
 	}
@@ -74,14 +81,29 @@ func TestRunTraceAlg1Huge(t *testing.T) {
 	if err := run([]string{"-graph", "cactus", "-n", "60", "-alg", "alg1-huge", "-trace", path}, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	assertStagedTrace(t, readTrace(t, path))
+	assertStagedTrace(t, readTrace(t, path), alg1Stages)
+}
+
+func TestRunTraceMVCAlg1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var out strings.Builder
+	if err := run([]string{"-graph", "ding", "-n", "60", "-alg", "mvc-alg1", "-trace", path}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	dump := readTrace(t, path)
+	assertStagedTrace(t, dump, mvcStages)
+	for _, ev := range dump.TraceEvents {
+		if ev.Name == "TwinReduce" {
+			t.Errorf("mvc-alg1 trace has a TwinReduce span")
+		}
+	}
 }
 
 func TestRunTraceRejectsUntracedAlgs(t *testing.T) {
-	for _, alg := range []string{"greedy", "d2", "tree", "exact", "alg1-local"} {
+	for _, alg := range []string{"greedy", "d2", "tree", "exact", "alg1-local", "mvc-d2"} {
 		var out strings.Builder
 		err := run([]string{"-graph", "cycle", "-n", "12", "-alg", alg, "-trace", "/tmp/nope.json"}, &out)
-		if err == nil || !strings.Contains(err.Error(), "-trace requires -alg alg1 or alg1-huge") {
+		if err == nil || !strings.Contains(err.Error(), "-trace requires -alg alg1, alg1-huge or mvc-alg1 (the staged drivers)") {
 			t.Errorf("-alg %s -trace: err = %v, want the staged-drivers error", alg, err)
 		}
 	}

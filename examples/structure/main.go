@@ -12,6 +12,7 @@ import (
 	"localmds/internal/asdim"
 	"localmds/internal/cuts"
 	"localmds/internal/gen"
+	"localmds/internal/graph"
 	"localmds/internal/spqr"
 )
 
@@ -38,8 +39,10 @@ func run() error {
 	// Local cuts (Definition 2.1): every vertex of a long cycle is a local
 	// 1-cut even though none is a global one.
 	r := 2
-	fmt.Printf("%d-local 1-cuts: %v\n", r, cuts.LocalOneCuts(g, r))
-	fmt.Printf("%d-local 2-cuts: %d pairs\n\n", r, len(cuts.LocalTwoCuts(g, r)))
+	c, a := g.Freeze(), graph.NewArena()
+	x, c2 := cuts.LocalCutsC2Workers(c, r, r, 1, a)
+	fmt.Printf("%d-local 1-cuts: %v\n", r, x)
+	fmt.Printf("%d-local 2-cut vertices: %v\n\n", r, c2)
 
 	// SPQR decomposition (Proposition 5.7).
 	tree, err := spqr.Decompose(g)

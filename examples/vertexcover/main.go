@@ -36,7 +36,7 @@ func run() error {
 	}
 	for _, topo := range topologies {
 		fmt.Printf("== %s: %s\n", topo.name, topo.g)
-		opt, err := mds.ExactMVC(topo.g)
+		opt, err := mds.ExactMVC(topo.g, mds.ExactOptions{})
 		if err != nil {
 			return err
 		}
@@ -45,7 +45,7 @@ func run() error {
 		fmt.Printf("  Thm 4.4 MVC variant: %d monitors (ratio %.2f), valid = %v\n",
 			len(d2.S), ratio(len(d2.S), len(opt)), mds.IsVertexCover(topo.g, d2.S))
 
-		a1, err := core.MVCAlg1(topo.g, core.PracticalParams())
+		a1, err := core.MVCAlg1(topo.g, core.PracticalParams(), core.PipelineOptions{})
 		if err != nil {
 			return err
 		}

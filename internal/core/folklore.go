@@ -3,7 +3,6 @@ package core
 import (
 	"localmds/internal/graph"
 	"localmds/internal/local"
-	"localmds/internal/mds"
 )
 
 // TreeMDS is the folklore 3-approximation for MDS on trees (Table 1, first
@@ -125,71 +124,6 @@ func RegularMVC(g *graph.Graph) []int {
 		}
 	}
 	return s
-}
-
-// ExactByGathering is the footnote-2 algorithm: on a diameter-D graph,
-// gather everything in D+2 rounds and solve exactly and consistently. The
-// centralized reference returns the exact MDS; RunExactGather measures the
-// rounds.
-func ExactByGathering(g *graph.Graph) ([]int, error) {
-	return mds.ExactMDS(g)
-}
-
-// exactGatherProcess gathers until its view is closed (no vertex with
-// unresolved adjacency), then solves MDS on the collected graph.
-type exactGatherProcess struct {
-	g    local.Gatherer
-	info local.NodeInfo
-	inS  bool
-}
-
-// NewExactGatherProcess returns the whole-graph-gathering exact process.
-func NewExactGatherProcess() local.Process { return &exactGatherProcess{} }
-
-func (p *exactGatherProcess) Init(info local.NodeInfo) {
-	p.info = info
-	p.g.Init(info)
-}
-
-func (p *exactGatherProcess) Round(round int, inbox []local.Message) ([]local.Message, bool) {
-	out := p.g.Step(round, inbox)
-	if round < 3 {
-		return out, false
-	}
-	view := p.g.View()
-	// Closed: every identifier referenced in an adjacency list has its own
-	// adjacency resolved.
-	for _, nbrs := range view.Adj {
-		for _, u := range nbrs {
-			if _, ok := view.Adj[u]; !ok {
-				return out, false
-			}
-		}
-	}
-	// One extra quiet round guarantees every other vertex also closed...
-	// not needed for correctness: the solve is deterministic on identical
-	// views, and all vertices of a connected graph close on the same
-	// complete view.
-	bg, _, center := view.Graph()
-	sol, err := mds.ExactMDS(bg)
-	if err != nil {
-		// Too large for the exact solver: fall back to greedy, still
-		// consistent across vertices.
-		sol = mds.GreedyMDS(bg)
-	}
-	for _, v := range sol {
-		if v == center {
-			p.inS = true
-		}
-	}
-	return out, true
-}
-
-func (p *exactGatherProcess) Output() any { return p.inS }
-
-// RunExactGather executes the footnote-2 exact algorithm.
-func RunExactGather(g *graph.Graph, ids []int, engine local.Engine) ([]int, local.Stats, error) {
-	return runBooleanProcess(g, ids, engine, func(int) local.Process { return NewExactGatherProcess() })
 }
 
 // runBooleanProcess runs a boolean-output protocol and collects the chosen

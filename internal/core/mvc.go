@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"localmds/internal/cuts"
 	"localmds/internal/graph"
@@ -19,6 +19,15 @@ type MVCResult struct {
 	Components [][]int
 	// MaxComponentDiameter as in Alg1Result.
 	MaxComponentDiameter int
+	// BruteFallbacks counts components covered by the matching
+	// 2-approximation instead of exactly: those over MaxBruteComponent,
+	// and those under it whose exact search ran out of BruteNodeBudget
+	// (Algorithm 1 variant only).
+	BruteFallbacks int
+	// StageStats is the per-stage trail of the Algorithm 1 variant's
+	// pipeline (Cuts → Partition → ComponentSolve → Stitch); an empty
+	// input leaves it nil.
+	StageStats StageStats
 }
 
 // MVCAlg1 is the Minimum Vertex Cover variant of Algorithm 1 described
@@ -26,66 +35,70 @@ type MVCResult struct {
 // vertices of R2-local minimal 2-cuts (not only interesting ones), and
 // cover the remaining uncovered edges per residual component exactly.
 // Unlike the MDS variant it needs no twin reduction: covering is monotone
-// under vertex removal.
-func MVCAlg1(g *graph.Graph, p Params) (*MVCResult, error) {
+// under vertex removal. It runs on g's frozen view as the staged pipeline
+// Cuts → Partition → ComponentSolve → Stitch, on Alg1CSR's cut kernel and
+// component fan-out, and opt works as for Alg1Pipeline: the result is the
+// same at every worker count. Freezing caches the CSR in g, so MVCAlg1
+// must not run concurrently with another Freeze or a mutation of g.
+func MVCAlg1(g *graph.Graph, p Params, opt PipelineOptions) (*MVCResult, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err
 	}
-	x := cuts.LocalOneCuts(g, p.R1)
-	var c2 []int
-	{
-		seen := make(map[int]bool)
-		for _, c := range cuts.LocalTwoCuts(g, p.R2) {
-			seen[c.U] = true
-			seen[c.V] = true
-		}
-		for v := range seen {
-			c2 = append(c2, v)
-		}
-		sort.Ints(c2)
+	csr := g.Freeze()
+	if csr.N() == 0 {
+		return &MVCResult{}, nil
 	}
-	s1 := graph.SortedUnion(x, c2)
-	res := &MVCResult{X: x, C2: c2}
+	workers, hooks := opt.workers(), opt.Hooks
+	res := &MVCResult{}
+	arena := graph.NewArena()
 
-	inS1 := make([]bool, g.N())
-	for _, v := range s1 {
-		inS1[v] = true
-	}
-	// Residual vertices incident to an uncovered edge.
-	var rest []int
-	for v := 0; v < g.N(); v++ {
-		if inS1[v] {
-			continue
+	res.StageStats.runStage(hooks, "Cuts", "cut vertices", func() int {
+		res.X, res.C2 = cuts.LocalCutsC2Workers(csr, p.R1, p.R2, workers, arena)
+		return len(res.X) + len(res.C2)
+	})
+
+	// Partition: the residual is every vertex outside S1 = X ∪ C2 with an
+	// uncovered incident edge, i.e. a neighbor outside S1 too.
+	var s1 []int
+	var comps [][]int32
+	res.StageStats.runStage(hooks, "Partition", "residual components", func() int {
+		s1 = graph.SortedUnion(res.X, res.C2)
+		inS1 := make([]bool, csr.N())
+		for _, v := range s1 {
+			inS1[v] = true
 		}
-		for _, u := range g.Neighbors(v) {
-			if !inS1[u] {
-				rest = append(rest, v)
-				break
+		var rest []int32
+		for v := range csr.N() {
+			if !inS1[v] && slices.ContainsFunc(csr.Row(v), func(u int32) bool { return !inS1[u] }) {
+				rest = append(rest, int32(v))
 			}
 		}
-	}
-	sol := append([]int(nil), s1...)
-	for _, comp := range g.ComponentsOfSubset(rest) {
-		res.Components = append(res.Components, comp)
-		sub, idx := g.Induced(comp)
-		if d := sub.Diameter(); d > res.MaxComponentDiameter {
-			res.MaxComponentDiameter = d
-		}
-		var chosen []int
-		if len(comp) <= p.MaxBruteComponent {
-			chosen, err = mds.ExactMVC(sub)
-			if err != nil {
-				chosen = mds.MatchingVertexCover(sub)
+		comps = csr.SubsetComponents(rest, arena)
+		return len(comps)
+	})
+
+	// ComponentSolve: exact vertex cover per residual component, the
+	// matching 2-approximation above the cap or out of budget. ExactMVC
+	// takes a *graph.Graph, so each component is bridged with FromCSR.
+	var outs []compOut
+	res.StageStats.runStage(hooks, "ComponentSolve", "solved components", func() int {
+		outs = solveComponents(csr, comps, workers, hooks, func(sub *graph.CSR, comp []int32) ([]int, bool) {
+			cg := graph.FromCSR(sub)
+			if len(comp) <= p.MaxBruteComponent {
+				if chosen, err := mds.ExactMVC(cg, mds.ExactOptions{MaxNodes: BruteNodeBudget}); err == nil {
+					return chosen, false
+				}
 			}
-		} else {
-			chosen = mds.MatchingVertexCover(sub)
-		}
-		for _, v := range chosen {
-			sol = append(sol, idx[v])
-		}
-	}
-	res.S = graph.Dedup(sol)
+			return mds.MatchingVertexCover(cg), true
+		})
+		return len(outs)
+	})
+
+	res.StageStats.runStage(hooks, "Stitch", "solution vertices", func() int {
+		res.S, res.Components, res.MaxComponentDiameter, res.BruteFallbacks = stitch(s1, comps, outs, ints)
+		return len(res.S)
+	})
 	return res, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"localmds/internal/ding"
 	"localmds/internal/gen"
@@ -27,7 +28,7 @@ func TestMVCAlg1IsCover(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := MVCAlg1(tt.g, PracticalParams())
+			res, err := MVCAlg1(tt.g, PracticalParams(), PipelineOptions{})
 			if err != nil {
 				t.Fatalf("MVCAlg1: %v", err)
 			}
@@ -42,11 +43,11 @@ func TestMVCAlg1Ratio(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 5; i++ {
 		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: 5}, rng)
-		res, err := MVCAlg1(g, PracticalParams())
+		res, err := MVCAlg1(g, PracticalParams(), PipelineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := mds.ExactMVC(g)
+		opt, err := mds.ExactMVC(g, mds.ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestMVCD2RatioBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: tParam}, rng)
 		res := MVCD2(g)
-		opt, err := mds.ExactMVC(g)
+		opt, err := mds.ExactMVC(g, mds.ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestMVCVariantsCoverProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(20, 0.12, rng)
-		a, err := MVCAlg1(g, PracticalParams())
+		a, err := MVCAlg1(g, PracticalParams(), PipelineOptions{})
 		if err != nil {
 			return false
 		}
@@ -114,5 +115,47 @@ func TestMVCVariantsCoverProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMVCAlg1NodeBudgetFallback runs MVCAlg1 on a 6-regular circulant
+// with no local cuts at the practical radii: the whole graph is one
+// 128-vertex residual component, under the size cap, whose exact search
+// would run for many minutes. BruteNodeBudget makes it fall back to the
+// matching cover (about 2 s on a 2-core x86 VM). The distributed
+// process's component solve is checked against it on the same component;
+// RunMVCAlg1 itself would repeat that solve at each of the 128 vertices.
+func TestMVCAlg1NodeBudgetFallback(t *testing.T) {
+	g, err := gen.RegularLike(128, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := PracticalParams()
+	start := time.Now()
+	res, err := MVCAlg1(g, p, PipelineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("MVCAlg1 on RegularLike(128, 6): %v", time.Since(start))
+	if !mds.IsVertexCover(g, res.S) {
+		t.Fatal("result is not a vertex cover")
+	}
+	if res.BruteFallbacks < 1 || len(res.X)+len(res.C2) != 0 || len(res.Components) != 1 {
+		t.Fatalf("BruteFallbacks = %d, |X|+|C2| = %d, components = %d; want >= 1, 0, 1",
+			res.BruteFallbacks, len(res.X)+len(res.C2), len(res.Components))
+	}
+
+	// Every vertex participates with all its neighbors, so each member's
+	// flooded records are the whole graph.
+	norm, err := p.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := &mvcAlg1Process{p: norm, records: map[int]partRecord{}}
+	for v := range g.N() {
+		proc.records[v] = partRecord{PartNbrs: g.Neighbors(v)}
+	}
+	if got := proc.componentCover(); !graph.EqualSets(graph.Dedup(got), res.S) {
+		t.Errorf("process component cover %v, MVCAlg1 %v", got, res.S)
 	}
 }

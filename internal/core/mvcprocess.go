@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"localmds/internal/cuts"
@@ -252,6 +253,12 @@ func (a *mvcAlg1Process) decide() {
 }
 
 func (a *mvcAlg1Process) solveComponent() {
+	a.inS = a.inS1 || slices.Contains(a.componentCover(), a.info.ID)
+}
+
+// componentCover returns the cover of the flooded component, as vertex
+// identifiers. Every member computes the same one from the same records.
+func (a *mvcAlg1Process) componentCover() []int {
 	members := make([]int, 0, len(a.records))
 	for id := range a.records {
 		members = append(members, id)
@@ -269,9 +276,13 @@ func (a *mvcAlg1Process) solveComponent() {
 			}
 		}
 	}
+	// The same budget as MVCAlg1. Node counts are input-determined, and
+	// with identity identifiers (as TestRunMVCAlg1MatchesCentralized uses)
+	// members are labelled in MVCAlg1's CSR order, so both fall back on
+	// the same components; other identifiers can reorder the search.
 	var chosen []int
 	if len(members) <= a.p.MaxBruteComponent {
-		sol, err := mds.ExactMVC(comp)
+		sol, err := mds.ExactMVC(comp, mds.ExactOptions{MaxNodes: BruteNodeBudget})
 		if err == nil {
 			chosen = sol
 		} else {
@@ -280,13 +291,10 @@ func (a *mvcAlg1Process) solveComponent() {
 	} else {
 		chosen = mds.MatchingVertexCover(comp)
 	}
-	me := pos[a.info.ID]
-	for _, v := range chosen {
-		if v == me {
-			a.inS = true
-		}
+	for i, v := range chosen {
+		chosen[i] = members[v]
 	}
-	a.inS = a.inS || a.inS1
+	return chosen
 }
 
 // RunMVCAlg1 executes the distributed Algorithm 1 MVC variant.

@@ -75,7 +75,7 @@ func TestRunMVCAlg1MatchesCentralized(t *testing.T) {
 	p := Params{R1: 3, R2: 3}
 	for i := 0; i < 4; i++ {
 		g := gen.RandomCactus(18, rng)
-		want, err := MVCAlg1(g, p)
+		want, err := MVCAlg1(g, p, PipelineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/metrics"
-	"sort"
 	"strings"
 	"time"
 
@@ -14,20 +13,23 @@ import (
 )
 
 // This file is the staged CSR pipeline behind Alg1, the one Algorithm 1
-// driver. It twin-reduces the input CSR and runs every subsequent stage —
-// cut enumeration, partitioning, per-component solving — over the flat
-// CSR view with reusable arena scratch, fanning the Cuts vertex loop and
-// the independent component solves out over a bounded set of workers
-// (graph.ParallelFor). Stage boundaries are explicit so each one records
-// wall time, allocations, and a size statistic into
-// Alg1Result.StageStats.
+// driver, and behind MVCAlg1, its vertex-cover variant. Alg1 twin-reduces
+// the input CSR; both then run every subsequent stage — cut enumeration,
+// partitioning, per-component solving — over the flat CSR view with
+// reusable arena scratch, fanning the Cuts vertex loop and the independent
+// component solves out over a bounded set of workers (graph.ParallelFor).
+// The two problems share the cut kernel (package cuts), the stage runner
+// and the component fan-out; each supplies its residual rule and its
+// component solver. Stage boundaries are explicit so each one records
+// wall time, allocations, and a size statistic into the result's
+// StageStats.
 
 // StageStat is one pipeline stage's diagnostics. The JSON form (used by
 // the mdsd service and any result archive) carries Wall as integer
 // nanoseconds under "wall_ns".
 type StageStat struct {
 	// Name is the stage name (TwinReduce, Cuts, Partition, ComponentSolve,
-	// Stitch).
+	// Stitch; MVCAlg1 has no TwinReduce).
 	Name string `json:"name"`
 	// Wall is the stage's wall-clock duration.
 	Wall time.Duration `json:"wall_ns"`
@@ -71,7 +73,8 @@ func (ss StageStats) Render() string {
 	return b.String()
 }
 
-// PipelineOptions tunes the staged solver.
+// PipelineOptions tunes the staged solvers (Alg1Pipeline, Alg1CSR and
+// MVCAlg1).
 type PipelineOptions struct {
 	// Workers bounds the fan-out of the Cuts vertex loop and of
 	// ComponentSolve; <= 0 means GOMAXPROCS. The result is identical for
@@ -80,6 +83,14 @@ type PipelineOptions struct {
 	// Hooks receives stage/component span callbacks; nil (the default)
 	// disables tracing at zero cost. Hooks never change the result.
 	Hooks TraceHooks
+}
+
+// workers returns the fan-out width: Workers, or GOMAXPROCS when unset.
+func (o PipelineOptions) workers() int {
+	if o.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return o.Workers
 }
 
 // Alg1 runs the centralized Algorithm 1 (Theorem 4.1) on g with the
@@ -103,14 +114,15 @@ func Alg1(g *graph.Graph, p Params) (*Alg1Result, error) {
 // reading it does not stop the world.
 const allocMetric = "/gc/heap/allocs:objects"
 
-// runStage times fn, recording its wall clock, allocation delta, and
-// returned size statistic under the given stage name. hooks (nil = off)
-// observes the stage's span boundaries.
-func (res *Alg1Result) runStage(hooks TraceHooks, name, unit string, sample []metrics.Sample, fn func() int) {
+// runStage times fn, appending its wall clock, allocation delta, and
+// returned size statistic to ss under the given stage name. hooks (nil =
+// off) observes the stage's span boundaries.
+func (ss *StageStats) runStage(hooks TraceHooks, name, unit string, fn func() int) {
 	var endSpan func(StageStat)
 	if hooks != nil {
 		endSpan = hooks.StageStart(name)
 	}
+	sample := []metrics.Sample{{Name: allocMetric}}
 	metrics.Read(sample)
 	before := sample[0].Value.Uint64()
 	start := time.Now()
@@ -124,25 +136,15 @@ func (res *Alg1Result) runStage(hooks TraceHooks, name, unit string, sample []me
 		Items:  items,
 		Unit:   unit,
 	}
-	res.StageStats = append(res.StageStats, stat)
+	*ss = append(*ss, stat)
 	if endSpan != nil {
 		endSpan(stat)
 	}
 }
 
-// compOut is one component's ComponentSolve result, indexed by component so
-// assembly order (and therefore the output) is independent of scheduling.
-type compOut struct {
-	chosen   []int // picked vertices, in reduced-graph labels
-	diam     int   // component subgraph diameter
-	solved   bool  // false when the component had no undominated vertex
-	fallback bool  // solved greedily: over MaxBruteComponent, or out of BruteNodeBudget
-	err      error
-}
-
-// Alg1Pipeline is Alg1CSR on g's frozen view. It is the only driver that
-// freezes its input: Graph.Freeze caches the CSR in g, so Alg1Pipeline
-// must not run concurrently with another Freeze or a mutation of g.
+// Alg1Pipeline is Alg1CSR on g's frozen view. Graph.Freeze caches the CSR
+// in g, so Alg1Pipeline (like MVCAlg1) must not run concurrently with
+// another Freeze or a mutation of g.
 func Alg1Pipeline(g *graph.Graph, p Params, opt PipelineOptions) (*Alg1Result, error) {
 	return Alg1CSR(g.Freeze(), p, opt)
 }
@@ -164,21 +166,14 @@ func Alg1CSR(in *graph.CSR, p Params, opt PipelineOptions) (*Alg1Result, error) 
 	if in.N() == 0 {
 		return &Alg1Result{}, nil
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	hooks := opt.Hooks
-
+	workers, hooks := opt.workers(), opt.Hooks
 	res := &Alg1Result{}
-	sample := make([]metrics.Sample, 1)
-	sample[0].Name = allocMetric
 
 	// TwinReduce: collapse true-twin classes to representatives and freeze
 	// the reduced graph; every later stage reads only the CSR view.
 	var csr *graph.CSR
 	var active []int
-	res.runStage(hooks, "TwinReduce", "active vertices", sample, func() int {
+	res.StageStats.runStage(hooks, "TwinReduce", "active vertices", func() int {
 		csr, active = graph.TwinReduceCSR(in)
 		return len(active)
 	})
@@ -189,7 +184,7 @@ func Alg1CSR(in *graph.CSR, p Params, opt PipelineOptions) (*Alg1Result, error) 
 	// Cuts: steps 2 and 3 on the reduced graph, each vertex loop split
 	// across the workers.
 	var xLocal, iLocal []int
-	res.runStage(hooks, "Cuts", "cut vertices", sample, func() int {
+	res.StageStats.runStage(hooks, "Cuts", "cut vertices", func() int {
 		xLocal, iLocal = cuts.LocalCutsWorkers(csr, p.R1, p.R2, workers, arena)
 		return len(xLocal) + len(iLocal)
 	})
@@ -199,7 +194,7 @@ func Alg1CSR(in *graph.CSR, p Params, opt PipelineOptions) (*Alg1Result, error) 
 	var s1Local, uLocal []int
 	var dominated []bool
 	var comps [][]int32
-	res.runStage(hooks, "Partition", "residual components", sample, func() int {
+	res.StageStats.runStage(hooks, "Partition", "residual components", func() int {
 		s1Local = graph.SortedUnion(xLocal, iLocal)
 		var rest []int32
 		dominated, uLocal, rest = partitionResidual(csr, s1Local)
@@ -210,35 +205,41 @@ func Alg1CSR(in *graph.CSR, p Params, opt PipelineOptions) (*Alg1Result, error) 
 	res.I = mapBack(iLocal, active)
 	res.U = mapBack(uLocal, active)
 
-	// ComponentSolve: brute-force (or greedy, above the cap) each residual
-	// component against its undominated vertices. Components are
-	// independent, so they fan out over the workers; each worker owns one
-	// componentSolver (its arena and scratch CSR, so at most `workers`
-	// induced component copies are live at once), and results land in a
-	// component-indexed slice.
-	outs := make([]compOut, len(comps))
-	res.runStage(hooks, "ComponentSolve", "solved components", sample, func() int {
-		graph.ParallelFor(len(comps), workers, 1, func(int) func(int) {
-			solver := &componentSolver{csr: csr, dominated: dominated, p: p, arena: graph.NewArena(), hooks: hooks}
-			return func(i int) { outs[i] = solver.solve(i, comps[i]) }
-		})
-		solved := 0
-		for i := range outs {
-			if outs[i].solved {
-				solved++
+	// ComponentSolve: brute-force (or greedy, above the cap or out of
+	// budget) a minimum set dominating each residual component's
+	// undominated vertices. Every residual component has one: a residual
+	// vertex is undominated or has an undominated neighbor, which is
+	// outside S1 ∪ U and so in the same component.
+	var outs []compOut
+	res.StageStats.runStage(hooks, "ComponentSolve", "solved components", func() int {
+		outs = solveComponents(csr, comps, workers, hooks, func(sub *graph.CSR, comp []int32) ([]int, bool) {
+			target := make([]int, 0, len(comp))
+			for i, v := range comp {
+				if !dominated[v] {
+					target = append(target, i)
+				}
 			}
-		}
-		return solved
+			if len(comp) <= p.MaxBruteComponent {
+				// Node counts are input-determined, so the same
+				// components exhaust the budget on every run and in
+				// Alg1Process.
+				if chosen, err := mds.ExactBDominatingCSROpt(sub, target, mds.ExactOptions{MaxNodes: BruteNodeBudget}); err == nil {
+					return chosen, false
+				}
+			}
+			return mds.GreedyBDominatingCSR(sub, target), true
+		})
+		return len(outs)
 	})
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, fmt.Errorf("core: brute-force component: %w", outs[i].err)
-		}
-	}
 
 	// Stitch: assemble the solution and diagnostics in component order.
-	res.runStage(hooks, "Stitch", "solution vertices", sample, func() int {
-		return stitchSolution(res, p, active, s1Local, comps, outs)
+	res.StageStats.runStage(hooks, "Stitch", "solution vertices", func() int {
+		var sol []int
+		sol, res.Components, res.MaxComponentDiameter, res.BruteFallbacks = stitch(s1Local, comps, outs,
+			func(comp []int32) []int { return mapBack(ints(comp), active) })
+		res.S = mapBack(sol, active)
+		res.RoundsEstimate = p.GatherRadius() + 2 + res.MaxComponentDiameter + 1
+		return len(res.S)
 	})
 	return res, nil
 }
@@ -272,93 +273,69 @@ func partitionResidual(csr *graph.CSR, s1Local []int) (dominated []bool, uLocal 
 	return dominated, uLocal, rest
 }
 
-// stitchSolution assembles the final solution and diagnostics in component
-// order, filling res.S, Components, MaxComponentDiameter, BruteFallbacks,
-// and RoundsEstimate. It returns the solution size (the Stitch stage's
-// item count).
-func stitchSolution(res *Alg1Result, p Params, active, s1Local []int, comps [][]int32, outs []compOut) int {
-	sol := append([]int(nil), s1Local...)
+// compOut is one component's ComponentSolve result, indexed by component so
+// assembly order (and therefore the output) is independent of scheduling.
+type compOut struct {
+	chosen   []int // picked vertices, in the solved CSR's labels
+	diam     int   // component subgraph diameter
+	fallback bool  // solved approximately: over MaxBruteComponent, or out of BruteNodeBudget
+}
+
+// componentSolver solves one residual component: sub is its induced
+// subgraph, whose vertex i is comp[i]. It returns the picks in sub's
+// labels and whether it fell back from the exact solve. It runs on every
+// worker at once, so it must not write shared state.
+type componentSolver func(sub *graph.CSR, comp []int32) (chosen []int, fallback bool)
+
+// solveComponents is the ComponentSolve stage of both drivers. Components
+// are independent, so they fan out over the workers; each worker owns an
+// arena and a scratch CSR for its current component's induced subgraph
+// (so at most `workers` component copies are live at once), and results
+// land in a component-indexed slice.
+func solveComponents(csr *graph.CSR, comps [][]int32, workers int, hooks TraceHooks, solve componentSolver) []compOut {
+	outs := make([]compOut, len(comps))
+	graph.ParallelFor(len(comps), workers, 1, func(int) func(int) {
+		arena := graph.NewArena()
+		var sub graph.CSR
+		return func(i int) {
+			comp := comps[i]
+			var end func(int, bool)
+			if hooks != nil {
+				end = hooks.ComponentStart(i, len(comp))
+			}
+			// comp is sorted, so sub's vertex i is comp[i].
+			csr.InducedInto(&sub, comp, arena)
+			o := compOut{diam: sub.Diameter(arena)}
+			var chosen []int
+			chosen, o.fallback = solve(&sub, comp)
+			o.chosen = make([]int, len(chosen))
+			for j, v := range chosen {
+				o.chosen[j] = int(comp[v])
+			}
+			outs[i] = o
+			if end != nil {
+				end(len(o.chosen), o.fallback)
+			}
+		}
+	})
+	return outs
+}
+
+// stitch assembles, in component order, the solution — s1 plus every
+// component's picks, deduplicated, in the solved CSR's labels — and the
+// component diagnostics: the components relabeled by label, their largest
+// diameter, and the number of fallback solves.
+func stitch(s1 []int, comps [][]int32, outs []compOut, label func([]int32) []int) (sol []int, components [][]int, maxDiam, fallbacks int) {
+	sol = append([]int(nil), s1...)
 	for i := range outs {
-		o := &outs[i]
-		if !o.solved {
-			continue
+		components = append(components, label(comps[i]))
+		maxDiam = max(maxDiam, outs[i].diam)
+		if outs[i].fallback {
+			fallbacks++
 		}
-		res.Components = append(res.Components, mapBack32(comps[i], active))
-		if o.diam > res.MaxComponentDiameter {
-			res.MaxComponentDiameter = o.diam
-		}
-		if o.fallback {
-			res.BruteFallbacks++
-		}
-		sol = append(sol, o.chosen...)
+		sol = append(sol, outs[i].chosen...)
 	}
-	res.S = mapBack(graph.Dedup(sol), active)
-	res.RoundsEstimate = p.GatherRadius() + 2 + res.MaxComponentDiameter + 1
-	return len(res.S)
-}
-
-// componentSolver is one worker's reusable state for ComponentSolve.
-type componentSolver struct {
-	csr       *graph.CSR
-	dominated []bool
-	p         Params
-	arena     *graph.Arena
-	hooks     TraceHooks // nil = tracing off
-	sub       graph.CSR  // scratch induced-subgraph buffers, reused per component
-	target    []int      // scratch local-target buffer
-}
-
-// solve handles one residual component: collect its undominated vertices,
-// build the induced CSR, measure the diameter, and pick a minimum
-// dominating set for the targets (exactly up to MaxBruteComponent, greedily
-// beyond it). index is the component's position in the partition, used
-// only to label its trace span.
-func (cs *componentSolver) solve(index int, comp []int32) compOut {
-	if cs.hooks != nil {
-		end := cs.hooks.ComponentStart(index, len(comp))
-		out := cs.solveBody(comp)
-		end(len(out.chosen), out.fallback)
-		return out
-	}
-	return cs.solveBody(comp)
-}
-
-// solveBody is the hook-free body of solve.
-func (cs *componentSolver) solveBody(comp []int32) compOut {
-	// comp is sorted, so local index i corresponds to vertex comp[i] and
-	// the monotone relabeling matches graph.Induced's canonical one.
-	target := cs.target[:0]
-	for i, v := range comp {
-		if !cs.dominated[v] {
-			target = append(target, i)
-		}
-	}
-	cs.target = target
-	if len(target) == 0 {
-		return compOut{}
-	}
-	cs.csr.InducedInto(&cs.sub, comp, cs.arena)
-	out := compOut{solved: true, diam: cs.sub.Diameter(cs.arena)}
-	var chosen []int
-	if len(comp) <= cs.p.MaxBruteComponent {
-		var err error
-		chosen, err = mds.ExactBDominatingCSROpt(&cs.sub, target, mds.ExactOptions{MaxNodes: BruteNodeBudget})
-		if err != nil {
-			// Budget exhausted (the only reachable error here): greedy
-			// fallback. Node counts are input-determined, so the same
-			// components fall back on every run and in Alg1Process.
-			out.fallback = true
-			chosen = mds.GreedyBDominatingCSR(&cs.sub, target)
-		}
-	} else {
-		out.fallback = true
-		chosen = mds.GreedyBDominatingCSR(&cs.sub, target)
-	}
-	out.chosen = make([]int, len(chosen))
-	for i, v := range chosen {
-		out.chosen[i] = int(comp[v])
-	}
-	return out
+	return graph.Dedup(sol), components, maxDiam, fallbacks
 }
 
 // allDominatedCSR reports whether every vertex of N[v] is dominated,
@@ -375,12 +352,11 @@ func allDominatedCSR(c *graph.CSR, v int, dominated []bool) bool {
 	return true
 }
 
-// mapBack32 converts reduced-graph indices to sorted original labels.
-func mapBack32(local []int32, active []int) []int {
-	out := make([]int, 0, len(local))
-	for _, v := range local {
-		out = append(out, active[v])
+// ints widens a CSR vertex list.
+func ints(vs []int32) []int {
+	out := make([]int, len(vs))
+	for i, v := range vs {
+		out[i] = int(v)
 	}
-	sort.Ints(out)
 	return out
 }

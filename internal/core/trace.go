@@ -6,8 +6,8 @@ import (
 	"localmds/internal/obs"
 )
 
-// TraceHooks receives span lifecycle callbacks from the staged driver
-// (Alg1CSR). A nil hooks field disables tracing with zero overhead — the
+// TraceHooks receives span lifecycle callbacks from the staged drivers
+// (Alg1CSR and MVCAlg1). A nil hooks field disables tracing with zero overhead — the
 // driver only ever tests the interface against nil, so deterministic
 // output and the committed BENCH numbers are untouched.
 //
@@ -21,7 +21,8 @@ type TraceHooks interface {
 	// ComponentStart marks the beginning of one residual component's
 	// solve (component index and vertex count). The returned func is
 	// called when the component completes: chosen is the number of
-	// picked vertices, fallback whether the greedy path ran.
+	// picked vertices, fallback whether the exact solve fell back (to the
+	// greedy dominating set or the matching cover).
 	ComponentStart(index, vertices int) func(chosen int, fallback bool)
 }
 

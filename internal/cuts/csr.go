@@ -1,5 +1,6 @@
 // CSR-native cut enumeration: the Algorithm 1 step-2/step-3 detectors
-// (r-local minimal 1-cuts and r-interesting vertices) over a frozen
+// (r-local minimal 1-cuts, and r-interesting vertices or, for the
+// vertex-cover variant, all local 2-cut vertices) over a frozen
 // graph.CSR. No ball is ever copied out: a ball is a generation stamp over
 // the host CSR's own vertex ids (graph.CSR.MarkBall), and the cut tests
 // are searches restricted to it: one articulation-point DFS per ball
@@ -9,8 +10,8 @@
 // fixed set of workers: the first finds the 1-cuts and builds a separator
 // table, the second tests only the pairs the table admits from both ends.
 // Each detector returns exactly the set its *graph.Graph counterpart
-// returns, at every worker count; csr_test.go checks that on the Table 1
-// families.
+// returns (for C2: the endpoints of IsLocalTwoCut's pairs), at every
+// worker count; csr_test.go checks that on the Table 1 families.
 package cuts
 
 import (
@@ -56,7 +57,62 @@ func LocallyInterestingVerticesCSR(c *graph.CSR, r int, a *graph.Arena) []int {
 // LocalCutsWorkers returns Algorithm 1's X — the r1-local minimal 1-cuts
 // — and I — the r2-interesting vertices — both ascending, with each vertex
 // loop split across min(workers, n) goroutines; a serves the first of
-// them. The result is the same at every worker count.
+// them. The result is the same at every worker count. The passes are
+// localCuts'; a tested pair records the direction self when self is not
+// yet known to be interesting, N[self] ⊈ N[other], and at least two
+// components of the pair ball are not covered by other.
+func LocalCutsWorkers(c *graph.CSR, r1, r2, workers int, a *graph.Arena) (x, i []int) {
+	return localCuts(c, r1, r2, workers, a, interestingRule{})
+}
+
+// LocalCutsC2Workers returns the vertex-cover variant's cut sets: X — the
+// r1-local minimal 1-cuts — and C2 — every endpoint of an r2-local minimal
+// 2-cut, with no interestingness test — both ascending, on the same
+// passes and worker split as LocalCutsWorkers.
+func LocalCutsC2Workers(c *graph.CSR, r1, r2, workers int, a *graph.Arena) (x, c2 []int) {
+	return localCuts(c, r1, r2, workers, a, twoCutRule{})
+}
+
+// pairRule is the per-problem part of localCuts' pass 2. need reports
+// which ends of the pair {u, v} still have to be decided, given the
+// worker's bitmap; the pair is tested only if one does. record flags
+// vertices for a pair that is a minimal 2-cut of its ball, given the
+// number of ball components each end leaves uncovered.
+type pairRule interface {
+	need(c *graph.CSR, u, v int, flagged []bool) (needU, needV bool)
+	record(flagged []bool, u, v int, needU, needV bool, uncoveredU, uncoveredV int)
+}
+
+// interestingRule decides r-interestingness (§3.2), Algorithm 1's step 3.
+type interestingRule struct{}
+
+func (interestingRule) need(c *graph.CSR, u, v int, interesting []bool) (bool, bool) {
+	return !interesting[u] && !c.ClosedSubset(u, v), !interesting[v] && !c.ClosedSubset(v, u)
+}
+
+func (interestingRule) record(interesting []bool, u, v int, needU, needV bool, uncoveredU, uncoveredV int) {
+	if needU && uncoveredV >= 2 {
+		interesting[u] = true
+	}
+	if needV && uncoveredU >= 2 {
+		interesting[v] = true
+	}
+}
+
+// twoCutRule takes both ends of every local minimal 2-cut, the
+// vertex-cover variant's step 3.
+type twoCutRule struct{}
+
+func (twoCutRule) need(_ *graph.CSR, u, v int, c2 []bool) (bool, bool) {
+	return !c2[u], !c2[v]
+}
+
+func (twoCutRule) record(c2 []bool, u, v int, _, _ bool, _, _ int) {
+	c2[u], c2[v] = true, true
+}
+
+// localCuts is the kernel behind both entry points. It returns X and the
+// vertices rule flags in pass 2, both ascending.
 //
 // Pass 1 visits every vertex u once. On the ball N^r2[u] it records in a
 // separator table the set S(u) of ball vertices v for which u's neighbors
@@ -74,18 +130,16 @@ func LocallyInterestingVerticesCSR(c *graph.CSR, r int, a *graph.Arena) []int {
 // ball, so v ∉ S(u) rules the pair out, and likewise u ∉ S(v). The ball
 // and the test are symmetric, and one test decides both directions:
 //
-//  1. A direction is needed only if its vertex is not yet known to be
-//     interesting and N[self] ⊈ N[other]. Each worker skips only
-//     directions its own bitmap already holds, so the skips save work and
-//     never change the union.
+//  1. The pair is tested only if rule.need asks for one of its ends. Each
+//     worker reads only its own bitmap, so the skips save work and never
+//     change the union.
 //  2. The pair ball's components are labeled once (LabelComponents), and
 //     one scan of each end's row counts the components it touches and
 //     those it does not cover (ComponentsSeenBy). Every component holds a
 //     neighbor of u or v, so the labeling sees them all.
-//  3. The pair is a minimal 2-cut iff both ends touch two components; a
-//     direction self holds iff at least two components are not covered
-//     by other.
-func LocalCutsWorkers(c *graph.CSR, r1, r2, workers int, a *graph.Arena) (x, i []int) {
+//  3. The pair is a minimal 2-cut iff both ends touch two components;
+//     rule.record then flags what it decides.
+func localCuts(c *graph.CSR, r1, r2, workers int, a *graph.Arena, rule pairRule) (x, flagged []int) {
 	n := c.N()
 	arenas := workerArenas{a}
 	t := sepTable{off: make([]int32, n+1)}
@@ -115,7 +169,7 @@ func LocalCutsWorkers(c *graph.CSR, r1, r2, workers int, a *graph.Arena) (x, i [
 	})
 	t.merge(parts)
 
-	i = forEachVertex(n, workers, &arenas, func(a *graph.Arena, interesting []bool) func(int) {
+	flagged = forEachVertex(n, workers, &arenas, func(a *graph.Arena, flags []bool) func(int) {
 		var ball []int32
 		return func(u int) {
 			if c.Degree(u) < 2 {
@@ -131,8 +185,7 @@ func LocalCutsWorkers(c *graph.CSR, r1, r2, workers int, a *graph.Arena) (x, i [
 				if v <= u || c.Degree(v) < 2 || !t.admits(v, u) {
 					continue
 				}
-				needU := !interesting[u] && !c.ClosedSubset(u, v)
-				needV := !interesting[v] && !c.ClosedSubset(v, u)
+				needU, needV := rule.need(c, u, v, flags)
 				if !needU && !needV {
 					continue
 				}
@@ -143,16 +196,11 @@ func LocalCutsWorkers(c *graph.CSR, r1, r2, workers int, a *graph.Arena) (x, i [
 				if touchedU < 2 || touchedV < 2 {
 					continue
 				}
-				if needU && uncoveredV >= 2 {
-					interesting[u] = true
-				}
-				if needV && uncoveredU >= 2 {
-					interesting[v] = true
-				}
+				rule.record(flags, u, v, needU, needV, uncoveredU, uncoveredV)
 			}
 		}
 	})
-	return x, i
+	return x, flagged
 }
 
 // allPartners is the single entry of a separator-table row whose vertex

@@ -60,9 +60,10 @@ func TestLocallyInterestingVerticesCSRMatchesLegacy(t *testing.T) {
 	}
 }
 
-// cutFamilies returns the differential inputs: the Table 1 families and
-// the random cut graphs, each twin-reduced as the drivers reduce them.
-func cutFamilies() map[string]*graph.CSR {
+// rawCutFamilies returns the differential inputs: the Table 1 families,
+// the random cut graphs, a twin-heavy clique with pendants and a
+// disconnected union.
+func rawCutFamilies() map[string]*graph.Graph {
 	rng := rand.New(rand.NewSource(23))
 	raw := map[string]*graph.Graph{
 		"grid8x9":       gen.Grid(8, 9),
@@ -73,11 +74,54 @@ func cutFamilies() map[string]*graph.CSR {
 	for i := 0; i < 4; i++ {
 		raw[fmt.Sprintf("random%d", i)] = randomCutGraph(20, 0.08, rng)
 	}
+	raw["cliquependants8"] = gen.CliquePendants(8)
+	raw["union"] = graph.DisjointUnion(gen.Cycle(9), gen.RandomCactus(20, rng))
+	return raw
+}
+
+// cutFamilies returns rawCutFamilies twin-reduced, as the MDS driver
+// reduces its input.
+func cutFamilies() map[string]*graph.CSR {
+	raw := rawCutFamilies()
 	out := make(map[string]*graph.CSR, len(raw))
 	for name, g := range raw {
 		out[name], _ = graph.TwinReduceCSR(g.Freeze())
 	}
 	return out
+}
+
+// TestLocalCutsC2MatchSpec runs LocalCutsC2Workers on the unreduced
+// families (the vertex-cover variant has no TwinReduce) at r1 ∈ 1..4,
+// r2 ∈ 2..4 and 1/2/3/8 workers, and compares X with LocalOneCuts and C2
+// with the endpoints of the pairs IsLocalTwoCut admits.
+func TestLocalCutsC2MatchSpec(t *testing.T) {
+	for name, g := range rawCutFamilies() {
+		c := g.Freeze()
+		want1 := map[int][]int{}
+		want2 := map[int][]int{}
+		for r := 1; r <= 4; r++ {
+			want1[r] = LocalOneCuts(g, r)
+			if r >= 2 {
+				for _, p := range LocalTwoCuts(g, r) {
+					want2[r] = append(want2[r], p.U, p.V)
+				}
+				want2[r] = graph.Dedup(want2[r])
+			}
+		}
+		for r1 := 1; r1 <= 4; r1++ {
+			for r2 := 2; r2 <= 4; r2++ {
+				for _, w := range []int{1, 2, 3, 8} {
+					x, c2 := LocalCutsC2Workers(c, r1, r2, w, graph.NewArena())
+					if !graph.EqualSets(x, want1[r1]) {
+						t.Errorf("%s r1=%d r2=%d workers=%d: X = %v, spec %v", name, r1, r2, w, x, want1[r1])
+					}
+					if !graph.EqualSets(c2, want2[r2]) {
+						t.Errorf("%s r1=%d r2=%d workers=%d: C2 = %v, spec %v", name, r1, r2, w, c2, want2[r2])
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestCutsCSRMatchSpecAtEveryWorkerCount runs LocalCutsWorkers at every

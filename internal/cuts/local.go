@@ -22,7 +22,10 @@ func IsLocalOneCut(g *graph.Graph, v, r int) bool {
 }
 
 // LocalOneCuts returns all vertices v such that {v} is an r-local minimal
-// 1-cut of g, ascending.
+// 1-cut of g, ascending. It copies one induced ball per vertex and is
+// kept as the spec of LocalOneCutsCSR and the X of LocalCutsWorkers: its
+// callers are tests (cuts' csr_test.go, graph's stampwrap_test.go, core's
+// alg1_reference_test.go and the root bench_test.go).
 func LocalOneCuts(g *graph.Graph, r int) []int {
 	var out []int
 	for v := 0; v < g.N(); v++ {
@@ -48,24 +51,6 @@ func IsLocalTwoCut(g *graph.Graph, u, v, r int) bool {
 	return IsMinimalTwoCut(ball, lu, lv)
 }
 
-// LocalTwoCuts enumerates all r-local minimal 2-cuts of g. Each pair is
-// tested inside its own ball subgraph; candidates are limited to pairs
-// within distance r.
-func LocalTwoCuts(g *graph.Graph, r int) []TwoCut {
-	var out []TwoCut
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Ball(u, r) {
-			if v <= u {
-				continue
-			}
-			if IsLocalTwoCut(g, u, v, r) {
-				out = append(out, TwoCut{U: u, V: v})
-			}
-		}
-	}
-	return out
-}
-
 // IsLocallyInteresting reports whether v is r-interesting (§3.2): there is
 // an r-local 2-cut c = {u, v} such that N[v] ⊈ N[u] (closed neighborhoods
 // in g) and at least two connected components of g[N^r[c]] - c each contain
@@ -86,7 +71,10 @@ func IsLocallyInteresting(g *graph.Graph, v, u, r int) bool {
 
 // LocallyInterestingVertices returns all vertices that are r-interesting
 // through some r-local minimal 2-cut, ascending. This is the set I of the
-// paper's Algorithm 1 (step 3).
+// paper's Algorithm 1 (step 3). It copies one induced ball per tested
+// pair and is kept as the spec of the I of LocalCutsWorkers: its callers
+// are tests (cuts' csr_test.go, graph's stampwrap_test.go, core's
+// alg1_reference_test.go and the root bench_test.go).
 func LocallyInterestingVertices(g *graph.Graph, r int) []int {
 	interesting := make(map[int]bool, g.N())
 	for u := 0; u < g.N(); u++ {

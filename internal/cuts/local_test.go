@@ -183,3 +183,21 @@ func TestLocallyInterestingSubsetOfTwoCutVertices(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// LocalTwoCuts enumerates all r-local minimal 2-cuts of g. Each pair is
+// tested inside its own ball subgraph; candidates are limited to pairs
+// within distance r.
+func LocalTwoCuts(g *graph.Graph, r int) []TwoCut {
+	var out []TwoCut
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Ball(u, r) {
+			if v <= u {
+				continue
+			}
+			if IsLocalTwoCut(g, u, v, r) {
+				out = append(out, TwoCut{U: u, V: v})
+			}
+		}
+	}
+	return out
+}

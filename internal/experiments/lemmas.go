@@ -26,7 +26,7 @@ func Lemma32Spec(ns []int, r int) Spec {
 		for _, inst := range lemmaInstances(n) {
 			s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d-%s", n, inst.name), Params: fmt.Sprintf("r=%d", r), Run: func(seed int64) ([][]string, error) {
 				g := inst.build(rand.New(rand.NewSource(seed)))
-				locals := cuts.LocalOneCuts(g, r)
+				locals := cuts.LocalOneCutsCSR(g.Freeze(), r, graph.NewArena())
 				opt, err := mds.ExactMDS(g)
 				if err != nil {
 					return nil, fmt.Errorf("lemma32 %s n=%d: %w", inst.name, n, err)
@@ -90,7 +90,7 @@ func Lemma33Spec(ns []int, r int) Spec {
 					twoCutVerts[c.U] = true
 					twoCutVerts[c.V] = true
 				}
-				interesting := cuts.LocallyInterestingVertices(g, r)
+				interesting := cuts.LocallyInterestingVerticesCSR(g.Freeze(), r, graph.NewArena())
 				opt, err := mds.ExactMDS(g)
 				if err != nil {
 					return nil, fmt.Errorf("lemma33 %s n=%d: %w", inst.name, n, err)
@@ -188,7 +188,7 @@ func CycleLocalCutsSpec(ns []int, r int) Spec {
 	for _, n := range ns {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Params: fmt.Sprintf("r=%d", r), Run: func(int64) ([][]string, error) {
 			g := gen.Cycle(n)
-			locals := cuts.LocalOneCuts(g, r)
+			locals := cuts.LocalOneCutsCSR(g.Freeze(), r, graph.NewArena())
 			arts := cuts.ArticulationPoints(g)
 			optSize := (n + 2) / 3 // MDS of a cycle is ceil(n/3)
 			return [][]string{{fmt.Sprint(n), fmt.Sprint(len(locals)), fmt.Sprint(len(arts)),

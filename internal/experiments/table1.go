@@ -198,12 +198,12 @@ func MVCTableSpec(cfg Table1Config) Spec {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("k2t-t%d", tt), Params: cfg.params(), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
 			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng)
-			opt, err := mds.ExactMVC(g)
+			opt, err := mds.ExactMVC(g, mds.ExactOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("mvc opt: %w", err)
 			}
 			d2 := core.MVCD2(g)
-			a1, err := core.MVCAlg1(g, core.PracticalParams())
+			a1, err := core.MVCAlg1(g, core.PracticalParams(), core.PipelineOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("mvc alg1: %w", err)
 			}
@@ -225,7 +225,7 @@ func MVCTableSpec(cfg Table1Config) Spec {
 		if err != nil {
 			return nil, err
 		}
-		opt, err := mds.ExactMVC(g)
+		opt, err := mds.ExactMVC(g, mds.ExactOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -71,11 +71,13 @@ func IsVertexCover(g *graph.Graph, s []int) bool {
 // overrides go through ExactOptions.MaxVertices.
 var MaxExactMDSVertices = 512
 
-// ExactOptions tunes the exact solver's branch-and-bound engine. The zero
-// value reproduces the default ExactMDS/ExactBDominating behavior.
+// ExactOptions tunes the exact solvers' branch and bound (the MDS engine
+// and ExactMVC's search). The zero value reproduces the default
+// ExactMDS/ExactBDominating behavior and an unbounded ExactMVC.
 type ExactOptions struct {
 	// MaxVertices overrides MaxExactMDSVertices for this call (0: use the
-	// package default). The DP dispatch paths ignore it.
+	// package default). The DP dispatch paths and ExactMVC, which reads
+	// only MaxNodes, ignore it.
 	MaxVertices int
 	// MaxNodes bounds the number of search-tree nodes (0: unbounded). An
 	// exhausted budget returns an error instead of a possibly suboptimal

@@ -2,6 +2,7 @@ package mds
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -195,7 +196,7 @@ func TestExactMVCKnownValues(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			s, err := ExactMVC(tt.g)
+			s, err := ExactMVC(tt.g, ExactOptions{})
 			if err != nil {
 				t.Fatalf("ExactMVC: %v", err)
 			}
@@ -249,7 +250,7 @@ func TestMVCTwoApproxProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(16, 0.2, rng)
-		exact, err := ExactMVC(g)
+		exact, err := ExactMVC(g, ExactOptions{})
 		if err != nil {
 			return false
 		}
@@ -387,5 +388,28 @@ func TestIsForest(t *testing.T) {
 	}
 	if !IsForest(graph.New(3)) {
 		t.Error("edgeless graph is a forest")
+	}
+}
+
+// TestExactMVCBudget checks ExactMVC's ExactOptions: a search over
+// MaxNodes fails with the same error on every run, a budget the search
+// fits in returns the unbounded optimum.
+func TestExactMVCBudget(t *testing.T) {
+	g := gen.Complete(9) // treewidth 8: the DP declines, branch and bound runs
+	_, err1 := ExactMVC(g, ExactOptions{MaxNodes: 3})
+	_, err2 := ExactMVC(g, ExactOptions{MaxNodes: 3})
+	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
+		t.Fatalf("MaxNodes 3: errors %v and %v, want one budget error twice", err1, err2)
+	}
+	if !strings.Contains(err1.Error(), "3-node budget") {
+		t.Errorf("budget error %q does not name the budget", err1)
+	}
+	want, err := ExactMVC(g, ExactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ExactMVC(g, ExactOptions{MaxNodes: 1_000_000})
+	if err != nil || !graph.EqualSets(got, want) {
+		t.Errorf("budgeted = %v, %v; unbounded = %v", got, err, want)
 	}
 }

@@ -12,8 +12,11 @@ const MaxExactMVCVertices = 200
 
 // ExactMVC returns a minimum vertex cover of g. Treewidth-<=2 inputs
 // dispatch to the unbounded DP; the rest run branch and bound with a
-// matching lower bound, capped at MaxExactMVCVertices.
-func ExactMVC(g *graph.Graph) ([]int, error) {
+// matching lower bound, capped at MaxExactMVCVertices and, when
+// opt.MaxNodes > 0, at that many search nodes; opt.MaxVertices is ignored.
+// An exhausted budget returns an error; the node count is deterministic,
+// so the same inputs exhaust it on every run.
+func ExactMVC(g *graph.Graph, opt ExactOptions) ([]int, error) {
 	if sol, err := exactMVCTreewidth2(g); err == nil {
 		sort.Ints(sol)
 		return sol, nil
@@ -25,8 +28,18 @@ func ExactMVC(g *graph.Graph) ([]int, error) {
 	best := MatchingVertexCover(g)
 	removed := make([]bool, g.N())
 	var cur []int
+	var nodes int64
+	aborted := false
 	var rec func()
 	rec = func() {
+		if aborted {
+			return
+		}
+		nodes++
+		if opt.MaxNodes > 0 && nodes > opt.MaxNodes {
+			aborted = true
+			return
+		}
 		if len(cur) >= len(best) {
 			return
 		}
@@ -64,6 +77,9 @@ func ExactMVC(g *graph.Graph) ([]int, error) {
 		removed[u] = false
 	}
 	rec()
+	if aborted {
+		return nil, fmt.Errorf("mds: exact MVC search exceeded the %d-node budget", opt.MaxNodes)
+	}
 	sort.Ints(best)
 	return best, nil
 }

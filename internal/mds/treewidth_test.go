@@ -279,7 +279,7 @@ func findCoverOfSize(g *graph.Graph, k int) []int {
 func TestTW2MVCLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 1500, T: 5}, rng)
-	sol, err := ExactMVC(g)
+	sol, err := ExactMVC(g, ExactOptions{})
 	if err != nil {
 		t.Fatalf("ExactMVC: %v", err)
 	}

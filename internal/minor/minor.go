@@ -12,6 +12,10 @@
 // such path yields one of the t middle branch sets of K_{2,t} and vice
 // versa (every middle branch set is connected and adjacent to both hubs, so
 // it contains such a path).
+//
+// No production code imports the package: it stays outside the tests
+// because three test files in other packages certify with it — the root
+// bench_test.go, ding/ding_test.go and gen/gen_test.go.
 package minor
 
 import (
