@@ -413,3 +413,41 @@ func TestExactMVCBudget(t *testing.T) {
 		t.Errorf("budgeted = %v, %v; unbounded = %v", got, err, want)
 	}
 }
+
+// TestExactMVCNodeCountPinned pins the branch-and-bound search node for
+// node: on each instance the search finishes within exactly N nodes (a
+// budget of N succeeds, N−1 fails) and returns the same cover. The
+// counts were taken from the search before its residual degrees and
+// matching marks became incremental, so any change to the branching
+// order or the bound shows here.
+func TestExactMVCNodeCountPinned(t *testing.T) {
+	circulant, err := gen.RegularLike(48, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var circulantCover []int
+	for v := range 48 {
+		if v%4 != 3 {
+			circulantCover = append(circulantCover, v)
+		}
+	}
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		nodes int64
+		cover []int
+	}{
+		{"RegularLike(48,6)", circulant, 5243, circulantCover},
+		{"GNP(50,0.15,seed1)", gen.GNP(50, 0.15, rand.New(rand.NewSource(1))), 465,
+			[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 13, 14, 15, 16, 17, 19, 21, 23, 24, 25, 26, 27, 28, 29, 30, 31, 36, 38, 40, 42, 47, 48, 49}},
+	}
+	for _, tc := range cases {
+		got, err := ExactMVC(tc.g, ExactOptions{MaxNodes: tc.nodes})
+		if err != nil || !graph.EqualSets(got, tc.cover) {
+			t.Errorf("%s, budget %d: cover %v, err %v; want %v", tc.name, tc.nodes, got, err, tc.cover)
+		}
+		if _, err := ExactMVC(tc.g, ExactOptions{MaxNodes: tc.nodes - 1}); err == nil {
+			t.Errorf("%s: budget %d succeeded, want the search to need %d nodes", tc.name, tc.nodes-1, tc.nodes)
+		}
+	}
+}

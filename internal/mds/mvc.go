@@ -26,7 +26,7 @@ func ExactMVC(g *graph.Graph, opt ExactOptions) ([]int, error) {
 	}
 	// Upper bound: greedy matching 2-approximation.
 	best := MatchingVertexCover(g)
-	removed := make([]bool, g.N())
+	st := newMVCSearch(g)
 	var cur []int
 	var nodes int64
 	aborted := false
@@ -44,37 +44,36 @@ func ExactMVC(g *graph.Graph, opt ExactOptions) ([]int, error) {
 			return
 		}
 		// Lower bound via greedy matching on the residual graph.
-		if len(cur)+residualMatchingSize(g, removed) >= len(best) {
+		if len(cur)+st.residualMatchingSize() >= len(best) {
 			return
 		}
 		// Pick the vertex with the most uncovered incident edges.
-		u := pickBranchVertex(g, removed)
+		u := st.pickBranchVertex()
 		if u < 0 {
 			best = append(best[:0:0], cur...)
 			return
 		}
 		// Branch 1: u in the cover.
-		removed[u] = true
+		st.remove(u)
 		cur = append(cur, u)
 		rec()
 		cur = cur[:len(cur)-1]
 		// Branch 2: u not in the cover, so all its uncovered neighbors
 		// must be (u stays marked removed: its edges are covered from the
-		// other side).
-		var added []int
+		// other side). They are the tail of cur, which is the undo trail.
+		mark := len(cur)
 		for _, w := range g.Neighbors(u) {
-			if !removed[w] {
-				removed[w] = true
+			if !st.removed[w] {
+				st.remove(w)
 				cur = append(cur, w)
-				added = append(added, w)
 			}
 		}
 		rec()
-		for _, w := range added {
-			removed[w] = false
+		for _, w := range cur[mark:] {
+			st.restore(w)
 		}
-		cur = cur[:len(cur)-len(added)]
-		removed[u] = false
+		cur = cur[:mark]
+		st.restore(u)
 	}
 	rec()
 	if aborted {
@@ -84,39 +83,77 @@ func ExactMVC(g *graph.Graph, opt ExactOptions) ([]int, error) {
 	return best, nil
 }
 
-// pickBranchVertex returns the non-removed vertex with the most uncovered
-// incident edges, or -1 when every edge is covered.
-func pickBranchVertex(g *graph.Graph, removed []bool) int {
+// mvcSearch is ExactMVC's residual graph: the removed (covered) vertices,
+// each vertex's count of non-removed neighbors, kept up to date on every
+// remove and restore, and a stamped scratch mark for the matching bound,
+// so no search node allocates.
+type mvcSearch struct {
+	g       *graph.Graph
+	removed []bool
+	deg     []int
+	used    []uint32 // used[u] == stamp: u is matched in the current bound
+	stamp   uint32
+}
+
+func newMVCSearch(g *graph.Graph) *mvcSearch {
+	st := &mvcSearch{
+		g:       g,
+		removed: make([]bool, g.N()),
+		deg:     make([]int, g.N()),
+		used:    make([]uint32, g.N()),
+	}
+	for u := range g.N() {
+		st.deg[u] = len(g.Neighbors(u))
+	}
+	return st
+}
+
+// remove marks u covered.
+func (st *mvcSearch) remove(u int) {
+	st.removed[u] = true
+	for _, w := range st.g.Neighbors(u) {
+		st.deg[w]--
+	}
+}
+
+// restore undoes remove(u).
+func (st *mvcSearch) restore(u int) {
+	st.removed[u] = false
+	for _, w := range st.g.Neighbors(u) {
+		st.deg[w]++
+	}
+}
+
+// pickBranchVertex returns the lowest-indexed non-removed vertex with the
+// most uncovered incident edges, or -1 when every edge is covered.
+func (st *mvcSearch) pickBranchVertex() int {
 	bestU, bestDeg := -1, 0
-	for u := 0; u < g.N(); u++ {
-		if removed[u] {
-			continue
-		}
-		deg := 0
-		for _, w := range g.Neighbors(u) {
-			if !removed[w] {
-				deg++
-			}
-		}
-		if deg > bestDeg {
-			bestU, bestDeg = u, deg
+	for u, d := range st.deg {
+		if !st.removed[u] && d > bestDeg {
+			bestU, bestDeg = u, d
 		}
 	}
 	return bestU
 }
 
 // residualMatchingSize greedily matches uncovered edges; a matching of size
-// k forces at least k more cover vertices.
-func residualMatchingSize(g *graph.Graph, removed []bool) int {
-	used := make([]bool, g.N())
+// k forces at least k more cover vertices. A vertex without uncovered
+// edges cannot be matched, so it is skipped without a neighbour scan.
+func (st *mvcSearch) residualMatchingSize() int {
+	st.stamp++
+	if st.stamp == 0 {
+		clear(st.used)
+		st.stamp = 1
+	}
+	used, stamp := st.used, st.stamp
 	size := 0
-	for u := 0; u < g.N(); u++ {
-		if removed[u] || used[u] {
+	for u := range st.deg {
+		if st.removed[u] || used[u] == stamp || st.deg[u] == 0 {
 			continue
 		}
-		for _, w := range g.Neighbors(u) {
-			if !removed[w] && !used[w] && w != u {
-				used[u], used[w] = true, true
+		for _, w := range st.g.Neighbors(u) {
+			if !st.removed[w] && used[w] != stamp && w != u {
+				used[u], used[w] = stamp, stamp
 				size++
 				break
 			}

@@ -2,12 +2,13 @@ package service
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"fmt"
+	"sync"
 	"time"
 
 	"localmds/internal/core"
 	"localmds/internal/graph"
-	"sync"
 )
 
 // solveKey content-addresses one solve: the canonical fingerprint of the
@@ -31,17 +32,38 @@ func paramsKeyString(p core.Params) string {
 	return fmt.Sprintf("r1=%d,r2=%d,mbc=%d", p.R1, p.R2, p.MaxBruteComponent)
 }
 
+// bodyDigest is the SHA-256 of a POST /v1/solve request body.
+type bodyDigest [sha256.Size]byte
+
+// maxEntryBodies bounds the request bodies one cache entry is known by;
+// a further one replaces the oldest.
+const maxEntryBodies = 4
+
+// bodyAlias is what a request body parsed to: the solve's key and the
+// job source it reports.
+type bodyAlias struct {
+	key    solveKey
+	source string
+}
+
 // resultCache is the content-addressed LRU over completed solves.
 // Entries are treated as immutable by every reader (handlers only
 // serialize them); eviction is strict LRU at the configured capacity.
 // Hit/miss accounting lives in Server.submit, not here: only the
 // request router can tell a genuine miss (leader, will recompute) from
 // a deduplicated join onto an in-flight job.
+//
+// bodies indexes request bodies by digest: the solve a body parsed to,
+// for entries still cached. Parsing is deterministic, so a repeat of the
+// same bytes can be answered without decoding them. Each digest belongs
+// to one entry and goes with it, so the index never names an evicted
+// key and holds at most maxEntryBodies digests per entry.
 type resultCache struct {
 	mu        sync.Mutex
 	cap       int
 	ll        *list.List // front = most recently used
 	items     map[solveKey]*list.Element
+	bodies    map[bodyDigest]bodyAlias
 	evictions int64
 }
 
@@ -52,13 +74,16 @@ type cacheEntry struct {
 	// this process cached it. Entries warmed from the disk store carry the
 	// persisted instant, so cache_age_s keeps counting across restarts.
 	computedAt time.Time
+	// bodies are the digests indexed to this entry, oldest first.
+	bodies []bodyDigest
 }
 
 func newResultCache(capacity int) *resultCache {
 	return &resultCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[solveKey]*list.Element, capacity),
+		cap:    capacity,
+		ll:     list.New(),
+		items:  make(map[solveKey]*list.Element, capacity),
+		bodies: make(map[bodyDigest]bodyAlias),
 	}
 }
 
@@ -91,11 +116,44 @@ func (c *resultCache) put(key solveKey, res *SolveOutcome, computedAt time.Time)
 	}
 	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, computedAt: computedAt})
 	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).key)
+		e := c.ll.Remove(c.ll.Back()).(*cacheEntry)
+		delete(c.items, e.key)
+		for _, d := range e.bodies {
+			delete(c.bodies, d)
+		}
 		c.evictions++
 	}
+}
+
+// lookupBody returns what the request body with digest d parsed to, when
+// the entry it parsed to is still cached.
+func (c *resultCache) lookupBody(d bodyDigest) (bodyAlias, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a, ok := c.bodies[d]
+	return a, ok
+}
+
+// addBody records that the request body with digest d parsed to a, as
+// long as a's entry is cached; the entry's oldest digest makes room when
+// it already has maxEntryBodies.
+func (c *resultCache) addBody(d bodyDigest, a bodyAlias) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.bodies[d]; ok {
+		return
+	}
+	el, ok := c.items[a.key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	if len(e.bodies) == maxEntryBodies {
+		delete(c.bodies, e.bodies[0])
+		e.bodies = append(e.bodies[:0], e.bodies[1:]...)
+	}
+	e.bodies = append(e.bodies, d)
+	c.bodies[d] = a
 }
 
 // stats returns the eviction counter and the current entry count.

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -20,24 +23,38 @@ const maxBatchSize = 256
 
 // handleSolve is POST /v1/solve: parse, enqueue (or hit the cache /
 // join an identical in-flight job), wait, respond with the full result.
+// The bounded body is read whole and digested first: a body that parsed
+// earlier to a solve still in the memory tier is answered from the
+// digest, and only the others are decoded and parsed.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "decode request: " + err.Error()})
-		return
+	body, readErr := readBody(w, r)
+	tn := tenantFrom(r.Context())
+	var digest bodyDigest
+	var j *Job
+	var rej submitRejection
+	if readErr == nil {
+		digest = sha256.Sum256(body)
+		j, rej = s.submitBody(digest, tn)
 	}
-	ps, err := parseSolve(&req)
-	if err != nil {
-		status := http.StatusInternalServerError
-		var bad *badRequestError
-		if errors.As(err, &bad) {
-			status = http.StatusBadRequest
+	var ps *parsedSolve
+	if j == nil {
+		var req SolveRequest
+		if err := decodeSolve(body, readErr, &req); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: "decode request: " + err.Error()})
+			return
 		}
-		writeJSON(w, status, errorBody{Error: err.Error()})
-		return
+		var err error
+		if ps, err = parseSolve(&req); err != nil {
+			status := http.StatusInternalServerError
+			var bad *badRequestError
+			if errors.As(err, &bad) {
+				status = http.StatusBadRequest
+			}
+			writeJSON(w, status, errorBody{Error: err.Error()})
+			return
+		}
+		j, rej = s.submit(ps, tn)
 	}
-	j, rej := s.submit(ps, tenantFrom(r.Context()))
 	switch rej {
 	case rejectShed:
 		w.Header().Set("Retry-After", "1")
@@ -58,6 +75,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	v := j.view()
 	switch {
 	case v.Status == StatusDone:
+		if ps != nil && readErr == nil {
+			// The key is in the memory tier now: this body may skip the
+			// parse next time.
+			s.cache.addBody(digest, bodyAlias{key: ps.key, source: ps.source})
+		}
 		writeJSON(w, http.StatusOK, v)
 	case errors.Is(jobErr(j), runner.ErrTimeout):
 		writeJSON(w, http.StatusGatewayTimeout, v)
@@ -75,6 +97,45 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, v)
 	}
 }
+
+// maxBodyPresize caps the buffer readBody sizes from a declared
+// Content-Length, so a client cannot reserve more memory than it sends.
+const maxBodyPresize = 1 << 20
+
+// readBody reads the request body whole, up to maxBodyBytes. A body of
+// declared length up to maxBodyPresize is read into one buffer of that
+// size rather than a growing one.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	src := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if n := r.ContentLength; n >= 0 && n <= maxBodyPresize {
+		buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+		_, err := buf.ReadFrom(src)
+		return buf.Bytes(), err
+	}
+	return io.ReadAll(src)
+}
+
+// decodeSolve decodes a request body as a json.Decoder reading the
+// request would: the first JSON value, ignoring any data after it, with a
+// failed read (an over-cap body) as the error once the bytes before it
+// run out. A body that is a single JSON value is unmarshalled in place,
+// without the decoder's copy of it.
+func decodeSolve(body []byte, readErr error, req *SolveRequest) error {
+	if readErr == nil && json.Unmarshal(body, req) == nil {
+		return nil
+	}
+	*req = SolveRequest{}
+	var src io.Reader = bytes.NewReader(body)
+	if readErr != nil {
+		src = io.MultiReader(src, failedRead{readErr})
+	}
+	return json.NewDecoder(src).Decode(req)
+}
+
+// failedRead returns a body read's error after the bytes read before it.
+type failedRead struct{ err error }
+
+func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
 
 // jobErr reads the job's terminal error.
 func jobErr(j *Job) error {

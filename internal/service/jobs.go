@@ -211,10 +211,18 @@ func (j *Job) settle(out *SolveOutcome, err error) {
 // jobStore is the in-memory job registry. Jobs are kept until the store's
 // retention cap, evicting the oldest finished jobs first so /v1/jobs/{id}
 // stays answerable for recent work without growing without bound.
+//
+// The retained jobs in creation order are held followed by order[head:].
+// held collects the jobs eviction found unfinished at the front of order;
+// it holds only jobs that were queued or running when eviction reached
+// them, so it stays about as short as the work in flight. A create costs
+// one status check per held job plus O(1) amortized, whatever the cap.
 type jobStore struct {
 	mu     sync.Mutex
 	jobs   map[string]*Job
-	order  []string // insertion order, for retention eviction
+	held   []*Job
+	order  []*Job
+	head   int
 	seq    int64
 	keep   int
 	counts map[string]int64 // terminal status tallies, for /metrics
@@ -242,34 +250,56 @@ func (s *jobStore) create(source string, cached bool) *Job {
 		done:    make(chan struct{}),
 	}
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
+	s.order = append(s.order, j)
 	s.evictLocked()
 	return j
 }
 
-// evictLocked drops the oldest finished jobs beyond the retention cap.
+// terminal reports whether j has finished.
+func (j *Job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status == StatusDone || j.status == StatusFailed
+}
+
+// evictLocked drops the oldest finished jobs beyond the retention cap;
+// queued and running jobs are never dropped.
 func (s *jobStore) evictLocked() {
-	if len(s.jobs) <= s.keep {
-		return
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j == nil {
+	for len(s.jobs) > s.keep {
+		if i := s.firstTerminalHeld(); i >= 0 {
+			delete(s.jobs, s.held[i].ID)
+			s.held = append(s.held[:i], s.held[i+1:]...)
 			continue
 		}
-		if len(s.jobs) > s.keep {
-			j.mu.Lock()
-			terminal := j.status == StatusDone || j.status == StatusFailed
-			j.mu.Unlock()
-			if terminal {
-				delete(s.jobs, id)
-				continue
-			}
+		if s.head == len(s.order) {
+			return // every retained job is still in flight
 		}
-		kept = append(kept, id)
+		j := s.order[s.head]
+		s.order[s.head] = nil
+		s.head++
+		if j.terminal() {
+			delete(s.jobs, j.ID)
+		} else {
+			s.held = append(s.held, j)
+		}
 	}
-	s.order = kept
+	// Reclaim the popped prefix once it is most of the slice.
+	if s.head > len(s.order)/2 {
+		n := copy(s.order, s.order[s.head:])
+		clear(s.order[n:])
+		s.order, s.head = s.order[:n], 0
+	}
+}
+
+// firstTerminalHeld returns the index of the oldest finished held job, or
+// -1.
+func (s *jobStore) firstTerminalHeld() int {
+	for i, j := range s.held {
+		if j.terminal() {
+			return i
+		}
+	}
+	return -1
 }
 
 // get looks a job up by ID.

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -148,5 +150,104 @@ func TestConcurrentHitsShareSealedBytes(t *testing.T) {
 	}
 	if got := s.Computations(); got != 1 {
 		t.Fatalf("computed %d times, want 1", got)
+	}
+}
+
+// refJobStore is the job retention policy as one pass over every retained
+// ID per create, the form it had before jobStore kept a deque: the oracle
+// for jobStore.evictLocked.
+type refJobStore struct {
+	jobs  map[string]*Job
+	order []string
+	keep  int
+}
+
+func (s *refJobStore) add(j *Job) {
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	s.evictLocked()
+}
+
+// evictLocked drops the oldest finished jobs beyond the retention cap.
+func (s *refJobStore) evictLocked() {
+	if len(s.jobs) <= s.keep {
+		return
+	}
+	kept := s.order[:0]
+	for _, id := range s.order {
+		j := s.jobs[id]
+		if j == nil {
+			continue
+		}
+		if len(s.jobs) > s.keep {
+			j.mu.Lock()
+			terminal := j.status == StatusDone || j.status == StatusFailed
+			j.mu.Unlock()
+			if terminal {
+				delete(s.jobs, id)
+				continue
+			}
+		}
+		kept = append(kept, id)
+	}
+	s.order = kept
+}
+
+// retainedIDs lists the store's retained jobs in its eviction order.
+func retainedIDs(s *jobStore) []string {
+	var ids []string
+	for _, j := range s.held {
+		ids = append(ids, j.ID)
+	}
+	for _, j := range s.order[s.head:] {
+		ids = append(ids, j.ID)
+	}
+	return ids
+}
+
+// TestJobRetentionMatchesFullScan runs scripted create/finish sequences
+// through jobStore and the full-scan oracle side by side and compares the
+// retained IDs, in order, after every step. Every script leaves its first
+// jobs queued, so eviction has to pass over unfinished jobs at the front,
+// and then finishes them in random order.
+func TestJobRetentionMatchesFullScan(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keep := 1 + rng.Intn(8)
+		s := newJobStore(keep)
+		ref := &refJobStore{jobs: map[string]*Job{}, keep: keep}
+		twin := map[*Job]*Job{} // store job → oracle job
+		var live []*Job
+		for step := range 400 {
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				i := rng.Intn(len(live))
+				j := live[i]
+				live = append(live[:i], live[i+1:]...)
+				j.finish(nil, nil)
+				twin[j].finish(nil, nil)
+			} else {
+				j := s.create("graph", false)
+				rj := &Job{ID: j.ID, status: StatusQueued, done: make(chan struct{})}
+				ref.add(rj)
+				twin[j] = rj
+				if step < 3 || rng.Intn(4) == 0 {
+					live = append(live, j)
+				} else {
+					j.finish(nil, nil)
+					rj.finish(nil, nil)
+				}
+			}
+			if got := retainedIDs(s); !slices.Equal(got, ref.order) {
+				t.Fatalf("seed %d step %d (keep %d): retained %v, oracle %v", seed, step, keep, got, ref.order)
+			}
+			if len(s.jobs) != len(ref.jobs) {
+				t.Fatalf("seed %d step %d: %d jobs indexed, oracle %d", seed, step, len(s.jobs), len(ref.jobs))
+			}
+			for id := range ref.jobs {
+				if _, ok := s.get(id); !ok {
+					t.Fatalf("seed %d step %d: job %s evicted, oracle keeps it", seed, step, id)
+				}
+			}
+		}
 	}
 }

@@ -91,6 +91,9 @@ func (s *Server) renderMetrics() string {
 	fmt.Fprintf(&b, "# HELP mdsd_cache_hits_total Content-addressed result cache hits.\n")
 	fmt.Fprintf(&b, "# TYPE mdsd_cache_hits_total counter\n")
 	fmt.Fprintf(&b, "mdsd_cache_hits_total %d\n", s.cacheHits.Load())
+	fmt.Fprintf(&b, "# HELP mdsd_request_memo_hits_total Cache hits found from the request body's digest, without decoding or parsing it (counted in mdsd_cache_hits_total too).\n")
+	fmt.Fprintf(&b, "# TYPE mdsd_request_memo_hits_total counter\n")
+	fmt.Fprintf(&b, "mdsd_request_memo_hits_total %d\n", s.memoHits.Load())
 	fmt.Fprintf(&b, "# HELP mdsd_cache_misses_total Lookups that missed and started a new job (in-flight joins excluded; the job may still be shed or time out — recomputes are mdsd_computations_total).\n")
 	fmt.Fprintf(&b, "# TYPE mdsd_cache_misses_total counter\n")
 	fmt.Fprintf(&b, "mdsd_cache_misses_total %d\n", s.cacheMisses.Load())

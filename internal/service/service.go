@@ -166,6 +166,9 @@ type Server struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 	cacheDedups atomic.Int64
+	// memoHits counts the cache hits found from the request body's digest
+	// (submitBody), without decoding or parsing it.
+	memoHits atomic.Int64
 
 	// Observability core (obs.go): the job-lifecycle event bus behind
 	// /v1/events, latency histograms rendered into /metrics, the runtime
@@ -275,37 +278,11 @@ const (
 // identical in-flight request → join its job; otherwise a fresh job on
 // the queue, counted against the tenant's quota until it terminates.
 // tn may be nil (no quota accounting, e.g. internal callers).
-func (s *Server) submit(ps *parsedSolve, tn *tenantState) (j *Job, rej submitRejection) {
+func (s *Server) submit(ps *parsedSolve, tn *tenantState) (*Job, submitRejection) {
+	if j, rej, ok := s.submitKnown(ps, tn); ok {
+		return j, rej
+	}
 	tenant := tenantName(tn)
-	if s.draining.Load() {
-		j := s.jobs.create(ps.source, false)
-		j.finish(nil, errDraining)
-		s.jobs.recordTerminal(StatusFailed)
-		if tn != nil {
-			tn.shed.Add(1)
-		}
-		s.publishShed(j, tenant, ps, errDraining)
-		return j, rejectShed
-	}
-	out, age, ok := s.cache.get(ps.key)
-	if !ok {
-		// Memory miss: the disk tier may still have the result — from this
-		// process or a previous one on the same -store-dir. A disk hit
-		// warms the memory cache and reports the persisted age.
-		out, age, ok = s.storeLookup(ps)
-	}
-	if ok {
-		s.cacheHits.Add(1)
-		j := s.jobs.create(ps.source, true)
-		j.setCacheAge(age)
-		j.finish(out, nil)
-		s.jobs.recordTerminal(StatusDone)
-		s.bus.Publish(obs.Event{
-			Type: obs.EventCached, JobID: j.ID, Tenant: tenant, Source: ps.source,
-			Fingerprint: ps.key.fp.String(), CacheAgeS: age.Seconds(),
-		})
-		return j, rejectNone
-	}
 	// Deduplicate concurrent identical requests onto one in-flight job.
 	j, leader := s.inflight.join(ps.key, func() *Job { return s.jobs.create(ps.source, false) })
 	if !leader {
@@ -353,6 +330,62 @@ func (s *Server) submit(ps *parsedSolve, tn *tenantState) (j *Job, rej submitRej
 		return j, rejectShed
 	}
 	return j, rejectNone
+}
+
+// submitKnown is the part of submit that needs only the solve's key and
+// source, not its graph: the draining gate, then a hit in either cache
+// tier. ok is false when the solve has to be computed.
+func (s *Server) submitKnown(ps *parsedSolve, tn *tenantState) (j *Job, rej submitRejection, ok bool) {
+	tenant := tenantName(tn)
+	if s.draining.Load() {
+		j := s.jobs.create(ps.source, false)
+		j.finish(nil, errDraining)
+		s.jobs.recordTerminal(StatusFailed)
+		if tn != nil {
+			tn.shed.Add(1)
+		}
+		s.publishShed(j, tenant, ps, errDraining)
+		return j, rejectShed, true
+	}
+	out, age, ok := s.cache.get(ps.key)
+	if !ok {
+		// Memory miss: the disk tier may still have the result — from this
+		// process or a previous one on the same -store-dir. A disk hit
+		// warms the memory cache and reports the persisted age.
+		out, age, ok = s.storeLookup(ps)
+	}
+	if !ok {
+		return nil, rejectNone, false
+	}
+	s.cacheHits.Add(1)
+	j = s.jobs.create(ps.source, true)
+	j.setCacheAge(age)
+	j.finish(out, nil)
+	s.jobs.recordTerminal(StatusDone)
+	s.bus.Publish(obs.Event{
+		Type: obs.EventCached, JobID: j.ID, Tenant: tenant, Source: ps.source,
+		Fingerprint: ps.key.fp.String(), CacheAgeS: age.Seconds(),
+	})
+	return j, rejectNone, true
+}
+
+// submitBody answers a request from its body's digest alone, when a body
+// with that digest parsed earlier to a solve still in the memory tier:
+// the solve goes through submitKnown without being decoded or parsed. j
+// is nil when the body has to be parsed.
+func (s *Server) submitBody(d bodyDigest, tn *tenantState) (*Job, submitRejection) {
+	a, ok := s.cache.lookupBody(d)
+	if !ok {
+		return nil, rejectNone
+	}
+	j, rej, ok := s.submitKnown(&parsedSolve{key: a.key, source: a.source}, tn)
+	if !ok {
+		return nil, rejectNone // evicted since the lookup
+	}
+	if rej == rejectNone {
+		s.memoHits.Add(1)
+	}
+	return j, rej
 }
 
 // jobCreated reads the job's creation instant.
