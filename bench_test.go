@@ -229,7 +229,7 @@ func BenchmarkLemma518MinorBound(b *testing.B) {
 func BenchmarkTheorem44MVC(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 120, T: 5}, rng)
-	opt, err := mds.ExactMVC(g, mds.ExactOptions{})
+	opt, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -374,8 +374,8 @@ func BenchmarkAlg1(b *testing.B) {
 }
 
 // BenchmarkExactMDS measures the exact solver the whole evaluation leans
-// on, through the full production dispatch (forest DP → treewidth-2 DP →
-// bitset branch-and-bound engine). The ding instance exercises the DP
+// on, through the full production dispatch (width-2 DP → bitset
+// branch-and-bound engine). The ding instance exercises the DP
 // path it has always taken; the grid-NxN family lands in the engine — the
 // old adjacency-list search's worst case, which capped these sizes out of
 // the evaluation entirely. The engine-vs-reference before/after family

@@ -199,7 +199,7 @@ const autoOptNodeBudget = 100_000
 // bounds the exact solver's search.
 func optimum(g *graph.Graph, isMVC bool, maxNodes int64) (int, error) {
 	if isMVC {
-		sol, err := mds.ExactMVC(g, mds.ExactOptions{MaxNodes: maxNodes})
+		sol, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{MaxNodes: maxNodes})
 		return len(sol), err
 	}
 	sol, err := mds.ExactMDSOpt(g, mds.ExactOptions{MaxNodes: maxNodes})

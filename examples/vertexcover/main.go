@@ -36,7 +36,7 @@ func run() error {
 	}
 	for _, topo := range topologies {
 		fmt.Printf("== %s: %s\n", topo.name, topo.g)
-		opt, err := mds.ExactMVC(topo.g, mds.ExactOptions{})
+		opt, err := mds.ExactMVC(topo.g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			return err
 		}
@@ -52,7 +52,7 @@ func run() error {
 		fmt.Printf("  Alg 1 MVC variant:   %d monitors (ratio %.2f), valid = %v\n",
 			len(a1.S), ratio(len(a1.S), len(opt)), mds.IsVertexCover(topo.g, a1.S))
 
-		matching := mds.MatchingVertexCover(topo.g)
+		matching := mds.MatchingVertexCover(topo.g.Freeze())
 		fmt.Printf("  matching baseline:   %d monitors (ratio %.2f)\n",
 			len(matching), ratio(len(matching), len(opt)))
 		fmt.Printf("  offline optimum:     %d monitors\n\n", len(opt))

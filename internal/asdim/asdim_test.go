@@ -157,7 +157,7 @@ func TestLemma52WithCoverProperty(t *testing.T) {
 		family := RSeparatedSubfamily(g, sets)
 		total := 0
 		for _, s := range family {
-			sol, err := mds.ExactBDominating(g, s)
+			sol, err := mds.ExactBDominating(g.Freeze(), s, mds.ExactOptions{})
 			if err != nil {
 				return false
 			}

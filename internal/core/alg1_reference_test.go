@@ -90,7 +90,7 @@ func Alg1Sequential(g *graph.Graph, p Params) (*Alg1Result, error) {
 		localTarget := relabel(target, idx)
 		var chosen []int
 		if len(comp) <= p.MaxBruteComponent {
-			chosen, err = mds.ExactBDominatingOpt(sub, localTarget, mds.ExactOptions{MaxNodes: BruteNodeBudget})
+			chosen, err = mds.ExactBDominating(sub.Freeze(), localTarget, mds.ExactOptions{MaxNodes: BruteNodeBudget})
 			if err != nil {
 				// Node budget exhausted (the only reachable error: the
 				// component is under every vertex cap): greedy fallback,

@@ -278,17 +278,18 @@ func (a *alg1Process) solveComponent() {
 		}
 	}
 	var chosen []int
+	c := comp.Freeze()
 	if len(members) <= a.p.MaxBruteComponent {
 		// Same budget as the centralized call sites, so the distributed
 		// run falls back on exactly the components they do.
-		sol, err := mds.ExactBDominatingOpt(comp, target, mds.ExactOptions{MaxNodes: BruteNodeBudget})
+		sol, err := mds.ExactBDominating(c, target, mds.ExactOptions{MaxNodes: BruteNodeBudget})
 		if err == nil {
 			chosen = sol
 		} else {
-			chosen = mds.GreedyBDominatingCSR(comp.Freeze(), target)
+			chosen = mds.GreedyBDominatingCSR(c, target)
 		}
 	} else {
-		chosen = mds.GreedyBDominatingCSR(comp.Freeze(), target)
+		chosen = mds.GreedyBDominatingCSR(c, target)
 	}
 	me := pos[a.info.ID]
 	for _, v := range chosen {

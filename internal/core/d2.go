@@ -17,14 +17,14 @@ type D2Result struct {
 	Active []int
 }
 
-// D2 runs the centralized reference implementation of the Theorem 4.4
-// algorithm: reduce true twins, then return
-// D2(Ĝ) = {v : no u != v has N[v] ⊆ N[u]} — a (2t-1)-approximate
-// dominating set on K_{2,t}-minor-free graphs.
+// D2 runs the centralized Theorem 4.4 algorithm: reduce true twins, then
+// return D2(Ĝ) = {v : no u != v has N[v] ⊆ N[u]} — a (2t-1)-approximate
+// dominating set on K_{2,t}-minor-free graphs. It runs on g.Freeze();
+// d2Sequential in d2_reference_test.go is the adjacency-list original.
 func D2(g *graph.Graph) *D2Result {
-	reduced, active := g.TwinReduction()
+	reduced, active := graph.TwinReduceCSR(g.Freeze())
 	var sLocal []int
-	for v := 0; v < reduced.N(); v++ {
+	for v := range reduced.N() {
 		if gammaAtLeastTwo(reduced, v) {
 			sLocal = append(sLocal, v)
 		}
@@ -36,10 +36,9 @@ func D2(g *graph.Graph) *D2Result {
 // N[v], i.e. there is no u with N[v] ⊆ N[u]. Any such u lies in N(v)
 // (v ∈ N[u] forces adjacency), so only neighbors need checking. Isolated
 // vertices have γ(v) = ∞ >= 2 and are always taken.
-func gammaAtLeastTwo(g *graph.Graph, v int) bool {
-	nv := g.ClosedNeighborhood(v)
-	for _, u := range g.Neighbors(v) {
-		if graph.IsSubset(nv, g.ClosedNeighborhood(u)) {
+func gammaAtLeastTwo(c *graph.CSR, v int) bool {
+	for _, u := range c.Row(v) {
+		if c.ClosedSubset(v, int(u)) {
 			return false
 		}
 	}

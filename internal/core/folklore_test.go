@@ -124,7 +124,7 @@ func TestRegularMVC(t *testing.T) {
 	if !mds.IsVertexCover(g, s) {
 		t.Fatal("not a cover")
 	}
-	opt, err := mds.ExactMVC(g, mds.ExactOptions{})
+	opt, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,9 @@ func BuildMinorBound(g *graph.Graph) (*MinorBoundResult, error) {
 	}
 	var d2 []int
 	inD2 := make([]bool, g.N())
+	c := g.Freeze()
 	for v := 0; v < g.N(); v++ {
-		if gammaAtLeastTwo(g, v) {
+		if gammaAtLeastTwo(c, v) {
 			d2 = append(d2, v)
 			inD2[v] = true
 		}

@@ -79,18 +79,16 @@ func MVCAlg1(g *graph.Graph, p Params, opt PipelineOptions) (*MVCResult, error) 
 	})
 
 	// ComponentSolve: exact vertex cover per residual component, the
-	// matching 2-approximation above the cap or out of budget. ExactMVC
-	// takes a *graph.Graph, so each component is bridged with FromCSR.
+	// matching 2-approximation above the cap or out of budget.
 	var outs []compOut
 	res.StageStats.runStage(hooks, "ComponentSolve", "solved components", func() int {
 		outs = solveComponents(csr, comps, workers, hooks, func(sub *graph.CSR, comp []int32) ([]int, bool) {
-			cg := graph.FromCSR(sub)
 			if len(comp) <= p.MaxBruteComponent {
-				if chosen, err := mds.ExactMVC(cg, mds.ExactOptions{MaxNodes: BruteNodeBudget}); err == nil {
+				if chosen, err := mds.ExactMVC(sub, mds.ExactOptions{MaxNodes: BruteNodeBudget}); err == nil {
 					return chosen, false
 				}
 			}
-			return mds.MatchingVertexCover(cg), true
+			return mds.MatchingVertexCover(sub), true
 		})
 		return len(outs)
 	})
@@ -110,34 +108,26 @@ func MVCAlg1(g *graph.Graph, p Params, opt PipelineOptions) (*MVCResult, error) 
 // correctness, the smaller-identifier endpoint of any edge both of whose
 // endpoints were rejected.
 func MVCD2(g *graph.Graph) *MVCResult {
-	reduced, active := g.TwinReduction()
+	c := g.Freeze()
+	reduced, active := graph.TwinReduceCSR(c)
 	take := make([]bool, reduced.N())
-	for v := 0; v < reduced.N(); v++ {
-		if reduced.Degree(v) > 0 && gammaAtLeastTwo(reduced, v) {
-			take[v] = true
-		}
+	for v := range reduced.N() {
+		take[v] = reduced.Degree(v) > 0 && gammaAtLeastTwo(reduced, v)
 	}
 	// Repair pass, radius 1 and simultaneous (hence LOCAL-computable): a
 	// rejected vertex joins when it has a rejected neighbor with a larger
 	// label, covering every doubly rejected edge by its smaller endpoint.
-	repaired := repairUncoveredEdges(reduced, take)
-	var sLocal []int
-	for v, ok := range repaired {
+	// Then map back to g and repair edges involving removed twins the
+	// same way (a removed twin x of representative u has N[x] = N[u], so
+	// edges at x mirror edges at u).
+	inCover := make([]bool, c.N())
+	for v, ok := range repairUncoveredEdges(reduced, take) {
 		if ok {
-			sLocal = append(sLocal, v)
+			inCover[active[v]] = true
 		}
 	}
-	// Map back to g and repair edges involving removed twins the same way
-	// (a removed twin x of representative u has N[x] = N[u], so edges at x
-	// mirror edges at u).
-	cover := mapBack(sLocal, active)
-	inCover := make([]bool, g.N())
-	for _, v := range cover {
-		inCover[v] = true
-	}
-	inCover = repairUncoveredEdges(g, inCover)
 	var s []int
-	for v, ok := range inCover {
+	for v, ok := range repairUncoveredEdges(c, inCover) {
 		if ok {
 			s = append(s, v)
 		}
@@ -148,17 +138,11 @@ func MVCD2(g *graph.Graph) *MVCResult {
 // repairUncoveredEdges returns take plus, for every edge with both
 // endpoints rejected, the smaller endpoint. All decisions read the input
 // state only, so the pass is a single simultaneous LOCAL round.
-func repairUncoveredEdges(g *graph.Graph, take []bool) []bool {
-	out := append([]bool(nil), take...)
-	for v := 0; v < g.N(); v++ {
-		if take[v] {
-			continue
-		}
-		for _, u := range g.Neighbors(v) {
-			if !take[u] && v < u {
-				out[v] = true
-				break
-			}
+func repairUncoveredEdges(c *graph.CSR, take []bool) []bool {
+	out := slices.Clone(take)
+	for v := range c.N() {
+		if !take[v] && slices.ContainsFunc(c.Row(v), func(u int32) bool { return !take[u] && int(u) > v }) {
+			out[v] = true
 		}
 	}
 	return out

@@ -75,14 +75,14 @@ func mvcAlg1Sequential(g *graph.Graph, p Params) (*MVCResult, error) {
 		}
 		var chosen []int
 		if len(comp) <= p.MaxBruteComponent {
-			chosen, err = mds.ExactMVC(sub, mds.ExactOptions{MaxNodes: BruteNodeBudget})
+			chosen, err = mds.ExactMVC(sub.Freeze(), mds.ExactOptions{MaxNodes: BruteNodeBudget})
 			if err != nil {
 				res.BruteFallbacks++
-				chosen = mds.MatchingVertexCover(sub)
+				chosen = mds.MatchingVertexCover(sub.Freeze())
 			}
 		} else {
 			res.BruteFallbacks++
-			chosen = mds.MatchingVertexCover(sub)
+			chosen = mds.MatchingVertexCover(sub.Freeze())
 		}
 		for _, v := range chosen {
 			sol = append(sol, idx[v])

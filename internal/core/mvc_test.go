@@ -47,7 +47,7 @@ func TestMVCAlg1Ratio(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := mds.ExactMVC(g, mds.ExactOptions{})
+		opt, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestMVCD2RatioBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: tParam}, rng)
 		res := MVCD2(g)
-		opt, err := mds.ExactMVC(g, mds.ExactOptions{})
+		opt, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

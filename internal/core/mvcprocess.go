@@ -64,11 +64,11 @@ func (p *mvcD2Process) decide() {
 		}
 	}
 	rg, ridx := bg.Induced(keptVerts)
-	rg.Freeze() // read-only from here on; the gamma tests traverse it
+	rc := rg.Freeze()
 	// take: gamma >= 2 on the reduced graph, non-isolated only.
 	take := make([]bool, rg.N())
 	for v := 0; v < rg.N(); v++ {
-		take[v] = rg.Degree(v) > 0 && gammaAtLeastTwo(rg, v)
+		take[v] = rg.Degree(v) > 0 && gammaAtLeastTwo(rc, v)
 	}
 	// Reduced-level repair: compare by identifier, exactly like the
 	// centralized pass compares reduced indices (which are identifier-
@@ -281,15 +281,16 @@ func (a *mvcAlg1Process) componentCover() []int {
 	// members are labelled in MVCAlg1's CSR order, so both fall back on
 	// the same components; other identifiers can reorder the search.
 	var chosen []int
+	c := comp.Freeze()
 	if len(members) <= a.p.MaxBruteComponent {
-		sol, err := mds.ExactMVC(comp, mds.ExactOptions{MaxNodes: BruteNodeBudget})
+		sol, err := mds.ExactMVC(c, mds.ExactOptions{MaxNodes: BruteNodeBudget})
 		if err == nil {
 			chosen = sol
 		} else {
-			chosen = mds.MatchingVertexCover(comp)
+			chosen = mds.MatchingVertexCover(c)
 		}
 	} else {
-		chosen = mds.MatchingVertexCover(comp)
+		chosen = mds.MatchingVertexCover(c)
 	}
 	for i, v := range chosen {
 		chosen[i] = members[v]

@@ -223,7 +223,7 @@ func Alg1CSR(in *graph.CSR, p Params, opt PipelineOptions) (*Alg1Result, error) 
 				// Node counts are input-determined, so the same
 				// components exhaust the budget on every run and in
 				// Alg1Process.
-				if chosen, err := mds.ExactBDominatingCSROpt(sub, target, mds.ExactOptions{MaxNodes: BruteNodeBudget}); err == nil {
+				if chosen, err := mds.ExactBDominating(sub, target, mds.ExactOptions{MaxNodes: BruteNodeBudget}); err == nil {
 					return chosen, false
 				}
 			}

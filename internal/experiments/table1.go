@@ -198,7 +198,7 @@ func MVCTableSpec(cfg Table1Config) Spec {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("k2t-t%d", tt), Params: cfg.params(), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
 			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng)
-			opt, err := mds.ExactMVC(g, mds.ExactOptions{})
+			opt, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("mvc opt: %w", err)
 			}
@@ -225,7 +225,7 @@ func MVCTableSpec(cfg Table1Config) Spec {
 		if err != nil {
 			return nil, err
 		}
-		opt, err := mds.ExactMVC(g, mds.ExactOptions{})
+		opt, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +276,7 @@ func Proposition31Spec(cfg Table1Config) Spec {
 				comps := g.RComponents(class, 5)
 				family := asdim.RSeparatedSubfamily(g, comps)
 				for _, b := range family {
-					sol, err := mds.ExactBDominating(g, g.BallOfSet(b, 1))
+					sol, err := mds.ExactBDominating(g.Freeze(), g.BallOfSet(b, 1), mds.ExactOptions{})
 					if err != nil {
 						return nil, err
 					}

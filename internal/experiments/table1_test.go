@@ -7,9 +7,9 @@ import (
 
 // TestTable1DefaultConfigFinishes guards the default mdsbench run against
 // exact-solver blowups: the whole Table 1 must complete within a couple of
-// minutes. (The tree row dispatches to the forest DP; grid rows run at
-// side gridSide(N) = 10 by default, where the bitset engine proves OPT in
-// ~0.1s; the ding instances are small-treewidth and go to the DP.)
+// minutes. (The tree row and the ding instances have treewidth at most
+// two and go to the width-2 DP; grid rows run at side gridSide(N) = 10 by
+// default, where the bitset engine proves OPT in ~0.1s.)
 func TestTable1DefaultConfigFinishes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-running sanity check")

@@ -433,9 +433,9 @@ func (c *CSR) Diameter(a *Arena) int {
 }
 
 // FromCSR builds an adjacency-list Graph from a CSR in O(n + m) with two
-// allocations (the row table and one shared backing buffer). It bridges
-// CSR-first pipelines to solvers that still want a *Graph (the treewidth
-// DPs); the result does not alias c.
+// allocations (the row table and one shared backing buffer). FromEdges and
+// the parsers use it to hand a *Graph to callers that want one; the
+// solvers run on the CSR and need no bridge. The result does not alias c.
 func FromCSR(c *CSR) *Graph {
 	n := c.N()
 	buf := make([]int, len(c.Targets))

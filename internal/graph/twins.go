@@ -52,6 +52,12 @@ func (g *Graph) TrueTwinClasses() [][]int {
 // Twin classes can collapse transitively: removing one twin may create new
 // twins. The reduction iterates to a fixpoint, matching "a largest subgraph
 // of G with no true twins".
+//
+// Production code reduces with TwinReduceCSR. TwinReduction is its
+// adjacency-list specification, called only from tests:
+// twinscsr_test.go, twins_test.go and example_test.go here,
+// internal/mds/mds_test.go, and the internal/core oracles in
+// alg1_reference_test.go and d2_reference_test.go.
 func (g *Graph) TwinReduction() (*Graph, []int) {
 	cur := g.Clone()
 	mapping := make([]int, g.N())

@@ -1,9 +1,8 @@
 // The word-packed branch-and-bound engine for exact B-dominating sets.
 //
-// Both ExactBDominating and ExactBDominatingCSR route their hard cases
-// here (after the forest / treewidth-2 DPs decline). The design follows
-// the reduction-plus-bounded-search shape of the measure-and-conquer /
-// PACE-solver literature:
+// ExactBDominating routes its hard cases here (after the width-2 DP
+// declines). The design follows the reduction-plus-bounded-search shape
+// of the measure-and-conquer / PACE-solver literature:
 //
 //   - Closed-neighborhood coverage masks are packed into []uint64 words
 //     over a compact target index space, so residual coverage is a handful
@@ -28,7 +27,7 @@
 // The search is allocation-free after construction: all stacks are
 // preallocated from the greedy upper bound and grown amortized. The
 // search is fully deterministic (all ties break on the lowest index), so
-// both entry points return identical sets on identical inputs.
+// identical inputs give identical sets.
 package mds
 
 import (
@@ -73,31 +72,10 @@ type engine struct {
 	pack       []uint64  // packing lower-bound scratch
 }
 
-// newEngineCSR builds the engine over a frozen CSR. target must be
+// newEngine builds the packed state over a frozen CSR. target must be
 // deduplicated, non-empty, and in range.
-func newEngineCSR(c *graph.CSR, target []int) *engine {
-	n := c.N()
-	return buildEngine(n, target, func(v int) []int32 { return c.Row(v) })
-}
-
-// newEngineGraph builds the engine over adjacency lists without freezing g
-// (Freeze mutates the graph's CSR cache, which would race concurrent
-// solves on a shared instance).
-func newEngineGraph(g *graph.Graph, target []int) *engine {
-	rowBuf := make([]int32, 0, 16)
-	return buildEngine(g.N(), target, func(v int) []int32 {
-		rowBuf = rowBuf[:0]
-		for _, u := range g.Neighbors(v) {
-			rowBuf = append(rowBuf, int32(u))
-		}
-		return rowBuf
-	})
-}
-
-// buildEngine constructs the packed state from a neighbor lister. row(v)
-// must return v's neighbors in ascending order; the returned slice is only
-// read before the next row call.
-func buildEngine(n int, target []int, row func(v int) []int32) *engine {
+func newEngine(g *graph.CSR, target []int) *engine {
+	n := g.N()
 	nt := len(target)
 	tw := (nt + 63) / 64
 	tIdx := make([]int32, n)
@@ -117,7 +95,7 @@ func buildEngine(n int, target []int, row func(v int) []int32) *engine {
 		if tIdx[v] >= 0 {
 			hits++
 		}
-		for _, u := range row(v) {
+		for _, u := range g.Row(v) {
 			if tIdx[u] >= 0 {
 				hits++
 			}
@@ -137,7 +115,7 @@ func buildEngine(n int, target []int, row func(v int) []int32) *engine {
 			mask[t>>6] |= 1 << (uint(t) & 63)
 			coverCount[t]++
 		}
-		for _, u := range row(v) {
+		for _, u := range g.Row(v) {
 			if t := tIdx[u]; t >= 0 {
 				mask[t>>6] |= 1 << (uint(t) & 63)
 				coverCount[t]++

@@ -8,8 +8,8 @@ import (
 	"localmds/internal/graph"
 )
 
-// engineBDominating runs the bitset engine directly (no forest/treewidth
-// dispatch, no cap), mirroring referenceBDominating for the differential
+// engineBDominating runs the bitset engine directly (no width-2 DP, no
+// cap), mirroring referenceBDominating for the differential
 // tests.
 func engineBDominating(t *testing.T, g *graph.Graph, target []int) []int {
 	t.Helper()
@@ -17,7 +17,7 @@ func engineBDominating(t *testing.T, g *graph.Graph, target []int) []int {
 	if len(target) == 0 {
 		return nil
 	}
-	sol, err := newEngineGraph(g, target).solve(ExactOptions{})
+	sol, err := newEngine(g.Freeze(), target).solve(ExactOptions{})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -114,9 +114,9 @@ func TestEngineMultiComponent(t *testing.T) {
 	}
 }
 
-// TestEngineEntryPointsIdenticalSets asserts the two production entry
-// points (adjacency-list and CSR) return byte-identical sorted sets: they
-// share one deterministic sequential engine.
+// TestEngineEntryPointsIdenticalSets asserts ExactBDominating returns
+// byte-identical sorted sets on two separately frozen copies of a graph
+// and on a repeated run: it is one deterministic sequential engine.
 func TestEngineEntryPointsIdenticalSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 30; trial++ {
@@ -125,8 +125,8 @@ func TestEngineEntryPointsIdenticalSets(t *testing.T) {
 			g = graph.DisjointUnion(g, gen.Grid(3, 3))
 		}
 		target := randomTarget(g.N(), rng)
-		a, errA := ExactBDominating(g, target)
-		b, errB := ExactBDominatingCSR(g.Freeze(), target)
+		a, errA := ExactBDominating(g.Freeze(), target, ExactOptions{})
+		b, errB := ExactBDominating(g.Clone().Freeze(), target, ExactOptions{})
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: err mismatch: %v vs %v", trial, errA, errB)
 		}
@@ -134,10 +134,10 @@ func TestEngineEntryPointsIdenticalSets(t *testing.T) {
 			continue
 		}
 		if !graph.EqualSets(a, b) {
-			t.Fatalf("trial %d: Graph entry %v vs CSR entry %v (target %v)", trial, a, b, target)
+			t.Fatalf("trial %d: first copy %v vs second copy %v (target %v)", trial, a, b, target)
 		}
 		// And a repeated run is byte-identical (deterministic engine).
-		a2, _ := ExactBDominating(g, target)
+		a2, _ := ExactBDominating(g.Freeze(), target, ExactOptions{})
 		if !graph.EqualSets(a, a2) {
 			t.Fatalf("trial %d: non-deterministic: %v vs %v", trial, a, a2)
 		}
@@ -169,21 +169,21 @@ func TestEngineGridKnownValues(t *testing.T) {
 func TestEngineNodeBudget(t *testing.T) {
 	g := gen.Grid(8, 8)
 	target := allVertices(g)
-	if _, err := newEngineGraph(g, target).solve(ExactOptions{MaxNodes: 25}); err == nil {
+	if _, err := newEngine(g.Freeze(), target).solve(ExactOptions{MaxNodes: 25}); err == nil {
 		t.Fatal("25-node budget on an 8x8 grid should be exhausted")
 	}
-	e1 := newEngineGraph(g, target)
+	e1 := newEngine(g.Freeze(), target)
 	_, err1 := e1.solve(ExactOptions{MaxNodes: 25})
-	e2 := newEngineGraph(g, target)
+	e2 := newEngine(g.Freeze(), target)
 	_, err2 := e2.solve(ExactOptions{MaxNodes: 25})
 	if (err1 == nil) != (err2 == nil) || e1.nodes != e2.nodes {
 		t.Fatalf("budgeted failure not deterministic: %v/%d vs %v/%d", err1, e1.nodes, err2, e2.nodes)
 	}
-	want, err := newEngineGraph(g, target).solve(ExactOptions{})
+	want, err := newEngine(g.Freeze(), target).solve(ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := newEngineGraph(g, target).solve(ExactOptions{MaxNodes: 1 << 40})
+	got, err := newEngine(g.Freeze(), target).solve(ExactOptions{MaxNodes: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestEngineNodeBudget(t *testing.T) {
 func TestEngineForcedAndSubsumedRoots(t *testing.T) {
 	// Star: center subsumes every leaf; reductions alone solve it.
 	star := gen.Star(9)
-	e := newEngineGraph(star, allVertices(star))
+	e := newEngine(star.Freeze(), allVertices(star))
 	sol, err := e.solve(ExactOptions{})
 	if err != nil || len(sol) != 1 || sol[0] != 0 {
 		t.Fatalf("star: %v, %v (want [0])", sol, err)
@@ -209,7 +209,7 @@ func TestEngineForcedAndSubsumedRoots(t *testing.T) {
 	// Isolated target vertices are their own forced dominators.
 	iso := graph.New(4)
 	iso.AddEdge(0, 1)
-	sol, err = newEngineGraph(iso, []int{2, 3}).solve(ExactOptions{})
+	sol, err = newEngine(iso.Freeze(), []int{2, 3}).solve(ExactOptions{})
 	if err != nil || !graph.EqualSets(sol, []int{2, 3}) {
 		t.Fatalf("isolated targets: %v, %v (want [2 3])", sol, err)
 	}

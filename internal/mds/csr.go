@@ -1,15 +1,10 @@
-// CSR-native solvers: ports of the hot Algorithm 1 step-4 machinery
-// (domination predicates, the greedy B-dominating baseline, and the exact
-// branch-and-bound) that run over a frozen graph.CSR instead of the
-// allocating *graph.Graph accessors. Each port is behaviorally identical to
-// its adjacency-list counterpart — the pipeline equivalence suite in
-// internal/core depends on that — but keeps its state in flat reusable
-// arrays, so solving many components in a row touches the allocator only
-// for the returned solutions.
+// Domination predicates and the greedy B-dominating baseline over a frozen
+// graph.CSR: Algorithm 1's step-4 fallback and its checks, with their
+// state in flat arrays. The exact solvers (mds.go, mvc.go) are CSR-native
+// too.
 package mds
 
 import (
-	"fmt"
 	"sort"
 
 	"localmds/internal/graph"
@@ -107,37 +102,4 @@ func GreedyBDominatingCSR(c *graph.CSR, target []int) []int {
 	}
 	sort.Ints(sol)
 	return sol
-}
-
-// ExactBDominatingCSR returns a minimum set S dominating every vertex of
-// target, over the CSR view. The dispatch mirrors ExactBDominating exactly
-// — treewidth-<=2 inputs go to the unbounded DP (through a one-shot bridge
-// graph), the rest to the same bitset branch-and-bound engine capped at
-// MaxExactMDSVertices — so both entry points return identical sets on
-// identical inputs.
-func ExactBDominatingCSR(c *graph.CSR, target []int) ([]int, error) {
-	return ExactBDominatingCSROpt(c, target, ExactOptions{})
-}
-
-// ExactBDominatingCSROpt is ExactBDominatingCSR with engine options.
-func ExactBDominatingCSROpt(c *graph.CSR, target []int, opt ExactOptions) ([]int, error) {
-	target = graph.Dedup(target)
-	if len(target) == 0 {
-		return nil, nil
-	}
-	n := c.N()
-	required := make([]bool, n)
-	for _, v := range target {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("mds: target vertex %d out of range", v)
-		}
-		required[v] = true
-	}
-	if sol, err := exactTW2BDominating(graph.FromCSR(c), required); err == nil {
-		return sol, nil
-	}
-	if err := checkExactCap(n, opt); err != nil {
-		return nil, err
-	}
-	return newEngineCSR(c, target).solve(opt)
 }

@@ -35,8 +35,8 @@ func TestExactBDominatingCSRMatchesLegacy(t *testing.T) {
 		g := randomMDSGraph(14, 0.15, rng)
 		c := g.Freeze()
 		target := randomTarget(g.N(), rng)
-		want, errWant := ExactBDominating(g, target)
-		got, errGot := ExactBDominatingCSR(c, target)
+		want, errWant := legacyBDominating(g, target)
+		got, errGot := ExactBDominating(c, target, ExactOptions{})
 		if (errWant == nil) != (errGot == nil) {
 			t.Fatalf("trial %d: err mismatch: %v vs %v", trial, errWant, errGot)
 		}
@@ -50,8 +50,8 @@ func TestExactBDominatingCSRMatchesLegacy(t *testing.T) {
 }
 
 func TestExactBDominatingCSRTreewidth2Dispatch(t *testing.T) {
-	// A long cycle has treewidth 2 and exceeds nothing; both entry points
-	// must dispatch to the DP and agree.
+	// A long cycle has treewidth 2 and exceeds nothing; the entry point and
+	// the adjacency-list dispatch must both take the DP and agree.
 	n := 30
 	g := graph.New(n)
 	for i := 0; i < n; i++ {
@@ -61,11 +61,11 @@ func TestExactBDominatingCSRTreewidth2Dispatch(t *testing.T) {
 	for i := range target {
 		target[i] = i
 	}
-	want, err := ExactBDominating(g, target)
+	want, err := legacyBDominating(g, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExactBDominatingCSR(g.Freeze(), target)
+	got, err := ExactBDominating(g.Freeze(), target, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

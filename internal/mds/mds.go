@@ -1,8 +1,10 @@
 // Package mds provides centralized (sequential) solvers for Minimum
-// Dominating Set and Minimum Vertex Cover: exact branch-and-bound solvers
-// used both inside the paper's brute-force step (Algorithm 1, step 4) and to
-// compute OPT for approximation-ratio measurements, plus classic greedy
-// baselines and verification predicates.
+// Dominating Set and Minimum Vertex Cover, plus classic greedy baselines
+// and verification predicates. The exact solvers run on a frozen
+// graph.CSR: one width-2 elimination DP (tw2dp.go) for dominating set,
+// B-domination and vertex cover, then branch and bound within a vertex
+// cap. They serve the paper's brute-force step (Algorithm 1, step 4) and
+// compute OPT for approximation-ratio measurements.
 package mds
 
 import (
@@ -61,24 +63,17 @@ func IsVertexCover(g *graph.Graph, s []int) bool {
 	return true
 }
 
-// MaxExactMDSVertices is the default instance cap for the exact solver's
-// branch-and-bound path (forests and treewidth-<=2 graphs dispatch to
-// unbounded DPs first and never hit it). Branch and bound is exponential
-// in the worst case; the bitset engine keeps its worst observed cases —
-// grids — to seconds up to roughly this size, where the old adjacency-list
-// search was capped at 160 (see EXPERIMENTS.md "Exact solver"). It is a
-// variable so deployments with different patience can tune it; per-call
-// overrides go through ExactOptions.MaxVertices.
-var MaxExactMDSVertices = 512
+// MaxExactMDSVertices caps the exact solver's branch-and-bound path
+// (treewidth-<=2 graphs, forests included, go to the width-2 DP first and
+// never hit it). Branch and bound is exponential in the worst case; the
+// bitset engine keeps its worst observed cases — grids — to seconds up to
+// roughly this size, where the old adjacency-list search was capped at 160
+// (see EXPERIMENTS.md "Exact solver").
+const MaxExactMDSVertices = 512
 
 // ExactOptions tunes the exact solvers' branch and bound (the MDS engine
-// and ExactMVC's search). The zero value reproduces the default
-// ExactMDS/ExactBDominating behavior and an unbounded ExactMVC.
+// and ExactMVC's search). The zero value is an unbounded search.
 type ExactOptions struct {
-	// MaxVertices overrides MaxExactMDSVertices for this call (0: use the
-	// package default). The DP dispatch paths and ExactMVC, which reads
-	// only MaxNodes, ignore it.
-	MaxVertices int
 	// MaxNodes bounds the number of search-tree nodes (0: unbounded). An
 	// exhausted budget returns an error instead of a possibly suboptimal
 	// set; callers use it to keep best-effort OPT probes from stalling.
@@ -87,65 +82,44 @@ type ExactOptions struct {
 	MaxNodes int64
 }
 
-// ExactMDS returns a minimum dominating set of g. Forests dispatch to a
-// linear-time DP and treewidth-<=2 graphs (all this repository's workload
-// classes) to a width-2 tree-decomposition DP, both with no size limit;
-// everything else runs the bitset branch-and-bound engine, which requires
-// g.N() <= MaxExactMDSVertices.
+// ExactMDS returns a minimum dominating set of g: ExactBDominating on
+// g.Freeze() with every vertex a target. Freeze caches the CSR in g, so
+// goroutines sharing g should freeze it before they call ExactMDS.
 func ExactMDS(g *graph.Graph) ([]int, error) {
 	return ExactMDSOpt(g, ExactOptions{})
 }
 
-// ExactMDSOpt is ExactMDS with engine options. The dispatch is identical:
-// forest DP, then treewidth-2 DP, then the branch-and-bound engine.
+// ExactMDSOpt is ExactMDS with engine options.
 func ExactMDSOpt(g *graph.Graph, opt ExactOptions) ([]int, error) {
-	if IsForest(g) {
-		return exactMDSForest(g), nil
-	}
-	return ExactBDominatingOpt(g, allVertices(g), opt)
+	return ExactBDominating(g.Freeze(), allVertices(g), opt)
 }
 
-// ExactBDominating returns a minimum set S ⊆ V(g) dominating every vertex
-// of target (MDS(G, B) in the paper's notation, B = target). Candidates are
-// restricted to N[target], which is without loss of optimality.
-// Treewidth-<=2 inputs dispatch to the unbounded DP; the rest run the
-// bitset branch-and-bound engine, capped at MaxExactMDSVertices.
-func ExactBDominating(g *graph.Graph, target []int) ([]int, error) {
-	return ExactBDominatingOpt(g, target, ExactOptions{})
-}
-
-// ExactBDominatingOpt is ExactBDominating with engine options.
-func ExactBDominatingOpt(g *graph.Graph, target []int, opt ExactOptions) ([]int, error) {
+// ExactBDominating returns a minimum set S ⊆ V(c) dominating every vertex
+// of target (MDS(G, B) in the paper's notation, B = target). Treewidth-<=2
+// inputs go to the width-2 elimination DP, with no size limit; the rest
+// run the bitset branch-and-bound engine, which requires c.N() <=
+// MaxExactMDSVertices and searches candidates in N[target] only, without
+// loss of optimality.
+func ExactBDominating(c *graph.CSR, target []int, opt ExactOptions) ([]int, error) {
 	target = graph.Dedup(target)
 	if len(target) == 0 {
 		return nil, nil
 	}
-	required := make([]bool, g.N())
+	n := c.N()
+	required := make([]bool, n)
 	for _, v := range target {
-		if v < 0 || v >= g.N() {
+		if v < 0 || v >= n {
 			return nil, fmt.Errorf("mds: target vertex %d out of range", v)
 		}
 		required[v] = true
 	}
-	if sol, err := exactTW2BDominating(g, required); err == nil {
+	if sol, err := solveTW2(c, mdsRule{required}); err == nil {
 		return sol, nil
 	}
-	if err := checkExactCap(g.N(), opt); err != nil {
-		return nil, err
+	if n > MaxExactMDSVertices {
+		return nil, fmt.Errorf("mds: graph has %d vertices, exact solver capped at %d", n, MaxExactMDSVertices)
 	}
-	return newEngineGraph(g, target).solve(opt)
-}
-
-// checkExactCap enforces the branch-and-bound vertex cap.
-func checkExactCap(n int, opt ExactOptions) error {
-	cap := opt.MaxVertices
-	if cap <= 0 {
-		cap = MaxExactMDSVertices
-	}
-	if n > cap {
-		return fmt.Errorf("mds: graph has %d vertices, exact solver capped at %d", n, cap)
-	}
-	return nil
+	return newEngine(c, target).solve(opt)
 }
 
 // GreedyMDS returns the classical greedy dominating set (repeatedly pick

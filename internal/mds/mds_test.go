@@ -92,7 +92,7 @@ func TestExactMDSKnownValues(t *testing.T) {
 }
 
 func TestExactMDSRefusesLarge(t *testing.T) {
-	// Forests and treewidth-<=2 graphs dispatch to unbounded DPs; only
+	// Treewidth-<=2 graphs, forests included, go to the unbounded DP; only
 	// genuinely hard instances (here: a grid beyond the cap) hit the
 	// bounded branch and bound.
 	side := 1
@@ -108,21 +108,20 @@ func TestExactMDSRefusesLarge(t *testing.T) {
 	if _, err := ExactMDS(gen.Cycle(MaxExactMDSVertices + 41)); err != nil {
 		t.Errorf("large cycle should use the treewidth DP: %v", err)
 	}
-	// Per-call overrides: a tighter cap rejects, a budget bails out
-	// deterministically instead of stalling.
-	g := gen.Grid(9, 9)
-	if _, err := ExactMDSOpt(g, ExactOptions{MaxVertices: 80}); err == nil {
-		t.Error("MaxVertices override not enforced")
-	}
-	if _, err := ExactMDSOpt(g, ExactOptions{MaxNodes: 10}); err == nil {
+	// A budget bails out deterministically instead of stalling, and no
+	// budget lifts the cap.
+	if _, err := ExactMDSOpt(gen.Grid(9, 9), ExactOptions{MaxNodes: 10}); err == nil {
 		t.Error("exhausted node budget should error")
+	}
+	if _, err := ExactMDSOpt(gen.Grid(side, side), ExactOptions{MaxNodes: 1 << 40}); err == nil || !strings.Contains(err.Error(), "capped") {
+		t.Errorf("%dx%d grid with a roomy budget: %v, want the cap error", side, side, err)
 	}
 }
 
 func TestExactBDominating(t *testing.T) {
 	g := gen.Path(9)
 	// Dominate only {0}: one vertex from {0,1} suffices.
-	s, err := ExactBDominating(g, []int{0})
+	s, err := ExactBDominating(g.Freeze(), []int{0}, ExactOptions{})
 	if err != nil {
 		t.Fatalf("ExactBDominating: %v", err)
 	}
@@ -130,7 +129,7 @@ func TestExactBDominating(t *testing.T) {
 		t.Errorf("B={0}: got %v", s)
 	}
 	// Dominate the two ends: needs 2 vertices.
-	s, err = ExactBDominating(g, []int{0, 8})
+	s, err = ExactBDominating(g.Freeze(), []int{0, 8}, ExactOptions{})
 	if err != nil {
 		t.Fatalf("ExactBDominating: %v", err)
 	}
@@ -138,7 +137,7 @@ func TestExactBDominating(t *testing.T) {
 		t.Errorf("B={0,8}: got %v, want size 2", s)
 	}
 	// Empty target: empty solution.
-	s, err = ExactBDominating(g, nil)
+	s, err = ExactBDominating(g.Freeze(), nil, ExactOptions{})
 	if err != nil || len(s) != 0 {
 		t.Errorf("B=∅: got %v, %v", s, err)
 	}
@@ -196,7 +195,7 @@ func TestExactMVCKnownValues(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			s, err := ExactMVC(tt.g, ExactOptions{})
+			s, err := ExactMVC(tt.g.Freeze(), ExactOptions{})
 			if err != nil {
 				t.Fatalf("ExactMVC: %v", err)
 			}
@@ -214,7 +213,7 @@ func TestMatchingVertexCover(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(40, 0.08, rng)
-		cover := MatchingVertexCover(g)
+		cover := MatchingVertexCover(g.Freeze())
 		if !IsVertexCover(g, cover) {
 			t.Errorf("seed %d: matching cover is not a cover", seed)
 		}
@@ -250,11 +249,11 @@ func TestMVCTwoApproxProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(16, 0.2, rng)
-		exact, err := ExactMVC(g, ExactOptions{})
+		exact, err := ExactMVC(g.Freeze(), ExactOptions{})
 		if err != nil {
 			return false
 		}
-		approx := MatchingVertexCover(g)
+		approx := MatchingVertexCover(g.Freeze())
 		if !IsVertexCover(g, exact) || !IsVertexCover(g, approx) {
 			return false
 		}
@@ -297,7 +296,7 @@ func TestLemma52Property(t *testing.T) {
 		pack := TwoPacking(g)
 		total := 0
 		for _, v := range pack {
-			s, err := ExactBDominating(g, []int{v})
+			s, err := ExactBDominating(g.Freeze(), []int{v}, ExactOptions{})
 			if err != nil {
 				return false
 			}
@@ -326,7 +325,7 @@ func TestForestDPMatchesBnB(t *testing.T) {
 		if !IsDominatingSet(g, dpSol) {
 			t.Fatalf("seed %d: DP solution not dominating", seed)
 		}
-		bnb, err := ExactBDominating(g, allVerticesForTest(g))
+		bnb, err := ExactBDominating(g.Freeze(), allVerticesForTest(g), ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,6 +357,9 @@ func TestForestDPLargeTree(t *testing.T) {
 	if len(sol) > g.N()/2+1 || len(sol) < len(TwoPacking(g)) {
 		t.Errorf("implausible optimum %d for n=%d", len(sol), g.N())
 	}
+	if want := len(exactMDSForest(g)); len(sol) != want {
+		t.Errorf("|MDS| = %d, forest DP oracle %d", len(sol), want)
+	}
 }
 
 func TestForestDPForest(t *testing.T) {
@@ -369,25 +371,16 @@ func TestForestDPForest(t *testing.T) {
 	if !IsDominatingSet(g, sol) {
 		t.Fatal("not dominating")
 	}
-	if len(sol) != 4 { // P7 needs 3, star needs 1
-		t.Errorf("|MDS| = %d, want 4", len(sol))
+	if len(sol) != 4 || len(exactMDSForest(g)) != 4 { // P7 needs 3, star needs 1
+		t.Errorf("|MDS| = %d, forest DP oracle %d, want 4", len(sol), len(exactMDSForest(g)))
 	}
 }
 
 func TestForestDPIsolated(t *testing.T) {
 	g := graph.New(3)
 	sol, err := ExactMDS(g)
-	if err != nil || len(sol) != 3 {
-		t.Errorf("isolated vertices: %v, %v", sol, err)
-	}
-}
-
-func TestIsForest(t *testing.T) {
-	if !IsForest(gen.Path(5)) || IsForest(gen.Cycle(4)) {
-		t.Error("IsForest misclassified")
-	}
-	if !IsForest(graph.New(3)) {
-		t.Error("edgeless graph is a forest")
+	if err != nil || len(sol) != 3 || len(exactMDSForest(g)) != 3 {
+		t.Errorf("isolated vertices: %v, %v (forest DP oracle %v)", sol, err, exactMDSForest(g))
 	}
 }
 
@@ -396,19 +389,19 @@ func TestIsForest(t *testing.T) {
 // fits in returns the unbounded optimum.
 func TestExactMVCBudget(t *testing.T) {
 	g := gen.Complete(9) // treewidth 8: the DP declines, branch and bound runs
-	_, err1 := ExactMVC(g, ExactOptions{MaxNodes: 3})
-	_, err2 := ExactMVC(g, ExactOptions{MaxNodes: 3})
+	_, err1 := ExactMVC(g.Freeze(), ExactOptions{MaxNodes: 3})
+	_, err2 := ExactMVC(g.Freeze(), ExactOptions{MaxNodes: 3})
 	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
 		t.Fatalf("MaxNodes 3: errors %v and %v, want one budget error twice", err1, err2)
 	}
 	if !strings.Contains(err1.Error(), "3-node budget") {
 		t.Errorf("budget error %q does not name the budget", err1)
 	}
-	want, err := ExactMVC(g, ExactOptions{})
+	want, err := ExactMVC(g.Freeze(), ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExactMVC(g, ExactOptions{MaxNodes: 1_000_000})
+	got, err := ExactMVC(g.Freeze(), ExactOptions{MaxNodes: 1_000_000})
 	if err != nil || !graph.EqualSets(got, want) {
 		t.Errorf("budgeted = %v, %v; unbounded = %v", got, err, want)
 	}
@@ -442,11 +435,11 @@ func TestExactMVCNodeCountPinned(t *testing.T) {
 			[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 13, 14, 15, 16, 17, 19, 21, 23, 24, 25, 26, 27, 28, 29, 30, 31, 36, 38, 40, 42, 47, 48, 49}},
 	}
 	for _, tc := range cases {
-		got, err := ExactMVC(tc.g, ExactOptions{MaxNodes: tc.nodes})
+		got, err := ExactMVC(tc.g.Freeze(), ExactOptions{MaxNodes: tc.nodes})
 		if err != nil || !graph.EqualSets(got, tc.cover) {
 			t.Errorf("%s, budget %d: cover %v, err %v; want %v", tc.name, tc.nodes, got, err, tc.cover)
 		}
-		if _, err := ExactMVC(tc.g, ExactOptions{MaxNodes: tc.nodes - 1}); err == nil {
+		if _, err := ExactMVC(tc.g.Freeze(), ExactOptions{MaxNodes: tc.nodes - 1}); err == nil {
 			t.Errorf("%s: budget %d succeeded, want the search to need %d nodes", tc.name, tc.nodes-1, tc.nodes)
 		}
 	}

@@ -10,23 +10,22 @@ import (
 // MaxExactMVCVertices bounds the instances the exact MVC solver accepts.
 const MaxExactMVCVertices = 200
 
-// ExactMVC returns a minimum vertex cover of g. Treewidth-<=2 inputs
-// dispatch to the unbounded DP; the rest run branch and bound with a
-// matching lower bound, capped at MaxExactMVCVertices and, when
-// opt.MaxNodes > 0, at that many search nodes; opt.MaxVertices is ignored.
-// An exhausted budget returns an error; the node count is deterministic,
-// so the same inputs exhaust it on every run.
-func ExactMVC(g *graph.Graph, opt ExactOptions) ([]int, error) {
-	if sol, err := exactMVCTreewidth2(g); err == nil {
-		sort.Ints(sol)
+// ExactMVC returns a minimum vertex cover of c. Treewidth-<=2 inputs go
+// to the width-2 elimination DP, with no size limit; the rest run branch
+// and bound with a matching lower bound, capped at MaxExactMVCVertices
+// and, when opt.MaxNodes > 0, at that many search nodes. An exhausted
+// budget returns an error; the node count is deterministic, so the same
+// inputs exhaust it on every run.
+func ExactMVC(c *graph.CSR, opt ExactOptions) ([]int, error) {
+	if sol, err := solveTW2(c, mvcRule{}); err == nil {
 		return sol, nil
 	}
-	if g.N() > MaxExactMVCVertices {
-		return nil, fmt.Errorf("mds: graph has %d vertices, exact MVC capped at %d", g.N(), MaxExactMVCVertices)
+	if c.N() > MaxExactMVCVertices {
+		return nil, fmt.Errorf("mds: graph has %d vertices, exact MVC capped at %d", c.N(), MaxExactMVCVertices)
 	}
 	// Upper bound: greedy matching 2-approximation.
-	best := MatchingVertexCover(g)
-	st := newMVCSearch(g)
+	best := MatchingVertexCover(c)
+	st := newMVCSearch(c)
 	var cur []int
 	var nodes int64
 	aborted := false
@@ -62,10 +61,10 @@ func ExactMVC(g *graph.Graph, opt ExactOptions) ([]int, error) {
 		// must be (u stays marked removed: its edges are covered from the
 		// other side). They are the tail of cur, which is the undo trail.
 		mark := len(cur)
-		for _, w := range g.Neighbors(u) {
+		for _, w := range c.Row(u) {
 			if !st.removed[w] {
-				st.remove(w)
-				cur = append(cur, w)
+				st.remove(int(w))
+				cur = append(cur, int(w))
 			}
 		}
 		rec()
@@ -88,22 +87,22 @@ func ExactMVC(g *graph.Graph, opt ExactOptions) ([]int, error) {
 // remove and restore, and a stamped scratch mark for the matching bound,
 // so no search node allocates.
 type mvcSearch struct {
-	g       *graph.Graph
+	c       *graph.CSR
 	removed []bool
 	deg     []int
 	used    []uint32 // used[u] == stamp: u is matched in the current bound
 	stamp   uint32
 }
 
-func newMVCSearch(g *graph.Graph) *mvcSearch {
+func newMVCSearch(c *graph.CSR) *mvcSearch {
 	st := &mvcSearch{
-		g:       g,
-		removed: make([]bool, g.N()),
-		deg:     make([]int, g.N()),
-		used:    make([]uint32, g.N()),
+		c:       c,
+		removed: make([]bool, c.N()),
+		deg:     make([]int, c.N()),
+		used:    make([]uint32, c.N()),
 	}
-	for u := range g.N() {
-		st.deg[u] = len(g.Neighbors(u))
+	for u := range c.N() {
+		st.deg[u] = c.Degree(u)
 	}
 	return st
 }
@@ -111,7 +110,7 @@ func newMVCSearch(g *graph.Graph) *mvcSearch {
 // remove marks u covered.
 func (st *mvcSearch) remove(u int) {
 	st.removed[u] = true
-	for _, w := range st.g.Neighbors(u) {
+	for _, w := range st.c.Row(u) {
 		st.deg[w]--
 	}
 }
@@ -119,7 +118,7 @@ func (st *mvcSearch) remove(u int) {
 // restore undoes remove(u).
 func (st *mvcSearch) restore(u int) {
 	st.removed[u] = false
-	for _, w := range st.g.Neighbors(u) {
+	for _, w := range st.c.Row(u) {
 		st.deg[w]++
 	}
 }
@@ -151,8 +150,8 @@ func (st *mvcSearch) residualMatchingSize() int {
 		if st.removed[u] || used[u] == stamp || st.deg[u] == 0 {
 			continue
 		}
-		for _, w := range st.g.Neighbors(u) {
-			if !st.removed[w] && used[w] != stamp && w != u {
+		for _, w := range st.c.Row(u) {
+			if !st.removed[w] && used[w] != stamp && int(w) != u {
 				used[u], used[w] = stamp, stamp
 				size++
 				break
@@ -163,16 +162,19 @@ func (st *mvcSearch) residualMatchingSize() int {
 }
 
 // MatchingVertexCover returns the classical 2-approximate vertex cover:
-// both endpoints of a greedy maximal matching.
-func MatchingVertexCover(g *graph.Graph) []int {
-	used := make([]bool, g.N())
+// both endpoints of a greedy maximal matching, edges taken in (u, v)
+// order with u < v.
+func MatchingVertexCover(c *graph.CSR) []int {
+	used := make([]bool, c.N())
 	var cover []int
-	g.VisitEdges(func(u, v int) {
-		if !used[u] && !used[v] {
-			used[u], used[v] = true, true
-			cover = append(cover, u, v)
+	for u := range c.N() {
+		for _, v := range c.Row(u) {
+			if int(v) > u && !used[u] && !used[v] {
+				used[u], used[v] = true, true
+				cover = append(cover, u, int(v))
+			}
 		}
-	})
+	}
 	sort.Ints(cover)
 	return cover
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // BenchmarkExactMDS is the before/after surface for the bitset engine: it
-// forces the branch-and-bound path (no forest/treewidth dispatch) so
+// forces the branch-and-bound path (no width-2 DP) so
 // engine and reference search the same problem. grid-NxN is the old
 // solver's documented worst case — the reason the Table 1 grid row was
 // capped at side 7. The reference ladder stops at 9x9 (~2s/op here);
@@ -40,7 +40,7 @@ func BenchmarkExactMDS(b *testing.B) {
 			b.ReportAllocs()
 			var size int
 			for i := 0; i < b.N; i++ {
-				sol, err := newEngineGraph(tc.g, target).solve(ExactOptions{})
+				sol, err := newEngine(tc.g.Freeze(), target).solve(ExactOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

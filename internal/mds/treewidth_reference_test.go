@@ -1,3 +1,7 @@
+// The adjacency-list exact DPs that shipped before the CSR elimination DP
+// in tw2dp.go replaced them: the map-based width-2 dominating-set DP, its
+// vertex-cover copy and the forest DP, kept verbatim as the oracle for
+// TestTW2MatchesOracle and FuzzExactDP. Nothing outside tests calls them.
 package mds
 
 import (
@@ -363,4 +367,289 @@ func slotIndex(slots []int, u int) int {
 		}
 	}
 	return -1
+}
+
+// exactMVCTreewidth2 solves Minimum Vertex Cover exactly on a
+// treewidth-<=2 graph via the same elimination decomposition as the MDS DP,
+// with two states per bag vertex (in / out of the cover). Every real edge
+// lies inside the bag of its first-eliminated endpoint, where it is
+// enforced; enforcing it again in other bags containing both endpoints is
+// harmless. Membership is counted at the vertex's own (forget) bag.
+func exactMVCTreewidth2(g *graph.Graph) ([]int, error) {
+	bags, err := buildTW2Decomposition(g)
+	if err != nil {
+		return nil, err
+	}
+	type entry struct {
+		cost   int
+		vIn    bool
+		childP []uint8
+	}
+	up := make([][]entry, len(bags))
+	numP := func(k int) int { return 1 << k }
+	bit := func(p uint8, slot int) bool { return p&(1<<slot) != 0 }
+
+	for i, bag := range bags {
+		slots := append([]int{bag.v}, bag.rest...)
+		fullSize := numP(len(slots))
+		full := make([]int, fullSize)
+		fullChoice := make([][]uint8, fullSize)
+		for q := 0; q < fullSize; q++ {
+			// Enforce in-bag real edges.
+			valid := true
+			for a := 0; a < len(slots) && valid; a++ {
+				for b := a + 1; b < len(slots); b++ {
+					if g.HasEdge(slots[a], slots[b]) && !bit(uint8(q), a) && !bit(uint8(q), b) {
+						valid = false
+						break
+					}
+				}
+			}
+			if !valid {
+				full[q] = twInf
+				continue
+			}
+			if bit(uint8(q), 0) {
+				full[q] = 1
+			}
+			fullChoice[q] = make([]uint8, len(bag.children))
+		}
+		for ci, c := range bag.children {
+			child := bags[c]
+			childSlots := make([]int, len(child.rest))
+			for k, u := range child.rest {
+				childSlots[k] = slotIndex(slots, u)
+			}
+			next := make([]int, fullSize)
+			nextChoice := make([][]uint8, fullSize)
+			for q := range next {
+				next[q] = twInf
+			}
+			for q := 0; q < fullSize; q++ {
+				if full[q] >= twInf {
+					continue
+				}
+				for cp := 0; cp < numP(len(child.rest)); cp++ {
+					centry := up[c][cp]
+					if centry.cost >= twInf {
+						continue
+					}
+					ok := true
+					for k, slot := range childSlots {
+						if bit(uint8(cp), k) != bit(uint8(q), slot) {
+							ok = false
+							break
+						}
+					}
+					if !ok {
+						continue
+					}
+					if cost := full[q] + centry.cost; cost < next[q] {
+						next[q] = cost
+						nc := append([]uint8(nil), fullChoice[q]...)
+						if nc == nil {
+							nc = make([]uint8, len(bag.children))
+						}
+						nc[ci] = uint8(cp)
+						nextChoice[q] = nc
+					}
+				}
+			}
+			full = next
+			fullChoice = nextChoice
+		}
+		// Forget v: project onto rest profiles.
+		restSize := numP(len(bag.rest))
+		up[i] = make([]entry, restSize)
+		for p := range up[i] {
+			up[i][p] = entry{cost: twInf}
+		}
+		for q := 0; q < fullSize; q++ {
+			if full[q] >= twInf {
+				continue
+			}
+			rp := uint8(q >> 1) // drop slot 0 (v)
+			if full[q] < up[i][rp].cost {
+				up[i][rp] = entry{cost: full[q], vIn: bit(uint8(q), 0), childP: fullChoice[q]}
+			}
+		}
+	}
+
+	inSet := make([]bool, g.N())
+	var walk func(bagIdx int, p uint8)
+	walk = func(bagIdx int, p uint8) {
+		e := up[bagIdx][p]
+		if e.vIn {
+			inSet[bags[bagIdx].v] = true
+		}
+		for ci, c := range bags[bagIdx].children {
+			walk(c, e.childP[ci])
+		}
+	}
+	for i, bag := range bags {
+		if bag.parent < 0 {
+			walk(i, 0)
+		}
+	}
+	var sol []int
+	for v, in := range inSet {
+		if in {
+			sol = append(sol, v)
+		}
+	}
+	return sol, nil
+}
+
+// exactMDSForest solves MDS on forests by the classic three-state tree DP
+// (linear time), used automatically by ExactMDS when the input is acyclic:
+// branch and bound has weak bounds exactly on trees.
+//
+// States per vertex: in the set; not in the set but dominated from below;
+// not in the set and not yet dominated (the parent must take it).
+func exactMDSForest(g *graph.Graph) []int {
+	const (
+		stIn = iota
+		stDom
+		stNeed
+	)
+	n := g.N()
+	dp := make([][3]int, n)
+	choice := make([][3][]int8, n) // per state: chosen state of each child
+	children := make([][]int, n)
+	parent := make([]int, n)
+	var order []int // vertices in DFS post-order
+
+	visited := make([]bool, n)
+	for root := 0; root < n; root++ {
+		if visited[root] {
+			continue
+		}
+		// Iterative DFS to build children lists and post-order.
+		stack := []int{root}
+		parent[root] = -1
+		visited[root] = true
+		var pre []int
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			pre = append(pre, v)
+			for _, u := range g.Neighbors(v) {
+				if !visited[u] {
+					visited[u] = true
+					parent[u] = v
+					children[v] = append(children[v], u)
+					stack = append(stack, u)
+				}
+			}
+		}
+		for i := len(pre) - 1; i >= 0; i-- {
+			order = append(order, pre[i])
+		}
+	}
+
+	const inf = 1 << 29
+	for _, v := range order {
+		kids := children[v]
+		choice[v][stIn] = make([]int8, len(kids))
+		choice[v][stDom] = make([]int8, len(kids))
+		choice[v][stNeed] = make([]int8, len(kids))
+
+		// stIn: v in S; each child free (v dominates it).
+		in := 1
+		for i, c := range kids {
+			best, bestState := dp[c][stIn], int8(stIn)
+			if dp[c][stDom] < best {
+				best, bestState = dp[c][stDom], stDom
+			}
+			if dp[c][stNeed] < best {
+				best, bestState = dp[c][stNeed], stNeed
+			}
+			in += best
+			choice[v][stIn][i] = bestState
+		}
+		dp[v][stIn] = in
+
+		// stNeed: v not in S, no child in S (else v would be dominated).
+		need := 0
+		for i, c := range kids {
+			need += dp[c][stDom]
+			choice[v][stNeed][i] = stDom
+			if dp[c][stDom] >= inf {
+				need = inf
+			}
+		}
+		dp[v][stNeed] = min(need, inf)
+
+		// stDom: v not in S, at least one child in S; other children are
+		// stIn or stDom, whichever is cheaper; pay the smallest penalty to
+		// force one child into S.
+		if len(kids) == 0 {
+			dp[v][stDom] = inf
+		} else {
+			total := 0
+			bestPenalty := inf
+			bestIdx := -1
+			for i, c := range kids {
+				freeBest, freeState := dp[c][stDom], int8(stDom)
+				if dp[c][stIn] < freeBest {
+					freeBest, freeState = dp[c][stIn], stIn
+				}
+				total += freeBest
+				choice[v][stDom][i] = freeState
+				if pen := dp[c][stIn] - freeBest; pen < bestPenalty {
+					bestPenalty = pen
+					bestIdx = i
+				}
+			}
+			if total >= inf || bestPenalty >= inf {
+				dp[v][stDom] = inf
+			} else {
+				dp[v][stDom] = total + bestPenalty
+				choice[v][stDom][bestIdx] = stIn
+			}
+		}
+	}
+
+	// Reconstruct: walk each root with its optimal state.
+	state := make([]int8, n)
+	var sol []int
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		if parent[v] < 0 {
+			if dp[v][stIn] <= dp[v][stDom] {
+				state[v] = stIn
+			} else {
+				state[v] = stDom
+			}
+		}
+		st := state[v]
+		if st == stIn {
+			sol = append(sol, v)
+		}
+		for ci, c := range children[v] {
+			state[c] = choice[v][st][ci]
+		}
+	}
+	sort.Ints(sol)
+	return sol
+}
+
+// legacyBDominating is ExactBDominating's dispatch as it was on adjacency
+// lists: the oracle width-2 DP, then the engine within the vertex cap.
+func legacyBDominating(g *graph.Graph, target []int) ([]int, error) {
+	target = graph.Dedup(target)
+	if len(target) == 0 {
+		return nil, nil
+	}
+	required := make([]bool, g.N())
+	for _, v := range target {
+		required[v] = true
+	}
+	if sol, err := exactTW2BDominating(g, required); err == nil {
+		return sol, nil
+	}
+	if g.N() > MaxExactMDSVertices {
+		return nil, fmt.Errorf("mds: graph has %d vertices, exact solver capped at %d", g.N(), MaxExactMDSVertices)
+	}
+	return newEngine(g.Freeze(), target).solve(ExactOptions{})
 }

@@ -10,10 +10,10 @@ import (
 )
 
 func TestTW2DecompositionRejectsDense(t *testing.T) {
-	if _, err := buildTW2Decomposition(gen.Complete(5)); err == nil {
+	if _, err := buildTW2(gen.Complete(5).Freeze()); err == nil {
 		t.Error("K5 accepted as treewidth <= 2")
 	}
-	if _, err := buildTW2Decomposition(gen.Grid(3, 3)); err == nil {
+	if _, err := buildTW2(gen.Grid(3, 3).Freeze()); err == nil {
 		t.Error("3x3 grid accepted as treewidth <= 2")
 	}
 }
@@ -26,16 +26,16 @@ func TestTW2DecompositionAccepts(t *testing.T) {
 		gen.RandomCactus(30, rng),
 		ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: 5}, rng),
 	} {
-		bags, err := buildTW2Decomposition(g)
+		d, err := buildTW2(g.Freeze())
 		if err != nil {
 			t.Fatalf("decomposition failed: %v", err)
 		}
-		if len(bags) != g.N() {
-			t.Errorf("got %d bags for %d vertices", len(bags), g.N())
+		if len(d.v) != g.N() {
+			t.Errorf("got %d bags for %d vertices", len(d.v), g.N())
 		}
-		for i, b := range bags {
-			if len(b.rest) > 2 {
-				t.Errorf("bag %d too large: %v", i, b.rest)
+		for i, k := range d.nrest {
+			if k > 2 {
+				t.Errorf("bag %d too large: %v", i, d.rest[i])
 			}
 		}
 	}
@@ -61,7 +61,7 @@ func TestTW2KnownValues(t *testing.T) {
 	tests[5].g = theta
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			sol, err := exactMDSTreewidth2(tt.g)
+			sol, err := tw2MDS(tt.g, nil)
 			if err != nil {
 				t.Fatalf("tw2: %v", err)
 			}
@@ -87,14 +87,14 @@ func TestTW2MatchesBnBOnWorkloads(t *testing.T) {
 		default:
 			g = ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 26, T: 5}, rng)
 		}
-		dp, err := exactMDSTreewidth2(g)
+		dp, err := tw2MDS(g, nil)
 		if err != nil {
 			t.Fatalf("instance %d: tw2: %v", i, err)
 		}
 		if !IsDominatingSet(g, dp) {
 			t.Fatalf("instance %d: not dominating", i)
 		}
-		bnb, err := ExactBDominating(g, allVerticesForTest(g))
+		bnb, err := ExactBDominating(g.Freeze(), allVerticesForTest(g), ExactOptions{})
 		if err != nil {
 			t.Fatalf("instance %d: bnb: %v", i, err)
 		}
@@ -150,7 +150,7 @@ func TestTW2BDominatingMatchesBnB(t *testing.T) {
 		for _, v := range target {
 			required[v] = true
 		}
-		dp, err := exactTW2BDominating(g, required)
+		dp, err := tw2MDS(g, required)
 		if err != nil {
 			t.Fatalf("instance %d: dp: %v", i, err)
 		}
@@ -176,7 +176,7 @@ func TestTW2BDominatingLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := gen.RandomCactus(800, rng)
 	target := []int{0, g.N() / 2, g.N() - 1}
-	sol, err := ExactBDominating(g, target)
+	sol, err := ExactBDominating(g.Freeze(), target, ExactOptions{})
 	if err != nil {
 		t.Fatalf("ExactBDominating: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestTW2MVCMatchesBnB(t *testing.T) {
 		default:
 			g = ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 24, T: 5}, rng)
 		}
-		dp, err := exactMVCTreewidth2(g)
+		dp, err := tw2MVC(g)
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -229,7 +229,7 @@ func bnbMVCForTest(t *testing.T, g *graph.Graph) []int {
 		t.Fatalf("reference solver limited to 32 vertices, got %d", n)
 	}
 	// Greedy upper bound to limit subset sizes.
-	best := MatchingVertexCover(g)
+	best := MatchingVertexCover(g.Freeze())
 	// Iterative deepening over cover sizes.
 	for k := 0; k < len(best); k++ {
 		if sol := findCoverOfSize(g, k); sol != nil {
@@ -279,7 +279,7 @@ func findCoverOfSize(g *graph.Graph, k int) []int {
 func TestTW2MVCLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 1500, T: 5}, rng)
-	sol, err := ExactMVC(g, ExactOptions{})
+	sol, err := ExactMVC(g.Freeze(), ExactOptions{})
 	if err != nil {
 		t.Fatalf("ExactMVC: %v", err)
 	}
@@ -287,7 +287,7 @@ func TestTW2MVCLarge(t *testing.T) {
 		t.Fatal("not a cover")
 	}
 	// Sandwich against the matching bound.
-	if 2*len(sol) < len(MatchingVertexCover(g)) {
+	if 2*len(sol) < len(MatchingVertexCover(g.Freeze())) {
 		t.Error("below half the matching cover: impossible for an optimum")
 	}
 }
