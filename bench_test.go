@@ -323,22 +323,35 @@ func BenchmarkSimulatorBallGatherLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkAlg1Distributed runs the full message-passing Algorithm 1 on a
-// moderate Ding instance, reporting the real round count.
+// BenchmarkAlg1Distributed runs the full message-passing Algorithm 1,
+// reporting the real round and message counts: on a moderate Ding
+// instance, and on a 20×20 grid at two radii, where each process's
+// decision over its gathered view dominates the run.
 func BenchmarkAlg1Distributed(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
-	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: 5}, rng)
-	p := core.Params{R1: 3, R2: 3}
-	var stats local.Stats
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, stats, err = core.RunAlg1(g, nil, p, local.Parallel)
-		if err != nil {
-			b.Fatal(err)
-		}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		p    core.Params
+	}{
+		{"ding40/r=3", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: 5}, rng), core.Params{R1: 3, R2: 3}},
+		{"grid20x20/r=4", gen.Grid(20, 20), core.Params{R1: 4, R2: 4}},
+		{"grid20x20/r=8", gen.Grid(20, 20), core.Params{R1: 8, R2: 8}},
 	}
-	b.ReportMetric(float64(stats.Rounds), "rounds")
-	b.ReportMetric(float64(stats.Messages), "messages")
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			var stats local.Stats
+			for i := 0; i < b.N; i++ {
+				var err error
+				_, stats, err = core.RunAlg1(tc.g, nil, tc.p, local.Parallel)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(stats.Rounds), "rounds")
+			b.ReportMetric(float64(stats.Messages), "messages")
+		})
+	}
 }
 
 // BenchmarkAlg1 measures the Algorithm 1 solver path end to end on the

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"localmds/internal/cuts"
 	"localmds/internal/graph"
 	"localmds/internal/local"
-	"localmds/internal/mds"
 )
 
 // partRecord is one vertex's flooding record during the brute-force phase:
@@ -30,46 +30,63 @@ type floodMsg struct {
 	records []floodRecord
 }
 
-// alg1Process is the message-passing implementation of Algorithm 1. It
-// spends GatherRadius()+2 rounds collecting its view, decides X/I/U
-// membership locally, and then participants flood their residual component
-// until they know it entirely, at which point every member deterministically
-// solves the same brute-force instance.
-type alg1Process struct {
-	p            Params
+// floodRule is the per-problem part of floodProcess: Algorithm 1's
+// dominating-set form (mdsFlood) or its vertex-cover variant (mvcFlood).
+type floodRule interface {
+	// decide runs the centralized driver's CSR steps up to Partition on
+	// the view c and reads the answer at view vertex center: whether it
+	// is in S1, and, when it joins a residual component instead, its
+	// flood record, with PartNbrs as view indices.
+	decide(c *graph.CSR, center int) (inS1 bool, rec *partRecord)
+	// solve is the problem's component-solve dispatch (the one the
+	// centralized driver runs) on a flooded component; target lists its
+	// undominated members.
+	solve(sub *graph.CSR, target []int) []int
+}
+
+// floodProcess is the message-passing Algorithm 1, for either rule. It
+// spends gatherRounds rounds collecting its view and decides there by
+// running the centralized CSR steps on the view; then participants flood
+// their residual component until they know it entirely, at which point
+// every member deterministically solves the same instance.
+type floodProcess struct {
+	rule         floodRule
 	gatherRounds int
 	g            local.Gatherer
 	info         local.NodeInfo
 
-	// Decision state, filled at the end of the gather phase.
-	inS1        bool
-	participant bool
-	records     map[int]partRecord
-	scratch     []floodRecord // reused per-round fresh-record buffer
-	inS         bool
+	records map[int]partRecord // flooded so far, participants only
+	scratch []floodRecord      // reused per-round fresh-record buffer
+	inS     bool
 }
 
 // NewAlg1Process returns the Algorithm 1 process for the given parameters.
 // Outputs are booleans: membership in the returned dominating set.
 func NewAlg1Process(p Params) local.Process {
-	return &alg1Process{p: p, gatherRounds: p.GatherRadius() + 2}
+	return &floodProcess{rule: mdsFlood{p}, gatherRounds: p.GatherRadius() + 2}
 }
 
-func (a *alg1Process) Init(info local.NodeInfo) {
+func (a *floodProcess) Init(info local.NodeInfo) {
 	a.info = info
 	a.g.Init(info)
 }
 
-func (a *alg1Process) Round(round int, inbox []local.Message) ([]local.Message, bool) {
+func (a *floodProcess) Round(round int, inbox []local.Message) ([]local.Message, bool) {
 	if round <= a.gatherRounds {
 		out := a.g.Step(round, inbox)
-		if round == a.gatherRounds {
-			a.decide()
-			if !a.participant {
-				a.inS = a.inS1
-				return out, true
-			}
+		if round < a.gatherRounds {
+			return out, false
 		}
+		c, ids, center := viewCSR(&a.g)
+		inS1, rec := a.rule.decide(c, center)
+		if rec == nil {
+			a.inS = inS1
+			return out, true
+		}
+		for i, v := range rec.PartNbrs {
+			rec.PartNbrs[i] = ids[v]
+		}
+		a.records = map[int]partRecord{a.info.ID: *rec}
 		return out, false
 	}
 	// Flooding phase (participants only).
@@ -103,144 +120,25 @@ func (a *alg1Process) Round(round int, inbox []local.Message) ([]local.Message, 
 		out = local.Broadcast(a.info.Ports, &floodMsg{records: records})
 	}
 	if a.closed() {
-		a.solveComponent()
+		a.inS = slices.Contains(a.componentPicks(), a.info.ID)
 		return out, true
 	}
 	return out, false
 }
 
-func (a *alg1Process) Output() any { return a.inS }
+func (a *floodProcess) Output() any { return a.inS }
 
-// decide computes, from the gathered view, whether this vertex is a twin
-// representative, in X or I, in U, and — if it participates in the
-// brute-force phase — its flooding record.
-func (a *alg1Process) decide() {
-	view := a.g.View()
-	bg, ids, center := view.Graph()
-	dist := bg.BFSFrom(center)
-
-	// kept[i]: vertex i survives the one-shot true-twin reduction (is the
-	// minimum-identifier member of its class). Only trustworthy for
-	// vertices whose distance-2 ball is fully known; all uses below stay
-	// within that horizon.
-	kept := make([]bool, bg.N())
-	for i := 0; i < bg.N(); i++ {
-		kept[i] = a.keptLocally(bg, ids, i)
-	}
-	var keptVerts []int
-	for i, k := range kept {
-		if k {
-			keptVerts = append(keptVerts, i)
-		}
-	}
-	rg, ridx := bg.Induced(keptVerts)
-	rg.Freeze() // read-only from here on; decisions traverse it heavily
-	rpos := make(map[int]int, len(ridx))
-	for i, v := range ridx {
-		rpos[v] = i
-	}
-
-	if !kept[center] {
-		a.participant = false
-		a.inS1 = false
-		return
-	}
-	rcenter := rpos[center]
-
-	// s1At decides X/I membership of reduced vertex rv (valid when its
-	// decision ball is inside the view).
-	s1Cache := make(map[int]bool)
-	s1At := func(rv int) bool {
-		if got, ok := s1Cache[rv]; ok {
-			return got
-		}
-		got := a.s1Decision(rg, rv)
-		s1Cache[rv] = got
-		return got
-	}
-
-	a.inS1 = s1At(rcenter)
-	dominatedAt := func(rv int) bool {
-		for _, u := range rg.Ball(rv, 1) {
-			if s1At(u) {
-				return true
-			}
-		}
-		return false
-	}
-	inUAt := func(rv int) bool {
-		if s1At(rv) || !dominatedAt(rv) {
-			return false
-		}
-		for _, u := range rg.Neighbors(rv) {
-			if !dominatedAt(u) {
-				return false
-			}
-		}
-		return true
-	}
-	participantAt := func(rv int) bool {
-		return !s1At(rv) && !inUAt(rv)
-	}
-
-	a.participant = participantAt(rcenter)
-	if !a.participant {
-		return
-	}
-	// Build the own flooding record: participating reduced neighbors
-	// (their decisions need the +3 view margin) and own domination status.
-	var partNbrs []int
-	for _, u := range rg.Neighbors(rcenter) {
-		if dist[ridx[u]] != 1 {
-			continue // reduced adjacency must be a real G edge to flood over
-		}
-		if participantAt(u) {
-			partNbrs = append(partNbrs, ids[ridx[u]])
-		}
-	}
-	sort.Ints(partNbrs)
-	a.records = map[int]partRecord{
-		a.info.ID: {PartNbrs: partNbrs, Undominated: !dominatedAt(rcenter)},
-	}
-}
-
-// keptLocally decides the one-shot twin reduction for view vertex i: kept
-// iff its identifier is minimal in its true-twin class.
-func (a *alg1Process) keptLocally(bg *graph.Graph, ids []int, i int) bool {
-	ni := bg.ClosedNeighborhood(i)
-	for _, j := range bg.Neighbors(i) {
-		if ids[j] >= ids[i] {
-			continue
-		}
-		nj := bg.ClosedNeighborhood(j)
-		if graph.EqualSets(ni, nj) {
-			return false
-		}
-	}
-	return true
-}
-
-// s1Decision reports whether reduced vertex rv is in X ∪ I: an R1-local
-// minimal 1-cut or an R2-interesting vertex of an R2-local minimal 2-cut of
-// the reduced graph.
-func (a *alg1Process) s1Decision(rg *graph.Graph, rv int) bool {
-	if cuts.IsLocalOneCut(rg, rv, a.p.R1) {
-		return true
-	}
-	for _, u := range rg.Ball(rv, a.p.R2) {
-		if u == rv {
-			continue
-		}
-		if cuts.IsLocallyInteresting(rg, rv, u, a.p.R2) {
-			return true
-		}
-	}
-	return false
+// viewCSR returns the CSR of the gathered view, its identifier slice and
+// the center's index. View indices ascend with identifiers, so the
+// centralized steps' smallest-index tie-breaks pick smallest identifiers.
+func viewCSR(g *local.Gatherer) (*graph.CSR, []int, int) {
+	bg, ids, center := g.View().Graph()
+	return bg.Freeze(), ids, center
 }
 
 // closed reports whether the flooding knowledge covers the whole residual
 // component: every known record's participating neighbors are known.
-func (a *alg1Process) closed() bool {
+func (a *floodProcess) closed() bool {
 	for _, rec := range a.records {
 		for _, id := range rec.PartNbrs {
 			if _, ok := a.records[id]; !ok {
@@ -251,10 +149,12 @@ func (a *alg1Process) closed() bool {
 	return true
 }
 
-// solveComponent deterministically solves the brute-force instance shared
-// by all members of the residual component and records whether this vertex
-// is selected.
-func (a *alg1Process) solveComponent() {
+// componentPicks solves the flooded component with the rule's dispatch and
+// returns the picks as identifiers. Every member computes the same set
+// from the same records; with identity identifiers the members are
+// labelled in the centralized driver's order, so both solve the same
+// instance and fall back on the same components.
+func (a *floodProcess) componentPicks() []int {
 	members := make([]int, 0, len(a.records))
 	for id := range a.records {
 		members = append(members, id)
@@ -264,7 +164,7 @@ func (a *alg1Process) solveComponent() {
 	for i, id := range members {
 		pos[id] = i
 	}
-	comp := graph.New(len(members))
+	var edges [][2]int
 	var target []int
 	for i, id := range members {
 		rec := a.records[id]
@@ -273,31 +173,51 @@ func (a *alg1Process) solveComponent() {
 		}
 		for _, nbr := range rec.PartNbrs {
 			if j, ok := pos[nbr]; ok && i < j {
-				comp.AddEdge(i, j)
+				edges = append(edges, [2]int{i, j})
 			}
 		}
 	}
-	var chosen []int
-	c := comp.Freeze()
-	if len(members) <= a.p.MaxBruteComponent {
-		// Same budget as the centralized call sites, so the distributed
-		// run falls back on exactly the components they do.
-		sol, err := mds.ExactBDominating(c, target, mds.ExactOptions{MaxNodes: BruteNodeBudget})
-		if err == nil {
-			chosen = sol
-		} else {
-			chosen = mds.GreedyBDominatingCSR(c, target)
-		}
-	} else {
-		chosen = mds.GreedyBDominatingCSR(c, target)
+	chosen := a.rule.solve(graph.CSRFromEdges(len(members), edges), target)
+	for i, v := range chosen {
+		chosen[i] = members[v]
 	}
-	me := pos[a.info.ID]
-	for _, v := range chosen {
-		if v == me {
-			a.inS = true
+	return chosen
+}
+
+// residualRecord is the flood record of residual vertex v of c: its
+// residual neighbors, mapped to view indices by label.
+func residualRecord(c *graph.CSR, v int, rest []int32, label func(int) int, undominated bool) *partRecord {
+	var nbrs []int
+	for _, u := range c.Row(v) {
+		if _, ok := slices.BinarySearch(rest, u); ok {
+			nbrs = append(nbrs, label(int(u)))
 		}
 	}
-	a.inS = a.inS || a.inS1
+	return &partRecord{PartNbrs: nbrs, Undominated: undominated}
+}
+
+// mdsFlood is Algorithm 1's dominating-set rule: Alg1CSR's TwinReduce,
+// Cuts and Partition on the view.
+type mdsFlood struct{ p Params }
+
+func (r mdsFlood) decide(c *graph.CSR, center int) (bool, *partRecord) {
+	rc, active := graph.TwinReduceCSR(c)
+	v, kept := slices.BinarySearch(active, center)
+	if !kept {
+		return false, nil
+	}
+	x, i := cuts.LocalCutsWorkers(rc, r.p.R1, r.p.R2, 1, graph.NewArena())
+	s1 := graph.SortedUnion(x, i)
+	dominated, _, rest := partitionResidual(rc, s1)
+	if _, ok := slices.BinarySearch(rest, int32(v)); !ok {
+		return graph.SortedContains(s1, v), nil
+	}
+	return false, residualRecord(rc, v, rest, func(u int) int { return active[u] }, !dominated[v])
+}
+
+func (r mdsFlood) solve(sub *graph.CSR, target []int) []int {
+	chosen, _ := solveMDSComponent(sub, target, r.p)
+	return chosen
 }
 
 // RunAlg1 executes the distributed Algorithm 1 on g with identifier
@@ -308,19 +228,5 @@ func RunAlg1(g *graph.Graph, ids []int, p Params, engine local.Engine) ([]int, l
 	if err != nil {
 		return nil, local.Stats{}, err
 	}
-	nw, err := local.NewNetwork(g, ids)
-	if err != nil {
-		return nil, local.Stats{}, err
-	}
-	res, err := nw.Run(engine, func(int) local.Process { return NewAlg1Process(p) }, 0)
-	if err != nil {
-		return nil, local.Stats{}, err
-	}
-	var s []int
-	for v, out := range res.Outputs {
-		if in, ok := out.(bool); ok && in {
-			s = append(s, v)
-		}
-	}
-	return s, res.Stats, nil
+	return runBooleanProcess(g, ids, engine, func(int) local.Process { return NewAlg1Process(p) })
 }

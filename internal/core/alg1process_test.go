@@ -12,8 +12,12 @@ import (
 )
 
 // TestRunAlg1MatchesCentralized pins the simulator to the centralized
-// driver. The second params value caps brute force at two vertices, so
-// components fall back to the greedy (mds.GreedyBDominatingCSR in both).
+// driver and to the spec oracle Alg1Sequential: the process runs the
+// driver's own CSR steps on its view, so the adjacency-list spec is the
+// independent side. The second params value caps brute force at two
+// vertices, so components fall back to the greedy; R1 = 2, R2 = 4 takes
+// the cut kernel's r1 != r2 branch, and at 40 every ball saturates, so
+// the kernel's ball-equality skip runs.
 func TestRunAlg1MatchesCentralized(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tests := []struct {
@@ -28,6 +32,9 @@ func TestRunAlg1MatchesCentralized(t *testing.T) {
 		{"ding", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 20, T: 5}, rng)},
 		{"twins", gen.Complete(5)},
 		{"grid", gen.Grid(6, 6)},
+		// C7's dominating set at R1 = 2, R2 = 4 differs from the one at
+		// R1 = 4, R2 = 2, so this case tells the two radii apart.
+		{"cycle7", gen.Cycle(7)},
 	}
 	params := []struct {
 		suffix string
@@ -35,6 +42,8 @@ func TestRunAlg1MatchesCentralized(t *testing.T) {
 	}{
 		{"", Params{R1: 3, R2: 3}},
 		{"/brute2", Params{R1: 3, R2: 3, MaxBruteComponent: 2}},
+		{"/r2-4", Params{R1: 2, R2: 4}},
+		{"/r40", Params{R1: 40, R2: 40}},
 	}
 	fallbacks := 0
 	for _, pc := range params {
@@ -44,7 +53,11 @@ func TestRunAlg1MatchesCentralized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Alg1: %v", err)
 				}
-				if pc.suffix != "" {
+				spec, err := Alg1Sequential(tt.g, pc.p)
+				if err != nil {
+					t.Fatalf("Alg1Sequential: %v", err)
+				}
+				if pc.suffix == "/brute2" {
 					fallbacks += want.BruteFallbacks
 				}
 				got, stats, err := RunAlg1(tt.g, nil, pc.p, local.Sequential)
@@ -53,6 +66,9 @@ func TestRunAlg1MatchesCentralized(t *testing.T) {
 				}
 				if !graph.EqualSets(got, want.S) {
 					t.Errorf("process = %v, centralized = %v", got, want.S)
+				}
+				if !graph.EqualSets(got, spec.S) {
+					t.Errorf("process = %v, spec = %v", got, spec.S)
 				}
 				if stats.Rounds > want.RoundsEstimate {
 					t.Errorf("rounds %d exceed estimate %d", stats.Rounds, want.RoundsEstimate)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"localmds/internal/graph"
 	"localmds/internal/local"
@@ -45,104 +45,51 @@ func gammaAtLeastTwo(c *graph.CSR, v int) bool {
 	return true
 }
 
-// d2Process is the message-passing Theorem 4.4 algorithm. The paper counts
-// 3 rounds (know your distance-2 neighborhood, decide); in our KT0 gather
-// protocol the same knowledge — adjacency out to distance 3, needed to
-// evaluate the twin reduction at the vertex's neighbors — costs 5 rounds
-// (identifier exchange and one-hop-per-round record forwarding). The
-// decision logic is identical.
-type d2Process struct {
-	g    local.Gatherer
-	info local.NodeInfo
-	inS  bool
-}
-
 // D2GatherRounds is the number of gather rounds the distributed Theorem 4.4
-// implementation uses: adjacency to distance 3.
+// implementation uses: adjacency to distance 3. The paper counts 3 rounds
+// (know your distance-2 neighborhood, decide); in our KT0 gather protocol
+// the same knowledge — adjacency out to distance 3, needed to evaluate the
+// twin reduction at the vertex's neighbors — costs 5 rounds (identifier
+// exchange and one-hop-per-round record forwarding).
 const D2GatherRounds = 5
 
 // NewD2Process returns the distributed Theorem 4.4 process; outputs are
-// booleans (membership in the dominating set).
+// booleans (membership in the dominating set). It gathers, then runs D2's
+// own steps on the view: the twin reduction, and γ ≥ 2 at the center when
+// it is a representative.
 func NewD2Process() local.Process {
-	return &d2Process{}
+	return &viewProcess{rounds: D2GatherRounds, decide: func(c *graph.CSR, center int) bool {
+		rc, active := graph.TwinReduceCSR(c)
+		v, kept := slices.BinarySearch(active, center)
+		return kept && gammaAtLeastTwo(rc, v)
+	}}
 }
 
-func (p *d2Process) Init(info local.NodeInfo) {
-	p.info = info
-	p.g.Init(info)
+// viewProcess gathers its view for a fixed number of rounds, then outputs
+// decide's answer for the center of the view's CSR.
+type viewProcess struct {
+	rounds int
+	decide func(c *graph.CSR, center int) bool
+	g      local.Gatherer
+	inS    bool
 }
 
-func (p *d2Process) Round(round int, inbox []local.Message) ([]local.Message, bool) {
+func (p *viewProcess) Init(info local.NodeInfo) { p.g.Init(info) }
+
+func (p *viewProcess) Round(round int, inbox []local.Message) ([]local.Message, bool) {
 	out := p.g.Step(round, inbox)
-	if round < D2GatherRounds {
+	if round < p.rounds {
 		return out, false
 	}
-	p.decide()
+	c, _, center := viewCSR(&p.g)
+	p.inS = p.decide(c, center)
 	return out, true
 }
 
-func (p *d2Process) Output() any { return p.inS }
-
-func (p *d2Process) decide() {
-	bg, ids, center := p.g.View().Graph()
-	// One-shot twin reduction, evaluated locally: keep the min-identifier
-	// representative per true-twin class. Our own status needs adjacency
-	// to distance 2; our neighbors' status to distance 3 — both inside
-	// the gathered view.
-	kept := func(i int) bool {
-		ni := bg.ClosedNeighborhood(i)
-		for _, j := range bg.Neighbors(i) {
-			if ids[j] < ids[i] && graph.EqualSets(ni, bg.ClosedNeighborhood(j)) {
-				return false
-			}
-		}
-		return true
-	}
-	if !kept(center) {
-		p.inS = false
-		return
-	}
-	// γ(center) on the reduced graph: reduced closed neighborhood is the
-	// kept subset of the real one.
-	reducedClosed := func(i int) []int {
-		var out []int
-		for _, j := range bg.ClosedNeighborhood(i) {
-			if kept(j) {
-				out = append(out, j)
-			}
-		}
-		sort.Ints(out)
-		return out
-	}
-	nv := reducedClosed(center)
-	for _, u := range bg.Neighbors(center) {
-		if !kept(u) {
-			continue
-		}
-		if graph.IsSubset(nv, reducedClosed(u)) {
-			p.inS = false
-			return
-		}
-	}
-	p.inS = true
-}
+func (p *viewProcess) Output() any { return p.inS }
 
 // RunD2 executes the distributed Theorem 4.4 algorithm on g and returns
 // the dominating set, run statistics, and any simulator error.
 func RunD2(g *graph.Graph, ids []int, engine local.Engine) ([]int, local.Stats, error) {
-	nw, err := local.NewNetwork(g, ids)
-	if err != nil {
-		return nil, local.Stats{}, err
-	}
-	res, err := nw.Run(engine, func(int) local.Process { return NewD2Process() }, 0)
-	if err != nil {
-		return nil, local.Stats{}, err
-	}
-	var s []int
-	for v, out := range res.Outputs {
-		if in, ok := out.(bool); ok && in {
-			s = append(s, v)
-		}
-	}
-	return s, res.Stats, nil
+	return runBooleanProcess(g, ids, engine, func(int) local.Process { return NewD2Process() })
 }

@@ -6,16 +6,16 @@ import (
 	"localmds/internal/local"
 )
 
-// Regression test for the flood-seed map walks in alg1process.go and
-// mvcprocess.go: the first flooding-phase broadcast is seeded from the
-// records map, and its wire order must not depend on Go's randomized
+// Regression test for the flood-seed map walk in floodProcess.Round
+// (alg1process.go), run once per rule: the first flooding-phase broadcast
+// is seeded from the records map, and its wire order must not depend on Go's randomized
 // map iteration. With 16 records, an unsorted seed would produce a
 // differing order within a few repetitions with overwhelming
 // probability.
 
 // seedRecords returns a records map whose PartNbrs reference an unknown
 // vertex, so the component never closes and Round stops after the
-// broadcast (no solveComponent).
+// broadcast (no componentPicks).
 func seedRecords() map[int]partRecord {
 	m := make(map[int]partRecord)
 	for _, id := range []int{11, 3, 29, 7, 23, 2, 17, 5, 31, 13, 19, 37, 41, 43, 47, 53} {
@@ -63,34 +63,27 @@ func assertStableSeedOrder(t *testing.T, run func() []int) {
 	}
 }
 
+// floodSeedOrder runs the first flooding round of a floodProcess with
+// rule and the seedRecords, and returns the broadcast's record IDs.
+func floodSeedOrder(t *testing.T, rule floodRule) []int {
+	t.Helper()
+	a := &floodProcess{
+		rule:         rule,
+		gatherRounds: 0,
+		records:      seedRecords(),
+		info:         local.NodeInfo{ID: 1, Ports: 2, N: 64},
+	}
+	out, done := a.Round(1, nil)
+	if done {
+		t.Fatal("component unexpectedly closed")
+	}
+	return broadcastIDs(t, out)
+}
+
 func TestAlg1FloodSeedDeterministic(t *testing.T) {
-	assertStableSeedOrder(t, func() []int {
-		a := &alg1Process{
-			gatherRounds: 0,
-			participant:  true,
-			records:      seedRecords(),
-			info:         local.NodeInfo{ID: 1, Ports: 2, N: 64},
-		}
-		out, done := a.Round(1, nil)
-		if done {
-			t.Fatal("component unexpectedly closed")
-		}
-		return broadcastIDs(t, out)
-	})
+	assertStableSeedOrder(t, func() []int { return floodSeedOrder(t, mdsFlood{}) })
 }
 
 func TestMVCAlg1FloodSeedDeterministic(t *testing.T) {
-	assertStableSeedOrder(t, func() []int {
-		a := &mvcAlg1Process{
-			gatherRounds: 0,
-			participant:  true,
-			records:      seedRecords(),
-			info:         local.NodeInfo{ID: 1, Ports: 2, N: 64},
-		}
-		out, done := a.Round(1, nil)
-		if done {
-			t.Fatal("component unexpectedly closed")
-		}
-		return broadcastIDs(t, out)
-	})
+	assertStableSeedOrder(t, func() []int { return floodSeedOrder(t, mvcFlood{}) })
 }

@@ -58,23 +58,13 @@ func MVCAlg1(g *graph.Graph, p Params, opt PipelineOptions) (*MVCResult, error) 
 		return len(res.X) + len(res.C2)
 	})
 
-	// Partition: the residual is every vertex outside S1 = X ∪ C2 with an
-	// uncovered incident edge, i.e. a neighbor outside S1 too.
+	// Partition: the residual components of G - (X ∪ C2) with an uncovered
+	// edge.
 	var s1 []int
 	var comps [][]int32
 	res.StageStats.runStage(hooks, "Partition", "residual components", func() int {
 		s1 = graph.SortedUnion(res.X, res.C2)
-		inS1 := make([]bool, csr.N())
-		for _, v := range s1 {
-			inS1[v] = true
-		}
-		var rest []int32
-		for v := range csr.N() {
-			if !inS1[v] && slices.ContainsFunc(csr.Row(v), func(u int32) bool { return !inS1[u] }) {
-				rest = append(rest, int32(v))
-			}
-		}
-		comps = csr.SubsetComponents(rest, arena)
+		comps = csr.SubsetComponents(mvcResidual(csr, s1), arena)
 		return len(comps)
 	})
 
@@ -82,13 +72,8 @@ func MVCAlg1(g *graph.Graph, p Params, opt PipelineOptions) (*MVCResult, error) 
 	// matching 2-approximation above the cap or out of budget.
 	var outs []compOut
 	res.StageStats.runStage(hooks, "ComponentSolve", "solved components", func() int {
-		outs = solveComponents(csr, comps, workers, hooks, func(sub *graph.CSR, comp []int32) ([]int, bool) {
-			if len(comp) <= p.MaxBruteComponent {
-				if chosen, err := mds.ExactMVC(sub, mds.ExactOptions{MaxNodes: BruteNodeBudget}); err == nil {
-					return chosen, false
-				}
-			}
-			return mds.MatchingVertexCover(sub), true
+		outs = solveComponents(csr, comps, workers, hooks, func(sub *graph.CSR, _ []int32) ([]int, bool) {
+			return solveMVCComponent(sub, p)
 		})
 		return len(outs)
 	})
@@ -100,6 +85,37 @@ func MVCAlg1(g *graph.Graph, p Params, opt PipelineOptions) (*MVCResult, error) 
 	return res, nil
 }
 
+// mvcResidual is MVCAlg1's Partition rule: every vertex outside S1 (s1,
+// ascending) with an uncovered incident edge, i.e. a neighbor outside S1
+// too, ascending.
+func mvcResidual(c *graph.CSR, s1 []int) []int32 {
+	inS1 := make([]bool, c.N())
+	for _, v := range s1 {
+		inS1[v] = true
+	}
+	var rest []int32
+	for v := range c.N() {
+		if !inS1[v] && slices.ContainsFunc(c.Row(v), func(u int32) bool { return !inS1[u] }) {
+			rest = append(rest, int32(v))
+		}
+	}
+	return rest
+}
+
+// solveMVCComponent is the vertex-cover variant's component-solve
+// dispatch, run by MVCAlg1 and by the LOCAL process alike: an exact
+// minimum vertex cover of sub when it has at most p.MaxBruteComponent
+// vertices and the search stays within BruteNodeBudget, else the matching
+// 2-approximation, which fallback reports.
+func solveMVCComponent(sub *graph.CSR, p Params) (chosen []int, fallback bool) {
+	if sub.N() <= p.MaxBruteComponent {
+		if chosen, err := mds.ExactMVC(sub, mds.ExactOptions{MaxNodes: BruteNodeBudget}); err == nil {
+			return chosen, false
+		}
+	}
+	return mds.MatchingVertexCover(sub), true
+}
+
 // MVCD2 is the Theorem 4.4 vertex-cover variant (the paper states a
 // t-approximation in 3 rounds and omits the proof; this is the natural
 // analogue): reduce true twins, then take every vertex that is incident to
@@ -108,7 +124,18 @@ func MVCAlg1(g *graph.Graph, p Params, opt PipelineOptions) (*MVCResult, error) 
 // correctness, the smaller-identifier endpoint of any edge both of whose
 // endpoints were rejected.
 func MVCD2(g *graph.Graph) *MVCResult {
-	c := g.Freeze()
+	var s []int
+	for v, ok := range mvcD2Cover(g.Freeze()) {
+		if ok {
+			s = append(s, v)
+		}
+	}
+	return &MVCResult{S: s}
+}
+
+// mvcD2Cover is MVCD2 on a CSR, as a membership bitmap over c's vertices;
+// the LOCAL process runs it on its view and reads the center's bit.
+func mvcD2Cover(c *graph.CSR) []bool {
 	reduced, active := graph.TwinReduceCSR(c)
 	take := make([]bool, reduced.N())
 	for v := range reduced.N() {
@@ -117,7 +144,7 @@ func MVCD2(g *graph.Graph) *MVCResult {
 	// Repair pass, radius 1 and simultaneous (hence LOCAL-computable): a
 	// rejected vertex joins when it has a rejected neighbor with a larger
 	// label, covering every doubly rejected edge by its smaller endpoint.
-	// Then map back to g and repair edges involving removed twins the
+	// Then map back to c and repair edges involving removed twins the
 	// same way (a removed twin x of representative u has N[x] = N[u], so
 	// edges at x mirror edges at u).
 	inCover := make([]bool, c.N())
@@ -126,13 +153,7 @@ func MVCD2(g *graph.Graph) *MVCResult {
 			inCover[active[v]] = true
 		}
 	}
-	var s []int
-	for v, ok := range repairUncoveredEdges(c, inCover) {
-		if ok {
-			s = append(s, v)
-		}
-	}
-	return &MVCResult{S: s}
+	return repairUncoveredEdges(c, inCover)
 }
 
 // repairUncoveredEdges returns take plus, for every edge with both

@@ -151,11 +151,11 @@ func TestMVCAlg1NodeBudgetFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := &mvcAlg1Process{p: norm, records: map[int]partRecord{}}
+	proc := &floodProcess{rule: mvcFlood{norm}, records: map[int]partRecord{}}
 	for v := range g.N() {
 		proc.records[v] = partRecord{PartNbrs: g.Neighbors(v)}
 	}
-	if got := proc.componentCover(); !graph.EqualSets(graph.Dedup(got), res.S) {
+	if got := proc.componentPicks(); !graph.EqualSets(graph.Dedup(got), res.S) {
 		t.Errorf("process component cover %v, MVCAlg1 %v", got, res.S)
 	}
 }

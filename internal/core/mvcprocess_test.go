@@ -68,23 +68,36 @@ func TestRunMVCAlg1IsCover(t *testing.T) {
 }
 
 func TestRunMVCAlg1MatchesCentralized(t *testing.T) {
-	// The process and the centralized variant use the same cut sets and
-	// the same exact solver; with identity identifiers the residual
-	// component instances coincide, so outputs are equal.
+	// The process runs MVCAlg1's own CSR steps on its view and the same
+	// component solve; with identity identifiers the residual component
+	// instances coincide, so outputs are equal. The spec oracle
+	// mvcAlg1Sequential is the independent side. R1 = 2, R2 = 4 takes the
+	// cut kernel's r1 != r2 branch; at 40 every ball saturates.
 	rng := rand.New(rand.NewSource(59))
-	p := Params{R1: 3, R2: 3}
+	var graphs []*graph.Graph
 	for i := 0; i < 4; i++ {
-		g := gen.RandomCactus(18, rng)
-		want, err := MVCAlg1(g, p, PipelineOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := RunMVCAlg1(g, nil, p, local.Sequential)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !graph.EqualSets(got, want.S) {
-			t.Errorf("instance %d: process %v vs centralized %v", i, got, want.S)
+		graphs = append(graphs, gen.RandomCactus(18, rng))
+	}
+	for _, p := range []Params{{R1: 3, R2: 3}, {R1: 2, R2: 4}, {R1: 40, R2: 40}} {
+		for i, g := range graphs {
+			want, err := MVCAlg1(g, p, PipelineOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := mvcAlg1Sequential(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := RunMVCAlg1(g, nil, p, local.Sequential)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !graph.EqualSets(got, want.S) {
+				t.Errorf("r1=%d r2=%d instance %d: process %v vs centralized %v", p.R1, p.R2, i, got, want.S)
+			}
+			if !graph.EqualSets(got, spec.S) {
+				t.Errorf("r1=%d r2=%d instance %d: process %v vs spec %v", p.R1, p.R2, i, got, spec.S)
+			}
 		}
 	}
 }

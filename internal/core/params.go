@@ -4,10 +4,16 @@
 // asymptotic dimension and control function), the 3-round
 // (2t-1)-approximation of Theorem 4.4, their Minimum Vertex Cover variants,
 // the folklore baselines of Table 1, and the Lemma 5.17/5.18 minor
-// construction. Each algorithm has a centralized reference implementation
-// (used by the experiment harness at scale) and, where the paper claims a
-// round bound, a message-passing implementation for the internal/local
-// simulator whose outputs are tested to coincide with the reference.
+// construction. Each algorithm has a centralized implementation on the
+// CSR (used by the experiment harness at scale) and, where the paper
+// claims a round bound, a message-passing implementation for the
+// internal/local simulator. A message-passing process gathers its view
+// and runs the centralized steps on the view's CSR, reading the answer at
+// its own vertex; Algorithm 1 and its vertex-cover variant then flood
+// their residual component and solve it with the centralized
+// component-solve dispatch. The outputs are tested to coincide with the
+// centralized drivers and with the adjacency-list spec oracles in the
+// package's tests.
 package core
 
 import "fmt"

@@ -219,15 +219,7 @@ func Alg1CSR(in *graph.CSR, p Params, opt PipelineOptions) (*Alg1Result, error) 
 					target = append(target, i)
 				}
 			}
-			if len(comp) <= p.MaxBruteComponent {
-				// Node counts are input-determined, so the same
-				// components exhaust the budget on every run and in
-				// Alg1Process.
-				if chosen, err := mds.ExactBDominating(sub, target, mds.ExactOptions{MaxNodes: BruteNodeBudget}); err == nil {
-					return chosen, false
-				}
-			}
-			return mds.GreedyBDominatingCSR(sub, target), true
+			return solveMDSComponent(sub, target, p)
 		})
 		return len(outs)
 	})
@@ -271,6 +263,21 @@ func partitionResidual(csr *graph.CSR, s1Local []int) (dominated []bool, uLocal 
 		}
 	}
 	return dominated, uLocal, rest
+}
+
+// solveMDSComponent is Algorithm 1's component-solve dispatch, run by
+// Alg1CSR and by the LOCAL process alike: a minimum set of sub dominating
+// target, exact when sub has at most p.MaxBruteComponent vertices and the
+// search stays within BruteNodeBudget, else the greedy, which fallback
+// reports. Node counts are input-determined, so the same components fall
+// back on every run.
+func solveMDSComponent(sub *graph.CSR, target []int, p Params) (chosen []int, fallback bool) {
+	if sub.N() <= p.MaxBruteComponent {
+		if chosen, err := mds.ExactBDominating(sub, target, mds.ExactOptions{MaxNodes: BruteNodeBudget}); err == nil {
+			return chosen, false
+		}
+	}
+	return mds.GreedyBDominatingCSR(sub, target), true
 }
 
 // compOut is one component's ComponentSolve result, indexed by component so

@@ -9,7 +9,9 @@ import (
 // IsLocalOneCut reports whether {v} is an r-local minimal 1-cut of g
 // (Definition 2.1 with k = 1): v is a cut vertex of g[N^r[v]]. The ball
 // subgraph is always connected (every member reaches v inside the ball), so
-// every articulation point of it is a minimal 1-cut.
+// every articulation point of it is a minimal 1-cut. It copies one induced
+// ball per call and is kept as a spec: its callers are LocalOneCuts and
+// cuts' edgecases_test.go, all test-only.
 func IsLocalOneCut(g *graph.Graph, v, r int) bool {
 	ball, idx := g.InducedBall(v, r)
 	local := indexOf(idx, v)
@@ -38,7 +40,11 @@ func LocalOneCuts(g *graph.Graph, r int) []int {
 
 // IsLocalTwoCut reports whether {u, v} is an r-local minimal 2-cut of g
 // (Definition 2.1 with k = 2): u and v are at distance at most r in g, and
-// {u, v} is a minimal 2-cut of g[N^r[u] ∪ N^r[v]].
+// {u, v} is a minimal 2-cut of g[N^r[u] ∪ N^r[v]]. It copies one induced
+// pair ball per call and is kept as the spec of the C2 of
+// LocalCutsC2Workers: its callers are IsLocallyInteresting,
+// LocallyInterestingVertices and tests (cuts' local_test.go, graph's
+// stampwrap_test.go and core's mvc_reference_test.go).
 func IsLocalTwoCut(g *graph.Graph, u, v, r int) bool {
 	if u == v {
 		return false
@@ -54,7 +60,8 @@ func IsLocalTwoCut(g *graph.Graph, u, v, r int) bool {
 // IsLocallyInteresting reports whether v is r-interesting (§3.2): there is
 // an r-local 2-cut c = {u, v} such that N[v] ⊈ N[u] (closed neighborhoods
 // in g) and at least two connected components of g[N^r[c]] - c each contain
-// a vertex non-adjacent to u.
+// a vertex non-adjacent to u. It is kept as a spec: its callers are
+// LocallyInterestingVertices and cuts' local_test.go, all test-only.
 func IsLocallyInteresting(g *graph.Graph, v, u, r int) bool {
 	if !IsLocalTwoCut(g, u, v, r) {
 		return false

@@ -64,6 +64,8 @@ func (g *Graph) bfsLoop(dist []int, queue []int, r int) {
 }
 
 // Dist returns the hop distance between u and v, or -1 if disconnected.
+// Only test code calls it: cuts.IsLocalTwoCut, a test-only spec, and
+// graph's bfs_test.go and cuts' local_test.go.
 func (g *Graph) Dist(u, v int) int {
 	if u == v {
 		return 0

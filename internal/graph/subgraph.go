@@ -39,7 +39,8 @@ func (g *Graph) Induced(s []int) (*Graph, []int) {
 }
 
 // InducedBall returns g[N^r[v]] plus the vertex mapping, a convenience for
-// local-cut detection (Definition 2.1).
+// local-cut detection (Definition 2.1). Only test code calls it:
+// cuts.IsLocalOneCut, a test-only spec, and graph's subgraph_test.go.
 func (g *Graph) InducedBall(v, r int) (*Graph, []int) {
 	return g.Induced(g.Ball(v, r))
 }

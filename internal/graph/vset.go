@@ -97,6 +97,8 @@ func IsSubset(a, b []int) bool {
 func Dedup(s []int) []int { return dedupSorted(s) }
 
 // EqualSets reports whether two sorted duplicate-free slices are equal.
+// Only tests call it, as the set-equality assertion of the core, cuts,
+// graph, local and mds tests.
 func EqualSets(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

@@ -185,6 +185,11 @@ func solveTW2(c *graph.CSR, rule bagRule) ([]int, error) {
 	for q := range pw[3] {
 		digit[q] = [3]int{q % base, q / base % base, q / pw[2]}
 	}
+	// baseOK[k][mask][q] caches rule.base for a k-slot bag whose in-bag
+	// edges are mask (bit a+b-1 for slots a > b); a row is filled the
+	// first time a bag of that shape appears.
+	var baseOK [4][8][dpMaxBag]bool
+	var baseDone [4][8]bool
 	up := make([]int32, n*dpMaxRest)  // up[i*dpMaxRest+p]: best cost of bag i's subtree, rest profile p
 	upQ := make([]uint8, n*dpMaxRest) // the full profile attaining it
 	// back[ch*dpMaxBag+q]: folding child ch reached its parent's profile q
@@ -195,18 +200,27 @@ func solveTW2(c *graph.CSR, rule bagRule) ([]int, error) {
 		slots := [3]int32{d.v[i], d.rest[i][0], d.rest[i][1]}
 		k := 1 + int(d.nrest[i])
 		var adj [3]int
+		mask := 0
 		for a := 1; a < k; a++ {
 			for b := range a {
 				if _, ok := slices.BinarySearch(c.Row(int(slots[a])), slots[b]); ok {
 					adj[a] |= 1 << b
 					adj[b] |= 1 << a
+					mask |= 1 << (a + b - 1)
 				}
 			}
 		}
 		size := pw[k]
+		ok := &baseOK[k][mask]
+		if !baseDone[k][mask] {
+			baseDone[k][mask] = true
+			for q := range size {
+				ok[q] = rule.base(digit[q], adj, k)
+			}
+		}
 		for q := range size {
 			full[q] = dpInf
-			if rule.base(digit[q], adj, k) {
+			if ok[q] {
 				full[q] = 0
 				if digit[q][0] == in {
 					full[q] = 1

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -93,29 +94,40 @@ type jobHeader struct {
 	CacheAgeS *float64   `json:"cache_age_s,omitempty"` // served entry's age, cache hits only
 }
 
-// encode is the view's JSON as served: the header fields, then the
-// outcome's sealed bytes spliced in, so a cache hit encodes only the
-// header. The bytes equal the default encoding of the view (JobView has
-// no MarshalJSON, so json.Marshal of it stays the reference).
-func (v JobView) encode() ([]byte, error) {
+// writeTo writes the view's JSON as served, newline-terminated: the
+// header fields, then the outcome's sealed bytes spliced in, so a cache
+// hit encodes only the header and copies nothing. The bytes equal the
+// default encoding of the view (JobView has no MarshalJSON, so
+// json.Marshal of it stays the reference). Everything is marshaled before
+// the first write, so an error means nothing was written.
+func (v JobView) writeTo(w io.Writer) error {
 	head, err := json.Marshal(v.jobHeader)
-	if err != nil || v.SolveOutcome == nil {
-		return head, err
+	if err != nil {
+		return err
+	}
+	if v.SolveOutcome == nil {
+		_, _ = w.Write(append(head, '\n'))
+		return nil
 	}
 	out := v.SolveOutcome.encoded
 	if out == nil {
 		if out, err = json.Marshal(v.SolveOutcome); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	// head is {...} with at least the job_id member, out is {...} with
-	// at least the fingerprint member: join them with one comma. The
-	// extra byte of capacity is writeJSON's newline.
-	b := make([]byte, 0, len(head)+len(out)+1)
-	b = append(b, head[:len(head)-1]...)
-	b = append(b, ',')
-	return append(b, out[1:]...), nil
+	// head is {...} with at least the job_id member, out is {...} with at
+	// least the fingerprint member: join them with one comma, written over
+	// head's closing brace (head is this call's own buffer). A failed
+	// write means the client is gone; there is no one left to tell.
+	head[len(head)-1] = ','
+	_, _ = w.Write(head)
+	_, _ = w.Write(out[1:])
+	_, _ = w.Write(newline)
+	return nil
 }
+
+// newline terminates every JSON response.
+var newline = []byte{'\n'}
 
 // view snapshots the job under its lock.
 func (j *Job) view() JobView {

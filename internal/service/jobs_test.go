@@ -18,7 +18,7 @@ import (
 type plainJobView JobView
 
 // checkSplice asserts that the job's view encodes exactly as the default
-// encoding does, through JobView.encode and through GET /v1/jobs/{id}.
+// encoding does, through JobView.writeTo and through GET /v1/jobs/{id}.
 // sealed says the view must carry an outcome with cached bytes, so the
 // splice (not the fallback marshal) is what ran.
 func checkSplice(t *testing.T, s *Server, base, name, id string, sealed bool) {
@@ -35,12 +35,12 @@ func checkSplice(t *testing.T, s *Server, base, name, id string, sealed bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.encode()
-	if err != nil {
+	var got bytes.Buffer
+	if err := v.writeTo(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: spliced encoding differs\n got %s\nwant %s", name, got, want)
+	if !bytes.Equal(got.Bytes(), append(want, '\n')) {
+		t.Fatalf("%s: spliced encoding differs\n got %s\nwant %s", name, got.Bytes(), want)
 	}
 	if body := getBody(t, base+"/v1/jobs/"+id); body != string(want)+"\n" {
 		t.Fatalf("%s: GET /v1/jobs/%s differs\n got %s\nwant %s", name, id, body, want)
