@@ -440,9 +440,9 @@ func BenchmarkMinorDetection(b *testing.B) {
 // BenchmarkTable1Full regenerates the whole Table 1 (the cmd/mdsbench
 // default) once per iteration at reduced size.
 func BenchmarkTable1Full(b *testing.B) {
-	cfg := experiments.Table1Config{Seed: 1, N: 60, ProcessN: 20}
+	cfg := experiments.Table1Config{N: 60, ProcessN: 20}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(cfg); err != nil {
+		if _, err := experiments.Table1Spec(cfg).RunSequential(1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -119,7 +119,7 @@ func run(args []string, stdout io.Writer) error {
 		root = *rootSeed
 	}
 
-	cfg := experiments.Table1Config{Seed: root, N: *n, ProcessN: *processN}
+	cfg := experiments.Table1Config{N: *n, ProcessN: *processN}
 	groups := []group{
 		{"table1", []experiments.Spec{experiments.Table1Spec(cfg)}},
 		{"mvc", []experiments.Spec{experiments.MVCTableSpec(cfg)}},

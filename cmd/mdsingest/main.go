@@ -47,7 +47,6 @@ import (
 	"localmds/internal/graph"
 	"localmds/internal/graphio"
 	"localmds/internal/mds"
-	"localmds/internal/runner"
 )
 
 func main() {
@@ -184,11 +183,9 @@ func runParse(rep *report, in, format string, workers int, fingerprint bool) err
 	if err != nil {
 		return err
 	}
-	pool := runner.NewPool(workers, 4*workers)
-	defer pool.Close()
 	rep.Workers = workers
 	start := time.Now()
-	c, err := graphio.ParseCSRFile(in, f, graphio.CSROptions{Pool: pool})
+	c, err := graphio.ParseCSRFile(in, f, graphio.CSROptions{Workers: workers})
 	if err != nil {
 		return err
 	}
@@ -205,11 +202,9 @@ func runConvert(rep *report, in, format, out string, workers int) error {
 	if err != nil {
 		return err
 	}
-	pool := runner.NewPool(workers, 4*workers)
-	defer pool.Close()
 	rep.Workers = workers
 	start := time.Now()
-	c, err := graphio.ParseCSRFile(in, f, graphio.CSROptions{Pool: pool})
+	c, err := graphio.ParseCSRFile(in, f, graphio.CSROptions{Workers: workers})
 	if err != nil {
 		return err
 	}
@@ -243,7 +238,7 @@ func runSolve(rep *report, in, format string, workers int, p core.Params) error 
 	}
 	start := time.Now()
 	var csr *graph.CSR
-	if f == graphio.FormatCSRBin || (f == graphio.FormatAuto && strings.HasSuffix(in, ".csrbin")) {
+	if graphio.SniffCSRBin(in, f) {
 		m, err := graphio.OpenCSRBin(in, graphio.OpenOptions{})
 		if err != nil {
 			return err
@@ -252,9 +247,7 @@ func runSolve(rep *report, in, format string, workers int, p core.Params) error 
 		rep.Mapped = &m.Mapped
 		csr = &m.CSR
 	} else {
-		pool := runner.NewPool(workers, 4*workers)
-		csr, err = graphio.ParseCSRFile(in, f, graphio.CSROptions{Pool: pool})
-		pool.Close()
+		csr, err = graphio.ParseCSRFile(in, f, graphio.CSROptions{Workers: workers})
 		if err != nil {
 			return err
 		}

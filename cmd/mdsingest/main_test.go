@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -69,5 +70,42 @@ func TestBadModeAndMissingArgs(t *testing.T) {
 	}
 	if err := run([]string{"-mode", "convert", "-in", "x"}, &out); err == nil {
 		t.Fatal("convert without -o accepted")
+	}
+}
+
+// TestSolvePicksMmapByMagic: with -format auto, solve maps a csrbin file
+// by its magic bytes whatever it is called, and parses a text file as
+// text even when it carries the .csrbin suffix.
+func TestSolvePicksMmapByMagic(t *testing.T) {
+	dir := t.TempDir()
+	edges := filepath.Join(dir, "g.edges")
+	bin := filepath.Join(dir, "g.bin")
+	runJSON(t, "-mode", "gen", "-edges", "500", "-o", edges)
+	runJSON(t, "-mode", "convert", "-in", edges, "-o", bin)
+
+	// Radius 1 makes every grid vertex a local cut (S = V on any loader),
+	// so the size comparison below runs at radius 4.
+	solve := runJSON(t, "-mode", "solve", "-in", bin, "-r1", "4", "-r2", "4")
+	if solve.Mapped == nil {
+		t.Fatalf("csrbin named %s was not opened with OpenCSRBin: %+v", bin, solve)
+	}
+
+	text, err := os.ReadFile(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disguised := filepath.Join(dir, "t.csrbin")
+	if err := os.WriteFile(disguised, text, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	parsed := runJSON(t, "-mode", "solve", "-in", disguised, "-r1", "4", "-r2", "4")
+	if parsed.Mapped != nil {
+		t.Fatalf("edge list named %s was opened as csrbin: %+v", disguised, parsed)
+	}
+	if solve.SolutionSize >= solve.N {
+		t.Fatalf("csrbin solve took every vertex: %+v", solve)
+	}
+	if parsed.Valid == nil || !*parsed.Valid || parsed.SolutionSize != solve.SolutionSize {
+		t.Fatalf("text solve %+v does not match the csrbin solve %+v", parsed, solve)
 	}
 }

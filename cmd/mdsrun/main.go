@@ -60,7 +60,6 @@ import (
 	"localmds/internal/local"
 	"localmds/internal/mds"
 	"localmds/internal/obs"
-	"localmds/internal/runner"
 )
 
 func main() {
@@ -255,7 +254,7 @@ func runHuge(stdout io.Writer, in, format, kind string, n, tParam int, p float64
 		if err != nil {
 			return err
 		}
-		if in != "-" && (f == graphio.FormatCSRBin || (f == graphio.FormatAuto && sniffCSRBin(in))) {
+		if graphio.SniffCSRBin(in, f) {
 			mapped, err = graphio.OpenCSRBin(in, graphio.OpenOptions{})
 			if err != nil {
 				return err
@@ -263,9 +262,7 @@ func runHuge(stdout io.Writer, in, format, kind string, n, tParam int, p float64
 			defer mapped.Close()
 			csr = &mapped.CSR
 		} else {
-			pool := runner.NewPool(workers, 4*workers)
-			csr, err = graphio.ParseCSRFile(in, f, graphio.CSROptions{Pool: pool})
-			pool.Close()
+			csr, err = graphio.ParseCSRFile(in, f, graphio.CSROptions{Workers: workers})
 			if err != nil {
 				return err
 			}
@@ -292,21 +289,6 @@ func runHuge(stdout io.Writer, in, format, kind string, n, tParam int, p float64
 		fmt.Fprintf(stdout, "\npipeline stages:\n%s", res.StageStats.Render())
 	}
 	return nil
-}
-
-// sniffCSRBin reports whether the file starts with the csrbin magic.
-func sniffCSRBin(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var b [1]byte
-	if _, err := io.ReadFull(f, b[:]); err != nil {
-		return false
-	}
-	fmtDetected, err := graphio.Detect(b[:])
-	return err == nil && fmtDetected == graphio.FormatCSRBin
 }
 
 func mappedTag(m *graphio.MappedCSR) string {

@@ -11,17 +11,18 @@ import (
 // BoundedGo enforces two concurrency-hygiene rules in daemon/solver
 // code:
 //
-//  1. No bare `go` statements: goroutines must come from runner.Pool
-//     (or another audited bounded pool carrying a justification
-//     directive). An unbounded launch in a request path is how a
-//     traffic spike becomes an OOM.
+//  1. No bare `go` statements: a fixed-size fan-out goes through
+//     graph.ParallelFor, and the service's job queue is runner.Pool
+//     (any other audited launch carries a justification directive). An
+//     unbounded launch in a request path is how a traffic spike becomes
+//     an OOM.
 //  2. A function that acquires a quota/semaphore slot (tryAcquireJob,
 //     Acquire, TryAcquire) must also release it (releaseJob, Release)
 //     — by defer or on every exit path; a function with an acquire and
 //     no textual release at all is certainly leaking slots.
 //
 // internal/runner is out of scope by default: it implements the
-// sanctioned pool primitives.
+// service's job queue.
 var BoundedGo = &goanalysis.Analyzer{
 	Name:     "boundedgo",
 	Doc:      "flag unbounded goroutine launches and acquire-without-release",
@@ -52,8 +53,8 @@ func runBoundedGo(pass *goanalysis.Pass) (any, error) {
 
 	insp.Preorder([]ast.Node{(*ast.GoStmt)(nil)}, func(n ast.Node) {
 		ix.report(pass, "boundedgo", n.Pos(),
-			"bare goroutine launch outside runner.Pool: submit to a bounded "+
-				"pool, or justify with //mdsvet:ignore boundedgo -- <reason>")
+			"bare goroutine launch: fan out with graph.ParallelFor, queue on "+
+				"runner.Pool, or justify with //mdsvet:ignore boundedgo -- <reason>")
 	})
 
 	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {

@@ -13,9 +13,10 @@
 //   - errpath: internal/service handlers route every response through
 //     the central writeJSON writer so the rejection taxonomy cannot be
 //     bypassed.
-//   - boundedgo: no unbounded `go` launches outside runner.Pool in
-//     daemon/solver code, and no quota/semaphore acquire without a
-//     matching release in the same function.
+//   - boundedgo: no unbounded `go` launches in daemon/solver code
+//     (fan-out goes through graph.ParallelFor, queued jobs through
+//     runner.Pool), and no quota/semaphore acquire without a matching
+//     release in the same function.
 //   - edgesiter: no allocation-heavy Graph.Edges() calls in hot paths
 //     (use VisitEdges/AppendEdges).
 //   - directivecheck: every //mdsvet:ignore suppression names the

@@ -26,11 +26,13 @@ const (
 		"localmds/cmd/mdsctl"
 
 	// goroutineScope is the daemon/solver code where every goroutine
-	// must come from a bounded pool. internal/runner is deliberately
-	// absent: it implements the sanctioned pool primitives.
+	// must come from a bounded mechanism: fixed-size fan-out goes through
+	// graph.ParallelFor (its one audited `go` carries a directive), and
+	// the service's job queue is runner.Pool. internal/runner is
+	// deliberately absent: it implements the queue.
 	goroutineScope = "localmds/internal/core,localmds/internal/mds," +
 		"localmds/internal/cuts,localmds/internal/graph,localmds/internal/local," +
-		"localmds/internal/service,localmds/internal/obs," +
+		"localmds/internal/graphio,localmds/internal/service,localmds/internal/obs," +
 		"localmds/cmd/mdsd,localmds/internal/store,localmds/cmd/mdsctl"
 
 	// spanScope is everywhere spans are minted: the obs package itself,

@@ -6,12 +6,12 @@ import "sync"
 
 // bare launches an unbounded goroutine.
 func bare(work func()) {
-	go work() // want `bare goroutine launch outside runner.Pool`
+	go work() // want `bare goroutine launch: fan out with graph.ParallelFor`
 }
 
 // bareLit flags function literals too.
 func bareLit() {
-	go func() {}() // want `bare goroutine launch outside runner.Pool`
+	go func() {}() // want `bare goroutine launch: fan out with graph.ParallelFor`
 }
 
 // justified carries a reason.

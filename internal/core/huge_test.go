@@ -1,12 +1,10 @@
 package core_test
 
 // The alg1-huge path of mdsrun and mdsingest loads a graph straight into
-// a CSR — the parallel text parser on a runner.Pool, or a csrbin file,
-// mmap'd read-only — and hands it to Alg1CSR at the pool's worker count.
+// a CSR — the parallel text parser at w workers, or a csrbin file,
+// mmap'd read-only — and hands it to Alg1CSR at the same worker count.
 // These tests drive that path and pin it field for field to Alg1Pipeline
-// on the adjacency-list graph. They live in an external test package so
-// they can use graphio and the real runner.Pool (package core cannot
-// import runner: it would cycle through experiments).
+// on the adjacency-list graph.
 
 import (
 	"bytes"
@@ -21,12 +19,11 @@ import (
 	"localmds/internal/graph"
 	"localmds/internal/graphio"
 	"localmds/internal/mds"
-	"localmds/internal/runner"
 )
 
 // parseHuge encodes g in format f and loads it back the way the alg1-huge
-// path does: graphio.ParseCSR with the pool driving the text parser.
-func parseHuge(g *graph.Graph, f graphio.Format, pool *runner.Pool) (*graph.CSR, error) {
+// path does: graphio.ParseCSR with the text parser on workers goroutines.
+func parseHuge(g *graph.Graph, f graphio.Format, workers int) (*graph.CSR, error) {
 	var buf bytes.Buffer
 	var err error
 	if f == graphio.FormatCSRBin {
@@ -37,7 +34,7 @@ func parseHuge(g *graph.Graph, f graphio.Format, pool *runner.Pool) (*graph.CSR,
 	if err != nil {
 		return nil, err
 	}
-	return graphio.ParseCSR(buf.Bytes(), f, graphio.CSROptions{Pool: pool})
+	return graphio.ParseCSR(buf.Bytes(), f, graphio.CSROptions{Workers: workers})
 }
 
 // equalAlg1Results fails the test unless the two results agree on every
@@ -79,7 +76,7 @@ func equalAlg1Results(t *testing.T, got, want *core.Alg1Result) {
 }
 
 // TestAlg1HugeMatchesPipelineOnFamilies pins the huge path (edge-list
-// text through the pooled parser, then Alg1CSR) to the pipeline on every
+// text through the parallel parser, then Alg1CSR) to the pipeline on every
 // workload family, including twin-heavy and multi-component instances and
 // the greedy-fallback regime.
 func TestAlg1HugeMatchesPipelineOnFamilies(t *testing.T) {
@@ -109,19 +106,17 @@ func TestAlg1HugeMatchesPipelineOnFamilies(t *testing.T) {
 		{"greedy-fallback", ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: 80, T: 5}, rng),
 			core.Params{R1: 4, R2: 4, MaxBruteComponent: 2}},
 	}
-	pool := runner.NewPool(4, 16)
-	defer pool.Close()
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			want, err := core.Alg1Pipeline(tt.g, tt.p, core.PipelineOptions{Workers: 4})
 			if err != nil {
 				t.Fatalf("Alg1Pipeline: %v", err)
 			}
-			csr, err := parseHuge(tt.g, graphio.FormatEdgeList, pool)
+			csr, err := parseHuge(tt.g, graphio.FormatEdgeList, 4)
 			if err != nil {
 				t.Fatalf("ParseCSR: %v", err)
 			}
-			got, err := core.Alg1CSR(csr, tt.p, core.PipelineOptions{Workers: pool.Workers()})
+			got, err := core.Alg1CSR(csr, tt.p, core.PipelineOptions{Workers: 4})
 			if err != nil {
 				t.Fatalf("Alg1CSR: %v", err)
 			}
@@ -137,8 +132,6 @@ func TestAlg1HugeMatchesPipelineOnFamilies(t *testing.T) {
 // bytes, then Alg1CSR) and the pipeline agree on all fields, for random
 // radii. CI runs this under -race.
 func TestAlg1HugeMatchesPipelineProperty(t *testing.T) {
-	pool := runner.NewPool(3, 8)
-	defer pool.Close()
 	f := func(seed int64, rawR1, rawR2, pick uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var g *graph.Graph
@@ -156,11 +149,11 @@ func TestAlg1HugeMatchesPipelineProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		csr, err := parseHuge(g, graphio.FormatCSRBin, pool)
+		csr, err := parseHuge(g, graphio.FormatCSRBin, 3)
 		if err != nil {
 			return false
 		}
-		got, err := core.Alg1CSR(csr, p, core.PipelineOptions{Workers: pool.Workers()})
+		got, err := core.Alg1CSR(csr, p, core.PipelineOptions{Workers: 3})
 		if err != nil {
 			return false
 		}
@@ -178,7 +171,7 @@ func TestAlg1HugeMatchesPipelineProperty(t *testing.T) {
 	}
 }
 
-// The huge path (text parsed on a w-worker pool, then Alg1CSR at w
+// The huge path (text parsed at w workers, then Alg1CSR at w
 // workers) returns the same result at every worker count.
 func TestAlg1HugeWorkerCountInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -191,9 +184,7 @@ func TestAlg1HugeWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 4, 8} {
-		pool := runner.NewPool(w, 4*w)
-		csr, err := parseHuge(g, graphio.FormatEdgeList, pool)
-		pool.Close()
+		csr, err := parseHuge(g, graphio.FormatEdgeList, w)
 		if err != nil {
 			t.Fatalf("workers=%d: ParseCSR: %v", w, err)
 		}

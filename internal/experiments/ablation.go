@@ -49,11 +49,6 @@ func RadiusAblationSpec(n int, radii []int) Spec {
 	return s
 }
 
-// RadiusAblation runs RadiusAblationSpec sequentially with seed as root.
-func RadiusAblation(seed int64, n int, radii []int) (*Table, error) {
-	return RadiusAblationSpec(n, radii).RunSequential(seed)
-}
-
 // RoundsVsTSpec declares Theorem 4.1's "running time linear in t"
 // measurement: the paper radii grow linearly in t, so the gather horizon
 // (and hence the round count) does too. The distributed run uses
@@ -81,11 +76,6 @@ func RoundsVsTSpec(n int, ts []int) Spec {
 		}})
 	}
 	return s
-}
-
-// RoundsVsT runs RoundsVsTSpec sequentially with seed as root.
-func RoundsVsT(seed int64, n int, ts []int) (*Table, error) {
-	return RoundsVsTSpec(n, ts).RunSequential(seed)
 }
 
 // ScalingOptNodeBudget bounds the exact-OPT probe on the scaling rows
@@ -162,11 +152,6 @@ func scalingRow(class string, g *graph.Graph, res *core.Alg1Result) []string {
 		ratioCell, fmt.Sprint(lb), fmt.Sprint(res.MaxComponentDiameter)}
 }
 
-// Scaling runs ScalingSpec sequentially with seed as root.
-func Scaling(seed int64, ns []int) (*Table, error) {
-	return ScalingSpec(ns).RunSequential(seed)
-}
-
 // MessageFootprintSpec declares the CONGEST-distance measurement: total
 // delivered words and the largest single message, per algorithm. All three
 // rows run on the same instance, so they stay one task.
@@ -206,10 +191,4 @@ func MessageFootprintSpec(n int) Spec {
 		}, nil
 	}})
 	return s
-}
-
-// MessageFootprint runs MessageFootprintSpec sequentially with seed as
-// root.
-func MessageFootprint(seed int64, n int) (*Table, error) {
-	return MessageFootprintSpec(n).RunSequential(seed)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRadiusAblation(t *testing.T) {
-	tab, err := RadiusAblation(1, 50, []int{2, 3, 4})
+	tab, err := RadiusAblationSpec(50, []int{2, 3, 4}).RunSequential(1)
 	if err != nil {
 		t.Fatalf("RadiusAblation: %v", err)
 	}
@@ -29,7 +29,7 @@ func TestRadiusAblation(t *testing.T) {
 }
 
 func TestRoundsVsT(t *testing.T) {
-	tab, err := RoundsVsT(1, 24, []int{3, 4, 5})
+	tab, err := RoundsVsTSpec(24, []int{3, 4, 5}).RunSequential(1)
 	if err != nil {
 		t.Fatalf("RoundsVsT: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestRoundsVsT(t *testing.T) {
 }
 
 func TestScaling(t *testing.T) {
-	tab, err := Scaling(1, []int{40, 500})
+	tab, err := ScalingSpec([]int{40, 500}).RunSequential(1)
 	if err != nil {
 		t.Fatalf("Scaling: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestScaling(t *testing.T) {
 }
 
 func TestMessageFootprint(t *testing.T) {
-	tab, err := MessageFootprint(1, 24)
+	tab, err := MessageFootprintSpec(24).RunSequential(1)
 	if err != nil {
 		t.Fatalf("MessageFootprint: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestMessageFootprint(t *testing.T) {
 }
 
 func TestDensityTable(t *testing.T) {
-	tab, err := DensityTable(1, 36)
+	tab, err := DensityTableSpec(36).RunSequential(1)
 	if err != nil {
 		t.Fatalf("DensityTable: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestDensityTable(t *testing.T) {
 }
 
 func TestBaselines(t *testing.T) {
-	tab, err := Baselines(1, []int{40, 80})
+	tab, err := BaselinesSpec([]int{40, 80}).RunSequential(1)
 	if err != nil {
 		t.Fatalf("Baselines: %v", err)
 	}

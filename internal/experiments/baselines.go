@@ -39,8 +39,3 @@ func BaselinesSpec(ns []int) Spec {
 	}
 	return s
 }
-
-// Baselines runs BaselinesSpec sequentially with seed as root.
-func Baselines(seed int64, ns []int) (*Table, error) {
-	return BaselinesSpec(ns).RunSequential(seed)
-}

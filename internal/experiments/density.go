@@ -48,8 +48,3 @@ func DensityTableSpec(n int) Spec {
 	}
 	return s
 }
-
-// DensityTable runs DensityTableSpec sequentially with seed as root.
-func DensityTable(seed int64, n int) (*Table, error) {
-	return DensityTableSpec(n).RunSequential(seed)
-}

@@ -62,8 +62,8 @@ func TestRatioString(t *testing.T) {
 }
 
 func TestTable1Small(t *testing.T) {
-	cfg := Table1Config{Seed: 1, N: 40, ProcessN: 16}
-	tab, err := Table1(cfg)
+	cfg := Table1Config{N: 40, ProcessN: 16}
+	tab, err := Table1Spec(cfg).RunSequential(1)
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
@@ -81,8 +81,8 @@ func TestTable1Small(t *testing.T) {
 }
 
 func TestMVCTableSmall(t *testing.T) {
-	cfg := Table1Config{Seed: 1, N: 40, ProcessN: 16}
-	tab, err := MVCTable(cfg)
+	cfg := Table1Config{N: 40, ProcessN: 16}
+	tab, err := MVCTableSpec(cfg).RunSequential(1)
 	if err != nil {
 		t.Fatalf("MVCTable: %v", err)
 	}
@@ -92,8 +92,8 @@ func TestMVCTableSmall(t *testing.T) {
 }
 
 func TestProposition31Small(t *testing.T) {
-	cfg := Table1Config{Seed: 1, N: 36, ProcessN: 16}
-	tab, err := Proposition31(cfg)
+	cfg := Table1Config{N: 36, ProcessN: 16}
+	tab, err := Proposition31Spec(cfg).RunSequential(1)
 	if err != nil {
 		t.Fatalf("Proposition31: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestProposition31Small(t *testing.T) {
 }
 
 func TestLemma32Small(t *testing.T) {
-	tab, err := Lemma32(1, []int{24, 48}, 3)
+	tab, err := Lemma32Spec([]int{24, 48}, 3).RunSequential(1)
 	if err != nil {
 		t.Fatalf("Lemma32: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestLemma32Small(t *testing.T) {
 }
 
 func TestLemma33Small(t *testing.T) {
-	tab, err := Lemma33(1, []int{20, 30}, 3)
+	tab, err := Lemma33Spec([]int{20, 30}, 3).RunSequential(1)
 	if err != nil {
 		t.Fatalf("Lemma33: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestLemma33Small(t *testing.T) {
 }
 
 func TestLemma42Small(t *testing.T) {
-	tab, err := Lemma42(1, []int{40, 80})
+	tab, err := Lemma42Spec([]int{40, 80}).RunSequential(1)
 	if err != nil {
 		t.Fatalf("Lemma42: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestLemma42Small(t *testing.T) {
 }
 
 func TestLemma518Small(t *testing.T) {
-	tab, err := Lemma518(1, []int{30, 40}, 5)
+	tab, err := Lemma518Spec([]int{30, 40}, 5).RunSequential(1)
 	if err != nil {
 		t.Fatalf("Lemma518: %v", err)
 	}
@@ -154,7 +154,10 @@ func TestLemma518Small(t *testing.T) {
 }
 
 func TestCycleLocalCutsTable(t *testing.T) {
-	tab := CycleLocalCuts([]int{30, 60}, 3)
+	tab, err := CycleLocalCutsSpec([]int{30, 60}, 3).RunSequential(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, row := range tab.Rows {
 		if row[1] != row[0] {
 			t.Errorf("cycle row %v: all vertices should be local 1-cuts", row)
@@ -166,7 +169,7 @@ func TestCycleLocalCutsTable(t *testing.T) {
 }
 
 func TestSPQRStatsSmall(t *testing.T) {
-	tab, err := SPQRStats(1, []int{12, 16})
+	tab, err := SPQRStatsSpec([]int{12, 16}).RunSequential(1)
 	if err != nil {
 		t.Fatalf("SPQRStats: %v", err)
 	}

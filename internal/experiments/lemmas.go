@@ -58,11 +58,6 @@ type namedBuilder struct {
 	build func(rng *rand.Rand) *graph.Graph
 }
 
-// Lemma32 runs Lemma32Spec sequentially with seed as root.
-func Lemma32(seed int64, ns []int, r int) (*Table, error) {
-	return Lemma32Spec(ns, r).RunSequential(seed)
-}
-
 // Lemma33Spec declares the Lemma 3.3 constant measurement — the number of
 // r-interesting vertices against c3.3(1) * MDS — contrasted with the
 // unrestricted count of 2-cut vertices on the clique-plus-pendants
@@ -105,11 +100,6 @@ func Lemma33Spec(ns []int, r int) Spec {
 	return s
 }
 
-// Lemma33 runs Lemma33Spec sequentially with seed as root.
-func Lemma33(seed int64, ns []int, r int) (*Table, error) {
-	return Lemma33Spec(ns, r).RunSequential(seed)
-}
-
 // Lemma42Spec declares the residual-diameter measurement after Algorithm
 // 1's cut phase on growing strip chains: Lemma 4.2 predicts it stays
 // bounded by m4.2(t) as n grows, for every radius. Small radii take many
@@ -141,11 +131,6 @@ func Lemma42Spec(ns []int) Spec {
 	return s
 }
 
-// Lemma42 runs Lemma42Spec sequentially with seed as root.
-func Lemma42(seed int64, ns []int) (*Table, error) {
-	return Lemma42Spec(ns).RunSequential(seed)
-}
-
 // Lemma518Spec declares the Figure 1/2 construction measurement: |A| vs
 // (t-1)|B| on K_{2,t}-minor-free instances (Lemmas 5.17/5.18). One task
 // per n.
@@ -171,11 +156,6 @@ func Lemma518Spec(ns []int, tParam int) Spec {
 	return s
 }
 
-// Lemma518 runs Lemma518Spec sequentially with seed as root.
-func Lemma518(seed int64, ns []int, tParam int) (*Table, error) {
-	return Lemma518Spec(ns, tParam).RunSequential(seed)
-}
-
 // CycleLocalCutsSpec declares the §4 discussion reproduction: on the cycle
 // every vertex is an r-local 1-cut while no vertex is a global cut vertex.
 // The construction is deterministic; tasks ignore their seeds.
@@ -196,12 +176,6 @@ func CycleLocalCutsSpec(ns []int, r int) Spec {
 		}})
 	}
 	return s
-}
-
-// CycleLocalCuts runs CycleLocalCutsSpec sequentially; the tasks are
-// deterministic and cannot fail.
-func CycleLocalCuts(ns []int, r int) *Table {
-	return CycleLocalCutsSpec(ns, r).mustRunSequential(0)
 }
 
 // SPQRStatsSpec declares the SPQR decomposition statistics: random
@@ -245,9 +219,4 @@ func SPQRStatsSpec(ns []int) Spec {
 		}})
 	}
 	return s
-}
-
-// SPQRStats runs SPQRStatsSpec sequentially with seed as root.
-func SPQRStats(seed int64, ns []int) (*Table, error) {
-	return SPQRStatsSpec(ns).RunSequential(seed)
 }

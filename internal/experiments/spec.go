@@ -10,9 +10,9 @@ import (
 // Spec declares one experiment as a table skeleton plus independent tasks.
 // Declaring instead of running is what makes the suite schedulable: the
 // concurrent orchestrator in internal/runner executes the tasks of many
-// specs on one worker pool, replicates them across seeds, and caches their
-// results, while RunSequential below keeps a simple in-process path for
-// tests and the compatibility wrappers.
+// specs on one set of workers, replicates them across seeds, and caches
+// their results, while RunSequential below keeps a simple in-process path
+// for tests and the orchestrator's reference.
 type Spec struct {
 	// Name identifies the experiment in seed derivation and cache keys; it
 	// must be stable across releases or recorded tables change.
@@ -62,13 +62,4 @@ func (s Spec) RunSequential(root int64) (*Table, error) {
 		t.Rows = append(t.Rows, rows...)
 	}
 	return t, nil
-}
-
-// mustRunSequential is RunSequential for specs whose tasks cannot fail.
-func (s Spec) mustRunSequential(root int64) *Table {
-	t, err := s.RunSequential(root)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: infallible spec %s failed: %v", s.Name, err))
-	}
-	return t
 }

@@ -78,8 +78,3 @@ func StageProfileSpec(n int) Spec {
 	}
 	return s
 }
-
-// StageProfile runs StageProfileSpec sequentially with seed as root.
-func StageProfile(seed int64, n int) (*Table, error) {
-	return StageProfileSpec(n).RunSequential(seed)
-}

@@ -15,10 +15,6 @@ import (
 
 // Table1Config scales the Table 1 reproduction.
 type Table1Config struct {
-	// Seed is the root seed used by the compatibility wrappers; per-task
-	// seeds are derived from it (see TaskSeed). cmd/mdsbench passes its
-	// own root seed to internal/runner instead.
-	Seed int64
 	// N is the target instance size for ratio measurements (capped by the
 	// exact solver: OPT is computed exactly).
 	N int
@@ -30,7 +26,7 @@ type Table1Config struct {
 
 // DefaultTable1Config returns the EXPERIMENTS.md configuration.
 func DefaultTable1Config() Table1Config {
-	return Table1Config{Seed: 1, N: 120, ProcessN: 48}
+	return Table1Config{N: 120, ProcessN: 48}
 }
 
 func (cfg Table1Config) params() string {
@@ -180,12 +176,6 @@ func Table1Spec(cfg Table1Config) Spec {
 	return s
 }
 
-// Table1 reproduces the paper's Table 1 by running Table1Spec's tasks
-// sequentially with cfg.Seed as the root seed.
-func Table1(cfg Table1Config) (*Table, error) {
-	return Table1Spec(cfg).RunSequential(cfg.Seed)
-}
-
 // MVCTableSpec declares the vertex-cover variants (Theorem 4.4's t-approx
 // and the Algorithm 1 variant described after Theorem 4.3).
 func MVCTableSpec(cfg Table1Config) Spec {
@@ -236,12 +226,6 @@ func MVCTableSpec(cfg Table1Config) Spec {
 	return s
 }
 
-// MVCTable measures the vertex-cover variants by running MVCTableSpec
-// sequentially with cfg.Seed as the root seed.
-func MVCTable(cfg Table1Config) (*Table, error) {
-	return MVCTableSpec(cfg).RunSequential(cfg.Seed)
-}
-
 // Proposition31Spec declares the local-to-global transfer measurement: on
 // trees with BFS-annulus covers, the per-class sums of B-dominating optima
 // are bounded by (d+1) MDS(G) via Lemma 5.2, which is the engine of
@@ -289,12 +273,6 @@ func Proposition31Spec(cfg Table1Config) Spec {
 		}})
 	}
 	return s
-}
-
-// Proposition31 measures the Lemma 5.2 transfer bound by running
-// Proposition31Spec sequentially with cfg.Seed as the root seed.
-func Proposition31(cfg Table1Config) (*Table, error) {
-	return Proposition31Spec(cfg).RunSequential(cfg.Seed)
 }
 
 func intSqrt(n int) int {

@@ -15,7 +15,7 @@ func TestTable1DefaultConfigFinishes(t *testing.T) {
 		t.Skip("long-running sanity check")
 	}
 	start := time.Now()
-	if _, err := Table1(DefaultTable1Config()); err != nil {
+	if _, err := Table1Spec(DefaultTable1Config()).RunSequential(1); err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Minute {

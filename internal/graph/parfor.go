@@ -17,6 +17,14 @@ import (
 // Which worker visits which index depends on scheduling, so a caller
 // that needs a deterministic result writes each index's output to its
 // own slot, or merges the per-worker state in worker order afterwards.
+//
+// ParallelFor is the repository's one fixed-size fan-out. Its callers are
+// the Cuts kernel (cuts, a vertex range per claim), ComponentSolve (core,
+// one residual component per claim), the LOCAL engine's compute phase
+// (local, a chunk of the active vertices per claim), the chunked text
+// parser (graphio, one line-aligned chunk per claim) and the sweep
+// orchestrator (runner, one task per claim). runner.Pool is the service's
+// job queue, not a fan-out.
 func ParallelFor(n, workers, chunk int, newWorker func(k int) func(i int)) {
 	workers = max(1, min(workers, n))
 	if workers == 1 {
@@ -35,7 +43,7 @@ func ParallelFor(n, workers, chunk int, newWorker func(k int) func(i int)) {
 		visits[k] = newWorker(k)
 	}
 	for _, visit := range visits {
-		//mdsvet:ignore boundedgo -- fixed set of min(workers, n) goroutines, joined before return; graph sits below runner.Pool in the import graph
+		//mdsvet:ignore boundedgo -- fixed set of min(workers, n) goroutines, joined before return: this is the repository's one bounded fan-out
 		go func() {
 			defer wg.Done()
 			for {

@@ -361,6 +361,30 @@ func (m *MappedCSR) Close() error {
 	return u()
 }
 
+// SniffCSRBin reports whether path should be opened with OpenCSRBin: f is
+// FormatCSRBin, or FormatAuto and the file's first byte is the csrbin
+// magic's, as Detect sniffs it. The file name plays no part. Stdin ("-")
+// cannot be mapped and always reports false.
+func SniffCSRBin(path string, f Format) bool {
+	switch {
+	case path == "-":
+		return false
+	case f != FormatAuto:
+		return f == FormatCSRBin
+	}
+	file, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer file.Close()
+	var b [1]byte
+	if _, err := io.ReadFull(file, b[:]); err != nil {
+		return false
+	}
+	detected, err := Detect(b[:])
+	return err == nil && detected == FormatCSRBin
+}
+
 // OpenCSRBin opens a csrbin file as a read-only CSR view without copying:
 // on platforms with mmap support (and a little-endian int32 layout) the
 // Offsets/Targets arrays are served straight from the mapping, making the

@@ -5,7 +5,7 @@
 // graph.CSR that OpenCSRBin can mmap without parsing). The text formats
 // and JSON have one parser, ParseCSR, which takes the whole input as one
 // byte slice and builds the frozen CSR directly: the text formats are
-// chunk-split at line boundaries (in parallel when a pool is given) and
+// chunk-split at line boundaries (in parallel when Workers is set) and
 // JSON edges go through graph.CSRFromEdgesChecked. csrbin has one
 // validating decoder, fed from memory by ParseCSR and from the stream by
 // Read. Read, ReadLimited and ReadFile wrap them for callers that want a

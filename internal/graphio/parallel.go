@@ -8,31 +8,30 @@ import (
 	"math"
 	"os"
 	"strconv"
-	"sync"
 
 	"localmds/internal/graph"
-	"localmds/internal/runner"
 )
 
 // This file is the text parser behind every reader: ParseCSR takes the
 // whole input as one byte slice, splits it into line-aligned chunks, and
-// parses the chunks (concurrently when a runner.Pool is given), feeding
-// the per-chunk edge buffers straight into graph.CSRFromEdgeChunks — no
-// adjacency-list intermediate, no concatenating copy, and a hand-rolled
-// digit parser instead of strconv per token. The result is deterministic
-// by construction at any worker count: the chunking is a pure function of
-// the input length, CSRFromEdgeChunks depends only on the concatenated
-// edge order, and chunk results are merged in input order, so the
-// reported error is the first one a line-by-line reading would hit. The
-// tests pin graphs and error strings to a streaming line-by-line
-// reference reader at several worker counts.
+// parses the chunks (concurrently through graph.ParallelFor when Workers
+// is set), feeding the per-chunk edge buffers straight into
+// graph.CSRFromEdgeChunks — no adjacency-list intermediate, no
+// concatenating copy, and a hand-rolled digit parser instead of strconv
+// per token. The result is deterministic by construction at any worker
+// count: the chunking is a pure function of the input length and the
+// worker count, CSRFromEdgeChunks depends only on the concatenated edge
+// order, and chunk results are merged in input order, so the reported
+// error is the first one a line-by-line reading would hit. The tests pin
+// graphs and error strings to a streaming line-by-line reference reader
+// at several worker counts.
 
 // CSROptions tune ParseCSR.
 type CSROptions struct {
-	// Pool runs chunk parses concurrently. nil parses in the calling
-	// goroutine (still through the same chunk parser, so results are
-	// identical).
-	Pool *runner.Pool
+	// Workers parses chunks concurrently on that many goroutines. Zero
+	// parses one chunk in the calling goroutine (still through the same
+	// chunk parser, so results are identical).
+	Workers int
 	// MaxVertices and MaxEdges bound the vertex and edge counts (0 =
 	// unlimited), as ReadLimited documents. For the text formats, edge
 	// overflow is a *ParseError at the first edge line past the cap.
@@ -136,7 +135,7 @@ type chunkSpan struct {
 	line   int
 }
 
-// chunkTarget is how many line-aligned chunks to aim for per pool worker:
+// chunkTarget is how many line-aligned chunks to aim for per worker:
 // more than one so an unlucky dense chunk cannot serialize the tail, few
 // enough that per-chunk buffers stay large.
 const chunkTarget = 4
@@ -210,35 +209,26 @@ func (r *chunkResult) add(u, v int, line []byte, lineNo, budget int) {
 }
 
 // parseChunks parses data[pos:], whose first line is line startLine, in
-// line-aligned chunks with parse (on opt.Pool when set), then merges the
-// results in input order as a line-by-line reader would: the first chunk
-// error wins, unless the MaxEdges cap is crossed before it. The one chunk
-// where the running edge count crosses the cap is then parsed again with
-// the budget left, which locates the first edge line past the cap; only
-// this error path pays for it.
+// line-aligned chunks with parse (on opt.Workers goroutines), then merges
+// the results in input order as a line-by-line reader would: the first
+// chunk error wins, unless the MaxEdges cap is crossed before it. The one
+// chunk where the running edge count crosses the cap is then parsed again
+// with the budget left, which locates the first edge line past the cap;
+// only this error path pays for it.
 func parseChunks(data []byte, pos, startLine int, opt CSROptions,
 	parse func(chunk []byte, line, budget int) chunkResult) (chunks [][][2]int, maxV int, err *ParseError) {
-	spans := splitChunks(data, pos, startLine, chunkCount(opt.Pool))
+	spans := splitChunks(data, pos, startLine, opt.Workers*chunkTarget)
 	budget := opt.MaxEdges // no chunk stores more than the whole graph may hold
 	if budget <= 0 {
 		budget = math.MaxInt
 	}
 	results := make([]chunkResult, len(spans))
-	if opt.Pool == nil || len(spans) == 1 {
-		for i, sp := range spans {
+	graph.ParallelFor(len(spans), opt.Workers, 1, func(int) func(int) {
+		return func(i int) {
+			sp := spans[i]
 			results[i] = parse(data[sp.lo:sp.hi], sp.line, budget)
 		}
-	} else {
-		var wg sync.WaitGroup
-		for i, sp := range spans {
-			wg.Add(1)
-			opt.Pool.Submit(func() {
-				defer wg.Done()
-				results[i] = parse(data[sp.lo:sp.hi], sp.line, budget)
-			})
-		}
-		wg.Wait()
-	}
+	})
 	maxV = -1
 	total := 0
 	chunks = make([][][2]int, 0, len(results))
@@ -259,13 +249,6 @@ func parseChunks(data []byte, pos, startLine int, opt CSROptions,
 		}
 	}
 	return chunks, maxV, nil
-}
-
-func chunkCount(pool *runner.Pool) int {
-	if pool == nil {
-		return 1
-	}
-	return pool.Workers() * chunkTarget
 }
 
 // parseEdgeListCSR is the parallel edge-list parser. The sequential

@@ -11,7 +11,6 @@ import (
 
 	"localmds/internal/gen"
 	"localmds/internal/graph"
-	"localmds/internal/runner"
 )
 
 // genEdgeListText renders a random messy edge list (comments, blank lines,
@@ -104,13 +103,7 @@ func TestParseCSRWorkerCountInvariance(t *testing.T) {
 			}
 			want = ref.Freeze()
 			for _, w := range []int{0, 1, 2, 4, 8} {
-				opt := CSROptions{}
-				if w > 0 {
-					pool := runner.NewPool(w, 4*w)
-					opt.Pool = pool
-					defer pool.Close()
-				}
-				got, err := ParseCSR([]byte(text), tc.format, opt)
+				got, err := ParseCSR([]byte(text), tc.format, CSROptions{Workers: w})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -172,12 +165,7 @@ func TestParseCSRErrorsMatchSequential(t *testing.T) {
 				t.Fatal("reference parse unexpectedly succeeded")
 			}
 			for _, w := range []int{0, 1, 2, 4, 8} {
-				opt := CSROptions{MaxVertices: tc.maxVertices, MaxEdges: tc.maxEdges}
-				if w > 0 {
-					pool := runner.NewPool(w, 4*w)
-					defer pool.Close()
-					opt.Pool = pool
-				}
+				opt := CSROptions{Workers: w, MaxVertices: tc.maxVertices, MaxEdges: tc.maxEdges}
 				_, err := ParseCSR([]byte(tc.text), tc.format, opt)
 				if err == nil {
 					t.Fatalf("workers=%d: parse unexpectedly succeeded", w)
@@ -262,10 +250,8 @@ func TestServicePayloadsMatchReference(t *testing.T) {
 			got, err := ReadLimited(strings.NewReader(tc.text), tc.format, serviceMaxVertices, serviceMaxEdges)
 			sameOutcome(t, f, got, err, want, wantErr)
 			for _, w := range []int{1, 2, 4, 8} {
-				pool := runner.NewPool(w, 4*w)
 				c, err := ParseCSR([]byte(tc.text), tc.format,
-					CSROptions{Pool: pool, MaxVertices: serviceMaxVertices, MaxEdges: serviceMaxEdges})
-				pool.Close()
+					CSROptions{Workers: w, MaxVertices: serviceMaxVertices, MaxEdges: serviceMaxEdges})
 				var g *graph.Graph
 				if err == nil {
 					g = graph.FromCSR(c)
@@ -381,7 +367,8 @@ func TestParseCSRFile(t *testing.T) {
 	}
 }
 
-// BenchmarkParseCSR times ParseCSR without a pool, one row per format.
+// BenchmarkParseCSR times ParseCSR at the zero CSROptions (one chunk in
+// the calling goroutine), one row per format.
 // The reversed star K_{1,m} lists its edges by descending leaf, so each
 // edge lands at the front of the centre's sorted row: the worst case for
 // an insertion-sorted adjacency build.

@@ -9,7 +9,7 @@ import (
 	"localmds/internal/graph"
 )
 
-// The worker-pool parallel engine must be observationally identical to the
+// The parallel engine must be observationally identical to the
 // sequential reference engine: same per-vertex outputs, same Stats, on any
 // topology and identifier assignment. These property tests are the
 // load-bearing correctness check for the engine (run them under -race).

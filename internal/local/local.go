@@ -3,9 +3,10 @@
 // exchanges messages of unbounded size with its neighbors and performs
 // arbitrary local computation. The package provides a Network simulator
 // with two engines — a deterministic sequential reference engine and a
-// chunked worker-pool parallel engine — plus the ball-gathering protocol
-// that underlies all the paper's algorithms (after r rounds every vertex
-// knows its radius-(r-1) ball with full adjacency).
+// parallel engine that fans each round out through graph.ParallelFor —
+// plus the ball-gathering protocol that underlies all the paper's
+// algorithms (after r rounds every vertex knows its radius-(r-1) ball
+// with full adjacency).
 //
 // Knowledge model (KT0): a process initially knows only its own identifier
 // and its number of ports; neighbor identifiers must be learned by
@@ -16,7 +17,6 @@ package local
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"localmds/internal/graph"
 )
@@ -123,10 +123,10 @@ type Result struct {
 type Engine int
 
 // Engines. Sequential is the deterministic reference; Parallel fans the
-// compute phase of each round out over a persistent pool of GOMAXPROCS
-// workers processing chunks of the active-vertex list, with one barrier
-// per round. Both must produce identical results for deterministic
-// processes.
+// compute phase of each round out over GOMAXPROCS workers with
+// graph.ParallelFor, in chunks of the active-vertex list, and joins them
+// before the delivery phase. Both must produce identical results for
+// deterministic processes.
 const (
 	Sequential Engine = iota + 1
 	Parallel
@@ -228,57 +228,6 @@ func buildWires(topo Topology) *wires {
 // degree returns the degree of v in the wired topology.
 func (w *wires) degree(v int32) int { return int(w.offsets[v+1] - w.offsets[v]) }
 
-// chunk is one unit of compute-phase work: a slice of the active list.
-type chunk struct {
-	lo, hi int
-	round  int
-}
-
-// computePool runs the per-round compute phase on persistent workers.
-// Workers live for the whole run; each round the main loop carves the
-// active list into chunks, feeds them through a channel, and waits on one
-// barrier. Distinct chunks touch distinct vertices, so workers never write
-// the same outbox or halt slot.
-type computePool struct {
-	jobs chan chunk
-	wg   sync.WaitGroup
-}
-
-func newComputePool(workers int, work func(lo, hi, round int)) *computePool {
-	p := &computePool{jobs: make(chan chunk, workers)}
-	for i := 0; i < workers; i++ {
-		//mdsvet:ignore boundedgo -- persistent bounded pool: exactly `workers` goroutines for the engine's lifetime; local cannot import runner.Pool (layering)
-		go func() {
-			for c := range p.jobs {
-				work(c.lo, c.hi, c.round)
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-func (p *computePool) runRound(round, active int) {
-	// Chunk size balances scheduling overhead against load balance: aim
-	// for a few chunks per worker, but never chunks so small that channel
-	// traffic dominates the per-vertex work.
-	chunkSize := (active + cap(p.jobs)*4 - 1) / (cap(p.jobs) * 4)
-	if chunkSize < 16 {
-		chunkSize = 16
-	}
-	for lo := 0; lo < active; lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > active {
-			hi = active
-		}
-		p.wg.Add(1)
-		p.jobs <- chunk{lo: lo, hi: hi, round: round}
-	}
-	p.wg.Wait()
-}
-
-func (p *computePool) close() { close(p.jobs) }
-
 func (nw *Network) run(engine Engine, factory Factory, maxRounds, maxMsgWords int) (*Result, error) {
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
@@ -314,28 +263,9 @@ func (nw *Network) run(engine Engine, factory Factory, maxRounds, maxMsgWords in
 		active[v] = int32(v)
 	}
 
-	step := func(lo, hi, round int) {
-		for i := lo; i < hi; i++ {
-			v := active[i]
-			in := inbox[w.offsets[v]:w.offsets[v+1]]
-			out, halt := procs[v].Round(round, in)
-			outboxes[v] = out
-			if halt {
-				halted[v] = true
-			}
-		}
-	}
-
-	var pool *computePool
+	workers := 1
 	if engine == Parallel {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > n {
-			workers = n
-		}
-		if workers > 1 {
-			pool = newComputePool(workers, step)
-			defer pool.close()
-		}
+		workers = runtime.GOMAXPROCS(0)
 	}
 
 	var stats Stats
@@ -344,12 +274,20 @@ func (nw *Network) run(engine Engine, factory Factory, maxRounds, maxMsgWords in
 			return nil, fmt.Errorf("local: exceeded %d rounds without global halt", maxRounds)
 		}
 		stats.Rounds = round
-		// Compute phase.
-		if pool != nil {
-			pool.runRound(round, len(active))
-		} else {
-			step(0, len(active), round)
-		}
+		// Compute phase. Each index writes only its own vertex's outbox and
+		// halt slot. Chunks aim for a few per worker, but never so small
+		// that claiming them dominates the per-vertex work.
+		chunk := max(16, (len(active)+4*workers-1)/(4*workers))
+		graph.ParallelFor(len(active), workers, chunk, func(int) func(int) {
+			return func(i int) {
+				v := active[i]
+				out, halt := procs[v].Round(round, inbox[w.offsets[v]:w.offsets[v+1]])
+				outboxes[v] = out
+				if halt {
+					halted[v] = true
+				}
+			}
+		})
 		// Clear the receive slots of every vertex still able to receive,
 		// then deliver. Vertices halted before this round are not in
 		// active; slots of vertices that halted this round are never read

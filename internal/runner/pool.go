@@ -6,11 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a bounded worker pool with an optional bounded submission queue.
-// It is the shared execution machinery of the repository's two schedulers:
-// Runner fans experiment sweeps out over a transient Pool, and the mdsd
-// service holds one long-lived Pool as its job queue. A Pool is safe for
-// concurrent Submit/TrySubmit from any number of goroutines.
+// Pool is a bounded worker pool with a bounded submission queue: the mdsd
+// service holds one long-lived Pool as its job queue and sheds load with
+// TrySubmit when the queue is full. (Fixed-size fan-outs — sweeps, LOCAL
+// rounds, chunked parses — use graph.ParallelFor instead.) A Pool is safe
+// for concurrent TrySubmit from any number of goroutines.
 type Pool struct {
 	tasks   chan func()
 	wg      sync.WaitGroup
@@ -26,8 +26,7 @@ type Pool struct {
 
 // NewPool starts workers goroutines consuming a queue of the given
 // capacity. workers <= 0 means GOMAXPROCS; queue <= 0 means an unbuffered
-// hand-off (Submit blocks until a worker is free, TrySubmit accepts only
-// when one is idle).
+// hand-off (TrySubmit accepts only when a worker is idle).
 func NewPool(workers, queue int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -51,19 +50,6 @@ func NewPool(workers, queue int) *Pool {
 
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
-
-// Submit enqueues fn, blocking while the queue is full. Calling Submit
-// after Close is a caller bug and panics with a clear message; callers
-// that race shutdown must use TrySubmit instead.
-func (p *Pool) Submit(fn func()) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		panic("runner: Submit on a closed Pool")
-	}
-	p.pending.Add(1)
-	p.tasks <- fn
-}
 
 // TrySubmit enqueues fn if the queue has room and reports whether it was
 // accepted. The service uses it to shed load instead of stalling clients.

@@ -12,32 +12,15 @@ import (
 	"localmds/internal/experiments"
 )
 
-func TestPoolRunsEverything(t *testing.T) {
-	p := NewPool(4, 2)
-	var sum atomic.Int64
-	var wg sync.WaitGroup
-	for i := 1; i <= 100; i++ {
-		wg.Add(1)
-		p.Submit(func() { defer wg.Done(); sum.Add(int64(i)) })
-	}
-	wg.Wait()
-	if got := sum.Load(); got != 5050 {
-		t.Fatalf("sum = %d, want 5050", got)
-	}
-	if p.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain, want 0", p.Pending())
-	}
-	p.Close()
-	p.Close() // idempotent
-}
-
 func TestPoolTrySubmitShedsLoad(t *testing.T) {
 	p := NewPool(1, 1)
 	block := make(chan struct{})
 	started := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	p.Submit(func() { defer wg.Done(); close(started); <-block }) // occupies the worker
+	if !p.TrySubmit(func() { defer wg.Done(); close(started); <-block }) { // occupies the worker
+		t.Fatal("TrySubmit rejected the first task on an empty queue")
+	}
 	<-started
 	// Fill the queue slot, then expect rejection.
 	accepted := 0
@@ -74,13 +57,21 @@ func TestTrySubmitAfterCloseSheds(t *testing.T) {
 func TestPoolCloseDrains(t *testing.T) {
 	p := NewPool(2, 8)
 	var done atomic.Int64
-	for i := 0; i < 20; i++ {
-		p.Submit(func() { time.Sleep(time.Millisecond); done.Add(1) })
+	// Eight tasks always fit the eight queue slots, whatever the workers
+	// have dequeued so far.
+	for i := 0; i < 8; i++ {
+		if !p.TrySubmit(func() { time.Sleep(time.Millisecond); done.Add(1) }) {
+			t.Fatalf("TrySubmit rejected task %d with queue room left", i)
+		}
 	}
-	p.Close() // must block until all 20 finished
-	if got := done.Load(); got != 20 {
-		t.Fatalf("Close returned with %d/20 tasks finished", got)
+	p.Close() // must block until all 8 finished
+	if got := done.Load(); got != 8 {
+		t.Fatalf("Close returned with %d/8 tasks finished", got)
 	}
+	if p.Pending() != 0 {
+		t.Fatalf("Pending = %d after Close, want 0", p.Pending())
+	}
+	p.Close() // idempotent
 }
 
 func TestWithTimeout(t *testing.T) {

@@ -1,9 +1,9 @@
 // Package runner is the concurrent experiment orchestrator: it decomposes
 // experiment Specs (internal/experiments) into independent tasks with
 // deterministically derived per-task seeds, executes them on a bounded
-// worker pool, replicates each task across seeds with mean/stddev/min/max
-// aggregation, and caches completed task results so repeated sweeps skip
-// identical work.
+// set of workers (graph.ParallelFor), replicates each task across seeds
+// with mean/stddev/min/max aggregation, and caches completed task results
+// so repeated sweeps skip identical work.
 //
 // Output is independent of the worker count by construction: every
 // (experiment, task, replicate) cell derives its own seed via
@@ -16,16 +16,16 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"localmds/internal/experiments"
+	"localmds/internal/graph"
 )
 
 // Options configures a Runner.
 type Options struct {
-	// Workers bounds the worker pool; <= 0 means GOMAXPROCS.
+	// Workers bounds the concurrent tasks; <= 0 means GOMAXPROCS.
 	Workers int
 	// Replicates is the number of independently seeded runs per task;
 	// <= 0 means 1. Replicate rows are aggregated cell-wise (see
@@ -40,10 +40,10 @@ type Options struct {
 	TaskTimeout time.Duration
 }
 
-// Runner executes experiment specs on a worker pool with a persistent
-// result cache. A Runner is safe for sequential reuse across Run calls
-// (that is what makes the cache useful); Run itself fans tasks out
-// internally.
+// Runner executes experiment specs on a bounded set of workers with a
+// persistent result cache. A Runner is safe for sequential reuse across
+// Run calls (that is what makes the cache useful); Run itself fans tasks
+// out internally.
 type Runner struct {
 	opts  Options
 	cache *cache
@@ -71,9 +71,9 @@ type job struct {
 	seed            int64
 }
 
-// Run executes every task of every spec (times Replicates) on the worker
-// pool and assembles one table per spec, in declaration order. The result
-// is byte-identical for a fixed RootSeed regardless of Workers.
+// Run executes every task of every spec (times Replicates) on Workers
+// workers and assembles one table per spec, in declaration order. The
+// result is byte-identical for a fixed RootSeed regardless of Workers.
 func (r *Runner) Run(specs []experiments.Spec) ([]*experiments.Table, error) {
 	return r.RunContext(context.Background(), specs)
 }
@@ -98,12 +98,8 @@ func (r *Runner) RunContext(ctx context.Context, specs []experiments.Spec) ([]*e
 	results := make([][][]string, len(jobs))
 	errs := make([]error, len(jobs))
 	var failed atomic.Bool // once set, remaining jobs are skipped: the sweep is doomed
-	pool := NewPool(r.opts.Workers, 0)
-	var wg sync.WaitGroup
-	for idx := range jobs {
-		wg.Add(1)
-		pool.Submit(func() {
-			defer wg.Done()
+	graph.ParallelFor(len(jobs), r.opts.Workers, 1, func(int) func(int) {
+		return func(idx int) {
 			if failed.Load() {
 				return
 			}
@@ -131,10 +127,8 @@ func (r *Runner) RunContext(ctx context.Context, specs []experiments.Spec) ([]*e
 			}
 			r.cache.put(key, rows)
 			results[idx] = rows
-		})
-	}
-	wg.Wait()
-	pool.Close()
+		}
+	})
 
 	// Report the first error in job order, not completion order. (With
 	// several near-simultaneous failures the abort flag may let different
