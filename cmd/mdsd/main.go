@@ -143,12 +143,15 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *storeDir != "" {
 		// Open fails fast on an uncreatable or unwritable directory (it
-		// probes with a real write) and quarantines any invalid entries it
-		// finds, so the daemon never boots half-durable by accident.
+		// opens its segments for writing) and quarantines any invalid
+		// records it finds, so the daemon never boots half-durable by
+		// accident.
 		st, err := store.Open(store.Options{Dir: *storeDir, MaxBytes: *storeMaxBytes, Fsync: fsyncPolicy})
 		if err != nil {
 			return fmt.Errorf("-store-dir: %w", err)
 		}
+		// Closed on every return: after the drain, no job writes to it.
+		defer st.Close()
 		cfg.Store = st
 		stats := st.Stats()
 		fmt.Fprintf(stdout, "mdsd: result store %s: %d entries (%d bytes), %d quarantined, fsync=%s\n",

@@ -82,8 +82,9 @@ func run(args []string, stdout io.Writer) error {
 	edges := fs.Int("edges", 100_000_000, "target edge count (gen)")
 	workers := fs.Int("workers", 0, "worker count for parallel modes (0: GOMAXPROCS)")
 	fingerprint := fs.Bool("fingerprint", false, "hash the loaded CSR (outside the timed window)")
-	r1 := fs.Int("r1", 1, "domination radius (solve)")
-	r2 := fs.Int("r2", 2, "independence radius (solve)")
+	practical := core.PracticalParams()
+	r1 := fs.Int("r1", practical.R1, "domination radius (solve; the default is core.PracticalParams)")
+	r2 := fs.Int("r2", practical.R2, "independence radius (solve; the default is core.PracticalParams)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -50,12 +50,15 @@ func TestPipelineEndToEnd(t *testing.T) {
 		}
 	}
 
-	solve := runJSON(t, "-mode", "solve", "-in", bin, "-workers", "2", "-r1", "1", "-r2", "2")
+	// The default radii (core.PracticalParams) leave the 12x12 grid
+	// components whole: a solution smaller than V shows the solve ran
+	// Algorithm 1 rather than taking every vertex at R1 = 1.
+	solve := runJSON(t, "-mode", "solve", "-in", bin, "-workers", "2")
 	if solve.Valid == nil || !*solve.Valid {
 		t.Fatalf("solve did not validate: %+v", solve)
 	}
-	if solve.SolutionSize < 1 {
-		t.Fatalf("empty solution: %+v", solve)
+	if solve.SolutionSize < 1 || solve.SolutionSize >= solve.N {
+		t.Fatalf("solution size %d outside [1, n=%d): %+v", solve.SolutionSize, solve.N, solve)
 	}
 }
 

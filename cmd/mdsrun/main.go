@@ -34,7 +34,9 @@
 // -workers bounds the Algorithm 1 fan-out of -alg alg1, alg1-huge and
 // mvc-alg1: the Cuts vertex loop and the component solves (and
 // alg1-huge's text parser). The solution is the same at every worker
-// count.
+// count. The "solution digest:" line names the set itself (a hash of its
+// sorted vertex ids), so two runs can be compared set for set without
+// printing it.
 //
 // With the staged drivers -alg alg1, alg1-huge or mvc-alg1, -stages
 // additionally prints the per-stage wall-time/allocation/size table
@@ -45,6 +47,9 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -52,6 +57,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 
 	"localmds/internal/core"
 	"localmds/internal/gen"
@@ -148,7 +154,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "wrote trace %s\n", *traceOut)
 	}
 	isMVC := *alg == "mvc-alg1" || *alg == "mvc-d2"
-	fmt.Fprintf(stdout, "algorithm: %s\nsolution size: %d\n", *alg, len(sol))
+	fmt.Fprintf(stdout, "algorithm: %s\nsolution size: %d\nsolution digest: %s\n", *alg, len(sol), solutionDigest(sol))
 	if isMVC {
 		fmt.Fprintf(stdout, "valid vertex cover: %v\n", mds.IsVertexCover(g, sol))
 	} else {
@@ -283,12 +289,27 @@ func runHuge(stdout io.Writer, in, format, kind string, n, tParam int, p float64
 		}
 		fmt.Fprintf(stdout, "wrote trace %s\n", traceOut)
 	}
-	fmt.Fprintf(stdout, "algorithm: alg1-huge\nsolution size: %d\n", len(res.S))
+	fmt.Fprintf(stdout, "algorithm: alg1-huge\nsolution size: %d\nsolution digest: %s\n", len(res.S), solutionDigest(res.S))
 	fmt.Fprintf(stdout, "valid dominating set: %v\n", mds.IsDominatingSetCSR(csr, res.S))
 	if stages {
 		fmt.Fprintf(stdout, "\npipeline stages:\n%s", res.StageStats.Render())
 	}
 	return nil
+}
+
+// solutionDigest names a vertex set by the SHA-256 of its sorted ids (8
+// bytes little-endian each), truncated to 128 bits: two runs print the
+// same digest exactly when they chose the same set, at any size.
+func solutionDigest(s []int) string {
+	ids := slices.Clone(s)
+	slices.Sort(ids)
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range ids {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 func mappedTag(m *graphio.MappedCSR) string {

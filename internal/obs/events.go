@@ -79,7 +79,8 @@ func (s *Subscription) Cancel() {
 // still sees the events that just preceded it.
 type Bus struct {
 	mu     sync.Mutex
-	ring   []Event // capacity-bounded, oldest first
+	ring   []Event // circular once full: oldest at ring[head]
+	head   int
 	cap    int
 	seq    uint64
 	subs   map[*Subscription]struct{}
@@ -115,8 +116,8 @@ func (b *Bus) Publish(ev Event) Event {
 		ev.Time = b.now()
 	}
 	if len(b.ring) == b.cap {
-		copy(b.ring, b.ring[1:])
-		b.ring[len(b.ring)-1] = ev
+		b.ring[b.head] = ev // overwrite the oldest
+		b.head = (b.head + 1) % b.cap
 	} else {
 		b.ring = append(b.ring, ev)
 	}
@@ -141,21 +142,18 @@ func (b *Bus) Subscribe(afterSeq uint64, buffer int) *Subscription {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	replay := 0
-	for _, ev := range b.ring {
-		if ev.Seq > afterSeq {
-			replay++
-		}
+	// The ring holds Seqs b.seq-len+1 … b.seq in order, so the events to
+	// replay are its newest b.seq-afterSeq.
+	replay := len(b.ring)
+	if afterSeq >= b.seq {
+		replay = 0
+	} else if b.seq-afterSeq < uint64(replay) {
+		replay = int(b.seq - afterSeq)
 	}
-	if buffer < replay {
-		buffer = replay
-	}
-	sub := &Subscription{bus: b, ch: make(chan Event, buffer)}
+	sub := &Subscription{bus: b, ch: make(chan Event, max(buffer, replay))}
 	sub.C = sub.ch
-	for _, ev := range b.ring {
-		if ev.Seq > afterSeq {
-			sub.ch <- ev
-		}
+	for i := len(b.ring) - replay; i < len(b.ring); i++ {
+		sub.ch <- b.ring[(b.head+i)%len(b.ring)]
 	}
 	if b.closed {
 		close(sub.ch)

@@ -55,6 +55,47 @@ func TestBusRingReplayForLateSubscribers(t *testing.T) {
 	}
 }
 
+// TestBusReplayAfterWrap: once the ring has wrapped (more than once, and
+// at an offset that is not a multiple of its size), afterSeq replay still
+// returns exactly the retained events newer than afterSeq, oldest first,
+// and live events follow the replay.
+func TestBusReplayAfterWrap(t *testing.T) {
+	for _, tc := range []struct {
+		after uint64
+		want  []uint64
+	}{
+		{0, []uint64{8, 9, 10, 11}},
+		{5, []uint64{8, 9, 10, 11}}, // older than the ring: all of it
+		{8, []uint64{9, 10, 11}},
+		{10, []uint64{11}},
+		{11, nil},
+		{99, nil}, // ahead of the bus: nothing to replay
+	} {
+		b := NewBus(4, nil)
+		for i := 0; i < 11; i++ {
+			b.Publish(Event{Type: EventDone, JobID: "job"})
+		}
+		sub := b.Subscribe(tc.after, 1)
+		var got []uint64
+		for range tc.want {
+			got = append(got, (<-sub.C).Seq)
+		}
+		b.Publish(Event{Type: EventDone, JobID: "live"})
+		if live := <-sub.C; live.Seq != 12 {
+			t.Fatalf("afterSeq=%d: after the replay got %+v, want the live seq 12", tc.after, live)
+		}
+		sub.Cancel()
+		if len(got) != len(tc.want) {
+			t.Fatalf("afterSeq=%d: replayed %v, want %v", tc.after, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("afterSeq=%d: replayed %v, want %v", tc.after, got, tc.want)
+			}
+		}
+	}
+}
+
 func TestBusSlowSubscriberDropsNotBlocks(t *testing.T) {
 	b := NewBus(16, nil)
 	sub := b.Subscribe(0, 2)

@@ -1,7 +1,7 @@
 // Crash and restart scenarios for the black-box suite: a clean restart
-// on a warm store (zero recomputes), and a SIGKILL mid-load with planted
-// corruption (torn temp removed, corrupt entry quarantined, every
-// pre-kill completion served from disk). The kill -9 scenario re-execs
+// on a warm store (zero recomputes), and a SIGKILL mid-load with a
+// wounded log (torn tail quarantined and cut off, corrupt record counted,
+// every pre-kill completion served from disk). The kill -9 scenario re-execs
 // this test binary as a real daemon process so the kill is a genuine
 // process death, not an in-process simulation.
 package service_test
@@ -9,12 +9,14 @@ package service_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -219,21 +221,70 @@ func (h *helperDaemon) kill() {
 	_, _ = h.cmd.Process.Wait()
 }
 
-// entryFiles lists the committed entry files in a store directory.
-func entryFiles(t *testing.T, dir string) []string {
+// logRecord is one complete record in a store's segment log.
+type logRecord struct {
+	path      string
+	off, size int64
+}
+
+// logRecords walks a store directory's segments in sequence order and
+// returns their complete records in log order, stopping at anything that
+// does not start a whole record. It reads only the layout's framing (the
+// magic, and the payload length at header byte 64); the store checks the
+// rest.
+func logRecords(t *testing.T, dir string) []logRecord {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, "*.mdse"))
+	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.mdsl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return matches
+	sort.Strings(paths)
+	var recs []logRecord
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := int64(0); off+96 <= int64(len(data)) && bytes.HasPrefix(data[off:], []byte(storeMagic)); {
+			size := 96 + int64(binary.LittleEndian.Uint64(data[off+64:]))
+			if size > int64(len(data))-off {
+				break
+			}
+			recs = append(recs, logRecord{path: p, off: off, size: size})
+			off += size
+		}
+	}
+	return recs
+}
+
+// storeMagic opens every record in a segment.
+const storeMagic = "\x89MDSE\r\n\x1a"
+
+// appendFile appends b to the file at path and returns its prior size.
+func appendFile(t *testing.T, path string, b []byte) int64 {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
 }
 
 // runKill9Recovery is the crash scenario: SIGKILL a real daemon process
-// mid-load, plant a torn temp file and a corrupt entry the way a dying
-// disk would, restart on the same directory, and require that every
-// pre-kill completion is served from disk (zero recomputes), the corrupt
-// entry is quarantined and counted, and the torn temp never surfaces.
+// mid-load, wound the store's log the way a dying disk would (a torn
+// partial record on the last segment, a payload bit flipped in a
+// mid-load record), restart on the same directory, and require that
+// every pre-kill completion is served from disk (zero recomputes), the
+// damage is counted as quarantined, and the torn bytes are moved out of
+// the segment into quarantine/.
 func runKill9Recovery(t *testing.T, duration time.Duration) scenarioResult {
 	storeDir := filepath.Join(t.TempDir(), "store")
 	ctlDir := t.TempDir()
@@ -248,12 +299,8 @@ func runKill9Recovery(t *testing.T, duration time.Duration) scenarioResult {
 		preBodies[i] = solveBody("ding", 80, int64(i+1))
 		postView(t, h1.base, preBodies[i])
 	}
-	committed := map[string]bool{}
-	for _, f := range entryFiles(t, storeDir) {
-		committed[f] = true
-	}
-	if len(committed) != preKill {
-		t.Fatalf("pre-kill wave left %d entries, want %d", len(committed), preKill)
+	if n := metricValue(t, h1.base, "mdsd_store_entries"); n != preKill {
+		t.Fatalf("pre-kill wave left %v entries, want %d", n, preKill)
 	}
 
 	// Load of fresh instances (disjoint n) with a SIGKILL landing in the
@@ -265,36 +312,38 @@ func runKill9Recovery(t *testing.T, duration time.Duration) scenarioResult {
 	killTimer.Stop()
 	h1.kill() // in case the hammer window ended before the timer fired
 
-	// Wound the store the way a crashing machine would: a torn temp file
-	// from a write that never committed, plus a bit-flipped entry. The
-	// flip targets a mid-load entry when one landed, so the pre-kill set
-	// stays bitwise intact; otherwise a fabricated corrupt entry stands in.
-	tornTemp := filepath.Join(storeDir, strings.Repeat("cd", 32)+"-1111111111111111.mdse.tmp42")
-	if err := os.WriteFile(tornTemp, []byte("torn mid-write"), 0o644); err != nil {
+	// Wound the log. The flip targets a mid-load record when one landed,
+	// so the pre-kill records stay bitwise intact; otherwise a record
+	// whose payload fails its checksum is appended in its place. Then a
+	// torn partial record goes on the end of the last segment.
+	recs := logRecords(t, storeDir)
+	if len(recs) < preKill {
+		t.Fatalf("log holds %d whole records, want >= %d", len(recs), preKill)
+	}
+	last := recs[len(recs)-1].path
+	var rec bytes.Buffer
+	if err := store.WriteEntry(&rec, &store.Entry{ComputedAtNanos: 1, Payload: []byte(`{"never":"served"}`)}); err != nil {
 		t.Fatal(err)
 	}
-	var corrupt string
-	for _, f := range entryFiles(t, storeDir) {
-		if !committed[f] {
-			corrupt = f
-			break
-		}
-	}
-	if corrupt == "" {
-		corrupt = filepath.Join(storeDir, strings.Repeat("ab", 32)+"-0000000000000000.mdse")
-		if err := os.WriteFile(corrupt, []byte("not a store entry"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		data, err := os.ReadFile(corrupt)
+	if len(recs) > preKill {
+		r := recs[preKill]
+		data, err := os.ReadFile(r.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[len(data)-1] ^= 0x40
-		if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+		data[r.off+96] ^= 0x40
+		if err := os.WriteFile(r.path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	} else {
+		bad := bytes.Clone(rec.Bytes())
+		bad[96] ^= 0x40
+		appendFile(t, last, bad)
 	}
+	torn := rec.Bytes()[:60]
+	tornOff := appendFile(t, last, torn)
+	t.Logf("wounded the log: %d whole records (%d mid-load), torn tail at %s@%d",
+		len(recs), len(recs)-preKill, filepath.Base(last), tornOff)
 
 	restartStart := time.Now()
 	h2 := spawnHelper(t, storeDir, filepath.Join(ctlDir, "addr2"))
@@ -304,13 +353,23 @@ func runKill9Recovery(t *testing.T, duration time.Duration) scenarioResult {
 	}
 	ready := time.Since(restartStart)
 
-	// The startup scan must have swept the wreckage: torn temp gone,
-	// corrupt entry moved aside and counted, never served.
-	if _, err := os.Stat(tornTemp); !os.IsNotExist(err) {
-		t.Fatalf("torn temp file survived the restart scan: %v", err)
+	// The startup scan must have moved the torn bytes out of the segment
+	// into quarantine/.
+	if info, err := os.Stat(last); err != nil || info.Size() > tornOff {
+		t.Fatalf("torn tail still in %s after the restart scan: %v", last, err)
 	}
-	if _, err := os.Stat(corrupt); !os.IsNotExist(err) {
-		t.Fatalf("corrupt entry still in the serving directory: %v", err)
+	qfiles, err := filepath.Glob(filepath.Join(storeDir, "quarantine", filepath.Base(last)+"@*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tornKept := false
+	for _, q := range qfiles {
+		if b, err := os.ReadFile(q); err == nil && bytes.HasSuffix(b, torn) {
+			tornKept = true
+		}
+	}
+	if !tornKept {
+		t.Fatalf("torn bytes not in quarantine/ (found %v)", qfiles)
 	}
 	quarantined := metricValue(t, h2.base, "mdsd_store_quarantined_total")
 	if quarantined < 1 {

@@ -337,7 +337,7 @@ func TestSaturationBlackbox(t *testing.T) {
 	})
 
 	// Scenario 6 — kill -9 mid-load: a real daemon process dies without
-	// drain, the store is wounded (torn temp, corrupt entry), and the
+	// drain, the log is wounded (torn tail, corrupt record), and the
 	// restarted daemon must serve only checksum-valid entries with zero
 	// recomputes for pre-kill completions.
 	t.Run("kill9_recovery", func(t *testing.T) {

@@ -38,6 +38,7 @@ func openStore(t *testing.T, dir string, opts store.Options) *store.Store {
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
+	t.Cleanup(func() { _ = st.Close() })
 	return st
 }
 
@@ -121,14 +122,15 @@ func TestStoreCorruptEntryRecomputed(t *testing.T) {
 	ts1.Close()
 	s1.Close()
 
-	// Flip one payload byte in the single persisted entry.
+	// Flip one payload byte of the single persisted entry, the last
+	// record in the only segment.
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	corrupted := 0
 	for _, de := range des {
-		if !strings.HasSuffix(de.Name(), ".mdse") {
+		if !strings.HasSuffix(de.Name(), ".mdsl") {
 			continue
 		}
 		p := filepath.Join(dir, de.Name())
@@ -162,8 +164,8 @@ func TestStoreCorruptEntryRecomputed(t *testing.T) {
 	}
 }
 
-// enospcFS passes everything through to the real filesystem except entry
-// writes, which fail with ENOSPC — the injected disk-full fault.
+// enospcFS passes everything through to the real filesystem except
+// segment writes, which fail with ENOSPC — the injected disk-full fault.
 type enospcFS struct{ store.OSFS }
 
 func (fs enospcFS) Create(name string) (store.File, error) {
@@ -171,15 +173,12 @@ func (fs enospcFS) Create(name string) (store.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if strings.Contains(name, ".mdse.tmp") {
-		return enospcFile{File: f}, nil
-	}
-	return f, nil
+	return enospcFile{File: f}, nil
 }
 
 type enospcFile struct{ store.File }
 
-func (f enospcFile) Write(p []byte) (int, error) { return 0, syscall.ENOSPC }
+func (f enospcFile) WriteAt(p []byte, off int64) (int, error) { return 0, syscall.ENOSPC }
 
 // TestStoreDegradesOnENOSPC: a full disk must not fail a single request.
 // The first persist error flips the daemon to memory-only, surfaces on

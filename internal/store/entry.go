@@ -1,11 +1,26 @@
 // Package store is the daemon's durability layer: a disk-backed
 // content-addressed result store keyed by graph.Fingerprint plus the
-// normalized solver params. One checksummed entry file holds one solve
-// result; writes go through a temp file and an atomic rename under a
-// configurable fsync policy, a startup scan quarantines (never serves)
-// truncated, corrupt, or alien entries, and on-disk LRU eviction keeps
-// the store inside a byte budget. All I/O goes through the FS interface
-// so tests inject ENOSPC, short writes, and read errors deterministically.
+// normalized solver params.
+//
+// The store is an append-only log of segments, <dir>/seg-<seq>.mdsl
+// (seq is zero-padded to at least 8 digits), each holding back-to-back
+// checksummed entries in the encoding below, with an in-memory index
+// from key to (segment, offset, size) in LRU order — the log-structured
+// design of Rosenblum & Ousterhout's LFS and of Bitcask. A Put is one
+// positioned write at the active segment's end plus, under FsyncAlways,
+// one fsync; a file is created only when the active segment fills and a
+// new one rolls. Open scans the segments in sequence order and the
+// records in log order, a later record for a key replacing an earlier
+// one. A record whose header verifies but whose payload does not is
+// skipped by its declared length; after a bad header the scan
+// resynchronises on the next header that verifies, and bytes that never
+// resynchronise (a torn tail) are copied to quarantine/<segment>@<offset>
+// and cut off the segment. Nothing that fails a check is ever served.
+// A byte budget keeps entry-granular LRU eviction over live records;
+// sealed segments with no live record are removed, and the oldest sealed
+// segment is compacted once dead bytes would push disk use past the
+// budget plus one segment. All I/O goes through the FS interface so
+// tests inject ENOSPC, short writes, and read errors deterministically.
 //
 // The entry encoding follows the csrbin discipline (internal/graphio): a
 // PNG-style magic, a CRC-32-guarded fixed header carrying the key and the
@@ -26,7 +41,7 @@ import (
 	"localmds/internal/graph"
 )
 
-// The entry file layout (all integers little-endian):
+// The entry layout (all integers little-endian):
 //
 //	offset  size  field
 //	     0     8  magic 89 4D 44 53 45 0D 0A 1A ("\x89MDSE\r\n\x1a")
@@ -41,7 +56,7 @@ import (
 //	    92     4  IEEE CRC-32 of header bytes [0, 92)
 //	    96     …  payload (the serialized solve outcome)
 
-// entryMagic is the 8-byte file signature.
+// entryMagic is the 8-byte entry signature; the scan resynchronises on it.
 var entryMagic = [8]byte{0x89, 'M', 'D', 'S', 'E', '\r', '\n', 0x1a}
 
 const (
@@ -52,8 +67,8 @@ const (
 // entryCRCTable is the CRC-64/ECMA table for the payload checksum.
 var entryCRCTable = crc64.MakeTable(crc64.ECMA)
 
-// FormatError locates a structural or integrity error in an entry file.
-// Offset is the byte position of the offending field (0 for whole-file
+// FormatError locates a structural or integrity error in an entry.
+// Offset is the byte position of the offending field (0 for whole-entry
 // problems such as a bad magic). The taxonomy is deterministic: a given
 // corrupt input always yields the same error.
 type FormatError struct {
@@ -119,9 +134,8 @@ func ReadEntry(r io.Reader, maxPayload int64) (*Entry, error) {
 		}
 		return nil, err
 	}
-	if crc := crc64.Checksum(e.Payload, entryCRCTable); crc != binary.LittleEndian.Uint64(hdr[72:]) {
-		return nil, formatErrf(72, "payload checksum mismatch (header says %#x, payload sums to %#x)",
-			binary.LittleEndian.Uint64(hdr[72:]), crc)
+	if err := checkPayload(hdr, e.Payload); err != nil {
+		return nil, err
 	}
 	var one [1]byte
 	k, rerr := r.Read(one[:])
@@ -132,6 +146,15 @@ func ReadEntry(r io.Reader, maxPayload int64) (*Entry, error) {
 		return nil, rerr
 	}
 	return e, nil
+}
+
+// checkPayload verifies payload against the CRC-64 its header declares.
+func checkPayload(hdr, payload []byte) error {
+	if crc := crc64.Checksum(payload, entryCRCTable); crc != binary.LittleEndian.Uint64(hdr[72:]) {
+		return formatErrf(72, "payload checksum mismatch (header says %#x, payload sums to %#x)",
+			binary.LittleEndian.Uint64(hdr[72:]), crc)
+	}
+	return nil
 }
 
 // parseEntryHeader validates the fixed header and returns the decoded

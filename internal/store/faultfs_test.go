@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -10,20 +11,23 @@ import (
 )
 
 // faultFS wraps the real filesystem and injects one failure per field.
-// Matching is by substring of the path, so a test can target "the entry
-// file" or "the temp file" without knowing exact names.
+// Matching is by substring of the path, so a test can target "segment 2"
+// or "any segment" without knowing exact names. Files opened through it
+// consult its fields on every call, so a test can arm a fault after Open.
 type faultFS struct {
 	inner FS
 
 	createErr   error // Create fails outright
-	writeErr    error // writes through created files fail
-	shortWrite  bool  // writes through created files report n-1, no error
+	writeErr    error // writes through opened files fail
+	shortWrite  bool  // writes through opened files stop one byte short
 	syncErr     error // File.Sync fails
 	readErr     error // reads through opened files fail
-	renameErr   error // Rename fails
+	truncErr    error // Truncate fails
 	removeErr   error // Remove fails
 	syncDirErr  error // SyncDir fails
 	pathPattern string
+
+	creates, syncDirs int // calls that reached the filesystem
 }
 
 func (f *faultFS) match(name string) bool {
@@ -37,31 +41,19 @@ func (f *faultFS) Open(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f.readErr != nil && f.match(name) {
-		return &faultFile{File: file, readErr: f.readErr}, nil
-	}
-	return file, nil
+	return &faultFile{File: file, fs: f, name: name}, nil
 }
 
 func (f *faultFS) Create(name string) (File, error) {
 	if f.createErr != nil && f.match(name) {
 		return nil, f.createErr
 	}
+	f.creates++
 	file, err := f.inner.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	if (f.writeErr != nil || f.shortWrite || f.syncErr != nil) && f.match(name) {
-		return &faultFile{File: file, writeErr: f.writeErr, shortWrite: f.shortWrite, syncErr: f.syncErr}, nil
-	}
-	return file, nil
-}
-
-func (f *faultFS) Rename(oldpath, newpath string) error {
-	if f.renameErr != nil && (f.match(oldpath) || f.match(newpath)) {
-		return f.renameErr
-	}
-	return f.inner.Rename(oldpath, newpath)
+	return &faultFile{File: file, fs: f, name: name}, nil
 }
 
 func (f *faultFS) Remove(name string) error {
@@ -73,47 +65,54 @@ func (f *faultFS) Remove(name string) error {
 
 func (f *faultFS) ReadDir(name string) ([]os.DirEntry, error) { return f.inner.ReadDir(name) }
 
-func (f *faultFS) Stat(name string) (os.FileInfo, error) { return f.inner.Stat(name) }
+func (f *faultFS) Truncate(name string, size int64) error {
+	if f.truncErr != nil && f.match(name) {
+		return f.truncErr
+	}
+	return f.inner.Truncate(name, size)
+}
 
 func (f *faultFS) SyncDir(name string) error {
 	if f.syncDirErr != nil && f.match(name) {
 		return f.syncDirErr
 	}
+	f.syncDirs++
 	return f.inner.SyncDir(name)
 }
 
 type faultFile struct {
 	File
-	writeErr   error
-	shortWrite bool
-	syncErr    error
-	readErr    error
+	fs   *faultFS
+	name string
 }
 
-func (f *faultFile) Write(p []byte) (int, error) {
-	if f.writeErr != nil {
-		return 0, f.writeErr
+func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
+	if !f.fs.match(f.name) {
+		return f.File.WriteAt(p, off)
 	}
-	if f.shortWrite && len(p) > 0 {
-		n, err := f.File.Write(p[:len(p)-1])
+	if f.fs.writeErr != nil {
+		return 0, f.fs.writeErr
+	}
+	if f.fs.shortWrite && len(p) > 0 {
+		n, err := f.File.WriteAt(p[:len(p)-1], off)
 		if err != nil {
 			return n, err
 		}
 		return n, errors.New("short write")
 	}
-	return f.File.Write(p)
+	return f.File.WriteAt(p, off)
 }
 
-func (f *faultFile) Read(p []byte) (int, error) {
-	if f.readErr != nil {
-		return 0, f.readErr
+func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.fs.readErr != nil && f.fs.match(f.name) {
+		return 0, f.fs.readErr
 	}
-	return f.File.Read(p)
+	return f.File.ReadAt(p, off)
 }
 
 func (f *faultFile) Sync() error {
-	if f.syncErr != nil {
-		return f.syncErr
+	if f.fs.syncErr != nil && f.fs.match(f.name) {
+		return f.fs.syncErr
 	}
 	return f.File.Sync()
 }
@@ -126,17 +125,22 @@ func seedStore(t *testing.T, dir string, k Key) {
 	if err := s.Put(k, time.Now().UnixNano(), []byte(`{"seed":true}`)); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestPutENOSPC: a full disk fails the Put with the real error (so the
-// service can degrade), leaves no temp litter, and keeps previously
-// persisted entries servable.
+// service can degrade), leaves the segment at its previous end, and keeps
+// previously persisted entries servable in-process and after reopen.
 func TestPutENOSPC(t *testing.T) {
 	dir := t.TempDir()
 	k0, k1 := testKey(0), testKey(1)
 	seedStore(t, dir, k0)
-	ffs := &faultFS{inner: OSFS{}, writeErr: syscall.ENOSPC, pathPattern: ".mdse.tmp"}
+	ffs := &faultFS{inner: OSFS{}}
 	s := mustOpen(t, Options{Dir: dir, FS: ffs})
+	before := segmentBytes(t, dir)
+	ffs.writeErr = syscall.ENOSPC
 	err := s.Put(k1, 1, []byte("new result"))
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("Put under ENOSPC: %v, want ENOSPC", err)
@@ -147,58 +151,88 @@ func TestPutENOSPC(t *testing.T) {
 	if _, err := s.Get(k0); err != nil {
 		t.Fatalf("prior entry lost after ENOSPC: %v", err)
 	}
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	if after := segmentBytes(t, dir); after != before {
+		t.Fatalf("segments hold %d bytes after the failed Put, want %d", after, before)
 	}
-	for _, de := range des {
-		if strings.Contains(de.Name(), ".tmp") {
-			t.Fatalf("temp litter after failed Put: %s", de.Name())
-		}
-	}
+	assertReopenServes(t, dir, k0)
 }
 
+// TestPutShortWrite: a write that stops short is rolled back; the torn
+// record never becomes visible, and the next Put lands cleanly.
 func TestPutShortWrite(t *testing.T) {
-	ffs := &faultFS{inner: OSFS{}, shortWrite: true, pathPattern: ".mdse.tmp"}
-	s := mustOpen(t, Options{Dir: t.TempDir(), FS: ffs})
+	dir := t.TempDir()
+	ffs := &faultFS{inner: OSFS{}, shortWrite: true}
+	s := mustOpen(t, Options{Dir: dir, FS: ffs})
 	if err := s.Put(testKey(0), 1, []byte("payload")); err == nil {
 		t.Fatal("short write went unnoticed")
 	}
 	if _, err := s.Get(testKey(0)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("torn entry visible: %v", err)
 	}
+	ffs.shortWrite = false
+	mustPut(t, s, testKey(1), "whole")
+	if st := mustOpen(t, Options{Dir: dir}).Stats(); st.Entries != 1 || st.Quarantined != 0 {
+		t.Fatalf("reopen after a rolled-back short write: %+v", st)
+	}
 }
 
+// TestPutTruncateFails: when the rollback of a failed append fails too,
+// Put returns both errors; the earlier entry stays servable in-process,
+// and after reopen the torn bytes are quarantined, not served.
+func TestPutTruncateFails(t *testing.T) {
+	dir := t.TempDir()
+	k0, k1 := testKey(0), testKey(1)
+	seedStore(t, dir, k0)
+	ffs := &faultFS{inner: OSFS{}}
+	s := mustOpen(t, Options{Dir: dir, FS: ffs})
+	ffs.shortWrite, ffs.truncErr = true, syscall.EIO
+	err := s.Put(k1, 1, []byte("torn result"))
+	if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Put over a failing rollback: %v, want EIO", err)
+	}
+	if _, err := s.Get(k0); err != nil {
+		t.Fatalf("prior entry lost: %v", err)
+	}
+	s2 := mustOpen(t, Options{Dir: dir})
+	if _, err := s2.Get(k1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("torn record served after reopen: %v", err)
+	}
+	if _, err := s2.Get(k0); err != nil {
+		t.Fatalf("prior entry lost after reopen: %v", err)
+	}
+	if st := s2.Stats(); st.Quarantined != 1 {
+		t.Fatalf("torn tail not quarantined: %+v", st)
+	}
+}
+
+// TestPutCreateFails: a segment roll that cannot create its file fails
+// the Put that needed it.
 func TestPutCreateFails(t *testing.T) {
-	ffs := &faultFS{inner: OSFS{}, createErr: syscall.EACCES, pathPattern: ".mdse.tmp"}
-	s := mustOpen(t, Options{Dir: t.TempDir(), FS: ffs})
-	if err := s.Put(testKey(0), 1, []byte("x")); !errors.Is(err, syscall.EACCES) {
+	ffs := &faultFS{inner: OSFS{}}
+	s := mustOpen(t, Options{Dir: t.TempDir(), FS: ffs, MaxBytes: 4 * (entryHeaderLen + 1)})
+	mustPut(t, s, testKey(0), "x") // fills segment 1
+	ffs.createErr, ffs.pathPattern = syscall.EACCES, segName(2)
+	if err := s.Put(testKey(1), 1, []byte("x")); !errors.Is(err, syscall.EACCES) {
 		t.Fatalf("Put: %v, want EACCES", err)
+	}
+	if _, err := s.Get(testKey(0)); err != nil {
+		t.Fatalf("prior entry lost: %v", err)
 	}
 }
 
 func TestPutSyncFails(t *testing.T) {
-	ffs := &faultFS{inner: OSFS{}, syncErr: syscall.EIO, pathPattern: ".mdse.tmp"}
+	ffs := &faultFS{inner: OSFS{}, syncErr: syscall.EIO, pathPattern: segName(1)}
 	s := mustOpen(t, Options{Dir: t.TempDir(), FS: ffs, Fsync: FsyncAlways})
 	if err := s.Put(testKey(0), 1, []byte("x")); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Put: %v, want EIO", err)
+	}
+	if st := s.Stats(); st.Entries != 0 {
+		t.Fatalf("unsynced entry was indexed: %+v", st)
 	}
 	// Under FsyncNone the same fault never fires.
 	s2 := mustOpen(t, Options{Dir: t.TempDir(), FS: ffs, Fsync: FsyncNone})
 	if err := s2.Put(testKey(0), 1, []byte("x")); err != nil {
 		t.Fatalf("Put with FsyncNone: %v", err)
-	}
-}
-
-func TestPutRenameFails(t *testing.T) {
-	dir := t.TempDir()
-	ffs := &faultFS{inner: OSFS{}, renameErr: syscall.EIO, pathPattern: entrySuffix}
-	s := mustOpen(t, Options{Dir: dir, FS: ffs})
-	if err := s.Put(testKey(0), 1, []byte("x")); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("Put: %v, want EIO", err)
-	}
-	if st := s.Stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("failed rename was indexed: %+v", st)
 	}
 }
 
@@ -209,10 +243,11 @@ func TestGetReadError(t *testing.T) {
 	dir := t.TempDir()
 	k := testKey(0)
 	seedStore(t, dir, k)
-	s := mustOpen(t, Options{Dir: dir})
-	// Inject after Open: a scan-time read error is fatal (covered below),
+	ffs := &faultFS{inner: OSFS{}}
+	s := mustOpen(t, Options{Dir: dir, FS: ffs})
+	// Arm after Open: a scan-time read error is fatal (covered below),
 	// this test is about the serving path.
-	s.fs = &faultFS{inner: OSFS{}, readErr: syscall.EIO, pathPattern: entrySuffix}
+	ffs.readErr = syscall.EIO
 	_, err := s.Get(k)
 	if err == nil || errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get under EIO: %v, want the I/O error itself", err)
@@ -229,42 +264,67 @@ func TestGetReadError(t *testing.T) {
 func TestScanReadErrorFailsOpen(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, testKey(0))
-	ffs := &faultFS{inner: OSFS{}, readErr: syscall.EIO, pathPattern: entrySuffix}
+	ffs := &faultFS{inner: OSFS{}, readErr: syscall.EIO, pathPattern: ".mdsl"}
 	if _, err := Open(Options{Dir: dir, FS: ffs}); err == nil {
-		t.Fatal("Open succeeded over a disk that cannot read entries")
+		t.Fatal("Open succeeded over a disk that cannot read segments")
 	}
 }
 
+// TestOpenProbeFails: a directory where the first segment cannot be
+// created fails Open, not the first Put.
 func TestOpenProbeFails(t *testing.T) {
-	ffs := &faultFS{inner: OSFS{}, createErr: syscall.EROFS, pathPattern: ".probe"}
+	ffs := &faultFS{inner: OSFS{}, createErr: syscall.EROFS, pathPattern: ".mdsl"}
 	if _, err := Open(Options{Dir: t.TempDir(), FS: ffs}); !errors.Is(err, syscall.EROFS) {
 		t.Fatalf("Open on read-only fs: %v, want EROFS", err)
 	}
 }
 
+// TestPutSyncDirFails: under FsyncAlways a roll syncs the directory, and
+// a failure there fails the Put that rolled.
 func TestPutSyncDirFails(t *testing.T) {
-	ffs := &faultFS{inner: OSFS{}, syncDirErr: syscall.EIO}
-	// Match only after Open's probe: scope the fault post-construction.
-	s := mustOpen(t, Options{Dir: t.TempDir(), Fsync: FsyncAlways})
-	s.fs = ffs
-	if err := s.Put(testKey(0), 1, []byte("x")); !errors.Is(err, syscall.EIO) {
+	ffs := &faultFS{inner: OSFS{}}
+	s := mustOpen(t, Options{Dir: t.TempDir(), FS: ffs, Fsync: FsyncAlways, MaxBytes: 4 * (entryHeaderLen + 1)})
+	mustPut(t, s, testKey(0), "x") // fills segment 1
+	ffs.syncDirErr = syscall.EIO
+	if err := s.Put(testKey(1), 1, []byte("x")); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Put: %v, want EIO from SyncDir", err)
 	}
 }
 
-// TestEvictionRemoveError: a Remove failure during eviction surfaces to the
-// Put caller (the service degrades) instead of silently leaking budget.
+// TestEvictionRemoveError: a Remove failure while reclaiming an evicted
+// segment surfaces to the Put caller (the service degrades) instead of
+// silently leaking budget.
 func TestEvictionRemoveError(t *testing.T) {
 	dir := t.TempDir()
 	payload := strings.Repeat("z", 100)
 	one := entryHeaderLen + int64(len(payload))
-	s := mustOpen(t, Options{Dir: dir, MaxBytes: one})
+	ffs := &faultFS{inner: OSFS{}}
+	s := mustOpen(t, Options{Dir: dir, MaxBytes: one, FS: ffs})
 	if err := s.Put(testKey(0), 1, []byte(payload)); err != nil {
 		t.Fatal(err)
 	}
-	s.fs = &faultFS{inner: OSFS{}, removeErr: syscall.EIO, pathPattern: testKey(0).filename()}
+	ffs.removeErr, ffs.pathPattern = syscall.EIO, segName(1)
 	if err := s.Put(testKey(1), 1, []byte(payload)); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Put over failing eviction: %v, want EIO", err)
+	}
+}
+
+// TestPutCreatesOneFilePerSegment: N Puts create at most one file per
+// segment they fill, and sync the directory only when a segment rolls.
+func TestPutCreatesOneFilePerSegment(t *testing.T) {
+	payload := strings.Repeat("c", 100)
+	one := entryHeaderLen + int64(len(payload))
+	const perSeg, puts = 4, 50
+	ffs := &faultFS{inner: OSFS{}}
+	s := mustOpen(t, Options{Dir: t.TempDir(), FS: ffs, Fsync: FsyncAlways, MaxBytes: 4 * perSeg * one})
+	for i := 0; i < puts; i++ {
+		mustPut(t, s, testKey(i), payload)
+	}
+	if max := 1 + (puts+perSeg-1)/perSeg; ffs.creates > max {
+		t.Fatalf("%d Puts created %d files, want <= %d", puts, ffs.creates, max)
+	}
+	if ffs.syncDirs != ffs.creates {
+		t.Fatalf("%d directory syncs for %d segment rolls", ffs.syncDirs, ffs.creates)
 	}
 }
 
@@ -291,4 +351,22 @@ func TestConcurrentPutGet(t *testing.T) {
 	if st := s.Stats(); st.Quarantined != 0 {
 		t.Fatalf("concurrent churn quarantined entries: %+v", st)
 	}
+}
+
+// segmentBytes sums the sizes of the segment files in dir.
+func segmentBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.mdsl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, p := range paths {
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size()
+	}
+	return total
 }

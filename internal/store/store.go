@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"localmds/internal/graph"
@@ -18,14 +18,14 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncAlways syncs the entry file before the rename and the
-	// directory after it: once Put returns, the entry survives a crash
-	// or power loss. This is the durability contract the service's
+	// FsyncAlways syncs the segment after every append and the directory
+	// after every new segment: once Put returns, the entry survives a
+	// crash or power loss. This is the durability contract the service's
 	// persist-before-respond ordering relies on.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncNone skips both syncs: the rename is still atomic (no torn
-	// entries are ever visible), but a crash may lose recently written
-	// entries that were only in the page cache.
+	// FsyncNone skips both syncs: a crash may lose recently appended
+	// entries that were only in the page cache, and the torn tail such a
+	// crash leaves is quarantined by the next Open (never served).
 	FsyncNone
 )
 
@@ -57,21 +57,32 @@ type Key struct {
 	Params      string
 }
 
-// entrySuffix is the store's file extension.
-const entrySuffix = ".mdse"
-
-// quarantineDir is the subdirectory corrupt entries are moved into.
-const quarantineDir = "quarantine"
-
-// filename renders the entry file name for a key: the full fingerprint
-// hex plus the params hash, so lookups are a single stat away and the
-// startup scan can detect files that do not match their own header.
-func (k Key) filename() string {
-	return entryFilename(k.Fingerprint, paramsHash(k.Params))
+// recKey is a Key as the entry header records it: the params string is
+// stored as its hash.
+type recKey struct {
+	fp graph.Fingerprint
+	ph uint64
 }
 
-func entryFilename(fp graph.Fingerprint, ph uint64) string {
-	return fmt.Sprintf("%s-%016x%s", fp.String(), ph, entrySuffix)
+func (k Key) rec() recKey { return recKey{fp: k.Fingerprint, ph: paramsHash(k.Params)} }
+
+const (
+	// quarantineDir is the subdirectory torn segment tails are copied to.
+	quarantineDir = "quarantine"
+	// maxSegmentBytes caps a segment before the next append rolls a new
+	// one; a byte budget lowers it to a quarter of the budget, so a
+	// store's dead bytes stay small next to its live ones.
+	maxSegmentBytes = 4 << 20
+)
+
+// segName renders the file name of segment seq.
+func segName(seq uint64) string { return fmt.Sprintf("seg-%08d.mdsl", seq) }
+
+// parseSegName inverts segName; any other name is not a segment.
+func parseSegName(name string) (uint64, bool) {
+	var seq uint64
+	_, err := fmt.Sscanf(name, "seg-%d.mdsl", &seq)
+	return seq, err == nil && segName(seq) == name
 }
 
 // ErrNotFound reports a clean miss: no entry, or an entry that failed
@@ -79,14 +90,17 @@ func entryFilename(fp graph.Fingerprint, ph uint64) string {
 // back verbatim so the caller can degrade.
 var ErrNotFound = errors.New("store: entry not found")
 
+// errClosed is returned by Get and Put after Close.
+var errClosed = errors.New("store: closed")
+
 // Options configure Open.
 type Options struct {
 	// Dir is the store directory; created if absent. Open fails if it
 	// cannot be created or is not writable.
 	Dir string
-	// MaxBytes is the on-disk budget across entry files; when a Put
-	// would exceed it, least-recently-used entries are evicted. <= 0
-	// means unlimited.
+	// MaxBytes is the budget across live entries; when a Put would
+	// exceed it, least-recently-used entries are evicted, and disk use
+	// stays within MaxBytes plus one segment. <= 0 means unlimited.
 	MaxBytes int64
 	// Fsync is the durability policy for writes.
 	Fsync FsyncPolicy
@@ -103,20 +117,39 @@ type Stats struct {
 	// Entries and Bytes describe the live (servable) entry set.
 	Entries int
 	Bytes   int64
-	// Quarantined counts entries moved aside since Open — truncated,
-	// corrupt, or alien files found by the startup scan plus any caught
-	// later by Get validation. Quarantined entries are never served.
+	// Quarantined counts records set aside since Open — corrupt records
+	// and torn tails found by the startup scan, records caught later by
+	// Get validation, and discarded ones. Quarantined records are never
+	// served.
 	Quarantined int64
-	// Evictions counts entries removed by the byte-budget LRU.
+	// Evictions counts entries dropped by the byte-budget LRU.
 	Evictions int64
 	// Hits and Misses count Get outcomes.
 	Hits   int64
 	Misses int64
 }
 
+// segment is one log file. Every segment but the last is sealed; the
+// last is the active one Put appends to.
+type segment struct {
+	path string
+	f    File
+	size int64 // end of the last record: the next append lands here
+	live int64 // bytes of the records the index points into
+}
+
+// indexEntry is one live entry: where its record sits in the log.
+type indexEntry struct {
+	key  recKey
+	seg  *segment
+	off  int64
+	size int64
+}
+
 // Store is the disk-backed result store. All methods are safe for
 // concurrent use; file I/O is serialized under one lock, which is fine at
-// this layer — the memory LRU in front of it absorbs the hot path.
+// this layer — a Put is one append, and the memory LRU in front of the
+// store absorbs the hot path.
 type Store struct {
 	mu         sync.Mutex
 	fs         FS
@@ -124,12 +157,17 @@ type Store struct {
 	qdir       string
 	maxBytes   int64
 	maxPayload int64
+	segCap     int64
 	fsync      FsyncPolicy
 
-	ll     *list.List               // front = most recently used
-	items  map[string]*list.Element // entry filename -> element
-	bytes  int64
-	tmpSeq int64
+	segs    []*segment // ascending sequence; the last is active
+	nextSeq uint64
+	disk    int64 // bytes across all segments, live and dead
+	closed  bool
+
+	ll    *list.List               // front = most recently used
+	items map[recKey]*list.Element // key -> *indexEntry element
+	bytes int64                    // live bytes
 
 	quarantined int64
 	evictions   int64
@@ -137,18 +175,10 @@ type Store struct {
 	misses      int64
 }
 
-// indexEntry is one live entry's accounting record.
-type indexEntry struct {
-	name string
-	size int64
-}
-
-// Open creates (if needed) and scans the store directory: leftover temp
-// files from interrupted writes are deleted, and every entry file is
-// fully validated — header and payload checksums, canonical key-to-name
-// correspondence — with failures moved to the quarantine subdirectory,
-// never served. The scan also probes writability so a misconfigured
-// directory fails here, at startup, not on the first solve.
+// Open creates (if needed) and scans the store directory, then opens the
+// segment Put appends to: the last one when it has room, else a new one.
+// Opening every segment for writing, or creating the first, is what makes
+// a read-only directory fail here, at startup, not on the first solve.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("store: empty directory")
@@ -161,15 +191,21 @@ func Open(opts Options) (*Store, error) {
 	if maxPayload <= 0 {
 		maxPayload = 1 << 30
 	}
+	segCap := int64(maxSegmentBytes)
+	if opts.MaxBytes > 0 {
+		segCap = min(segCap, opts.MaxBytes/4)
+	}
 	s := &Store{
 		fs:         fsys,
 		dir:        opts.Dir,
 		qdir:       filepath.Join(opts.Dir, quarantineDir),
 		maxBytes:   opts.MaxBytes,
 		maxPayload: maxPayload,
+		segCap:     segCap,
 		fsync:      opts.Fsync,
+		nextSeq:    1,
 		ll:         list.New(),
-		items:      make(map[string]*list.Element),
+		items:      make(map[recKey]*list.Element),
 	}
 	if err := fsys.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", s.dir, err)
@@ -177,186 +213,216 @@ func Open(opts Options) (*Store, error) {
 	if err := fsys.MkdirAll(s.qdir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", s.qdir, err)
 	}
-	if err := s.probeWritable(); err != nil {
-		return nil, fmt.Errorf("store: %s is not writable: %w", s.dir, err)
+	err := s.scan()
+	if err == nil && (len(s.segs) == 0 || s.active().size >= s.segCap) {
+		err = s.rollLocked()
 	}
-	if err := s.scan(); err != nil {
+	if err != nil {
+		_ = s.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// probeWritable round-trips a probe file so Open rejects read-only
-// directories with a clean error instead of degrading on the first Put.
-func (s *Store) probeWritable() error {
-	probe := filepath.Join(s.dir, ".probe.tmp")
-	f, err := s.fs.Create(probe)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write([]byte("probe"))
-	cerr := f.Close()
-	rerr := s.fs.Remove(probe)
-	for _, err := range []error{werr, cerr, rerr} {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// active is the segment Put appends to.
+func (s *Store) active() *segment { return s.segs[len(s.segs)-1] }
 
-// scan builds the index from the directory: validated entries ordered by
-// modification time (the LRU order a fresh process can know), temp files
-// removed, and everything else quarantined.
+// scan rebuilds the index from the segments in sequence order. Files
+// that are not segments (the quarantine subdirectory, anything foreign)
+// are left alone. An I/O error fails Open: a flaky disk at boot should
+// stop the store from coming up half-blind.
 func (s *Store) scan() error {
 	des, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: scan %s: %w", s.dir, err)
 	}
-	type scanned struct {
-		name  string
-		size  int64
-		mtime int64
-	}
-	var live []scanned
+	var seqs []uint64
 	for _, de := range des {
-		name := de.Name()
-		if de.IsDir() {
-			continue // the quarantine subdirectory
+		if seq, ok := parseSegName(de.Name()); ok && !de.IsDir() {
+			seqs = append(seqs, seq)
 		}
-		if strings.Contains(name, ".tmp") {
-			// Leftover from a write interrupted before its rename: the
-			// entry it was building never became visible, so deleting it
-			// is the completion of the crash's rollback.
-			_ = s.fs.Remove(filepath.Join(s.dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, entrySuffix) {
-			s.quarantine(name)
-			continue
-		}
-		e, err := s.readAndValidate(name)
-		if err != nil {
-			var fe *FormatError
-			if errors.As(err, &fe) || errors.Is(err, errAlienEntry) {
-				s.quarantine(name)
-				continue
-			}
-			return fmt.Errorf("store: scan %s: %w", name, err)
-		}
-		info, err := de.Info()
-		if err != nil {
-			return fmt.Errorf("store: scan %s: %w", name, err)
-		}
-		live = append(live, scanned{name: name, size: entrySize(e), mtime: info.ModTime().UnixNano()})
 	}
-	// Oldest first, name as the deterministic tiebreak; pushing front in
-	// that order leaves the newest entry most recently used.
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].mtime != live[j].mtime {
-			return live[i].mtime < live[j].mtime
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	for _, seq := range seqs {
+		if err := s.scanSegment(filepath.Join(s.dir, segName(seq))); err != nil {
+			return fmt.Errorf("store: scan %s: %w", segName(seq), err)
 		}
-		return live[i].name < live[j].name
-	})
-	for _, sc := range live {
-		s.items[sc.name] = s.ll.PushFront(&indexEntry{name: sc.name, size: sc.size})
-		s.bytes += sc.size
+		s.nextSeq = seq + 1
 	}
 	return nil
 }
 
-// errAlienEntry marks a structurally valid entry whose header key does
-// not match its file name — someone else's entry, or a renamed one. It is
-// quarantined like corruption, distinct only for error messages.
-var errAlienEntry = errors.New("store: entry key does not match its file name")
-
-// readAndValidate reads one entry file and checks it end to end,
-// including that the header's key matches the file name.
-func (s *Store) readAndValidate(name string) (*Entry, error) {
-	f, err := s.fs.Open(filepath.Join(s.dir, name))
+// scanSegment indexes one segment's records in log order, so the
+// startup LRU order is the log order and a later record for a key
+// replaces an earlier one.
+func (s *Store) scanSegment(path string) error {
+	f, err := s.fs.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e, rerr := ReadEntry(f, s.maxPayload)
-	cerr := f.Close()
-	if rerr != nil {
-		return nil, rerr
+	seg := &segment{path: path, f: f}
+	s.segs = append(s.segs, seg) // from here on Close releases f
+	info, err := f.Stat()
+	if err != nil {
+		return err
 	}
-	if cerr != nil {
-		return nil, cerr
+	data := make([]byte, info.Size())
+	if n, err := f.ReadAt(data, 0); n < len(data) {
+		return err
 	}
-	if entryFilename(e.Fingerprint, e.ParamsHash) != name {
-		return nil, errAlienEntry
+	off := int64(0)
+	for off < int64(len(data)) {
+		e, plen, ok := s.headerAt(data, off)
+		if !ok {
+			next := s.resync(data, off+1)
+			if next < 0 {
+				if err := s.quarantineTail(seg, data[off:], off); err != nil {
+					return err
+				}
+				break
+			}
+			s.quarantined++ // the unreadable bytes stay behind as dead space
+			off = next
+			continue
+		}
+		end := off + entryHeaderLen + plen
+		if checkPayload(data[off:off+entryHeaderLen], data[off+entryHeaderLen:end]) == nil {
+			s.indexLocked(recKey{fp: e.Fingerprint, ph: e.ParamsHash}, seg, off, end-off)
+		} else {
+			s.quarantined++ // the header vouches for the length: skip it
+		}
+		off = end
 	}
-	return e, nil
+	seg.size = off
+	s.disk += off
+	return nil
 }
 
-// quarantine moves a failed entry into the quarantine subdirectory (it is
-// kept for forensics, never served); if even the rename fails the file is
-// deleted so it cannot be picked up again.
-func (s *Store) quarantine(name string) {
-	src := filepath.Join(s.dir, name)
-	if err := s.fs.Rename(src, filepath.Join(s.qdir, name)); err != nil {
-		_ = s.fs.Remove(src)
+// headerAt decodes the record header at off if it verifies and the
+// record it declares ends within data.
+func (s *Store) headerAt(data []byte, off int64) (*Entry, int64, bool) {
+	if int64(len(data))-off < entryHeaderLen {
+		return nil, 0, false
+	}
+	e, plen, err := parseEntryHeader(data[off:off+entryHeaderLen], s.maxPayload)
+	if err != nil || plen > int64(len(data))-off-entryHeaderLen {
+		return nil, 0, false
+	}
+	return e, plen, true
+}
+
+// resync returns the offset of the first magic at or after from that
+// starts a verifying header, or -1.
+func (s *Store) resync(data []byte, from int64) int64 {
+	for from < int64(len(data)) {
+		i := bytes.Index(data[from:], entryMagic[:])
+		if i < 0 {
+			return -1
+		}
+		if _, _, ok := s.headerAt(data, from+int64(i)); ok {
+			return from + int64(i)
+		}
+		from += int64(i) + 1
+	}
+	return -1
+}
+
+// quarantineTail copies a segment's unreadable tail to
+// quarantine/<segment>@<offset>, for forensics, and cuts it off the
+// segment so the next append lands on a record boundary.
+func (s *Store) quarantineTail(seg *segment, tail []byte, off int64) error {
+	f, err := s.fs.Create(filepath.Join(s.qdir, fmt.Sprintf("%s@%d", filepath.Base(seg.path), off)))
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteAt(tail, 0)
+	if err == nil && s.fsync == FsyncAlways {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = s.fs.Truncate(seg.path, off)
+	}
+	if err != nil {
+		return err
 	}
 	s.quarantined++
+	return nil
+}
+
+// indexLocked points key at a record, as the most recently used entry;
+// the record it pointed at before, if any, becomes dead space.
+func (s *Store) indexLocked(key recKey, seg *segment, off, size int64) *list.Element {
+	el, ok := s.items[key]
+	if ok {
+		ie := el.Value.(*indexEntry)
+		ie.seg.live -= ie.size
+		s.bytes -= ie.size
+		ie.seg, ie.off, ie.size = seg, off, size
+		s.ll.MoveToFront(el)
+	} else {
+		el = s.ll.PushFront(&indexEntry{key: key, seg: seg, off: off, size: size})
+		s.items[key] = el
+	}
+	seg.live += size
+	s.bytes += size
+	return el
+}
+
+// dropLocked removes an entry from the index; its record becomes dead
+// space, reclaimed with its segment.
+func (s *Store) dropLocked(el *list.Element) {
+	ie := el.Value.(*indexEntry)
+	s.ll.Remove(el)
+	delete(s.items, ie.key)
+	s.bytes -= ie.size
+	ie.seg.live -= ie.size
 }
 
 // Get returns the entry stored for key. A missing entry — or one that
-// fails validation, which is quarantined on the spot — is ErrNotFound; any
-// other error is a real I/O failure the caller should treat as the disk
-// going away (the service flips to memory-only mode on it).
+// fails validation, which is dropped and counted as quarantined — is
+// ErrNotFound; any other error is a real I/O failure the caller should
+// treat as the disk going away (the service flips to memory-only mode on
+// it).
 func (s *Store) Get(key Key) (*Entry, error) {
-	name := key.filename()
+	k := key.rec()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[name]
+	if s.closed {
+		return nil, errClosed
+	}
+	el, ok := s.items[k]
 	if !ok {
 		s.misses++
 		return nil, ErrNotFound
 	}
-	e, err := s.readAndValidate(name)
-	if err != nil {
-		if os.IsNotExist(err) {
-			// Index drift (the file vanished under us): drop the record.
-			s.dropLocked(el)
-			s.misses++
-			return nil, ErrNotFound
-		}
-		var fe *FormatError
-		if errors.As(err, &fe) || errors.Is(err, errAlienEntry) {
-			s.quarantine(name)
-			s.dropLocked(el)
-			s.misses++
-			return nil, ErrNotFound
-		}
-		return nil, err
-	}
-	if e.Fingerprint != key.Fingerprint || e.ParamsHash != paramsHash(key.Params) {
-		s.quarantine(name)
-		s.dropLocked(el)
-		s.misses++
-		return nil, ErrNotFound
-	}
-	s.ll.MoveToFront(el)
-	s.hits++
-	return e, nil
-}
-
-// dropLocked removes an element from the index without touching its file.
-func (s *Store) dropLocked(el *list.Element) {
 	ie := el.Value.(*indexEntry)
-	s.ll.Remove(el)
-	delete(s.items, ie.name)
-	s.bytes -= ie.size
+	e, err := ReadEntry(io.NewSectionReader(ie.seg.f, ie.off, ie.size), s.maxPayload)
+	if err != nil {
+		var fe *FormatError
+		if !errors.As(err, &fe) {
+			return nil, err
+		}
+	} else if e.Fingerprint == key.Fingerprint && e.ParamsHash == k.ph {
+		s.ll.MoveToFront(el)
+		s.hits++
+		return e, nil
+	}
+	// Corruption that appeared after the scan: never serve it.
+	s.dropLocked(el)
+	s.quarantined++
+	s.misses++
+	return nil, ErrNotFound
 }
 
-// Put persists one result: the entry is written to a temp file, synced
-// per the fsync policy, and atomically renamed into place, so no reader —
-// in this process or after a crash — can ever observe a torn entry. On
-// success, least-recently-used entries are evicted until the store fits
-// its byte budget again (the fresh entry itself is never evicted). Any
-// error leaves the previous state intact.
+// Put persists one result: one write of the encoded entry at the active
+// segment's end and, under FsyncAlways, one sync. On success,
+// least-recently-used entries are evicted until the store fits its byte
+// budget again (the fresh entry itself is never evicted). A failed write
+// or sync truncates the segment back to its previous end, so earlier
+// entries stay servable.
 func (s *Store) Put(key Key, computedAtNanos int64, payload []byte) error {
 	e := &Entry{
 		Fingerprint:     key.Fingerprint,
@@ -371,91 +437,158 @@ func (s *Store) Put(key Key, computedAtNanos int64, payload []byte) error {
 		// it keeps the store useful. The memory tier still serves it.
 		return nil
 	}
-	name := key.filename()
+	rec := append(encodeEntryHeader(e), payload...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tmpSeq++
-	tmp := filepath.Join(s.dir, fmt.Sprintf("%s.tmp%d", name, s.tmpSeq))
-	if err := s.writeTemp(tmp, e); err != nil {
+	if s.closed {
+		return errClosed
+	}
+	seg, off, err := s.appendLocked(rec)
+	if err != nil {
 		return err
 	}
-	if err := s.fs.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
-		_ = s.fs.Remove(tmp)
+	el := s.indexLocked(key.rec(), seg, off, size)
+	s.evictLocked(el)
+	return s.reclaimLocked()
+}
+
+// appendLocked writes rec at the active segment's end, rolling a new
+// segment first when rec would overflow a non-empty one.
+func (s *Store) appendLocked(rec []byte) (*segment, int64, error) {
+	if seg := s.active(); seg.size > 0 && seg.size+int64(len(rec)) > s.segCap {
+		if err := s.rollLocked(); err != nil {
+			return nil, 0, err
+		}
+	}
+	seg := s.active()
+	off := seg.size
+	_, err := seg.f.WriteAt(rec, off)
+	if err == nil && s.fsync == FsyncAlways {
+		err = seg.f.Sync()
+	}
+	if err != nil {
+		if terr := s.fs.Truncate(seg.path, off); terr != nil {
+			return nil, 0, errors.Join(err, terr)
+		}
+		return nil, 0, err
+	}
+	seg.size += int64(len(rec))
+	s.disk += int64(len(rec))
+	return seg, off, nil
+}
+
+// rollLocked seals the active segment and starts the next one: the only
+// place a file is created, and, under FsyncAlways, the only directory
+// sync on the write path.
+func (s *Store) rollLocked() error {
+	path := filepath.Join(s.dir, segName(s.nextSeq))
+	f, err := s.fs.Create(path)
+	if err != nil {
 		return err
 	}
 	if s.fsync == FsyncAlways {
 		if err := s.fs.SyncDir(s.dir); err != nil {
+			_ = f.Close()
+			_ = s.fs.Remove(path)
 			return err
 		}
 	}
-	if el, ok := s.items[name]; ok {
-		// Overwrite: the rename already replaced the file.
-		ie := el.Value.(*indexEntry)
-		s.bytes += size - ie.size
-		ie.size = size
-		s.ll.MoveToFront(el)
-	} else {
-		s.items[name] = s.ll.PushFront(&indexEntry{name: name, size: size})
-		s.bytes += size
-	}
-	return s.evictLocked(s.items[name])
-}
-
-// writeTemp writes and (per policy) syncs the temp file, cleaning it up
-// on any failure.
-func (s *Store) writeTemp(tmp string, e *Entry) error {
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		_ = f.Close()
-		_ = s.fs.Remove(tmp)
-		return err
-	}
-	if err := WriteEntry(f, e); err != nil {
-		return fail(err)
-	}
-	if s.fsync == FsyncAlways {
-		if err := f.Sync(); err != nil {
-			return fail(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		_ = s.fs.Remove(tmp)
-		return err
-	}
+	s.nextSeq++
+	s.segs = append(s.segs, &segment{path: path, f: f})
 	return nil
 }
 
-// evictLocked removes least-recently-used entries until the store fits
-// the byte budget, never touching keep (the entry just written).
-func (s *Store) evictLocked(keep *list.Element) error {
+// evictLocked drops least-recently-used entries until the live bytes fit
+// the budget, never touching keep (the entry just written).
+func (s *Store) evictLocked(keep *list.Element) {
 	for s.maxBytes > 0 && s.bytes > s.maxBytes {
 		back := s.ll.Back()
 		if back == nil || back == keep {
-			return nil
-		}
-		ie := back.Value.(*indexEntry)
-		if err := s.fs.Remove(filepath.Join(s.dir, ie.name)); err != nil && !os.IsNotExist(err) {
-			return err
+			return
 		}
 		s.dropLocked(back)
 		s.evictions++
 	}
+}
+
+// reclaimLocked removes sealed segments no live entry points into, then
+// compacts the oldest sealed segments while dead bytes push disk use past
+// the budget plus one segment.
+func (s *Store) reclaimLocked() error {
+	for i := 0; i < len(s.segs)-1; {
+		if s.segs[i].live > 0 {
+			i++
+			continue
+		}
+		if err := s.removeSegmentLocked(i); err != nil {
+			return err
+		}
+	}
+	for n := len(s.segs) - 1; n > 0 && len(s.segs) > 1 && s.maxBytes > 0 && s.disk > s.maxBytes+s.segCap; n-- {
+		if err := s.compactLocked(); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// Discard quarantines the entry for key, if present. The service layer
-// calls it when a checksum-valid payload fails to deserialize — a schema
-// mismatch rather than disk corruption — so the entry stops being offered.
+// compactLocked re-appends the oldest sealed segment's live records, in
+// log order and in one write, then removes the segment. A crash between
+// the two leaves both copies; the scan keeps the later one.
+func (s *Store) compactLocked() error {
+	old := s.segs[0]
+	var moved []*indexEntry
+	for el := s.ll.Front(); el != nil; el = el.Next() {
+		if ie := el.Value.(*indexEntry); ie.seg == old {
+			moved = append(moved, ie)
+		}
+	}
+	sort.Slice(moved, func(i, j int) bool { return moved[i].off < moved[j].off })
+	buf := make([]byte, 0, old.live)
+	for _, ie := range moved {
+		rec := buf[len(buf) : len(buf)+int(ie.size)]
+		if n, err := old.f.ReadAt(rec, ie.off); n < len(rec) {
+			return err
+		}
+		buf = buf[:len(buf)+len(rec)]
+	}
+	seg, off, err := s.appendLocked(buf)
+	if err != nil {
+		return err
+	}
+	for _, ie := range moved {
+		ie.seg, ie.off = seg, off
+		off += ie.size
+	}
+	seg.live += old.live
+	old.live = 0
+	return s.removeSegmentLocked(0)
+}
+
+// removeSegmentLocked deletes segment i, which no live entry points into.
+func (s *Store) removeSegmentLocked(i int) error {
+	seg := s.segs[i]
+	if err := s.fs.Remove(seg.path); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	_ = seg.f.Close()
+	s.segs = append(s.segs[:i], s.segs[i+1:]...)
+	s.disk -= seg.size
+	return nil
+}
+
+// Discard drops the entry for key from the index, if present. The service
+// layer calls it when a checksum-valid payload fails to deserialize — a
+// schema mismatch rather than disk corruption — so the entry stops being
+// offered. The record stays in its segment until the segment is reclaimed,
+// so a restart may index it again; the service's re-check rejects it again
+// there, so it is never served to a client.
 func (s *Store) Discard(key Key) {
-	name := key.filename()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[name]; ok {
-		s.quarantine(name)
+	if el, ok := s.items[key.rec()]; ok {
 		s.dropLocked(el)
+		s.quarantined++
 	}
 }
 
@@ -473,12 +606,21 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Close releases the store. It holds no file descriptors between calls,
-// so this is a no-op kept for resource-owner symmetry (and so callers
-// written against io.Closer work).
-func (s *Store) Close() error { return nil }
+// Close closes the segment handles; Get and Put fail afterwards. The
+// daemon calls it once its jobs have drained and its listener is shut.
+// Idempotent.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	var errs []error
+	for _, seg := range s.segs {
+		errs = append(errs, seg.f.Close())
+	}
+	return errors.Join(errs...)
+}
 
 var _ io.Closer = (*Store)(nil)

@@ -22,9 +22,9 @@
 #   INGEST_WORKERS=4         parallel parse / solve worker count
 #   INGEST_SOLVE=1           set to 0 to skip the solve stage (CI smoke
 #                            keeps it on; it is cheap at smoke scale)
-#   INGEST_R1/INGEST_R2      solve radii (default 1/2, the cheapest legal
-#                            parameters — the solve entry demonstrates the
-#                            driver, not solver throughput)
+#   INGEST_R1/INGEST_R2      solve radii (default 4/4, core.PracticalParams;
+#                            at R1 = 1 every vertex is a cut vertex and the
+#                            solve returns V, which shows nothing)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,8 +32,8 @@ out="${1:-BENCH_ingest.json}"
 edges="${INGEST_EDGES:-100000000}"
 workers="${INGEST_WORKERS:-4}"
 solve="${INGEST_SOLVE:-1}"
-r1="${INGEST_R1:-1}"
-r2="${INGEST_R2:-2}"
+r1="${INGEST_R1:-4}"
+r2="${INGEST_R2:-4}"
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT

@@ -8,7 +8,7 @@
 # saturation with 503 shedding, an adversarial mix exercising the
 # 400/401/429 rejection paths under auth + quotas, a drain under load,
 # a warm restart on a persisted store (zero recomputes), and a SIGKILL
-# mid-load with planted corruption. The emitted JSON records per-scenario
+# mid-load with a wounded store log. The emitted JSON records per-scenario
 # throughput, p50/p95/p99 latency, and status counts, plus warm-hit
 # rate, restart-to-ready latency, quarantine counts, and
 # daemon_survived — the perf and degradation snapshot tracked across PRs.
