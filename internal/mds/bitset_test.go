@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"localmds/internal/ding"
 	"localmds/internal/gen"
 	"localmds/internal/graph"
 )
@@ -212,5 +213,68 @@ func TestEngineForcedAndSubsumedRoots(t *testing.T) {
 	sol, err = newEngine(iso.Freeze(), []int{2, 3}).solve(ExactOptions{})
 	if err != nil || !graph.EqualSets(sol, []int{2, 3}) {
 		t.Fatalf("isolated targets: %v, %v (want [2 3])", sol, err)
+	}
+}
+
+// TestExactMDSNodeCountPinned pins the engine's search node for node: on
+// each instance the search visits exactly the pinned number of nodes, a
+// budget of that many succeeds with the pinned set, and one node less
+// fails. The instances span the engine's mask widths (at most 64, 128
+// and 512 targets), so any change to the branching order, the
+// tie-breaks or the bounds shows here.
+func TestExactMDSNodeCountPinned(t *testing.T) {
+	dingRng := rand.New(rand.NewSource(12))
+	ding50 := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 50, T: 5}, dingRng)
+	ding100 := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 100, T: 5}, dingRng)
+	ding300 := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 300, T: 5}, dingRng)
+	grid9 := gen.Grid(9, 9)
+	var grid9Half []int
+	for v := 0; v < grid9.N(); v += 2 {
+		grid9Half = append(grid9Half, v)
+	}
+	cases := []struct {
+		name   string
+		g      *graph.Graph
+		target []int // nil: every vertex
+		nodes  int64
+		set    []int
+	}{
+		{"grid5x5", gen.Grid(5, 5), nil, 35,
+			[]int{1, 8, 9, 10, 17, 21, 24}},
+		{"grid6x6", gen.Grid(6, 6), nil, 234,
+			[]int{1, 4, 8, 12, 17, 21, 24, 25, 29, 33}},
+		{"grid7x7", gen.Grid(7, 7), nil, 118,
+			[]int{1, 5, 10, 14, 20, 23, 25, 28, 34, 38, 43, 47}},
+		{"grid8x8", gen.Grid(8, 8), nil, 447,
+			[]int{1, 6, 11, 12, 16, 23, 26, 29, 33, 38, 43, 44, 48, 55, 58, 61}},
+		{"grid9x9", grid9, nil, 7154,
+			[]int{1, 5, 7, 12, 18, 24, 26, 29, 31, 38, 43, 45, 50, 57, 62, 64, 69, 73, 76, 79}},
+		{"grid9x9/even", grid9, grid9Half, 80,
+			[]int{1, 7, 13, 25, 27, 29, 41, 47, 53, 59, 63, 75, 79}},
+		{"ding50", ding50, nil, 50,
+			[]int{0, 2, 7, 10, 13, 15, 18, 23, 26, 27, 30, 33, 39, 43, 48, 49}},
+		{"ding100", ding100, nil, 0,
+			[]int{3, 5, 7, 8, 10, 11, 14, 17, 22, 25, 28, 29, 33, 38, 39, 47, 48, 51, 55, 58, 60, 65, 67, 70, 80, 81, 86, 90, 93, 94, 101, 104}},
+		{"ding300", ding300, nil, 3949,
+			[]int{0, 2, 5, 8, 13, 14, 15, 17, 23, 26, 32, 35, 44, 50, 51, 56, 59, 61, 70, 73, 74, 79, 80, 83, 86, 91, 92, 94, 98, 101, 105, 107, 110, 117, 124, 126, 130, 131, 135, 137, 141, 144, 149, 155, 156, 163, 166, 170, 171, 174, 179, 182, 183, 191, 194, 200, 201, 207, 210, 214, 215, 225, 228, 229, 236, 239, 244, 247, 250, 254, 257, 259, 268, 271, 275, 279, 285, 290, 293, 294}},
+	}
+	for _, tc := range cases {
+		target := tc.target
+		if target == nil {
+			target = allVertices(tc.g)
+		}
+		e := newEngine(tc.g.Freeze(), target)
+		got, err := e.solve(ExactOptions{})
+		if err != nil || e.nodes != tc.nodes || !graph.EqualSets(got, tc.set) {
+			t.Errorf("%s: %d nodes, set %v, err %v; want %d nodes, set %v", tc.name, e.nodes, got, err, tc.nodes, tc.set)
+		}
+		if got, err := newEngine(tc.g.Freeze(), target).solve(ExactOptions{MaxNodes: tc.nodes}); err != nil || !graph.EqualSets(got, tc.set) {
+			t.Errorf("%s, budget %d: set %v, err %v; want %v", tc.name, tc.nodes, got, err, tc.set)
+		}
+		if tc.nodes > 0 {
+			if _, err := newEngine(tc.g.Freeze(), target).solve(ExactOptions{MaxNodes: tc.nodes - 1}); err == nil {
+				t.Errorf("%s: budget %d succeeded, want the search to need %d nodes", tc.name, tc.nodes-1, tc.nodes)
+			}
+		}
 	}
 }
