@@ -372,6 +372,7 @@ func BenchmarkAlg1(b *testing.B) {
 		g    *graph.Graph
 	}{
 		{"grid", gen.Grid(12, 12)},
+		{"grid100x100", gen.Grid(100, 100)},
 		{"minor-free", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 240, T: 5}, rng)},
 		{"multi-component", multi},
 	}

@@ -130,16 +130,16 @@ func (g *Graph) Eccentricity(v int) int {
 	return ecc
 }
 
-// Diameter returns the largest eccentricity over all vertices, considering
-// only reachable pairs. It returns 0 for graphs with at most one vertex.
+// Diameter returns the largest distance between two vertices of the same
+// component, considering only reachable pairs. It returns 0 for graphs with
+// at most one vertex. It is CSR.Diameter over the cached frozen view, or
+// over a temporary one when g is not frozen, so it never freezes g.
 func (g *Graph) Diameter() int {
-	diam := 0
-	for v := 0; v < g.N(); v++ {
-		if e := g.Eccentricity(v); e > diam {
-			diam = e
-		}
+	c := g.csr
+	if c == nil {
+		c = buildCSR(g.adj)
 	}
-	return diam
+	return c.Diameter(NewArena())
 }
 
 // Radius returns the smallest eccentricity over all vertices, or 0 for the

@@ -38,6 +38,9 @@ type Arena struct {
 	compHits []int32 // ComponentsSeenBy scratch, one slot per label
 
 	sepStack []sepFrame // AppendSeparators DFS frames, one per tree vertex on the path
+
+	dmax  []int32 // Diameter: per vertex, the largest distance to a sweep source
+	order []int32 // Diameter: the central vertex's BFS order
 }
 
 // NewArena returns an empty Arena; it grows to fit the graphs it serves.
@@ -420,22 +423,132 @@ func (c *CSR) Eccentricity(v int, a *Arena) int {
 	return ecc
 }
 
-// Diameter returns the largest eccentricity over all vertices, considering
-// only reachable pairs — allocation-free given a warm arena.
+// Diameter returns the largest distance between two vertices of the same
+// connected component (0 when no component has an edge), allocation-free
+// given a warm arena. Each component is settled from exact eccentricity
+// bounds rather than one BFS per vertex (iFUB: Crescenzi, Grossi, Habib,
+// Lanzi & Marino, "On computing the diameter of real-world undirected
+// graphs", TCS 2013). A 4-sweep finds a lower bound and a central vertex
+// u, and BFS then runs only from u's farthest levels until no pair closer
+// to u can beat the bound. Grids and near-planar graphs settle after a
+// handful of BFS runs; when the bounds never meet (cycles are the worst
+// case) the levels run out after one BFS per vertex, the all-pairs cost.
 func (c *CSR) Diameter(a *Arena) int {
+	n := c.N()
+	a.growPos(n)
+	if len(a.dmax) < n {
+		a.dmax = make([]int32, n)
+	}
+	done := nextGen(a.posMark, &a.posGen)
 	diam := 0
-	for v := 0; v < c.N(); v++ {
-		if e := c.Eccentricity(v, a); e > diam {
-			diam = e
+	for v := 0; v < n; v++ {
+		if a.posMark[v] != done {
+			diam = max(diam, c.componentDiameter(int32(v), done, a))
 		}
 	}
 	return diam
 }
 
+// componentDiameter returns the diameter of v's component, stamping its
+// vertices with done in the arena's position marks.
+func (c *CSR) componentDiameter(v, done int32, a *Arena) int {
+	comp, center := c.sweep(v, true, a)
+	for _, x := range comp {
+		a.posMark[x] = done
+	}
+	far := comp[len(comp)-1]
+	// Every BFS from s gives ecc(s) <= diam <= 2·ecc(s), and no shortest
+	// path in a component is longer than its vertex count minus one.
+	ecc := int(a.labels[far])
+	lb, ub := ecc, min(2*ecc, len(comp)-1)
+	// 4-sweep: v → its farthest a1 → the center r2 of {v, a1} → its
+	// farthest a2 → the center u of all four sweep sources, where a
+	// center minimizes the largest distance to the sources so far.
+	src := far
+	for i := 0; i < 3 && lb < ub; i++ {
+		var order []int32
+		order, center = c.sweep(src, false, a)
+		far = order[len(order)-1]
+		e := int(a.labels[far])
+		lb, ub = max(lb, e), min(ub, 2*e)
+		if i == 1 {
+			src = far
+		} else {
+			src = center
+		}
+	}
+	if lb == ub {
+		return lb
+	}
+	// iFUB from u = center: two vertices within distance i of u are at
+	// most 2i apart, so once every vertex farther than i has had its BFS,
+	// max(lb, 2i) bounds the diameter.
+	order, eccU := c.distBFS(center, a)
+	lb = max(lb, eccU)
+	a.order = append(a.order[:0], order...)
+	k := len(a.order) - 1
+	for i := int32(eccU); i > 0 && lb < 2*int(i); i-- {
+		for ; k >= 0 && a.labels[a.order[k]] == i; k-- {
+			_, e := c.boundedBFS(a.order[k:k+1], -1, a)
+			lb = max(lb, e)
+		}
+	}
+	return lb
+}
+
+// sweep runs one BFS of Diameter's 4-sweep from s, returning the reached
+// vertices in BFS order (their distances from s in the arena's labels),
+// and the center: the vertex whose largest distance to the sweep sources
+// so far is smallest, lowest index on ties. The per-vertex maxima live in
+// the arena; first restarts them at s.
+func (c *CSR) sweep(s int32, first bool, a *Arena) (order []int32, center int32) {
+	order, _ = c.distBFS(s, a)
+	center = s
+	for _, x := range order {
+		if d := a.labels[x]; first || d > a.dmax[x] {
+			a.dmax[x] = d
+		}
+		if m, mc := a.dmax[x], a.dmax[center]; m < mc || (m == mc && x < center) {
+			center = x
+		}
+	}
+	return order, center
+}
+
+// distBFS runs a BFS from s, leaving each reached vertex's distance from s
+// in the arena's labels, and returns the reached vertices in BFS order (a
+// view into the arena queue) with the largest distance.
+func (c *CSR) distBFS(s int32, a *Arena) ([]int32, int) {
+	n := c.N()
+	a.growMark(n)
+	a.growSeen(n)
+	stamp := nextGen(a.mark, &a.stamp)
+	a.mark[s], a.labels[s] = stamp, 0
+	q := append(a.queue[:0], s)
+	offs, tgts, labels := c.Offsets, c.Targets, a.labels
+	for head := 0; head < len(q); head++ {
+		v := q[head]
+		d := labels[v] + 1
+		for k := offs[v]; k < offs[v+1]; k++ {
+			if u := tgts[k]; a.mark[u] != stamp {
+				a.mark[u], labels[u] = stamp, d
+				q = append(q, u)
+			}
+		}
+	}
+	a.queue = q[:0]
+	return q, int(labels[q[len(q)-1]])
+}
+
 // FromCSR builds an adjacency-list Graph from a CSR in O(n + m) with two
 // allocations (the row table and one shared backing buffer). FromEdges and
 // the parsers use it to hand a *Graph to callers that want one; the
-// solvers run on the CSR and need no bridge. The result does not alias c.
+// solvers run on the CSR and need no bridge. The adjacency lists do not
+// alias c, but the graph keeps c as its frozen view, so Freeze returns c
+// without rebuilding it. c must therefore stay valid and unchanged while
+// the graph is frozen: hand over a freshly built CSR, never one that is
+// unmapped later (graphio.MappedCSR) or refilled (an InducedInto
+// destination). Mutating the graph drops the view and never writes to c.
 func FromCSR(c *CSR) *Graph {
 	n := c.N()
 	buf := make([]int, len(c.Targets))
@@ -446,5 +559,5 @@ func FromCSR(c *CSR) *Graph {
 	for v := 0; v < n; v++ {
 		adj[v] = buf[c.Offsets[v]:c.Offsets[v+1]:c.Offsets[v+1]]
 	}
-	return &Graph{adj: adj, m: c.M()}
+	return &Graph{adj: adj, m: c.M(), csr: c}
 }

@@ -266,18 +266,6 @@ func TestCSRSubsetComponentsMatchesGraph(t *testing.T) {
 	}
 }
 
-func TestCSRDiameterMatchesGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 15; trial++ {
-		g := opsRandomGraph(20, 0.1, rng)
-		c := g.Freeze()
-		a := NewArena()
-		if got, want := c.Diameter(a), g.Diameter(); got != want {
-			t.Fatalf("Diameter = %d, want %d", got, want)
-		}
-	}
-}
-
 func TestFromCSRRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := opsRandomGraph(25, 0.12, rng)

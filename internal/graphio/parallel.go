@@ -93,12 +93,16 @@ func ParseCSRFile(path string, f Format, opt CSROptions) (*graph.CSR, error) {
 }
 
 // readCSR parses the graph read from r, whose length is expected to be
-// size bytes (0 if unknown). FormatAuto sniffs like Detect. csrbin is
-// decoded as it streams in, allocating nothing proportional to its
+// size bytes (0 if unknown; a reader with a Len method, such as
+// bytes.Reader, reports its own). FormatAuto sniffs like Detect. csrbin
+// is decoded as it streams in, allocating nothing proportional to its
 // declared counts before they pass the limits; any other format is read
 // to the end of r and handed to ParseCSR.
 func readCSR(r io.Reader, size int, f Format, opt CSROptions) (*graph.CSR, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+	if l, ok := r.(interface{ Len() int }); ok && size == 0 {
+		size = l.Len()
+	}
+	br := bufio.NewReaderSize(r, readBufSize(size))
 	if f == FormatAuto {
 		prefix, err := br.Peek(512)
 		if err != nil && err != io.EOF {
@@ -116,6 +120,18 @@ func readCSR(r io.Reader, size int, f Format, opt CSROptions) (*graph.CSR, error
 		return nil, fmt.Errorf("graphio: read: %w", err)
 	}
 	return ParseCSR(data, f, opt)
+}
+
+// readBufSize sizes readCSR's buffer for an input of size bytes (0 if
+// unknown): 64 KiB at most, and no larger than the input needs, so a
+// small file or request body does not pay for zeroing 64 KiB. It never
+// goes below 512 bytes, the format sniff's Peek.
+func readBufSize(size int) int {
+	const maxBuf = 64 << 10
+	if size <= 0 || size >= maxBuf {
+		return maxBuf
+	}
+	return max(size, 512)
 }
 
 // readAll reads r to the end into one buffer sized for size bytes, so a

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -414,5 +416,75 @@ func BenchmarkParseCSR(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadKeepsParsedCSR checks that ReadFile and ReadLimited hand back a
+// graph whose frozen view is the parsed CSR itself, equal to the CSR its
+// adjacency lists freeze to, and that the read buffer sized from the
+// input length parses inputs around the format sniff's 512 bytes and the
+// 64 KiB cap exactly as before: every format, from a file and from
+// readers with and without a Len method.
+func TestReadKeepsParsedCSR(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(5))
+	graphs := []*graph.Graph{
+		graph.New(1),
+		gen.Path(3),
+		gen.Grid(6, 6),
+		gen.RandomTree(60, rng),
+		gen.Grid(90, 90),
+	}
+	for i, g := range graphs {
+		want := g.Clone().Freeze()
+		for _, f := range []Format{FormatEdgeList, FormatDIMACS, FormatJSON, FormatCSRBin} {
+			var buf bytes.Buffer
+			var err error
+			if f == FormatCSRBin {
+				err = WriteCSRBin(&buf, want)
+			} else {
+				err = Write(&buf, g, f)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := buf.Bytes()
+			path := fmt.Sprintf("%s/g%d-%v", dir, i, f)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fromFile, err := ReadFile(path, FormatAuto)
+			if err != nil {
+				t.Fatalf("graph %d %v (%d bytes): ReadFile: %v", i, f, len(data), err)
+			}
+			fromLen, err := ReadLimited(bytes.NewReader(data), FormatAuto, 0, 0)
+			if err != nil {
+				t.Fatalf("graph %d %v: ReadLimited(bytes.Reader): %v", i, f, err)
+			}
+			fromStream, err := ReadLimited(io.MultiReader(bytes.NewReader(data)), FormatAuto, 0, 0)
+			if err != nil {
+				t.Fatalf("graph %d %v: ReadLimited(stream): %v", i, f, err)
+			}
+			for name, got := range map[string]*graph.Graph{"ReadFile": fromFile, "bytes.Reader": fromLen, "stream": fromStream} {
+				c := got.CSR()
+				if c == nil {
+					t.Fatalf("graph %d %v %s: no frozen view", i, f, name)
+				}
+				if got.Freeze() != c {
+					t.Fatalf("graph %d %v %s: Freeze rebuilt the CSR", i, f, name)
+				}
+				if !slices.Equal(c.Offsets, want.Offsets) || !slices.Equal(c.Targets, want.Targets) {
+					t.Fatalf("graph %d %v %s: frozen view differs from the input's CSR", i, f, name)
+				}
+				if rebuilt := got.Clone().Freeze(); !slices.Equal(rebuilt.Targets, c.Targets) || !slices.Equal(rebuilt.Offsets, c.Offsets) {
+					t.Fatalf("graph %d %v %s: adjacency lists freeze to another CSR", i, f, name)
+				}
+			}
+		}
+	}
+	for _, size := range []int{0, 1, 511, 512, 513, 64<<10 - 1, 64 << 10, 1 << 20} {
+		if got := readBufSize(size); got < 512 || got > 64<<10 || (size >= 512 && size < 64<<10 && got != size) {
+			t.Errorf("readBufSize(%d) = %d", size, got)
+		}
 	}
 }

@@ -4,11 +4,17 @@
 // declines). The design follows the reduction-plus-bounded-search shape
 // of the measure-and-conquer / PACE-solver literature:
 //
-//   - Closed-neighborhood coverage masks are packed into []uint64 words
-//     over a compact target index space, so residual coverage is a handful
-//     of AND+popcount instructions instead of an O(deg) scan, and the
-//     undominated set is a bitset updated incrementally with an undo trail
-//     (no per-node `dominated []bool` allocation, no per-node sort.Slice).
+//   - Closed-neighborhood coverage masks are packed into fixed-width word
+//     arrays over a compact target index space ([1], [2] or [8]uint64 for
+//     at most 64, 128 or 512 targets, chosen once per solve), so residual
+//     coverage is a handful of AND+popcount instructions with no slice
+//     header or width loop, and the undominated set is a bitset updated
+//     incrementally with an undo trail.
+//   - Each target's live-dominator count is kept as candidates are
+//     excluded and revived, and each candidate's residual coverage as
+//     targets are dominated and freed: picking the scarcest target reads
+//     one counter per undominated target, and the cover bound is a
+//     branch-free maximum over the candidates' counts masked by liveness.
 //   - Reduction rules run to fixpoint at the root and as unit propagation
 //     during search: a candidate u is dropped when its residual coverage
 //     is contained in another candidate's (N[u]∩B ⊆ N[v]∩B subsumption,
@@ -18,16 +24,19 @@
 //     and a greedy disjoint-ball 2-packing: targets whose potential
 //     dominator coverage is pairwise disjoint need pairwise distinct
 //     dominators. This generalizes TwoPacking to B-domination and is what
-//     closes the root gap on grids, the old solver's worst case.
+//     closes the root gap on grids, the old solver's worst case. A node
+//     only asks whether the bound reaches the incumbent's gap, so the
+//     packing stops once it does.
 //   - Branching picks the undominated target with the fewest live
 //     dominators and tries them most-covering-first; each explored branch
 //     then excludes its candidate from the remaining ones, so no solution
 //     is enumerated twice.
 //
-// The search is allocation-free after construction: all stacks are
-// preallocated from the greedy upper bound and grown amortized. The
-// search is fully deterministic (all ties break on the lowest index), so
-// identical inputs give identical sets.
+// The search is allocation-free after construction: the pick and kill
+// trails hold every candidate, and the branch stack and incumbent grow
+// amortized. The search is fully deterministic (all ties break on the
+// lowest index), so identical inputs give identical sets and node counts
+// at every width.
 package mds
 
 import (
@@ -38,46 +47,29 @@ import (
 	"localmds/internal/graph"
 )
 
-// engine is the bitset branch-and-bound state. Masks live in the compact
-// target index space (bit i = target[i]); candidates are the vertices with
-// at least one target in their closed neighborhood, which loses no optimal
-// solution.
+// engine is one exact B-domination instance in the compact target index
+// space (target i = target[i]); candidates are the vertices with at least
+// one target in their closed neighborhood, which loses no optimal
+// solution. solve packs it into masks of the narrowest width that holds
+// every target and runs the search.
 type engine struct {
 	nt int // number of targets
-	tw int // words per target mask
 	nc int // number of candidates
 
-	candVert []int32   // candidate index -> original vertex
-	cover    []uint64  // nc rows of tw words: N[candidate] ∩ B
-	coverers [][]int32 // target index -> covering candidate indices (ascending)
-	ballMask []uint64  // nt rows of tw words: ∪ cover[c] over c ∈ coverers[t]
+	candVert []int32 // candidate index -> original vertex
+	covOff   []int32 // candidate c covers targets covT[covOff[c]:covOff[c+1]]
+	covT     []int32
+	corOff   []int32 // target t is covered by candidates corC[corOff[t]:corOff[t+1]], ascending
+	corC     []int32
 
-	alive  []bool   // candidate not subsumed / excluded
-	u      []uint64 // undominated target bitset
-	remain int      // popcount(u)
-
-	chosen []int32  // picked candidates (search stack, root-forced prefix included)
-	deltas []uint64 // per-pick newly-dominated mask, tw words each, aligned with chosen
-	killed []int32  // exclusion/unit-kill trail, restored on frame exit
-
-	best    []int32
-	bestLen int
-
-	nodes    int64
-	maxNodes int64 // 0: unbounded
-	aborted  bool
-
-	branchBufs [][]int32 // per-depth branch candidate scratch
-	covBufs    [][]int32 // per-depth residual-coverage keys, aligned with branchBufs
-	pack       []uint64  // packing lower-bound scratch
+	nodes int64 // search nodes visited by the last solve
 }
 
-// newEngine builds the packed state over a frozen CSR. target must be
+// newEngine indexes the instance over a frozen CSR. target must be
 // deduplicated, non-empty, and in range.
 func newEngine(g *graph.CSR, target []int) *engine {
 	n := g.N()
 	nt := len(target)
-	tw := (nt + 63) / 64
 	tIdx := make([]int32, n)
 	for i := range tIdx {
 		tIdx[i] = -1
@@ -86,380 +78,432 @@ func newEngine(g *graph.CSR, target []int) *engine {
 		tIdx[v] = int32(i)
 	}
 
-	// Pass 1: identify candidates (vertices with a target in N[v]) and
-	// count coverage for the shared coverers backing buffer.
+	// Candidates in vertex order, each with the targets in its closed
+	// neighborhood.
 	candVert := make([]int32, 0, n)
+	covOff := make([]int32, 1, n+1)
+	covT := make([]int32, 0, n+len(g.Targets))
 	coverCount := make([]int32, nt)
 	for v := 0; v < n; v++ {
-		hits := 0
-		if tIdx[v] >= 0 {
-			hits++
-		}
-		for _, u := range g.Row(v) {
-			if tIdx[u] >= 0 {
-				hits++
-			}
-		}
-		if hits > 0 {
-			candVert = append(candVert, int32(v))
-		}
-	}
-	nc := len(candVert)
-
-	// Pass 2: fill cover masks and count coverers per target.
-	cover := make([]uint64, nc*tw)
-	for c, v32 := range candVert {
-		v := int(v32)
-		mask := cover[c*tw : (c+1)*tw]
+		start := len(covT)
 		if t := tIdx[v]; t >= 0 {
-			mask[t>>6] |= 1 << (uint(t) & 63)
-			coverCount[t]++
+			covT = append(covT, t)
 		}
 		for _, u := range g.Row(v) {
 			if t := tIdx[u]; t >= 0 {
-				mask[t>>6] |= 1 << (uint(t) & 63)
-				coverCount[t]++
+				covT = append(covT, t)
 			}
 		}
-	}
-
-	// Pass 3: coverers lists share one backing array; ball masks are the
-	// per-target union of their coverers' masks (the 2-packing ball).
-	offsets := make([]int32, nt+1)
-	for t := 0; t < nt; t++ {
-		offsets[t+1] = offsets[t] + coverCount[t]
-	}
-	coverersBuf := make([]int32, offsets[nt])
-	coverers := make([][]int32, nt)
-	for t := 0; t < nt; t++ {
-		coverers[t] = coverersBuf[offsets[t]:offsets[t]:offsets[t+1]]
-	}
-	ballMask := make([]uint64, nt*tw)
-	for c := 0; c < nc; c++ {
-		mask := cover[c*tw : (c+1)*tw]
-		for w, word := range mask {
-			for word != 0 {
-				t := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				coverers[t] = append(coverers[t], int32(c))
-				ball := ballMask[t*tw : (t+1)*tw]
-				for i, m := range mask {
-					ball[i] |= m
-				}
-			}
+		if len(covT) == start {
+			continue
 		}
+		for _, t := range covT[start:] {
+			coverCount[t]++
+		}
+		candVert = append(candVert, int32(v))
+		covOff = append(covOff, int32(len(covT)))
 	}
 
-	u := make([]uint64, tw)
+	// Coverer lists, ascending by candidate index.
+	corOff := make([]int32, nt+1)
 	for t := 0; t < nt; t++ {
-		u[t>>6] |= 1 << (uint(t) & 63)
+		corOff[t+1] = corOff[t] + coverCount[t]
 	}
-	alive := make([]bool, nc)
-	for c := range alive {
-		alive[c] = true
+	corC := make([]int32, corOff[nt])
+	fill := append([]int32(nil), corOff[:nt]...)
+	for c := range candVert {
+		for _, t := range covT[covOff[c]:covOff[c+1]] {
+			corC[fill[t]] = int32(c)
+			fill[t]++
+		}
 	}
 	return &engine{
-		nt: nt, tw: tw, nc: nc,
-		candVert: candVert, cover: cover, coverers: coverers, ballMask: ballMask,
-		alive: alive, u: u, remain: nt,
-		pack: make([]uint64, tw),
+		nt: nt, nc: len(candVert),
+		candVert: candVert, covOff: covOff, covT: covT, corOff: corOff, corC: corC,
 	}
 }
 
-// coverRow returns candidate c's packed coverage mask.
-func (e *engine) coverRow(c int32) []uint64 {
-	return e.cover[int(c)*e.tw : (int(c)+1)*e.tw]
+// solve runs the engine to optimality at the narrowest mask width that
+// holds every target.
+func (e *engine) solve(opt ExactOptions) ([]int, error) {
+	switch {
+	case e.nt <= 64:
+		return runSearch[[1]uint64](e, opt)
+	case e.nt <= 128:
+		return runSearch[[2]uint64](e, opt)
+	case e.nt <= 512:
+		return runSearch[[8]uint64](e, opt)
+	}
+	return nil, fmt.Errorf("mds: %d targets exceed the exact engine's 512-target masks", e.nt)
 }
 
-// residCover returns |N[c] ∩ B ∩ U|: how many still-undominated targets
-// picking c would cover.
-func (e *engine) residCover(c int32) int {
-	mask := e.coverRow(c)
+// mask is a fixed-width target bitset: bit i is target i.
+type mask interface {
+	[1]uint64 | [2]uint64 | [8]uint64
+}
+
+// andCount returns |a ∩ b|.
+func andCount[M mask](a, b *M) int {
 	s := 0
-	for w, word := range mask {
-		s += bits.OnesCount64(word & e.u[w])
+	for i := 0; i < len(*a); i++ {
+		s += bits.OnesCount64((*a)[i] & (*b)[i])
 	}
 	return s
 }
 
+// bnb is the search state of one solve at mask width M.
+type bnb[M mask] struct {
+	*engine
+
+	cover    []M // per candidate: N[candidate] ∩ B
+	ballMask []M // per target: ∪ cover[c] over the target's coverers
+
+	alive []int32 // per candidate: -1 while not subsumed or excluded, else 0 (masks rc)
+	live  []int32 // per target: number of alive coverers
+	rc    []int32 // per candidate: |cover ∩ u|, its residual coverage
+	u     M       // undominated target bitset
+	pack  M       // packing lower-bound and greedy scratch
+
+	remain int // popcount(u)
+
+	chosen []int32 // picked candidates (search stack, root-forced prefix included)
+	deltas []M     // per-pick newly-dominated mask, aligned with chosen
+	killed []int32 // exclusion/unit-kill trail, restored on frame exit
+
+	best    []int32
+	bestLen int
+
+	maxNodes int64 // 0: unbounded
+	aborted  bool
+
+	branch []int32 // branch candidates of every open frame, outermost first
+}
+
+// runSearch packs e into width-M masks and solves it: root reductions,
+// greedy seeding, then the search.
+func runSearch[M mask](e *engine, opt ExactOptions) ([]int, error) {
+	s := &bnb[M]{
+		engine:   e,
+		cover:    make([]M, e.nc),
+		ballMask: make([]M, e.nt),
+		alive:    make([]int32, e.nc),
+		live:     make([]int32, e.nt),
+		rc:       make([]int32, e.nc),
+		chosen:   make([]int32, 0, e.nc),
+		deltas:   make([]M, 0, e.nc),
+		killed:   make([]int32, 0, e.nc),
+		remain:   e.nt,
+		maxNodes: opt.MaxNodes,
+	}
+	for c := range s.cover {
+		s.alive[c] = -1
+		ts := e.covers(int32(c))
+		for _, t := range ts {
+			s.cover[c][t>>6] |= 1 << (uint(t) & 63)
+		}
+		s.rc[c] = int32(len(ts))
+	}
+	for t := range s.ballMask {
+		cs := e.coverers(t)
+		s.live[t] = int32(len(cs))
+		for _, c := range cs {
+			for i := 0; i < len(s.u); i++ {
+				s.ballMask[t][i] |= s.cover[c][i]
+			}
+		}
+		s.u[t>>6] |= 1 << (uint(t) & 63)
+	}
+	e.nodes = 0
+	s.reduceRoot()
+	if s.remain == 0 {
+		s.best = append(s.best[:0], s.chosen...)
+		s.bestLen = len(s.best)
+		return s.solution(), nil
+	}
+	s.seedGreedy()
+	s.search()
+	if s.aborted {
+		return nil, fmt.Errorf("mds: exact search exceeded the %d-node budget", opt.MaxNodes)
+	}
+	return s.solution(), nil
+}
+
+// covers returns the targets candidate c covers.
+func (e *engine) covers(c int32) []int32 { return e.covT[e.covOff[c]:e.covOff[c+1]] }
+
+// coverers returns the candidates covering target t, ascending.
+func (e *engine) coverers(t int) []int32 { return e.corC[e.corOff[t]:e.corOff[t+1]] }
+
+// kill excludes candidate c, keeping the live-dominator counts.
+func (s *bnb[M]) kill(c int32) {
+	s.alive[c] = 0
+	for _, t := range s.covers(c) {
+		s.live[t]--
+	}
+}
+
+// revive undoes kill.
+func (s *bnb[M]) revive(c int32) {
+	s.alive[c] = -1
+	for _, t := range s.covers(c) {
+		s.live[t]++
+	}
+}
+
+// shiftCover adds delta to the residual coverage of every coverer of the
+// targets in d: the bookkeeping when d leaves (-1) or rejoins (+1) the
+// undominated set.
+func (s *bnb[M]) shiftCover(d *M, delta int32) {
+	for w := 0; w < len(*d); w++ {
+		for word := (*d)[w]; word != 0; word &= word - 1 {
+			for _, c := range s.coverers(w<<6 + bits.TrailingZeros64(word)) {
+				s.rc[c] += delta
+			}
+		}
+	}
+}
+
 // choose picks candidate c: records the newly-dominated delta on the undo
 // trail and clears those targets from the undominated set.
-func (e *engine) choose(c int32) {
-	mask := e.coverRow(c)
-	base := len(e.chosen) * e.tw
-	if cap(e.deltas) < base+e.tw {
-		e.deltas = append(e.deltas[:base], make([]uint64, e.tw)...)
+func (s *bnb[M]) choose(c int32) {
+	var d M
+	for i := 0; i < len(d); i++ {
+		d[i] = s.cover[c][i] & s.u[i]
+		s.u[i] &^= d[i]
+		s.remain -= bits.OnesCount64(d[i])
 	}
-	e.deltas = e.deltas[:base+e.tw]
-	for w, word := range mask {
-		d := word & e.u[w]
-		e.deltas[base+w] = d
-		e.u[w] &^= d
-		e.remain -= bits.OnesCount64(d)
-	}
-	e.chosen = append(e.chosen, c)
+	s.shiftCover(&d, -1)
+	s.deltas = append(s.deltas, d)
+	s.chosen = append(s.chosen, c)
 }
 
 // unchoose reverts the latest choose.
-func (e *engine) unchoose() {
-	last := len(e.chosen) - 1
-	base := last * e.tw
-	for w := 0; w < e.tw; w++ {
-		d := e.deltas[base+w]
-		e.u[w] |= d
-		e.remain += bits.OnesCount64(d)
+func (s *bnb[M]) unchoose() {
+	last := len(s.chosen) - 1
+	d := s.deltas[last]
+	for i := 0; i < len(d); i++ {
+		s.u[i] |= d[i]
+		s.remain += bits.OnesCount64(d[i])
 	}
-	e.chosen = e.chosen[:last]
-	e.deltas = e.deltas[:base]
+	s.shiftCover(&d, +1)
+	s.chosen = s.chosen[:last]
+	s.deltas = s.deltas[:last]
 }
 
 // undoTo pops the chosen stack to cMark and revives exclusion kills down
 // to kMark — the single frame-exit path of search.
-func (e *engine) undoTo(cMark, kMark int) {
-	for len(e.chosen) > cMark {
-		e.unchoose()
+func (s *bnb[M]) undoTo(cMark, kMark int) {
+	for len(s.chosen) > cMark {
+		s.unchoose()
 	}
-	for len(e.killed) > kMark {
-		c := e.killed[len(e.killed)-1]
-		e.killed = e.killed[:len(e.killed)-1]
-		e.alive[c] = true
+	for len(s.killed) > kMark {
+		c := s.killed[len(s.killed)-1]
+		s.killed = s.killed[:len(s.killed)-1]
+		s.revive(c)
 	}
 }
 
 // record stores the chosen stack as the new incumbent.
-func (e *engine) record() {
-	e.best = append(e.best[:0], e.chosen...)
-	e.bestLen = len(e.chosen)
+func (s *bnb[M]) record() {
+	s.best = append(s.best[:0], s.chosen...)
+	s.bestLen = len(s.chosen)
 }
 
 // pickTarget scans the undominated targets for the one with the fewest
 // live dominators (ties to the lowest index). It returns the target, its
 // live-dominator count, and — when that count is one — the forced
-// candidate.
-func (e *engine) pickTarget() (pick int, minCnt int, forced int32) {
-	pick, minCnt, forced = -1, e.nc+1, -1
-	for w, word := range e.u {
-		for word != 0 {
+// candidate. The scan takes the minimum of count<<9 | target, a key that
+// orders by count then index (targets fit in 9 bits), without a branch on
+// the data.
+func (s *bnb[M]) pickTarget() (pick int, minCnt int, forced int32) {
+	best := (s.nc + 1) << 9
+	for w := 0; w < len(s.u); w++ {
+		for word := s.u[w]; word != 0; word &= word - 1 {
 			t := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			cnt := 0
-			var last int32 = -1
-			for _, c := range e.coverers[t] {
-				if e.alive[c] {
-					cnt++
-					last = c
-					if cnt >= minCnt {
-						break
-					}
-				}
-			}
-			if cnt < minCnt {
-				pick, minCnt = t, cnt
-				if cnt == 1 {
-					forced = last
-				} else {
-					forced = -1
-				}
-				if cnt == 0 {
-					return
-				}
+			best = min(best, int(s.live[t])<<9|t)
+		}
+	}
+	pick, minCnt, forced = best&511, best>>9, -1
+	if minCnt == 1 {
+		for _, c := range s.coverers(pick) {
+			if s.alive[c] != 0 {
+				forced = c
+				break
 			}
 		}
 	}
 	return
 }
 
-// lowerBound returns the strongest admissible increment for the current
-// state: max of the cover bound ⌈remain/maxCover⌉ and the disjoint-ball
-// 2-packing. maxCover ranges over live candidates only. A zero return
-// with remain > 0 signals infeasibility (every remaining dominator
-// excluded on this branch).
-func (e *engine) lowerBound() int {
-	maxCover := 0
-	for c := 0; c < e.nc; c++ {
-		if !e.alive[c] {
-			continue
-		}
-		if r := e.residCover(int32(c)); r > maxCover {
-			maxCover = r
-		}
+// boundReaches reports whether the lower bound on the picks still needed
+// reaches need (at least one): the max of the cover bound
+// ⌈remain/maxCover⌉ and the disjoint-ball 2-packing, where maxCover ranges
+// over live candidates only. No live candidate covering anything signals
+// infeasibility (every remaining dominator excluded on this branch) and
+// reaches any need. The packing is greedy and its count only grows, so it
+// stops as soon as the count reaches need: the answer is the one the
+// complete bound gives.
+func (s *bnb[M]) boundReaches(need int) bool {
+	var maxCover int32
+	for c, rc := range s.rc {
+		maxCover = max(maxCover, rc&s.alive[c])
 	}
-	if maxCover == 0 {
-		return 0
+	if maxCover == 0 || (s.remain+int(maxCover)-1)/int(maxCover) >= need {
+		return true
 	}
-	lb := (e.remain + maxCover - 1) / maxCover
 	// Greedy 2-packing on the ball masks: repeatedly admit the target
 	// whose dominator ball erases the fewest other candidates for the
 	// packing. Each admitted target needs its own dominator, so the count
 	// lower-bounds the remaining picks. Ball masks are static (they
 	// include excluded candidates' coverage), which only weakens — never
-	// breaks — the bound.
-	copy(e.pack, e.u)
-	packed := 0
-	for {
-		bestT, bestLoss := -1, e.nt+1
-		for w, word := range e.pack {
-			for word != 0 {
+	// breaks — the bound. The scan keys targets like pickTarget, by loss
+	// then index.
+	s.pack = s.u
+	none := (s.nt + 1) << 9
+	for packed := 0; ; {
+		best := none
+		for w := 0; w < len(s.pack); w++ {
+			for word := s.pack[w]; word != 0; word &= word - 1 {
 				t := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				ball := e.ballMask[t*e.tw : (t+1)*e.tw]
-				loss := 0
-				for i, m := range ball {
-					loss += bits.OnesCount64(m & e.pack[i])
-				}
-				if loss < bestLoss {
-					bestT, bestLoss = t, loss
-				}
+				best = min(best, andCount(&s.ballMask[t], &s.pack)<<9|t)
 			}
 		}
-		if bestT < 0 {
-			break
+		if best == none {
+			return false
 		}
-		packed++
-		ball := e.ballMask[bestT*e.tw : (bestT+1)*e.tw]
-		for i, m := range ball {
-			e.pack[i] &^= m
+		bestT := best & 511
+		if packed++; packed >= need {
+			return true
+		}
+		for i := 0; i < len(s.pack); i++ {
+			s.pack[i] &^= s.ballMask[bestT][i]
 		}
 	}
-	if packed > lb {
-		lb = packed
-	}
-	return lb
-}
-
-// frameBufs returns the per-depth branch scratch slices, growing the
-// ladder on first use of a depth.
-func (e *engine) frameBufs(depth int) ([]int32, []int32) {
-	for len(e.branchBufs) <= depth {
-		e.branchBufs = append(e.branchBufs, nil)
-		e.covBufs = append(e.covBufs, nil)
-	}
-	return e.branchBufs[depth][:0], e.covBufs[depth][:0]
 }
 
 // search explores extensions of the current chosen stack. Unit
 // propagation (forcing) runs first; then bounds; then exclusion branching
 // on the scarcest target's dominators.
-func (e *engine) search(depth int) {
-	if e.aborted {
+func (s *bnb[M]) search() {
+	if s.aborted {
 		return
 	}
-	e.nodes++
-	if e.maxNodes > 0 && e.nodes > e.maxNodes {
-		e.aborted = true
+	s.nodes++
+	if s.maxNodes > 0 && s.nodes > s.maxNodes {
+		s.aborted = true
 		return
 	}
-	cMark, kMark := len(e.chosen), len(e.killed)
+	cMark, kMark := len(s.chosen), len(s.killed)
 	var pick int
 	for {
-		if len(e.chosen) >= e.bestLen {
-			e.undoTo(cMark, kMark)
+		if len(s.chosen) >= s.bestLen {
+			s.undoTo(cMark, kMark)
 			return
 		}
-		if e.remain == 0 {
-			e.record()
-			e.undoTo(cMark, kMark)
+		if s.remain == 0 {
+			s.record()
+			s.undoTo(cMark, kMark)
 			return
 		}
-		t, cnt, forced := e.pickTarget()
+		t, cnt, forced := s.pickTarget()
 		if cnt == 0 { // all dominators of t excluded on this branch
-			e.undoTo(cMark, kMark)
+			s.undoTo(cMark, kMark)
 			return
 		}
 		if cnt == 1 {
-			e.choose(forced)
+			s.choose(forced)
 			continue
 		}
 		pick = t
 		break
 	}
-	lb := e.lowerBound()
-	if lb == 0 || len(e.chosen)+lb >= e.bestLen {
-		e.undoTo(cMark, kMark)
+	if s.boundReaches(s.bestLen - len(s.chosen)) {
+		s.undoTo(cMark, kMark)
 		return
 	}
 	// Branch candidates: live dominators of pick, most residual coverage
-	// first, index ascending on ties (insertion sort into per-depth
-	// scratch keeps the hot path allocation-free).
-	cands, covs := e.frameBufs(depth)
-	for _, c := range e.coverers[pick] {
-		if !e.alive[c] {
+	// first, index ascending on ties, insertion-sorted into this frame's
+	// slice of the branch stack (deeper frames push above it and pop
+	// before returning).
+	start := len(s.branch)
+	for _, c := range s.coverers(pick) {
+		if s.alive[c] == 0 {
 			continue
 		}
-		rc := int32(e.residCover(c))
-		i := len(cands)
-		cands = append(cands, 0)
-		covs = append(covs, 0)
-		for i > 0 && covs[i-1] < rc {
-			cands[i], covs[i] = cands[i-1], covs[i-1]
+		i := len(s.branch)
+		s.branch = append(s.branch, c)
+		for i > start && s.rc[s.branch[i-1]] < s.rc[c] {
+			s.branch[i] = s.branch[i-1]
 			i--
 		}
-		cands[i], covs[i] = c, rc
+		s.branch[i] = c
 	}
-	e.branchBufs[depth], e.covBufs[depth] = cands, covs
-	for _, c := range cands {
-		e.choose(c)
-		e.search(depth + 1)
-		e.unchoose()
-		if e.aborted {
+	end := len(s.branch)
+	for k := start; k < end; k++ {
+		c := s.branch[k]
+		s.choose(c)
+		s.search()
+		s.unchoose()
+		if s.aborted {
 			break
 		}
 		// Exclude c from the remaining branches: every solution through c
 		// was just enumerated.
-		e.alive[c] = false
-		e.killed = append(e.killed, c)
+		s.kill(c)
+		s.killed = append(s.killed, c)
 	}
-	e.undoTo(cMark, kMark)
+	s.branch = s.branch[:start]
+	s.undoTo(cMark, kMark)
 }
 
 // reduceRoot runs forcing and subsumption to fixpoint before the search
 // starts. Forced picks land on the chosen stack (they are in every
 // feasible solution given prior kills); subsumed candidates are killed
 // permanently (some optimal solution avoids them, by exchange).
-func (e *engine) reduceRoot() {
+func (s *bnb[M]) reduceRoot() {
 	for changed := true; changed; {
 		changed = false
 		// Forcing: a target with a single live dominator decides it.
 		for {
-			_, cnt, forced := e.pickTarget()
-			if e.remain == 0 || cnt != 1 {
+			_, cnt, forced := s.pickTarget()
+			if s.remain == 0 || cnt != 1 {
 				break
 			}
-			e.choose(forced)
+			s.choose(forced)
 			changed = true
 		}
-		if e.remain == 0 {
+		if s.remain == 0 {
 			return
 		}
 		// Subsumption: kill candidate c when another live candidate's
 		// residual coverage contains c's (keep the lower index on exact
 		// ties). Any superset of c's coverage must dominate c's first
 		// residual target, so only that target's coverers are compared.
-		for c := 0; c < e.nc; c++ {
-			if !e.alive[c] {
+		for c := range s.cover {
+			if s.alive[c] == 0 {
 				continue
 			}
-			mask := e.coverRow(int32(c))
+			mask := s.cover[c]
 			first := -1
-			for w, word := range mask {
-				if rw := word & e.u[w]; rw != 0 {
+			for w := 0; w < len(mask); w++ {
+				if rw := mask[w] & s.u[w]; rw != 0 {
 					first = w<<6 + bits.TrailingZeros64(rw)
 					break
 				}
 			}
 			if first < 0 { // covers nothing undominated anymore
-				e.alive[c] = false
+				s.kill(int32(c))
 				changed = true
 				continue
 			}
-			for _, d := range e.coverers[first] {
-				if int(d) == c || !e.alive[d] {
+			for _, d := range s.coverers(first) {
+				if int(d) == c || s.alive[d] == 0 {
 					continue
 				}
-				dMask := e.coverRow(d)
+				dMask := s.cover[d]
 				subset, equal := true, true
-				for w, word := range mask {
-					cw, dw := word&e.u[w], dMask[w]&e.u[w]
+				for w := 0; w < len(mask); w++ {
+					cw, dw := mask[w]&s.u[w], dMask[w]&s.u[w]
 					if cw&^dw != 0 {
 						subset = false
 						break
@@ -469,7 +513,7 @@ func (e *engine) reduceRoot() {
 					}
 				}
 				if subset && (!equal || int(d) < c) {
-					e.alive[c] = false
+					s.kill(int32(c))
 					changed = true
 					break
 				}
@@ -481,62 +525,38 @@ func (e *engine) reduceRoot() {
 // seedGreedy installs the greedy cover of the residual state as the
 // incumbent upper bound: repeatedly pick the live candidate covering the
 // most undominated targets (lowest index on ties).
-func (e *engine) seedGreedy() {
-	copy(e.pack, e.u)
-	remain := e.remain
-	e.best = append(e.best[:0], e.chosen...)
+func (s *bnb[M]) seedGreedy() {
+	s.pack = s.u
+	remain := s.remain
+	s.best = append(s.best[:0], s.chosen...)
 	for remain > 0 {
-		bestC, bestGain := int32(-1), 0
-		for c := 0; c < e.nc; c++ {
-			if !e.alive[c] {
+		bestC, bestGain := -1, 0
+		for c := range s.cover {
+			if s.alive[c] == 0 {
 				continue
 			}
-			mask := e.coverRow(int32(c))
-			gain := 0
-			for w, word := range mask {
-				gain += bits.OnesCount64(word & e.pack[w])
-			}
-			if gain > bestGain {
-				bestC, bestGain = int32(c), gain
+			if gain := andCount(&s.cover[c], &s.pack); gain > bestGain {
+				bestC, bestGain = c, gain
 			}
 		}
 		if bestC < 0 {
 			break // unreachable: forcing keeps a live coverer per target
 		}
-		mask := e.coverRow(bestC)
-		for w, word := range mask {
-			remain -= bits.OnesCount64(word & e.pack[w])
-			e.pack[w] &^= word
+		remain -= bestGain
+		for w := 0; w < len(s.pack); w++ {
+			s.pack[w] &^= s.cover[bestC][w]
 		}
-		e.best = append(e.best, bestC)
+		s.best = append(s.best, int32(bestC))
 	}
-	e.bestLen = len(e.best)
+	s.bestLen = len(s.best)
 }
 
 // solution maps the incumbent back to sorted original vertex labels.
-func (e *engine) solution() []int {
-	out := make([]int, len(e.best))
-	for i, c := range e.best {
-		out[i] = int(e.candVert[c])
+func (s *bnb[M]) solution() []int {
+	out := make([]int, len(s.best))
+	for i, c := range s.best {
+		out[i] = int(s.candVert[c])
 	}
 	sort.Ints(out)
 	return out
-}
-
-// solve runs the engine to optimality: root reductions, greedy seeding,
-// then the search.
-func (e *engine) solve(opt ExactOptions) ([]int, error) {
-	e.maxNodes = opt.MaxNodes
-	e.reduceRoot()
-	if e.remain == 0 {
-		e.best = append(e.best[:0], e.chosen...)
-		e.bestLen = len(e.best)
-		return e.solution(), nil
-	}
-	e.seedGreedy()
-	e.search(0)
-	if e.aborted {
-		return nil, fmt.Errorf("mds: exact search exceeded the %d-node budget", opt.MaxNodes)
-	}
-	return e.solution(), nil
 }

@@ -1,9 +1,13 @@
 package mds
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"localmds/internal/ding"
+	"localmds/internal/gen"
 	"localmds/internal/graph"
 )
 
@@ -99,6 +103,94 @@ func TestGreedyBDominatingCSRMatchesGeneric(t *testing.T) {
 		}
 		if len(target) > 0 && !DominatesSetCSR(c, got, target) {
 			t.Fatalf("trial %d: greedy CSR result not dominating", trial)
+		}
+	}
+}
+
+// rescanGreedyBDominating is the greedy GreedyBDominatingCSR replaced:
+// each pick rescans every vertex's gain, O(|S|·m). It is the oracle the
+// lazy greedy must match pick for pick.
+func rescanGreedyBDominating(c *graph.CSR, target []int) []int {
+	n := c.N()
+	need := make([]bool, n)
+	remaining := 0
+	for _, v := range target {
+		if !need[v] {
+			need[v] = true
+			remaining++
+		}
+	}
+	var sol []int
+	for remaining > 0 {
+		bestV, bestGain := -1, 0
+		for v := 0; v < n; v++ {
+			gain := 0
+			if need[v] {
+				gain++
+			}
+			for _, u := range c.Row(v) {
+				if need[u] {
+					gain++
+				}
+			}
+			if gain > bestGain {
+				bestV, bestGain = v, gain
+			}
+		}
+		if bestV < 0 {
+			break // unreachable: every needed vertex dominates itself
+		}
+		sol = append(sol, bestV)
+		if need[bestV] {
+			need[bestV] = false
+			remaining--
+		}
+		for _, u := range c.Row(bestV) {
+			if need[u] {
+				need[u] = false
+				remaining--
+			}
+		}
+	}
+	sort.Ints(sol)
+	return sol
+}
+
+// TestGreedyBDominatingCSRMatchesRescan checks the lazy greedy against
+// the full rescan on random graphs with random B-domination targets
+// (duplicates included), on grids (where gains tie everywhere), and on
+// ding instances, with every vertex and with random halves as targets.
+func TestGreedyBDominatingCSRMatchesRescan(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	graphs := map[string]*graph.Graph{
+		"grid1x1":   gen.Grid(1, 1),
+		"grid6x6":   gen.Grid(6, 6),
+		"grid13x17": gen.Grid(13, 17),
+		"grid40x40": gen.Grid(40, 40),
+		"ding300":   ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 300, T: 5}, rng),
+		"star12":    gen.Star(12),
+		"isolated4": graph.New(4),
+	}
+	for i := 0; i < 30; i++ {
+		n := 5 + rng.Intn(80)
+		graphs[fmt.Sprintf("gnp%d", i)] = randomMDSGraph(n, []float64{0.03, 0.08, 0.2}[i%3], rng)
+	}
+	for name, g := range graphs {
+		c := g.Freeze()
+		targets := [][]int{allVertices(g), randomTarget(g.N(), rng), nil}
+		if g.N() > 0 {
+			dup := randomTarget(g.N(), rng)
+			targets = append(targets, append(dup, dup...))
+		}
+		for k, target := range targets {
+			want := rescanGreedyBDominating(c, target)
+			got := GreedyBDominatingCSR(c, target)
+			if !graph.EqualSets(got, want) || len(got) != len(want) {
+				t.Fatalf("%s target %d: lazy greedy = %v, rescan = %v", name, k, got, want)
+			}
+			if !DominatesSetCSR(c, got, target) {
+				t.Fatalf("%s target %d: greedy set does not dominate", name, k)
+			}
 		}
 	}
 }

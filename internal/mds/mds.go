@@ -9,7 +9,6 @@ package mds
 
 import (
 	"fmt"
-	"sort"
 
 	"localmds/internal/graph"
 )
@@ -124,51 +123,10 @@ func ExactBDominating(c *graph.CSR, target []int, opt ExactOptions) ([]int, erro
 
 // GreedyMDS returns the classical greedy dominating set (repeatedly pick
 // the vertex covering the most undominated vertices), an
-// (ln Δ + 1)-approximation and the baseline used in the experiments.
+// (ln Δ + 1)-approximation and the baseline used in the experiments:
+// GreedyBDominatingCSR on g.Freeze() with every vertex a target.
 func GreedyMDS(g *graph.Graph) []int {
-	covers := make([][]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		covers[v] = g.Ball(v, 1)
-	}
-	return greedyBDominatingGeneric(g, allVertices(g), covers)
-}
-
-func greedyBDominatingGeneric(g *graph.Graph, target []int, covers [][]int) []int {
-	need := make([]bool, g.N())
-	remaining := 0
-	for _, v := range target {
-		if !need[v] {
-			need[v] = true
-			remaining++
-		}
-	}
-	var sol []int
-	for remaining > 0 {
-		bestV, bestGain := -1, 0
-		for v := 0; v < g.N(); v++ {
-			gain := 0
-			for _, u := range covers[v] {
-				if need[u] {
-					gain++
-				}
-			}
-			if gain > bestGain {
-				bestV, bestGain = v, gain
-			}
-		}
-		if bestV < 0 {
-			break // isolated unreachable targets cannot occur: v covers itself
-		}
-		sol = append(sol, bestV)
-		for _, u := range covers[bestV] {
-			if need[u] {
-				need[u] = false
-				remaining--
-			}
-		}
-	}
-	sort.Ints(sol)
-	return sol
+	return GreedyBDominatingCSR(g.Freeze(), allVertices(g))
 }
 
 // TwoPacking returns a maximal 2-packing: vertices pairwise at distance at

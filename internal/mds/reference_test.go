@@ -120,3 +120,44 @@ func (s *bnbState) search(chosen []int) {
 		s.search(append(chosen, v))
 	}
 }
+
+// greedyBDominatingGeneric is the adjacency-list greedy that GreedyMDS ran
+// before it became GreedyBDominatingCSR: the rescan the reference search
+// seeds its bound with, and an oracle for the CSR greedy.
+func greedyBDominatingGeneric(g *graph.Graph, target []int, covers [][]int) []int {
+	need := make([]bool, g.N())
+	remaining := 0
+	for _, v := range target {
+		if !need[v] {
+			need[v] = true
+			remaining++
+		}
+	}
+	var sol []int
+	for remaining > 0 {
+		bestV, bestGain := -1, 0
+		for v := 0; v < g.N(); v++ {
+			gain := 0
+			for _, u := range covers[v] {
+				if need[u] {
+					gain++
+				}
+			}
+			if gain > bestGain {
+				bestV, bestGain = v, gain
+			}
+		}
+		if bestV < 0 {
+			break // isolated unreachable targets cannot occur: v covers itself
+		}
+		sol = append(sol, bestV)
+		for _, u := range covers[bestV] {
+			if need[u] {
+				need[u] = false
+				remaining--
+			}
+		}
+	}
+	sort.Ints(sol)
+	return sol
+}

@@ -28,6 +28,7 @@ func BenchmarkExactMDS(b *testing.B) {
 	}{
 		{"ding-50", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 50, T: 5}, rng), ""},
 		{"ding-100", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 100, T: 5}, rand.New(rand.NewSource(12))), "reference needs >300s per op"},
+		{"grid-6x6", gen.Grid(6, 6), ""},
 		{"grid-7x7", gen.Grid(7, 7), ""},
 		{"grid-8x8", gen.Grid(8, 8), ""},
 		{"grid-9x9", gen.Grid(9, 9), ""},
