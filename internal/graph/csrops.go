@@ -431,8 +431,9 @@ func (c *CSR) Eccentricity(v int, a *Arena) int {
 // graphs", TCS 2013). A 4-sweep finds a lower bound and a central vertex
 // u, and BFS then runs only from u's farthest levels until no pair closer
 // to u can beat the bound. Grids and near-planar graphs settle after a
-// handful of BFS runs; when the bounds never meet (cycles are the worst
-// case) the levels run out after one BFS per vertex, the all-pairs cost.
+// handful of BFS runs; where the bounds meet late the cost approaches one
+// BFS per vertex, the all-pairs cost and the worst case (a cycle stops
+// after about half its vertices).
 func (c *CSR) Diameter(a *Arena) int {
 	n := c.N()
 	a.growPos(n)

@@ -3,7 +3,6 @@ package mds
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"localmds/internal/ding"
@@ -78,12 +77,16 @@ func TestExactBDominatingCSRTreewidth2Dispatch(t *testing.T) {
 	}
 }
 
+// TestGreedyBDominatingCSRMatchesGeneric checks the lazy greedy against
+// the adjacency-list rescan pick for pick: on random graphs with random
+// B-domination targets, on grids (where gains tie everywhere) and on a
+// ding instance, with every vertex, a random subset, no vertex and a
+// duplicated list as targets.
 func TestGreedyBDominatingCSRMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 25; trial++ {
-		g := randomMDSGraph(20, 0.12, rng)
+	check := func(name string, g *graph.Graph, target []int) {
+		t.Helper()
 		c := g.Freeze()
-		target := randomTarget(g.N(), rng)
 		covers := make([][]int, g.N())
 		inB := make([]bool, g.N())
 		for _, v := range target {
@@ -98,70 +101,17 @@ func TestGreedyBDominatingCSRMatchesGeneric(t *testing.T) {
 		}
 		want := greedyBDominatingGeneric(g, target, covers)
 		got := GreedyBDominatingCSR(c, target)
-		if !graph.EqualSets(got, want) {
-			t.Fatalf("trial %d: CSR greedy = %v, generic = %v (target %v)", trial, got, want, target)
+		if !graph.EqualSets(got, want) || len(got) != len(want) {
+			t.Fatalf("%s: CSR greedy = %v, generic = %v (target %v)", name, got, want, target)
 		}
 		if len(target) > 0 && !DominatesSetCSR(c, got, target) {
-			t.Fatalf("trial %d: greedy CSR result not dominating", trial)
+			t.Fatalf("%s: greedy CSR result not dominating", name)
 		}
 	}
-}
-
-// rescanGreedyBDominating is the greedy GreedyBDominatingCSR replaced:
-// each pick rescans every vertex's gain, O(|S|·m). It is the oracle the
-// lazy greedy must match pick for pick.
-func rescanGreedyBDominating(c *graph.CSR, target []int) []int {
-	n := c.N()
-	need := make([]bool, n)
-	remaining := 0
-	for _, v := range target {
-		if !need[v] {
-			need[v] = true
-			remaining++
-		}
+	for trial := 0; trial < 25; trial++ {
+		g := randomMDSGraph(20, 0.12, rng)
+		check(fmt.Sprintf("trial %d", trial), g, randomTarget(g.N(), rng))
 	}
-	var sol []int
-	for remaining > 0 {
-		bestV, bestGain := -1, 0
-		for v := 0; v < n; v++ {
-			gain := 0
-			if need[v] {
-				gain++
-			}
-			for _, u := range c.Row(v) {
-				if need[u] {
-					gain++
-				}
-			}
-			if gain > bestGain {
-				bestV, bestGain = v, gain
-			}
-		}
-		if bestV < 0 {
-			break // unreachable: every needed vertex dominates itself
-		}
-		sol = append(sol, bestV)
-		if need[bestV] {
-			need[bestV] = false
-			remaining--
-		}
-		for _, u := range c.Row(bestV) {
-			if need[u] {
-				need[u] = false
-				remaining--
-			}
-		}
-	}
-	sort.Ints(sol)
-	return sol
-}
-
-// TestGreedyBDominatingCSRMatchesRescan checks the lazy greedy against
-// the full rescan on random graphs with random B-domination targets
-// (duplicates included), on grids (where gains tie everywhere), and on
-// ding instances, with every vertex and with random halves as targets.
-func TestGreedyBDominatingCSRMatchesRescan(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
 	graphs := map[string]*graph.Graph{
 		"grid1x1":   gen.Grid(1, 1),
 		"grid6x6":   gen.Grid(6, 6),
@@ -172,25 +122,12 @@ func TestGreedyBDominatingCSRMatchesRescan(t *testing.T) {
 		"isolated4": graph.New(4),
 	}
 	for i := 0; i < 30; i++ {
-		n := 5 + rng.Intn(80)
-		graphs[fmt.Sprintf("gnp%d", i)] = randomMDSGraph(n, []float64{0.03, 0.08, 0.2}[i%3], rng)
+		graphs[fmt.Sprintf("gnp%d", i)] = randomMDSGraph(5+rng.Intn(80), []float64{0.03, 0.08, 0.2}[i%3], rng)
 	}
 	for name, g := range graphs {
-		c := g.Freeze()
-		targets := [][]int{allVertices(g), randomTarget(g.N(), rng), nil}
-		if g.N() > 0 {
-			dup := randomTarget(g.N(), rng)
-			targets = append(targets, append(dup, dup...))
-		}
-		for k, target := range targets {
-			want := rescanGreedyBDominating(c, target)
-			got := GreedyBDominatingCSR(c, target)
-			if !graph.EqualSets(got, want) || len(got) != len(want) {
-				t.Fatalf("%s target %d: lazy greedy = %v, rescan = %v", name, k, got, want)
-			}
-			if !DominatesSetCSR(c, got, target) {
-				t.Fatalf("%s target %d: greedy set does not dominate", name, k)
-			}
+		dup := randomTarget(g.N(), rng)
+		for k, target := range [][]int{allVertices(g), randomTarget(g.N(), rng), nil, append(dup, dup...)} {
+			check(fmt.Sprintf("%s target %d", name, k), g, target)
 		}
 	}
 }
