@@ -21,9 +21,6 @@ type Cover struct {
 	Classes [][]int
 }
 
-// Dimension returns d: the number of classes minus one.
-func (c *Cover) Dimension() int { return len(c.Classes) - 1 }
-
 // Verify checks that the classes cover every vertex of g and contain no
 // out-of-range entries.
 func (c *Cover) Verify(g *graph.Graph) error {
@@ -116,26 +113,6 @@ func EstimateControlFunction(g *graph.Graph, radii []int, parts int) ([]Estimate
 		out = append(out, EstimatePoint{R: r, Estimate: ControlEstimate(g, cover, r)})
 	}
 	return out, nil
-}
-
-// DisjointClosedNeighborhoods reports whether the closed neighborhoods
-// N[R_i] of the given sets are pairwise disjoint — the hypothesis of
-// Lemma 5.2 (then Σ MDS(G, R_i) <= MDS(G)).
-func DisjointClosedNeighborhoods(g *graph.Graph, sets [][]int) bool {
-	seen := make(map[int]bool)
-	for _, s := range sets {
-		var closed []int
-		for _, v := range s {
-			closed = append(closed, g.Ball(v, 1)...)
-		}
-		for _, v := range graph.Dedup(closed) {
-			if seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-	}
-	return true
 }
 
 // RSeparatedSubfamily greedily selects a subfamily of the given sets whose

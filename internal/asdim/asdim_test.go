@@ -19,8 +19,8 @@ func TestBFSAnnulusCoverCoversEverything(t *testing.T) {
 	if err := cover.Verify(g); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
-	if cover.Dimension() != 1 {
-		t.Errorf("Dimension = %d, want 1", cover.Dimension())
+	if len(cover.Classes) != 2 {
+		t.Errorf("%d classes, want 2", len(cover.Classes))
 	}
 }
 
@@ -117,15 +117,36 @@ func TestEstimateControlFunction(t *testing.T) {
 	}
 }
 
+// disjointClosedNeighborhoods reports whether the closed neighborhoods
+// N[R_i] of the given sets are pairwise disjoint — the hypothesis of
+// Lemma 5.2 (then Σ MDS(G, R_i) <= MDS(G)). It is the oracle for
+// RSeparatedSubfamily.
+func disjointClosedNeighborhoods(g *graph.Graph, sets [][]int) bool {
+	seen := make(map[int]bool)
+	for _, s := range sets {
+		var closed []int
+		for _, v := range s {
+			closed = append(closed, g.Ball(v, 1)...)
+		}
+		for _, v := range graph.Dedup(closed) {
+			if seen[v] {
+				return false
+			}
+			seen[v] = true
+		}
+	}
+	return true
+}
+
 func TestDisjointClosedNeighborhoods(t *testing.T) {
 	g := gen.Path(10)
-	if !DisjointClosedNeighborhoods(g, [][]int{{0}, {5}, {9}}) {
+	if !disjointClosedNeighborhoods(g, [][]int{{0}, {5}, {9}}) {
 		t.Error("far-apart singletons should have disjoint N[.]")
 	}
-	if DisjointClosedNeighborhoods(g, [][]int{{0}, {2}}) {
+	if disjointClosedNeighborhoods(g, [][]int{{0}, {2}}) {
 		t.Error("N[0] and N[2] share vertex 1")
 	}
-	if !DisjointClosedNeighborhoods(g, nil) {
+	if !disjointClosedNeighborhoods(g, nil) {
 		t.Error("empty family should be disjoint")
 	}
 }
@@ -134,7 +155,7 @@ func TestRSeparatedSubfamily(t *testing.T) {
 	g := gen.Path(12)
 	sets := [][]int{{0}, {2}, {5}, {7}, {11}}
 	out := RSeparatedSubfamily(g, sets)
-	if !DisjointClosedNeighborhoods(g, out) {
+	if !disjointClosedNeighborhoods(g, out) {
 		t.Fatal("selected subfamily not neighborhood-disjoint")
 	}
 	// {0} selected; {2} conflicts via vertex 1; {5} fits; {7} conflicts

@@ -101,19 +101,6 @@ func TakeAllMDS(g *graph.Graph) []int {
 	return all
 }
 
-// takeAllProcess outputs true without communicating (the simulator charges
-// one silent round for the deciding step).
-type takeAllProcess struct{}
-
-// NewTakeAllProcess returns the 0-communication take-all process.
-func NewTakeAllProcess() local.Process { return takeAllProcess{} }
-
-func (takeAllProcess) Init(local.NodeInfo) {}
-func (takeAllProcess) Round(int, []local.Message) ([]local.Message, bool) {
-	return nil, true
-}
-func (takeAllProcess) Output() any { return true }
-
 // RegularMVC is the 0-round 2-approximation for vertex cover on regular
 // graphs (§1): take every non-isolated vertex.
 func RegularMVC(g *graph.Graph) []int {

@@ -97,24 +97,6 @@ func TestTakeAllMDS(t *testing.T) {
 	}
 }
 
-func TestTakeAllProcessSilent(t *testing.T) {
-	g := gen.Cycle(8)
-	nw, err := local.NewNetwork(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := nw.Run(local.Sequential, func(int) local.Process { return NewTakeAllProcess() }, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Messages != 0 {
-		t.Errorf("take-all sent %d messages, want 0", res.Stats.Messages)
-	}
-	if res.Stats.Rounds != 1 {
-		t.Errorf("rounds = %d (one silent deciding step)", res.Stats.Rounds)
-	}
-}
-
 func TestRegularMVC(t *testing.T) {
 	g, err := gen.RegularLike(12, 4)
 	if err != nil {

@@ -71,15 +71,21 @@ func TestGloballyInterestingRequiresNeighborhoodCondition(t *testing.T) {
 	}
 }
 
-func TestBlockCutTreeDisconnected(t *testing.T) {
+func TestBiconnectedComponentsDisconnected(t *testing.T) {
 	g := graph.DisjointUnion(gen.Cycle(3), gen.Path(3))
-	bct := NewBlockCutTree(g)
-	// Blocks: the triangle, two path edges; cuts: path middle vertex.
-	if len(bct.Blocks) != 3 || len(bct.CutVertices) != 1 {
-		t.Errorf("blocks=%d cuts=%d, want 3, 1", len(bct.Blocks), len(bct.CutVertices))
+	// Blocks: the triangle and the two path edges; the path's middle
+	// vertex is the only cut vertex.
+	blocks := BiconnectedComponents(g)
+	cutVerts := ArticulationPoints(g)
+	if len(blocks) != 3 || !graph.EqualSets(cutVerts, []int{4}) {
+		t.Fatalf("blocks = %v, cuts = %v; want 3 blocks and cut vertex 4", blocks, cutVerts)
 	}
-	// Forest: edges = nodes - components(2).
-	if bct.NumEdges() != bct.NumNodes()-2 {
-		t.Errorf("forest relation violated: %d edges, %d nodes", bct.NumEdges(), bct.NumNodes())
+	// The block-cut forest has two trees: incidences = nodes - 2.
+	incidences := 0
+	for _, b := range blocks {
+		incidences += len(graph.SortedIntersect(b, cutVerts))
+	}
+	if incidences != len(blocks)+len(cutVerts)-2 {
+		t.Errorf("forest relation violated: %d incidences, %d nodes", incidences, len(blocks)+len(cutVerts))
 	}
 }

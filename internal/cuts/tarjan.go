@@ -1,6 +1,5 @@
 // Package cuts provides the connectivity substrate of the paper: Tarjan
-// articulation points and biconnected components, the block-cut tree used
-// in Claim 5.3, enumeration of minimal 2-cuts (separation pairs) and their
+// articulation points and biconnected components, enumeration of minimal 2-cuts (separation pairs) and their
 // crossing relation (§5.3), and — the paper's new notion — r-local k-cuts
 // (Definition 2.1) together with r-interesting vertices (§3.2).
 package cuts
@@ -64,58 +63,6 @@ func ArticulationPoints(g *graph.Graph) []int {
 			out = append(out, v)
 		}
 	}
-	return out
-}
-
-// Bridges returns the cut edges of g in canonical order.
-func Bridges(g *graph.Graph) [][2]int {
-	n := g.N()
-	disc := make([]int, n)
-	low := make([]int, n)
-	for i := range disc {
-		disc[i] = -1
-	}
-	timer := 0
-	var out [][2]int
-	var dfs func(v, parent int)
-	dfs = func(v, parent int) {
-		disc[v] = timer
-		low[v] = timer
-		timer++
-		for _, u := range g.Neighbors(v) {
-			if u == parent {
-				continue
-			}
-			if disc[u] >= 0 {
-				if disc[u] < low[v] {
-					low[v] = disc[u]
-				}
-				continue
-			}
-			dfs(u, v)
-			if low[u] < low[v] {
-				low[v] = low[u]
-			}
-			if low[u] > disc[v] {
-				a, b := v, u
-				if a > b {
-					a, b = b, a
-				}
-				out = append(out, [2]int{a, b})
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		if disc[v] < 0 {
-			dfs(v, -1)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
@@ -190,54 +137,4 @@ func BiconnectedComponents(g *graph.Graph) [][]int {
 	}
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i][0] < blocks[j][0] })
 	return blocks
-}
-
-// BlockCutTree is the bipartite tree T from Claim 5.3: one node per block
-// (maximal 2-connected component) and one per cut vertex, with an edge
-// whenever the cut vertex belongs to the block. For a connected graph it is
-// a tree; in general a forest.
-type BlockCutTree struct {
-	Blocks      [][]int // sorted vertex sets
-	CutVertices []int   // ascending
-	// BlockNbrs[i] lists indices into CutVertices adjacent to block i;
-	// CutNbrs[j] lists indices into Blocks adjacent to cut vertex j.
-	BlockNbrs [][]int
-	CutNbrs   [][]int
-}
-
-// NewBlockCutTree builds the block-cut tree of g.
-func NewBlockCutTree(g *graph.Graph) *BlockCutTree {
-	blocks := BiconnectedComponents(g)
-	cutVerts := ArticulationPoints(g)
-	cutIndex := make(map[int]int, len(cutVerts))
-	for i, v := range cutVerts {
-		cutIndex[v] = i
-	}
-	t := &BlockCutTree{
-		Blocks:      blocks,
-		CutVertices: cutVerts,
-		BlockNbrs:   make([][]int, len(blocks)),
-		CutNbrs:     make([][]int, len(cutVerts)),
-	}
-	for bi, b := range blocks {
-		for _, v := range b {
-			if ci, ok := cutIndex[v]; ok {
-				t.BlockNbrs[bi] = append(t.BlockNbrs[bi], ci)
-				t.CutNbrs[ci] = append(t.CutNbrs[ci], bi)
-			}
-		}
-	}
-	return t
-}
-
-// NumNodes returns the number of tree nodes (blocks + cut vertices).
-func (t *BlockCutTree) NumNodes() int { return len(t.Blocks) + len(t.CutVertices) }
-
-// NumEdges returns the number of tree edges.
-func (t *BlockCutTree) NumEdges() int {
-	m := 0
-	for _, nbrs := range t.BlockNbrs {
-		m += len(nbrs)
-	}
-	return m
 }

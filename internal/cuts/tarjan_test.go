@@ -67,39 +67,6 @@ func TestArticulationMatchesBruteForceProperty(t *testing.T) {
 	}
 }
 
-func TestBridges(t *testing.T) {
-	tests := []struct {
-		name string
-		g    *graph.Graph
-		want int
-	}{
-		{"path5", gen.Path(5), 4},
-		{"cycle5", gen.Cycle(5), 0},
-		{"star", gen.Star(3), 3},
-		{"two triangles", twoTriangles(), 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Bridges(tt.g); len(got) != tt.want {
-				t.Errorf("Bridges = %v, want %d bridges", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestBridgesDumbbell(t *testing.T) {
-	// Two triangles joined by an edge: exactly that edge is a bridge.
-	g := graph.MustFromEdges(6, [][2]int{
-		{0, 1}, {0, 2}, {1, 2},
-		{3, 4}, {3, 5}, {4, 5},
-		{2, 3},
-	})
-	b := Bridges(g)
-	if len(b) != 1 || b[0] != [2]int{2, 3} {
-		t.Errorf("Bridges = %v, want [[2 3]]", b)
-	}
-}
-
 func TestBiconnectedComponents(t *testing.T) {
 	g := twoTriangles()
 	blocks := BiconnectedComponents(g)
@@ -132,7 +99,8 @@ func TestBiconnectedComponentsIsolated(t *testing.T) {
 	}
 }
 
-// Property: every edge appears in exactly one block.
+// Property: every edge appears in exactly one block, and blocks and cut
+// vertices form a tree (the block-cut tree of Claim 5.3).
 func TestBlocksPartitionEdgesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -159,38 +127,16 @@ func TestBlocksPartitionEdgesProperty(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		// On a connected graph a tree with one node per block and per
+		// cut vertex has #blocks + #cuts - 1 block-cut incidences.
+		cutVerts := ArticulationPoints(g)
+		incidences := 0
+		for _, b := range blocks {
+			incidences += len(graph.SortedIntersect(b, cutVerts))
+		}
+		return incidences == len(blocks)+len(cutVerts)-1
 	}
 	cfg := &quick.Config{MaxCount: 30}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBlockCutTree(t *testing.T) {
-	g := twoTriangles()
-	bct := NewBlockCutTree(g)
-	if len(bct.Blocks) != 2 || len(bct.CutVertices) != 1 {
-		t.Fatalf("blocks=%d cuts=%d, want 2, 1", len(bct.Blocks), len(bct.CutVertices))
-	}
-	if bct.CutVertices[0] != 2 {
-		t.Errorf("cut vertex = %d, want 2", bct.CutVertices[0])
-	}
-	if bct.NumNodes() != 3 || bct.NumEdges() != 2 {
-		t.Errorf("NumNodes=%d NumEdges=%d, want 3, 2", bct.NumNodes(), bct.NumEdges())
-	}
-}
-
-// Property: for connected graphs, the block-cut tree is a tree:
-// #edges = #nodes - 1.
-func TestBlockCutTreeIsTreeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := gen.GNPConnected(16, 0.1, rng)
-		bct := NewBlockCutTree(g)
-		return bct.NumEdges() == bct.NumNodes()-1
-	}
-	cfg := &quick.Config{MaxCount: 40}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}

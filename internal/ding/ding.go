@@ -1,14 +1,13 @@
 // Package ding implements the structural ingredients of Guoli Ding's
 // characterization of graphs without large K_{2,t} minors
-// (arXiv:1702.01355), which the paper uses in Lemma 4.2: fans, strips,
-// type-I graphs, and augmentations of bounded-size base graphs
-// (Proposition 5.15: every K_{2,t}-minor-free graph is an augmentation of a
-// graph on at most m(t) vertices by disjoint fans and strips).
+// (arXiv:1702.01355), which the paper uses in Lemma 4.2: fans and strips,
+// the gadgets of Ding's augmentations (Proposition 5.15: every
+// K_{2,t}-minor-free graph is an augmentation of a graph on at most m(t)
+// vertices by disjoint fans and strips).
 //
-// The package provides both the forward direction (constructors that
-// assemble provably K_{2,t}-minor-free graphs from the structure theorem,
-// used as experiment workloads) and analysis helpers (type-I verification,
-// strip radius) used by the Lemma 4.2 experiments.
+// The package builds provably K_{2,t}-minor-free graphs from these gadgets
+// as experiment workloads (Generate). Its tests check the type-I
+// conditions of §5.4 on fans and strips.
 package ding
 
 import (
@@ -45,10 +44,6 @@ func NewFan(length int) (*Fan, error) {
 	return &Fan{G: g, Center: 0, End1: 1, End2: length}, nil
 }
 
-// Corners returns the fan's corner vertices (center, end1, end2) as defined
-// in §5.4 of the paper.
-func (f *Fan) Corners() []int { return []int{f.Center, f.End1, f.End2} }
-
 // Strip describes a strip: a ladder-like type-I graph with four corners.
 // Ding proves strips are K_{2,5}-minor-free; long strips force local 2-cuts
 // at their rungs, which is exactly the phenomenon Lemma 4.2 exploits.
@@ -76,166 +71,4 @@ func NewStrip(rungs int) (*Strip, error) {
 		}
 	}
 	return &Strip{G: g, A: top(0), B: bot(0), C: top(rungs - 1), D: bot(rungs - 1)}, nil
-}
-
-// Corners returns the strip's four corner vertices.
-func (s *Strip) Corners() []int { return []int{s.A, s.B, s.C, s.D} }
-
-// Radius returns the strip radius used in Lemma 4.2's argument: the largest
-// distance from any strip vertex to its nearest corner. Long strips have
-// large radius, and the paper shows their corners then form local 2-cuts.
-func (s *Strip) Radius() int {
-	dist := s.G.BFSFromSet(s.Corners())
-	r := 0
-	for _, d := range dist {
-		if d > r {
-			r = d
-		}
-	}
-	return r
-}
-
-// VerifyTypeI checks the type-I conditions from §5.4 against a graph g whose
-// reference Hamiltonian cycle visits cycleOrder[0], cycleOrder[1], ... in
-// order. It verifies that (1) cycleOrder is a Hamiltonian cycle of g,
-// (2) every chord crosses at most one other chord, and (3) crossing chords
-// ab, cd have both ac, bd or both ad, bc as cycle edges.
-func VerifyTypeI(g *graph.Graph, cycleOrder []int) error {
-	n := g.N()
-	if len(cycleOrder) != n {
-		return fmt.Errorf("ding: cycle order has %d vertices, graph has %d", len(cycleOrder), n)
-	}
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, v := range cycleOrder {
-		if v < 0 || v >= n || pos[v] >= 0 {
-			return fmt.Errorf("ding: cycle order is not a permutation at index %d", i)
-		}
-		pos[v] = i
-	}
-	for i := 0; i < n; i++ {
-		u, v := cycleOrder[i], cycleOrder[(i+1)%n]
-		if !g.HasEdge(u, v) {
-			return fmt.Errorf("ding: missing cycle edge {%d,%d}", u, v)
-		}
-	}
-	isCycleEdge := func(u, v int) bool {
-		d := pos[u] - pos[v]
-		if d < 0 {
-			d = -d
-		}
-		return d == 1 || d == n-1
-	}
-	var chords [][2]int
-	g.VisitEdges(func(u, v int) {
-		if !isCycleEdge(u, v) {
-			chords = append(chords, [2]int{u, v})
-		}
-	})
-	crossCount := make([]int, len(chords))
-	for i := 0; i < len(chords); i++ {
-		for j := i + 1; j < len(chords); j++ {
-			if !chordsCross(pos, n, chords[i], chords[j]) {
-				continue
-			}
-			crossCount[i]++
-			crossCount[j]++
-			a, b := chords[i][0], chords[i][1]
-			c, d := chords[j][0], chords[j][1]
-			ok := (isCycleEdge(a, c) && isCycleEdge(b, d)) ||
-				(isCycleEdge(a, d) && isCycleEdge(b, c))
-			if !ok {
-				return fmt.Errorf("ding: crossing chords {%d,%d} x {%d,%d} violate the adjacency condition", a, b, c, d)
-			}
-		}
-	}
-	for i, c := range crossCount {
-		if c > 1 {
-			return fmt.Errorf("ding: chord {%d,%d} crosses %d chords (> 1)", chords[i][0], chords[i][1], c)
-		}
-	}
-	return nil
-}
-
-// chordsCross reports whether two chords interleave around the reference
-// cycle, i.e. exactly one endpoint of the second lies strictly inside the
-// arc spanned by the first. Chords sharing an endpoint do not cross.
-func chordsCross(pos []int, n int, e1, e2 [2]int) bool {
-	a, b := pos[e1[0]], pos[e1[1]]
-	c, d := pos[e2[0]], pos[e2[1]]
-	if a == c || a == d || b == c || b == d {
-		return false
-	}
-	inside := func(x, lo, hi int) bool {
-		// Is position x strictly inside the arc lo -> hi (clockwise)?
-		if lo < hi {
-			return x > lo && x < hi
-		}
-		return x > lo || x < hi
-	}
-	return inside(c, a, b) != inside(d, a, b)
-}
-
-// Attachment describes one fan or strip glued onto a base graph in an
-// augmentation: Gadget's corner vertices are identified with the listed
-// base vertices (same length and order as Corners()).
-type Attachment struct {
-	Fan   *Fan // exactly one of Fan, Strip is non-nil
-	Strip *Strip
-	At    []int // base vertices the corners are identified with
-}
-
-func (a *Attachment) gadget() (*graph.Graph, []int) {
-	if a.Fan != nil {
-		return a.Fan.G, a.Fan.Corners()
-	}
-	return a.Strip.G, a.Strip.Corners()
-}
-
-// Augment glues the attachments onto base per §5.4's augmentation
-// definition: each gadget is disjoint from the base and from other gadgets,
-// and its corners are identified with distinct base vertices. The paper
-// additionally restricts which corners may share a base vertex across
-// attachments (only fan centers / strip corners); callers constructing
-// workloads keep attachment points distinct, which trivially satisfies it.
-func Augment(base *graph.Graph, attachments []*Attachment) (*graph.Graph, error) {
-	result := base.Clone()
-	for k, att := range attachments {
-		gadget, corners := att.gadget()
-		if len(att.At) != len(corners) {
-			return nil, fmt.Errorf("ding: attachment %d has %d anchor vertices, gadget has %d corners", k, len(att.At), len(corners))
-		}
-		seen := make(map[int]bool, len(att.At))
-		for _, v := range att.At {
-			if v < 0 || v >= base.N() {
-				return nil, fmt.Errorf("ding: attachment %d anchor %d outside base", k, v)
-			}
-			if seen[v] {
-				return nil, fmt.Errorf("ding: attachment %d identifies two corners with base vertex %d", k, v)
-			}
-			seen[v] = true
-		}
-		// Append gadget vertices (minus corners) and wire edges.
-		offset := make([]int, gadget.N())
-		cornerAnchor := make(map[int]int, len(corners))
-		for i, c := range corners {
-			cornerAnchor[c] = att.At[i]
-		}
-		for v := 0; v < gadget.N(); v++ {
-			if anchor, ok := cornerAnchor[v]; ok {
-				offset[v] = anchor
-			} else {
-				offset[v] = result.AddVertex()
-			}
-		}
-		gadget.VisitEdges(func(a, b int) {
-			u, v := offset[a], offset[b]
-			if u != v && !result.HasEdge(u, v) {
-				result.AddEdge(u, v)
-			}
-		})
-	}
-	return result, nil
 }

@@ -1,6 +1,7 @@
 package ding
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -19,9 +20,6 @@ func TestNewFan(t *testing.T) {
 	// Center adjacent to every path vertex.
 	if f.G.Degree(f.Center) != 5 {
 		t.Errorf("center degree = %d, want 5", f.G.Degree(f.Center))
-	}
-	if len(f.Corners()) != 3 {
-		t.Errorf("Corners() = %v", f.Corners())
 	}
 	if _, err := NewFan(1); err == nil {
 		t.Error("NewFan(1) accepted")
@@ -56,9 +54,6 @@ func TestNewStrip(t *testing.T) {
 	if s.G.M() != 10 {
 		t.Errorf("strip M = %d, want 10", s.G.M())
 	}
-	if len(s.Corners()) != 4 {
-		t.Errorf("Corners() = %v", s.Corners())
-	}
 	if _, err := NewStrip(1); err == nil {
 		t.Error("NewStrip(1) accepted")
 	}
@@ -81,24 +76,87 @@ func TestStripIsK25Free(t *testing.T) {
 	}
 }
 
-func TestStripRadius(t *testing.T) {
-	tests := []struct {
-		rungs, want int
-	}{
-		{2, 0}, // every vertex is a corner
-		{4, 1}, // middle rungs are 1 away from a corner
-		{8, 3},
-		{10, 4},
+// verifyTypeI checks the type-I conditions from §5.4 against a graph g whose
+// reference Hamiltonian cycle visits cycleOrder[0], cycleOrder[1], ... in
+// order. It verifies that (1) cycleOrder is a Hamiltonian cycle of g,
+// (2) every chord crosses at most one other chord, and (3) crossing chords
+// ab, cd have both ac, bd or both ad, bc as cycle edges.
+func verifyTypeI(g *graph.Graph, cycleOrder []int) error {
+	n := g.N()
+	if len(cycleOrder) != n {
+		return fmt.Errorf("ding: cycle order has %d vertices, graph has %d", len(cycleOrder), n)
 	}
-	for _, tt := range tests {
-		s, err := NewStrip(tt.rungs)
-		if err != nil {
-			t.Fatalf("NewStrip(%d): %v", tt.rungs, err)
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, v := range cycleOrder {
+		if v < 0 || v >= n || pos[v] >= 0 {
+			return fmt.Errorf("ding: cycle order is not a permutation at index %d", i)
 		}
-		if got := s.Radius(); got != tt.want {
-			t.Errorf("Radius(%d rungs) = %d, want %d", tt.rungs, got, tt.want)
+		pos[v] = i
+	}
+	for i := 0; i < n; i++ {
+		u, v := cycleOrder[i], cycleOrder[(i+1)%n]
+		if !g.HasEdge(u, v) {
+			return fmt.Errorf("ding: missing cycle edge {%d,%d}", u, v)
 		}
 	}
+	isCycleEdge := func(u, v int) bool {
+		d := pos[u] - pos[v]
+		if d < 0 {
+			d = -d
+		}
+		return d == 1 || d == n-1
+	}
+	var chords [][2]int
+	g.VisitEdges(func(u, v int) {
+		if !isCycleEdge(u, v) {
+			chords = append(chords, [2]int{u, v})
+		}
+	})
+	crossCount := make([]int, len(chords))
+	for i := 0; i < len(chords); i++ {
+		for j := i + 1; j < len(chords); j++ {
+			if !chordsCross(pos, n, chords[i], chords[j]) {
+				continue
+			}
+			crossCount[i]++
+			crossCount[j]++
+			a, b := chords[i][0], chords[i][1]
+			c, d := chords[j][0], chords[j][1]
+			ok := (isCycleEdge(a, c) && isCycleEdge(b, d)) ||
+				(isCycleEdge(a, d) && isCycleEdge(b, c))
+			if !ok {
+				return fmt.Errorf("ding: crossing chords {%d,%d} x {%d,%d} violate the adjacency condition", a, b, c, d)
+			}
+		}
+	}
+	for i, c := range crossCount {
+		if c > 1 {
+			return fmt.Errorf("ding: chord {%d,%d} crosses %d chords (> 1)", chords[i][0], chords[i][1], c)
+		}
+	}
+	return nil
+}
+
+// chordsCross reports whether two chords interleave around the reference
+// cycle, i.e. exactly one endpoint of the second lies strictly inside the
+// arc spanned by the first. Chords sharing an endpoint do not cross.
+func chordsCross(pos []int, n int, e1, e2 [2]int) bool {
+	a, b := pos[e1[0]], pos[e1[1]]
+	c, d := pos[e2[0]], pos[e2[1]]
+	if a == c || a == d || b == c || b == d {
+		return false
+	}
+	inside := func(x, lo, hi int) bool {
+		// Is position x strictly inside the arc lo -> hi (clockwise)?
+		if lo < hi {
+			return x > lo && x < hi
+		}
+		return x > lo || x < hi
+	}
+	return inside(c, a, b) != inside(d, a, b)
 }
 
 func TestVerifyTypeIAcceptsFanAndStrip(t *testing.T) {
@@ -107,7 +165,7 @@ func TestVerifyTypeIAcceptsFanAndStrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyTypeI(f.G, []int{0, 1, 2, 3, 4, 5}); err != nil {
+	if err := verifyTypeI(f.G, []int{0, 1, 2, 3, 4, 5}); err != nil {
 		t.Errorf("fan rejected as type-I: %v", err)
 	}
 	// A strip's reference cycle: top path forward, bottom path backward.
@@ -116,7 +174,7 @@ func TestVerifyTypeIAcceptsFanAndStrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := []int{0, 2, 4, 6, 7, 5, 3, 1}
-	if err := VerifyTypeI(s.G, order); err != nil {
+	if err := verifyTypeI(s.G, order); err != nil {
 		t.Errorf("strip rejected as type-I: %v", err)
 	}
 }
@@ -133,19 +191,19 @@ func TestVerifyTypeIRejects(t *testing.T) {
 	g.AddEdge(0, 4)
 	g.AddEdge(2, 6)
 	order := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	if err := VerifyTypeI(g, order); err == nil {
+	if err := verifyTypeI(g, order); err == nil {
 		t.Error("crossing long chords accepted as type-I")
 	}
 	// Wrong cycle order (not Hamiltonian in g).
-	if err := VerifyTypeI(g, []int{0, 2, 4, 1, 3, 5}); err == nil {
+	if err := verifyTypeI(g, []int{0, 2, 4, 1, 3, 5}); err == nil {
 		t.Error("non-Hamiltonian order accepted")
 	}
 	// Not a permutation.
-	if err := VerifyTypeI(g, []int{0, 0, 2, 3, 4, 5}); err == nil {
+	if err := verifyTypeI(g, []int{0, 0, 2, 3, 4, 5}); err == nil {
 		t.Error("non-permutation accepted")
 	}
 	// Wrong length.
-	if err := VerifyTypeI(g, []int{0, 1, 2}); err == nil {
+	if err := verifyTypeI(g, []int{0, 1, 2}); err == nil {
 		t.Error("short order accepted")
 	}
 }
@@ -159,7 +217,7 @@ func TestVerifyTypeIAllowsAdjacentCrossings(t *testing.T) {
 	}
 	g.AddEdge(0, 2)
 	g.AddEdge(1, 3)
-	if err := VerifyTypeI(g, []int{0, 1, 2, 3, 4}); err != nil {
+	if err := verifyTypeI(g, []int{0, 1, 2, 3, 4}); err != nil {
 		t.Errorf("adjacent crossing chords rejected: %v", err)
 	}
 }
@@ -174,55 +232,8 @@ func TestVerifyTypeIRejectsTripleCross(t *testing.T) {
 	g.AddEdge(0, 2)
 	g.AddEdge(1, 3)
 	g.AddEdge(2, 4)
-	if err := VerifyTypeI(g, []int{0, 1, 2, 3, 4, 5}); err == nil {
+	if err := verifyTypeI(g, []int{0, 1, 2, 3, 4, 5}); err == nil {
 		t.Error("chord crossing two chords accepted")
-	}
-}
-
-func TestAugment(t *testing.T) {
-	base := graph.New(4)
-	base.AddEdge(0, 1)
-	base.AddEdge(1, 2)
-	base.AddEdge(2, 3)
-	f, err := NewFan(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewStrip(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aug, err := Augment(base, []*Attachment{
-		{Fan: f, At: []int{0, 1, 2}},
-		{Strip: s, At: []int{0, 1, 2, 3}},
-	})
-	if err != nil {
-		t.Fatalf("Augment: %v", err)
-	}
-	// Fan adds 4 vertices minus 3 identified corners = 1 new vertex;
-	// strip adds 6 minus 4 = 2 new vertices.
-	if aug.N() != 4+1+2 {
-		t.Errorf("augmented N = %d, want 7", aug.N())
-	}
-	if err := aug.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestAugmentErrors(t *testing.T) {
-	base := graph.New(3)
-	f, err := NewFan(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Augment(base, []*Attachment{{Fan: f, At: []int{0, 1}}}); err == nil {
-		t.Error("wrong anchor count accepted")
-	}
-	if _, err := Augment(base, []*Attachment{{Fan: f, At: []int{0, 1, 7}}}); err == nil {
-		t.Error("out-of-range anchor accepted")
-	}
-	if _, err := Augment(base, []*Attachment{{Fan: f, At: []int{0, 1, 1}}}); err == nil {
-		t.Error("duplicate anchor accepted")
 	}
 }
 

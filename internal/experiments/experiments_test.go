@@ -179,16 +179,3 @@ func TestSPQRStatsSmall(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteCSV(t *testing.T) {
-	tab := &Table{Header: []string{"a", "b"}}
-	tab.AddRow("1", "x,y")
-	var buf strings.Builder
-	if err := tab.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	want := "a,b\n1,\"x,y\"\n"
-	if buf.String() != want {
-		t.Errorf("csv = %q, want %q", buf.String(), want)
-	}
-}

@@ -7,9 +7,7 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -66,22 +64,6 @@ func (t *Table) Render() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// WriteCSV emits the table as CSV (header row first) for downstream
-// plotting.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Header); err != nil {
-		return fmt.Errorf("experiments: csv header: %w", err)
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("experiments: csv row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // ratioString formats a solution-size / optimum pair.

@@ -37,6 +37,7 @@ func Cycle(n int) *graph.Graph {
 }
 
 // Star returns K_{1,n}: center 0 joined to leaves 1..n.
+// Only tests call it, in core, cuts, gen, graph, local, mds and minor.
 func Star(n int) *graph.Graph {
 	g := graph.New(n + 1)
 	for i := 1; i <= n; i++ {
@@ -57,6 +58,7 @@ func Complete(n int) *graph.Graph {
 }
 
 // CompleteBipartite returns K_{s,t} with parts {0..s-1} and {s..s+t-1}.
+// Only tests call it, in core, gen, graph, mds, minor and spqr.
 func CompleteBipartite(s, t int) *graph.Graph {
 	g := graph.New(s + t)
 	for i := 0; i < s; i++ {
@@ -99,6 +101,7 @@ func RandomTree(n int, rng *rand.Rand) *graph.Graph {
 
 // Caterpillar returns a caterpillar tree: a spine path of spine vertices
 // with legs pendant leaves attached to each spine vertex.
+// Only tests call it, in gen, graph and minor.
 func Caterpillar(spine, legs int) *graph.Graph {
 	g := graph.New(spine + spine*legs)
 	for i := 0; i+1 < spine; i++ {
@@ -116,6 +119,7 @@ func Caterpillar(spine, legs int) *graph.Graph {
 
 // BinaryTree returns the complete binary tree with the given number of
 // levels (level 1 = single root).
+// Only tests call it, in gen and graph.
 func BinaryTree(levels int) *graph.Graph {
 	n := (1 << levels) - 1
 	g := graph.New(n)
@@ -214,6 +218,7 @@ func CliquePendants(q int) *graph.Graph {
 
 // GNP returns an Erdős–Rényi G(n, p) graph — the negative control used to
 // show which guarantees are class-specific.
+// Only tests call it, in gen, graph, graphio, local and mds.
 func GNP(n int, p float64, rng *rand.Rand) *graph.Graph {
 	g := graph.New(n)
 	for i := 0; i < n; i++ {
@@ -274,6 +279,7 @@ func RegularLike(n, d int) (*graph.Graph, error) {
 // internally disjoint paths of the given lengths (number of edges each,
 // all >= 1, at most one length-1 path). Theta graphs with k paths contain a
 // K_{2,k} minor and are handy positive controls for the minor tester.
+// Only tests call it, in gen, graph, mds, minor and spqr.
 func Theta(lengths []int) (*graph.Graph, error) {
 	ones := 0
 	for _, l := range lengths {
@@ -304,6 +310,7 @@ func Theta(lengths []int) (*graph.Graph, error) {
 // added between vertices at tree-distance at most span. With small span
 // this stays sparse and tree-like (bounded treewidth in practice) while
 // exercising non-tree code paths.
+// Only tests call it, in gen and graph.
 func TreePlusChords(n, chords, span int, rng *rand.Rand) *graph.Graph {
 	g := RandomTree(n, rng)
 	for added := 0; added < chords; {

@@ -119,17 +119,6 @@ func collectReached(dist []int) []int {
 	return out
 }
 
-// Eccentricity returns the maximum distance from v to any reachable vertex.
-func (g *Graph) Eccentricity(v int) int {
-	ecc := 0
-	for _, d := range g.BFSFrom(v) {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
 // Diameter returns the largest distance between two vertices of the same
 // component, considering only reachable pairs. It returns 0 for graphs with
 // at most one vertex. It is CSR.Diameter over the cached frozen view, or
@@ -140,21 +129,6 @@ func (g *Graph) Diameter() int {
 		c = buildCSR(g.adj)
 	}
 	return c.Diameter(NewArena())
-}
-
-// Radius returns the smallest eccentricity over all vertices, or 0 for the
-// empty graph.
-func (g *Graph) Radius() int {
-	if g.N() == 0 {
-		return 0
-	}
-	rad := g.Eccentricity(0)
-	for v := 1; v < g.N(); v++ {
-		if e := g.Eccentricity(v); e < rad {
-			rad = e
-		}
-	}
-	return rad
 }
 
 // WeakDiameter returns the largest distance *in g* between two vertices of s
@@ -171,44 +145,4 @@ func (g *Graph) WeakDiameter(s []int) int {
 		}
 	}
 	return wd
-}
-
-// ShortestPath returns one shortest u-v path as a vertex sequence including
-// both endpoints, or nil if v is unreachable from u.
-func (g *Graph) ShortestPath(u, v int) []int {
-	if u == v {
-		return []int{u}
-	}
-	parent := make([]int, g.N())
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[u] = u
-	queue := make([]int, 1, g.N())
-	queue[0] = u
-	for head := 0; head < len(queue); head++ {
-		x := queue[head]
-		for _, y := range g.adj[x] {
-			if parent[y] < 0 {
-				parent[y] = x
-				if y == v {
-					return tracePath(parent, u, v)
-				}
-				queue = append(queue, y)
-			}
-		}
-	}
-	return nil
-}
-
-func tracePath(parent []int, u, v int) []int {
-	path := []int{v}
-	for cur := v; cur != u; {
-		cur = parent[cur]
-		path = append(path, cur)
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
 }

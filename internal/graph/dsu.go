@@ -47,6 +47,3 @@ func (d *DSU) Same(x, y int) bool { return d.Find(x) == d.Find(y) }
 
 // SetCount returns the current number of disjoint sets.
 func (d *DSU) SetCount() int { return d.sets }
-
-// SizeOf returns the size of the set containing x.
-func (d *DSU) SizeOf(x int) int { return d.size[d.Find(x)] }

@@ -24,9 +24,6 @@ func TestDSUBasic(t *testing.T) {
 	if d.SetCount() != 2 {
 		t.Errorf("SetCount = %d, want 2", d.SetCount())
 	}
-	if d.SizeOf(3) != 4 {
-		t.Errorf("SizeOf(3) = %d, want 4", d.SizeOf(3))
-	}
 }
 
 // Property: after uniting along the edges of a graph, Same(u, v) agrees with

@@ -47,7 +47,9 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	return enc.Encode(g)
 }
 
-// ReadJSON parses a graph from r.
+// ReadJSON parses a graph from r. Only tests call it: graph's
+// encode_test.go and fuzz_test.go, and cmd/graphgen's main_test.go.
+// Production reads go through graphio.
 func ReadJSON(r io.Reader) (*Graph, error) {
 	var g Graph
 	if err := json.NewDecoder(r).Decode(&g); err != nil {

@@ -44,6 +44,8 @@ func FromEdges(n int, edges [][2]int) (*Graph, error) {
 }
 
 // MustFromEdges is FromEdges for static test fixtures; it panics on error.
+// Only tests call it: graph's own, cuts' edgecases_test.go and
+// tarjan_test.go, and graphio's graphio_test.go.
 func MustFromEdges(n int, edges [][2]int) *Graph {
 	g, err := FromEdges(n, edges)
 	if err != nil {
@@ -140,20 +142,6 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// MinDegree returns the minimum degree, or 0 for the empty graph.
-func (g *Graph) MinDegree() int {
-	if len(g.adj) == 0 {
-		return 0
-	}
-	min := len(g.adj[0])
-	for v := range g.adj {
-		if d := len(g.adj[v]); d < min {
-			min = d
-		}
-	}
-	return min
-}
-
 // Edges returns all edges as pairs (u, v) with u < v, in lexicographic order.
 func (g *Graph) Edges() [][2]int {
 	edges := make([][2]int, 0, g.m)
@@ -201,29 +189,6 @@ func (g *Graph) Equal(h *Graph) bool {
 		}
 	}
 	return true
-}
-
-// Complement returns the complement graph on the same vertex set.
-func (g *Graph) Complement() *Graph {
-	n := g.N()
-	c := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(u, v) {
-				c.AddEdge(u, v)
-			}
-		}
-	}
-	return c
-}
-
-// Density returns |E| / |V|, the average number of edges per vertex
-// (half the average degree). It returns 0 for the empty graph.
-func (g *Graph) Density() float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return float64(g.m) / float64(g.N())
 }
 
 // String renders a compact human-readable description.

@@ -146,9 +146,6 @@ func TestDegrees(t *testing.T) {
 	if g.MaxDegree() != 3 {
 		t.Errorf("MaxDegree() = %d, want 3", g.MaxDegree())
 	}
-	if g.MinDegree() != 1 {
-		t.Errorf("MinDegree() = %d, want 1", g.MinDegree())
-	}
 }
 
 func TestEdgesCanonicalOrder(t *testing.T) {
@@ -188,28 +185,6 @@ func TestEqual(t *testing.T) {
 	b := MustFromEdges(3, [][2]int{{1, 2}})
 	if a.Equal(b) {
 		t.Error("different edge sets Equal")
-	}
-}
-
-func TestComplement(t *testing.T) {
-	g := path(4) // edges 01 12 23; complement: 02 03 13
-	c := g.Complement()
-	want := MustFromEdges(4, [][2]int{{0, 2}, {0, 3}, {1, 3}})
-	if !c.Equal(want) {
-		t.Errorf("Complement() = %v edges %v, want %v", c, c.Edges(), want.Edges())
-	}
-	// Complement of complement is the original.
-	if !c.Complement().Equal(g) {
-		t.Error("double complement is not identity")
-	}
-}
-
-func TestDensity(t *testing.T) {
-	if d := complete(4).Density(); d != 1.5 {
-		t.Errorf("K4 Density() = %v, want 1.5", d)
-	}
-	if d := New(0).Density(); d != 0 {
-		t.Errorf("empty Density() = %v, want 0", d)
 	}
 }
 

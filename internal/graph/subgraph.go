@@ -61,40 +61,6 @@ func (g *Graph) Delete(s []int) (*Graph, []int) {
 	return g.Induced(keep)
 }
 
-// ContractEdge returns the graph obtained from g by contracting edge {u, v}
-// into u (v disappears, u inherits v's neighbors), plus the mapping from new
-// indices to original ones (the merged vertex maps to u). Parallel edges and
-// loops created by the contraction are suppressed, keeping the graph simple.
-func (g *Graph) ContractEdge(u, v int) (*Graph, []int) {
-	keep := make([]int, 0, g.N()-1)
-	for w := 0; w < g.N(); w++ {
-		if w != v {
-			keep = append(keep, w)
-		}
-	}
-	index := make(map[int]int, len(keep))
-	for i, w := range keep {
-		index[w] = i
-	}
-	h := New(len(keep))
-	g.VisitEdges(func(a, b int) {
-		if a == v {
-			a = u
-		}
-		if b == v {
-			b = u
-		}
-		if a == b {
-			return
-		}
-		ia, ib := index[a], index[b]
-		if !h.HasEdge(ia, ib) {
-			h.AddEdge(ia, ib)
-		}
-	})
-	return h, keep
-}
-
 // DisjointUnion returns the disjoint union of g and h; vertices of h are
 // shifted by g.N().
 func DisjointUnion(g, h *Graph) *Graph {
@@ -146,20 +112,6 @@ func IdentifyVertices(g *Graph, groups [][]int) (*Graph, []int) {
 		}
 	})
 	return h, keep
-}
-
-// Power returns g^r: same vertices, edges between all pairs at distance in
-// [1, r] in g.
-func (g *Graph) Power(r int) *Graph {
-	h := New(g.N())
-	for v := 0; v < g.N(); v++ {
-		for _, u := range g.Ball(v, r) {
-			if u > v {
-				h.AddEdge(v, u)
-			}
-		}
-	}
-	return h
 }
 
 func dedupSorted(s []int) []int {

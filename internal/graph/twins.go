@@ -2,28 +2,6 @@ package graph
 
 import "sort"
 
-// TrueTwins reports whether u and v are true twins: N[u] = N[v]. True twins
-// are necessarily adjacent (u ∈ N[u] = N[v]).
-func (g *Graph) TrueTwins(u, v int) bool {
-	if u == v {
-		return true
-	}
-	if !g.HasEdge(u, v) {
-		return false
-	}
-	nu := g.ClosedNeighborhood(u)
-	nv := g.ClosedNeighborhood(v)
-	if len(nu) != len(nv) {
-		return false
-	}
-	for i := range nu {
-		if nu[i] != nv[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TrueTwinClasses partitions V(g) into true-twin equivalence classes,
 // returned as sorted slices ordered by smallest member. Singleton classes
 // are included.
@@ -84,17 +62,6 @@ func (g *Graph) TwinReduction() (*Graph, []int) {
 		}
 		cur, mapping = next, newMapping
 	}
-}
-
-// HasTrueTwins reports whether g contains at least one pair of distinct true
-// twins.
-func (g *Graph) HasTrueTwins() bool {
-	for _, c := range g.TrueTwinClasses() {
-		if len(c) > 1 {
-			return true
-		}
-	}
-	return false
 }
 
 // fingerprint encodes a sorted int slice as a compact string map key.

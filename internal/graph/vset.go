@@ -29,7 +29,9 @@ func SortedUnion(a, b []int) []int {
 }
 
 // SortedIntersect returns the sorted intersection of two sorted,
-// duplicate-free slices.
+// duplicate-free slices. Only tests call it: core's alg1_test.go and
+// minorbound_test.go, cuts' edgecases_test.go and tarjan_test.go, and
+// graph's vset_test.go.
 func SortedIntersect(a, b []int) []int {
 	var out []int
 	i, j := 0, 0
@@ -41,24 +43,6 @@ func SortedIntersect(a, b []int) []int {
 			j++
 		default:
 			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// SortedDiff returns a \ b for sorted, duplicate-free slices.
-func SortedDiff(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) {
-		if j >= len(b) || a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else if a[i] > b[j] {
-			j++
-		} else {
 			i++
 			j++
 		}

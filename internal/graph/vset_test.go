@@ -15,12 +15,6 @@ func TestSortedSetOps(t *testing.T) {
 	if got := SortedIntersect(a, b); !EqualSets(got, []int{3, 5}) {
 		t.Errorf("SortedIntersect = %v", got)
 	}
-	if got := SortedDiff(a, b); !EqualSets(got, []int{1, 7}) {
-		t.Errorf("SortedDiff = %v", got)
-	}
-	if got := SortedDiff(b, a); !EqualSets(got, []int{4, 8}) {
-		t.Errorf("SortedDiff reversed = %v", got)
-	}
 }
 
 func TestSortedSetOpsEmpty(t *testing.T) {
@@ -30,9 +24,6 @@ func TestSortedSetOpsEmpty(t *testing.T) {
 	}
 	if got := SortedIntersect(a, nil); len(got) != 0 {
 		t.Errorf("SortedIntersect(a, nil) = %v", got)
-	}
-	if got := SortedDiff(nil, a); len(got) != 0 {
-		t.Errorf("SortedDiff(nil, a) = %v", got)
 	}
 }
 
@@ -97,13 +88,10 @@ func TestSetOpsAgainstMapsProperty(t *testing.T) {
 		ma, mb := toSet(a), toSet(b)
 		union := make(map[int]bool)
 		inter := make(map[int]bool)
-		diff := make(map[int]bool)
 		for v := range ma {
 			union[v] = true
 			if mb[v] {
 				inter[v] = true
-			} else {
-				diff[v] = true
 			}
 		}
 		for v := range mb {
@@ -112,10 +100,7 @@ func TestSetOpsAgainstMapsProperty(t *testing.T) {
 		if !EqualSets(SortedUnion(a, b), fromMap(union)) {
 			return false
 		}
-		if !EqualSets(SortedIntersect(a, b), fromMap(inter)) {
-			return false
-		}
-		return EqualSets(SortedDiff(a, b), fromMap(diff))
+		return EqualSets(SortedIntersect(a, b), fromMap(inter))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -9,6 +9,9 @@ import (
 )
 
 // Write encodes g to w in the given format. FormatAuto writes JSON.
+// Only tests call it: graphio's fuzz_test.go, graphio_test.go and
+// parallel_test.go, and core's huge_test.go. cmd/graphgen calls the
+// per-format writers directly.
 func Write(w io.Writer, g *graph.Graph, f Format) error {
 	switch f {
 	case FormatEdgeList:

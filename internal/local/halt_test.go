@@ -69,6 +69,15 @@ func TestMessagesToHaltedDropped(t *testing.T) {
 	if res.Stats.Messages != 0 {
 		t.Errorf("Messages = %d, want 0 (recipient halted)", res.Stats.Messages)
 	}
+	// A run in which every vertex halts silently costs its one deciding
+	// round and no messages.
+	res, err = nw.Run(Sequential, func(int) Process { return silentHaltProcess{} }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Rounds != 1 || res.Stats.Messages != 0 {
+		t.Errorf("all-silent run: %d rounds, %d messages, want 1, 0", res.Stats.Rounds, res.Stats.Messages)
+	}
 }
 
 type silentHaltProcess struct{}

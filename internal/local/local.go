@@ -56,26 +56,21 @@ type Process interface {
 // need per-vertex parameters close over them.
 type Factory func(vertex int) Process
 
-// Topology abstracts the adjacency the simulator needs.
-type Topology interface {
-	N() int
-	Neighbors(v int) []int
-}
-
-// Network couples a topology with an identifier assignment. The topology's
+// Network couples a graph with an identifier assignment. The graph's
 // adjacency is snapshotted into a message fabric at construction time, so
 // repeated runs over the same network pay the wiring cost once; mutating
-// the topology after NewNetwork is not supported.
+// the graph after NewNetwork is not supported.
 type Network struct {
-	topo  Topology
+	g     *graph.Graph
 	ids   []int
 	wires *wires
 }
 
-// NewNetwork creates a network over topo with identifiers ids (one per
-// vertex, all distinct). Pass nil for the identity assignment.
-func NewNetwork(topo Topology, ids []int) (*Network, error) {
-	n := topo.N()
+// NewNetwork creates a network over g with identifiers ids (one per
+// vertex, all distinct). Pass nil for the identity assignment. It freezes
+// g.
+func NewNetwork(g *graph.Graph, ids []int) (*Network, error) {
+	n := g.N()
 	if ids == nil {
 		ids = make([]int, n)
 		for i := range ids {
@@ -92,14 +87,11 @@ func NewNetwork(topo Topology, ids []int) (*Network, error) {
 		}
 		seen[id] = true
 	}
-	return &Network{topo: topo, ids: ids, wires: buildWires(topo)}, nil
+	return &Network{g: g, ids: ids, wires: buildWires(g.Freeze())}, nil
 }
 
 // IDs returns the identifier assignment (do not modify).
 func (nw *Network) IDs() []int { return nw.ids }
-
-// Topo returns the underlying topology.
-func (nw *Network) Topo() Topology { return nw.topo }
 
 // Stats reports the cost of a run.
 type Stats struct {
@@ -135,23 +127,8 @@ const (
 // DefaultMaxRounds caps runaway protocols; Run returns an error beyond it.
 const DefaultMaxRounds = 1 << 20
 
-// RunCONGEST executes the protocol like Run but enforces the CONGEST
-// bandwidth discipline: any delivered message larger than maxMsgWords
-// words aborts the run with an error. Use it to demonstrate which
-// protocols genuinely need the LOCAL model's unbounded messages (the
-// paper's ball-gathering algorithms do; simple flooding does not).
-func (nw *Network) RunCONGEST(engine Engine, factory Factory, maxRounds, maxMsgWords int) (*Result, error) {
-	return nw.run(engine, factory, maxRounds, maxMsgWords)
-}
-
-// Run executes the protocol until every vertex halts and returns outputs
-// and statistics. maxRounds <= 0 selects DefaultMaxRounds.
-func (nw *Network) Run(engine Engine, factory Factory, maxRounds int) (*Result, error) {
-	return nw.run(engine, factory, maxRounds, 0)
-}
-
-// wires is the frozen message fabric of one run: a CSR copy of the
-// topology plus, for every directed arc, the receive slot it feeds. All
+// wires is the frozen message fabric of one run: the graph's CSR arrays
+// plus, for every directed arc, the receive slot it feeds. All
 // round state (inbox, outbox) lives in flat arrays indexed by arc, so a
 // run allocates its buffers once and reuses them every round.
 type wires struct {
@@ -162,64 +139,20 @@ type wires struct {
 	revSlot []int32
 }
 
-// buildWires snapshots the topology and computes every arc's receive slot.
-// A *graph.Graph topology shares its frozen CSR arrays directly; other
-// topologies are flattened here. For sorted adjacency lists (graph.Graph
-// guarantees this) the reverse ports come out of a single counting pass
-// over the arcs: scanning sources in increasing order means each target's
-// in-arcs arrive in exactly its adjacency order. Unsorted topologies fall
-// back to a per-arc scan.
-func buildWires(topo Topology) *wires {
-	n := topo.N()
-	var offsets, targets []int32
-	sorted := true
-	if g, ok := topo.(*graph.Graph); ok {
-		c := g.Freeze()
-		offsets, targets = c.Offsets, c.Targets
-	} else {
-		offsets = make([]int32, n+1)
-		total := 0
-		for v := 0; v < n; v++ {
-			offsets[v] = int32(total)
-			total += len(topo.Neighbors(v))
-		}
-		offsets[n] = int32(total)
-		targets = make([]int32, total)
-		for v := 0; v < n; v++ {
-			k := offsets[v]
-			prev := -1
-			for _, u := range topo.Neighbors(v) {
-				if u <= prev {
-					sorted = false
-				}
-				prev = u
-				targets[k] = int32(u)
-				k++
-			}
-		}
-	}
-	w := &wires{offsets: offsets, targets: targets}
-	w.revSlot = make([]int32, len(targets))
-	if sorted {
-		ptr := make([]int32, n)
-		for v := 0; v < n; v++ {
-			for k := offsets[v]; k < offsets[v+1]; k++ {
-				u := targets[k]
-				w.revSlot[k] = offsets[u] + ptr[u]
-				ptr[u]++
-			}
-		}
-		return w
-	}
+// buildWires shares the frozen CSR's arrays and computes every arc's
+// receive slot. Adjacency rows are sorted, so the reverse ports come out of
+// a single counting pass over the arcs: scanning sources in increasing
+// order means each target's in-arcs arrive in exactly its adjacency order.
+func buildWires(c *graph.CSR) *wires {
+	n := c.N()
+	w := &wires{offsets: c.Offsets, targets: c.Targets}
+	w.revSlot = make([]int32, len(c.Targets))
+	ptr := make([]int32, n)
 	for v := 0; v < n; v++ {
-		for k := offsets[v]; k < offsets[v+1]; k++ {
-			u := targets[k]
-			for j := offsets[u]; j < offsets[u+1]; j++ {
-				if targets[j] == int32(v) {
-					w.revSlot[k] = j
-					break
-				}
-			}
+		for k := w.offsets[v]; k < w.offsets[v+1]; k++ {
+			u := w.targets[k]
+			w.revSlot[k] = w.offsets[u] + ptr[u]
+			ptr[u]++
 		}
 	}
 	return w
@@ -228,23 +161,21 @@ func buildWires(topo Topology) *wires {
 // degree returns the degree of v in the wired topology.
 func (w *wires) degree(v int32) int { return int(w.offsets[v+1] - w.offsets[v]) }
 
-func (nw *Network) run(engine Engine, factory Factory, maxRounds, maxMsgWords int) (*Result, error) {
+// Run executes the protocol until every vertex halts and returns outputs
+// and statistics. maxRounds <= 0 selects DefaultMaxRounds.
+func (nw *Network) Run(engine Engine, factory Factory, maxRounds int) (*Result, error) {
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	n := nw.topo.N()
+	n := nw.g.N()
 	w := nw.wires
-	// Guard against the topology having been mutated after NewNetwork:
-	// the wires are a construction-time snapshot, and running over a
-	// stale snapshot would silently misroute messages.
-	if nw.topo.N() != len(w.offsets)-1 {
-		return nil, fmt.Errorf("local: topology grew to %d vertices after NewNetwork (had %d)", nw.topo.N(), len(w.offsets)-1)
+	// Guard against the graph having been mutated after NewNetwork: the
+	// wires are a construction-time snapshot, and running over a stale
+	// snapshot would silently misroute messages.
+	if n != len(w.offsets)-1 {
+		return nil, fmt.Errorf("local: topology grew to %d vertices after NewNetwork (had %d)", n, len(w.offsets)-1)
 	}
-	total := 0
-	for v := 0; v < n; v++ {
-		total += len(nw.topo.Neighbors(v))
-	}
-	if total != len(w.targets) {
+	if total := 2 * nw.g.M(); total != len(w.targets) {
 		return nil, fmt.Errorf("local: topology has %d arcs but NewNetwork snapshotted %d; mutating the topology after NewNetwork is not supported", total, len(w.targets))
 	}
 	procs := make([]Process, n)
@@ -322,9 +253,6 @@ func (nw *Network) run(engine Engine, factory Factory, maxRounds, maxMsgWords in
 					continue // dropped: recipient already halted
 				}
 				size := messageSize(msg)
-				if maxMsgWords > 0 && size > maxMsgWords {
-					return nil, fmt.Errorf("local: CONGEST violation in round %d: vertex %d sent %d words (limit %d)", round, v, size, maxMsgWords)
-				}
 				inbox[w.revSlot[k]] = msg
 				stats.Messages++
 				stats.Words += int64(size)

@@ -1,6 +1,7 @@
 package local
 
 import (
+	"strings"
 	"testing"
 
 	"localmds/internal/gen"
@@ -116,6 +117,29 @@ func TestMaxRoundsGuard(t *testing.T) {
 	}
 	if _, err := nw.Run(Sequential, func(int) Process { return &runawayProcess{} }, 10); err == nil {
 		t.Error("runaway protocol not stopped")
+	}
+}
+
+// TestRunRejectsMutatedGraph checks both guards against a graph changed
+// after NewNetwork snapshotted its wires: a new vertex and a new edge.
+func TestRunRejectsMutatedGraph(t *testing.T) {
+	echo := func(int) Process { return &echoProcess{} }
+	g := gen.Path(3)
+	nw, err := NewNetwork(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.AddVertex()
+	if _, err := nw.Run(Sequential, echo, 0); err == nil || !strings.Contains(err.Error(), "grew") {
+		t.Errorf("added vertex: err = %v, want a grew error", err)
+	}
+	g = gen.Path(3)
+	if nw, err = NewNetwork(g, nil); err != nil {
+		t.Fatal(err)
+	}
+	g.AddEdge(0, 2)
+	if _, err := nw.Run(Sequential, echo, 0); err == nil || !strings.Contains(err.Error(), "arcs") {
+		t.Errorf("added edge: err = %v, want an arc-count error", err)
 	}
 }
 

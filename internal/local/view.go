@@ -232,12 +232,6 @@ type gatherProcess struct {
 	g      Gatherer
 }
 
-// NewGatherProcess returns a Process executing rounds rounds of the
-// gathering protocol and outputting a *View.
-func NewGatherProcess(rounds int) Process {
-	return &gatherProcess{rounds: rounds}
-}
-
 func (p *gatherProcess) Init(info NodeInfo) { p.g.Init(info) }
 
 func (p *gatherProcess) Round(round int, inbox []Message) ([]Message, bool) {
@@ -258,7 +252,7 @@ func (p *gatherProcess) Output() any { return p.g.View() }
 // of shared arrays sized by the total degree — a handful of allocations
 // for the whole network instead of several per vertex.
 func GatherViews(nw *Network, rounds int, engine Engine) ([]*View, Stats, error) {
-	n := nw.Topo().N()
+	n := nw.g.N()
 	offsets := nw.wires.offsets
 	total := int(offsets[n])
 	procs := make([]gatherProcess, n)

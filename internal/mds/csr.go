@@ -10,28 +10,6 @@ import (
 	"localmds/internal/graph"
 )
 
-// DominatesSetCSR reports whether every vertex of target is in s or
-// adjacent to a member of s, over the CSR view.
-func DominatesSetCSR(c *graph.CSR, s, target []int) bool {
-	n := c.N()
-	dominated := make([]bool, n)
-	for _, v := range s {
-		if v < 0 || v >= n {
-			return false
-		}
-		dominated[v] = true
-		for _, u := range c.Row(v) {
-			dominated[u] = true
-		}
-	}
-	for _, v := range target {
-		if !dominated[v] {
-			return false
-		}
-	}
-	return true
-}
-
 // IsDominatingSetCSR reports whether s dominates every vertex of c.
 func IsDominatingSetCSR(c *graph.CSR, s []int) bool {
 	n := c.N()

@@ -211,7 +211,10 @@ func encodeEntryHeader(e *Entry) []byte {
 
 // WriteEntry writes the canonical encoding of e. Decoding what it wrote
 // yields e back field-for-field, and re-encoding a ReadEntry result
-// reproduces the input byte for byte.
+// reproduces the input byte for byte. Only tests call it: store's
+// entry_test.go, fuzz_test.go and store_test.go, and service's
+// blackbox_crash_test.go. Put encodes the same header and appends header
+// and payload in one write.
 func WriteEntry(w io.Writer, e *Entry) error {
 	if _, err := w.Write(encodeEntryHeader(e)); err != nil {
 		return err
