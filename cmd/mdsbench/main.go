@@ -156,8 +156,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// One runner (and one result cache) across every group, so a repeated
-	// sweep within the process skips identical tasks.
 	r := runner.New(runner.Options{Workers: *parallel, Replicates: *replicates, RootSeed: root, TaskTimeout: *timeout})
 
 	selected := groups[:0]

@@ -22,8 +22,9 @@
 //   - convert: parallel parse, then WriteCSRBinFile.
 //   - load: OpenCSRBin — mmap on supported platforms, so the wall time is
 //     independent of the graph size.
-//   - solve: load (mmap for csrbin, parallel parse for text), then
-//     core.Alg1CSR on the loaded CSR, validated against it.
+//   - solve: graphio.LoadCSR (mmap for csrbin, parallel parse for text),
+//     the loader mdsrun -in uses too, then core.Alg1CSR on the loaded CSR,
+//     validated against it.
 //
 // wall_seconds always times the mode's headline operation only;
 // -fingerprint hashes the loaded CSR *outside* the timed window (it
@@ -238,20 +239,13 @@ func runSolve(rep *report, in, format string, workers int, p core.Params) error 
 		return err
 	}
 	start := time.Now()
-	var csr *graph.CSR
-	if graphio.SniffCSRBin(in, f) {
-		m, err := graphio.OpenCSRBin(in, graphio.OpenOptions{})
-		if err != nil {
-			return err
-		}
+	csr, m, err := graphio.LoadCSR(in, f, graphio.CSROptions{Workers: workers})
+	if err != nil {
+		return err
+	}
+	if m != nil {
 		defer m.Close()
 		rep.Mapped = &m.Mapped
-		csr = &m.CSR
-	} else {
-		csr, err = graphio.ParseCSRFile(in, f, graphio.CSROptions{Workers: workers})
-		if err != nil {
-			return err
-		}
 	}
 	rep.WallSeconds = time.Since(start).Seconds()
 

@@ -1,11 +1,11 @@
 // Command mdsrun runs one of the paper's algorithms on a generated or
-// JSON-loaded graph and prints the solution, its validity, the measured
+// file-loaded graph and prints the solution, its validity, the measured
 // approximation ratio (when the instance is small enough for the exact
 // solver), and — for the distributed algorithms — the LOCAL round count.
 //
 // Usage:
 //
-//	mdsrun -alg alg1|alg1-huge|alg1-local|d2|d2-local|tree|greedy|exact|mvc-alg1|mvc-d2 \
+//	mdsrun -alg alg1|alg1-local|d2|d2-local|tree|greedy|exact|mvc-alg1|mvc-d2 \
 //	       [-graph ding|cactus|tree|cycle|grid|outerplanar|cliquependants|gnp] \
 //	       [-in graph|-] [-format auto|json|edgelist|dimacs|csrbin] \
 //	       [-n N] [-t T] [-seed S] [-p P] [-r1 R] [-r2 R] [-workers W] \
@@ -17,33 +17,30 @@
 // mandatory: the solve runs unbudgeted and an instance beyond the solver
 // cap is a clean one-line error (exit 1).
 //
-// -in loads the instance from a file ("-" for stdin) instead of
-// generating it; the encoding — the repository JSON, a plain edge list,
+// Every input is loaded once, straight into a frozen CSR: a generated
+// graph is frozen, and -in loads a file ("-" for stdin) through
+// graphio.LoadCSR. The encoding — the repository JSON, a plain edge list,
 // DIMACS, or the binary csrbin format — is auto-detected unless -format
-// pins it. Malformed input exits 1 with a line/column (or byte-offset)
-// message.
+// pins it. A csrbin file is mmap'd (the report then says "csr:
+// mmap-backed"), so it loads without parsing; the text formats take the
+// chunked parser at -workers goroutines. Malformed input exits 1 with a
+// line/column (or byte-offset) message. -alg alg1 (core.Alg1CSR) and the
+// report header and optimum probe run on the CSR itself; the other
+// algorithms and -dot get the adjacency-list graph built from it.
 //
-// -alg alg1-huge is the huge-graph ingestion path: csrbin files are
-// mmap'd straight into the solver (near-zero load time), text inputs take
-// the parallel chunked parser, and the same driver as -alg alg1
-// (core.Alg1CSR) runs on the loaded CSR — no adjacency-list intermediate
-// is ever materialized. The report skips the diameter (an O(n·m) scan
-// that would dwarf the solve) and the exact optimum probe; -opt and -dot
-// are rejected.
+// -workers sets the text-parse width for every -in, and bounds the
+// Algorithm 1 fan-out of -alg alg1 and mvc-alg1: the Cuts vertex loop and
+// the component solves. The solution is the same at every worker count.
+// The "solution digest:" line names the set itself (a hash of its sorted
+// vertex ids), so two runs can be compared set for set without printing
+// it.
 //
-// -workers bounds the Algorithm 1 fan-out of -alg alg1, alg1-huge and
-// mvc-alg1: the Cuts vertex loop and the component solves (and
-// alg1-huge's text parser). The solution is the same at every worker
-// count. The "solution digest:" line names the set itself (a hash of its
-// sorted vertex ids), so two runs can be compared set for set without
-// printing it.
-//
-// With the staged drivers -alg alg1, alg1-huge or mvc-alg1, -stages
-// additionally prints the per-stage wall-time/allocation/size table
-// recorded in the result's StageStats, and -trace out.json dumps the
-// solve's span tree (stages plus per-component solves) in Chrome
-// trace-event format, loadable directly in chrome://tracing or Perfetto;
-// with other algorithms either flag is a clean one-line error.
+// With the staged drivers -alg alg1 or mvc-alg1, -stages additionally
+// prints the per-stage wall-time/allocation/size table recorded in the
+// result's StageStats, and -trace out.json dumps the solve's span tree
+// (stages plus per-component solves) in Chrome trace-event format,
+// loadable directly in chrome://tracing or Perfetto; with other
+// algorithms either flag is a clean one-line error.
 package main
 
 import (
@@ -77,7 +74,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mdsrun", flag.ContinueOnError)
-	alg := fs.String("alg", "alg1", "algorithm: alg1|alg1-huge|alg1-local|d2|d2-local|tree|greedy|exact|mvc-alg1|mvc-d2")
+	alg := fs.String("alg", "alg1", "algorithm: alg1|alg1-local|d2|d2-local|tree|greedy|exact|mvc-alg1|mvc-d2")
 	kind := fs.String("graph", "ding", "generator: "+gen.Kinds)
 	in := fs.String("in", "", "load the graph from this file (\"-\": stdin) instead of generating")
 	format := fs.String("format", "auto", "input encoding for -in: auto|json|edgelist|dimacs|csrbin")
@@ -87,10 +84,10 @@ func run(args []string, stdout io.Writer) error {
 	p := fs.Float64("p", 0.05, "edge probability (gnp)")
 	r1 := fs.Int("r1", 4, "Algorithm 1 local 1-cut radius")
 	r2 := fs.Int("r2", 4, "Algorithm 1 local 2-cut radius")
-	workers := fs.Int("workers", 0, "worker count for -alg alg1, alg1-huge and mvc-alg1: the Cuts and ComponentSolve fan-out, plus alg1-huge's text parse (0: GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "worker count for parsing a text -in, and for the Cuts and ComponentSolve fan-out of -alg alg1 and mvc-alg1 (0: GOMAXPROCS)")
 	optFlag := fs.Bool("opt", false, "require the exact optimum and |S|/OPT ratio (error when the instance exceeds the solver cap)")
-	stages := fs.Bool("stages", false, "print the Algorithm 1 pipeline per-stage timing/size table (requires -alg alg1, alg1-huge or mvc-alg1)")
-	traceOut := fs.String("trace", "", "write the solve span tree in Chrome trace-event format to this file (requires -alg alg1, alg1-huge or mvc-alg1)")
+	stages := fs.Bool("stages", false, "print the Algorithm 1 pipeline per-stage timing/size table (requires -alg alg1 or mvc-alg1)")
+	traceOut := fs.String("trace", "", "write the solve span tree in Chrome trace-event format to this file (requires -alg alg1 or mvc-alg1)")
 	dotOut := fs.String("dot", "", "write the graph with the solution highlighted to this DOT file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -112,37 +109,60 @@ func run(args []string, stdout io.Writer) error {
 	if *r1 < 0 || *r2 < 0 {
 		return fmt.Errorf("-r1 and -r2 must be >= 0, got %d and %d", *r1, *r2)
 	}
-	staged := *alg == "alg1" || *alg == "alg1-huge" || *alg == "mvc-alg1"
+	staged := *alg == "alg1" || *alg == "mvc-alg1"
 	if *stages && !staged {
-		return fmt.Errorf("-stages requires -alg alg1, alg1-huge or mvc-alg1 (the staged drivers), got -alg %s", *alg)
+		return fmt.Errorf("-stages requires -alg alg1 or mvc-alg1 (the staged drivers), got -alg %s", *alg)
 	}
 	if *traceOut != "" && !staged {
-		return fmt.Errorf("-trace requires -alg alg1, alg1-huge or mvc-alg1 (the staged drivers), got -alg %s", *alg)
+		return fmt.Errorf("-trace requires -alg alg1 or mvc-alg1 (the staged drivers), got -alg %s", *alg)
 	}
-	if *alg == "alg1-huge" {
-		if *optFlag || *dotOut != "" {
-			return fmt.Errorf("-alg alg1-huge does not support -opt or -dot (the huge path never materializes an adjacency graph)")
-		}
-		return runHuge(stdout, *in, *format, *kind, *n, *tParam, *p, *seed,
-			core.Params{R1: *r1, R2: *r2}, *workers, *stages, *traceOut)
+	if *workers <= 0 {
+		*workers = runtime.GOMAXPROCS(0)
 	}
 
-	g, err := loadGraph(*in, *format, *kind, *n, *tParam, *p, *seed)
-	if err != nil {
-		return err
+	// g is the adjacency-list graph, built only for what needs one.
+	var g *graph.Graph
+	var csr *graph.CSR
+	var mapped *graphio.MappedCSR
+	if *in == "" {
+		var err error
+		if g, err = gen.FromKind(*kind, *n, *tParam, *p, rand.New(rand.NewSource(*seed))); err != nil {
+			return err
+		}
+		csr = g.Freeze()
+	} else {
+		f, err := graphio.ParseFormat(*format)
+		if err != nil {
+			return err
+		}
+		if csr, mapped, err = graphio.LoadCSR(*in, f, graphio.CSROptions{Workers: *workers}); err != nil {
+			return err
+		}
+		if mapped != nil {
+			// graph.FromCSR below keeps csr as g's frozen view, so the
+			// mapping closes only when run returns, after the last use of g.
+			defer mapped.Close()
+		}
 	}
-	if comps := g.NumComponents(); comps > 1 {
+	diam := csr.Diameter(graph.NewArena())
+	if comps := numComponents(csr); comps > 1 {
 		// On a disconnected graph the plain "diameter" would silently be
 		// the largest within-component eccentricity, which reads as a
 		// tiny connected graph; say what is actually being reported.
-		fmt.Fprintf(stdout, "graph: %s (%d components, diameter %d = max eccentricity over reachable pairs)\n",
-			g, comps, g.Diameter())
+		fmt.Fprintf(stdout, "graph: Graph(n=%d, m=%d) (%d components, diameter %d = max eccentricity over reachable pairs)\n",
+			csr.N(), csr.M(), comps, diam)
 	} else {
-		fmt.Fprintf(stdout, "graph: %s (diameter %d)\n", g, g.Diameter())
+		fmt.Fprintf(stdout, "graph: Graph(n=%d, m=%d) (diameter %d)\n", csr.N(), csr.M(), diam)
+	}
+	if mapped != nil && mapped.Mapped {
+		fmt.Fprintln(stdout, "csr: mmap-backed")
+	}
+	if g == nil && (*alg != "alg1" || *dotOut != "") {
+		g = graph.FromCSR(csr)
 	}
 
 	tr, root := newCLITrace(*traceOut)
-	sol, stats, stageStats, err := solve(g, *alg, core.Params{R1: *r1, R2: *r2}, *workers, core.SpanHooks(root))
+	sol, stats, stageStats, err := solve(csr, g, *alg, core.Params{R1: *r1, R2: *r2}, *workers, core.SpanHooks(root))
 	if err != nil {
 		return err
 	}
@@ -158,24 +178,24 @@ func run(args []string, stdout io.Writer) error {
 	if isMVC {
 		fmt.Fprintf(stdout, "valid vertex cover: %v\n", mds.IsVertexCover(g, sol))
 	} else {
-		fmt.Fprintf(stdout, "valid dominating set: %v\n", mds.IsDominatingSet(g, sol))
+		fmt.Fprintf(stdout, "valid dominating set: %v\n", mds.IsDominatingSetCSR(csr, sol))
 	}
 	if stats != nil {
 		fmt.Fprintf(stdout, "LOCAL rounds: %d, messages: %d\n", stats.Rounds, stats.Messages)
 	}
 	if *optFlag {
-		opt, err := optimum(g, isMVC, 0)
+		opt, err := optimum(csr, isMVC, 0)
 		if err != nil {
 			return fmt.Errorf("-opt: %w", err)
 		}
 		if opt > 0 {
 			fmt.Fprintf(stdout, "optimum: %d, ratio: %.3f\n", opt, float64(len(sol))/float64(opt))
 		}
-	} else if g.N() <= mds.MaxExactMDSVertices {
+	} else if csr.N() <= mds.MaxExactMDSVertices {
 		// Best-effort probe: a node budget keeps adversarial instances
 		// under the cap (large grids, sparse random graphs) from stalling
 		// a run that never asked for OPT.
-		opt, err := optimum(g, isMVC, autoOptNodeBudget)
+		opt, err := optimum(csr, isMVC, autoOptNodeBudget)
 		if err == nil && opt > 0 {
 			fmt.Fprintf(stdout, "optimum: %d, ratio: %.3f\n", opt, float64(len(sol))/float64(opt))
 		}
@@ -192,6 +212,30 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
+// numComponents counts the connected components of c, one BFS over each.
+func numComponents(c *graph.CSR) int {
+	seen := make([]bool, c.N())
+	var queue []int32
+	comps := 0
+	for v := range c.N() {
+		if seen[v] {
+			continue
+		}
+		comps++
+		seen[v] = true
+		queue = append(queue[:0], int32(v))
+		for head := 0; head < len(queue); head++ {
+			for _, u := range c.Row(int(queue[head])) {
+				if !seen[u] {
+					seen[u] = true
+					queue = append(queue, u)
+				}
+			}
+		}
+	}
+	return comps
+}
+
 // autoOptNodeBudget bounds the automatic (non -opt) exact probe. The
 // engine's per-node cost grows roughly quadratically with the instance
 // (the packing bound scans the undominated set), measured at ~18µs/node
@@ -202,12 +246,17 @@ const autoOptNodeBudget = 100_000
 
 // optimum computes the exact optimum for ratio reporting. maxNodes > 0
 // bounds the exact solver's search.
-func optimum(g *graph.Graph, isMVC bool, maxNodes int64) (int, error) {
+func optimum(c *graph.CSR, isMVC bool, maxNodes int64) (int, error) {
+	opt := mds.ExactOptions{MaxNodes: maxNodes}
 	if isMVC {
-		sol, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{MaxNodes: maxNodes})
+		sol, err := mds.ExactMVC(c, opt)
 		return len(sol), err
 	}
-	sol, err := mds.ExactMDSOpt(g, mds.ExactOptions{MaxNodes: maxNodes})
+	all := make([]int, c.N())
+	for v := range all {
+		all[v] = v
+	}
+	sol, err := mds.ExactBDominating(c, all, opt)
 	return len(sol), err
 }
 
@@ -237,66 +286,6 @@ func writeChromeTrace(path string, tr *obs.Trace) error {
 	return nil
 }
 
-// runHuge is the -alg alg1-huge path: load the instance straight into a
-// frozen CSR (mmap for csrbin files, parallel chunked parse for text),
-// run Alg1CSR on it, and report against the CSR — the adjacency-list
-// *graph.Graph is never built.
-func runHuge(stdout io.Writer, in, format, kind string, n, tParam int, p float64, seed int64,
-	params core.Params, workers int, stages bool, traceOut string) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var csr *graph.CSR
-	var mapped *graphio.MappedCSR
-	switch {
-	case in == "":
-		g, err := gen.FromKind(kind, n, tParam, p, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return err
-		}
-		csr = g.Freeze()
-	default:
-		f, err := graphio.ParseFormat(format)
-		if err != nil {
-			return err
-		}
-		if graphio.SniffCSRBin(in, f) {
-			mapped, err = graphio.OpenCSRBin(in, graphio.OpenOptions{})
-			if err != nil {
-				return err
-			}
-			defer mapped.Close()
-			csr = &mapped.CSR
-		} else {
-			csr, err = graphio.ParseCSRFile(in, f, graphio.CSROptions{Workers: workers})
-			if err != nil {
-				return err
-			}
-		}
-	}
-
-	fmt.Fprintf(stdout, "graph: n=%d m=%d (csr%s, diameter skipped on the huge path)\n",
-		csr.N(), csr.M(), mappedTag(mapped))
-	tr, root := newCLITrace(traceOut)
-	res, err := core.Alg1CSR(csr, params, core.PipelineOptions{Workers: workers, Hooks: core.SpanHooks(root)})
-	if err != nil {
-		return err
-	}
-	if tr != nil {
-		root.End()
-		if err := writeChromeTrace(traceOut, tr); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote trace %s\n", traceOut)
-	}
-	fmt.Fprintf(stdout, "algorithm: alg1-huge\nsolution size: %d\nsolution digest: %s\n", len(res.S), solutionDigest(res.S))
-	fmt.Fprintf(stdout, "valid dominating set: %v\n", mds.IsDominatingSetCSR(csr, res.S))
-	if stages {
-		fmt.Fprintf(stdout, "\npipeline stages:\n%s", res.StageStats.Render())
-	}
-	return nil
-}
-
 // solutionDigest names a vertex set by the SHA-256 of its sorted ids (8
 // bytes little-endian each), truncated to 128 bits: two runs print the
 // same digest exactly when they chose the same set, at any size.
@@ -312,31 +301,12 @@ func solutionDigest(s []int) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-func mappedTag(m *graphio.MappedCSR) string {
-	if m != nil && m.Mapped {
-		return ", mmap"
-	}
-	return ""
-}
-
-// loadGraph reads the instance from a file or stdin (JSON, edge list, or
-// DIMACS via internal/graphio) or generates it via the shared gen.FromKind
-// dispatch (which converts generator panics into errors).
-func loadGraph(in, format, kind string, n, tParam int, p float64, seed int64) (*graph.Graph, error) {
-	if in == "" {
-		return gen.FromKind(kind, n, tParam, p, rand.New(rand.NewSource(seed)))
-	}
-	f, err := graphio.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	return graphio.ReadFile(in, f)
-}
-
-func solve(g *graph.Graph, alg string, p core.Params, workers int, hooks core.TraceHooks) ([]int, *local.Stats, core.StageStats, error) {
+// solve runs alg on the loaded instance: -alg alg1 on the CSR c, every
+// other algorithm on the adjacency-list graph g.
+func solve(c *graph.CSR, g *graph.Graph, alg string, p core.Params, workers int, hooks core.TraceHooks) ([]int, *local.Stats, core.StageStats, error) {
 	switch alg {
 	case "alg1":
-		res, err := core.Alg1Pipeline(g, p, core.PipelineOptions{Workers: workers, Hooks: hooks})
+		res, err := core.Alg1CSR(c, p, core.PipelineOptions{Workers: workers, Hooks: hooks})
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -59,29 +59,28 @@ func assertStagedTrace(t *testing.T, dump chromeDump, stages []string) {
 	}
 }
 
+// TestRunTraceAlg1 traces -alg alg1 on a generated graph and on a csrbin
+// file, whose CSR is mmap'd: the span tree is the same either way.
 func TestRunTraceAlg1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	var out strings.Builder
-	if err := run([]string{"-graph", "cactus", "-n", "60", "-alg", "alg1", "-trace", path}, &out); err != nil {
-		t.Fatalf("run: %v", err)
+	csrbinPath, _, _ := writeGrid(t)
+	for _, args := range [][]string{
+		{"-graph", "cactus", "-n", "60", "-alg", "alg1"},
+		{"-in", csrbinPath, "-alg", "alg1"},
+	} {
+		path := filepath.Join(t.TempDir(), "trace.json")
+		var out strings.Builder
+		if err := run(append(args, "-trace", path), &out); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+		if !strings.Contains(out.String(), "wrote trace "+path) {
+			t.Errorf("run(%v): output missing trace confirmation:\n%s", args, out.String())
+		}
+		dump := readTrace(t, path)
+		assertStagedTrace(t, dump, alg1Stages)
+		if dump.Metadata.TraceID != "mdsrun" {
+			t.Errorf("run(%v): trace_id = %q, want mdsrun", args, dump.Metadata.TraceID)
+		}
 	}
-	if !strings.Contains(out.String(), "wrote trace "+path) {
-		t.Errorf("output missing trace confirmation:\n%s", out.String())
-	}
-	dump := readTrace(t, path)
-	assertStagedTrace(t, dump, alg1Stages)
-	if dump.Metadata.TraceID != "mdsrun" {
-		t.Errorf("trace_id = %q, want mdsrun", dump.Metadata.TraceID)
-	}
-}
-
-func TestRunTraceAlg1Huge(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	var out strings.Builder
-	if err := run([]string{"-graph", "cactus", "-n", "60", "-alg", "alg1-huge", "-trace", path}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	assertStagedTrace(t, readTrace(t, path), alg1Stages)
 }
 
 func TestRunTraceMVCAlg1(t *testing.T) {
@@ -103,7 +102,7 @@ func TestRunTraceRejectsUntracedAlgs(t *testing.T) {
 	for _, alg := range []string{"greedy", "d2", "tree", "exact", "alg1-local", "mvc-d2"} {
 		var out strings.Builder
 		err := run([]string{"-graph", "cycle", "-n", "12", "-alg", alg, "-trace", "/tmp/nope.json"}, &out)
-		if err == nil || !strings.Contains(err.Error(), "-trace requires -alg alg1, alg1-huge or mvc-alg1 (the staged drivers)") {
+		if err == nil || !strings.Contains(err.Error(), "-trace requires -alg alg1 or mvc-alg1 (the staged drivers)") {
 			t.Errorf("-alg %s -trace: err = %v, want the staged-drivers error", alg, err)
 		}
 	}

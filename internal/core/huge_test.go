@@ -1,8 +1,9 @@
 package core_test
 
-// The alg1-huge path of mdsrun and mdsingest loads a graph straight into
-// a CSR — the parallel text parser at w workers, or a csrbin file,
-// mmap'd read-only — and hands it to Alg1CSR at the same worker count.
+// mdsrun -alg alg1 and mdsingest -mode solve load a graph straight into
+// a CSR (graphio.LoadCSR) — the parallel text parser at w workers, or a
+// csrbin file, mmap'd read-only — and hand it to Alg1CSR at the same
+// worker count.
 // These tests drive that path and pin it field for field to Alg1Pipeline
 // on the adjacency-list graph.
 
@@ -21,8 +22,9 @@ import (
 	"localmds/internal/mds"
 )
 
-// parseHuge encodes g in format f and loads it back the way the alg1-huge
-// path does: graphio.ParseCSR with the text parser on workers goroutines.
+// parseHuge encodes g in format f and loads it back through
+// graphio.ParseCSR, the parser LoadCSR runs on a text file, with the text
+// parser on workers goroutines.
 func parseHuge(g *graph.Graph, f graphio.Format, workers int) (*graph.CSR, error) {
 	var buf bytes.Buffer
 	var err error

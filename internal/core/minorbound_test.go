@@ -30,7 +30,7 @@ func TestBuildMinorBoundBasics(t *testing.T) {
 				t.Fatalf("H invalid: %v", err)
 			}
 			// A and B disjoint and inside H.
-			if len(graph.SortedIntersect(graph.Dedup(res.A), graph.Dedup(res.B))) != 0 {
+			if intersects(graph.Dedup(res.A), graph.Dedup(res.B)) {
 				t.Error("A and B overlap")
 			}
 			for _, v := range append(append([]int(nil), res.A...), res.B...) {

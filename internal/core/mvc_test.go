@@ -51,7 +51,7 @@ func TestMVCAlg1Ratio(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(opt) > 0 && float64(len(res.S))/float64(len(opt)) > float64(ApproxRatio(1)) {
+		if len(opt) > 0 && float64(len(res.S))/float64(len(opt)) > float64(approxRatio(1)) {
 			t.Errorf("instance %d: MVC ratio %d/%d exceeds constant bound", i, len(res.S), len(opt))
 		}
 	}

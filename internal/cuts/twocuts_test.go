@@ -113,8 +113,7 @@ func TestTwoCutsSeparateProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(13, 0.15, rng)
 		for _, c := range MinimalTwoCuts(g) {
-			h, _ := g.Delete([]int{c.U, c.V})
-			if h.NumComponents() < 2 {
+			if without(g, c.U, c.V).NumComponents() < 2 {
 				return false
 			}
 		}

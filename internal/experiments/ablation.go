@@ -25,7 +25,7 @@ func RadiusAblationSpec(n int, radii []int) Spec {
 		Title:  "Ablation — Algorithm 1 radius sweep (ding Mixed, T=5)",
 		Header: []string{"R1=R2", "|X|", "|I|", "components", "max diam", "|S|", "ratio", "rounds est"},
 	}
-	s.Tasks = append(s.Tasks, Task{Row: "sweep", Params: fmt.Sprintf("n=%d,radii=%v", n, radii), Run: func(seed int64) ([][]string, error) {
+	s.Tasks = append(s.Tasks, Task{Row: "sweep", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
 		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng)
 		opt, err := mds.ExactMDS(g)
@@ -61,7 +61,7 @@ func RoundsVsTSpec(n int, ts []int) Spec {
 		Header: []string{"t", "paper R1", "paper R2", "paper gather radius", "scaled R1=R2", "measured rounds"},
 	}
 	for _, tt := range ts {
-		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("t%d", tt), Params: fmt.Sprintf("n=%d", n), Run: func(seed int64) ([][]string, error) {
+		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("t%d", tt), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
 			paper := core.PaperParams(tt)
 			scaled := core.Params{R1: tt, R2: tt}
@@ -103,7 +103,7 @@ func ScalingSpec(ns []int) Spec {
 		Header: []string{"class", "n", "|S|", "OPT", "ratio", "opt_lb (2-packing)", "max comp diam"},
 	}
 	for _, n := range ns {
-		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Params: fmt.Sprintf("n=%d", n), Run: func(seed int64) ([][]string, error) {
+		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
 			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng)
 			res, err := core.Alg1(g, core.PracticalParams())
@@ -124,7 +124,7 @@ func ScalingSpec(ns []int) Spec {
 			continue
 		}
 		seenSides[side] = true
-		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("grid%d", side), Params: fmt.Sprintf("side=%d", side), Run: func(int64) ([][]string, error) {
+		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("grid%d", side), Run: func(int64) ([][]string, error) {
 			g := gen.Grid(side, side)
 			res, err := core.Alg1(g, core.PracticalParams())
 			if err != nil {
@@ -161,7 +161,7 @@ func MessageFootprintSpec(n int) Spec {
 		Title:  "LOCAL vs CONGEST — message footprint of the distributed algorithms",
 		Header: []string{"algorithm", "n", "rounds", "messages", "total words", "max message words"},
 	}
-	s.Tasks = append(s.Tasks, Task{Row: "footprint", Params: fmt.Sprintf("n=%d", n), Run: func(seed int64) ([][]string, error) {
+	s.Tasks = append(s.Tasks, Task{Row: "footprint", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
 		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng)
 

@@ -36,7 +36,7 @@ func DensityTableSpec(n int) Spec {
 		{"grid", func(*rand.Rand) *graph.Graph { return gen.Grid(intSqrt(n), intSqrt(n)) }},
 	}
 	for _, inst := range instances {
-		s.Tasks = append(s.Tasks, Task{Row: inst.name, Params: fmt.Sprintf("n=%d", n), Run: func(seed int64) ([][]string, error) {
+		s.Tasks = append(s.Tasks, Task{Row: inst.name, Run: func(seed int64) ([][]string, error) {
 			g := inst.build(rand.New(rand.NewSource(seed)))
 			n0 := g.Nabla0LowerBound()
 			n1 := g.Nabla1LowerBound()

@@ -24,7 +24,7 @@ func Lemma32Spec(ns []int, r int) Spec {
 	}
 	for _, n := range ns {
 		for _, inst := range lemmaInstances(n) {
-			s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d-%s", n, inst.name), Params: fmt.Sprintf("r=%d", r), Run: func(seed int64) ([][]string, error) {
+			s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d-%s", n, inst.name), Run: func(seed int64) ([][]string, error) {
 				g := inst.build(rand.New(rand.NewSource(seed)))
 				locals := cuts.LocalOneCutsCSR(g.Freeze(), r, graph.NewArena())
 				opt, err := mds.ExactMDS(g)
@@ -78,7 +78,7 @@ func Lemma33Spec(ns []int, r int) Spec {
 			{"cycle", func(*rand.Rand) *graph.Graph { return gen.Cycle(n) }},
 		}
 		for _, inst := range instances {
-			s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d-%s", n, inst.name), Params: fmt.Sprintf("r=%d", r), Run: func(seed int64) ([][]string, error) {
+			s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d-%s", n, inst.name), Run: func(seed int64) ([][]string, error) {
 				g := inst.build(rand.New(rand.NewSource(seed)))
 				twoCutVerts := map[int]bool{}
 				for _, c := range cuts.MinimalTwoCuts(g) {
@@ -141,7 +141,7 @@ func Lemma518Spec(ns []int, tParam int) Spec {
 		Header: []string{"n", "|A|", "|B|", "(t-1)|B|", "ok", "|D2|"},
 	}
 	for _, n := range ns {
-		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Params: fmt.Sprintf("t=%d", tParam), Run: func(seed int64) ([][]string, error) {
+		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
 			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: tParam}, rng)
 			res, err := core.BuildMinorBound(g)
@@ -166,7 +166,7 @@ func CycleLocalCutsSpec(ns []int, r int) Spec {
 		Header: []string{"n", "local 1-cuts", "global cut vertices", "MDS", "locals/MDS"},
 	}
 	for _, n := range ns {
-		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Params: fmt.Sprintf("r=%d", r), Run: func(int64) ([][]string, error) {
+		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Run: func(int64) ([][]string, error) {
 			g := gen.Cycle(n)
 			locals := cuts.LocalOneCutsCSR(g.Freeze(), r, graph.NewArena())
 			arts := cuts.ArticulationPoints(g)

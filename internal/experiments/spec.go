@@ -10,11 +10,11 @@ import (
 // Spec declares one experiment as a table skeleton plus independent tasks.
 // Declaring instead of running is what makes the suite schedulable: the
 // concurrent orchestrator in internal/runner executes the tasks of many
-// specs on one set of workers, replicates them across seeds, and caches
-// their results, while RunSequential below keeps a simple in-process path
-// for tests and the orchestrator's reference.
+// specs on one set of workers and replicates them across seeds, while
+// RunSequential below keeps a simple in-process path for tests and the
+// orchestrator's reference.
 type Spec struct {
-	// Name identifies the experiment in seed derivation and cache keys; it
+	// Name identifies the experiment in seed derivation; it
 	// must be stable across releases or recorded tables change.
 	Name   string
 	Title  string
@@ -33,10 +33,6 @@ type Task struct {
 	// must observe the same generated instance (a radius sweep over one
 	// graph, the two Table 1 rows per K_{2,t} class) belong to one task.
 	Row string
-	// Params fingerprints the non-seed parameters (sizes, radii, ...) for
-	// result caching; tasks with equal (Spec.Name, Row, seed, Params) are
-	// interchangeable.
-	Params string
 	// Run executes the task with its derived seed and returns its rows.
 	Run func(seed int64) ([][]string, error)
 }

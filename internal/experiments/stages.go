@@ -57,7 +57,7 @@ func StageProfileSpec(n int) Spec {
 	}
 	for _, inst := range instances {
 		inst := inst
-		s.Tasks = append(s.Tasks, Task{Row: inst.row, Params: fmt.Sprintf("n=%d", n), Run: func(seed int64) ([][]string, error) {
+		s.Tasks = append(s.Tasks, Task{Row: inst.row, Run: func(seed int64) ([][]string, error) {
 			g := inst.build(seed)
 			res, err := core.Alg1(g, core.PracticalParams())
 			if err != nil {

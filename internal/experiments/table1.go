@@ -29,10 +29,6 @@ func DefaultTable1Config() Table1Config {
 	return Table1Config{N: 120, ProcessN: 48}
 }
 
-func (cfg Table1Config) params() string {
-	return fmt.Sprintf("n=%d,process-n=%d", cfg.N, cfg.ProcessN)
-}
-
 // Table1Spec declares the paper's Table 1 reproduction: one task per graph
 // class, each running the corresponding algorithm from this repository on
 // in-class workloads and reporting the measured approximation ratio and
@@ -48,7 +44,7 @@ func Table1Spec(cfg Table1Config) Spec {
 	}
 
 	// Trees (K3-minor-free), folklore 3-approx in 2 rounds.
-	s.Tasks = append(s.Tasks, Task{Row: "trees", Params: cfg.params(), Run: func(seed int64) ([][]string, error) {
+	s.Tasks = append(s.Tasks, Task{Row: "trees", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomTree(cfg.N, rng)
 		sol := core.TreeMDS(g)
@@ -68,7 +64,7 @@ func Table1Spec(cfg Table1Config) Spec {
 	// Outerplanar (K4, K_{2,3}): our Algorithm 1 with practical radii (the
 	// paper cites [4]'s specialized 5-approximation). OPT comes from the
 	// treewidth-2 DP.
-	s.Tasks = append(s.Tasks, Task{Row: "outerplanar", Params: cfg.params(), Run: func(seed int64) ([][]string, error) {
+	s.Tasks = append(s.Tasks, Task{Row: "outerplanar", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.MaximalOuterplanar(cfg.N, rng)
 		res, err := core.Alg1(g, core.PracticalParams())
@@ -88,7 +84,7 @@ func Table1Spec(cfg Table1Config) Spec {
 	// proves OPT up to side 10 (n=100) in under 0.1s where the old branch
 	// and bound was capped at side 7 (2s at side 9, unbounded beyond), so
 	// the row runs at the full intSqrt(N) for the default N=120.
-	s.Tasks = append(s.Tasks, Task{Row: "planar", Params: cfg.params(), Run: func(int64) ([][]string, error) {
+	s.Tasks = append(s.Tasks, Task{Row: "planar", Run: func(int64) ([][]string, error) {
 		side := gridSide(cfg.N)
 		g := gen.Grid(side, side)
 		res, err := core.Alg1(g, core.PracticalParams())
@@ -104,7 +100,7 @@ func Table1Spec(cfg Table1Config) Spec {
 	}})
 
 	// K_{1,t}-minor-free (max degree < t): take-all, 0 rounds.
-	s.Tasks = append(s.Tasks, Task{Row: "k1t", Params: cfg.params(), Run: func(int64) ([][]string, error) {
+	s.Tasks = append(s.Tasks, Task{Row: "k1t", Run: func(int64) ([][]string, error) {
 		deg := 4
 		g, err := gen.RegularLike(cfg.N, deg)
 		if err != nil {
@@ -124,7 +120,7 @@ func Table1Spec(cfg Table1Config) Spec {
 	// (50 in O_t(1) rounds), for a sweep of t. Both rows of each t measure
 	// the same instances, so they stay one task.
 	for _, tt := range []int{3, 4, 5, 6} {
-		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("k2t-t%d", tt), Params: cfg.params(), Run: func(seed int64) ([][]string, error) {
+		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("k2t-t%d", tt), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
 			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng)
 			small := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.ProcessN, T: tt}, rng)
@@ -159,7 +155,7 @@ func Table1Spec(cfg Table1Config) Spec {
 	// K_{s,t}/K_t-minor-free (cited bounds are astronomically large; our
 	// Algorithm 2 runs with an asymptotic-dimension-2 control function on
 	// planar-ish inputs as the executable counterpart).
-	s.Tasks = append(s.Tasks, Task{Row: "kt", Params: cfg.params(), Run: func(int64) ([][]string, error) {
+	s.Tasks = append(s.Tasks, Task{Row: "kt", Run: func(int64) ([][]string, error) {
 		side := gridSide(cfg.N)
 		g := gen.Grid(side, side)
 		res, err := core.Alg2(g, func(r int) int { return 2 * r }, 0)
@@ -185,7 +181,7 @@ func MVCTableSpec(cfg Table1Config) Spec {
 		Header: []string{"class", "algorithm", "paper ratio", "measured ratio", "n"},
 	}
 	for _, tt := range []int{3, 4, 5} {
-		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("k2t-t%d", tt), Params: cfg.params(), Run: func(seed int64) ([][]string, error) {
+		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("k2t-t%d", tt), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
 			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng)
 			opt, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{})
@@ -210,7 +206,7 @@ func MVCTableSpec(cfg Table1Config) Spec {
 	// exponential here (7s at n=120 vs 0.3s at n=96); like the grid rows,
 	// the size is capped — by vertex-transitivity the measured ratio is
 	// size-independent anyway.
-	s.Tasks = append(s.Tasks, Task{Row: "regular", Params: cfg.params(), Run: func(int64) ([][]string, error) {
+	s.Tasks = append(s.Tasks, Task{Row: "regular", Run: func(int64) ([][]string, error) {
 		g, err := gen.RegularLike(minInt(cfg.N, 96), 4)
 		if err != nil {
 			return nil, err
@@ -245,7 +241,7 @@ func Proposition31Spec(cfg Table1Config) Spec {
 		{"cycle", func(*rand.Rand) *graph.Graph { return gen.Cycle(cfg.N) }},
 	}
 	for _, inst := range instances {
-		s.Tasks = append(s.Tasks, Task{Row: inst.name, Params: cfg.params(), Run: func(seed int64) ([][]string, error) {
+		s.Tasks = append(s.Tasks, Task{Row: inst.name, Run: func(seed int64) ([][]string, error) {
 			g := inst.build(rand.New(rand.NewSource(seed)))
 			cover, err := asdim.BFSAnnulusCover(g, 5, 2)
 			if err != nil {

@@ -19,13 +19,6 @@ func (g *Graph) BFSFrom(source int) []int {
 	return dist
 }
 
-// BFSFromSet runs a multi-source BFS from the given set and returns the
-// distance slice, with -1 for unreachable vertices. Distance 0 is assigned to
-// every source.
-func (g *Graph) BFSFromSet(sources []int) []int {
-	return g.boundedBFS(sources, -1)
-}
-
 // bfsLoop drains the queue, expanding vertices in FIFO order. A vertex at
 // distance r (when r >= 0) is not expanded, truncating the search at radius
 // r. dist must be -1 except at the enqueued sources.

@@ -24,9 +24,16 @@ func TestBFSUnreachable(t *testing.T) {
 	}
 }
 
+// bfsFromSet runs a multi-source BFS from the given set and returns the
+// distance slice, with -1 for unreachable vertices. Distance 0 is assigned
+// to every source.
+func bfsFromSet(g *Graph, sources []int) []int {
+	return g.boundedBFS(sources, -1)
+}
+
 func TestBFSFromSet(t *testing.T) {
 	g := path(7)
-	dist := g.BFSFromSet([]int{0, 6})
+	dist := bfsFromSet(g, []int{0, 6})
 	want := []int{0, 1, 2, 3, 2, 1, 0}
 	for v := range want {
 		if dist[v] != want[v] {

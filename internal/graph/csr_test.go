@@ -94,7 +94,7 @@ func TestBFSFrozenMatchesUnfrozen(t *testing.T) {
 			}
 		}
 		set := []int{0, n - 1}
-		if !EqualSets(collectReached(g.BFSFromSet(set)), collectReached(frozen.BFSFromSet(set))) {
+		if !EqualSets(collectReached(bfsFromSet(g, set)), collectReached(bfsFromSet(frozen, set))) {
 			t.Fatal("BFSFromSet differs frozen vs not")
 		}
 	}

@@ -466,9 +466,11 @@ func (c *CSR) componentDiameter(v, done int32, a *Arena) int {
 	// farthest a2 → the center u of all four sweep sources, where a
 	// center minimizes the largest distance to the sources so far.
 	src := far
+	swept := append(make([]int32, 0, 4), v)
 	for i := 0; i < 3 && lb < ub; i++ {
 		var order []int32
 		order, center = c.sweep(src, false, a)
+		swept = append(swept, src)
 		far = order[len(order)-1]
 		e := int(a.labels[far])
 		lb, ub = max(lb, e), min(ub, 2*e)
@@ -483,15 +485,18 @@ func (c *CSR) componentDiameter(v, done int32, a *Arena) int {
 	}
 	// iFUB from u = center: two vertices within distance i of u are at
 	// most 2i apart, so once every vertex farther than i has had its BFS,
-	// max(lb, 2i) bounds the diameter.
+	// max(lb, 2i) bounds the diameter. A sweep source needs no second BFS:
+	// its eccentricity is already in lb.
 	order, eccU := c.distBFS(center, a)
 	lb = max(lb, eccU)
 	a.order = append(a.order[:0], order...)
 	k := len(a.order) - 1
 	for i := int32(eccU); i > 0 && lb < 2*int(i); i-- {
 		for ; k >= 0 && a.labels[a.order[k]] == i; k-- {
-			_, e := c.boundedBFS(a.order[k:k+1], -1, a)
-			lb = max(lb, e)
+			if !slices.Contains(swept, a.order[k]) {
+				_, e := c.boundedBFS(a.order[k:k+1], -1, a)
+				lb = max(lb, e)
+			}
 		}
 	}
 	return lb
@@ -547,9 +552,10 @@ func (c *CSR) distBFS(s int32, a *Arena) ([]int32, int) {
 // solvers run on the CSR and need no bridge. The adjacency lists do not
 // alias c, but the graph keeps c as its frozen view, so Freeze returns c
 // without rebuilding it. c must therefore stay valid and unchanged while
-// the graph is frozen: hand over a freshly built CSR, never one that is
-// unmapped later (graphio.MappedCSR) or refilled (an InducedInto
-// destination). Mutating the graph drops the view and never writes to c.
+// the graph is frozen: hand over a freshly built CSR, or a mapped one
+// (graphio.MappedCSR) that stays open until the graph's last use, never
+// one that is refilled (an InducedInto destination). Mutating the graph
+// drops the view and never writes to c.
 func FromCSR(c *CSR) *Graph {
 	n := c.N()
 	buf := make([]int, len(c.Targets))

@@ -86,7 +86,7 @@ func pairBallComponents(g *Graph, u, v, r int) ([]int, int) {
 			local = append(local, i)
 		}
 	}
-	del, keep := ball.Delete(local)
+	del, keep := deleteVertices(ball, local)
 	ids := del.ComponentIDs()
 	comp := make([]int, g.N())
 	for i := range comp {

@@ -131,17 +131,6 @@ func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
 // Degree returns the degree of v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-// MaxDegree returns the maximum degree, or 0 for the empty graph.
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := range g.adj {
-		if d := len(g.adj[v]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // Edges returns all edges as pairs (u, v) with u < v, in lexicographic order.
 func (g *Graph) Edges() [][2]int {
 	edges := make([][2]int, 0, g.m)

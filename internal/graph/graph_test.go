@@ -143,9 +143,6 @@ func TestDegrees(t *testing.T) {
 			t.Errorf("Degree(%d) = %d, want %d", v, got, want)
 		}
 	}
-	if g.MaxDegree() != 3 {
-		t.Errorf("MaxDegree() = %d, want 3", g.MaxDegree())
-	}
 }
 
 func TestEdgesCanonicalOrder(t *testing.T) {

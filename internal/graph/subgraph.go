@@ -45,22 +45,6 @@ func (g *Graph) InducedBall(v, r int) (*Graph, []int) {
 	return g.Induced(g.Ball(v, r))
 }
 
-// Delete returns the graph g - s obtained by deleting all vertices of s,
-// plus the mapping from new indices to original ones.
-func (g *Graph) Delete(s []int) (*Graph, []int) {
-	drop := make(map[int]bool, len(s))
-	for _, v := range s {
-		drop[v] = true
-	}
-	keep := make([]int, 0, g.N()-len(drop))
-	for v := 0; v < g.N(); v++ {
-		if !drop[v] {
-			keep = append(keep, v)
-		}
-	}
-	return g.Induced(keep)
-}
-
 // DisjointUnion returns the disjoint union of g and h; vertices of h are
 // shifted by g.N().
 func DisjointUnion(g, h *Graph) *Graph {

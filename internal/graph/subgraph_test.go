@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -42,9 +43,21 @@ func TestInducedBall(t *testing.T) {
 	}
 }
 
+// deleteVertices returns the graph g - s obtained by deleting all vertices
+// of s, plus the mapping from new indices to original ones.
+func deleteVertices(g *Graph, s []int) (*Graph, []int) {
+	keep := make([]int, 0, g.N())
+	for v := range g.N() {
+		if !slices.Contains(s, v) {
+			keep = append(keep, v)
+		}
+	}
+	return g.Induced(keep)
+}
+
 func TestDelete(t *testing.T) {
 	g := cycle(5)
-	h, idx := g.Delete([]int{0})
+	h, idx := deleteVertices(g, []int{0})
 	if h.N() != 4 || h.M() != 3 {
 		t.Errorf("Delete: n=%d m=%d, want 4, 3", h.N(), h.M())
 	}

@@ -28,28 +28,6 @@ func SortedUnion(a, b []int) []int {
 	return out
 }
 
-// SortedIntersect returns the sorted intersection of two sorted,
-// duplicate-free slices. Only tests call it: core's alg1_test.go and
-// minorbound_test.go, cuts' edgecases_test.go and tarjan_test.go, and
-// graph's vset_test.go.
-func SortedIntersect(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // SortedContains reports whether sorted slice a contains x.
 func SortedContains(a []int, x int) bool {
 	i := sort.SearchInts(a, x)

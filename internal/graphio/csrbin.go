@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/crc64"
@@ -361,11 +362,36 @@ func (m *MappedCSR) Close() error {
 	return u()
 }
 
-// SniffCSRBin reports whether path should be opened with OpenCSRBin: f is
-// FormatCSRBin, or FormatAuto and the file's first byte is the csrbin
-// magic's, as Detect sniffs it. The file name plays no part. Stdin ("-")
-// cannot be mapped and always reports false.
-func SniffCSRBin(path string, f Format) bool {
+// LoadCSR loads the graph at path ("-" reads stdin) as a frozen CSR, the
+// one file loader behind the CLIs that solve on the CSR. A csrbin file (f
+// is FormatCSRBin, or FormatAuto and the file's first byte is the csrbin
+// magic's; the file name plays no part) is opened with OpenCSRBin, so it
+// is mmap'd where the platform allows; m is then its MappedCSR, c is
+// &m.CSR, and the caller must keep m open until the last use of c and
+// close it afterwards. Any other input, stdin included, is parsed with
+// ParseCSRFile under opt and comes back with m nil. Errors in the data
+// name the input, as ParseCSRFile's do.
+func LoadCSR(path string, f Format, opt CSROptions) (c *graph.CSR, m *MappedCSR, err error) {
+	if !sniffCSRBin(path, f) {
+		c, err = ParseCSRFile(path, f, opt)
+		return c, nil, err
+	}
+	m, err = OpenCSRBin(path, OpenOptions{MaxVertices: opt.MaxVertices, MaxEdges: opt.MaxEdges})
+	var fe *FormatError
+	if errors.As(err, &fe) {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return &m.CSR, m, nil
+}
+
+// sniffCSRBin reports whether LoadCSR should open path with OpenCSRBin: f
+// is FormatCSRBin, or FormatAuto and the file's first byte is the csrbin
+// magic's, as Detect sniffs it. Stdin ("-") cannot be mapped and always
+// reports false.
+func sniffCSRBin(path string, f Format) bool {
 	switch {
 	case path == "-":
 		return false

@@ -269,6 +269,64 @@ func TestOpenCSRBin(t *testing.T) {
 	}
 }
 
+// LoadCSR opens a csrbin file with OpenCSRBin when its first byte is the
+// magic or the format is pinned, whatever the file is called, and parses
+// every other input as text at the given width. A short csrbin fails with
+// the input named and the limits apply to both paths.
+func TestLoadCSR(t *testing.T) {
+	want := graph.FromEdgesUnchecked(8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {5, 6}, {6, 7}}).Freeze()
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "g.edges") // a csrbin named like text
+	if err := WriteCSRBinFile(bin, want); err != nil {
+		t.Fatal(err)
+	}
+	text := filepath.Join(dir, "t.csrbin") // text named like a csrbin
+	if err := os.WriteFile(text, []byte("0 1\n1 2\n2 3\n3 4\n5 6\n6 7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path    string
+		f       Format
+		wantBin bool
+	}{
+		{bin, FormatAuto, true},
+		{bin, FormatCSRBin, true},
+		{text, FormatAuto, false},
+		{text, FormatEdgeList, false},
+	} {
+		c, m, err := LoadCSR(tc.path, tc.f, CSROptions{Workers: 3})
+		if err != nil {
+			t.Fatalf("LoadCSR(%s, %v): %v", tc.path, tc.f, err)
+		}
+		if (m != nil) != tc.wantBin || (m != nil && c != &m.CSR) {
+			t.Errorf("LoadCSR(%s, %v): MappedCSR %v, want one: %v", tc.path, tc.f, m, tc.wantBin)
+		}
+		if c.Fingerprint() != want.Fingerprint() {
+			t.Errorf("LoadCSR(%s, %v) loaded another graph", tc.path, tc.f)
+		}
+		if m != nil {
+			m.Close()
+		}
+		if _, _, err := LoadCSR(tc.path, tc.f, CSROptions{MaxVertices: 3}); err == nil {
+			t.Errorf("LoadCSR(%s, %v): vertex limit not enforced", tc.path, tc.f)
+		}
+	}
+
+	data, err := os.ReadFile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := filepath.Join(dir, "short.csrbin")
+	if err := os.WriteFile(short, data[:len(data)-4], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var fe *FormatError
+	if _, _, err := LoadCSR(short, FormatAuto, CSROptions{}); !errors.As(err, &fe) ||
+		!strings.HasPrefix(err.Error(), short+": ") {
+		t.Fatalf("short csrbin: err = %v, want a *FormatError naming %s", err, short)
+	}
+}
+
 // The empty graph round-trips through both readers.
 func TestCSRBinEmptyGraph(t *testing.T) {
 	want := graph.New(0).Freeze()

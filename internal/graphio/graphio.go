@@ -8,8 +8,9 @@
 // chunk-split at line boundaries (in parallel when Workers is set) and
 // JSON edges go through graph.CSRFromEdgesChecked. csrbin has one
 // validating decoder, fed from memory by ParseCSR and from the stream by
-// Read. Read, ReadLimited and ReadFile wrap them for callers that want a
-// *graph.Graph.
+// Read. LoadCSR is the file loader of the CLIs that solve on the CSR: it
+// maps a csrbin file and parses any other input. Read, ReadLimited and
+// ReadFile wrap the parsers for callers that want a *graph.Graph.
 // Every malformed input is reported as a *ParseError (text) or
 // *FormatError (csrbin) carrying the position of the offending token,
 // never as a panic.
@@ -126,8 +127,9 @@ func ReadLimited(r io.Reader, f Format, maxVertices, maxEdges int) (*graph.Graph
 }
 
 // ReadFile reads a graph from path ("-" reads stdin) in the given
-// format, prefixing errors with the input name — the shared loader
-// behind the CLIs' -in flags. It is ParseCSRFile plus graph.FromCSR.
+// format, prefixing errors with the input name, for callers that want a
+// *graph.Graph (graphgen -in). It is ParseCSRFile plus graph.FromCSR;
+// the solving CLIs load with LoadCSR instead.
 func ReadFile(path string, f Format) (*graph.Graph, error) {
 	c, err := ParseCSRFile(path, f, CSROptions{})
 	if err != nil {

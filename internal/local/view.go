@@ -217,10 +217,6 @@ func (p *Gatherer) Step(round int, inbox []Message) []Message {
 	}
 }
 
-// NeighborIDs returns the identifiers behind each port (valid after
-// round 2).
-func (p *Gatherer) NeighborIDs() []int { return p.nbrIDs }
-
 // View returns the accumulated knowledge.
 func (p *Gatherer) View() *View {
 	return &View{CenterID: p.info.ID, Adj: p.adj}

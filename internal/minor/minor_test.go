@@ -219,7 +219,14 @@ func TestK2tDeletionMonotoneProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sub, _ := g.Delete([]int{int(uint(seed) % uint(g.N()))})
+		drop := int(uint(seed) % uint(g.N()))
+		var keep []int
+		for v := range g.N() {
+			if v != drop {
+				keep = append(keep, v)
+			}
+		}
+		sub, _ := g.Induced(keep)
 		_, okSub, err := HasK2tMinor(sub, 3)
 		if err != nil {
 			return false

@@ -187,9 +187,16 @@ func TestCollectorSamples(t *testing.T) {
 	if snap.SampledAt.IsZero() {
 		t.Error("snapshot not stamped")
 	}
-	snap2 := c.Refresh()
-	if !snap2.SampledAt.After(snap.SampledAt) {
-		t.Error("Refresh did not advance the sample time")
-	}
 	c.Stop() // idempotent
+
+	// The ticker replaces the snapshot that Last returns.
+	fast := StartCollector(time.Millisecond)
+	defer fast.Stop()
+	first := fast.Last().SampledAt
+	for deadline := time.Now().Add(5 * time.Second); !fast.Last().SampledAt.After(first); {
+		if time.Now().After(deadline) {
+			t.Fatal("the sampler never replaced the first snapshot")
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

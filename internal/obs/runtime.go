@@ -110,16 +110,6 @@ func (c *Collector) Last() RuntimeSnapshot {
 	return c.last
 }
 
-// Refresh forces an immediate sample (the /metrics handler calls it when
-// the last one is stale, keeping scrapes fresh without a fast ticker).
-func (c *Collector) Refresh() RuntimeSnapshot {
-	snap := sampleRuntime(time.Now())
-	c.mu.Lock()
-	c.last = snap
-	c.mu.Unlock()
-	return snap
-}
-
 // Stop ends the sampler goroutine and waits for it. Idempotent.
 func (c *Collector) Stop() {
 	c.once.Do(func() {

@@ -2,8 +2,7 @@
 // experiment Specs (internal/experiments) into independent tasks with
 // deterministically derived per-task seeds, executes them on a bounded
 // set of workers (graph.ParallelFor), replicates each task across seeds
-// with mean/stddev/min/max aggregation, and caches completed task results
-// so repeated sweeps skip identical work.
+// with mean/stddev/min/max aggregation.
 //
 // Output is independent of the worker count by construction: every
 // (experiment, task, replicate) cell derives its own seed via
@@ -40,16 +39,14 @@ type Options struct {
 	TaskTimeout time.Duration
 }
 
-// Runner executes experiment specs on a bounded set of workers with a
-// persistent result cache. A Runner is safe for sequential reuse across
-// Run calls (that is what makes the cache useful); Run itself fans tasks
-// out internally.
+// Runner executes experiment specs on a bounded set of workers. A Runner
+// is safe for sequential reuse across Run calls; Run itself fans tasks out
+// internally.
 type Runner struct {
-	opts  Options
-	cache *cache
+	opts Options
 }
 
-// New returns a Runner with the given options and an empty cache.
+// New returns a Runner with the given options.
 func New(opts Options) *Runner {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -57,12 +54,7 @@ func New(opts Options) *Runner {
 	if opts.Replicates <= 0 {
 		opts.Replicates = 1
 	}
-	return &Runner{opts: opts, cache: newCache()}
-}
-
-// CacheStats reports cache hits and misses accumulated over all Run calls.
-func (r *Runner) CacheStats() (hits, misses int) {
-	return r.cache.stats()
+	return &Runner{opts: opts}
 }
 
 // job is one (spec, task, replicate) execution cell.
@@ -111,11 +103,6 @@ func (r *Runner) RunContext(ctx context.Context, specs []experiments.Spec) ([]*e
 			j := jobs[idx]
 			spec := specs[j.spec]
 			task := spec.Tasks[j.task]
-			key := cacheKey(spec.Name, task.Row, j.seed, task.Params)
-			if rows, ok := r.cache.get(key); ok {
-				results[idx] = rows
-				return
-			}
 			rows, err := WithTimeout(ctx, r.opts.TaskTimeout, func() ([][]string, error) {
 				return task.Run(j.seed)
 			})
@@ -125,7 +112,6 @@ func (r *Runner) RunContext(ctx context.Context, specs []experiments.Spec) ([]*e
 				failed.Store(true)
 				return
 			}
-			r.cache.put(key, rows)
 			results[idx] = rows
 		}
 	})

@@ -13,7 +13,7 @@ import (
 
 // countingSpec returns a spec whose tasks record how often they ran and
 // emit cells derived from their seed, so output differences across worker
-// counts or cache states are visible.
+// counts are visible.
 func countingSpec(name string, tasks int, runs *atomic.Int64) experiments.Spec {
 	s := experiments.Spec{Name: name, Title: name, Header: []string{"row", "seed"}}
 	for i := 0; i < tasks; i++ {
@@ -86,49 +86,6 @@ func TestRunRealSpecsMatchSequential(t *testing.T) {
 			t.Errorf("%s: parallel differs from sequential:\n%s\nvs\n%s",
 				spec.Name, got[i].Render(), want.Render())
 		}
-	}
-}
-
-func TestCacheSkipsRepeatedWork(t *testing.T) {
-	var runs atomic.Int64
-	r := New(Options{Workers: 4, RootSeed: 1})
-	spec := countingSpec("delta", 5, &runs)
-	first, err := r.Run([]experiments.Spec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 5 {
-		t.Fatalf("first run executed %d tasks, want 5", runs.Load())
-	}
-	second, err := r.Run([]experiments.Spec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 5 {
-		t.Errorf("second run re-executed tasks: %d total runs", runs.Load())
-	}
-	if hits, _ := r.CacheStats(); hits != 5 {
-		t.Errorf("hits = %d, want 5", hits)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Error("cached rerun produced a different table")
-	}
-}
-
-func TestCacheKeyedOnSeedAndParams(t *testing.T) {
-	var runs atomic.Int64
-	r := New(Options{Workers: 2, RootSeed: 1})
-	if _, err := r.Run([]experiments.Spec{countingSpec("eps", 3, &runs)}); err != nil {
-		t.Fatal(err)
-	}
-	// A different root seed must miss the cache.
-	r2 := New(Options{Workers: 2, RootSeed: 2})
-	r2.cache = r.cache
-	if _, err := r2.Run([]experiments.Spec{countingSpec("eps", 3, &runs)}); err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 6 {
-		t.Errorf("runs = %d, want 6 (different seeds must not share cache entries)", runs.Load())
 	}
 }
 

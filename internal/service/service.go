@@ -234,9 +234,6 @@ func New(cfg Config) *Server {
 // keeps answering. It does not block; Drain does.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain/Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain stops accepting work and blocks until every accepted job has
 // finished — the SIGTERM path. The HTTP listener may stay up throughout:
 // new submissions shed deterministically with 503 and finished jobs stay

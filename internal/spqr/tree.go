@@ -3,8 +3,6 @@ package spqr
 import (
 	"fmt"
 	"sort"
-
-	"localmds/internal/graph"
 )
 
 // rebuildAdj recomputes tree adjacency from twin pairs.
@@ -121,23 +119,6 @@ func (n *Node) normalize() {
 		}
 		return ea.ID < eb.ID
 	})
-}
-
-// Reassemble reconstructs the represented simple graph from the real edges
-// of all skeletons, on n vertices.
-func (t *Tree) Reassemble(n int) (*graph.Graph, error) {
-	g := graph.New(n)
-	for _, node := range t.Nodes {
-		for _, e := range node.Edges {
-			if e.Virtual {
-				continue
-			}
-			if err := g.AddEdgeChecked(e.U, e.V); err != nil {
-				return nil, fmt.Errorf("spqr: reassemble: %w", err)
-			}
-		}
-	}
-	return g, nil
 }
 
 // Validate checks the structural invariants of a canonical SPQR tree:
