@@ -208,6 +208,28 @@ func TestRunCSRBinOptAndDot(t *testing.T) {
 	}
 }
 
+// TestRunLongCycleCapsHeaderDiameter: a long cycle is the worst case of
+// the header's iFUB diameter (a BFS from about half the vertices), so a
+// csrbin cycle of 10^5 vertices must print bounds around its diameter
+// instead of settling it, and still solve.
+func TestRunLongCycleCapsHeaderDiameter(t *testing.T) {
+	const n = 100_000
+	path := filepath.Join(t.TempDir(), "cycle.csrbin")
+	if err := graphio.WriteCSRBinFile(path, gen.Cycle(n).Freeze()); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"-in", path, "-alg", "alg1"}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	header := fmt.Sprintf("graph: Graph(n=%d, m=%d) (diameter between %d and ", n, n, n/2)
+	for _, want := range []string{header, "csr: mmap-backed", "valid dominating set: true"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // TestRunFromStdin: "-in -" reads the graph from stdin.
 func TestRunFromStdin(t *testing.T) {
 	r, w, err := os.Pipe()

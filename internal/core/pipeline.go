@@ -312,7 +312,8 @@ func solveComponents(csr *graph.CSR, comps [][]int32, workers int, hooks TraceHo
 			}
 			// comp is sorted, so sub's vertex i is comp[i].
 			csr.InducedInto(&sub, comp, arena)
-			o := compOut{diam: sub.Diameter(arena)}
+			diam, _, _ := sub.Diameter(arena, 0)
+			o := compOut{diam: diam}
 			var chosen []int
 			chosen, o.fallback = solve(&sub, comp)
 			o.chosen = make([]int, len(chosen))

@@ -121,7 +121,8 @@ func (g *Graph) Diameter() int {
 	if c == nil {
 		c = buildCSR(g.adj)
 	}
-	return c.Diameter(NewArena())
+	diam, _, _ := c.Diameter(NewArena(), 0)
+	return diam
 }
 
 // WeakDiameter returns the largest distance *in g* between two vertices of s

@@ -423,45 +423,59 @@ func (c *CSR) Eccentricity(v int, a *Arena) int {
 	return ecc
 }
 
-// Diameter returns the largest distance between two vertices of the same
-// connected component (0 when no component has an edge), allocation-free
-// given a warm arena. Each component is settled from exact eccentricity
-// bounds rather than one BFS per vertex (iFUB: Crescenzi, Grossi, Habib,
-// Lanzi & Marino, "On computing the diameter of real-world undirected
-// graphs", TCS 2013). A 4-sweep finds a lower bound and a central vertex
-// u, and BFS then runs only from u's farthest levels until no pair closer
-// to u can beat the bound. Grids and near-planar graphs settle after a
-// handful of BFS runs; where the bounds meet late the cost approaches one
-// BFS per vertex, the all-pairs cost and the worst case (a cycle stops
-// after about half its vertices).
-func (c *CSR) Diameter(a *Arena) int {
+// Diameter bounds the largest distance between two vertices of the same
+// connected component (0 when no component has an edge) by lo <= diam <=
+// hi, and counts the components, allocation-free given a warm arena. Each
+// component is settled from exact eccentricity bounds rather than one BFS
+// per vertex (iFUB: Crescenzi, Grossi, Habib, Lanzi & Marino, "On
+// computing the diameter of real-world undirected graphs", TCS 2013). A
+// 4-sweep finds a lower bound and a central vertex u, and BFS then runs
+// only from u's farthest levels until no pair closer to u can beat the
+// bound. Grids and near-planar graphs settle after a handful of BFS runs;
+// where the bounds meet late the cost approaches one BFS per vertex, the
+// all-pairs cost and the worst case (a cycle stops after about half its
+// vertices).
+//
+// maxWork <= 0 runs every component to the end, so lo == hi. maxWork > 0
+// caps the BFS runs past the sweeps, each charged its component's vertex
+// count plus adjacency slots: a run that would take the total past maxWork
+// is skipped, and its component keeps the bounds it has. The sweeps are
+// five BFS per component, so a cap linear in n + m keeps the call linear.
+func (c *CSR) Diameter(a *Arena, maxWork int) (lo, hi, comps int) {
 	n := c.N()
 	a.growPos(n)
 	if len(a.dmax) < n {
 		a.dmax = make([]int32, n)
 	}
+	var left *int
+	if maxWork > 0 {
+		left = &maxWork
+	}
 	done := nextGen(a.posMark, &a.posGen)
-	diam := 0
 	for v := 0; v < n; v++ {
 		if a.posMark[v] != done {
-			diam = max(diam, c.componentDiameter(int32(v), done, a))
+			l, h := c.componentDiameter(int32(v), done, left, a)
+			lo, hi, comps = max(lo, l), max(hi, h), comps+1
 		}
 	}
-	return diam
+	return lo, hi, comps
 }
 
-// componentDiameter returns the diameter of v's component, stamping its
-// vertices with done in the arena's position marks.
-func (c *CSR) componentDiameter(v, done int32, a *Arena) int {
+// componentDiameter returns bounds lb <= diam <= ub on the diameter of v's
+// component, stamping its vertices with done in the arena's position
+// marks. left, when not nil, is the work the iFUB runs may still spend.
+func (c *CSR) componentDiameter(v, done int32, left *int, a *Arena) (lb, ub int) {
 	comp, center := c.sweep(v, true, a)
+	cost := len(comp)
 	for _, x := range comp {
 		a.posMark[x] = done
+		cost += int(c.Offsets[x+1] - c.Offsets[x])
 	}
 	far := comp[len(comp)-1]
 	// Every BFS from s gives ecc(s) <= diam <= 2·ecc(s), and no shortest
 	// path in a component is longer than its vertex count minus one.
 	ecc := int(a.labels[far])
-	lb, ub := ecc, min(2*ecc, len(comp)-1)
+	lb, ub = ecc, min(2*ecc, len(comp)-1)
 	// 4-sweep: v → its farthest a1 → the center r2 of {v, a1} → its
 	// farthest a2 → the center u of all four sweep sources, where a
 	// center minimizes the largest distance to the sources so far.
@@ -481,25 +495,32 @@ func (c *CSR) componentDiameter(v, done int32, a *Arena) int {
 		}
 	}
 	if lb == ub {
-		return lb
+		return lb, ub
 	}
 	// iFUB from u = center: two vertices within distance i of u are at
 	// most 2i apart, so once every vertex farther than i has had its BFS,
 	// max(lb, 2i) bounds the diameter. A sweep source needs no second BFS:
 	// its eccentricity is already in lb.
 	order, eccU := c.distBFS(center, a)
-	lb = max(lb, eccU)
+	lb, ub = max(lb, eccU), min(ub, 2*eccU)
 	a.order = append(a.order[:0], order...)
 	k := len(a.order) - 1
 	for i := int32(eccU); i > 0 && lb < 2*int(i); i-- {
 		for ; k >= 0 && a.labels[a.order[k]] == i; k-- {
-			if !slices.Contains(swept, a.order[k]) {
-				_, e := c.boundedBFS(a.order[k:k+1], -1, a)
-				lb = max(lb, e)
+			if slices.Contains(swept, a.order[k]) {
+				continue
 			}
+			if left != nil {
+				if *left < cost {
+					return lb, min(ub, 2*int(i))
+				}
+				*left -= cost
+			}
+			_, e := c.boundedBFS(a.order[k:k+1], -1, a)
+			lb = max(lb, e)
 		}
 	}
-	return lb
+	return lb, lb
 }
 
 // sweep runs one BFS of Diameter's 4-sweep from s, returning the reached

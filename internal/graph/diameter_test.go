@@ -24,7 +24,9 @@ func allPairsDiameter(c *graph.CSR) int {
 // TestCSRDiameterMatchesAllPairs checks the eccentricity-bound diameter
 // against one BFS per vertex on random, grid, tree, cycle, path, dense
 // and disconnected graphs, through one arena reused across all of them
-// and through Graph.Diameter on frozen and unfrozen graphs.
+// and through Graph.Diameter on frozen and unfrozen graphs. Under a work
+// cap the bounds must still hold the diameter, and the component count
+// must not depend on the cap.
 func TestCSRDiameterMatchesAllPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	cases := map[string]*graph.Graph{
@@ -73,12 +75,30 @@ func TestCSRDiameterMatchesAllPairs(t *testing.T) {
 		if g.CSR() != nil {
 			t.Errorf("%s: Graph.Diameter froze the graph", name)
 		}
-		if got := g.Freeze().Diameter(a); got != want {
-			t.Errorf("%s: CSR.Diameter = %d, want %d", name, got, want)
+		wantComps := g.NumComponents()
+		if lo, hi, comps := g.Freeze().Diameter(a, 0); lo != want || hi != want || comps != wantComps {
+			t.Errorf("%s: CSR.Diameter = [%d, %d] over %d components, want %d over %d", name, lo, hi, comps, want, wantComps)
+		}
+		for _, maxWork := range []int{1, 40, 400} {
+			if lo, hi, comps := g.CSR().Diameter(a, maxWork); lo > want || hi < want || comps != wantComps {
+				t.Errorf("%s: CSR.Diameter(maxWork %d) = [%d, %d] over %d components, want bounds on %d over %d", name, maxWork, lo, hi, comps, want, wantComps)
+			}
 		}
 		if got := g.Diameter(); got != want {
 			t.Errorf("%s: frozen Graph.Diameter = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// TestCSRDiameterWorkCap checks that a work cap stops iFUB where it is
+// quadratic: on a cycle it needs a BFS from about half the vertices, and a
+// cap of 16 BFS runs must leave bounds around the diameter instead.
+func TestCSRDiameterWorkCap(t *testing.T) {
+	const n = 20000
+	c := gen.Cycle(n).Freeze()
+	lo, hi, comps := c.Diameter(graph.NewArena(), 16*(n+len(c.Targets)))
+	if lo != n/2 || hi <= lo || hi > n-1 || comps != 1 {
+		t.Fatalf("capped Diameter(C_%d) = [%d, %d] over %d components, want [%d, (%d, %d]] over 1", n, lo, hi, comps, n/2, n/2, n-1)
 	}
 }
 

@@ -12,8 +12,6 @@ import (
 	"localmds/internal/graph"
 )
 
-// biconnectedSample returns a random 2-connected graph: a cycle plus random
-// chords.
 // reassemble reconstructs the represented simple graph from the real edges
 // of all skeletons, on n vertices.
 func reassemble(t *Tree, n int) (*graph.Graph, error) {
@@ -31,6 +29,8 @@ func reassemble(t *Tree, n int) (*graph.Graph, error) {
 	return g, nil
 }
 
+// biconnectedSample returns a random 2-connected graph: a cycle plus random
+// chords.
 func biconnectedSample(n int, chords int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	g := gen.Cycle(n)
