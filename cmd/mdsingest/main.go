@@ -21,10 +21,10 @@
 //     -workers 1 is the single-core baseline.
 //   - convert: parallel parse, then WriteCSRBinFile.
 //   - load: OpenCSRBin — mmap on supported platforms, so the wall time is
-//     independent of the graph size.
-//   - solve: graphio.LoadCSR (mmap for csrbin, parallel parse for text),
-//     the loader mdsrun -in uses too, then core.Alg1CSR on the loaded CSR,
-//     validated against it.
+//     independent of the graph size; the data is not verified.
+//   - solve: graphio.LoadCSR (mmap plus one verifying pass over the data
+//     for csrbin, parallel parse for text), the loader mdsrun -in uses
+//     too, then core.Alg1CSR on the loaded CSR, validated against it.
 //
 // wall_seconds always times the mode's headline operation only;
 // -fingerprint hashes the loaded CSR *outside* the timed window (it

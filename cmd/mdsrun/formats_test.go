@@ -208,6 +208,38 @@ func TestRunCSRBinOptAndDot(t *testing.T) {
 	}
 }
 
+// TestRunDamagedCSRBinNamesFile: a csrbin with one flipped data byte
+// passes the header checks, so only the loader's verifying pass stands
+// between it and the solver. It must fail with an error naming the file,
+// not print a header or panic.
+func TestRunDamagedCSRBinNamesFile(t *testing.T) {
+	csrbinPath, _, _ := writeGrid(t)
+	data, err := os.ReadFile(csrbinPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-5] ^= 0x10
+	bad := filepath.Join(t.TempDir(), "bad.csrbin")
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err = func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("run panicked on a damaged csrbin: %v", r)
+			}
+		}()
+		return run([]string{"-in", bad, "-alg", "alg1"}, &out)
+	}()
+	if err == nil || !strings.HasPrefix(err.Error(), bad+": ") {
+		t.Fatalf("err = %v, want an error naming %s", err, bad)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("damaged input printed a report:\n%s", out.String())
+	}
+}
+
 // TestRunLongCycleCapsHeaderDiameter: a long cycle is the worst case of
 // the header's iFUB diameter (a BFS from about half the vertices), so a
 // csrbin cycle of 10^5 vertices must print bounds around its diameter

@@ -22,11 +22,13 @@
 // graphio.LoadCSR. The encoding — the repository JSON, a plain edge list,
 // DIMACS, or the binary csrbin format — is auto-detected unless -format
 // pins it. A csrbin file is mmap'd (the report then says "csr:
-// mmap-backed"), so it loads without parsing; the text formats take the
-// chunked parser at -workers goroutines. Malformed input exits 1 with a
-// line/column (or byte-offset) message. -alg alg1 (core.Alg1CSR) and the
-// report header and optimum probe run on the CSR itself; the other
-// algorithms and -dot get the adjacency-list graph built from it.
+// mmap-backed"), so it loads without parsing, after one pass that checks
+// its data checksum and canonical form; the text formats take the
+// chunked parser at -workers goroutines. Malformed or damaged input exits
+// 1 with a message naming the file and a line/column (or byte offset).
+// -alg alg1 (core.Alg1CSR) and the report header and optimum probe run on
+// the CSR itself; the other algorithms and -dot get the adjacency-list
+// graph built from it.
 //
 // -workers sets the text-parse width for every -in, and bounds the
 // Algorithm 1 fan-out of -alg alg1 and mvc-alg1: the Cuts vertex loop and
@@ -55,6 +57,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"strings"
 
 	"localmds/internal/core"
 	"localmds/internal/gen"
@@ -74,7 +77,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mdsrun", flag.ContinueOnError)
-	alg := fs.String("alg", "alg1", "algorithm: alg1|alg1-local|d2|d2-local|tree|greedy|exact|mvc-alg1|mvc-d2")
+	alg := fs.String("alg", "alg1", "algorithm: "+strings.Join(algorithms, "|"))
 	kind := fs.String("graph", "ding", "generator: "+gen.Kinds)
 	in := fs.String("in", "", "load the graph from this file (\"-\": stdin) instead of generating")
 	format := fs.String("format", "auto", "input encoding for -in: auto|json|edgelist|dimacs|csrbin")
@@ -105,6 +108,9 @@ func run(args []string, stdout io.Writer) error {
 		if *p < 0 || *p > 1 {
 			return fmt.Errorf("-p must be a probability in [0, 1], got %g", *p)
 		}
+	}
+	if !slices.Contains(algorithms, *alg) {
+		return fmt.Errorf("unknown algorithm %q", *alg)
 	}
 	if *r1 < 0 || *r2 < 0 {
 		return fmt.Errorf("-r1 and -r2 must be >= 0, got %d and %d", *r1, *r2)
@@ -285,6 +291,10 @@ func solutionDigest(s []int) string {
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
+
+// algorithms lists the -alg values solve runs; run rejects any other
+// before it loads the input.
+var algorithms = []string{"alg1", "alg1-local", "d2", "d2-local", "tree", "greedy", "exact", "mvc-alg1", "mvc-d2"}
 
 // solve runs alg on the loaded instance: -alg alg1 on the CSR c, every
 // other algorithm on the adjacency-list graph g.

@@ -161,6 +161,20 @@ func TestInvalidInputsErrorCleanly(t *testing.T) {
 	}
 }
 
+// TestUnknownAlgorithmFailsBeforeLoading: -alg is checked with the other
+// flags, so an unknown algorithm is the error even when the input file
+// does not exist.
+func TestUnknownAlgorithmFailsBeforeLoading(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-alg", "nope", "-in", filepath.Join(t.TempDir(), "missing.edges")}, &out)
+	if err == nil || err.Error() != `unknown algorithm "nope"` {
+		t.Fatalf("err = %v, want the unknown algorithm", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("printed before failing:\n%s", out.String())
+	}
+}
+
 // TestRunOptFlag checks that -opt forces the exact optimum: a 9x9 grid
 // (beyond the old solver's practical reach) reports OPT 20, an instance
 // over the solver cap is a clean error naming the cap, and the ratio line

@@ -440,7 +440,8 @@ func (c *CSR) Eccentricity(v int, a *Arena) int {
 // caps the BFS runs past the sweeps, each charged its component's vertex
 // count plus adjacency slots: a run that would take the total past maxWork
 // is skipped, and its component keeps the bounds it has. The sweeps are
-// five BFS per component, so a cap linear in n + m keeps the call linear.
+// at most five BFS per component, so a cap linear in n + m keeps the call
+// linear.
 func (c *CSR) Diameter(a *Arena, maxWork int) (lo, hi, comps int) {
 	n := c.N()
 	a.growPos(n)
@@ -465,7 +466,7 @@ func (c *CSR) Diameter(a *Arena, maxWork int) (lo, hi, comps int) {
 // component, stamping its vertices with done in the arena's position
 // marks. left, when not nil, is the work the iFUB runs may still spend.
 func (c *CSR) componentDiameter(v, done int32, left *int, a *Arena) (lb, ub int) {
-	comp, center := c.sweep(v, true, a)
+	comp, center := c.sweep(v, true, false, a)
 	cost := len(comp)
 	for _, x := range comp {
 		a.posMark[x] = done
@@ -479,18 +480,34 @@ func (c *CSR) componentDiameter(v, done int32, left *int, a *Arena) (lb, ub int)
 	// 4-sweep: v → its farthest a1 → the center r2 of {v, a1} → its
 	// farthest a2 → the center u of all four sweep sources, where a
 	// center minimizes the largest distance to the sources so far.
+	//
+	// The sweep from r2 is an iFUB root too: when a2 is the only vertex at
+	// r2's eccentricity e2, a2's own sweep leaves every other pair within
+	// 2(e2-1) of each other, so lb >= 2(e2-1) settles the component there.
+	// That is why r2 is the middle of the tied centers: on a grid the ties
+	// run along an anti-diagonal whose ends are corners, and only a vertex
+	// near the middle has a lone farthest vertex.
 	src := far
 	swept := append(make([]int32, 0, 4), v)
+	lone, e2 := false, 0
 	for i := 0; i < 3 && lb < ub; i++ {
 		var order []int32
-		order, center = c.sweep(src, false, a)
+		order, center = c.sweep(src, false, i == 0, a)
 		swept = append(swept, src)
 		far = order[len(order)-1]
 		e := int(a.labels[far])
 		lb, ub = max(lb, e), min(ub, 2*e)
-		if i == 1 {
+		switch i {
+		case 1:
+			// A component that reaches this sweep has at least three
+			// vertices.
+			lone, e2 = a.labels[order[len(order)-2]] < int32(e), e
 			src = far
-		} else {
+		case 2:
+			if lone && lb >= 2*(e2-1) {
+				return lb, lb
+			}
+		default:
 			src = center
 		}
 	}
@@ -525,18 +542,34 @@ func (c *CSR) componentDiameter(v, done int32, left *int, a *Arena) (lb, ub int)
 
 // sweep runs one BFS of Diameter's 4-sweep from s, returning the reached
 // vertices in BFS order (their distances from s in the arena's labels),
-// and the center: the vertex whose largest distance to the sweep sources
-// so far is smallest, lowest index on ties. The per-vertex maxima live in
-// the arena; first restarts them at s.
-func (c *CSR) sweep(s int32, first bool, a *Arena) (order []int32, center int32) {
+// and the center: a vertex whose largest distance to the sweep sources so
+// far is smallest. Ties go to the lowest index, or with mid to the middle
+// one of the tied vertices in BFS order. The per-vertex maxima live in the
+// arena; first restarts them at s.
+func (c *CSR) sweep(s int32, first, mid bool, a *Arena) (order []int32, center int32) {
 	order, _ = c.distBFS(s, a)
-	center = s
+	center, ties := s, 0
 	for _, x := range order {
 		if d := a.labels[x]; first || d > a.dmax[x] {
 			a.dmax[x] = d
 		}
-		if m, mc := a.dmax[x], a.dmax[center]; m < mc || (m == mc && x < center) {
-			center = x
+		switch m, mc := a.dmax[x], a.dmax[center]; {
+		case m < mc:
+			center, ties = x, 1
+		case m == mc:
+			center, ties = min(center, x), ties+1
+		}
+	}
+	if !mid {
+		return order, center
+	}
+	best, k := a.dmax[center], ties/2
+	for _, x := range order {
+		if a.dmax[x] == best {
+			if k == 0 {
+				return order, x
+			}
+			k--
 		}
 	}
 	return order, center

@@ -102,6 +102,23 @@ func TestCSRDiameterWorkCap(t *testing.T) {
 	}
 }
 
+// TestCSRDiameterGridBFSRuns pins the BFS count on a 12x12 grid, the
+// component of mdsingest's generated inputs. After the sweeps from the
+// corner 0 and its opposite corner, every vertex of the anti-diagonal ties
+// as the center; the middle one has a lone farthest vertex, whose sweep
+// settles the diameter. Each anti-diagonal vertex has an unswept corner at
+// its eccentricity, so no choice of that center settles in three.
+func TestCSRDiameterGridBFSRuns(t *testing.T) {
+	c := gen.Grid(12, 12).Freeze()
+	a := graph.NewArena()
+	c.Diameter(a, 0) // warm the arena: growing it restarts the stamps
+	before := a.Stamps()
+	lo, hi, comps := c.Diameter(a, 0)
+	if runs := a.Stamps() - before; lo != 22 || hi != 22 || comps != 1 || runs != 4 {
+		t.Fatalf("Diameter(12x12 grid) = [%d, %d] over %d components in %d BFS runs, want 22 over 1 in 4", lo, hi, comps, runs)
+	}
+}
+
 func must(g *graph.Graph, err error) *graph.Graph {
 	if err != nil {
 		panic(err)

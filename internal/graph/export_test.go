@@ -6,3 +6,7 @@ package graph
 func (a *Arena) SetGenerations(g int32) {
 	a.stamp, a.posGen, a.seenGen = g, g, g
 }
+
+// Stamps returns a's mark generation. Every BFS takes a fresh one, so on
+// a warm arena the difference across a call counts the BFS runs it made.
+func (a *Arena) Stamps() int32 { return a.stamp }

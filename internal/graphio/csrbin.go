@@ -365,18 +365,19 @@ func (m *MappedCSR) Close() error {
 // LoadCSR loads the graph at path ("-" reads stdin) as a frozen CSR, the
 // one file loader behind the CLIs that solve on the CSR. A csrbin file (f
 // is FormatCSRBin, or FormatAuto and the file's first byte is the csrbin
-// magic's; the file name plays no part) is opened with OpenCSRBin, so it
-// is mmap'd where the platform allows; m is then its MappedCSR, c is
-// &m.CSR, and the caller must keep m open until the last use of c and
-// close it afterwards. Any other input, stdin included, is parsed with
-// ParseCSRFile under opt and comes back with m nil. Errors in the data
-// name the input, as ParseCSRFile's do.
+// magic's; the file name plays no part) is opened with OpenCSRBin in
+// Verify mode, so it is mmap'd where the platform allows and its data
+// checksum and canonical form are checked before a solver reads it; m is
+// then its MappedCSR, c is &m.CSR, and the caller must keep m open until
+// the last use of c and close it afterwards. Any other input, stdin
+// included, is parsed with ParseCSRFile under opt and comes back with m
+// nil. Errors in the data name the input, as ParseCSRFile's do.
 func LoadCSR(path string, f Format, opt CSROptions) (c *graph.CSR, m *MappedCSR, err error) {
 	if !sniffCSRBin(path, f) {
 		c, err = ParseCSRFile(path, f, opt)
 		return c, nil, err
 	}
-	m, err = OpenCSRBin(path, OpenOptions{MaxVertices: opt.MaxVertices, MaxEdges: opt.MaxEdges})
+	m, err = OpenCSRBin(path, OpenOptions{MaxVertices: opt.MaxVertices, MaxEdges: opt.MaxEdges, Verify: true})
 	var fe *FormatError
 	if errors.As(err, &fe) {
 		err = fmt.Errorf("%s: %w", path, err)

@@ -271,8 +271,9 @@ func TestOpenCSRBin(t *testing.T) {
 
 // LoadCSR opens a csrbin file with OpenCSRBin when its first byte is the
 // magic or the format is pinned, whatever the file is called, and parses
-// every other input as text at the given width. A short csrbin fails with
-// the input named and the limits apply to both paths.
+// every other input as text at the given width. A short csrbin, or one
+// with a flipped data byte, fails with the input named, and the limits
+// apply to both paths.
 func TestLoadCSR(t *testing.T) {
 	want := graph.FromEdgesUnchecked(8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {5, 6}, {6, 7}}).Freeze()
 	dir := t.TempDir()
@@ -324,6 +325,17 @@ func TestLoadCSR(t *testing.T) {
 	if _, _, err := LoadCSR(short, FormatAuto, CSROptions{}); !errors.As(err, &fe) ||
 		!strings.HasPrefix(err.Error(), short+": ") {
 		t.Fatalf("short csrbin: err = %v, want a *FormatError naming %s", err, short)
+	}
+	// One flipped data byte keeps the header valid; only the verifying
+	// pass catches it.
+	flipped := filepath.Join(dir, "flipped.csrbin")
+	data[len(data)-5] ^= 0x10
+	if err := os.WriteFile(flipped, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadCSR(flipped, FormatAuto, CSROptions{}); !errors.As(err, &fe) ||
+		!strings.HasPrefix(err.Error(), flipped+": ") {
+		t.Fatalf("flipped csrbin: err = %v, want a *FormatError naming %s", err, flipped)
 	}
 }
 

@@ -20,9 +20,12 @@ const (
 )
 
 // SolveOutcome is the immutable, cacheable payload of a finished solve.
-// Outcomes this process serves are sealed once, when a job finishes or a
-// disk entry is decoded: the cache hands the same value, and the same
-// encoded bytes, to every response.
+// Every outcome the server holds is sealed, and its Result is nil: seal
+// runs once, when a job finishes or a disk entry is decoded, and keeps the
+// encoded bytes and the header fields in place of the decoded result. The
+// memory cache, the job table and the disk tier therefore share one byte
+// slice per solve, and no decoded result outlives its solve. A client that
+// decodes a response gets the full Result back.
 type SolveOutcome struct {
 	Fingerprint string           `json:"fingerprint"`
 	N           int              `json:"n"`
@@ -31,21 +34,21 @@ type SolveOutcome struct {
 	Valid       bool             `json:"valid"`
 	Result      *core.Alg1Result `json:"result"`
 
-	// encoded is json.Marshal of the fields above, set by seal before the
-	// outcome is shared and never written again: responses splice it in
-	// and the disk store persists it. nil on an outcome decoded from a
-	// response.
+	// encoded is json.Marshal of the fields above as they stood before
+	// seal dropped Result, set before the outcome is shared and never
+	// written again: responses splice it in and the disk store persists
+	// it. nil on an outcome decoded from a response.
 	encoded []byte
 }
 
-// seal computes the outcome's JSON encoding. It must run before the
-// outcome is shared.
+// seal computes the outcome's JSON encoding and drops Result, which the
+// encoding now carries. It must run before the outcome is shared.
 func (o *SolveOutcome) seal() error {
 	b, err := json.Marshal(o)
 	if err != nil {
 		return err
 	}
-	o.encoded = b
+	o.encoded, o.Result = b, nil
 	return nil
 }
 
@@ -97,9 +100,11 @@ type jobHeader struct {
 // writeTo writes the view's JSON as served, newline-terminated: the
 // header fields, then the outcome's sealed bytes spliced in, so a cache
 // hit encodes only the header and copies nothing. The bytes equal the
-// default encoding of the view (JobView has no MarshalJSON, so
-// json.Marshal of it stays the reference). Everything is marshaled before
-// the first write, so an error means nothing was written.
+// default encoding of the view with the outcome decoded from its sealed
+// bytes (JobView has no MarshalJSON, so json.Marshal of it stays the
+// reference). An outcome that was never sealed is marshaled as it is.
+// Everything is marshaled before the first write, so an error means
+// nothing was written.
 func (v JobView) writeTo(w io.Writer) error {
 	head, err := json.Marshal(v.jobHeader)
 	if err != nil {

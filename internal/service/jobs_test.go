@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,9 +21,10 @@ import (
 type plainJobView JobView
 
 // checkSplice asserts that the job's view encodes exactly as the default
-// encoding does, through JobView.writeTo and through GET /v1/jobs/{id}.
-// sealed says the view must carry an outcome with cached bytes, so the
-// splice (not the fallback marshal) is what ran.
+// encoding of the view with its outcome decoded from the sealed bytes
+// does, through JobView.writeTo and through GET /v1/jobs/{id}. sealed says
+// the view must carry an outcome with cached bytes and no decoded result,
+// so the splice (not the fallback marshal) is what ran.
 func checkSplice(t *testing.T, s *Server, base, name, id string, sealed bool) {
 	t.Helper()
 	j, ok := s.jobs.get(id)
@@ -28,10 +32,17 @@ func checkSplice(t *testing.T, s *Server, base, name, id string, sealed bool) {
 		t.Fatalf("%s: unknown job %s", name, id)
 	}
 	v := j.view()
-	if sealed && (v.SolveOutcome == nil || v.SolveOutcome.encoded == nil) {
-		t.Fatalf("%s: view has no sealed outcome", name)
+	if sealed && (v.SolveOutcome == nil || v.SolveOutcome.encoded == nil || v.SolveOutcome.Result != nil) {
+		t.Fatalf("%s: view has no sealed outcome, or one that still holds its result", name)
 	}
-	want, err := json.Marshal(plainJobView(v))
+	ref := v
+	if sealed {
+		ref.SolveOutcome = new(SolveOutcome)
+		if err := json.Unmarshal(v.SolveOutcome.encoded, ref.SolveOutcome); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := json.Marshal(plainJobView(ref))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +101,68 @@ func TestJobViewSpliceMatchesDefaultEncoding(t *testing.T) {
 		t.Fatalf("store hit: cached=%v computations=%d", warmed.Cached, s2.Computations())
 	}
 	checkSplice(t, s2, ts2.URL, "store-warmed", warmed.ID, true)
+}
+
+// TestRememberedJobsHoldOnlySealedBytes solves more distinct instances
+// than the memory cache holds. Every remembered job's outcome must be the
+// sealed bytes alone, with no decoded result behind them, and a job whose
+// key has left the cache must still answer GET /v1/jobs/{id} with the body
+// its /v1/solve response carried.
+func TestRememberedJobsHoldOnlySealedBytes(t *testing.T) {
+	const distinct = 5
+	s, ts := startServer(t, Config{Workers: 1, CacheEntries: 2})
+	first := solveReq(0)
+	ps, err := parseSolve(&first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved := make(map[string]string, distinct) // job ID -> solve response body
+	for i := range distinct {
+		body, err := json.Marshal(solveReq(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve %d: HTTP %d, %v", i, resp.StatusCode, err)
+		}
+		var v JobView
+		if err := json.Unmarshal(raw, &v); err != nil || v.Result == nil || v.Cached {
+			t.Fatalf("solve %d: cached=%v, decoded result %v, err %v", i, v.Cached, v.Result != nil, err)
+		}
+		solved[v.ID] = string(raw)
+	}
+	if _, _, ok := s.cache.get(ps.key); ok {
+		t.Fatal("the first solve's key is still cached; the test needs it evicted")
+	}
+
+	s.jobs.mu.Lock()
+	jobs := make([]*Job, 0, len(s.jobs.jobs))
+	for _, j := range s.jobs.jobs {
+		jobs = append(jobs, j)
+	}
+	s.jobs.mu.Unlock()
+	if len(jobs) != distinct {
+		t.Fatalf("%d remembered jobs, want %d", len(jobs), distinct)
+	}
+	for _, j := range jobs {
+		out := j.view().SolveOutcome
+		if out == nil || out.encoded == nil || out.Result != nil {
+			t.Fatalf("%s: remembered outcome is not the sealed bytes alone", j.ID)
+		}
+		body := getBody(t, ts.URL+"/v1/jobs/"+j.ID)
+		if body != solved[j.ID] {
+			t.Fatalf("%s: GET /v1/jobs differs from the solve response\n got %s\nwant %s", j.ID, body, solved[j.ID])
+		}
+		if !strings.HasSuffix(body, string(out.encoded[1:])+"\n") {
+			t.Fatalf("%s: body does not end in the sealed outcome", j.ID)
+		}
+	}
 }
 
 // TestConcurrentHitsShareSealedBytes hammers one cache entry from many

@@ -452,6 +452,8 @@ func (s *Server) runJob(j *Job, ps *parsedSolve, tenant string) {
 			Valid:       mds.IsDominatingSetCSR(ps.csr, res.S),
 			Result:      res,
 		}
+		// Sealing drops res: the cache, the job and the disk tier keep
+		// only its encoded bytes.
 		err = out.seal()
 	}
 	if err != nil {

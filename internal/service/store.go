@@ -64,9 +64,9 @@ func (s *Server) storeStatus() string {
 // storeLookup is the second cache tier: on a memory miss it consults the
 // disk store, revalidates that the decoded outcome really answers this
 // key, re-seals it (the stored bytes may predate the current schema, so
-// they are never served verbatim), warms the memory cache with the
-// persisted computation instant, and returns the outcome plus its true
-// age. A miss, a quarantined entry, or a degraded store all return
+// they are never served verbatim; sealing drops the decoded result again),
+// warms the memory cache with the persisted computation instant, and
+// returns the outcome plus its true age. A miss, a quarantined entry, or a degraded store all return
 // ok=false and the solve proceeds to compute.
 func (s *Server) storeLookup(ps *parsedSolve) (*SolveOutcome, time.Duration, bool) {
 	if !s.storeEnabled() {

@@ -73,6 +73,9 @@ const (
 	// one; a byte budget lowers it to a quarter of the budget, so a
 	// store's dead bytes stay small next to its live ones.
 	maxSegmentBytes = 4 << 20
+	// maxPayloadBytes bounds a single entry's payload on read, so a forged
+	// length field cannot balloon allocation.
+	maxPayloadBytes = 1 << 30
 )
 
 // segName renders the file name of segment seq.
@@ -104,9 +107,6 @@ type Options struct {
 	MaxBytes int64
 	// Fsync is the durability policy for writes.
 	Fsync FsyncPolicy
-	// MaxPayloadBytes bounds a single entry's payload on read, so a
-	// forged length field cannot balloon allocation. <= 0 selects 1 GiB.
-	MaxPayloadBytes int64
 	// FS is the filesystem to use; nil selects OSFS. Tests inject
 	// fault-wrapped filesystems here.
 	FS FS
@@ -151,14 +151,13 @@ type indexEntry struct {
 // this layer — a Put is one append, and the memory LRU in front of the
 // store absorbs the hot path.
 type Store struct {
-	mu         sync.Mutex
-	fs         FS
-	dir        string
-	qdir       string
-	maxBytes   int64
-	maxPayload int64
-	segCap     int64
-	fsync      FsyncPolicy
+	mu       sync.Mutex
+	fs       FS
+	dir      string
+	qdir     string
+	maxBytes int64
+	segCap   int64
+	fsync    FsyncPolicy
 
 	segs    []*segment // ascending sequence; the last is active
 	nextSeq uint64
@@ -187,25 +186,20 @@ func Open(opts Options) (*Store, error) {
 	if fsys == nil {
 		fsys = OSFS{}
 	}
-	maxPayload := opts.MaxPayloadBytes
-	if maxPayload <= 0 {
-		maxPayload = 1 << 30
-	}
 	segCap := int64(maxSegmentBytes)
 	if opts.MaxBytes > 0 {
 		segCap = min(segCap, opts.MaxBytes/4)
 	}
 	s := &Store{
-		fs:         fsys,
-		dir:        opts.Dir,
-		qdir:       filepath.Join(opts.Dir, quarantineDir),
-		maxBytes:   opts.MaxBytes,
-		maxPayload: maxPayload,
-		segCap:     segCap,
-		fsync:      opts.Fsync,
-		nextSeq:    1,
-		ll:         list.New(),
-		items:      make(map[recKey]*list.Element),
+		fs:       fsys,
+		dir:      opts.Dir,
+		qdir:     filepath.Join(opts.Dir, quarantineDir),
+		maxBytes: opts.MaxBytes,
+		segCap:   segCap,
+		fsync:    opts.Fsync,
+		nextSeq:  1,
+		ll:       list.New(),
+		items:    make(map[recKey]*list.Element),
 	}
 	if err := fsys.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", s.dir, err)
@@ -304,7 +298,7 @@ func (s *Store) headerAt(data []byte, off int64) (*Entry, int64, bool) {
 	if int64(len(data))-off < entryHeaderLen {
 		return nil, 0, false
 	}
-	e, plen, err := parseEntryHeader(data[off:off+entryHeaderLen], s.maxPayload)
+	e, plen, err := parseEntryHeader(data[off:off+entryHeaderLen], maxPayloadBytes)
 	if err != nil || plen > int64(len(data))-off-entryHeaderLen {
 		return nil, 0, false
 	}
@@ -399,7 +393,7 @@ func (s *Store) Get(key Key) (*Entry, error) {
 		return nil, ErrNotFound
 	}
 	ie := el.Value.(*indexEntry)
-	e, err := ReadEntry(io.NewSectionReader(ie.seg.f, ie.off, ie.size), s.maxPayload)
+	e, err := ReadEntry(io.NewSectionReader(ie.seg.f, ie.off, ie.size), maxPayloadBytes)
 	if err != nil {
 		var fe *FormatError
 		if !errors.As(err, &fe) {
