@@ -36,16 +36,16 @@ func reportRatio(b *testing.B, sol, opt int) {
 func BenchmarkTable1Trees(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := gen.RandomTree(150, rng)
-	opt, err := mds.ExactMDS(g)
+	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var sol []int
 	for i := 0; i < b.N; i++ {
-		sol = core.TreeMDS(g)
+		sol = core.TreeMDS(g.Freeze())
 	}
 	reportRatio(b, len(sol), len(opt))
-	_, stats, err := core.RunTreeMDS(g, nil, local.Sequential)
+	_, stats, err := core.RunTreeMDS(g.Freeze(), nil, local.Sequential)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func BenchmarkTable1Trees(b *testing.B) {
 func BenchmarkTable1Outerplanar(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	g := gen.MaximalOuterplanar(100, rng)
-	opt, err := mds.ExactMDS(g)
+	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func BenchmarkTable1K1t(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt, err := mds.ExactMDS(g)
+	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,17 +95,17 @@ func BenchmarkTable1K1t(b *testing.B) {
 func BenchmarkTable1K2tLinear(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 120, T: 5}, rng)
-	opt, err := mds.ExactMDS(g)
+	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var res *core.D2Result
 	for i := 0; i < b.N; i++ {
-		res = core.D2(g)
+		res = core.D2(g.Freeze())
 	}
 	reportRatio(b, len(res.S), len(opt))
 	small := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: 5}, rng)
-	_, stats, err := core.RunD2(small, nil, local.Sequential)
+	_, stats, err := core.RunD2(small.Freeze(), nil, local.Sequential)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func BenchmarkTable1K2tLinear(b *testing.B) {
 func BenchmarkTable1K2tConst(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 120, T: 5}, rng)
-	opt, err := mds.ExactMDS(g)
+	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func BenchmarkTable1OtherClasses(b *testing.B) {
 	// 10x10: grids are the exact solver's worst case; the bitset engine
 	// proves this OPT in ~0.1s where the old search was capped at 7x7.
 	g := gen.Grid(10, 10)
-	opt, err := mds.ExactMDS(g)
+	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func BenchmarkTable1OtherClasses(b *testing.B) {
 func BenchmarkLemma32LocalOneCuts(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 120, T: 5}, rng)
-	opt, err := mds.ExactMDS(g)
+	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func BenchmarkTheorem44MVC(b *testing.B) {
 	}
 	var res *core.MVCResult
 	for i := 0; i < b.N; i++ {
-		res = core.MVCD2(g)
+		res = core.MVCD2(g.Freeze())
 	}
 	reportRatio(b, len(res.S), len(opt))
 }
@@ -289,7 +289,7 @@ func BenchmarkSPQRDecomposition(b *testing.B) {
 // gather on a 20x20 grid, parallel engine.
 func BenchmarkSimulatorBallGather(b *testing.B) {
 	g := gen.Grid(20, 20)
-	nw, err := local.NewNetwork(g, nil)
+	nw, err := local.NewNetwork(g.Freeze(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func BenchmarkSimulatorBallGather(b *testing.B) {
 // to dominate.
 func BenchmarkSimulatorBallGatherLarge(b *testing.B) {
 	g := gen.Grid(100, 100)
-	nw, err := local.NewNetwork(g, nil)
+	nw, err := local.NewNetwork(g.Freeze(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func BenchmarkAlg1Distributed(b *testing.B) {
 			var stats local.Stats
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, stats, err = core.RunAlg1(tc.g, nil, tc.p, local.Parallel)
+				_, stats, err = core.RunAlg1(tc.g.Freeze(), nil, tc.p, local.Parallel)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -404,7 +404,7 @@ func BenchmarkExactMDS(b *testing.B) {
 			b.ReportAllocs()
 			var size int
 			for i := 0; i < b.N; i++ {
-				sol, err := mds.ExactMDS(tc.g)
+				sol, err := mds.ExactMDS(tc.g.Freeze(), mds.ExactOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -451,7 +451,7 @@ func BenchmarkExactMDSTreewidthDP(b *testing.B) {
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 2000, T: 5}, rng)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := mds.ExactMDS(g); err != nil {
+		if _, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -95,7 +95,7 @@ func run(args []string, stdout io.Writer) error {
 	case "csrbin":
 		return graphio.WriteCSRBin(w, g.Freeze())
 	case "dot":
-		_, err := io.WriteString(w, g.DOT(*kind, nil))
+		_, err := io.WriteString(w, g.Freeze().DOT(*kind, nil))
 		return err
 	default:
 		return fmt.Errorf("unknown format %q", *format)

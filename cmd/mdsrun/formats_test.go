@@ -112,99 +112,91 @@ func writeGrid(t *testing.T) (csrbinPath, edgesPath string, n int) {
 	return csrbinPath, edgesPath, g.N()
 }
 
-// TestRunAlg1LoadersAgree: -alg alg1 chooses the same solution set
+// TestRunAlg1LoadersAgree: every -alg chooses the same solution set
 // whichever way the instance is loaded — a csrbin file (mmap'd, format
 // sniffed or pinned), the equivalent edge list (chunked text parse at
-// three workers) or the generator — and validates it. It runs at the
-// default radii: at R1 = 1 every vertex is a cut vertex and S = V, so
-// matching sets would prove only that each loader got n right.
+// three workers) or the generator — and validates it; the *-local
+// algorithms also report the same LOCAL rounds and messages. It runs at
+// the default radii: at R1 = 1 every vertex is a cut vertex and alg1's
+// S = V, so matching sets would prove only that each loader got n right.
 func TestRunAlg1LoadersAgree(t *testing.T) {
 	csrbinPath, edgesPath, n := writeGrid(t)
-	var ref strings.Builder
-	if err := run([]string{"-in", csrbinPath, "-alg", "alg1"}, &ref); err != nil {
-		t.Fatalf("csrbin reference: %v", err)
-	}
-	if !strings.Contains(ref.String(), "valid dominating set: true") {
-		t.Fatalf("csrbin reference: %s", ref.String())
-	}
-	if runtime.GOOS == "linux" && !strings.Contains(ref.String(), "csr: mmap-backed") {
-		t.Errorf("csrbin input was not mmap'd:\n%s", ref.String())
-	}
-	refSize, refSet := sizeLine(t, ref.String()), digestLine(t, ref.String())
-	if refSize == fmt.Sprintf("solution size: %d", n) {
-		t.Fatalf("reference solution is all of V (%s): the comparison would be vacuous", refSize)
-	}
-
-	for _, args := range [][]string{
-		{"-in", csrbinPath, "-alg", "alg1", "-format", "csrbin"},
-		{"-in", edgesPath, "-alg", "alg1", "-workers", "3"},
-		{"-graph", "grid", "-n", "100", "-seed", "11", "-alg", "alg1", "-stages"},
-	} {
-		var out strings.Builder
-		if err := run(args, &out); err != nil {
-			t.Fatalf("run(%v): %v", args, err)
-		}
-		if !strings.Contains(out.String(), "valid dominating set: true") {
-			t.Fatalf("run(%v): %s", args, out.String())
-		}
-		if got := digestLine(t, out.String()); got != refSet {
-			t.Fatalf("run(%v): %q != csrbin reference %q", args, got, refSet)
-		}
+	for _, alg := range algorithms {
+		t.Run(alg, func(t *testing.T) {
+			var ref strings.Builder
+			if err := run([]string{"-in", csrbinPath, "-alg", alg}, &ref); err != nil {
+				t.Fatalf("csrbin reference: %v", err)
+			}
+			if !strings.Contains(ref.String(), "valid dominating set: true") && !strings.Contains(ref.String(), "valid vertex cover: true") {
+				t.Fatalf("csrbin reference is not valid: %s", ref.String())
+			}
+			if runtime.GOOS == "linux" && !strings.Contains(ref.String(), "csr: mmap-backed") {
+				t.Errorf("csrbin input was not mmap'd:\n%s", ref.String())
+			}
+			if alg == "alg1" && reportLine(t, ref.String(), "solution size:") == fmt.Sprintf("solution size: %d", n) {
+				t.Fatalf("reference solution is all of V: the comparison would be vacuous")
+			}
+			prefixes := []string{"solution digest:"}
+			if strings.HasSuffix(alg, "-local") {
+				prefixes = append(prefixes, "LOCAL rounds:")
+			}
+			for _, args := range [][]string{
+				{"-in", csrbinPath, "-alg", alg, "-format", "csrbin"},
+				{"-in", edgesPath, "-alg", alg, "-workers", "3"},
+				{"-graph", "grid", "-n", "100", "-seed", "11", "-alg", alg},
+			} {
+				var out strings.Builder
+				if err := run(args, &out); err != nil {
+					t.Fatalf("run(%v): %v", args, err)
+				}
+				for _, prefix := range prefixes {
+					if got, want := reportLine(t, out.String(), prefix), reportLine(t, ref.String(), prefix); got != want {
+						t.Fatalf("run(%v): %q != csrbin reference %q", args, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
-// digestLine extracts the "solution digest:" line from a report.
-func digestLine(t *testing.T, report string) string {
+// reportLine extracts the line starting with prefix from a report.
+func reportLine(t *testing.T, report, prefix string) string {
 	t.Helper()
 	for _, line := range strings.Split(report, "\n") {
-		if strings.HasPrefix(line, "solution digest:") {
+		if strings.HasPrefix(line, prefix) {
 			return line
 		}
 	}
-	t.Fatalf("no solution digest line in %q", report)
+	t.Fatalf("no %q line in %q", prefix, report)
 	return ""
 }
 
-// sizeLine extracts the "solution size:" line from a report.
-func sizeLine(t *testing.T, report string) string {
-	t.Helper()
-	for _, line := range strings.Split(report, "\n") {
-		if strings.HasPrefix(line, "solution size:") {
-			return line
-		}
-	}
-	t.Fatalf("no solution size line in %q", report)
-	return ""
-}
-
-// TestRunCSRBinOptAndDot: -opt and -dot work on a csrbin input (the
-// adjacency-list graph behind -dot is built over the mmap'd CSR) and
-// match what the same graph gives as an edge list.
+// TestRunCSRBinOptAndDot: -opt and -dot work on a csrbin input (the DOT
+// file is rendered from the mmap'd CSR) and match what the same graph
+// gives as an edge list, for Algorithm 1, a baseline and the vertex-cover
+// variant.
 func TestRunCSRBinOptAndDot(t *testing.T) {
 	csrbinPath, edgesPath, _ := writeGrid(t)
-	var opts, dots [2]string
-	for i, in := range []string{csrbinPath, edgesPath} {
-		dot := filepath.Join(t.TempDir(), "out.dot")
-		var out strings.Builder
-		if err := run([]string{"-in", in, "-alg", "alg1", "-opt", "-dot", dot}, &out); err != nil {
-			t.Fatalf("run(-in %s): %v", in, err)
-		}
-		data, err := os.ReadFile(dot)
-		if err != nil {
-			t.Fatalf("dot file: %v", err)
-		}
-		for _, line := range strings.Split(out.String(), "\n") {
-			if strings.HasPrefix(line, "optimum: ") {
-				opts[i] = line
+	for _, alg := range []string{"alg1", "greedy", "mvc-alg1"} {
+		var opts, dots [2]string
+		for i, in := range []string{csrbinPath, edgesPath} {
+			dot := filepath.Join(t.TempDir(), "out.dot")
+			var out strings.Builder
+			if err := run([]string{"-in", in, "-alg", alg, "-opt", "-dot", dot}, &out); err != nil {
+				t.Fatalf("run(-in %s -alg %s): %v", in, alg, err)
 			}
+			data, err := os.ReadFile(dot)
+			if err != nil {
+				t.Fatalf("dot file: %v", err)
+			}
+			opts[i], dots[i] = reportLine(t, out.String(), "optimum: "), string(data)
 		}
-		dots[i] = string(data)
-	}
-	if opts[0] == "" || opts[0] != opts[1] {
-		t.Errorf("-opt lines differ or are missing: csrbin %q, edge list %q", opts[0], opts[1])
-	}
-	if !strings.Contains(dots[0], "graph solution") || dots[0] != dots[1] {
-		t.Errorf("-dot files differ:\n%s\nvs\n%s", dots[0], dots[1])
+		if opts[0] != opts[1] {
+			t.Errorf("-alg %s: -opt lines differ: csrbin %q, edge list %q", alg, opts[0], opts[1])
+		}
+		if !strings.Contains(dots[0], "graph solution") || dots[0] != dots[1] {
+			t.Errorf("-alg %s: -dot files differ:\n%s\nvs\n%s", alg, dots[0], dots[1])
+		}
 	}
 }
 

@@ -26,9 +26,8 @@
 // its data checksum and canonical form; the text formats take the
 // chunked parser at -workers goroutines. Malformed or damaged input exits
 // 1 with a message naming the file and a line/column (or byte offset).
-// -alg alg1 (core.Alg1CSR) and the report header and optimum probe run on
-// the CSR itself; the other algorithms and -dot get the adjacency-list
-// graph built from it.
+// Every algorithm, the LOCAL simulator, the report header, the optimum
+// probe and -dot run on that CSR itself.
 //
 // -workers sets the text-parse width for every -in, and bounds the
 // Algorithm 1 fan-out of -alg alg1 and mvc-alg1: the Cuts vertex loop and
@@ -126,13 +125,11 @@ func run(args []string, stdout io.Writer) error {
 		*workers = runtime.GOMAXPROCS(0)
 	}
 
-	// g is the adjacency-list graph, built only for what needs one.
-	var g *graph.Graph
 	var csr *graph.CSR
 	var mapped *graphio.MappedCSR
 	if *in == "" {
-		var err error
-		if g, err = gen.FromKind(*kind, *n, *tParam, *p, rand.New(rand.NewSource(*seed))); err != nil {
+		g, err := gen.FromKind(*kind, *n, *tParam, *p, rand.New(rand.NewSource(*seed)))
+		if err != nil {
 			return err
 		}
 		csr = g.Freeze()
@@ -145,8 +142,6 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		if mapped != nil {
-			// graph.FromCSR below keeps csr as g's frozen view, so the
-			// mapping closes only when run returns, after the last use of g.
 			defer mapped.Close()
 		}
 	}
@@ -172,12 +167,9 @@ func run(args []string, stdout io.Writer) error {
 	if mapped != nil && mapped.Mapped {
 		fmt.Fprintln(stdout, "csr: mmap-backed")
 	}
-	if g == nil && (*alg != "alg1" || *dotOut != "") {
-		g = graph.FromCSR(csr)
-	}
 
 	tr, root := newCLITrace(*traceOut)
-	sol, stats, stageStats, err := solve(csr, g, *alg, core.Params{R1: *r1, R2: *r2}, *workers, core.SpanHooks(root))
+	sol, stats, stageStats, err := solve(csr, *alg, core.Params{R1: *r1, R2: *r2}, *workers, core.SpanHooks(root))
 	if err != nil {
 		return err
 	}
@@ -191,7 +183,7 @@ func run(args []string, stdout io.Writer) error {
 	isMVC := *alg == "mvc-alg1" || *alg == "mvc-d2"
 	fmt.Fprintf(stdout, "algorithm: %s\nsolution size: %d\nsolution digest: %s\n", *alg, len(sol), solutionDigest(sol))
 	if isMVC {
-		fmt.Fprintf(stdout, "valid vertex cover: %v\n", mds.IsVertexCover(g, sol))
+		fmt.Fprintf(stdout, "valid vertex cover: %v\n", mds.IsVertexCover(csr, sol))
 	} else {
 		fmt.Fprintf(stdout, "valid dominating set: %v\n", mds.IsDominatingSetCSR(csr, sol))
 	}
@@ -219,7 +211,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "\npipeline stages:\n%s", stageStats.Render())
 	}
 	if *dotOut != "" {
-		if err := os.WriteFile(*dotOut, []byte(g.DOT("solution", sol)), 0o644); err != nil {
+		if err := os.WriteFile(*dotOut, []byte(csr.DOT("solution", sol)), 0o644); err != nil {
 			return fmt.Errorf("write dot: %w", err)
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", *dotOut)
@@ -239,15 +231,11 @@ const autoOptNodeBudget = 100_000
 // bounds the exact solver's search.
 func optimum(c *graph.CSR, isMVC bool, maxNodes int64) (int, error) {
 	opt := mds.ExactOptions{MaxNodes: maxNodes}
+	solver := mds.ExactMDS
 	if isMVC {
-		sol, err := mds.ExactMVC(c, opt)
-		return len(sol), err
+		solver = mds.ExactMVC
 	}
-	all := make([]int, c.N())
-	for v := range all {
-		all[v] = v
-	}
-	sol, err := mds.ExactBDominating(c, all, opt)
+	sol, err := solver(c, opt)
 	return len(sol), err
 }
 
@@ -296,9 +284,8 @@ func solutionDigest(s []int) string {
 // before it loads the input.
 var algorithms = []string{"alg1", "alg1-local", "d2", "d2-local", "tree", "greedy", "exact", "mvc-alg1", "mvc-d2"}
 
-// solve runs alg on the loaded instance: -alg alg1 on the CSR c, every
-// other algorithm on the adjacency-list graph g.
-func solve(c *graph.CSR, g *graph.Graph, alg string, p core.Params, workers int, hooks core.TraceHooks) ([]int, *local.Stats, core.StageStats, error) {
+// solve runs alg on the loaded instance c.
+func solve(c *graph.CSR, alg string, p core.Params, workers int, hooks core.TraceHooks) ([]int, *local.Stats, core.StageStats, error) {
 	switch alg {
 	case "alg1":
 		res, err := core.Alg1CSR(c, p, core.PipelineOptions{Workers: workers, Hooks: hooks})
@@ -307,28 +294,28 @@ func solve(c *graph.CSR, g *graph.Graph, alg string, p core.Params, workers int,
 		}
 		return res.S, nil, res.StageStats, nil
 	case "alg1-local":
-		sol, stats, err := core.RunAlg1(g, nil, p, local.Parallel)
+		sol, stats, err := core.RunAlg1(c, nil, p, local.Parallel)
 		return sol, &stats, nil, err
 	case "d2":
-		return core.D2(g).S, nil, nil, nil
+		return core.D2(c).S, nil, nil, nil
 	case "d2-local":
-		sol, stats, err := core.RunD2(g, nil, local.Parallel)
+		sol, stats, err := core.RunD2(c, nil, local.Parallel)
 		return sol, &stats, nil, err
 	case "tree":
-		return core.TreeMDS(g), nil, nil, nil
+		return core.TreeMDS(c), nil, nil, nil
 	case "greedy":
-		return mds.GreedyMDS(g), nil, nil, nil
+		return mds.GreedyMDS(c), nil, nil, nil
 	case "exact":
-		sol, err := mds.ExactMDS(g)
+		sol, err := mds.ExactMDS(c, mds.ExactOptions{})
 		return sol, nil, nil, err
 	case "mvc-alg1":
-		res, err := core.MVCAlg1(g, p, core.PipelineOptions{Workers: workers, Hooks: hooks})
+		res, err := core.MVCAlg1(c, p, core.PipelineOptions{Workers: workers, Hooks: hooks})
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		return res.S, nil, res.StageStats, nil
 	case "mvc-d2":
-		return core.MVCD2(g).S, nil, nil, nil
+		return core.MVCD2(c).S, nil, nil, nil
 	default:
 		return nil, nil, nil, fmt.Errorf("unknown algorithm %q", alg)
 	}

@@ -28,6 +28,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("network: %s, diameter %d\n\n", g, g.Diameter())
+	c := g.Freeze()
 
 	// Theorem 4.1: Algorithm 1 (centralized reference with practical
 	// radii).
@@ -36,21 +37,21 @@ func run() error {
 		return err
 	}
 	fmt.Printf("Algorithm 1 (Thm 4.1): |S| = %d, dominating = %v\n",
-		len(res.S), mds.IsDominatingSet(g, res.S))
+		len(res.S), mds.IsDominatingSetCSR(c, res.S))
 	fmt.Printf("  local 1-cut vertices |X| = %d, interesting |I| = %d, residual components = %d (max diameter %d)\n",
 		len(res.X), len(res.I), len(res.Components), res.MaxComponentDiameter)
 
 	// Theorem 4.4: the 3-round D2 algorithm, actually message-passed on
 	// the LOCAL simulator.
-	d2, stats, err := core.RunD2(g, nil, local.Parallel)
+	d2, stats, err := core.RunD2(c, nil, local.Parallel)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nD2 (Thm 4.4, simulated): |S| = %d, dominating = %v, rounds = %d, messages = %d\n",
-		len(d2), mds.IsDominatingSet(g, d2), stats.Rounds, stats.Messages)
+		len(d2), mds.IsDominatingSetCSR(c, d2), stats.Rounds, stats.Messages)
 
 	// Exact optimum for the ratio.
-	opt, err := mds.ExactMDS(g)
+	opt, err := mds.ExactMDS(c, mds.ExactOptions{})
 	if err != nil {
 		return err
 	}

@@ -36,18 +36,19 @@ func run() error {
 	// them being 0..n-1.
 	ids := rng.Perm(field.N() * 4)[:field.N()]
 
-	awake, stats, err := core.RunD2(field, ids, local.Parallel)
+	c := field.Freeze()
+	awake, stats, err := core.RunD2(c, ids, local.Parallel)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("awake set: %d sensors (%.1f%% duty cycle)\n",
 		len(awake), 100*float64(len(awake))/float64(field.N()))
-	fmt.Printf("wake-up coverage: %v\n", mds.IsDominatingSet(field, awake))
+	fmt.Printf("wake-up coverage: %v\n", mds.IsDominatingSetCSR(c, awake))
 	fmt.Printf("election cost: %d synchronous rounds, %d messages\n",
 		stats.Rounds, stats.Messages)
 
 	// Compare with the energy-optimal (centralized, offline) schedule.
-	opt, err := mds.ExactMDS(field)
+	opt, err := mds.ExactMDS(c, mds.ExactOptions{})
 	if err != nil {
 		return err
 	}

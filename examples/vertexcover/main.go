@@ -36,23 +36,24 @@ func run() error {
 	}
 	for _, topo := range topologies {
 		fmt.Printf("== %s: %s\n", topo.name, topo.g)
-		opt, err := mds.ExactMVC(topo.g.Freeze(), mds.ExactOptions{})
+		c := topo.g.Freeze()
+		opt, err := mds.ExactMVC(c, mds.ExactOptions{})
 		if err != nil {
 			return err
 		}
 
-		d2 := core.MVCD2(topo.g)
+		d2 := core.MVCD2(c)
 		fmt.Printf("  Thm 4.4 MVC variant: %d monitors (ratio %.2f), valid = %v\n",
-			len(d2.S), ratio(len(d2.S), len(opt)), mds.IsVertexCover(topo.g, d2.S))
+			len(d2.S), ratio(len(d2.S), len(opt)), mds.IsVertexCover(c, d2.S))
 
-		a1, err := core.MVCAlg1(topo.g, core.PracticalParams(), core.PipelineOptions{})
+		a1, err := core.MVCAlg1(c, core.PracticalParams(), core.PipelineOptions{})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  Alg 1 MVC variant:   %d monitors (ratio %.2f), valid = %v\n",
-			len(a1.S), ratio(len(a1.S), len(opt)), mds.IsVertexCover(topo.g, a1.S))
+			len(a1.S), ratio(len(a1.S), len(opt)), mds.IsVertexCover(c, a1.S))
 
-		matching := mds.MatchingVertexCover(topo.g.Freeze())
+		matching := mds.MatchingVertexCover(c)
 		fmt.Printf("  matching baseline:   %d monitors (ratio %.2f)\n",
 			len(matching), ratio(len(matching), len(opt)))
 		fmt.Printf("  offline optimum:     %d monitors\n\n", len(opt))

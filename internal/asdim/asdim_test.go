@@ -184,7 +184,7 @@ func TestLemma52WithCoverProperty(t *testing.T) {
 			}
 			total += len(sol)
 		}
-		opt, err := mds.ExactMDS(g)
+		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			return false
 		}

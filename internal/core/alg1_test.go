@@ -74,7 +74,7 @@ func TestAlg1RatioOnK2tFreeInstances(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Alg1: %v", err)
 		}
-		opt, err := mds.ExactMDS(g)
+		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			t.Fatalf("ExactMDS: %v", err)
 		}

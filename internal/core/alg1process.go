@@ -77,7 +77,7 @@ func (a *floodProcess) Round(round int, inbox []local.Message) ([]local.Message,
 		if round < a.gatherRounds {
 			return out, false
 		}
-		c, ids, center := viewCSR(&a.g)
+		c, ids, center := a.g.View().CSR()
 		inS1, rec := a.rule.decide(c, center)
 		if rec == nil {
 			a.inS = inS1
@@ -127,14 +127,6 @@ func (a *floodProcess) Round(round int, inbox []local.Message) ([]local.Message,
 }
 
 func (a *floodProcess) Output() any { return a.inS }
-
-// viewCSR returns the CSR of the gathered view, its identifier slice and
-// the center's index. View indices ascend with identifiers, so the
-// centralized steps' smallest-index tie-breaks pick smallest identifiers.
-func viewCSR(g *local.Gatherer) (*graph.CSR, []int, int) {
-	bg, ids, center := g.View().Graph()
-	return bg.Freeze(), ids, center
-}
 
 // closed reports whether the flooding knowledge covers the whole residual
 // component: every known record's participating neighbors are known.
@@ -220,13 +212,13 @@ func (r mdsFlood) solve(sub *graph.CSR, target []int) []int {
 	return chosen
 }
 
-// RunAlg1 executes the distributed Algorithm 1 on g with identifier
+// RunAlg1 executes the distributed Algorithm 1 on c with identifier
 // assignment ids (nil for identity) and returns the dominating set, the
 // run statistics, and any simulator error.
-func RunAlg1(g *graph.Graph, ids []int, p Params, engine local.Engine) ([]int, local.Stats, error) {
+func RunAlg1(c *graph.CSR, ids []int, p Params, engine local.Engine) ([]int, local.Stats, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, local.Stats{}, err
 	}
-	return runBooleanProcess(g, ids, engine, func(int) local.Process { return NewAlg1Process(p) })
+	return runBooleanProcess(c, ids, engine, func(int) local.Process { return NewAlg1Process(p) })
 }

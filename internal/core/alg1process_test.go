@@ -60,7 +60,7 @@ func TestRunAlg1MatchesCentralized(t *testing.T) {
 				if pc.suffix == "/brute2" {
 					fallbacks += want.BruteFallbacks
 				}
-				got, stats, err := RunAlg1(tt.g, nil, pc.p, local.Sequential)
+				got, stats, err := RunAlg1(tt.g.Freeze(), nil, pc.p, local.Sequential)
 				if err != nil {
 					t.Fatalf("RunAlg1: %v", err)
 				}
@@ -85,11 +85,11 @@ func TestRunAlg1EnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 24, T: 5}, rng)
 	p := Params{R1: 3, R2: 3}
-	a, sa, err := RunAlg1(g, nil, p, local.Sequential)
+	a, sa, err := RunAlg1(g.Freeze(), nil, p, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := RunAlg1(g, nil, p, local.Parallel)
+	b, sb, err := RunAlg1(g.Freeze(), nil, p, local.Parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRunAlg1PermutedIDs(t *testing.T) {
 		ids[i] = (i*7 + 3) % (n * 7)
 	}
 	// Ensure distinct; (i*7+3) mod 63 for i < 9 is injective.
-	got, _, err := RunAlg1(g, ids, Params{R1: 3, R2: 3}, local.Sequential)
+	got, _, err := RunAlg1(g.Freeze(), ids, Params{R1: 3, R2: 3}, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestRunAlg1PermutedIDs(t *testing.T) {
 
 func TestRunAlg1RoundsScaleWithRadius(t *testing.T) {
 	g := gen.Path(40)
-	small, ssmall, err := RunAlg1(g, nil, Params{R1: 2, R2: 2}, local.Sequential)
+	small, ssmall, err := RunAlg1(g.Freeze(), nil, Params{R1: 2, R2: 2}, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, slarge, err := RunAlg1(g, nil, Params{R1: 6, R2: 6}, local.Sequential)
+	large, slarge, err := RunAlg1(g.Freeze(), nil, Params{R1: 6, R2: 6}, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRunAlg1RoundsScaleWithRadius(t *testing.T) {
 func TestRunAlg1SingletonAndTiny(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		g := gen.Path(n)
-		got, _, err := RunAlg1(g, nil, Params{R1: 2, R2: 2}, local.Sequential)
+		got, _, err := RunAlg1(g.Freeze(), nil, Params{R1: 2, R2: 2}, local.Sequential)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

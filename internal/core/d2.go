@@ -19,10 +19,10 @@ type D2Result struct {
 
 // D2 runs the centralized Theorem 4.4 algorithm: reduce true twins, then
 // return D2(Ĝ) = {v : no u != v has N[v] ⊆ N[u]} — a (2t-1)-approximate
-// dominating set on K_{2,t}-minor-free graphs. It runs on g.Freeze();
-// d2Sequential in d2_reference_test.go is the adjacency-list original.
-func D2(g *graph.Graph) *D2Result {
-	reduced, active := graph.TwinReduceCSR(g.Freeze())
+// dominating set on K_{2,t}-minor-free graphs. d2Sequential in
+// d2_reference_test.go is the adjacency-list original.
+func D2(c *graph.CSR) *D2Result {
+	reduced, active := graph.TwinReduceCSR(c)
 	var sLocal []int
 	for v := range reduced.N() {
 		if gammaAtLeastTwo(reduced, v) {
@@ -81,15 +81,15 @@ func (p *viewProcess) Round(round int, inbox []local.Message) ([]local.Message, 
 	if round < p.rounds {
 		return out, false
 	}
-	c, _, center := viewCSR(&p.g)
+	c, _, center := p.g.View().CSR()
 	p.inS = p.decide(c, center)
 	return out, true
 }
 
 func (p *viewProcess) Output() any { return p.inS }
 
-// RunD2 executes the distributed Theorem 4.4 algorithm on g and returns
+// RunD2 executes the distributed Theorem 4.4 algorithm on c and returns
 // the dominating set, run statistics, and any simulator error.
-func RunD2(g *graph.Graph, ids []int, engine local.Engine) ([]int, local.Stats, error) {
-	return runBooleanProcess(g, ids, engine, func(int) local.Process { return NewD2Process() })
+func RunD2(c *graph.CSR, ids []int, engine local.Engine) ([]int, local.Stats, error) {
+	return runBooleanProcess(c, ids, engine, func(int) local.Process { return NewD2Process() })
 }

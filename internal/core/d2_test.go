@@ -30,7 +30,7 @@ func TestD2IsDominating(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res := D2(tt.g)
+			res := D2(tt.g.Freeze())
 			if !mds.IsDominatingSet(tt.g, res.S) {
 				t.Errorf("D2 set %v is not dominating", res.S)
 			}
@@ -44,8 +44,8 @@ func TestD2RatioBound(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		tParam := 5
 		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 50, T: tParam}, rng)
-		res := D2(g)
-		opt, err := mds.ExactMDS(g)
+		res := D2(g.Freeze())
+		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			t.Fatalf("ExactMDS: %v", err)
 		}
@@ -62,7 +62,7 @@ func TestD2CliquePendants(t *testing.T) {
 	// K_{2,q-2}... as a K_{2,t}-minor-free statement we simply check D2
 	// returns a valid small set.
 	g := gen.CliquePendants(6)
-	res := D2(g)
+	res := D2(g.Freeze())
 	if !mds.IsDominatingSet(g, res.S) {
 		t.Fatal("not dominating")
 	}
@@ -71,12 +71,12 @@ func TestD2CliquePendants(t *testing.T) {
 func TestD2StarAndComplete(t *testing.T) {
 	// Star: the center dominates; leaves have N[leaf] ⊆ N[center], so
 	// D2 = {center}: exactly optimal.
-	res := D2(gen.Star(8))
+	res := D2(gen.Star(8).Freeze())
 	if len(res.S) != 1 || res.S[0] != 0 {
 		t.Errorf("star D2 = %v, want [0]", res.S)
 	}
 	// Complete graph: collapses to one vertex by twin reduction.
-	res = D2(gen.Complete(7))
+	res = D2(gen.Complete(7).Freeze())
 	if len(res.S) != 1 {
 		t.Errorf("K7 D2 = %v, want singleton", res.S)
 	}
@@ -97,8 +97,8 @@ func TestRunD2MatchesCentralized(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			want := D2(tt.g)
-			got, stats, err := RunD2(tt.g, nil, local.Sequential)
+			want := D2(tt.g.Freeze())
+			got, stats, err := RunD2(tt.g.Freeze(), nil, local.Sequential)
 			if err != nil {
 				t.Fatalf("RunD2: %v", err)
 			}
@@ -115,11 +115,11 @@ func TestRunD2MatchesCentralized(t *testing.T) {
 func TestRunD2EnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: 5}, rng)
-	a, _, err := RunD2(g, nil, local.Sequential)
+	a, _, err := RunD2(g.Freeze(), nil, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunD2(g, nil, local.Parallel)
+	b, _, err := RunD2(g.Freeze(), nil, local.Parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestD2AlwaysDominatesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(25, 0.12, rng)
-		return mds.IsDominatingSet(g, D2(g).S)
+		return mds.IsDominatingSet(g, D2(g.Freeze()).S)
 	}
 	cfg := &quick.Config{MaxCount: 50}
 	if err := quick.Check(f, cfg); err != nil {
@@ -148,8 +148,8 @@ func TestRunD2AgreesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomCactus(20, rng)
-		want := D2(g)
-		got, _, err := RunD2(g, nil, local.Sequential)
+		want := D2(g.Freeze())
+		got, _, err := RunD2(g.Freeze(), nil, local.Sequential)
 		if err != nil {
 			return false
 		}

@@ -30,7 +30,7 @@ func ExampleAlg1() {
 // ExampleD2 shows the Theorem 4.4 set on a star: only the center has
 // γ(v) >= 2.
 func ExampleD2() {
-	res := core.D2(gen.Star(6))
+	res := core.D2(gen.Star(6).Freeze())
 	fmt.Println(res.S)
 	// Output:
 	// [0]
@@ -39,7 +39,7 @@ func ExampleD2() {
 // ExampleRunD2 runs the 3-round algorithm on the LOCAL simulator.
 func ExampleRunD2() {
 	g := gen.Path(9)
-	s, stats, err := core.RunD2(g, nil, local.Sequential)
+	s, stats, err := core.RunD2(g.Freeze(), nil, local.Sequential)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -9,30 +9,30 @@ import (
 // row): with at least three vertices, take every vertex of degree at least
 // two. The centralized reference also handles the degenerate sizes (n <= 2)
 // the folklore statement assumes away.
-func TreeMDS(g *graph.Graph) []int {
-	switch g.N() {
+func TreeMDS(c *graph.CSR) []int {
+	switch c.N() {
 	case 0:
 		return nil
 	case 1:
 		return []int{0}
 	}
 	var s []int
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < c.N(); v++ {
 		switch {
-		case g.Degree(v) >= 2:
+		case c.Degree(v) >= 2:
 			s = append(s, v)
-		case g.Degree(v) == 0:
+		case c.Degree(v) == 0:
 			s = append(s, v) // isolated vertices must self-dominate
-		case g.N() == 2 && v == 0:
+		case c.N() == 2 && v == 0:
 			s = append(s, v) // a single edge: take the smaller endpoint
 		}
 	}
 	// Two-vertex components (an edge both of whose endpoints have degree
 	// one) need one endpoint: take the smaller.
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) == 1 {
-			u := g.Neighbors(v)[0]
-			if g.Degree(u) == 1 && v < u && !graph.SortedContains(s, v) {
+	for v := 0; v < c.N(); v++ {
+		if c.Degree(v) == 1 {
+			u := int(c.Row(v)[0])
+			if c.Degree(u) == 1 && v < u && !graph.SortedContains(s, v) {
 				s = graph.SortedUnion(s, []int{v})
 			}
 		}
@@ -86,8 +86,8 @@ func (p *treeMDSProcess) Round(round int, inbox []local.Message) ([]local.Messag
 func (p *treeMDSProcess) Output() any { return p.inS }
 
 // RunTreeMDS executes the distributed tree algorithm.
-func RunTreeMDS(g *graph.Graph, ids []int, engine local.Engine) ([]int, local.Stats, error) {
-	return runBooleanProcess(g, ids, engine, func(int) local.Process { return NewTreeMDSProcess() })
+func RunTreeMDS(c *graph.CSR, ids []int, engine local.Engine) ([]int, local.Stats, error) {
+	return runBooleanProcess(c, ids, engine, func(int) local.Process { return NewTreeMDSProcess() })
 }
 
 // TakeAllMDS is the folklore K_{1,t}-minor-free row of Table 1: return
@@ -115,8 +115,8 @@ func RegularMVC(g *graph.Graph) []int {
 
 // runBooleanProcess runs a boolean-output protocol and collects the chosen
 // vertex set.
-func runBooleanProcess(g *graph.Graph, ids []int, engine local.Engine, factory local.Factory) ([]int, local.Stats, error) {
-	nw, err := local.NewNetwork(g, ids)
+func runBooleanProcess(c *graph.CSR, ids []int, engine local.Engine, factory local.Factory) ([]int, local.Stats, error) {
+	nw, err := local.NewNetwork(c, ids)
 	if err != nil {
 		return nil, local.Stats{}, err
 	}

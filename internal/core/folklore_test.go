@@ -25,7 +25,7 @@ func TestTreeMDSKnown(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := TreeMDS(tt.g)
+			got := TreeMDS(tt.g.Freeze())
 			if !graph.EqualSets(graph.Dedup(got), graph.Dedup(tt.want)) {
 				t.Errorf("TreeMDS = %v, want %v", got, tt.want)
 			}
@@ -38,11 +38,11 @@ func TestTreeMDSRatioOnTrees(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomTree(30, rng)
-		s := TreeMDS(g)
+		s := TreeMDS(g.Freeze())
 		if !mds.IsDominatingSet(g, s) {
 			t.Fatalf("seed %d: not dominating", seed)
 		}
-		opt, err := mds.ExactMDS(g)
+		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,21 +55,21 @@ func TestTreeMDSRatioOnTrees(t *testing.T) {
 func TestRunTreeMDSTwoRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.RandomTree(25, rng)
-	got, stats, err := RunTreeMDS(g, nil, local.Sequential)
+	got, stats, err := RunTreeMDS(g.Freeze(), nil, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Rounds != 2 {
 		t.Errorf("rounds = %d, want 2 (footnote 3 of the paper)", stats.Rounds)
 	}
-	want := TreeMDS(g)
+	want := TreeMDS(g.Freeze())
 	if !graph.EqualSets(got, want) {
 		t.Errorf("process = %v, centralized = %v", got, want)
 	}
 }
 
 func TestRunTreeMDSSingleton(t *testing.T) {
-	got, stats, err := RunTreeMDS(gen.Path(1), nil, local.Sequential)
+	got, stats, err := RunTreeMDS(gen.Path(1).Freeze(), nil, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestTakeAllMDS(t *testing.T) {
 		t.Error("not dominating")
 	}
 	// Folklore ratio on bounded-degree graphs: n <= (Δ+1) OPT.
-	opt, err := mds.ExactMDS(g)
+	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRegularMVC(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := RegularMVC(g)
-	if !mds.IsVertexCover(g, s) {
+	if !mds.IsVertexCover(g.Freeze(), s) {
 		t.Fatal("not a cover")
 	}
 	opt, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{})
@@ -121,14 +121,14 @@ func TestRegularMVC(t *testing.T) {
 
 func TestRunExactGather(t *testing.T) {
 	g := gen.Cycle(9)
-	got, stats, err := RunExactGather(g, nil, local.Sequential)
+	got, stats, err := RunExactGather(g.Freeze(), nil, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !mds.IsDominatingSet(g, got) {
 		t.Fatal("not dominating")
 	}
-	opt, err := mds.ExactMDS(g)
+	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestRunExactGatherOptimalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(12, 0.2, rng)
-		got, _, err := RunExactGather(g, nil, local.Sequential)
+		got, _, err := RunExactGather(g.Freeze(), nil, local.Sequential)
 		if err != nil {
 			return false
 		}
-		opt, err := mds.ExactMDS(g)
+		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			return false
 		}
@@ -202,12 +202,12 @@ func (p *exactGatherProcess) Round(round int, inbox []local.Message) ([]local.Me
 	// not needed for correctness: the solve is deterministic on identical
 	// views, and all vertices of a connected graph close on the same
 	// complete view.
-	bg, _, center := view.Graph()
-	sol, err := mds.ExactMDS(bg)
+	vc, _, center := view.CSR()
+	sol, err := mds.ExactMDS(vc, mds.ExactOptions{})
 	if err != nil {
 		// Too large for the exact solver: fall back to greedy, still
 		// consistent across vertices.
-		sol = mds.GreedyMDS(bg)
+		sol = mds.GreedyMDS(vc)
 	}
 	for _, v := range sol {
 		if v == center {
@@ -221,6 +221,6 @@ func (p *exactGatherProcess) Output() any { return p.inS }
 
 // RunExactGather executes the footnote-2 algorithm: on a diameter-D graph,
 // gather everything in D+2 rounds and solve exactly and consistently.
-func RunExactGather(g *graph.Graph, ids []int, engine local.Engine) ([]int, local.Stats, error) {
-	return runBooleanProcess(g, ids, engine, func(int) local.Process { return NewExactGatherProcess() })
+func RunExactGather(c *graph.CSR, ids []int, engine local.Engine) ([]int, local.Stats, error) {
+	return runBooleanProcess(c, ids, engine, func(int) local.Process { return NewExactGatherProcess() })
 }

@@ -33,7 +33,8 @@ type MinorBoundResult struct {
 // degree-2 witness survives as side A, removes A-A edges by the red-edge
 // contraction of Figure 1, and deletes the remaining A-A edges.
 func BuildMinorBound(g *graph.Graph) (*MinorBoundResult, error) {
-	d, err := mds.ExactMDS(g)
+	c := g.Freeze()
+	d, err := mds.ExactMDS(c, mds.ExactOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("core: minor bound needs OPT: %w", err)
 	}
@@ -43,7 +44,6 @@ func BuildMinorBound(g *graph.Graph) (*MinorBoundResult, error) {
 	}
 	var d2 []int
 	inD2 := make([]bool, g.N())
-	c := g.Freeze()
 	for v := 0; v < g.N(); v++ {
 		if gammaAtLeastTwo(c, v) {
 			d2 = append(d2, v)

@@ -35,17 +35,15 @@ type MVCResult struct {
 // vertices of R2-local minimal 2-cuts (not only interesting ones), and
 // cover the remaining uncovered edges per residual component exactly.
 // Unlike the MDS variant it needs no twin reduction: covering is monotone
-// under vertex removal. It runs on g's frozen view as the staged pipeline
+// under vertex removal. It runs as the staged pipeline
 // Cuts → Partition → ComponentSolve → Stitch, on Alg1CSR's cut kernel and
-// component fan-out, and opt works as for Alg1Pipeline: the result is the
-// same at every worker count. Freezing caches the CSR in g, so MVCAlg1
-// must not run concurrently with another Freeze or a mutation of g.
-func MVCAlg1(g *graph.Graph, p Params, opt PipelineOptions) (*MVCResult, error) {
+// component fan-out, and opt works as for Alg1CSR: the result is the same
+// at every worker count. csr is only read, so it may be a read-only mmap.
+func MVCAlg1(csr *graph.CSR, p Params, opt PipelineOptions) (*MVCResult, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err
 	}
-	csr := g.Freeze()
 	if csr.N() == 0 {
 		return &MVCResult{}, nil
 	}
@@ -123,9 +121,9 @@ func solveMVCComponent(sub *graph.CSR, p Params) (chosen []int, fallback bool) {
 // (γ(v) >= 2 restricted to non-isolated vertices), plus, for covered
 // correctness, the smaller-identifier endpoint of any edge both of whose
 // endpoints were rejected.
-func MVCD2(g *graph.Graph) *MVCResult {
+func MVCD2(c *graph.CSR) *MVCResult {
 	var s []int
-	for v, ok := range mvcD2Cover(g.Freeze()) {
+	for v, ok := range mvcD2Cover(c) {
 		if ok {
 			s = append(s, v)
 		}

@@ -137,11 +137,11 @@ func TestMVCAlg1MatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s r1=%d r2=%d: oracle: %v", tt.name, r1, r2, err)
 				}
-				if !mds.IsVertexCover(tt.g, want.S) {
+				if !mds.IsVertexCover(tt.g.Freeze(), want.S) {
 					t.Fatalf("%s r1=%d r2=%d: oracle cover %v is not a vertex cover", tt.name, r1, r2, want.S)
 				}
 				for _, w := range []int{1, 2, 3, 8} {
-					got, err := MVCAlg1(tt.g, p, PipelineOptions{Workers: w})
+					got, err := MVCAlg1(tt.g.Freeze(), p, PipelineOptions{Workers: w})
 					if err != nil {
 						t.Fatalf("%s r1=%d r2=%d workers=%d: %v", tt.name, r1, r2, w, err)
 					}

@@ -28,11 +28,11 @@ func TestMVCAlg1IsCover(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := MVCAlg1(tt.g, PracticalParams(), PipelineOptions{})
+			res, err := MVCAlg1(tt.g.Freeze(), PracticalParams(), PipelineOptions{})
 			if err != nil {
 				t.Fatalf("MVCAlg1: %v", err)
 			}
-			if !mds.IsVertexCover(tt.g, res.S) {
+			if !mds.IsVertexCover(tt.g.Freeze(), res.S) {
 				t.Errorf("set %v is not a vertex cover", res.S)
 			}
 		})
@@ -43,7 +43,7 @@ func TestMVCAlg1Ratio(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 5; i++ {
 		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: 5}, rng)
-		res, err := MVCAlg1(g, PracticalParams(), PipelineOptions{})
+		res, err := MVCAlg1(g.Freeze(), PracticalParams(), PipelineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,8 +73,8 @@ func TestMVCD2IsCover(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res := MVCD2(tt.g)
-			if !mds.IsVertexCover(tt.g, res.S) {
+			res := MVCD2(tt.g.Freeze())
+			if !mds.IsVertexCover(tt.g.Freeze(), res.S) {
 				t.Errorf("set %v is not a vertex cover", res.S)
 			}
 		})
@@ -89,7 +89,7 @@ func TestMVCD2RatioBound(t *testing.T) {
 	tParam := 5
 	for i := 0; i < 5; i++ {
 		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: tParam}, rng)
-		res := MVCD2(g)
+		res := MVCD2(g.Freeze())
 		opt, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -105,12 +105,12 @@ func TestMVCVariantsCoverProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(20, 0.12, rng)
-		a, err := MVCAlg1(g, PracticalParams(), PipelineOptions{})
+		a, err := MVCAlg1(g.Freeze(), PracticalParams(), PipelineOptions{})
 		if err != nil {
 			return false
 		}
-		b := MVCD2(g)
-		return mds.IsVertexCover(g, a.S) && mds.IsVertexCover(g, b.S)
+		b := MVCD2(g.Freeze())
+		return mds.IsVertexCover(g.Freeze(), a.S) && mds.IsVertexCover(g.Freeze(), b.S)
 	}
 	cfg := &quick.Config{MaxCount: 30}
 	if err := quick.Check(f, cfg); err != nil {
@@ -132,12 +132,12 @@ func TestMVCAlg1NodeBudgetFallback(t *testing.T) {
 	}
 	p := PracticalParams()
 	start := time.Now()
-	res, err := MVCAlg1(g, p, PipelineOptions{})
+	res, err := MVCAlg1(g.Freeze(), p, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("MVCAlg1 on RegularLike(128, 6): %v", time.Since(start))
-	if !mds.IsVertexCover(g, res.S) {
+	if !mds.IsVertexCover(g.Freeze(), res.S) {
 		t.Fatal("result is not a vertex cover")
 	}
 	if res.BruteFallbacks < 1 || len(res.X)+len(res.C2) != 0 || len(res.Components) != 1 {

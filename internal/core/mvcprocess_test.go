@@ -27,8 +27,8 @@ func TestRunMVCD2MatchesCentralized(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			want := MVCD2(tt.g)
-			got, stats, err := RunMVCD2(tt.g, nil, local.Sequential)
+			want := MVCD2(tt.g.Freeze())
+			got, stats, err := RunMVCD2(tt.g.Freeze(), nil, local.Sequential)
 			if err != nil {
 				t.Fatalf("RunMVCD2: %v", err)
 			}
@@ -56,11 +56,11 @@ func TestRunMVCAlg1IsCover(t *testing.T) {
 	p := Params{R1: 3, R2: 3}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, _, err := RunMVCAlg1(tt.g, nil, p, local.Sequential)
+			got, _, err := RunMVCAlg1(tt.g.Freeze(), nil, p, local.Sequential)
 			if err != nil {
 				t.Fatalf("RunMVCAlg1: %v", err)
 			}
-			if !mds.IsVertexCover(tt.g, got) {
+			if !mds.IsVertexCover(tt.g.Freeze(), got) {
 				t.Errorf("process output %v is not a cover", got)
 			}
 		})
@@ -80,7 +80,7 @@ func TestRunMVCAlg1MatchesCentralized(t *testing.T) {
 	}
 	for _, p := range []Params{{R1: 3, R2: 3}, {R1: 2, R2: 4}, {R1: 40, R2: 40}} {
 		for i, g := range graphs {
-			want, err := MVCAlg1(g, p, PipelineOptions{})
+			want, err := MVCAlg1(g.Freeze(), p, PipelineOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestRunMVCAlg1MatchesCentralized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := RunMVCAlg1(g, nil, p, local.Sequential)
+			got, _, err := RunMVCAlg1(g.Freeze(), nil, p, local.Sequential)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,22 +105,22 @@ func TestRunMVCAlg1MatchesCentralized(t *testing.T) {
 func TestRunMVCEnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 30, T: 5}, rng)
-	a, _, err := RunMVCD2(g, nil, local.Sequential)
+	a, _, err := RunMVCD2(g.Freeze(), nil, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunMVCD2(g, nil, local.Parallel)
+	b, _, err := RunMVCD2(g.Freeze(), nil, local.Parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !graph.EqualSets(a, b) {
 		t.Error("MVCD2 engines disagree")
 	}
-	c, _, err := RunMVCAlg1(g, nil, Params{R1: 3, R2: 3}, local.Sequential)
+	c, _, err := RunMVCAlg1(g.Freeze(), nil, Params{R1: 3, R2: 3}, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := RunMVCAlg1(g, nil, Params{R1: 3, R2: 3}, local.Parallel)
+	d, _, err := RunMVCAlg1(g.Freeze(), nil, Params{R1: 3, R2: 3}, local.Parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +134,12 @@ func TestRunMVCCoversProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(16, 0.15, rng)
-		a, _, err := RunMVCD2(g, nil, local.Sequential)
-		if err != nil || !mds.IsVertexCover(g, a) {
+		a, _, err := RunMVCD2(g.Freeze(), nil, local.Sequential)
+		if err != nil || !mds.IsVertexCover(g.Freeze(), a) {
 			return false
 		}
-		b, _, err := RunMVCAlg1(g, nil, Params{R1: 2, R2: 2}, local.Sequential)
-		return err == nil && mds.IsVertexCover(g, b)
+		b, _, err := RunMVCAlg1(g.Freeze(), nil, Params{R1: 2, R2: 2}, local.Sequential)
+		return err == nil && mds.IsVertexCover(g.Freeze(), b)
 	}
 	cfg := &quick.Config{MaxCount: 15}
 	if err := quick.Check(f, cfg); err != nil {

@@ -143,8 +143,8 @@ func (ss *StageStats) runStage(hooks TraceHooks, name, unit string, fn func() in
 }
 
 // Alg1Pipeline is Alg1CSR on g's frozen view. Graph.Freeze caches the CSR
-// in g, so Alg1Pipeline (like MVCAlg1) must not run concurrently with
-// another Freeze or a mutation of g.
+// in g, so Alg1Pipeline must not run concurrently with another Freeze or a
+// mutation of g.
 func Alg1Pipeline(g *graph.Graph, p Params, opt PipelineOptions) (*Alg1Result, error) {
 	return Alg1CSR(g.Freeze(), p, opt)
 }

@@ -28,7 +28,7 @@ func RadiusAblationSpec(n int, radii []int) Spec {
 	s.Tasks = append(s.Tasks, Task{Row: "sweep", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
 		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng)
-		opt, err := mds.ExactMDS(g)
+		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("radius ablation opt: %w", err)
 		}
@@ -65,7 +65,7 @@ func RoundsVsTSpec(n int, ts []int) Spec {
 			rng := rand.New(rand.NewSource(seed))
 			paper := core.PaperParams(tt)
 			scaled := core.Params{R1: tt, R2: tt}
-			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: tt}, rng)
+			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: tt}, rng).Freeze()
 			_, stats, err := core.RunAlg1(g, nil, scaled, local.Sequential)
 			if err != nil {
 				return nil, fmt.Errorf("rounds-vs-t t=%d: %w", tt, err)
@@ -140,9 +140,10 @@ func ScalingSpec(ns []int) Spec {
 // ratio to the certified |S|/opt_lb upper bound when the budgeted exact
 // probe gives up (node budget exhausted or instance over the vertex cap).
 func scalingRow(class string, g *graph.Graph, res *core.Alg1Result) []string {
-	lb := len(mds.TwoPacking(g))
+	c := g.Freeze()
+	lb := len(mds.TwoPacking(c))
 	optCell, ratioCell := "-", "-"
-	if opt, err := mds.ExactMDSOpt(g, mds.ExactOptions{MaxNodes: ScalingOptNodeBudget}); err == nil {
+	if opt, err := mds.ExactMDS(c, mds.ExactOptions{MaxNodes: ScalingOptNodeBudget}); err == nil {
 		optCell = fmt.Sprint(len(opt))
 		ratioCell = ratioString(len(res.S), len(opt))
 	} else if lb > 0 {
@@ -164,16 +165,16 @@ func MessageFootprintSpec(n int) Spec {
 	s.Tasks = append(s.Tasks, Task{Row: "footprint", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
 		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng)
-
-		_, d2stats, err := core.RunD2(g, nil, local.Sequential)
+		c := g.Freeze()
+		_, d2stats, err := core.RunD2(c, nil, local.Sequential)
 		if err != nil {
 			return nil, err
 		}
-		_, a1stats, err := core.RunAlg1(g, nil, core.Params{R1: 3, R2: 3}, local.Sequential)
+		_, a1stats, err := core.RunAlg1(c, nil, core.Params{R1: 3, R2: 3}, local.Sequential)
 		if err != nil {
 			return nil, err
 		}
-		net, err := local.NewNetwork(g, nil)
+		net, err := local.NewNetwork(c, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -24,12 +24,13 @@ func BaselinesSpec(ns []int) Spec {
 			rng := rand.New(rand.NewSource(seed))
 			g := ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: n, T: 5}, rng)
 			greedySol, phases := core.GreedyDistributed(g)
-			d2 := core.D2(g)
+			c := g.Freeze()
+			d2 := core.D2(c)
 			alg1, err := core.Alg1(g, core.PracticalParams())
 			if err != nil {
 				return nil, fmt.Errorf("baselines n=%d: %w", n, err)
 			}
-			opt, err := mds.ExactMDS(g)
+			opt, err := mds.ExactMDS(c, mds.ExactOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("baselines opt n=%d: %w", n, err)
 			}

@@ -6,9 +6,7 @@ import (
 )
 
 func TestTableRender(t *testing.T) {
-	tab := &Table{Title: "demo", Header: []string{"a", "long-column"}}
-	tab.AddRow("1", "2")
-	tab.AddRow("333", "4")
+	tab := &Table{Title: "demo", Header: []string{"a", "long-column"}, Rows: [][]string{{"1", "2"}, {"333", "4"}}}
 	out := tab.Render()
 	for _, want := range []string{"## demo", "| a  ", "| long-column |", "| 333"} {
 		if !strings.Contains(out, want) {
@@ -20,9 +18,7 @@ func TestTableRender(t *testing.T) {
 func TestTableRenderAlignsMultibyteCells(t *testing.T) {
 	// Aggregated cells carry multi-byte runes (±, ⟨⟩); every rendered line
 	// must still have the same display width (rune count).
-	tab := &Table{Header: []string{"a", "b"}}
-	tab.AddRow("1.5 ±0.5 [1..2]", "x")
-	tab.AddRow("2", "true ⟨2/3⟩")
+	tab := &Table{Header: []string{"a", "b"}, Rows: [][]string{{"1.5 ±0.5 [1..2]", "x"}, {"2", "true ⟨2/3⟩"}}}
 	lines := strings.Split(strings.TrimRight(tab.Render(), "\n"), "\n")
 	want := len([]rune(lines[0]))
 	for _, line := range lines[1:] {

@@ -25,9 +25,9 @@ func Lemma32Spec(ns []int, r int) Spec {
 	for _, n := range ns {
 		for _, inst := range lemmaInstances(n) {
 			s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d-%s", n, inst.name), Run: func(seed int64) ([][]string, error) {
-				g := inst.build(rand.New(rand.NewSource(seed)))
-				locals := cuts.LocalOneCutsCSR(g.Freeze(), r, graph.NewArena())
-				opt, err := mds.ExactMDS(g)
+				g := inst.build(rand.New(rand.NewSource(seed))).Freeze()
+				locals := cuts.LocalOneCutsCSR(g, r, graph.NewArena())
+				opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 				if err != nil {
 					return nil, fmt.Errorf("lemma32 %s n=%d: %w", inst.name, n, err)
 				}
@@ -85,8 +85,9 @@ func Lemma33Spec(ns []int, r int) Spec {
 					twoCutVerts[c.U] = true
 					twoCutVerts[c.V] = true
 				}
-				interesting := cuts.LocallyInterestingVerticesCSR(g.Freeze(), r, graph.NewArena())
-				opt, err := mds.ExactMDS(g)
+				c := g.Freeze()
+				interesting := cuts.LocallyInterestingVerticesCSR(c, r, graph.NewArena())
+				opt, err := mds.ExactMDS(c, mds.ExactOptions{})
 				if err != nil {
 					return nil, fmt.Errorf("lemma33 %s n=%d: %w", inst.name, n, err)
 				}

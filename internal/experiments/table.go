@@ -20,12 +20,6 @@ type Table struct {
 	Rows   [][]string
 }
 
-// AddRow appends a row; cells beyond the header length are rejected at
-// render time.
-func (t *Table) AddRow(cells ...string) {
-	t.Rows = append(t.Rows, cells)
-}
-
 // Render formats the table with aligned columns. Widths are measured in
 // runes, not bytes: aggregated cells carry multi-byte glyphs (±, ⟨⟩)
 // that would otherwise misalign their column.

@@ -24,11 +24,6 @@ type Table1Config struct {
 	ProcessN int
 }
 
-// DefaultTable1Config returns the EXPERIMENTS.md configuration.
-func DefaultTable1Config() Table1Config {
-	return Table1Config{N: 120, ProcessN: 48}
-}
-
 // Table1Spec declares the paper's Table 1 reproduction: one task per graph
 // class, each running the corresponding algorithm from this repository on
 // in-class workloads and reporting the measured approximation ratio and
@@ -46,13 +41,13 @@ func Table1Spec(cfg Table1Config) Spec {
 	// Trees (K3-minor-free), folklore 3-approx in 2 rounds.
 	s.Tasks = append(s.Tasks, Task{Row: "trees", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
-		g := gen.RandomTree(cfg.N, rng)
+		g := gen.RandomTree(cfg.N, rng).Freeze()
 		sol := core.TreeMDS(g)
-		opt, err := mds.ExactMDS(g)
+		opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("trees: %w", err)
 		}
-		small := gen.RandomTree(cfg.ProcessN, rng)
+		small := gen.RandomTree(cfg.ProcessN, rng).Freeze()
 		_, stats, err := core.RunTreeMDS(small, nil, local.Sequential)
 		if err != nil {
 			return nil, fmt.Errorf("trees process: %w", err)
@@ -71,7 +66,7 @@ func Table1Spec(cfg Table1Config) Spec {
 		if err != nil {
 			return nil, fmt.Errorf("outerplanar: %w", err)
 		}
-		opt, err := mds.ExactMDS(g)
+		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("outerplanar opt: %w", err)
 		}
@@ -91,7 +86,7 @@ func Table1Spec(cfg Table1Config) Spec {
 		if err != nil {
 			return nil, fmt.Errorf("planar: %w", err)
 		}
-		opt, err := mds.ExactMDS(g)
+		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("planar opt: %w", err)
 		}
@@ -107,7 +102,7 @@ func Table1Spec(cfg Table1Config) Spec {
 			return nil, fmt.Errorf("k1t: %w", err)
 		}
 		sol := core.TakeAllMDS(g)
-		opt, err := mds.ExactMDS(g)
+		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("k1t opt: %w", err)
 		}
@@ -123,12 +118,13 @@ func Table1Spec(cfg Table1Config) Spec {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("k2t-t%d", tt), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
 			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng)
-			small := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.ProcessN, T: tt}, rng)
-			opt, err := mds.ExactMDS(g)
+			small := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.ProcessN, T: tt}, rng).Freeze()
+			c := g.Freeze()
+			opt, err := mds.ExactMDS(c, mds.ExactOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("k2t opt: %w", err)
 			}
-			d2 := core.D2(g)
+			d2 := core.D2(c)
 			_, d2stats, err := core.RunD2(small, nil, local.Sequential)
 			if err != nil {
 				return nil, fmt.Errorf("k2t d2 process: %w", err)
@@ -162,7 +158,7 @@ func Table1Spec(cfg Table1Config) Spec {
 		if err != nil {
 			return nil, fmt.Errorf("kt: %w", err)
 		}
-		opt, err := mds.ExactMDS(g)
+		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("kt opt: %w", err)
 		}
@@ -183,8 +179,8 @@ func MVCTableSpec(cfg Table1Config) Spec {
 	for _, tt := range []int{3, 4, 5} {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("k2t-t%d", tt), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
-			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng)
-			opt, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{})
+			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng).Freeze()
+			opt, err := mds.ExactMVC(g, mds.ExactOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("mvc opt: %w", err)
 			}
@@ -247,7 +243,8 @@ func Proposition31Spec(cfg Table1Config) Spec {
 			if err != nil {
 				return nil, err
 			}
-			opt, err := mds.ExactMDS(g)
+			c := g.Freeze()
+			opt, err := mds.ExactMDS(c, mds.ExactOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -256,7 +253,7 @@ func Proposition31Spec(cfg Table1Config) Spec {
 				comps := g.RComponents(class, 5)
 				family := asdim.RSeparatedSubfamily(g, comps)
 				for _, b := range family {
-					sol, err := mds.ExactBDominating(g.Freeze(), g.BallOfSet(b, 1), mds.ExactOptions{})
+					sol, err := mds.ExactBDominating(c, g.BallOfSet(b, 1), mds.ExactOptions{})
 					if err != nil {
 						return nil, err
 					}

@@ -15,7 +15,9 @@ func TestTable1DefaultConfigFinishes(t *testing.T) {
 		t.Skip("long-running sanity check")
 	}
 	start := time.Now()
-	if _, err := Table1Spec(DefaultTable1Config()).RunSequential(1); err != nil {
+	// The EXPERIMENTS.md configuration, mdsbench's -n and -process-n
+	// defaults.
+	if _, err := Table1Spec(Table1Config{N: 120, ProcessN: 48}).RunSequential(1); err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Minute {

@@ -68,7 +68,8 @@ func (g *Graph) CSR() *CSR { return g.csr }
 // duplicate edges (in either orientation) are collapsed rather than
 // rejected. All adjacency lists share one backing array, so the result is
 // compact and a subsequent Freeze is cheap. It panics on out-of-range
-// endpoints, matching AddEdge.
+// endpoints, matching AddEdge. Only tests call it, as the adjacency-list
+// reference of CSRFromEdges: graph's, graphio's, service's and store's.
 func FromEdgesUnchecked(n int, edges [][2]int) *Graph {
 	deg := make([]int, n)
 	for _, e := range edges {

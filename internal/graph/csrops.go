@@ -125,7 +125,7 @@ func (c *CSR) boundedBFS(sources []int32, r int, a *Arena) ([]int32, int) {
 // a view into the arena that the next operation overwrites. The marks
 // themselves stay current for AppendSeparators and LabelComponents until
 // the next operation that marks a ball or visits vertices (MarkBall,
-// SubsetComponents, Eccentricity). Nothing is copied: the ball is a stamp
+// SubsetComponents). Nothing is copied: the ball is a stamp
 // over c's own vertex ids.
 func (c *CSR) MarkBall(u, v, r int, a *Arena) []int32 {
 	src := [2]int32{int32(u), int32(v)}
@@ -417,12 +417,6 @@ func (c *CSR) SubsetComponents(members []int32, a *Arena) [][]int32 {
 	return comps
 }
 
-// Eccentricity returns the maximum distance from v to any reachable vertex.
-func (c *CSR) Eccentricity(v int, a *Arena) int {
-	_, ecc := c.boundedBFS([]int32{int32(v)}, -1, a)
-	return ecc
-}
-
 // Diameter bounds the largest distance between two vertices of the same
 // connected component (0 when no component has an edge) by lo <= diam <=
 // hi, and counts the components, allocation-free given a warm arena. Each
@@ -605,11 +599,10 @@ func (c *CSR) distBFS(s int32, a *Arena) ([]int32, int) {
 // the parsers use it to hand a *Graph to callers that want one; the
 // solvers run on the CSR and need no bridge. The adjacency lists do not
 // alias c, but the graph keeps c as its frozen view, so Freeze returns c
-// without rebuilding it. c must therefore stay valid and unchanged while
-// the graph is frozen: hand over a freshly built CSR, or a mapped one
-// (graphio.MappedCSR) that stays open until the graph's last use, never
-// one that is refilled (an InducedInto destination). Mutating the graph
-// drops the view and never writes to c.
+// without rebuilding it. c must therefore stay unchanged while the graph
+// is frozen: hand over a freshly built CSR, never one that is refilled
+// (an InducedInto destination). Mutating the graph drops the view and
+// never writes to c.
 func FromCSR(c *CSR) *Graph {
 	n := c.N()
 	buf := make([]int, len(c.Targets))

@@ -61,25 +61,30 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	return &g, nil
 }
 
-// DOT renders g in Graphviz DOT format. Vertices in highlight are drawn
-// filled; pass nil for a plain rendering.
-func (g *Graph) DOT(name string, highlight []int) string {
+// DOT renders c in Graphviz DOT format. Vertices in highlight are drawn
+// filled; pass nil for a plain rendering. Rows are sorted, so edges come
+// out once each as u -- v with u < v, in lexicographic order.
+func (c *CSR) DOT(name string, highlight []int) string {
 	hi := make(map[int]bool, len(highlight))
 	for _, v := range highlight {
 		hi[v] = true
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "graph %s {\n", sanitizeDOTName(name))
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < c.N(); v++ {
 		if hi[v] {
 			fmt.Fprintf(&b, "  %d [style=filled, fillcolor=gold];\n", v)
 		} else {
 			fmt.Fprintf(&b, "  %d;\n", v)
 		}
 	}
-	g.VisitEdges(func(u, v int) {
-		fmt.Fprintf(&b, "  %d -- %d;\n", u, v)
-	})
+	for u := 0; u < c.N(); u++ {
+		for _, v := range c.Row(u) {
+			if int(v) > u {
+				fmt.Fprintf(&b, "  %d -- %d;\n", u, v)
+			}
+		}
+	}
 	b.WriteString("}\n")
 	return b.String()
 }

@@ -57,19 +57,18 @@ func TestWriteReadJSON(t *testing.T) {
 }
 
 func TestDOT(t *testing.T) {
-	g := path(3)
-	dot := g.DOT("p3", []int{1})
-	for _, want := range []string{"graph p3 {", "0 -- 1;", "1 -- 2;", "fillcolor=gold"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, dot)
-		}
+	c := path(3).Freeze()
+	dot := c.DOT("p3", []int{1})
+	want := "graph p3 {\n  0;\n  1 [style=filled, fillcolor=gold];\n  2;\n  0 -- 1;\n  1 -- 2;\n}\n"
+	if dot != want {
+		t.Errorf("DOT output:\n%s\nwant:\n%s", dot, want)
 	}
 	// Name sanitization.
-	dot = g.DOT("my graph!", nil)
+	dot = c.DOT("my graph!", nil)
 	if !strings.Contains(dot, "graph my_graph_ {") {
 		t.Errorf("DOT name not sanitized:\n%s", dot)
 	}
-	if !strings.Contains(New(0).DOT("", nil), "graph G {") {
+	if !strings.Contains(New(0).Freeze().DOT("", nil), "graph G {") {
 		t.Error("empty DOT name should default to G")
 	}
 }

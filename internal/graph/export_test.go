@@ -10,3 +10,11 @@ func (a *Arena) SetGenerations(g int32) {
 // Stamps returns a's mark generation. Every BFS takes a fresh one, so on
 // a warm arena the difference across a call counts the BFS runs it made.
 func (a *Arena) Stamps() int32 { return a.stamp }
+
+// Eccentricity returns the maximum distance from v to any reachable
+// vertex: the one-BFS-per-vertex oracle diameter_test.go checks
+// CSR.Diameter against.
+func (c *CSR) Eccentricity(v int, a *Arena) int {
+	_, ecc := c.boundedBFS([]int32{int32(v)}, -1, a)
+	return ecc
+}

@@ -42,7 +42,7 @@ func randomIDs(n int, rng *rand.Rand) []int {
 // protocols on g with both engines and fails on any divergence.
 func checkEnginesAgree(t *testing.T, g *graph.Graph, ids []int, rounds int) {
 	t.Helper()
-	nw, err := NewNetwork(g, ids)
+	nw, err := NewNetwork(g.Freeze(), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func checkEnginesAgree(t *testing.T, g *graph.Graph, ids []int, rounds int) {
 		t.Errorf("leader outputs differ: %v vs %v", seqLead, parLead)
 	}
 
-	root := nw.IDs()[0]
+	root := nw.ids[0]
 	seqTree, seqStats3, err := BuildBFSTree(nw, root, horizon, Sequential)
 	if err != nil {
 		t.Fatalf("sequential bfs tree: %v", err)

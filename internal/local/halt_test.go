@@ -33,7 +33,7 @@ func (p *lastWordsProcess) Output() any { return p.heard }
 
 func TestFinalMessagesDelivered(t *testing.T) {
 	g := gen.Path(2)
-	nw, err := NewNetwork(g, nil)
+	nw, err := NewNetwork(g.Freeze(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestMessagesToHaltedDropped(t *testing.T) {
 	// Vertex 0 halts in round 1; vertex 1 sends in round 2; the message
 	// must be dropped, not delivered or counted.
 	g := gen.Path(2)
-	nw, err := NewNetwork(g, nil)
+	nw, err := NewNetwork(g.Freeze(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

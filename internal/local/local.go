@@ -56,21 +56,23 @@ type Process interface {
 // need per-vertex parameters close over them.
 type Factory func(vertex int) Process
 
-// Network couples a graph with an identifier assignment. The graph's
-// adjacency is snapshotted into a message fabric at construction time, so
-// repeated runs over the same network pay the wiring cost once; mutating
-// the graph after NewNetwork is not supported.
+// Network couples a frozen graph with an identifier assignment. The
+// message fabric is wired once at construction time, so repeated runs
+// over the same network pay the wiring cost once.
 type Network struct {
-	g     *graph.Graph
-	ids   []int
-	wires *wires
+	c   *graph.CSR
+	ids []int
+	// revSlot[k] is the inbox slot arc k fills: for arc k = (v -> u),
+	// revSlot[k] = c.Offsets[u] + (port of u that leads back to v). All
+	// round state (inbox, outbox) lives in flat arrays indexed by arc, so
+	// a run allocates its buffers once and reuses them every round.
+	revSlot []int32
 }
 
-// NewNetwork creates a network over g with identifiers ids (one per
-// vertex, all distinct). Pass nil for the identity assignment. It freezes
-// g.
-func NewNetwork(g *graph.Graph, ids []int) (*Network, error) {
-	n := g.N()
+// NewNetwork creates a network over c with identifiers ids (one per
+// vertex, all distinct). Pass nil for the identity assignment.
+func NewNetwork(c *graph.CSR, ids []int) (*Network, error) {
+	n := c.N()
 	if ids == nil {
 		ids = make([]int, n)
 		for i := range ids {
@@ -87,11 +89,8 @@ func NewNetwork(g *graph.Graph, ids []int) (*Network, error) {
 		}
 		seen[id] = true
 	}
-	return &Network{g: g, ids: ids, wires: buildWires(g.Freeze())}, nil
+	return &Network{c: c, ids: ids, revSlot: reverseSlots(c)}, nil
 }
-
-// IDs returns the identifier assignment (do not modify).
-func (nw *Network) IDs() []int { return nw.ids }
 
 // Stats reports the cost of a run.
 type Stats struct {
@@ -127,39 +126,22 @@ const (
 // DefaultMaxRounds caps runaway protocols; Run returns an error beyond it.
 const DefaultMaxRounds = 1 << 20
 
-// wires is the frozen message fabric of one run: the graph's CSR arrays
-// plus, for every directed arc, the receive slot it feeds. All
-// round state (inbox, outbox) lives in flat arrays indexed by arc, so a
-// run allocates its buffers once and reuses them every round.
-type wires struct {
-	offsets []int32 // len n+1
-	targets []int32 // arc k goes to vertex targets[k]
-	// revSlot[k] is the inbox slot the arc fills: for arc k = (v -> u),
-	// revSlot[k] = offsets[u] + (port of u that leads back to v).
-	revSlot []int32
-}
-
-// buildWires shares the frozen CSR's arrays and computes every arc's
-// receive slot. Adjacency rows are sorted, so the reverse ports come out of
-// a single counting pass over the arcs: scanning sources in increasing
-// order means each target's in-arcs arrive in exactly its adjacency order.
-func buildWires(c *graph.CSR) *wires {
-	n := c.N()
-	w := &wires{offsets: c.Offsets, targets: c.Targets}
-	w.revSlot = make([]int32, len(c.Targets))
-	ptr := make([]int32, n)
-	for v := 0; v < n; v++ {
-		for k := w.offsets[v]; k < w.offsets[v+1]; k++ {
-			u := w.targets[k]
-			w.revSlot[k] = w.offsets[u] + ptr[u]
+// reverseSlots computes every arc's receive slot. Adjacency rows are
+// sorted, so the reverse ports come out of a single counting pass over the
+// arcs: scanning sources in increasing order means each target's in-arcs
+// arrive in exactly its adjacency order.
+func reverseSlots(c *graph.CSR) []int32 {
+	rev := make([]int32, len(c.Targets))
+	ptr := make([]int32, c.N())
+	for v := 0; v < c.N(); v++ {
+		for k := c.Offsets[v]; k < c.Offsets[v+1]; k++ {
+			u := c.Targets[k]
+			rev[k] = c.Offsets[u] + ptr[u]
 			ptr[u]++
 		}
 	}
-	return w
+	return rev
 }
-
-// degree returns the degree of v in the wired topology.
-func (w *wires) degree(v int32) int { return int(w.offsets[v+1] - w.offsets[v]) }
 
 // Run executes the protocol until every vertex halts and returns outputs
 // and statistics. maxRounds <= 0 selects DefaultMaxRounds.
@@ -167,25 +149,16 @@ func (nw *Network) Run(engine Engine, factory Factory, maxRounds int) (*Result, 
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	n := nw.g.N()
-	w := nw.wires
-	// Guard against the graph having been mutated after NewNetwork: the
-	// wires are a construction-time snapshot, and running over a stale
-	// snapshot would silently misroute messages.
-	if n != len(w.offsets)-1 {
-		return nil, fmt.Errorf("local: topology grew to %d vertices after NewNetwork (had %d)", n, len(w.offsets)-1)
-	}
-	if total := 2 * nw.g.M(); total != len(w.targets) {
-		return nil, fmt.Errorf("local: topology has %d arcs but NewNetwork snapshotted %d; mutating the topology after NewNetwork is not supported", total, len(w.targets))
-	}
+	n := nw.c.N()
+	offsets, targets := nw.c.Offsets, nw.c.Targets
 	procs := make([]Process, n)
 	for v := 0; v < n; v++ {
 		procs[v] = factory(v)
-		procs[v].Init(NodeInfo{ID: nw.ids[v], Ports: w.degree(int32(v)), N: n})
+		procs[v].Init(NodeInfo{ID: nw.ids[v], Ports: nw.c.Degree(v), N: n})
 	}
 	halted := make([]bool, n)
-	// inbox[w.offsets[v]+p]: message arriving at v on port p this round.
-	inbox := make([]Message, len(w.targets))
+	// inbox[offsets[v]+p]: message arriving at v on port p this round.
+	inbox := make([]Message, len(targets))
 	outboxes := make([][]Message, n)
 	// active lists the non-halted vertices in ascending order; compute and
 	// delivery iterate it so halted vertices cost nothing.
@@ -212,7 +185,7 @@ func (nw *Network) Run(engine Engine, factory Factory, maxRounds int) (*Result, 
 		graph.ParallelFor(len(active), workers, chunk, func(int) func(int) {
 			return func(i int) {
 				v := active[i]
-				out, halt := procs[v].Round(round, inbox[w.offsets[v]:w.offsets[v+1]])
+				out, halt := procs[v].Round(round, inbox[offsets[v]:offsets[v+1]])
 				outboxes[v] = out
 				if halt {
 					halted[v] = true
@@ -227,7 +200,7 @@ func (nw *Network) Run(engine Engine, factory Factory, maxRounds int) (*Result, 
 			if halted[v] {
 				continue
 			}
-			in := inbox[w.offsets[v]:w.offsets[v+1]]
+			in := inbox[offsets[v]:offsets[v+1]]
 			for p := range in {
 				in[p] = nil
 			}
@@ -238,22 +211,22 @@ func (nw *Network) Run(engine Engine, factory Factory, maxRounds int) (*Result, 
 			if out == nil {
 				continue
 			}
-			deg := w.degree(v)
+			deg := nw.c.Degree(int(v))
 			if len(out) > deg {
 				return nil, fmt.Errorf("local: vertex %d sent on %d ports but has %d", v, len(out), deg)
 			}
-			base := w.offsets[v]
+			base := offsets[v]
 			for i, msg := range out {
 				if msg == nil {
 					continue
 				}
 				k := base + int32(i)
-				u := w.targets[k]
+				u := targets[k]
 				if halted[u] {
 					continue // dropped: recipient already halted
 				}
 				size := messageSize(msg)
-				inbox[w.revSlot[k]] = msg
+				inbox[nw.revSlot[k]] = msg
 				stats.Messages++
 				stats.Words += int64(size)
 				if size > stats.MaxMessageWords {

@@ -167,7 +167,7 @@ func BuildBFSTree(nw *Network, rootID, horizon int, engine Engine) ([]BFSTreeRes
 
 func TestElectLeader(t *testing.T) {
 	g := gen.Cycle(10)
-	nw, err := NewNetwork(g, []int{5, 9, 3, 7, 1, 8, 2, 6, 4, 0})
+	nw, err := NewNetwork(g.Freeze(), []int{5, 9, 3, 7, 1, 8, 2, 6, 4, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +182,8 @@ func TestElectLeader(t *testing.T) {
 		}
 		if r.IsLeader {
 			leaders++
-			if nw.IDs()[v] != 0 {
-				t.Errorf("vertex %d claims leadership with id %d", v, nw.IDs()[v])
+			if nw.ids[v] != 0 {
+				t.Errorf("vertex %d claims leadership with id %d", v, nw.ids[v])
 			}
 		}
 	}
@@ -197,7 +197,7 @@ func TestElectLeader(t *testing.T) {
 
 func TestElectLeaderEnginesAgree(t *testing.T) {
 	g := gen.Grid(4, 4)
-	nw, err := NewNetwork(g, nil)
+	nw, err := NewNetwork(g.Freeze(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestElectLeaderEnginesAgree(t *testing.T) {
 
 func TestBuildBFSTree(t *testing.T) {
 	g := gen.Path(7)
-	nw, err := NewNetwork(g, nil)
+	nw, err := NewNetwork(g.Freeze(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestBuildBFSTree(t *testing.T) {
 
 func TestBuildBFSTreeGridDepths(t *testing.T) {
 	g := gen.Grid(4, 5)
-	nw, err := NewNetwork(g, nil)
+	nw, err := NewNetwork(g.Freeze(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestBuildBFSTreeGridDepths(t *testing.T) {
 func TestBuildBFSTreeShortHorizon(t *testing.T) {
 	// Vertices beyond the horizon stay unreached (depth -1).
 	g := gen.Path(10)
-	nw, err := NewNetwork(g, nil)
+	nw, err := NewNetwork(g.Freeze(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestBuildBFSTreeShortHorizon(t *testing.T) {
 
 func TestWordAccounting(t *testing.T) {
 	g := gen.Cycle(6)
-	nw, err := NewNetwork(g, nil)
+	nw, err := NewNetwork(g.Freeze(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

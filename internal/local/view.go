@@ -9,7 +9,9 @@ import (
 // View is the knowledge a vertex has accumulated about its neighborhood:
 // adjacency lists keyed by identifier. After r rounds of the gathering
 // protocol a vertex knows the identifiers of every vertex at distance <= r
-// and the full adjacency list of every vertex at distance <= r-1.
+// and the full adjacency list of every vertex at distance <= r-1. Deciders
+// read it through CSR, as the same frozen graph the centralized solvers
+// take.
 type View struct {
 	CenterID int
 	// Adj maps a known vertex's identifier to its full adjacency list
@@ -37,14 +39,14 @@ func (v *View) KnownIDs() []int {
 	return out
 }
 
-// Graph materializes the view's resolved portion as a graph.Graph: the
+// CSR materializes the view's resolved portion as a frozen graph: the
 // vertices with known adjacency plus the frontier vertices referenced by
-// them, with every known edge. It returns the graph, the sorted identifier
+// them, with every known edge. It returns the CSR, the sorted identifier
 // slice mapping local index -> identifier, and the center's local index.
-// The graph is batch-built (FromEdgesUnchecked collapses the duplicates
-// arising from both endpoints reporting an edge), avoiding the per-edge
-// HasEdge/AddEdge cost this path used to pay.
-func (v *View) Graph() (*graph.Graph, []int, int) {
+// Local indices ascend with identifiers, so a decider's smallest-index
+// tie-breaks pick smallest identifiers. CSRFromEdges collapses the
+// duplicates arising from both endpoints reporting an edge.
+func (v *View) CSR() (*graph.CSR, []int, int) {
 	ids := v.KnownIDs()
 	index := make(map[int]int, len(ids))
 	for i, id := range ids {
@@ -63,11 +65,7 @@ func (v *View) Graph() (*graph.Graph, []int, int) {
 			}
 		}
 	}
-	g := graph.FromEdgesUnchecked(len(ids), edges)
-	// View graphs are traversal-heavy and never mutated: freeze them so
-	// the many Ball/BFS calls the deciders run take the CSR fast path.
-	g.Freeze()
-	return g, ids, index[v.CenterID]
+	return graph.CSRFromEdges(len(ids), edges), ids, index[v.CenterID]
 }
 
 // gatherRecord is one adjacency fact: a vertex identifier and its full
@@ -248,8 +246,8 @@ func (p *gatherProcess) Output() any { return p.g.View() }
 // of shared arrays sized by the total degree — a handful of allocations
 // for the whole network instead of several per vertex.
 func GatherViews(nw *Network, rounds int, engine Engine) ([]*View, Stats, error) {
-	n := nw.g.N()
-	offsets := nw.wires.offsets
+	n := nw.c.N()
+	offsets := nw.c.Offsets
 	total := int(offsets[n])
 	procs := make([]gatherProcess, n)
 	ints := make([]int, 2*total) // first half: nbrIDs; second half: own records

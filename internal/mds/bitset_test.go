@@ -99,7 +99,7 @@ func TestEngineMultiComponent(t *testing.T) {
 				target = append(target, v)
 			}
 		default: // a 2-packing: pairwise far apart, no shared dominators
-			target = TwoPacking(g)
+			target = TwoPacking(g.Freeze())
 		}
 		if len(target) == 0 {
 			target = []int{0, g.N() - 1}
@@ -152,7 +152,7 @@ func TestEngineGridKnownValues(t *testing.T) {
 	want := map[int]int{7: 12, 8: 16, 9: 20}
 	for side, opt := range want {
 		g := gen.Grid(side, side)
-		sol, err := ExactMDS(g)
+		sol, err := ExactMDS(g.Freeze(), ExactOptions{})
 		if err != nil {
 			t.Fatalf("grid %dx%d: %v", side, side, err)
 		}
@@ -169,7 +169,7 @@ func TestEngineGridKnownValues(t *testing.T) {
 // reproducibly, and that a sufficient budget changes nothing.
 func TestEngineNodeBudget(t *testing.T) {
 	g := gen.Grid(8, 8)
-	target := allVertices(g)
+	target := allVertices(g.N())
 	if _, err := newEngine(g.Freeze(), target).solve(ExactOptions{MaxNodes: 25}); err == nil {
 		t.Fatal("25-node budget on an 8x8 grid should be exhausted")
 	}
@@ -199,7 +199,7 @@ func TestEngineNodeBudget(t *testing.T) {
 func TestEngineForcedAndSubsumedRoots(t *testing.T) {
 	// Star: center subsumes every leaf; reductions alone solve it.
 	star := gen.Star(9)
-	e := newEngine(star.Freeze(), allVertices(star))
+	e := newEngine(star.Freeze(), allVertices(star.N()))
 	sol, err := e.solve(ExactOptions{})
 	if err != nil || len(sol) != 1 || sol[0] != 0 {
 		t.Fatalf("star: %v, %v (want [0])", sol, err)
@@ -261,7 +261,7 @@ func TestExactMDSNodeCountPinned(t *testing.T) {
 	for _, tc := range cases {
 		target := tc.target
 		if target == nil {
-			target = allVertices(tc.g)
+			target = allVertices(tc.g.N())
 		}
 		e := newEngine(tc.g.Freeze(), target)
 		got, err := e.solve(ExactOptions{})

@@ -126,7 +126,7 @@ func TestGreedyBDominatingCSRMatchesGeneric(t *testing.T) {
 	}
 	for name, g := range graphs {
 		dup := randomTarget(g.N(), rng)
-		for k, target := range [][]int{allVertices(g), randomTarget(g.N(), rng), nil, append(dup, dup...)} {
+		for k, target := range [][]int{allVertices(g.N()), randomTarget(g.N(), rng), nil, append(dup, dup...)} {
 			check(fmt.Sprintf("%s target %d", name, k), g, target)
 		}
 	}

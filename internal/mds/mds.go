@@ -14,13 +14,17 @@ import (
 )
 
 // IsDominatingSet reports whether s dominates every vertex of g: each
-// vertex is in s or adjacent to a member of s.
+// vertex is in s or adjacent to a member of s. Only tests call it, as an
+// adjacency-list check independent of IsDominatingSetCSR: mds's tests and
+// core's (alg1, alg1process, d2, folklore, greedy, pipeline and example).
 func IsDominatingSet(g *graph.Graph, s []int) bool {
-	return DominatesSet(g, s, allVertices(g))
+	return DominatesSet(g, s, allVertices(g.N()))
 }
 
 // DominatesSet reports whether every vertex of target is in s or adjacent
-// to a member of s (s is "B-dominating" for B = target, §2).
+// to a member of s (s is "B-dominating" for B = target, §2). Only tests
+// call it: IsDominatingSet and mds's bitset, csr, treewidth, tw2dp and mds
+// tests.
 func DominatesSet(g *graph.Graph, s, target []int) bool {
 	dominated := make([]bool, g.N())
 	for _, v := range s {
@@ -40,21 +44,21 @@ func DominatesSet(g *graph.Graph, s, target []int) bool {
 	return true
 }
 
-// IsVertexCover reports whether s touches every edge of g.
-func IsVertexCover(g *graph.Graph, s []int) bool {
-	in := make([]bool, g.N())
+// IsVertexCover reports whether s touches every edge of c.
+func IsVertexCover(c *graph.CSR, s []int) bool {
+	in := make([]bool, c.N())
 	for _, v := range s {
-		if v < 0 || v >= g.N() {
+		if v < 0 || v >= c.N() {
 			return false
 		}
 		in[v] = true
 	}
-	for u := 0; u < g.N(); u++ {
+	for u := 0; u < c.N(); u++ {
 		if in[u] {
 			continue
 		}
-		for _, v := range g.Neighbors(u) {
-			if u < v && !in[v] {
+		for _, v := range c.Row(u) {
+			if !in[v] {
 				return false
 			}
 		}
@@ -81,16 +85,10 @@ type ExactOptions struct {
 	MaxNodes int64
 }
 
-// ExactMDS returns a minimum dominating set of g: ExactBDominating on
-// g.Freeze() with every vertex a target. Freeze caches the CSR in g, so
-// goroutines sharing g should freeze it before they call ExactMDS.
-func ExactMDS(g *graph.Graph) ([]int, error) {
-	return ExactMDSOpt(g, ExactOptions{})
-}
-
-// ExactMDSOpt is ExactMDS with engine options.
-func ExactMDSOpt(g *graph.Graph, opt ExactOptions) ([]int, error) {
-	return ExactBDominating(g.Freeze(), allVertices(g), opt)
+// ExactMDS returns a minimum dominating set of c: ExactBDominating with
+// every vertex a target.
+func ExactMDS(c *graph.CSR, opt ExactOptions) ([]int, error) {
+	return ExactBDominating(c, allVertices(c.N()), opt)
 }
 
 // ExactBDominating returns a minimum set S ⊆ V(c) dominating every vertex
@@ -124,32 +122,33 @@ func ExactBDominating(c *graph.CSR, target []int, opt ExactOptions) ([]int, erro
 // GreedyMDS returns the classical greedy dominating set (repeatedly pick
 // the vertex covering the most undominated vertices), an
 // (ln Δ + 1)-approximation and the baseline used in the experiments:
-// GreedyBDominatingCSR on g.Freeze() with every vertex a target.
-func GreedyMDS(g *graph.Graph) []int {
-	return GreedyBDominatingCSR(g.Freeze(), allVertices(g))
+// GreedyBDominatingCSR with every vertex a target.
+func GreedyMDS(c *graph.CSR) []int {
+	return GreedyBDominatingCSR(c, allVertices(c.N()))
 }
 
 // TwoPacking returns a maximal 2-packing: vertices pairwise at distance at
 // least 3. Its size lower-bounds MDS(G) (each dominator covers at most one
 // packing vertex), giving a cheap OPT lower bound on instances too large
 // for the exact solver.
-func TwoPacking(g *graph.Graph) []int {
-	blocked := make([]bool, g.N())
+func TwoPacking(c *graph.CSR) []int {
+	blocked := make([]bool, c.N())
+	a := graph.NewArena()
 	var pack []int
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < c.N(); v++ {
 		if blocked[v] {
 			continue
 		}
 		pack = append(pack, v)
-		for _, u := range g.Ball(v, 2) {
+		for _, u := range c.MarkBall(v, -1, 2, a) {
 			blocked[u] = true
 		}
 	}
 	return pack
 }
 
-func allVertices(g *graph.Graph) []int {
-	all := make([]int, g.N())
+func allVertices(n int) []int {
+	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}

@@ -45,13 +45,13 @@ func TestDominatesSet(t *testing.T) {
 
 func TestIsVertexCover(t *testing.T) {
 	g := gen.Cycle(5)
-	if !IsVertexCover(g, []int{0, 2, 4}) {
+	if !IsVertexCover(g.Freeze(), []int{0, 2, 4}) {
 		t.Error("{0,2,4} should cover C5")
 	}
-	if IsVertexCover(g, []int{0, 2}) {
+	if IsVertexCover(g.Freeze(), []int{0, 2}) {
 		t.Error("{0,2} should not cover C5 (edge 3-4)")
 	}
-	if !IsVertexCover(graph.New(3), nil) {
+	if !IsVertexCover(graph.New(3).Freeze(), nil) {
 		t.Error("empty set should cover the edgeless graph")
 	}
 }
@@ -77,7 +77,7 @@ func TestExactMDSKnownValues(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			s, err := ExactMDS(tt.g)
+			s, err := ExactMDS(tt.g.Freeze(), ExactOptions{})
 			if err != nil {
 				t.Fatalf("ExactMDS: %v", err)
 			}
@@ -99,21 +99,21 @@ func TestExactMDSRefusesLarge(t *testing.T) {
 	for side*side <= MaxExactMDSVertices {
 		side++
 	}
-	if _, err := ExactMDS(gen.Grid(side, side)); err == nil {
+	if _, err := ExactMDS(gen.Grid(side, side).Freeze(), ExactOptions{}); err == nil {
 		t.Error("oversized high-treewidth instance accepted")
 	}
-	if _, err := ExactMDS(gen.Path(MaxExactMDSVertices + 1)); err != nil {
+	if _, err := ExactMDS(gen.Path(MaxExactMDSVertices+1).Freeze(), ExactOptions{}); err != nil {
 		t.Errorf("large forest should use the DP: %v", err)
 	}
-	if _, err := ExactMDS(gen.Cycle(MaxExactMDSVertices + 41)); err != nil {
+	if _, err := ExactMDS(gen.Cycle(MaxExactMDSVertices+41).Freeze(), ExactOptions{}); err != nil {
 		t.Errorf("large cycle should use the treewidth DP: %v", err)
 	}
 	// A budget bails out deterministically instead of stalling, and no
 	// budget lifts the cap.
-	if _, err := ExactMDSOpt(gen.Grid(9, 9), ExactOptions{MaxNodes: 10}); err == nil {
+	if _, err := ExactMDS(gen.Grid(9, 9).Freeze(), ExactOptions{MaxNodes: 10}); err == nil {
 		t.Error("exhausted node budget should error")
 	}
-	if _, err := ExactMDSOpt(gen.Grid(side, side), ExactOptions{MaxNodes: 1 << 40}); err == nil || !strings.Contains(err.Error(), "capped") {
+	if _, err := ExactMDS(gen.Grid(side, side).Freeze(), ExactOptions{MaxNodes: 1 << 40}); err == nil || !strings.Contains(err.Error(), "capped") {
 		t.Errorf("%dx%d grid with a roomy budget: %v, want the cap error", side, side, err)
 	}
 }
@@ -147,7 +147,7 @@ func TestGreedyMDSIsDominating(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(60, 0.05, rng)
-		s := GreedyMDS(g)
+		s := GreedyMDS(g.Freeze())
 		if !IsDominatingSet(g, s) {
 			t.Errorf("seed %d: greedy set not dominating", seed)
 		}
@@ -158,8 +158,8 @@ func TestTwoPackingLowerBound(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(30, 0.1, rng)
-		pack := TwoPacking(g)
-		opt, err := ExactMDS(g)
+		pack := TwoPacking(g.Freeze())
+		opt, err := ExactMDS(g.Freeze(), ExactOptions{})
 		if err != nil {
 			t.Fatalf("ExactMDS: %v", err)
 		}
@@ -199,7 +199,7 @@ func TestExactMVCKnownValues(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ExactMVC: %v", err)
 			}
-			if !IsVertexCover(tt.g, s) {
+			if !IsVertexCover(tt.g.Freeze(), s) {
 				t.Fatalf("returned set %v is not a cover", s)
 			}
 			if len(s) != tt.want {
@@ -214,7 +214,7 @@ func TestMatchingVertexCover(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(40, 0.08, rng)
 		cover := MatchingVertexCover(g.Freeze())
-		if !IsVertexCover(g, cover) {
+		if !IsVertexCover(g.Freeze(), cover) {
 			t.Errorf("seed %d: matching cover is not a cover", seed)
 		}
 	}
@@ -226,12 +226,12 @@ func TestMDSSandwichProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(18, 0.15, rng)
-		exact, err := ExactMDS(g)
+		exact, err := ExactMDS(g.Freeze(), ExactOptions{})
 		if err != nil {
 			return false
 		}
-		greedy := GreedyMDS(g)
-		pack := TwoPacking(g)
+		greedy := GreedyMDS(g.Freeze())
+		pack := TwoPacking(g.Freeze())
 		return IsDominatingSet(g, exact) &&
 			IsDominatingSet(g, greedy) &&
 			len(exact) <= len(greedy) &&
@@ -254,7 +254,7 @@ func TestMVCTwoApproxProperty(t *testing.T) {
 			return false
 		}
 		approx := MatchingVertexCover(g.Freeze())
-		if !IsVertexCover(g, exact) || !IsVertexCover(g, approx) {
+		if !IsVertexCover(g.Freeze(), exact) || !IsVertexCover(g.Freeze(), approx) {
 			return false
 		}
 		return len(approx) <= 2*len(exact) && len(exact) <= len(approx)
@@ -272,8 +272,8 @@ func TestTwinReductionPreservesMDSProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(14, 0.3, rng)
 		reduced, _ := g.TwinReduction()
-		a, err1 := ExactMDS(g)
-		b, err2 := ExactMDS(reduced)
+		a, err1 := ExactMDS(g.Freeze(), ExactOptions{})
+		b, err2 := ExactMDS(reduced.Freeze(), ExactOptions{})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -293,7 +293,7 @@ func TestLemma52Property(t *testing.T) {
 		g := gen.GNPConnected(16, 0.12, rng)
 		// Build disjoint-N[.] subsets greedily from a 2-packing: balls of
 		// radius 1 around 2-packing vertices are pairwise disjoint.
-		pack := TwoPacking(g)
+		pack := TwoPacking(g.Freeze())
 		total := 0
 		for _, v := range pack {
 			s, err := ExactBDominating(g.Freeze(), []int{v}, ExactOptions{})
@@ -302,7 +302,7 @@ func TestLemma52Property(t *testing.T) {
 			}
 			total += len(s)
 		}
-		opt, err := ExactMDS(g)
+		opt, err := ExactMDS(g.Freeze(), ExactOptions{})
 		if err != nil {
 			return false
 		}
@@ -346,7 +346,7 @@ func allVerticesForTest(g *graph.Graph) []int {
 func TestForestDPLargeTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := gen.RandomTree(5000, rng)
-	sol, err := ExactMDS(g)
+	sol, err := ExactMDS(g.Freeze(), ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestForestDPLargeTree(t *testing.T) {
 		t.Fatal("not dominating")
 	}
 	// Sanity: at most n/2 + small slack, at least 2-packing.
-	if len(sol) > g.N()/2+1 || len(sol) < len(TwoPacking(g)) {
+	if len(sol) > g.N()/2+1 || len(sol) < len(TwoPacking(g.Freeze())) {
 		t.Errorf("implausible optimum %d for n=%d", len(sol), g.N())
 	}
 	if want := len(exactMDSForest(g)); len(sol) != want {
@@ -364,7 +364,7 @@ func TestForestDPLargeTree(t *testing.T) {
 
 func TestForestDPForest(t *testing.T) {
 	g := graph.DisjointUnion(gen.Path(7), gen.Star(4))
-	sol, err := ExactMDS(g)
+	sol, err := ExactMDS(g.Freeze(), ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestForestDPForest(t *testing.T) {
 
 func TestForestDPIsolated(t *testing.T) {
 	g := graph.New(3)
-	sol, err := ExactMDS(g)
+	sol, err := ExactMDS(g.Freeze(), ExactOptions{})
 	if err != nil || len(sol) != 3 || len(exactMDSForest(g)) != 3 {
 		t.Errorf("isolated vertices: %v, %v (forest DP oracle %v)", sol, err, exactMDSForest(g))
 	}

@@ -36,7 +36,7 @@ func BenchmarkExactMDS(b *testing.B) {
 		{"grid-11x11", gen.Grid(11, 11), "reference needs >>10min per op"},
 	}
 	for _, tc := range cases {
-		target := allVertices(tc.g)
+		target := allVertices(tc.g.N())
 		b.Run(tc.name+"/engine", func(b *testing.B) {
 			b.ReportAllocs()
 			var size int

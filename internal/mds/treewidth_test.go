@@ -107,14 +107,14 @@ func TestTW2MatchesBnBOnWorkloads(t *testing.T) {
 func TestTW2LargeInstanceFast(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 2000, T: 5}, rng)
-	sol, err := ExactMDS(g)
+	sol, err := ExactMDS(g.Freeze(), ExactOptions{})
 	if err != nil {
 		t.Fatalf("ExactMDS on n=%d: %v", g.N(), err)
 	}
 	if !IsDominatingSet(g, sol) {
 		t.Fatal("not dominating")
 	}
-	if len(sol) < len(TwoPacking(g)) {
+	if len(sol) < len(TwoPacking(g.Freeze())) {
 		t.Error("below the 2-packing lower bound: not optimal")
 	}
 }
@@ -122,7 +122,7 @@ func TestTW2LargeInstanceFast(t *testing.T) {
 func TestTW2LargeOuterplanar(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := gen.MaximalOuterplanar(500, rng)
-	sol, err := ExactMDS(g)
+	sol, err := ExactMDS(g.Freeze(), ExactOptions{})
 	if err != nil {
 		t.Fatalf("ExactMDS: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestTW2MVCMatchesBnB(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		if !IsVertexCover(g, dp) {
+		if !IsVertexCover(g.Freeze(), dp) {
 			t.Fatalf("instance %d: DP set is not a cover", i)
 		}
 		bnb := bnbMVCForTest(t, g)
@@ -283,7 +283,7 @@ func TestTW2MVCLarge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExactMVC: %v", err)
 	}
-	if !IsVertexCover(g, sol) {
+	if !IsVertexCover(g.Freeze(), sol) {
 		t.Fatal("not a cover")
 	}
 	// Sandwich against the matching bound.
