@@ -35,17 +35,17 @@ func reportRatio(b *testing.B, sol, opt int) {
 // "trees": 3-approx, 2 rounds).
 func BenchmarkTable1Trees(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := gen.RandomTree(150, rng)
-	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
+	g := gen.RandomTree(150, rng).Freeze()
+	opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var sol []int
 	for i := 0; i < b.N; i++ {
-		sol = core.TreeMDS(g.Freeze())
+		sol = core.TreeMDS(g)
 	}
 	reportRatio(b, len(sol), len(opt))
-	_, stats, err := core.RunTreeMDS(g.Freeze(), nil, local.Sequential)
+	_, stats, err := core.RunTreeMDS(g, nil, local.Sequential)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -56,14 +56,14 @@ func BenchmarkTable1Trees(b *testing.B) {
 // graphs (Table 1 row "outerplanar": 5-approx, 2 rounds in [4]).
 func BenchmarkTable1Outerplanar(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	g := gen.MaximalOuterplanar(100, rng)
-	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
+	g := gen.MaximalOuterplanar(100, rng).Freeze()
+	opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var res *core.Alg1Result
 	for i := 0; i < b.N; i++ {
-		res, err = core.Alg1(g, core.PracticalParams())
+		res, err = core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,11 +75,12 @@ func BenchmarkTable1Outerplanar(b *testing.B) {
 // BenchmarkTable1K1t measures the take-all algorithm on bounded-degree
 // graphs (Table 1 row "K_{1,t}": t-approx, 0 rounds).
 func BenchmarkTable1K1t(b *testing.B) {
-	g, err := gen.RegularLike(120, 4)
+	rl, err := gen.RegularLike(120, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
+	g := rl.Freeze()
+	opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,14 +95,14 @@ func BenchmarkTable1K1t(b *testing.B) {
 // (2t-1)-approx, 3 rounds) on Ding-structure instances, t = 5.
 func BenchmarkTable1K2tLinear(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 120, T: 5}, rng)
-	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
+	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 120, T: 5}, rng).Freeze()
+	opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var res *core.D2Result
 	for i := 0; i < b.N; i++ {
-		res = core.D2(g.Freeze())
+		res = core.D2(g)
 	}
 	reportRatio(b, len(res.S), len(opt))
 	small := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: 5}, rng)
@@ -116,14 +117,14 @@ func BenchmarkTable1K2tLinear(b *testing.B) {
 // "K_{2,t}": 50-approx, O_t(1) rounds) on Ding-structure instances, t = 5.
 func BenchmarkTable1K2tConst(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 120, T: 5}, rng)
-	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
+	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 120, T: 5}, rng).Freeze()
+	opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var res *core.Alg1Result
 	for i := 0; i < b.N; i++ {
-		res, err = core.Alg1(g, core.PracticalParams())
+		res, err = core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,8 +140,8 @@ func BenchmarkTable1K2tConst(b *testing.B) {
 func BenchmarkTable1OtherClasses(b *testing.B) {
 	// 10x10: grids are the exact solver's worst case; the bitset engine
 	// proves this OPT in ~0.1s where the old search was capped at 7x7.
-	g := gen.Grid(10, 10)
-	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
+	g := gen.Grid(10, 10).Freeze()
+	opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -194,11 +195,11 @@ func BenchmarkLemma33Interesting(b *testing.B) {
 // growing strip chains (Lemma 4.2: bounded by m4.2(t)).
 func BenchmarkLemma42Diameter(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	g := ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: 300, T: 5}, rng)
+	g := ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: 300, T: 5}, rng).Freeze()
 	var res *core.Alg1Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.Alg1(g, core.PracticalParams())
+		res, err = core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +211,7 @@ func BenchmarkLemma42Diameter(b *testing.B) {
 // |A| / ((t-1)|B|) <= 1 (Lemma 5.18).
 func BenchmarkLemma518MinorBound(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 100, T: 5}, rng)
+	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 100, T: 5}, rng).Freeze()
 	var res *core.MinorBoundResult
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -228,14 +229,14 @@ func BenchmarkLemma518MinorBound(b *testing.B) {
 // (t-approx).
 func BenchmarkTheorem44MVC(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
-	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 120, T: 5}, rng)
-	opt, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{})
+	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 120, T: 5}, rng).Freeze()
+	opt, err := mds.ExactMVC(g, mds.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var res *core.MVCResult
 	for i := 0; i < b.N; i++ {
-		res = core.MVCD2(g.Freeze())
+		res = core.MVCD2(g)
 	}
 	reportRatio(b, len(res.S), len(opt))
 }
@@ -326,19 +327,19 @@ func BenchmarkAlg1Distributed(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	cases := []struct {
 		name string
-		g    *graph.Graph
+		g    *graph.CSR
 		p    core.Params
 	}{
-		{"ding40/r=3", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: 5}, rng), core.Params{R1: 3, R2: 3}},
-		{"grid20x20/r=4", gen.Grid(20, 20), core.Params{R1: 4, R2: 4}},
-		{"grid20x20/r=8", gen.Grid(20, 20), core.Params{R1: 8, R2: 8}},
+		{"ding40/r=3", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: 5}, rng).Freeze(), core.Params{R1: 3, R2: 3}},
+		{"grid20x20/r=4", gen.Grid(20, 20).Freeze(), core.Params{R1: 4, R2: 4}},
+		{"grid20x20/r=8", gen.Grid(20, 20).Freeze(), core.Params{R1: 8, R2: 8}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			var stats local.Stats
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, stats, err = core.RunAlg1(tc.g.Freeze(), nil, tc.p, local.Parallel)
+				_, stats, err = core.RunAlg1(tc.g, nil, tc.p, local.Parallel)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -364,17 +365,17 @@ func BenchmarkAlg1(b *testing.B) {
 	}
 	cases := []struct {
 		name string
-		g    *graph.Graph
+		g    *graph.CSR
 	}{
-		{"grid", gen.Grid(12, 12)},
-		{"grid100x100", gen.Grid(100, 100)},
-		{"minor-free", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 240, T: 5}, rng)},
-		{"multi-component", multi},
+		{"grid", gen.Grid(12, 12).Freeze()},
+		{"grid100x100", gen.Grid(100, 100).Freeze()},
+		{"minor-free", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 240, T: 5}, rng).Freeze()},
+		{"multi-component", multi.Freeze()},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name+"/pipeline", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Alg1(tc.g, core.PracticalParams()); err != nil {
+				if _, err := core.Alg1CSR(tc.g, core.PracticalParams(), core.PipelineOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -393,18 +394,18 @@ func BenchmarkExactMDS(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	cases := []struct {
 		name string
-		g    *graph.Graph
+		g    *graph.CSR
 	}{
-		{"ding-100", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 100, T: 5}, rng)},
-		{"grid-9x9", gen.Grid(9, 9)},
-		{"grid-10x10", gen.Grid(10, 10)},
+		{"ding-100", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 100, T: 5}, rng).Freeze()},
+		{"grid-9x9", gen.Grid(9, 9).Freeze()},
+		{"grid-10x10", gen.Grid(10, 10).Freeze()},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var size int
 			for i := 0; i < b.N; i++ {
-				sol, err := mds.ExactMDS(tc.g.Freeze(), mds.ExactOptions{})
+				sol, err := mds.ExactMDS(tc.g, mds.ExactOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -448,10 +449,10 @@ func BenchmarkTable1Full(b *testing.B) {
 // at a scale far beyond branch and bound.
 func BenchmarkExactMDSTreewidthDP(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
-	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 2000, T: 5}, rng)
+	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 2000, T: 5}, rng).Freeze()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{}); err != nil {
+		if _, err := mds.ExactMDS(g, mds.ExactOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,16 @@
 package main
 
 import (
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"localmds/internal/gen"
+	"localmds/internal/graph"
+	"localmds/internal/graphio"
 )
 
 // TestConvertBetweenFormats: generate once, then convert json → edgelist
@@ -92,5 +98,76 @@ func TestConvertMalformedErrorsCleanly(t *testing.T) {
 	err := run([]string{"-in", path, "-format", "json"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("want line-located error, got %v", err)
+	}
+}
+
+// TestOutputMatchesSourceFingerprint pins every parseable -format, for
+// generated graphs and for -in inputs in each encoding: the output parses
+// back to a CSR with the source's fingerprint.
+func TestOutputMatchesSourceFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	formats := []string{"json", "edgelist", "dimacs", "csrbin"}
+	parse := func(path string) graph.Fingerprint {
+		t.Helper()
+		c, err := graphio.ParseCSRFile(path, graphio.FormatAuto, graphio.CSROptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Fingerprint()
+	}
+	for _, kind := range []string{"ding", "grid", "cactus", "gnp"} {
+		g, err := gen.FromKind(kind, 50, 5, 0.05, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := g.Freeze().Fingerprint()
+		for _, f := range formats {
+			src := filepath.Join(dir, kind+"."+f)
+			args := []string{"-kind", kind, "-n", "50", "-seed", "3", "-format", f, "-o", src}
+			if err := run(args, io.Discard); err != nil {
+				t.Fatalf("%v: %v", args, err)
+			}
+			if got := parse(src); got != want {
+				t.Fatalf("generated %s as %s: fingerprint %s, want %s", kind, f, got, want)
+			}
+		}
+		for _, in := range formats {
+			for _, f := range formats {
+				out := filepath.Join(dir, kind+"-from-"+in+"."+f)
+				args := []string{"-in", filepath.Join(dir, kind+"."+in), "-format", f, "-o", out}
+				if err := run(args, io.Discard); err != nil {
+					t.Fatalf("%v: %v", args, err)
+				}
+				if got := parse(out); got != want {
+					t.Fatalf("%s from %s as %s: fingerprint %s, want %s", kind, in, f, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestJSONGolden pins the JSON bytes: compact, edges u < v in canonical
+// order, one trailing newline, and "edges":[] (never null) when there are
+// no edges.
+func TestJSONGolden(t *testing.T) {
+	edgeless := filepath.Join(t.TempDir(), "e.edges")
+	if err := os.WriteFile(edgeless, []byte("3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-kind", "cycle", "-n", "4"}, `{"n":4,"edges":[[0,1],[0,3],[1,2],[2,3]]}` + "\n"},
+		{[]string{"-kind", "grid", "-n", "1"}, `{"n":1,"edges":[]}` + "\n"},
+		{[]string{"-in", edgeless}, `{"n":3,"edges":[]}` + "\n"},
+	} {
+		var out strings.Builder
+		if err := run(tc.args, &out); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if out.String() != tc.want {
+			t.Errorf("%v = %q, want %q", tc.args, out.String(), tc.want)
+		}
 	}
 }

@@ -1,7 +1,9 @@
-// Command graphgen emits workload graphs as JSON (the format graph.ReadJSON
-// accepts), plain edge lists, DIMACS, the binary csrbin encoding, or
-// Graphviz DOT — either generating them or converting a graph read from a
-// file or stdin.
+// Command graphgen emits workload graphs as JSON, plain edge lists,
+// DIMACS, the binary csrbin encoding, or Graphviz DOT — either generating
+// them or converting a graph read from a file or stdin. It holds only the
+// frozen graph.CSR: a generated graph is frozen once, an input is parsed
+// straight to a CSR, and every format but DOT is written by
+// graphio.Write.
 //
 // Usage:
 //
@@ -11,11 +13,13 @@
 //	         [-format json|dot|edgelist|dimacs|csrbin] [-o out]
 //
 // With -in, graphgen converts instead of generating: the input encoding is
-// auto-detected (or pinned with -informat) and malformed input exits 1
-// with a line/column message. -oformat is an alias for -format, so any
-// generator or text input can be pre-baked once into csrbin
+// auto-detected (or pinned with -informat), a text input is parsed in
+// parallel on GOMAXPROCS workers, and malformed input exits 1 with a
+// line/column message. -oformat is an alias for -format, so any generator
+// or text input can be pre-baked once into csrbin
 // (graphgen -in huge.edges -oformat csrbin -o huge.csrbin) and re-solved
-// cheaply through mdsrun's mmap loader.
+// cheaply through mdsrun's mmap loader. This is the repository's one
+// converter.
 package main
 
 import (
@@ -25,6 +29,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 
 	"localmds/internal/gen"
 	"localmds/internal/graph"
@@ -68,49 +73,47 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	g, err := loadOrGenerate(*in, *informat, *kind, *n, *tParam, *p, *seed)
-	if err != nil {
-		return err
-	}
-
 	if *oformat != "" {
 		*format = *oformat
 	}
-	var w io.Writer = stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+	var f graphio.Format
+	if *format != "dot" {
+		var err error
+		if f, err = graphio.ParseFormat(*format); err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
 	}
-	switch *format {
-	case "json":
-		return g.WriteJSON(w)
-	case "edgelist":
-		return graphio.WriteEdgeList(w, g)
-	case "dimacs":
-		return graphio.WriteDIMACS(w, g)
-	case "csrbin":
-		return graphio.WriteCSRBin(w, g.Freeze())
-	case "dot":
-		_, err := io.WriteString(w, g.Freeze().DOT(*kind, nil))
+	c, err := loadOrGenerate(*in, *informat, *kind, *n, *tParam, *p, *seed)
+	if err != nil {
 		return err
-	default:
-		return fmt.Errorf("unknown format %q", *format)
 	}
+	switch {
+	case *format == "dot" && *out == "":
+		_, err = io.WriteString(stdout, c.DOT(*kind, nil))
+	case *format == "dot":
+		err = os.WriteFile(*out, []byte(c.DOT(*kind, nil)), 0o666)
+	case *out == "":
+		err = graphio.Write(stdout, c, f)
+	default:
+		err = graphio.WriteFile(*out, c, f)
+	}
+	return err
 }
 
-// loadOrGenerate converts from -in (any graphio format) or generates via
-// the shared gen.FromKind dispatch.
-func loadOrGenerate(in, informat, kind string, n, tParam int, p float64, seed int64) (*graph.Graph, error) {
+// loadOrGenerate parses -in (any graphio format) straight to a CSR, or
+// generates through the shared gen.FromKind dispatch and freezes the
+// result.
+func loadOrGenerate(in, informat, kind string, n, tParam int, p float64, seed int64) (*graph.CSR, error) {
 	if in == "" {
-		return gen.FromKind(kind, n, tParam, p, rand.New(rand.NewSource(seed)))
+		g, err := gen.FromKind(kind, n, tParam, p, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			return nil, err
+		}
+		return g.Freeze(), nil
 	}
 	f, err := graphio.ParseFormat(informat)
 	if err != nil {
 		return nil, err
 	}
-	return graphio.ReadFile(in, f)
+	return graphio.ParseCSRFile(in, f, graphio.CSROptions{Workers: runtime.GOMAXPROCS(0)})
 }

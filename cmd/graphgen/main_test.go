@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"localmds/internal/graph"
+	"localmds/internal/graphio"
 )
 
 func TestGenerateJSONRoundTrip(t *testing.T) {
@@ -14,9 +14,9 @@ func TestGenerateJSONRoundTrip(t *testing.T) {
 	if err := run([]string{"-kind", "cycle", "-n", "12"}, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	g, err := graph.ReadJSON(strings.NewReader(out.String()))
+	g, err := graphio.Read(strings.NewReader(out.String()), graphio.FormatJSON)
 	if err != nil {
-		t.Fatalf("ReadJSON of generated output: %v", err)
+		t.Fatalf("reading the generated JSON: %v", err)
 	}
 	if g.N() != 12 || g.M() != 12 {
 		t.Errorf("cycle n=12 decoded as n=%d m=%d", g.N(), g.M())
@@ -57,7 +57,7 @@ func TestGenerateToFile(t *testing.T) {
 		t.Fatalf("output file: %v", err)
 	}
 	defer f.Close()
-	if _, err := graph.ReadJSON(f); err != nil {
+	if _, err := graphio.Read(f, graphio.FormatJSON); err != nil {
 		t.Errorf("output file does not decode: %v", err)
 	}
 }

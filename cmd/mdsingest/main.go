@@ -1,14 +1,14 @@
-// Command mdsingest generates, converts, and benchmarks huge-graph
-// instances for the ingestion pipeline (text parse → csrbin → mmap →
-// Alg1CSR solve). Every invocation performs one mode and emits a
-// single JSON report on stdout, so a shell script can compose runs into a
-// BENCH_ingest.json without parsing human-readable logs.
+// Command mdsingest generates and benchmarks huge-graph instances for the
+// ingestion pipeline (text parse → csrbin → mmap → Alg1CSR solve). Every
+// invocation performs one mode and emits a single JSON report on stdout,
+// so a shell script can compose runs into a BENCH_ingest.json without
+// parsing human-readable logs. It does not convert: the one text→csrbin
+// converter is graphgen -in huge.edges -oformat csrbin -o huge.csrbin.
 //
 // Usage:
 //
 //	mdsingest -mode gen -edges E -o huge.edges
 //	mdsingest -mode parse     -in huge.edges [-workers W] [-fingerprint]
-//	mdsingest -mode convert   -in huge.edges -o huge.csrbin [-workers W]
 //	mdsingest -mode load      -in huge.csrbin [-fingerprint]
 //	mdsingest -mode solve     -in huge.csrbin [-workers W] [-r1 R] [-r2 R]
 //
@@ -19,7 +19,6 @@
 //     ever holding the graph in memory.
 //   - parse: the chunked text parser (graphio.ParseCSRFile) at W workers;
 //     -workers 1 is the single-core baseline.
-//   - convert: parallel parse, then WriteCSRBinFile.
 //   - load: OpenCSRBin — mmap on supported platforms, so the wall time is
 //     independent of the graph size; the data is not verified.
 //   - solve: graphio.LoadCSR (mmap plus one verifying pass over the data
@@ -76,9 +75,9 @@ type report struct {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mdsingest", flag.ContinueOnError)
-	mode := fs.String("mode", "", "gen|parse|convert|load|solve")
+	mode := fs.String("mode", "", "gen|parse|load|solve")
 	in := fs.String("in", "", "input graph file")
-	out := fs.String("o", "", "output file (gen, convert)")
+	out := fs.String("o", "", "output file (gen)")
 	format := fs.String("format", "auto", "input encoding: auto|json|edgelist|dimacs|csrbin")
 	edges := fs.Int("edges", 100_000_000, "target edge count (gen)")
 	workers := fs.Int("workers", 0, "worker count for parallel modes (0: GOMAXPROCS)")
@@ -101,14 +100,12 @@ func run(args []string, stdout io.Writer) error {
 		err = runGen(&rep, *out, *edges)
 	case "parse":
 		err = runParse(&rep, *in, *format, *workers, *fingerprint)
-	case "convert":
-		err = runConvert(&rep, *in, *format, *out, *workers)
 	case "load":
 		err = runLoad(&rep, *in, *fingerprint)
 	case "solve":
 		err = runSolve(&rep, *in, *format, *workers, core.Params{R1: *r1, R2: *r2})
 	default:
-		return fmt.Errorf("unknown -mode %q (want gen|parse|convert|load|solve)", *mode)
+		return fmt.Errorf("unknown -mode %q (want gen|parse|load|solve)", *mode)
 	}
 	if err != nil {
 		return err
@@ -193,28 +190,6 @@ func runParse(rep *report, in, format string, workers int, fingerprint bool) err
 	}
 	rep.WallSeconds = time.Since(start).Seconds()
 	finishCSR(rep, c, fingerprint)
-	return nil
-}
-
-func runConvert(rep *report, in, format, out string, workers int) error {
-	if out == "" {
-		return fmt.Errorf("-mode convert requires -o")
-	}
-	f, err := graphio.ParseFormat(format)
-	if err != nil {
-		return err
-	}
-	rep.Workers = workers
-	start := time.Now()
-	c, err := graphio.ParseCSRFile(in, f, graphio.CSROptions{Workers: workers})
-	if err != nil {
-		return err
-	}
-	if err := graphio.WriteCSRBinFile(out, c); err != nil {
-		return err
-	}
-	rep.WallSeconds = time.Since(start).Seconds()
-	finishCSR(rep, c, false)
 	return nil
 }
 

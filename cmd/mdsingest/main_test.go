@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"localmds/internal/graphio"
 )
 
 // runJSON runs one mdsingest mode and decodes its JSON report.
@@ -20,6 +22,19 @@ func runJSON(t *testing.T, args ...string) report {
 		t.Fatalf("run(%v) emitted invalid JSON %q: %v", args, out.String(), err)
 	}
 	return rep
+}
+
+// toCSRBin converts the text graph at in to a csrbin file at out, as
+// graphgen -in in -oformat csrbin -o out does.
+func toCSRBin(t *testing.T, in, out string) {
+	t.Helper()
+	c, err := graphio.ParseCSRFile(in, graphio.FormatAuto, graphio.CSROptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graphio.WriteFile(out, c, graphio.FormatCSRBin); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestPipelineEndToEnd drives every mode over one small instance: the
@@ -38,13 +53,13 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	seq := runJSON(t, "-mode", "parse", "-in", edges, "-workers", "1", "-fingerprint")
 	par := runJSON(t, "-mode", "parse", "-in", edges, "-workers", "3", "-fingerprint")
-	conv := runJSON(t, "-mode", "convert", "-in", edges, "-o", bin)
+	toCSRBin(t, edges, bin)
 	load := runJSON(t, "-mode", "load", "-in", bin, "-fingerprint")
 	if seq.Fingerprint == "" || seq.Fingerprint != par.Fingerprint || seq.Fingerprint != load.Fingerprint {
 		t.Fatalf("fingerprints diverge: seq=%s par=%s load=%s",
 			seq.Fingerprint, par.Fingerprint, load.Fingerprint)
 	}
-	for _, rep := range []report{seq, par, conv, load} {
+	for _, rep := range []report{seq, par, load} {
 		if rep.N != gen.N || rep.M != gen.M {
 			t.Fatalf("%s: n=%d m=%d, want %d/%d", rep.Mode, rep.N, rep.M, gen.N, gen.M)
 		}
@@ -71,8 +86,8 @@ func TestBadModeAndMissingArgs(t *testing.T) {
 	if err := run([]string{"-mode", "gen"}, &out); err == nil {
 		t.Fatal("gen without -o accepted")
 	}
-	if err := run([]string{"-mode", "convert", "-in", "x"}, &out); err == nil {
-		t.Fatal("convert without -o accepted")
+	if err := run([]string{"-mode", "convert", "-in", "x", "-o", "y"}, &out); err == nil {
+		t.Fatal("the removed convert mode accepted")
 	}
 }
 
@@ -84,7 +99,7 @@ func TestSolvePicksMmapByMagic(t *testing.T) {
 	edges := filepath.Join(dir, "g.edges")
 	bin := filepath.Join(dir, "g.bin")
 	runJSON(t, "-mode", "gen", "-edges", "500", "-o", edges)
-	runJSON(t, "-mode", "convert", "-in", edges, "-o", bin)
+	toCSRBin(t, edges, bin)
 
 	// Radius 1 makes every grid vertex a local cut (S = V on any loader),
 	// so the size comparison below runs at radius 4.

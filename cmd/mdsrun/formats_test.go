@@ -96,14 +96,14 @@ func writeGrid(t *testing.T) (csrbinPath, edgesPath string, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := graphio.WriteCSRBinFile(csrbinPath, g.Freeze()); err != nil {
+	if err := graphio.WriteFile(csrbinPath, g.Freeze(), graphio.FormatCSRBin); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Create(edgesPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := graphio.WriteEdgeList(f, g); err != nil {
+	if err := graphio.Write(f, g.Freeze(), graphio.FormatEdgeList); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -239,7 +239,7 @@ func TestRunDamagedCSRBinNamesFile(t *testing.T) {
 func TestRunLongCycleCapsHeaderDiameter(t *testing.T) {
 	const n = 100_000
 	path := filepath.Join(t.TempDir(), "cycle.csrbin")
-	if err := graphio.WriteCSRBinFile(path, gen.Cycle(n).Freeze()); err != nil {
+	if err := graphio.WriteFile(path, gen.Cycle(n).Freeze(), graphio.FormatCSRBin); err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"localmds/internal/graph"
+	"localmds/internal/graphio"
 )
 
 func TestRunCycleAlg1(t *testing.T) {
@@ -82,14 +83,9 @@ func TestRunFromJSONDisconnected(t *testing.T) {
 	g.AddEdge(2, 3)
 	g.AddEdge(4, 5)
 	path := filepath.Join(t.TempDir(), "g.json")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := graphio.WriteFile(path, g.Freeze(), graphio.FormatJSON); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	var out strings.Builder
 	if err := run([]string{"-in", path, "-alg", "greedy"}, &out); err != nil {

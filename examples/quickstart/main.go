@@ -10,6 +10,7 @@ import (
 
 	"localmds/internal/core"
 	"localmds/internal/ding"
+	"localmds/internal/graph"
 	"localmds/internal/local"
 	"localmds/internal/mds"
 )
@@ -27,12 +28,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("network: %s, diameter %d\n\n", g, g.Diameter())
 	c := g.Freeze()
+	diam, _, _ := c.Diameter(graph.NewArena(), 0)
+	fmt.Printf("network: %s, diameter %d\n\n", g, diam)
 
 	// Theorem 4.1: Algorithm 1 (centralized reference with practical
 	// radii).
-	res, err := core.Alg1(g, core.PracticalParams())
+	res, err := core.Alg1CSR(c, core.PracticalParams(), core.PipelineOptions{})
 	if err != nil {
 		return err
 	}

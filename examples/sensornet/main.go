@@ -14,6 +14,7 @@ import (
 
 	"localmds/internal/core"
 	"localmds/internal/gen"
+	"localmds/internal/graph"
 	"localmds/internal/local"
 	"localmds/internal/mds"
 )
@@ -27,28 +28,28 @@ func main() {
 
 func run() error {
 	rng := rand.New(rand.NewSource(7))
-	field := gen.RandomCactus(150, rng)
+	field := gen.RandomCactus(150, rng).Freeze()
+	diam, _, _ := field.Diameter(graph.NewArena(), 0)
 	fmt.Printf("deployment: %d sensors, %d links, diameter %d\n",
-		field.N(), field.M(), field.Diameter())
+		field.N(), field.M(), diam)
 
 	// Random (but distinct) hardware identifiers, as the LOCAL model
 	// assumes O(log n)-bit IDs — nothing about the algorithm depends on
 	// them being 0..n-1.
 	ids := rng.Perm(field.N() * 4)[:field.N()]
 
-	c := field.Freeze()
-	awake, stats, err := core.RunD2(c, ids, local.Parallel)
+	awake, stats, err := core.RunD2(field, ids, local.Parallel)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("awake set: %d sensors (%.1f%% duty cycle)\n",
 		len(awake), 100*float64(len(awake))/float64(field.N()))
-	fmt.Printf("wake-up coverage: %v\n", mds.IsDominatingSetCSR(c, awake))
+	fmt.Printf("wake-up coverage: %v\n", mds.IsDominatingSetCSR(field, awake))
 	fmt.Printf("election cost: %d synchronous rounds, %d messages\n",
 		stats.Rounds, stats.Messages)
 
 	// Compare with the energy-optimal (centralized, offline) schedule.
-	opt, err := mds.ExactMDS(c, mds.ExactOptions{})
+	opt, err := mds.ExactMDS(field, mds.ExactOptions{})
 	if err != nil {
 		return err
 	}
@@ -57,7 +58,7 @@ func run() error {
 
 	// A longer-lived deployment can afford Algorithm 1's larger radius for
 	// a better duty cycle.
-	res, err := core.Alg1(field, core.PracticalParams())
+	res, err := core.Alg1CSR(field, core.PracticalParams(), core.PipelineOptions{})
 	if err != nil {
 		return err
 	}

@@ -53,11 +53,11 @@ func TestAlg1IsDominatingOnFamilies(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := Alg1(tt.g, PracticalParams())
+			res, err := Alg1CSR(tt.g.Freeze(), PracticalParams(), PipelineOptions{})
 			if err != nil {
 				t.Fatalf("Alg1: %v", err)
 			}
-			if !mds.IsDominatingSet(tt.g, res.S) {
+			if !mds.IsDominatingSetCSR(tt.g.Freeze(), res.S) {
 				t.Fatalf("returned set %v is not dominating", res.S)
 			}
 		})
@@ -70,7 +70,7 @@ func TestAlg1RatioOnK2tFreeInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 6; i++ {
 		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 60, T: 5}, rng)
-		res, err := Alg1(g, PracticalParams())
+		res, err := Alg1CSR(g.Freeze(), PracticalParams(), PipelineOptions{})
 		if err != nil {
 			t.Fatalf("Alg1: %v", err)
 		}
@@ -89,14 +89,14 @@ func TestAlg1RatioOnK2tFreeInstances(t *testing.T) {
 }
 
 func TestAlg1EmptyAndErrors(t *testing.T) {
-	res, err := Alg1(graph.New(0), PracticalParams())
+	res, err := Alg1CSR(graph.New(0).Freeze(), PracticalParams(), PipelineOptions{})
 	if err != nil || len(res.S) != 0 {
 		t.Errorf("empty graph: %v, %v", res.S, err)
 	}
-	if _, err := Alg1(gen.Path(3), Params{R1: 0, R2: 4}); err == nil {
+	if _, err := Alg1CSR(gen.Path(3).Freeze(), Params{R1: 0, R2: 4}, PipelineOptions{}); err == nil {
 		t.Error("R1 = 0 accepted")
 	}
-	if _, err := Alg1(gen.Path(3), Params{R1: 2, R2: 1}); err == nil {
+	if _, err := Alg1CSR(gen.Path(3).Freeze(), Params{R1: 2, R2: 1}, PipelineOptions{}); err == nil {
 		t.Error("R2 = 1 accepted")
 	}
 }
@@ -109,14 +109,14 @@ func TestAlg1TwinReductionUsed(t *testing.T) {
 	g := gen.Complete(4)
 	p := g.AddVertex()
 	g.AddEdge(0, p)
-	res, err := Alg1(g, PracticalParams())
+	res, err := Alg1CSR(g.Freeze(), PracticalParams(), PipelineOptions{})
 	if err != nil {
 		t.Fatalf("Alg1: %v", err)
 	}
 	if len(res.Active) >= g.N() {
 		t.Errorf("twin reduction kept %d of %d vertices", len(res.Active), g.N())
 	}
-	if !mds.IsDominatingSet(g, res.S) {
+	if !mds.IsDominatingSetCSR(g.Freeze(), res.S) {
 		t.Fatal("not dominating after twin reduction")
 	}
 }
@@ -125,7 +125,7 @@ func TestAlg1LongCycleTakesLocalCuts(t *testing.T) {
 	// On a long cycle every vertex is a local 1-cut (§4), so S = V and the
 	// brute-force phase is empty.
 	g := gen.Cycle(40)
-	res, err := Alg1(g, Params{R1: 3, R2: 2})
+	res, err := Alg1CSR(g.Freeze(), Params{R1: 3, R2: 2}, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestAlg1PaperParamsSmallGraph(t *testing.T) {
 	// because no local cuts survive saturated balls... the graph is
 	// 3-connected-ish) dominating set.
 	g := gen.Complete(6)
-	res, err := Alg1(g, PaperParams(3))
+	res, err := Alg1CSR(g.Freeze(), PaperParams(3), PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mds.IsDominatingSet(g, res.S) {
+	if !mds.IsDominatingSetCSR(g.Freeze(), res.S) {
 		t.Fatal("not dominating")
 	}
 	if len(res.S) != 1 {
@@ -162,7 +162,7 @@ func TestAlg1ComponentDiameterBounded(t *testing.T) {
 	maxDiams := make([]int, 0, 3)
 	for _, n := range []int{60, 120, 240} {
 		g := ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: n, T: 5}, rng)
-		res, err := Alg1(g, PracticalParams())
+		res, err := Alg1CSR(g.Freeze(), PracticalParams(), PipelineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,11 +182,11 @@ func TestAlg1FallbackCounting(t *testing.T) {
 	g := ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: 80, T: 5}, rng)
 	p := PracticalParams()
 	p.MaxBruteComponent = 2
-	res, err := Alg1(g, p)
+	res, err := Alg1CSR(g.Freeze(), p, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mds.IsDominatingSet(g, res.S) {
+	if !mds.IsDominatingSetCSR(g.Freeze(), res.S) {
 		t.Fatal("not dominating with greedy fallback")
 	}
 }
@@ -198,11 +198,11 @@ func TestAlg1AlwaysDominatesProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(24, 0.1, rng)
 		p := Params{R1: int(rawR1%5) + 1, R2: int(rawR2%5) + 2}
-		res, err := Alg1(g, p)
+		res, err := Alg1CSR(g.Freeze(), p, PipelineOptions{})
 		if err != nil {
 			return false
 		}
-		return mds.IsDominatingSet(g, res.S)
+		return mds.IsDominatingSetCSR(g.Freeze(), res.S)
 	}
 	cfg := &quick.Config{MaxCount: 25}
 	if err := quick.Check(f, cfg); err != nil {
@@ -215,7 +215,7 @@ func TestAlg1PartitionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomCactus(30, rng)
-		res, err := Alg1(g, PracticalParams())
+		res, err := Alg1CSR(g.Freeze(), PracticalParams(), PipelineOptions{})
 		if err != nil {
 			return false
 		}
@@ -238,16 +238,16 @@ func TestAlg1PartitionProperty(t *testing.T) {
 func TestAlg2MatchesAlg1WithPaperRadii(t *testing.T) {
 	g := gen.Cycle(12)
 	f := K2tControlFunction(3)
-	a, err := Alg2(g, f, 0)
+	a, err := Alg2(g.Freeze(), f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Alg1(g, PaperParams(3))
+	b, err := Alg1CSR(g.Freeze(), PaperParams(3), PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !graph.EqualSets(a.S, b.S) {
-		t.Errorf("Alg2 = %v, Alg1(paper) = %v", a.S, b.S)
+		t.Errorf("Alg2 = %v, Alg1CSR(paper) = %v", a.S, b.S)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestRunAlg1MatchesCentralized(t *testing.T) {
 	for _, pc := range params {
 		for _, tt := range tests {
 			t.Run(tt.name+pc.suffix, func(t *testing.T) {
-				want, err := Alg1(tt.g, pc.p)
+				want, err := Alg1CSR(tt.g.Freeze(), pc.p, PipelineOptions{})
 				if err != nil {
 					t.Fatalf("Alg1: %v", err)
 				}
@@ -118,7 +118,7 @@ func TestRunAlg1PermutedIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mds.IsDominatingSet(g, got) {
+	if !mds.IsDominatingSetCSR(g.Freeze(), got) {
 		t.Errorf("permuted-id run returned non-dominating %v", got)
 	}
 }
@@ -133,7 +133,7 @@ func TestRunAlg1RoundsScaleWithRadius(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mds.IsDominatingSet(g, small) || !mds.IsDominatingSet(g, large) {
+	if !mds.IsDominatingSetCSR(g.Freeze(), small) || !mds.IsDominatingSetCSR(g.Freeze(), large) {
 		t.Fatal("not dominating")
 	}
 	if ssmall.Rounds >= slarge.Rounds {
@@ -148,7 +148,7 @@ func TestRunAlg1SingletonAndTiny(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !mds.IsDominatingSet(g, got) {
+		if !mds.IsDominatingSetCSR(g.Freeze(), got) {
 			t.Errorf("n=%d: %v not dominating", n, got)
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // and 3.3 constants c3.2(d) = 3(d+1) and c3.3(d) = 22(d+1); the round
 // complexity additionally depends on the largest K_{2,t} minor of the
 // input, which the algorithm does not need to know.
-func Alg2(g *graph.Graph, f ControlFunction, maxBrute int) (*Alg1Result, error) {
+func Alg2(c *graph.CSR, f ControlFunction, maxBrute int) (*Alg1Result, error) {
 	p := AsdimParams(f)
 	p.MaxBruteComponent = maxBrute
-	return Alg1(g, p)
+	return Alg1CSR(c, p, PipelineOptions{})
 }

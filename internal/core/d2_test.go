@@ -31,7 +31,7 @@ func TestD2IsDominating(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			res := D2(tt.g.Freeze())
-			if !mds.IsDominatingSet(tt.g, res.S) {
+			if !mds.IsDominatingSetCSR(tt.g.Freeze(), res.S) {
 				t.Errorf("D2 set %v is not dominating", res.S)
 			}
 		})
@@ -63,7 +63,7 @@ func TestD2CliquePendants(t *testing.T) {
 	// returns a valid small set.
 	g := gen.CliquePendants(6)
 	res := D2(g.Freeze())
-	if !mds.IsDominatingSet(g, res.S) {
+	if !mds.IsDominatingSetCSR(g.Freeze(), res.S) {
 		t.Fatal("not dominating")
 	}
 }
@@ -134,7 +134,7 @@ func TestD2AlwaysDominatesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(25, 0.12, rng)
-		return mds.IsDominatingSet(g, D2(g.Freeze()).S)
+		return mds.IsDominatingSetCSR(g.Freeze(), D2(g.Freeze()).S)
 	}
 	cfg := &quick.Config{MaxCount: 50}
 	if err := quick.Check(f, cfg); err != nil {

@@ -9,16 +9,16 @@ import (
 	"localmds/internal/mds"
 )
 
-// ExampleAlg1 runs Algorithm 1 on a long cycle: every vertex is a local
+// ExampleAlg1CSR runs Algorithm 1 on a long cycle: every vertex is a local
 // 1-cut (§4 of the paper), so the cut phase alone dominates.
-func ExampleAlg1() {
-	g := gen.Cycle(30)
-	res, err := core.Alg1(g, core.Params{R1: 3, R2: 2})
+func ExampleAlg1CSR() {
+	c := gen.Cycle(30).Freeze()
+	res, err := core.Alg1CSR(c, core.Params{R1: 3, R2: 2}, core.PipelineOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println("dominating:", mds.IsDominatingSet(g, res.S))
+	fmt.Println("dominating:", mds.IsDominatingSetCSR(c, res.S))
 	fmt.Println("local 1-cuts:", len(res.X))
 	fmt.Println("residual components:", len(res.Components))
 	// Output:

@@ -93,8 +93,8 @@ func RunTreeMDS(c *graph.CSR, ids []int, engine local.Engine) ([]int, local.Stat
 // TakeAllMDS is the folklore K_{1,t}-minor-free row of Table 1: return
 // every vertex. On graphs of maximum degree Δ <= t-1 this is a 0-round
 // t-approximation, since any dominating set has size at least n/(Δ+1).
-func TakeAllMDS(g *graph.Graph) []int {
-	all := make([]int, g.N())
+func TakeAllMDS(c *graph.CSR) []int {
+	all := make([]int, c.N())
 	for i := range all {
 		all[i] = i
 	}
@@ -103,10 +103,10 @@ func TakeAllMDS(g *graph.Graph) []int {
 
 // RegularMVC is the 0-round 2-approximation for vertex cover on regular
 // graphs (§1): take every non-isolated vertex.
-func RegularMVC(g *graph.Graph) []int {
+func RegularMVC(c *graph.CSR) []int {
 	var s []int
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) > 0 {
+	for v := 0; v < c.N(); v++ {
+		if c.Degree(v) > 0 {
 			s = append(s, v)
 		}
 	}

@@ -39,7 +39,7 @@ func TestTreeMDSRatioOnTrees(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomTree(30, rng)
 		s := TreeMDS(g.Freeze())
-		if !mds.IsDominatingSet(g, s) {
+		if !mds.IsDominatingSetCSR(g.Freeze(), s) {
 			t.Fatalf("seed %d: not dominating", seed)
 		}
 		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
@@ -80,11 +80,11 @@ func TestRunTreeMDSSingleton(t *testing.T) {
 
 func TestTakeAllMDS(t *testing.T) {
 	g := gen.Star(3) // max degree 3: K_{1,4}-minor-free-ish bound
-	s := TakeAllMDS(g)
+	s := TakeAllMDS(g.Freeze())
 	if len(s) != g.N() {
 		t.Errorf("TakeAllMDS returned %d of %d", len(s), g.N())
 	}
-	if !mds.IsDominatingSet(g, s) {
+	if !mds.IsDominatingSetCSR(g.Freeze(), s) {
 		t.Error("not dominating")
 	}
 	// Folklore ratio on bounded-degree graphs: n <= (Δ+1) OPT.
@@ -106,7 +106,7 @@ func TestRegularMVC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := RegularMVC(g)
+	s := RegularMVC(g.Freeze())
 	if !mds.IsVertexCover(g.Freeze(), s) {
 		t.Fatal("not a cover")
 	}
@@ -125,7 +125,7 @@ func TestRunExactGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mds.IsDominatingSet(g, got) {
+	if !mds.IsDominatingSetCSR(g.Freeze(), got) {
 		t.Fatal("not dominating")
 	}
 	opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
@@ -156,7 +156,7 @@ func TestRunExactGatherOptimalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return mds.IsDominatingSet(g, got) && len(got) == len(opt)
+		return mds.IsDominatingSetCSR(g.Freeze(), got) && len(got) == len(opt)
 	}
 	cfg := &quick.Config{MaxCount: 20}
 	if err := quick.Check(f, cfg); err != nil {

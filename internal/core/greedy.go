@@ -22,8 +22,9 @@ import (
 // constant-round algorithms close on K_{2,t}-minor-free classes, which is
 // why this baseline appears in the experiments as a phase-count comparison
 // rather than as a LOCAL process.
-func GreedyDistributed(g *graph.Graph) ([]int, int) {
-	n := g.N()
+func GreedyDistributed(c *graph.CSR) ([]int, int) {
+	n := c.N()
+	a := graph.NewArena()
 	dominated := make([]bool, n)
 	inSet := make([]bool, n)
 	phases := 0
@@ -31,13 +32,14 @@ func GreedyDistributed(g *graph.Graph) ([]int, int) {
 		span := make([]int, n)
 		remaining := 0
 		for v := 0; v < n; v++ {
-			for _, u := range g.Ball(v, 1) {
+			if !dominated[v] {
+				span[v]++
+				remaining++
+			}
+			for _, u := range c.Row(v) {
 				if !dominated[u] {
 					span[v]++
 				}
-			}
-			if !dominated[v] {
-				remaining++
 			}
 		}
 		if remaining == 0 {
@@ -50,7 +52,8 @@ func GreedyDistributed(g *graph.Graph) ([]int, int) {
 				continue
 			}
 			best := true
-			for _, u := range g.Ball(v, 2) {
+			for _, w := range c.MarkBall(v, -1, 2, a) {
+				u := int(w)
 				if u == v {
 					continue
 				}
@@ -69,8 +72,8 @@ func GreedyDistributed(g *graph.Graph) ([]int, int) {
 			break
 		}
 		for _, v := range joiners {
-			inSet[v] = true
-			for _, u := range g.Ball(v, 1) {
+			inSet[v], dominated[v] = true, true
+			for _, u := range c.Row(v) {
 				dominated[u] = true
 			}
 		}

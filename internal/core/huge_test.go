@@ -27,13 +27,7 @@ import (
 // parser on workers goroutines.
 func parseHuge(g *graph.Graph, f graphio.Format, workers int) (*graph.CSR, error) {
 	var buf bytes.Buffer
-	var err error
-	if f == graphio.FormatCSRBin {
-		err = graphio.WriteCSRBin(&buf, g.Freeze())
-	} else {
-		err = graphio.Write(&buf, g, f)
-	}
-	if err != nil {
+	if err := graphio.Write(&buf, g.Freeze(), f); err != nil {
 		return nil, err
 	}
 	return graphio.ParseCSR(buf.Bytes(), f, graphio.CSROptions{Workers: workers})
@@ -205,7 +199,7 @@ func TestAlg1HugeInputUntouchedAndStages(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 60, T: 5}, rng)
 	path := filepath.Join(t.TempDir(), "g.csrbin")
-	if err := graphio.WriteCSRBinFile(path, g.Freeze()); err != nil {
+	if err := graphio.WriteFile(path, g.Freeze(), graphio.FormatCSRBin); err != nil {
 		t.Fatal(err)
 	}
 	m, err := graphio.OpenCSRBin(path, graphio.OpenOptions{})

@@ -27,24 +27,24 @@ type MinorBoundResult struct {
 	D2Count int
 }
 
-// BuildMinorBound runs the Lemma 5.17 construction on g (taken as its own
+// BuildMinorBound runs the Lemma 5.17 construction on c (taken as its own
 // N²[S] with S = V): it contracts a branch set around every vertex of a
 // minimum dominating set D (side B), keeps the vertices of D2 \ D whose
 // degree-2 witness survives as side A, removes A-A edges by the red-edge
 // contraction of Figure 1, and deletes the remaining A-A edges.
-func BuildMinorBound(g *graph.Graph) (*MinorBoundResult, error) {
-	c := g.Freeze()
+func BuildMinorBound(c *graph.CSR) (*MinorBoundResult, error) {
+	n := c.N()
 	d, err := mds.ExactMDS(c, mds.ExactOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("core: minor bound needs OPT: %w", err)
 	}
-	inD := make([]bool, g.N())
+	inD := make([]bool, n)
 	for _, v := range d {
 		inD[v] = true
 	}
 	var d2 []int
-	inD2 := make([]bool, g.N())
-	for v := 0; v < g.N(); v++ {
+	inD2 := make([]bool, n)
+	for v := 0; v < n; v++ {
 		if gammaAtLeastTwo(c, v) {
 			d2 = append(d2, v)
 			inD2[v] = true
@@ -53,13 +53,14 @@ func BuildMinorBound(g *graph.Graph) (*MinorBoundResult, error) {
 
 	// Branch sets b_i: N[d_i] minus (D2 \ D) minus vertices already used
 	// minus later dominators (Lemma 5.17's definition).
-	used := make([]bool, g.N())
-	branchOf := make([]int, g.N()) // vertex -> branch index, or -1
+	used := make([]bool, n)
+	branchOf := make([]int, n) // vertex -> branch index, or -1
 	for i := range branchOf {
 		branchOf[i] = -1
 	}
 	for i, di := range d {
-		for _, v := range g.Ball(di, 1) {
+		for _, u := range append([]int32{int32(di)}, c.Row(di)...) {
+			v := int(u)
 			if used[v] {
 				continue
 			}
@@ -78,7 +79,7 @@ func BuildMinorBound(g *graph.Graph) (*MinorBoundResult, error) {
 	// distinct dominators. Per Lemma 5.17 every such vertex has degree >=
 	// 2 toward B after contraction.
 	var aVerts []int
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < n; v++ {
 		if inD2[v] && !inD[v] && branchOf[v] < 0 {
 			aVerts = append(aVerts, v)
 		}
@@ -103,23 +104,29 @@ func BuildMinorBound(g *graph.Graph) (*MinorBoundResult, error) {
 	// A-A edges of the intermediate minor (before the deletion step).
 	type aPair struct{ x, y int }
 	var aaEdges []aPair
-	g.VisitEdges(func(u, v int) {
-		ai, aOK := aIndex[u]
-		bj := branchOf[v]
-		switch {
-		case aOK && bj >= 0:
-			addAB(ai, bj)
-		case branchOf[u] >= 0 && aIndex2(aIndex, v) >= 0:
-			addAB(aIndex[v], branchOf[u])
-		case branchOf[u] >= 0 && bj >= 0 && branchOf[u] != bj:
-			bi, bj2 := branchOf[u], bj
-			if !h.HasEdge(bi, bj2) {
-				h.AddEdge(bi, bj2)
+	for u := 0; u < n; u++ {
+		for _, w := range c.Row(u) {
+			v := int(w)
+			if v < u {
+				continue
 			}
-		case aOK && aIndex2(aIndex, v) >= 0:
-			aaEdges = append(aaEdges, aPair{x: ai, y: aIndex[v]})
+			ai, aOK := aIndex[u]
+			bj := branchOf[v]
+			switch {
+			case aOK && bj >= 0:
+				addAB(ai, bj)
+			case branchOf[u] >= 0 && aIndex2(aIndex, v) >= 0:
+				addAB(aIndex[v], branchOf[u])
+			case branchOf[u] >= 0 && bj >= 0 && branchOf[u] != bj:
+				bi, bj2 := branchOf[u], bj
+				if !h.HasEdge(bi, bj2) {
+					h.AddEdge(bi, bj2)
+				}
+			case aOK && aIndex2(aIndex, v) >= 0:
+				aaEdges = append(aaEdges, aPair{x: ai, y: aIndex[v]})
+			}
 		}
-	})
+	}
 
 	// Lemma 5.17's final trick: J = non-isolated vertices of H[A]; a
 	// dominating set D' of H[A][J] with |D'| <= |J|/2 (Ore) is contracted

@@ -22,7 +22,7 @@ func TestBuildMinorBoundBasics(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := BuildMinorBound(tt.g)
+			res, err := BuildMinorBound(tt.g.Freeze())
 			if err != nil {
 				t.Fatalf("BuildMinorBound: %v", err)
 			}
@@ -52,7 +52,7 @@ func TestVerifyMinorBoundOnK2tFree(t *testing.T) {
 	tParam := 5
 	for i := 0; i < 6; i++ {
 		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: tParam}, rng)
-		res, err := BuildMinorBound(g)
+		res, err := BuildMinorBound(g.Freeze())
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -65,7 +65,7 @@ func TestVerifyMinorBoundOnK2tFree(t *testing.T) {
 func TestVerifyMinorBoundEdgelessA(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g := gen.RandomCactus(25, rng)
-	res, err := BuildMinorBound(g)
+	res, err := BuildMinorBound(g.Freeze())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestVerifyMinorBoundEdgelessA(t *testing.T) {
 
 func TestMinorBoundD2Accounting(t *testing.T) {
 	g := gen.Star(6)
-	res, err := BuildMinorBound(g)
+	res, err := BuildMinorBound(g.Freeze())
 	if err != nil {
 		t.Fatal(err)
 	}

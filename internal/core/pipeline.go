@@ -12,12 +12,13 @@ import (
 	"localmds/internal/mds"
 )
 
-// This file is the staged CSR pipeline behind Alg1, the one Algorithm 1
-// driver, and behind MVCAlg1, its vertex-cover variant. Alg1 twin-reduces
-// the input CSR; both then run every subsequent stage — cut enumeration,
-// partitioning, per-component solving — over the flat CSR view with
-// reusable arena scratch, fanning the Cuts vertex loop and the independent
-// component solves out over a bounded set of workers (graph.ParallelFor).
+// This file is the staged CSR pipeline behind Alg1CSR, the one Algorithm 1
+// driver, and behind MVCAlg1, its vertex-cover variant. Alg1CSR
+// twin-reduces the input CSR; both then run every subsequent stage — cut
+// enumeration, partitioning, per-component solving — over the flat CSR
+// view with reusable arena scratch, fanning the Cuts vertex loop and the
+// independent component solves out over a bounded set of workers
+// (graph.ParallelFor).
 // The two problems share the cut kernel (package cuts), the stage runner
 // and the component fan-out; each supplies its residual rule and its
 // component solver. Stage boundaries are explicit so each one records
@@ -93,23 +94,6 @@ func (o PipelineOptions) workers() int {
 	return o.Workers
 }
 
-// Alg1 runs the centralized Algorithm 1 (Theorem 4.1) on g with the
-// given radii:
-//
-//  1. reduce true twins,
-//  2. take every vertex of an R1-local minimal 1-cut,
-//  3. take every R2-interesting vertex of an R2-local minimal 2-cut,
-//  4. per component of Ĝ - (X ∪ I ∪ U), brute-force a minimum set
-//     dominating the still-undominated vertices.
-//
-// The result is always a dominating set of g; the 50-approximation
-// guarantee of the paper applies for the PaperParams radii on
-// K_{2,t}-minor-free inputs. Alg1 executes as a staged CSR pipeline with
-// default options; see Alg1CSR to bound the component-solve fan-out.
-func Alg1(g *graph.Graph, p Params) (*Alg1Result, error) {
-	return Alg1Pipeline(g, p, PipelineOptions{})
-}
-
 // allocMetric is the runtime/metrics counter backing StageStat.Allocs;
 // reading it does not stop the world.
 const allocMetric = "/gc/heap/allocs:objects"
@@ -142,21 +126,32 @@ func (ss *StageStats) runStage(hooks TraceHooks, name, unit string, fn func() in
 	}
 }
 
-// Alg1Pipeline is Alg1CSR on g's frozen view. Graph.Freeze caches the CSR
-// in g, so Alg1Pipeline must not run concurrently with another Freeze or a
-// mutation of g.
+// Alg1Pipeline is Alg1CSR on g.Freeze(), for the callers that hold a
+// *graph.Graph: the perfbench module, which times a graph read from a
+// file through it, and core's tests. Every other caller freezes its graph
+// once and calls Alg1CSR.
 func Alg1Pipeline(g *graph.Graph, p Params, opt PipelineOptions) (*Alg1Result, error) {
 	return Alg1CSR(g.Freeze(), p, opt)
 }
 
-// Alg1CSR runs Algorithm 1 as the staged CSR pipeline
-// TwinReduce → Cuts → Partition → ComponentSolve → Stitch on a frozen
-// graph, with the Cuts vertex loop and the component solves fanned out
-// over opt.Workers goroutines. The result is deterministic: the same
-// field for field at every worker count. in is only read, never frozen
-// or written, so it may be a read-only mmap of a csrbin file, and callers
-// that parse straight to a CSR (graphio.ParseCSR) need no *graph.Graph at
-// all. Only residual components are ever copied out of the reduced CSR,
+// Alg1CSR runs the centralized Algorithm 1 (Theorem 4.1) on in with the
+// given radii:
+//
+//  1. reduce true twins,
+//  2. take every vertex of an R1-local minimal 1-cut,
+//  3. take every R2-interesting vertex of an R2-local minimal 2-cut,
+//  4. per component of Ĝ - (X ∪ I ∪ U), brute-force a minimum set
+//     dominating the still-undominated vertices.
+//
+// The result is always a dominating set of in; the 50-approximation
+// guarantee of the paper applies for the PaperParams radii on
+// K_{2,t}-minor-free inputs. It runs as the staged CSR pipeline
+// TwinReduce → Cuts → Partition → ComponentSolve → Stitch, with the Cuts
+// vertex loop and the component solves fanned out over opt.Workers
+// goroutines. The result is deterministic: the same field for field at
+// every worker count. in is only read, never written, so it may be a
+// read-only mmap of a csrbin file, and callers that parse straight to a
+// CSR (graphio.ParseCSR) need no *graph.Graph at all. Only residual components are ever copied out of the reduced CSR,
 // at most one per worker at a time.
 func Alg1CSR(in *graph.CSR, p Params, opt PipelineOptions) (*Alg1Result, error) {
 	p, err := p.normalized()

@@ -91,7 +91,7 @@ func TestPipelineMatchesSequentialOnFamilies(t *testing.T) {
 				t.Fatalf("Alg1Pipeline: %v", err)
 			}
 			equalResults(t, got, want)
-			if tt.g.N() > 0 && !mds.IsDominatingSet(tt.g, got.S) {
+			if tt.g.N() > 0 && !mds.IsDominatingSetCSR(tt.g.Freeze(), got.S) {
 				t.Fatal("pipeline result is not dominating")
 			}
 		})
@@ -173,7 +173,7 @@ func TestPipelineWorkerCountInvariance(t *testing.T) {
 func TestPipelineStageStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 60, T: 5}, rng)
-	res, err := Alg1(g, PracticalParams())
+	res, err := Alg1CSR(g.Freeze(), PracticalParams(), PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

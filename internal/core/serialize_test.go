@@ -13,7 +13,7 @@ import (
 // plain nanosecond integers on the wire).
 func TestAlg1ResultJSONRoundTrip(t *testing.T) {
 	g := gen.Grid(6, 6)
-	res, err := Alg1(g, PracticalParams())
+	res, err := Alg1CSR(g.Freeze(), PracticalParams(), PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

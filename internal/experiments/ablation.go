@@ -27,15 +27,15 @@ func RadiusAblationSpec(n int, radii []int) Spec {
 	}
 	s.Tasks = append(s.Tasks, Task{Row: "sweep", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
-		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng)
-		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
+		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng).Freeze()
+		opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("radius ablation opt: %w", err)
 		}
 		var rows [][]string
 		for _, r := range radii {
 			p := core.Params{R1: r, R2: r}
-			res, err := core.Alg1(g, p)
+			res, err := core.Alg1CSR(g, p, core.PipelineOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("radius ablation r=%d: %w", r, err)
 			}
@@ -105,8 +105,8 @@ func ScalingSpec(ns []int) Spec {
 	for _, n := range ns {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
-			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng)
-			res, err := core.Alg1(g, core.PracticalParams())
+			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng).Freeze()
+			res, err := core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("scaling n=%d: %w", n, err)
 			}
@@ -125,8 +125,8 @@ func ScalingSpec(ns []int) Spec {
 		}
 		seenSides[side] = true
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("grid%d", side), Run: func(int64) ([][]string, error) {
-			g := gen.Grid(side, side)
-			res, err := core.Alg1(g, core.PracticalParams())
+			g := gen.Grid(side, side).Freeze()
+			res, err := core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("scaling grid side=%d: %w", side, err)
 			}
@@ -139,8 +139,7 @@ func ScalingSpec(ns []int) Spec {
 // scalingRow renders one scaling table row, degrading from the exact
 // ratio to the certified |S|/opt_lb upper bound when the budgeted exact
 // probe gives up (node budget exhausted or instance over the vertex cap).
-func scalingRow(class string, g *graph.Graph, res *core.Alg1Result) []string {
-	c := g.Freeze()
+func scalingRow(class string, c *graph.CSR, res *core.Alg1Result) []string {
 	lb := len(mds.TwoPacking(c))
 	optCell, ratioCell := "-", "-"
 	if opt, err := mds.ExactMDS(c, mds.ExactOptions{MaxNodes: ScalingOptNodeBudget}); err == nil {
@@ -149,7 +148,7 @@ func scalingRow(class string, g *graph.Graph, res *core.Alg1Result) []string {
 	} else if lb > 0 {
 		ratioCell = fmt.Sprintf("<=%.3f certified", float64(len(res.S))/float64(lb))
 	}
-	return []string{class, fmt.Sprint(g.N()), fmt.Sprint(len(res.S)), optCell,
+	return []string{class, fmt.Sprint(c.N()), fmt.Sprint(len(res.S)), optCell,
 		ratioCell, fmt.Sprint(lb), fmt.Sprint(res.MaxComponentDiameter)}
 }
 
@@ -164,8 +163,7 @@ func MessageFootprintSpec(n int) Spec {
 	}
 	s.Tasks = append(s.Tasks, Task{Row: "footprint", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
-		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng)
-		c := g.Freeze()
+		c := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng).Freeze()
 		_, d2stats, err := core.RunD2(c, nil, local.Sequential)
 		if err != nil {
 			return nil, err
@@ -178,16 +176,17 @@ func MessageFootprintSpec(n int) Spec {
 		if err != nil {
 			return nil, err
 		}
-		_, gstats, err := local.GatherViews(net, g.Diameter()+2, local.Sequential)
+		diam, _, _ := c.Diameter(graph.NewArena(), 0)
+		_, gstats, err := local.GatherViews(net, diam+2, local.Sequential)
 		if err != nil {
 			return nil, err
 		}
 		return [][]string{
-			{"D2 (Thm 4.4)", fmt.Sprint(g.N()), fmt.Sprint(d2stats.Rounds),
+			{"D2 (Thm 4.4)", fmt.Sprint(c.N()), fmt.Sprint(d2stats.Rounds),
 				fmt.Sprint(d2stats.Messages), fmt.Sprint(d2stats.Words), fmt.Sprint(d2stats.MaxMessageWords)},
-			{"Alg1 (R=3)", fmt.Sprint(g.N()), fmt.Sprint(a1stats.Rounds),
+			{"Alg1 (R=3)", fmt.Sprint(c.N()), fmt.Sprint(a1stats.Rounds),
 				fmt.Sprint(a1stats.Messages), fmt.Sprint(a1stats.Words), fmt.Sprint(a1stats.MaxMessageWords)},
-			{"full gather (footnote 2)", fmt.Sprint(g.N()), fmt.Sprint(gstats.Rounds),
+			{"full gather (footnote 2)", fmt.Sprint(c.N()), fmt.Sprint(gstats.Rounds),
 				fmt.Sprint(gstats.Messages), fmt.Sprint(gstats.Words), fmt.Sprint(gstats.MaxMessageWords)},
 		}, nil
 	}})

@@ -22,15 +22,14 @@ func BaselinesSpec(ns []int) Spec {
 	for _, n := range ns {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
-			g := ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: n, T: 5}, rng)
+			g := ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: n, T: 5}, rng).Freeze()
 			greedySol, phases := core.GreedyDistributed(g)
-			c := g.Freeze()
-			d2 := core.D2(c)
-			alg1, err := core.Alg1(g, core.PracticalParams())
+			d2 := core.D2(g)
+			alg1, err := core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("baselines n=%d: %w", n, err)
 			}
-			opt, err := mds.ExactMDS(c, mds.ExactOptions{})
+			opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("baselines opt n=%d: %w", n, err)
 			}

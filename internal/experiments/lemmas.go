@@ -116,10 +116,10 @@ func Lemma42Spec(ns []int) Spec {
 	for _, n := range ns {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
-			g := ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: n, T: 5}, rng)
+			g := ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: n, T: 5}, rng).Freeze()
 			var rows [][]string
 			for _, r := range []int{2, 4, 8} {
-				res, err := core.Alg1(g, core.Params{R1: r, R2: r})
+				res, err := core.Alg1CSR(g, core.Params{R1: r, R2: r}, core.PipelineOptions{})
 				if err != nil {
 					return nil, fmt.Errorf("lemma42 n=%d r=%d: %w", n, r, err)
 				}
@@ -144,7 +144,7 @@ func Lemma518Spec(ns []int, tParam int) Spec {
 	for _, n := range ns {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
-			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: tParam}, rng)
+			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: tParam}, rng).Freeze()
 			res, err := core.BuildMinorBound(g)
 			if err != nil {
 				return nil, fmt.Errorf("lemma518 n=%d: %w", n, err)

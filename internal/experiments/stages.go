@@ -58,8 +58,8 @@ func StageProfileSpec(n int) Spec {
 	for _, inst := range instances {
 		inst := inst
 		s.Tasks = append(s.Tasks, Task{Row: inst.row, Run: func(seed int64) ([][]string, error) {
-			g := inst.build(seed)
-			res, err := core.Alg1(g, core.PracticalParams())
+			g := inst.build(seed).Freeze()
+			res, err := core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("stage profile %s: %w", inst.row, err)
 			}

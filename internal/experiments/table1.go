@@ -61,12 +61,12 @@ func Table1Spec(cfg Table1Config) Spec {
 	// treewidth-2 DP.
 	s.Tasks = append(s.Tasks, Task{Row: "outerplanar", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
-		g := gen.MaximalOuterplanar(cfg.N, rng)
-		res, err := core.Alg1(g, core.PracticalParams())
+		g := gen.MaximalOuterplanar(cfg.N, rng).Freeze()
+		res, err := core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("outerplanar: %w", err)
 		}
-		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
+		opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("outerplanar opt: %w", err)
 		}
@@ -81,12 +81,12 @@ func Table1Spec(cfg Table1Config) Spec {
 	// the row runs at the full intSqrt(N) for the default N=120.
 	s.Tasks = append(s.Tasks, Task{Row: "planar", Run: func(int64) ([][]string, error) {
 		side := gridSide(cfg.N)
-		g := gen.Grid(side, side)
-		res, err := core.Alg1(g, core.PracticalParams())
+		g := gen.Grid(side, side).Freeze()
+		res, err := core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("planar: %w", err)
 		}
-		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
+		opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("planar opt: %w", err)
 		}
@@ -97,12 +97,13 @@ func Table1Spec(cfg Table1Config) Spec {
 	// K_{1,t}-minor-free (max degree < t): take-all, 0 rounds.
 	s.Tasks = append(s.Tasks, Task{Row: "k1t", Run: func(int64) ([][]string, error) {
 		deg := 4
-		g, err := gen.RegularLike(cfg.N, deg)
+		rl, err := gen.RegularLike(cfg.N, deg)
 		if err != nil {
 			return nil, fmt.Errorf("k1t: %w", err)
 		}
+		g := rl.Freeze()
 		sol := core.TakeAllMDS(g)
-		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
+		opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("k1t opt: %w", err)
 		}
@@ -117,19 +118,18 @@ func Table1Spec(cfg Table1Config) Spec {
 	for _, tt := range []int{3, 4, 5, 6} {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("k2t-t%d", tt), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
-			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng)
+			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng).Freeze()
 			small := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.ProcessN, T: tt}, rng).Freeze()
-			c := g.Freeze()
-			opt, err := mds.ExactMDS(c, mds.ExactOptions{})
+			opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("k2t opt: %w", err)
 			}
-			d2 := core.D2(c)
+			d2 := core.D2(g)
 			_, d2stats, err := core.RunD2(small, nil, local.Sequential)
 			if err != nil {
 				return nil, fmt.Errorf("k2t d2 process: %w", err)
 			}
-			res, err := core.Alg1(g, core.PracticalParams())
+			res, err := core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("k2t alg1: %w", err)
 			}
@@ -153,12 +153,12 @@ func Table1Spec(cfg Table1Config) Spec {
 	// planar-ish inputs as the executable counterpart).
 	s.Tasks = append(s.Tasks, Task{Row: "kt", Run: func(int64) ([][]string, error) {
 		side := gridSide(cfg.N)
-		g := gen.Grid(side, side)
+		g := gen.Grid(side, side).Freeze()
 		res, err := core.Alg2(g, func(r int) int { return 2 * r }, 0)
 		if err != nil {
 			return nil, fmt.Errorf("kt: %w", err)
 		}
-		opt, err := mds.ExactMDS(g.Freeze(), mds.ExactOptions{})
+		opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("kt opt: %w", err)
 		}
@@ -203,11 +203,12 @@ func MVCTableSpec(cfg Table1Config) Spec {
 	// the size is capped — by vertex-transitivity the measured ratio is
 	// size-independent anyway.
 	s.Tasks = append(s.Tasks, Task{Row: "regular", Run: func(int64) ([][]string, error) {
-		g, err := gen.RegularLike(minInt(cfg.N, 96), 4)
+		rl, err := gen.RegularLike(minInt(cfg.N, 96), 4)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := mds.ExactMVC(g.Freeze(), mds.ExactOptions{})
+		g := rl.Freeze()
+		opt, err := mds.ExactMVC(g, mds.ExactOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -2,8 +2,7 @@ package graph
 
 // BFS traversals. All queues are preallocated to n and consumed with a head
 // index rather than `queue[1:]` re-slicing, so a full BFS performs exactly
-// two allocations (dist + queue). When the graph has been frozen (see
-// Freeze), the scan runs over the flat CSR arrays.
+// two allocations (dist + queue).
 
 // BFSFrom runs a breadth-first search from source and returns the distance
 // slice, with -1 for unreachable vertices.
@@ -23,24 +22,6 @@ func (g *Graph) BFSFrom(source int) []int {
 // distance r (when r >= 0) is not expanded, truncating the search at radius
 // r. dist must be -1 except at the enqueued sources.
 func (g *Graph) bfsLoop(dist []int, queue []int, r int) {
-	if c := g.csr; c != nil {
-		offs, tgts := c.Offsets, c.Targets
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			d := dist[v]
-			if d == r {
-				continue
-			}
-			for k := offs[v]; k < offs[v+1]; k++ {
-				u := tgts[k]
-				if dist[u] < 0 {
-					dist[u] = d + 1
-					queue = append(queue, int(u))
-				}
-			}
-		}
-		return
-	}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		d := dist[v]
@@ -114,14 +95,11 @@ func collectReached(dist []int) []int {
 
 // Diameter returns the largest distance between two vertices of the same
 // component, considering only reachable pairs. It returns 0 for graphs with
-// at most one vertex. It is CSR.Diameter over the cached frozen view, or
-// over a temporary one when g is not frozen, so it never freezes g.
+// at most one vertex. It is CSR.Diameter over a temporary CSR of g. Only
+// tests call it: graph's, ding's, local's and core's; production code
+// calls CSR.Diameter on the CSR it already holds.
 func (g *Graph) Diameter() int {
-	c := g.csr
-	if c == nil {
-		c = buildCSR(g.adj)
-	}
-	diam, _, _ := c.Diameter(NewArena(), 0)
+	diam, _, _ := g.Freeze().Diameter(NewArena(), 0)
 	return diam
 }
 

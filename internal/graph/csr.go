@@ -46,21 +46,10 @@ func buildCSR(adj [][]int) *CSR {
 	return &CSR{Offsets: offsets, Targets: targets}
 }
 
-// Freeze builds (or returns the cached) CSR view of g and returns it. The
-// cache is invalidated by any mutation (AddEdge, RemoveEdge, AddVertex).
-// Freeze is not safe for concurrent use with itself or with mutators; call
-// it once before handing the graph to concurrent readers.
-func (g *Graph) Freeze() *CSR {
-	if g.csr == nil {
-		g.csr = buildCSR(g.adj)
-	}
-	return g.csr
-}
-
-// CSR returns the frozen view if one is cached, or nil. Read paths use it
-// opportunistically: frozen graphs traverse the flat arrays, unfrozen ones
-// the adjacency lists.
-func (g *Graph) CSR() *CSR { return g.csr }
+// Freeze builds a new CSR of g in O(n + m). The CSR shares no storage with
+// g, so later mutations of g do not reach it. Freeze only reads g: like
+// every accessor it may run concurrently with other readers.
+func (g *Graph) Freeze() *CSR { return buildCSR(g.adj) }
 
 // FromEdgesUnchecked batch-builds a graph on n vertices from an edge list
 // in O(n + m log deg), trusting the input far enough to skip the per-edge
@@ -69,7 +58,7 @@ func (g *Graph) CSR() *CSR { return g.csr }
 // rejected. All adjacency lists share one backing array, so the result is
 // compact and a subsequent Freeze is cheap. It panics on out-of-range
 // endpoints, matching AddEdge. Only tests call it, as the adjacency-list
-// reference of CSRFromEdges: graph's, graphio's, service's and store's.
+// reference of CSRFromEdges: graph's, graphio's and service's.
 func FromEdgesUnchecked(n int, edges [][2]int) *Graph {
 	deg := make([]int, n)
 	for _, e := range edges {

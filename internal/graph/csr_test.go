@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -43,59 +47,106 @@ func TestFreezeMatchesAdjacency(t *testing.T) {
 				}
 			}
 		}
-		if g.CSR() != c {
-			t.Fatal("Freeze result not cached")
+	}
+}
+
+// TestFreezeReflectsMutation checks that Freeze after AddEdge, RemoveEdge
+// or AddVertex builds the mutated graph, and that a CSR frozen earlier
+// keeps the graph as it was.
+func TestFreezeReflectsMutation(t *testing.T) {
+	g := MustFromEdges(4, [][2]int{{0, 1}, {1, 2}})
+	before := g.Freeze()
+	steps := []struct {
+		name   string
+		mutate func()
+		want   *CSR
+	}{
+		{"AddEdge", func() { g.AddEdge(2, 3) }, CSRFromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})},
+		{"RemoveEdge", func() { g.RemoveEdge(0, 1) }, CSRFromEdges(4, [][2]int{{1, 2}, {2, 3}})},
+		{"AddVertex", func() { g.AddVertex() }, CSRFromEdges(5, [][2]int{{1, 2}, {2, 3}})},
+	}
+	for _, st := range steps {
+		st.mutate()
+		if got := g.Freeze(); !reflect.DeepEqual(got, st.want) {
+			t.Fatalf("Freeze after %s = %+v, want %+v", st.name, got, st.want)
 		}
 	}
-}
-
-func TestMutationInvalidatesCSR(t *testing.T) {
-	g := MustFromEdges(4, [][2]int{{0, 1}, {1, 2}})
-	g.Freeze()
-	g.AddEdge(2, 3)
-	if g.CSR() != nil {
-		t.Fatal("AddEdge kept a stale CSR")
-	}
-	g.Freeze()
-	g.RemoveEdge(0, 1)
-	if g.CSR() != nil {
-		t.Fatal("RemoveEdge kept a stale CSR")
-	}
-	g.Freeze()
-	g.AddVertex()
-	if g.CSR() != nil {
-		t.Fatal("AddVertex kept a stale CSR")
+	if want := CSRFromEdges(4, [][2]int{{0, 1}, {1, 2}}); !reflect.DeepEqual(before, want) {
+		t.Fatalf("an earlier Freeze changed under mutation: %+v, want %+v", before, want)
 	}
 }
 
-// TestBFSFrozenMatchesUnfrozen locks in that the CSR fast path computes the
-// same distances and balls as the adjacency-list path.
+// TestFreezeConcurrentReaders runs Freeze, BFSFrom and Diameter on one
+// graph from several goroutines; under -race it checks that every
+// accessor only reads the graph.
+func TestFreezeConcurrentReaders(t *testing.T) {
+	g := New(6)
+	for v := 0; v+1 < 6; v++ {
+		g.AddEdge(v, v+1)
+	}
+	want := CSRFromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if c := g.Freeze(); !reflect.DeepEqual(c, want) {
+					errs <- "Freeze built a different CSR"
+					return
+				}
+				if d := g.BFSFrom(0)[5]; d != 5 {
+					errs <- fmt.Sprintf("BFSFrom(0)[5] = %d, want 5", d)
+					return
+				}
+				if d := g.Diameter(); d != 5 {
+					errs <- fmt.Sprintf("Diameter = %d, want 5", d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// TestBFSFrozenMatchesUnfrozen locks in that the CSR's ball marking
+// computes the same balls as the adjacency-list BFS.
 func TestBFSFrozenMatchesUnfrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	a := NewArena()
 	for trial := 0; trial < 15; trial++ {
 		n := 1 + rng.Intn(50)
 		g, err := FromEdges(n, randomEdges(n, 0.15, rng))
 		if err != nil {
 			t.Fatal(err)
 		}
-		frozen := g.Clone()
-		frozen.Freeze()
+		c := g.Freeze()
 		for _, src := range []int{0, n / 2, n - 1} {
-			a, b := g.BFSFrom(src), frozen.BFSFrom(src)
-			for v := range a {
-				if a[v] != b[v] {
-					t.Fatalf("BFSFrom(%d): dist[%d] = %d frozen %d", src, v, a[v], b[v])
+			for r := -1; r <= 3; r++ {
+				want := collectReached(g.boundedBFS([]int{src}, r))
+				var got []int
+				for _, v := range c.MarkBall(src, -1, r, a) {
+					got = append(got, int(v))
 				}
-			}
-			for r := 0; r <= 3; r++ {
-				if !EqualSets(g.Ball(src, r), frozen.Ball(src, r)) {
-					t.Fatalf("Ball(%d,%d) differs frozen vs not", src, r)
+				sort.Ints(got)
+				if !EqualSets(got, want) {
+					t.Fatalf("ball(%d,%d): CSR %v, adjacency lists %v", src, r, got, want)
 				}
 			}
 		}
-		set := []int{0, n - 1}
-		if !EqualSets(collectReached(bfsFromSet(g, set)), collectReached(bfsFromSet(frozen, set))) {
-			t.Fatal("BFSFromSet differs frozen vs not")
+		want := collectReached(bfsFromSet(g, []int{0, n - 1}))
+		var got []int
+		for _, v := range c.MarkBall(0, n-1, -1, a) {
+			got = append(got, int(v))
+		}
+		sort.Ints(got)
+		if !EqualSets(got, want) {
+			t.Fatal("two-source ball differs between CSR and adjacency lists")
 		}
 	}
 }

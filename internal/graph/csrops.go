@@ -596,13 +596,10 @@ func (c *CSR) distBFS(s int32, a *Arena) ([]int32, int) {
 
 // FromCSR builds an adjacency-list Graph from a CSR in O(n + m) with two
 // allocations (the row table and one shared backing buffer). FromEdges and
-// the parsers use it to hand a *Graph to callers that want one; the
-// solvers run on the CSR and need no bridge. The adjacency lists do not
-// alias c, but the graph keeps c as its frozen view, so Freeze returns c
-// without rebuilding it. c must therefore stay unchanged while the graph
-// is frozen: hand over a freshly built CSR, never one that is refilled
-// (an InducedInto destination). Mutating the graph drops the view and
-// never writes to c.
+// graphio's Read, ReadLimited and ReadFile use it to hand a *Graph to
+// callers that want one; the solvers run on the CSR and need no bridge.
+// The graph shares no storage with c, so c may be refilled or unmapped
+// afterwards.
 func FromCSR(c *CSR) *Graph {
 	n := c.N()
 	buf := make([]int, len(c.Targets))
@@ -613,5 +610,5 @@ func FromCSR(c *CSR) *Graph {
 	for v := 0; v < n; v++ {
 		adj[v] = buf[c.Offsets[v]:c.Offsets[v+1]:c.Offsets[v+1]]
 	}
-	return &Graph{adj: adj, m: c.M(), csr: c}
+	return &Graph{adj: adj, m: c.M()}
 }

@@ -53,10 +53,3 @@ func (c *CSR) Fingerprint() Fingerprint {
 	h.Sum(f[:0])
 	return f
 }
-
-// Fingerprint freezes g if needed and returns its content address. Like
-// Freeze, it is not safe for concurrent use with mutators or with itself
-// on an unfrozen graph; freeze once before sharing.
-func (g *Graph) Fingerprint() Fingerprint {
-	return g.Freeze().Fingerprint()
-}

@@ -20,7 +20,7 @@ func TestFingerprintPresentationInvariance(t *testing.T) {
 			}
 		}
 	}
-	want := FromEdgesUnchecked(n, edges).Fingerprint()
+	want := FromEdgesUnchecked(n, edges).Freeze().Fingerprint()
 
 	for trial := 0; trial < 10; trial++ {
 		perm := append([][2]int(nil), edges...)
@@ -34,7 +34,7 @@ func TestFingerprintPresentationInvariance(t *testing.T) {
 			}
 		}
 		perm = append(perm, [2]int{trial % n, trial % n}) // self-loop, dropped
-		if got := FromEdgesUnchecked(n, perm).Fingerprint(); got != want {
+		if got := FromEdgesUnchecked(n, perm).Freeze().Fingerprint(); got != want {
 			t.Fatalf("trial %d: fingerprint changed under edge-presentation permutation:\n got %s\nwant %s", trial, got, want)
 		}
 	}
@@ -46,7 +46,7 @@ func TestFingerprintPresentationInvariance(t *testing.T) {
 	for _, e := range perm {
 		g.AddEdge(e[1], e[0])
 	}
-	if got := g.Fingerprint(); got != want {
+	if got := g.Freeze().Fingerprint(); got != want {
 		t.Fatalf("AddEdge construction: got %s, want %s", got, want)
 	}
 }
@@ -55,46 +55,46 @@ func TestFingerprintPresentationInvariance(t *testing.T) {
 // fingerprints — extra isolated vertex, one edge removed, one relabeling.
 func TestFingerprintDiscriminates(t *testing.T) {
 	base := MustFromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	want := base.Fingerprint()
+	want := base.Freeze().Fingerprint()
 
 	bigger := MustFromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	if bigger.Fingerprint() == want {
+	if bigger.Freeze().Fingerprint() == want {
 		t.Fatal("adding an isolated vertex should change the fingerprint")
 	}
 	fewer := MustFromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	if fewer.Fingerprint() == want {
+	if fewer.Freeze().Fingerprint() == want {
 		t.Fatal("removing an edge should change the fingerprint")
 	}
 	// Same structure, different labels: a path 4-3-2-1-0 reversed is the
 	// same labeled graph; 0-2-4-1-3 is not.
 	relabeled := MustFromEdges(5, [][2]int{{0, 2}, {2, 4}, {4, 1}, {1, 3}})
-	if relabeled.Fingerprint() == want {
+	if relabeled.Freeze().Fingerprint() == want {
 		t.Fatal("a relabeled (isomorphic but differently labeled) graph should change the fingerprint")
 	}
 	reversed := MustFromEdges(5, [][2]int{{4, 3}, {3, 2}, {2, 1}, {1, 0}})
-	if reversed.Fingerprint() != want {
+	if reversed.Freeze().Fingerprint() != want {
 		t.Fatal("reversed presentation of the same labeled path should not change the fingerprint")
 	}
 }
 
-// TestFingerprintMutationInvalidation: a mutation after freezing must be
-// reflected (Freeze drops the cached CSR on mutation).
+// TestFingerprintMutationInvalidation: a mutation after freezing is
+// reflected in the next Freeze's fingerprint.
 func TestFingerprintMutationInvalidation(t *testing.T) {
 	g := MustFromEdges(4, [][2]int{{0, 1}, {1, 2}})
-	before := g.Fingerprint()
+	before := g.Freeze().Fingerprint()
 	g.AddEdge(2, 3)
-	after := g.Fingerprint()
+	after := g.Freeze().Fingerprint()
 	if before == after {
 		t.Fatal("fingerprint did not change after AddEdge")
 	}
 	g.RemoveEdge(2, 3)
-	if g.Fingerprint() != before {
+	if g.Freeze().Fingerprint() != before {
 		t.Fatal("fingerprint did not return to the original after undoing the mutation")
 	}
 }
 
 func TestFingerprintEmptyAndString(t *testing.T) {
-	a, b := New(0).Fingerprint(), New(1).Fingerprint()
+	a, b := New(0).Freeze().Fingerprint(), New(1).Freeze().Fingerprint()
 	if a == b {
 		t.Fatal("empty graphs of different order should differ")
 	}

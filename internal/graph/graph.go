@@ -1,6 +1,11 @@
 // Package graph provides the undirected-graph substrate used throughout the
-// localmds repository: adjacency-list graphs, traversals, neighborhood balls,
-// connectivity queries, twin reduction, and serialization.
+// localmds repository. It has two representations. CSR is the immutable
+// flat graph every solver, loader and writer holds: traversals,
+// neighborhood balls, connectivity, twin reduction, diameters and the
+// content fingerprint run on it. Graph is the mutable adjacency-list
+// builder that the generators (gen, ding) grow edge by edge and that the
+// spec oracles (cuts' global and reference checks, spqr, asdim, minor)
+// read; Freeze turns it into a CSR.
 //
 // Vertices are dense integers 0..n-1. All graphs are simple (no loops, no
 // multi-edges) and undirected. Mutating constructors normalize edge input;
@@ -14,12 +19,12 @@ import (
 )
 
 // Graph is a simple undirected graph over vertices 0..n-1 stored as sorted
-// adjacency lists. The zero value is the empty graph. Freeze caches a flat
-// CSR view for traversal-heavy read paths; any mutation drops the cache.
+// adjacency lists: the mutable builder of the generators and the input of
+// the spec oracles. The zero value is the empty graph. Freeze builds the
+// CSR that everything past generation holds; the two never share storage.
 type Graph struct {
 	adj [][]int
 	m   int
-	csr *CSR
 }
 
 // New returns an edgeless graph on n vertices. It panics if n is negative.
@@ -34,7 +39,8 @@ func New(n int) *Graph {
 // Out-of-range endpoints, duplicate edges and self-loops are rejected
 // with AddEdgeChecked's error for the first offending edge, so that
 // generator bugs surface early. It runs in linear time through
-// CSRFromEdgesChecked.
+// CSRFromEdgesChecked. Only tests reach it: graph's own, and cuts' and
+// graphio's through MustFromEdges.
 func FromEdges(n int, edges [][2]int) (*Graph, error) {
 	c, err := CSRFromEdgesChecked(n, edges)
 	if err != nil {
@@ -100,7 +106,6 @@ func (g *Graph) addEdge(u, v int, allowDup bool) error {
 	g.adj[u] = insertSorted(g.adj[u], v)
 	g.adj[v] = insertSorted(g.adj[v], u)
 	g.m++
-	g.csr = nil
 	return nil
 }
 
@@ -113,14 +118,12 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 	g.adj[u] = removeSorted(g.adj[u], v)
 	g.adj[v] = removeSorted(g.adj[v], u)
 	g.m--
-	g.csr = nil
 	return true
 }
 
 // AddVertex appends an isolated vertex and returns its index.
 func (g *Graph) AddVertex() int {
 	g.adj = append(g.adj, nil)
-	g.csr = nil
 	return len(g.adj) - 1
 }
 

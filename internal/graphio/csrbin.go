@@ -242,10 +242,10 @@ func readInt32s(r io.Reader, count int, base int64, crc uint64) ([]int32, uint64
 	return out, crc, nil
 }
 
-// WriteCSRBin writes the canonical csrbin encoding of a frozen CSR view.
-// The CSR must be in canonical form (every Freeze/CSRFromEdges result is);
+// writeCSRBin writes the canonical csrbin encoding of c, for Write. The
+// CSR must be in canonical form (every Freeze/CSRFromEdges result is);
 // the writer computes both checksums and never reorders the arrays.
-func WriteCSRBin(w io.Writer, c *graph.CSR) error {
+func writeCSRBin(w io.Writer, c *graph.CSR) error {
 	n := c.N()
 	arcs := len(c.Targets)
 	if n > csrbinMaxCount || arcs > csrbinMaxCount {
@@ -302,22 +302,6 @@ func WriteCSRBin(w io.Writer, c *graph.CSR) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// WriteCSRBinFile writes g's csrbin encoding to path ("-" writes stdout).
-func WriteCSRBinFile(path string, c *graph.CSR) error {
-	if path == "-" {
-		return WriteCSRBin(os.Stdout, c)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteCSRBin(f, c); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // OpenOptions tune OpenCSRBin.

@@ -14,7 +14,7 @@ import (
 // fuzzCSRBinEncode builds a valid csrbin file for the seed corpus.
 func fuzzCSRBinEncode(n int, edges [][2]int) []byte {
 	var buf bytes.Buffer
-	if err := WriteCSRBin(&buf, graph.FromEdgesUnchecked(n, edges).Freeze()); err != nil {
+	if err := Write(&buf, graph.FromEdgesUnchecked(n, edges).Freeze(), FormatCSRBin); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -77,7 +77,7 @@ func FuzzReadCSRBin(f *testing.F) {
 		// Accepted inputs are canonical, so re-encoding must reproduce
 		// the input byte for byte.
 		var buf bytes.Buffer
-		if err := WriteCSRBin(&buf, c); err != nil {
+		if err := Write(&buf, c, FormatCSRBin); err != nil {
 			t.Fatalf("re-encode of accepted input: %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), data) {

@@ -15,12 +15,12 @@ import (
 	"localmds/internal/graph"
 )
 
-// encodeCSRBin is the test helper: WriteCSRBin into memory.
+// encodeCSRBin is the test helper: Write(FormatCSRBin) into memory.
 func encodeCSRBin(t *testing.T, c *graph.CSR) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCSRBin(&buf, c); err != nil {
-		t.Fatalf("WriteCSRBin: %v", err)
+	if err := Write(&buf, c, FormatCSRBin); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -44,7 +44,7 @@ func TestCSRBinRoundTrip(t *testing.T) {
 		}
 		want := graph.FromEdgesUnchecked(n, edges).Freeze()
 		var buf bytes.Buffer
-		if err := WriteCSRBin(&buf, want); err != nil {
+		if err := Write(&buf, want, FormatCSRBin); err != nil {
 			return false
 		}
 		got, err := readCSRBin(bytes.NewReader(buf.Bytes()), 0, 0)
@@ -172,8 +172,8 @@ func TestCSRBinNonCanonicalArrays(t *testing.T) {
 			// the structural validation must catch.
 			c := &graph.CSR{Offsets: tc.offsets, Targets: tc.targets}
 			var buf bytes.Buffer
-			if err := WriteCSRBin(&buf, c); err != nil {
-				t.Fatalf("WriteCSRBin: %v", err)
+			if err := Write(&buf, c, FormatCSRBin); err != nil {
+				t.Fatalf("Write: %v", err)
 			}
 			_, err := readCSRBin(bytes.NewReader(buf.Bytes()), 0, 0)
 			var fe *FormatError
@@ -212,7 +212,7 @@ func TestOpenCSRBin(t *testing.T) {
 	want := g.Freeze()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.csrbin")
-	if err := WriteCSRBinFile(path, want); err != nil {
+	if err := WriteFile(path, want, FormatCSRBin); err != nil {
 		t.Fatal(err)
 	}
 
@@ -278,7 +278,7 @@ func TestLoadCSR(t *testing.T) {
 	want := graph.FromEdgesUnchecked(8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {5, 6}, {6, 7}}).Freeze()
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "g.edges") // a csrbin named like text
-	if err := WriteCSRBinFile(bin, want); err != nil {
+	if err := WriteFile(bin, want, FormatCSRBin); err != nil {
 		t.Fatal(err)
 	}
 	text := filepath.Join(dir, "t.csrbin") // text named like a csrbin
@@ -352,7 +352,7 @@ func TestCSRBinEmptyGraph(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "empty.csrbin")
-	if err := WriteCSRBinFile(path, want); err != nil {
+	if err := WriteFile(path, want, FormatCSRBin); err != nil {
 		t.Fatal(err)
 	}
 	m, err := OpenCSRBin(path, OpenOptions{Verify: true})

@@ -91,7 +91,7 @@ func sameOutcome(t *testing.T, f Format, g *graph.Graph, err error, want *graph.
 func roundTrip(t *testing.T, g *graph.Graph, f Format) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, g, f); err != nil {
+	if err := Write(&buf, g.Freeze(), f); err != nil {
 		t.Fatalf("write %v: %v", f, err)
 	}
 	h, err := Read(bytes.NewReader(buf.Bytes()), f)

@@ -9,8 +9,10 @@
 // JSON edges go through graph.CSRFromEdgesChecked. csrbin has one
 // validating decoder, fed from memory by ParseCSR and from the stream by
 // Read. LoadCSR is the file loader of the CLIs that solve on the CSR: it
-// maps a csrbin file and parses any other input. Read, ReadLimited and
-// ReadFile wrap the parsers for callers that want a *graph.Graph.
+// maps a csrbin file and parses any other input. Write and WriteFile
+// encode a CSR in every format. Read, ReadLimited and ReadFile wrap the
+// parsers for callers that want a *graph.Graph (the perfbench module and
+// tests).
 // Every malformed input is reported as a *ParseError (text) or
 // *FormatError (csrbin) carrying the position of the offending token,
 // never as a panic.
@@ -128,8 +130,8 @@ func ReadLimited(r io.Reader, f Format, maxVertices, maxEdges int) (*graph.Graph
 
 // ReadFile reads a graph from path ("-" reads stdin) in the given
 // format, prefixing errors with the input name, for callers that want a
-// *graph.Graph (graphgen -in). It is ParseCSRFile plus graph.FromCSR;
-// the solving CLIs load with LoadCSR instead.
+// *graph.Graph. It is ParseCSRFile plus graph.FromCSR; the CLIs parse
+// with ParseCSRFile or load with LoadCSR instead.
 func ReadFile(path string, f Format) (*graph.Graph, error) {
 	c, err := ParseCSRFile(path, f, CSROptions{})
 	if err != nil {

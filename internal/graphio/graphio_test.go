@@ -147,7 +147,7 @@ func TestRoundTrip(t *testing.T) {
 	for _, g := range graphs {
 		for _, f := range []Format{FormatJSON, FormatEdgeList, FormatDIMACS} {
 			var buf bytes.Buffer
-			if err := Write(&buf, g, f); err != nil {
+			if err := Write(&buf, g.Freeze(), f); err != nil {
 				t.Fatalf("Write(%v): %v", f, err)
 			}
 			back, err := Read(bytes.NewReader(buf.Bytes()), FormatAuto)

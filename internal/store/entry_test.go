@@ -18,7 +18,7 @@ func rewriteHeaderCRC(data []byte) {
 
 // testEntry builds a small valid entry.
 func testEntry(payload string) *Entry {
-	fp := graph.FromEdgesUnchecked(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}).Fingerprint()
+	fp := graph.CSRFromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}).Fingerprint()
 	return &Entry{
 		Fingerprint:     fp,
 		ParamsHash:      paramsHash("r1=4,r2=4,mbc=128"),

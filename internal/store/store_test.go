@@ -16,8 +16,8 @@ import (
 
 // testKey builds a distinct key per index.
 func testKey(i int) Key {
-	g := graph.FromEdgesUnchecked(i+2, [][2]int{{0, 1}})
-	return Key{Fingerprint: g.Fingerprint(), Params: fmt.Sprintf("r1=4,r2=4,mbc=%d", i)}
+	c := graph.CSRFromEdges(i+2, [][2]int{{0, 1}})
+	return Key{Fingerprint: c.Fingerprint(), Params: fmt.Sprintf("r1=4,r2=4,mbc=%d", i)}
 }
 
 func mustOpen(t *testing.T, opts Options) *Store {

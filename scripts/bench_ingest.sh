@@ -3,11 +3,14 @@
 # BENCH_ingest.json.
 #
 # The run generates a near-planar instance (disjoint 12x12 grid
-# components) at INGEST_EDGES edges, then measures every stage through
-# cmd/mdsingest: text parse at 1 worker, text parse at INGEST_WORKERS
-# workers, text→csrbin conversion, csrbin mmap load, and the
-# core.Alg1CSR solve. The JSON records one entry per stage (wall time,
-# peak RSS, fingerprint where computed) plus the two headline ratios:
+# components) at INGEST_EDGES edges, then measures every stage: text parse
+# at 1 worker and at INGEST_WORKERS workers, csrbin mmap load and the
+# core.Alg1CSR solve through cmd/mdsingest, and the text→csrbin
+# conversion through cmd/graphgen (graphgen -in huge.edges -oformat
+# csrbin), the repository's one converter. The JSON records one entry per
+# stage (wall time; peak RSS and fingerprint where mdsingest computes
+# them; the convert entry has wall time only) plus the two headline
+# ratios:
 #
 #   - load_speedup:  1-worker text parse wall / csrbin mmap load wall
 #     (the format's reason to exist — must be >= 50x at full scale)
@@ -42,6 +45,7 @@ binfile="$work/huge.csrbin"
 results="$work/results.jsonl"
 
 go build -o "$work/mdsingest" ./cmd/mdsingest
+go build -o "$work/graphgen" ./cmd/graphgen
 
 run_stage() {
 	echo ">> $*" >&2
@@ -51,7 +55,11 @@ run_stage() {
 run_stage -mode gen -edges "$edges" -o "$edgefile"
 run_stage -mode parse -in "$edgefile" -workers 1 -fingerprint
 run_stage -mode parse -in "$edgefile" -workers "$workers" -fingerprint
-run_stage -mode convert -in "$edgefile" -o "$binfile" -workers "$workers"
+echo ">> graphgen -in $edgefile -oformat csrbin -o $binfile" >&2
+start="$(date +%s.%N)"
+GOMAXPROCS="$workers" "$work/graphgen" -in "$edgefile" -oformat csrbin -o "$binfile"
+jq -cn --argjson s "$start" --argjson e "$(date +%s.%N)" --argjson w "$workers" \
+	'{mode: "convert", workers: $w, wall_seconds: ($e - $s)}' | tee -a "$results"
 run_stage -mode load -in "$binfile" -fingerprint
 if [ "$solve" != "0" ]; then
 	run_stage -mode solve -in "$binfile" -workers "$workers" -r1 "$r1" -r2 "$r2"
