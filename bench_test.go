@@ -45,7 +45,7 @@ func BenchmarkTable1Trees(b *testing.B) {
 		sol = core.TreeMDS(g)
 	}
 	reportRatio(b, len(sol), len(opt))
-	_, stats, err := core.RunTreeMDS(g, nil, local.Sequential)
+	_, stats, err := core.RunTreeMDS(g, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func BenchmarkTable1K2tLinear(b *testing.B) {
 	}
 	reportRatio(b, len(res.S), len(opt))
 	small := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: 5}, rng)
-	_, stats, err := core.RunD2(small.Freeze(), nil, local.Sequential)
+	_, stats, err := core.RunD2(small.Freeze(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func BenchmarkSPQRDecomposition(b *testing.B) {
 }
 
 // BenchmarkSimulatorBallGather measures simulator throughput: a radius-4
-// gather on a 20x20 grid, parallel engine.
+// gather on a 20x20 grid at GOMAXPROCS workers.
 func BenchmarkSimulatorBallGather(b *testing.B) {
 	g := gen.Grid(20, 20)
 	nw, err := local.NewNetwork(g.Freeze(), nil)
@@ -295,14 +295,14 @@ func BenchmarkSimulatorBallGather(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := local.GatherViews(nw, 6, local.Parallel); err != nil {
+		if _, _, err := local.GatherViews(nw, 6); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkSimulatorBallGatherLarge scales the gather benchmark to a
-// 100x100 grid (10k vertices, ~20k edges) to expose the engine's
+// 100x100 grid (10k vertices, ~20k edges) to expose the simulator's
 // per-vertex overhead at a size where goroutine-per-vertex scheduling used
 // to dominate.
 func BenchmarkSimulatorBallGatherLarge(b *testing.B) {
@@ -313,7 +313,7 @@ func BenchmarkSimulatorBallGatherLarge(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := local.GatherViews(nw, 6, local.Parallel); err != nil {
+		if _, _, err := local.GatherViews(nw, 6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -339,7 +339,7 @@ func BenchmarkAlg1Distributed(b *testing.B) {
 			var stats local.Stats
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, stats, err = core.RunAlg1(tc.g, nil, tc.p, local.Parallel)
+				_, stats, err = core.RunAlg1(tc.g, nil, tc.p)
 				if err != nil {
 					b.Fatal(err)
 				}

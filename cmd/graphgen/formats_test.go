@@ -62,14 +62,14 @@ func TestEmitEdgeListAndDIMACS(t *testing.T) {
 	}
 }
 
-// TestCSRBinConvertRoundTrip: -oformat csrbin pre-bakes a binary file,
+// TestCSRBinConvertRoundTrip: -format csrbin pre-bakes a binary file,
 // and converting it back to JSON reproduces the directly-generated JSON —
 // the pre-baking pipeline the huge solve path depends on.
 func TestCSRBinConvertRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	binPath := filepath.Join(dir, "g.csrbin")
 	var out strings.Builder
-	if err := run([]string{"-kind", "grid", "-n", "30", "-oformat", "csrbin", "-o", binPath}, &out); err != nil {
+	if err := run([]string{"-kind", "grid", "-n", "30", "-format", "csrbin", "-o", binPath}, &out); err != nil {
 		t.Fatalf("generate csrbin: %v", err)
 	}
 	var direct strings.Builder

@@ -15,11 +15,10 @@
 // With -in, graphgen converts instead of generating: the input encoding is
 // auto-detected (or pinned with -informat), a text input is parsed in
 // parallel on GOMAXPROCS workers, and malformed input exits 1 with a
-// line/column message. -oformat is an alias for -format, so any generator
-// or text input can be pre-baked once into csrbin
-// (graphgen -in huge.edges -oformat csrbin -o huge.csrbin) and re-solved
-// cheaply through mdsrun's mmap loader. This is the repository's one
-// converter.
+// line/column message. Any generator or text input can be pre-baked once
+// into csrbin (graphgen -in huge.edges -format csrbin -o huge.csrbin) and
+// re-solved cheaply through mdsrun's mmap loader. This is the repository's
+// one converter.
 package main
 
 import (
@@ -53,7 +52,6 @@ func run(args []string, stdout io.Writer) error {
 	in := fs.String("in", "", "convert a graph read from this file (\"-\": stdin) instead of generating")
 	informat := fs.String("informat", "auto", "input encoding for -in: auto|json|edgelist|dimacs|csrbin")
 	format := fs.String("format", "json", "output format: json|dot|edgelist|dimacs|csrbin")
-	oformat := fs.String("oformat", "", "alias for -format")
 	out := fs.String("o", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -73,9 +71,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if *oformat != "" {
-		*format = *oformat
-	}
 	var f graphio.Format
 	if *format != "dot" {
 		var err error

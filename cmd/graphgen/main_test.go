@@ -72,6 +72,7 @@ func TestInvalidInputsErrorCleanly(t *testing.T) {
 		{"-kind", "nosuch"},                    // unknown generator
 		{"-format", "yaml", "-n", "10"},        // unknown format
 		{"-kind", "cliquependants", "-n", "2"}, // q = 1 < 2 (panics in gen)
+		{"-oformat", "csrbin", "-n", "10"},     // unknown flag: -format names the output format
 	}
 	for _, args := range cases {
 		var out strings.Builder

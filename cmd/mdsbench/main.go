@@ -4,19 +4,17 @@
 //
 // Usage:
 //
-//	mdsbench [-seed N] [-rootseed N] [-n N] [-process-n N] [-parallel W]
+//	mdsbench [-seed N] [-n N] [-process-n N] [-parallel W]
 //	         [-replicates R] [-timeout D]
-//	         [-only table1|mvc|lemmas|spqr|prop31|cycle|ablation|stages]
+//	         [-only table1|mvc|lemmas|spqr|prop31|cycle|ablation]
 //	         [-json]
 //
 // -timeout bounds each task (e.g. -timeout 30s): a pathological row fails
 // the sweep with a "timed out" error naming the cell instead of stalling
 // it forever.
 //
-// The "stages" group profiles the Algorithm 1 pipeline per stage. Its wall
-// times are measurements, not derived values, so it is excluded from the
-// default sweep (which is byte-identical for a fixed root seed regardless
-// of -parallel) and runs only with -only stages.
+// Per-stage wall times of the Algorithm 1 pipeline are measurements, not
+// table cells: mdsrun -alg alg1 -stages prints them for one input.
 //
 // Experiments are decomposed into independent tasks (internal/experiments
 // declares them; internal/runner executes them on a bounded worker pool).
@@ -84,14 +82,13 @@ type groupJSON struct {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mdsbench", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "generator root seed")
-	rootSeed := fs.Int64("rootseed", 0, "root of the per-task seed derivation tree (0: use -seed)")
+	seed := fs.Int64("seed", 1, "root of the per-task seed derivation tree")
 	n := fs.Int("n", 120, "instance size for ratio measurements")
 	processN := fs.Int("process-n", 48, "instance size for simulator round measurements")
 	parallel := fs.Int("parallel", 0, "experiment worker pool size (0: all cores)")
 	replicates := fs.Int("replicates", 1, "independently seeded runs per task, aggregated as mean ±stddev [min..max]")
 	timeout := fs.Duration("timeout", 0, "per-task timeout, e.g. 30s (0: unbounded)")
-	only := fs.String("only", "", "run a single experiment group (table1|mvc|lemmas|spqr|prop31|cycle|ablation|stages)")
+	only := fs.String("only", "", "run a single experiment group (table1|mvc|lemmas|spqr|prop31|cycle|ablation)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON results")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -113,10 +110,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *timeout < 0 {
 		return fmt.Errorf("-timeout must be >= 0, got %v", *timeout)
-	}
-	root := *seed
-	if *rootSeed != 0 {
-		root = *rootSeed
 	}
 
 	cfg := experiments.Table1Config{N: *n, ProcessN: *processN}
@@ -140,30 +133,18 @@ func run(args []string, stdout io.Writer) error {
 			experiments.DensityTableSpec(*n),
 			experiments.BaselinesSpec([]int{*n, 2 * *n, 4 * *n}),
 		}},
-		// Measurement-only group: excluded from the default sweep so the
-		// default output stays byte-identical at any -parallel.
-		{"stages", []experiments.Spec{experiments.StageProfileSpec(*n)}},
 	}
-	if *only != "" {
-		found := false
-		for _, grp := range groups {
-			if grp.name == *only {
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("unknown experiment group %q", *only)
-		}
-	}
-
-	r := runner.New(runner.Options{Workers: *parallel, Replicates: *replicates, RootSeed: root, TaskTimeout: *timeout})
-
 	selected := groups[:0]
 	for _, grp := range groups {
-		if *only == grp.name || (*only == "" && grp.name != "stages") {
+		if *only == "" || *only == grp.name {
 			selected = append(selected, grp)
 		}
 	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown experiment group %q", *only)
+	}
+
+	r := runner.New(runner.Options{Workers: *parallel, Replicates: *replicates, RootSeed: *seed, TaskTimeout: *timeout})
 
 	if !*jsonOut {
 		// Text mode needs no per-group timing, so every group's specs go

@@ -3,7 +3,7 @@
 // invocation performs one mode and emits a single JSON report on stdout,
 // so a shell script can compose runs into a BENCH_ingest.json without
 // parsing human-readable logs. It does not convert: the one text→csrbin
-// converter is graphgen -in huge.edges -oformat csrbin -o huge.csrbin.
+// converter is graphgen -in huge.edges -format csrbin -o huge.csrbin.
 //
 // Usage:
 //

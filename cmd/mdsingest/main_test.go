@@ -25,7 +25,7 @@ func runJSON(t *testing.T, args ...string) report {
 }
 
 // toCSRBin converts the text graph at in to a csrbin file at out, as
-// graphgen -in in -oformat csrbin -o out does.
+// graphgen -in in -format csrbin -o out does.
 func toCSRBin(t *testing.T, in, out string) {
 	t.Helper()
 	c, err := graphio.ParseCSRFile(in, graphio.FormatAuto, graphio.CSROptions{Workers: 2})

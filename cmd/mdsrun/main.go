@@ -294,12 +294,12 @@ func solve(c *graph.CSR, alg string, p core.Params, workers int, hooks core.Trac
 		}
 		return res.S, nil, res.StageStats, nil
 	case "alg1-local":
-		sol, stats, err := core.RunAlg1(c, nil, p, local.Parallel)
+		sol, stats, err := core.RunAlg1(c, nil, p)
 		return sol, &stats, nil, err
 	case "d2":
 		return core.D2(c).S, nil, nil, nil
 	case "d2-local":
-		sol, stats, err := core.RunD2(c, nil, local.Parallel)
+		sol, stats, err := core.RunD2(c, nil)
 		return sol, &stats, nil, err
 	case "tree":
 		return core.TreeMDS(c), nil, nil, nil

@@ -11,7 +11,6 @@ import (
 	"localmds/internal/core"
 	"localmds/internal/ding"
 	"localmds/internal/graph"
-	"localmds/internal/local"
 	"localmds/internal/mds"
 )
 
@@ -45,7 +44,7 @@ func run() error {
 
 	// Theorem 4.4: the 3-round D2 algorithm, actually message-passed on
 	// the LOCAL simulator.
-	d2, stats, err := core.RunD2(c, nil, local.Parallel)
+	d2, stats, err := core.RunD2(c, nil)
 	if err != nil {
 		return err
 	}

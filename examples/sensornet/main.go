@@ -15,7 +15,6 @@ import (
 	"localmds/internal/core"
 	"localmds/internal/gen"
 	"localmds/internal/graph"
-	"localmds/internal/local"
 	"localmds/internal/mds"
 )
 
@@ -38,7 +37,7 @@ func run() error {
 	// them being 0..n-1.
 	ids := rng.Perm(field.N() * 4)[:field.N()]
 
-	awake, stats, err := core.RunD2(field, ids, local.Parallel)
+	awake, stats, err := core.RunD2(field, ids)
 	if err != nil {
 		return err
 	}

@@ -215,10 +215,10 @@ func (r mdsFlood) solve(sub *graph.CSR, target []int) []int {
 // RunAlg1 executes the distributed Algorithm 1 on c with identifier
 // assignment ids (nil for identity) and returns the dominating set, the
 // run statistics, and any simulator error.
-func RunAlg1(c *graph.CSR, ids []int, p Params, engine local.Engine) ([]int, local.Stats, error) {
+func RunAlg1(c *graph.CSR, ids []int, p Params) ([]int, local.Stats, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, local.Stats{}, err
 	}
-	return runBooleanProcess(c, ids, engine, func(int) local.Process { return NewAlg1Process(p) })
+	return runBooleanProcess(c, ids, func(int) local.Process { return NewAlg1Process(p) })
 }

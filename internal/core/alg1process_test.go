@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"localmds/internal/ding"
@@ -10,6 +11,15 @@ import (
 	"localmds/internal/local"
 	"localmds/internal/mds"
 )
+
+// atProcs runs f with runtime.GOMAXPROCS set to procs and restores the
+// previous setting. The Run*EnginesAgree tests run a LOCAL process at 1
+// worker and at 4 and require the same set and Stats; no test in this
+// package calls t.Parallel, so no other test runs while it is changed.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
 
 // TestRunAlg1MatchesCentralized pins the simulator to the centralized
 // driver and to the spec oracle Alg1Sequential: the process runs the
@@ -60,7 +70,7 @@ func TestRunAlg1MatchesCentralized(t *testing.T) {
 				if pc.suffix == "/brute2" {
 					fallbacks += want.BruteFallbacks
 				}
-				got, stats, err := RunAlg1(tt.g.Freeze(), nil, pc.p, local.Sequential)
+				got, stats, err := RunAlg1(tt.g.Freeze(), nil, pc.p)
 				if err != nil {
 					t.Fatalf("RunAlg1: %v", err)
 				}
@@ -85,11 +95,14 @@ func TestRunAlg1EnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 24, T: 5}, rng)
 	p := Params{R1: 3, R2: 3}
-	a, sa, err := RunAlg1(g.Freeze(), nil, p, local.Sequential)
+	var a, b []int
+	var sa, sb local.Stats
+	var err error
+	atProcs(1, func() { a, sa, err = RunAlg1(g.Freeze(), nil, p) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := RunAlg1(g.Freeze(), nil, p, local.Parallel)
+	atProcs(4, func() { b, sb, err = RunAlg1(g.Freeze(), nil, p) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +127,7 @@ func TestRunAlg1PermutedIDs(t *testing.T) {
 		ids[i] = (i*7 + 3) % (n * 7)
 	}
 	// Ensure distinct; (i*7+3) mod 63 for i < 9 is injective.
-	got, _, err := RunAlg1(g.Freeze(), ids, Params{R1: 3, R2: 3}, local.Sequential)
+	got, _, err := RunAlg1(g.Freeze(), ids, Params{R1: 3, R2: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +138,11 @@ func TestRunAlg1PermutedIDs(t *testing.T) {
 
 func TestRunAlg1RoundsScaleWithRadius(t *testing.T) {
 	g := gen.Path(40)
-	small, ssmall, err := RunAlg1(g.Freeze(), nil, Params{R1: 2, R2: 2}, local.Sequential)
+	small, ssmall, err := RunAlg1(g.Freeze(), nil, Params{R1: 2, R2: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, slarge, err := RunAlg1(g.Freeze(), nil, Params{R1: 6, R2: 6}, local.Sequential)
+	large, slarge, err := RunAlg1(g.Freeze(), nil, Params{R1: 6, R2: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +157,7 @@ func TestRunAlg1RoundsScaleWithRadius(t *testing.T) {
 func TestRunAlg1SingletonAndTiny(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		g := gen.Path(n)
-		got, _, err := RunAlg1(g.Freeze(), nil, Params{R1: 2, R2: 2}, local.Sequential)
+		got, _, err := RunAlg1(g.Freeze(), nil, Params{R1: 2, R2: 2})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

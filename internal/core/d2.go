@@ -90,6 +90,6 @@ func (p *viewProcess) Output() any { return p.inS }
 
 // RunD2 executes the distributed Theorem 4.4 algorithm on c and returns
 // the dominating set, run statistics, and any simulator error.
-func RunD2(c *graph.CSR, ids []int, engine local.Engine) ([]int, local.Stats, error) {
-	return runBooleanProcess(c, ids, engine, func(int) local.Process { return NewD2Process() })
+func RunD2(c *graph.CSR, ids []int) ([]int, local.Stats, error) {
+	return runBooleanProcess(c, ids, func(int) local.Process { return NewD2Process() })
 }

@@ -8,7 +8,6 @@ import (
 	"localmds/internal/ding"
 	"localmds/internal/gen"
 	"localmds/internal/graph"
-	"localmds/internal/local"
 	"localmds/internal/mds"
 )
 
@@ -98,7 +97,7 @@ func TestRunD2MatchesCentralized(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			want := D2(tt.g.Freeze())
-			got, stats, err := RunD2(tt.g.Freeze(), nil, local.Sequential)
+			got, stats, err := RunD2(tt.g.Freeze(), nil)
 			if err != nil {
 				t.Fatalf("RunD2: %v", err)
 			}
@@ -115,11 +114,13 @@ func TestRunD2MatchesCentralized(t *testing.T) {
 func TestRunD2EnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 40, T: 5}, rng)
-	a, _, err := RunD2(g.Freeze(), nil, local.Sequential)
+	var a, b []int
+	var err error
+	atProcs(1, func() { a, _, err = RunD2(g.Freeze(), nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunD2(g.Freeze(), nil, local.Parallel)
+	atProcs(4, func() { b, _, err = RunD2(g.Freeze(), nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestRunD2AgreesProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomCactus(20, rng)
 		want := D2(g.Freeze())
-		got, _, err := RunD2(g.Freeze(), nil, local.Sequential)
+		got, _, err := RunD2(g.Freeze(), nil)
 		if err != nil {
 			return false
 		}

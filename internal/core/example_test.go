@@ -5,7 +5,6 @@ import (
 
 	"localmds/internal/core"
 	"localmds/internal/gen"
-	"localmds/internal/local"
 	"localmds/internal/mds"
 )
 
@@ -39,7 +38,7 @@ func ExampleD2() {
 // ExampleRunD2 runs the 3-round algorithm on the LOCAL simulator.
 func ExampleRunD2() {
 	g := gen.Path(9)
-	s, stats, err := core.RunD2(g.Freeze(), nil, local.Sequential)
+	s, stats, err := core.RunD2(g.Freeze(), nil)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -86,8 +86,8 @@ func (p *treeMDSProcess) Round(round int, inbox []local.Message) ([]local.Messag
 func (p *treeMDSProcess) Output() any { return p.inS }
 
 // RunTreeMDS executes the distributed tree algorithm.
-func RunTreeMDS(c *graph.CSR, ids []int, engine local.Engine) ([]int, local.Stats, error) {
-	return runBooleanProcess(c, ids, engine, func(int) local.Process { return NewTreeMDSProcess() })
+func RunTreeMDS(c *graph.CSR, ids []int) ([]int, local.Stats, error) {
+	return runBooleanProcess(c, ids, func(int) local.Process { return NewTreeMDSProcess() })
 }
 
 // TakeAllMDS is the folklore K_{1,t}-minor-free row of Table 1: return
@@ -115,12 +115,12 @@ func RegularMVC(c *graph.CSR) []int {
 
 // runBooleanProcess runs a boolean-output protocol and collects the chosen
 // vertex set.
-func runBooleanProcess(c *graph.CSR, ids []int, engine local.Engine, factory local.Factory) ([]int, local.Stats, error) {
+func runBooleanProcess(c *graph.CSR, ids []int, factory local.Factory) ([]int, local.Stats, error) {
 	nw, err := local.NewNetwork(c, ids)
 	if err != nil {
 		return nil, local.Stats{}, err
 	}
-	res, err := nw.Run(engine, factory, 0)
+	res, err := nw.Run(factory, 0)
 	if err != nil {
 		return nil, local.Stats{}, err
 	}

@@ -55,7 +55,7 @@ func TestTreeMDSRatioOnTrees(t *testing.T) {
 func TestRunTreeMDSTwoRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.RandomTree(25, rng)
-	got, stats, err := RunTreeMDS(g.Freeze(), nil, local.Sequential)
+	got, stats, err := RunTreeMDS(g.Freeze(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRunTreeMDSTwoRounds(t *testing.T) {
 }
 
 func TestRunTreeMDSSingleton(t *testing.T) {
-	got, stats, err := RunTreeMDS(gen.Path(1).Freeze(), nil, local.Sequential)
+	got, stats, err := RunTreeMDS(gen.Path(1).Freeze(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRegularMVC(t *testing.T) {
 
 func TestRunExactGather(t *testing.T) {
 	g := gen.Cycle(9)
-	got, stats, err := RunExactGather(g.Freeze(), nil, local.Sequential)
+	got, stats, err := RunExactGather(g.Freeze(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRunExactGatherOptimalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(12, 0.2, rng)
-		got, _, err := RunExactGather(g.Freeze(), nil, local.Sequential)
+		got, _, err := RunExactGather(g.Freeze(), nil)
 		if err != nil {
 			return false
 		}
@@ -221,6 +221,6 @@ func (p *exactGatherProcess) Output() any { return p.inS }
 
 // RunExactGather executes the footnote-2 algorithm: on a diameter-D graph,
 // gather everything in D+2 rounds and solve exactly and consistently.
-func RunExactGather(c *graph.CSR, ids []int, engine local.Engine) ([]int, local.Stats, error) {
-	return runBooleanProcess(c, ids, engine, func(int) local.Process { return NewExactGatherProcess() })
+func RunExactGather(c *graph.CSR, ids []int) ([]int, local.Stats, error) {
+	return runBooleanProcess(c, ids, func(int) local.Process { return NewExactGatherProcess() })
 }

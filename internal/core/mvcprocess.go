@@ -22,8 +22,8 @@ func NewMVCD2Process() local.Process {
 }
 
 // RunMVCD2 executes the distributed Theorem 4.4 MVC variant.
-func RunMVCD2(c *graph.CSR, ids []int, engine local.Engine) ([]int, local.Stats, error) {
-	return runBooleanProcess(c, ids, engine, func(int) local.Process { return NewMVCD2Process() })
+func RunMVCD2(c *graph.CSR, ids []int) ([]int, local.Stats, error) {
+	return runBooleanProcess(c, ids, func(int) local.Process { return NewMVCD2Process() })
 }
 
 // MVCAlg1GatherRounds returns the gather horizon for the given radii:
@@ -65,10 +65,10 @@ func (r mvcFlood) solve(sub *graph.CSR, _ []int) []int {
 }
 
 // RunMVCAlg1 executes the distributed Algorithm 1 MVC variant.
-func RunMVCAlg1(c *graph.CSR, ids []int, p Params, engine local.Engine) ([]int, local.Stats, error) {
+func RunMVCAlg1(c *graph.CSR, ids []int, p Params) ([]int, local.Stats, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, local.Stats{}, err
 	}
-	return runBooleanProcess(c, ids, engine, func(int) local.Process { return NewMVCAlg1Process(p) })
+	return runBooleanProcess(c, ids, func(int) local.Process { return NewMVCAlg1Process(p) })
 }

@@ -8,7 +8,6 @@ import (
 	"localmds/internal/ding"
 	"localmds/internal/gen"
 	"localmds/internal/graph"
-	"localmds/internal/local"
 	"localmds/internal/mds"
 )
 
@@ -28,7 +27,7 @@ func TestRunMVCD2MatchesCentralized(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			want := MVCD2(tt.g.Freeze())
-			got, stats, err := RunMVCD2(tt.g.Freeze(), nil, local.Sequential)
+			got, stats, err := RunMVCD2(tt.g.Freeze(), nil)
 			if err != nil {
 				t.Fatalf("RunMVCD2: %v", err)
 			}
@@ -56,7 +55,7 @@ func TestRunMVCAlg1IsCover(t *testing.T) {
 	p := Params{R1: 3, R2: 3}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, _, err := RunMVCAlg1(tt.g.Freeze(), nil, p, local.Sequential)
+			got, _, err := RunMVCAlg1(tt.g.Freeze(), nil, p)
 			if err != nil {
 				t.Fatalf("RunMVCAlg1: %v", err)
 			}
@@ -88,7 +87,7 @@ func TestRunMVCAlg1MatchesCentralized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := RunMVCAlg1(g.Freeze(), nil, p, local.Sequential)
+			got, _, err := RunMVCAlg1(g.Freeze(), nil, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,22 +104,24 @@ func TestRunMVCAlg1MatchesCentralized(t *testing.T) {
 func TestRunMVCEnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 30, T: 5}, rng)
-	a, _, err := RunMVCD2(g.Freeze(), nil, local.Sequential)
+	var a, b, c, d []int
+	var err error
+	atProcs(1, func() { a, _, err = RunMVCD2(g.Freeze(), nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunMVCD2(g.Freeze(), nil, local.Parallel)
+	atProcs(4, func() { b, _, err = RunMVCD2(g.Freeze(), nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !graph.EqualSets(a, b) {
 		t.Error("MVCD2 engines disagree")
 	}
-	c, _, err := RunMVCAlg1(g.Freeze(), nil, Params{R1: 3, R2: 3}, local.Sequential)
+	atProcs(1, func() { c, _, err = RunMVCAlg1(g.Freeze(), nil, Params{R1: 3, R2: 3}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := RunMVCAlg1(g.Freeze(), nil, Params{R1: 3, R2: 3}, local.Parallel)
+	atProcs(4, func() { d, _, err = RunMVCAlg1(g.Freeze(), nil, Params{R1: 3, R2: 3}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +135,11 @@ func TestRunMVCCoversProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.GNPConnected(16, 0.15, rng)
-		a, _, err := RunMVCD2(g.Freeze(), nil, local.Sequential)
+		a, _, err := RunMVCD2(g.Freeze(), nil)
 		if err != nil || !mds.IsVertexCover(g.Freeze(), a) {
 			return false
 		}
-		b, _, err := RunMVCAlg1(g.Freeze(), nil, Params{R1: 2, R2: 2}, local.Sequential)
+		b, _, err := RunMVCAlg1(g.Freeze(), nil, Params{R1: 2, R2: 2})
 		return err == nil && mds.IsVertexCover(g.Freeze(), b)
 	}
 	cfg := &quick.Config{MaxCount: 15}

@@ -49,15 +49,6 @@ type StageStat struct {
 // StageStats is the per-stage diagnostic trail of one pipeline run.
 type StageStats []StageStat
 
-// TotalWall returns the summed wall time of all stages.
-func (ss StageStats) TotalWall() time.Duration {
-	var total time.Duration
-	for _, s := range ss {
-		total += s.Wall
-	}
-	return total
-}
-
 // Render formats the stage table for terminal output.
 func (ss StageStats) Render() string {
 	var b strings.Builder

@@ -66,7 +66,7 @@ func RoundsVsTSpec(n int, ts []int) Spec {
 			paper := core.PaperParams(tt)
 			scaled := core.Params{R1: tt, R2: tt}
 			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: tt}, rng).Freeze()
-			_, stats, err := core.RunAlg1(g, nil, scaled, local.Sequential)
+			_, stats, err := core.RunAlg1(g, nil, scaled)
 			if err != nil {
 				return nil, fmt.Errorf("rounds-vs-t t=%d: %w", tt, err)
 			}
@@ -164,11 +164,11 @@ func MessageFootprintSpec(n int) Spec {
 	s.Tasks = append(s.Tasks, Task{Row: "footprint", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
 		c := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng).Freeze()
-		_, d2stats, err := core.RunD2(c, nil, local.Sequential)
+		_, d2stats, err := core.RunD2(c, nil)
 		if err != nil {
 			return nil, err
 		}
-		_, a1stats, err := core.RunAlg1(c, nil, core.Params{R1: 3, R2: 3}, local.Sequential)
+		_, a1stats, err := core.RunAlg1(c, nil, core.Params{R1: 3, R2: 3})
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +177,7 @@ func MessageFootprintSpec(n int) Spec {
 			return nil, err
 		}
 		diam, _, _ := c.Diameter(graph.NewArena(), 0)
-		_, gstats, err := local.GatherViews(net, diam+2, local.Sequential)
+		_, gstats, err := local.GatherViews(net, diam+2)
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ import (
 	"localmds/internal/ding"
 	"localmds/internal/gen"
 	"localmds/internal/graph"
-	"localmds/internal/local"
 	"localmds/internal/mds"
 )
 
@@ -48,7 +47,7 @@ func Table1Spec(cfg Table1Config) Spec {
 			return nil, fmt.Errorf("trees: %w", err)
 		}
 		small := gen.RandomTree(cfg.ProcessN, rng).Freeze()
-		_, stats, err := core.RunTreeMDS(small, nil, local.Sequential)
+		_, stats, err := core.RunTreeMDS(small, nil)
 		if err != nil {
 			return nil, fmt.Errorf("trees process: %w", err)
 		}
@@ -125,7 +124,7 @@ func Table1Spec(cfg Table1Config) Spec {
 				return nil, fmt.Errorf("k2t opt: %w", err)
 			}
 			d2 := core.D2(g)
-			_, d2stats, err := core.RunD2(small, nil, local.Sequential)
+			_, d2stats, err := core.RunD2(small, nil)
 			if err != nil {
 				return nil, fmt.Errorf("k2t d2 process: %w", err)
 			}
@@ -133,7 +132,7 @@ func Table1Spec(cfg Table1Config) Spec {
 			if err != nil {
 				return nil, fmt.Errorf("k2t alg1: %w", err)
 			}
-			_, a1stats, err := core.RunAlg1(small, nil, core.PracticalParams(), local.Sequential)
+			_, a1stats, err := core.RunAlg1(small, nil, core.PracticalParams())
 			if err != nil {
 				return nil, fmt.Errorf("k2t alg1 process: %w", err)
 			}

@@ -20,7 +20,7 @@ import (
 //
 // ParallelFor is the repository's one fixed-size fan-out. Its callers are
 // the Cuts kernel (cuts, a vertex range per claim), ComponentSolve (core,
-// one residual component per claim), the LOCAL engine's compute phase
+// one residual component per claim), the LOCAL simulator's compute phase
 // (local, a chunk of the active vertices per claim), the chunked text
 // parser (graphio, one line-aligned chunk per claim) and the sweep
 // orchestrator (runner, one task per claim). runner.Pool is the service's

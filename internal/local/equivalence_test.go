@@ -1,6 +1,7 @@
 package local
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,10 +10,10 @@ import (
 	"localmds/internal/graph"
 )
 
-// The parallel engine must be observationally identical to the
-// sequential reference engine: same per-vertex outputs, same Stats, on any
-// topology and identifier assignment. These property tests are the
-// load-bearing correctness check for the engine (run them under -race).
+// A run must be observationally identical at 1 worker and at 4: same
+// per-vertex outputs, same Stats, on any topology and identifier
+// assignment. These property tests are the load-bearing correctness check
+// for Run's fan-out (run them under -race).
 
 // viewsEqual compares two gather views field by field.
 func viewsEqual(a, b *View) bool {
@@ -38,61 +39,69 @@ func randomIDs(n int, rng *rand.Rand) []int {
 	return ids
 }
 
+// protocolRuns holds the gather, leader-election and BFS-tree runs of one
+// network at one GOMAXPROCS setting.
+type protocolRuns struct {
+	views                           []*View
+	lead                            []LeaderResult
+	tree                            []BFSTreeResult
+	viewStats, leadStats, treeStats Stats
+}
+
+// runProtocols runs the three protocols on nw at procs workers.
+func runProtocols(t *testing.T, nw *Network, rounds, horizon, root, procs int) protocolRuns {
+	t.Helper()
+	var r protocolRuns
+	var err error
+	atProcs(procs, func() {
+		if r.views, r.viewStats, err = GatherViews(nw, rounds); err != nil {
+			err = fmt.Errorf("gather: %w", err)
+			return
+		}
+		if r.lead, r.leadStats, err = ElectLeader(nw, horizon); err != nil {
+			err = fmt.Errorf("leader: %w", err)
+			return
+		}
+		if r.tree, r.treeStats, err = BuildBFSTree(nw, root, horizon); err != nil {
+			err = fmt.Errorf("bfs tree: %w", err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+	}
+	return r
+}
+
 // checkEnginesAgree runs the gather, leader-election, and BFS-tree
-// protocols on g with both engines and fails on any divergence.
+// protocols on g at GOMAXPROCS 1 and 4 and fails on any divergence.
 func checkEnginesAgree(t *testing.T, g *graph.Graph, ids []int, rounds int) {
 	t.Helper()
 	nw, err := NewNetwork(g.Freeze(), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqViews, seqStats, err := GatherViews(nw, rounds, Sequential)
-	if err != nil {
-		t.Fatalf("sequential gather: %v", err)
+	horizon, root := g.Diameter()+2, nw.ids[0]
+	seq := runProtocols(t, nw, rounds, horizon, root, 1)
+	par := runProtocols(t, nw, rounds, horizon, root, 4)
+	if seq.viewStats != par.viewStats {
+		t.Errorf("gather stats differ: %+v vs %+v", seq.viewStats, par.viewStats)
 	}
-	parViews, parStats, err := GatherViews(nw, rounds, Parallel)
-	if err != nil {
-		t.Fatalf("parallel gather: %v", err)
-	}
-	if seqStats != parStats {
-		t.Errorf("gather stats differ: %+v vs %+v", seqStats, parStats)
-	}
-	for v := range seqViews {
-		if !viewsEqual(seqViews[v], parViews[v]) {
+	for v := range seq.views {
+		if !viewsEqual(seq.views[v], par.views[v]) {
 			t.Errorf("vertex %d: gather views differ", v)
 		}
 	}
-
-	horizon := g.Diameter() + 2
-	seqLead, seqStats2, err := ElectLeader(nw, horizon, Sequential)
-	if err != nil {
-		t.Fatalf("sequential leader: %v", err)
+	if seq.leadStats != par.leadStats {
+		t.Errorf("leader stats differ: %+v vs %+v", seq.leadStats, par.leadStats)
 	}
-	parLead, parStats2, err := ElectLeader(nw, horizon, Parallel)
-	if err != nil {
-		t.Fatalf("parallel leader: %v", err)
+	if !reflect.DeepEqual(seq.lead, par.lead) {
+		t.Errorf("leader outputs differ: %v vs %v", seq.lead, par.lead)
 	}
-	if seqStats2 != parStats2 {
-		t.Errorf("leader stats differ: %+v vs %+v", seqStats2, parStats2)
+	if seq.treeStats != par.treeStats {
+		t.Errorf("bfs tree stats differ: %+v vs %+v", seq.treeStats, par.treeStats)
 	}
-	if !reflect.DeepEqual(seqLead, parLead) {
-		t.Errorf("leader outputs differ: %v vs %v", seqLead, parLead)
-	}
-
-	root := nw.ids[0]
-	seqTree, seqStats3, err := BuildBFSTree(nw, root, horizon, Sequential)
-	if err != nil {
-		t.Fatalf("sequential bfs tree: %v", err)
-	}
-	parTree, parStats3, err := BuildBFSTree(nw, root, horizon, Parallel)
-	if err != nil {
-		t.Fatalf("parallel bfs tree: %v", err)
-	}
-	if seqStats3 != parStats3 {
-		t.Errorf("bfs tree stats differ: %+v vs %+v", seqStats3, parStats3)
-	}
-	if !reflect.DeepEqual(seqTree, parTree) {
-		t.Errorf("bfs tree outputs differ: %v vs %v", seqTree, parTree)
+	if !reflect.DeepEqual(seq.tree, par.tree) {
+		t.Errorf("bfs tree outputs differ: %v vs %v", seq.tree, par.tree)
 	}
 }
 
@@ -126,7 +135,7 @@ func TestEngineEquivalenceStructured(t *testing.T) {
 }
 
 // TestEngineEquivalenceIsolatedVertices covers zero-port processes, which
-// the active-list engine must still run and halt.
+// the active-list simulator must still run and halt.
 func TestEngineEquivalenceIsolatedVertices(t *testing.T) {
 	g := graph.New(6)
 	g.AddEdge(0, 1)
@@ -135,7 +144,8 @@ func TestEngineEquivalenceIsolatedVertices(t *testing.T) {
 }
 
 // FuzzEngineEquivalence drives the same property from the fuzzer: any
-// (seed, size, density, rounds) tuple must produce engine-identical runs.
+// (seed, size, density, rounds) tuple must produce identical runs at
+// GOMAXPROCS 1 and 4.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(30), uint8(4))
 	f.Add(int64(99), uint8(1), uint8(0), uint8(2))

@@ -37,7 +37,7 @@ func TestFinalMessagesDelivered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nw.Run(Sequential, func(v int) Process {
+	res, err := nw.Run(func(v int) Process {
 		return &lastWordsProcess{haltEarly: v == 0}
 	}, 0)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestMessagesToHaltedDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nw.Run(Sequential, func(v int) Process {
+	res, err := nw.Run(func(v int) Process {
 		if v == 0 {
 			return &silentHaltProcess{}
 		}
@@ -71,7 +71,7 @@ func TestMessagesToHaltedDropped(t *testing.T) {
 	}
 	// A run in which every vertex halts silently costs its one deciding
 	// round and no messages.
-	res, err = nw.Run(Sequential, func(int) Process { return silentHaltProcess{} }, 0)
+	res, err = nw.Run(func(int) Process { return silentHaltProcess{} }, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
 // Package local implements the LOCAL model of distributed computing
 // (Linial): a synchronous network where, in each round, every vertex
 // exchanges messages of unbounded size with its neighbors and performs
-// arbitrary local computation. The package provides a Network simulator
-// with two engines — a deterministic sequential reference engine and a
-// parallel engine that fans each round out through graph.ParallelFor —
-// plus the ball-gathering protocol that underlies all the paper's
-// algorithms (after r rounds every vertex knows its radius-(r-1) ball
-// with full adjacency).
+// arbitrary local computation. The package provides a Network simulator,
+// which fans each round out through graph.ParallelFor at GOMAXPROCS
+// workers and gives the same outputs and Stats at any GOMAXPROCS, plus the
+// ball-gathering protocol that underlies all the paper's algorithms (after
+// r rounds every vertex knows its radius-(r-1) ball with full adjacency).
 //
 // Knowledge model (KT0): a process initially knows only its own identifier
 // and its number of ports; neighbor identifiers must be learned by
@@ -22,8 +21,8 @@ import (
 )
 
 // Message is an arbitrary payload exchanged between neighbors in one round.
-// Messages must be treated as immutable once sent: the parallel engine
-// delivers the same value to the recipient without copying.
+// Messages must be treated as immutable once sent: the simulator delivers
+// the same value to the recipient without copying.
 type Message any
 
 // NodeInfo is the static information a process receives before round 1.
@@ -110,19 +109,6 @@ type Result struct {
 	Stats   Stats
 }
 
-// Engine selects the execution strategy.
-type Engine int
-
-// Engines. Sequential is the deterministic reference; Parallel fans the
-// compute phase of each round out over GOMAXPROCS workers with
-// graph.ParallelFor, in chunks of the active-vertex list, and joins them
-// before the delivery phase. Both must produce identical results for
-// deterministic processes.
-const (
-	Sequential Engine = iota + 1
-	Parallel
-)
-
 // DefaultMaxRounds caps runaway protocols; Run returns an error beyond it.
 const DefaultMaxRounds = 1 << 20
 
@@ -144,8 +130,12 @@ func reverseSlots(c *graph.CSR) []int32 {
 }
 
 // Run executes the protocol until every vertex halts and returns outputs
-// and statistics. maxRounds <= 0 selects DefaultMaxRounds.
-func (nw *Network) Run(engine Engine, factory Factory, maxRounds int) (*Result, error) {
+// and statistics. maxRounds <= 0 selects DefaultMaxRounds. The compute
+// phase of each round runs over GOMAXPROCS workers with graph.ParallelFor,
+// in chunks of the active-vertex list, and joins them before the delivery
+// phase; a deterministic protocol gets the same outputs and Stats at any
+// GOMAXPROCS.
+func (nw *Network) Run(factory Factory, maxRounds int) (*Result, error) {
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
@@ -167,11 +157,7 @@ func (nw *Network) Run(engine Engine, factory Factory, maxRounds int) (*Result, 
 		active[v] = int32(v)
 	}
 
-	workers := 1
-	if engine == Parallel {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
+	workers := runtime.GOMAXPROCS(0)
 	var stats Stats
 	for round := 1; len(active) > 0; round++ {
 		if round > maxRounds {

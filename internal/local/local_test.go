@@ -1,12 +1,22 @@
 package local
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
 	"localmds/internal/gen"
 	"localmds/internal/graph"
 )
+
+// atProcs runs f with runtime.GOMAXPROCS set to procs and restores the
+// previous setting. The engine-agreement tests run a protocol at 1 worker
+// and at 4 and require the same outputs and Stats; no test in this package
+// calls t.Parallel, so no other test runs while the setting is changed.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
 
 // echoProcess outputs the multiset of neighbor IDs it hears in round 1 and
 // halts in round 2.
@@ -54,7 +64,7 @@ func TestEchoLearnsNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nw.Run(Sequential, func(int) Process { return &echoProcess{} }, 0)
+	res, err := nw.Run(func(int) Process { return &echoProcess{} }, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -80,11 +90,13 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRes, err := nw.Run(Sequential, func(int) Process { return &echoProcess{} }, 0)
+	echo := func(int) Process { return &echoProcess{} }
+	var seqRes, parRes *Result
+	atProcs(1, func() { seqRes, err = nw.Run(echo, 0) })
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	parRes, err := nw.Run(Parallel, func(int) Process { return &echoProcess{} }, 0)
+	atProcs(4, func() { parRes, err = nw.Run(echo, 0) })
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -115,7 +127,7 @@ func TestMaxRoundsGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Run(Sequential, func(int) Process { return &runawayProcess{} }, 10); err == nil {
+	if _, err := nw.Run(func(int) Process { return &runawayProcess{} }, 10); err == nil {
 		t.Error("runaway protocol not stopped")
 	}
 }
@@ -139,7 +151,7 @@ func TestOversendRejected(t *testing.T) {
 	// outbox itself is a protocol violation... nil messages are skipped,
 	// so make one non-nil by using a custom process instead. Simpler: the
 	// length check fires regardless.
-	if _, err := nw.Run(Sequential, func(int) Process { return &oversendProcess{} }, 0); err == nil {
+	if _, err := nw.Run(func(int) Process { return &oversendProcess{} }, 0); err == nil {
 		t.Error("oversized outbox accepted")
 	}
 }
@@ -151,7 +163,7 @@ func TestGatherViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	rounds := 4 // adjacency known to distance 2, ids to distance 3
-	views, stats, err := GatherViews(nw, rounds, Sequential)
+	views, stats, err := GatherViews(nw, rounds)
 	if err != nil {
 		t.Fatalf("GatherViews: %v", err)
 	}
@@ -182,7 +194,7 @@ func TestViewGraphMatchesBall(t *testing.T) {
 		t.Fatal(err)
 	}
 	radius := 2
-	views, _, err := GatherViews(nw, radius+2, Sequential)
+	views, _, err := GatherViews(nw, radius+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +235,7 @@ func TestGatherViewsWholeGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	views, _, err := GatherViews(nw, g.Diameter()+2, Parallel)
+	views, _, err := GatherViews(nw, g.Diameter()+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +253,13 @@ func TestGatherEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, sa, err := GatherViews(nw, 5, Sequential)
+	var a, b []*View
+	var sa, sb Stats
+	atProcs(1, func() { a, sa, err = GatherViews(nw, 5) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := GatherViews(nw, 5, Parallel)
+	atProcs(4, func() { b, sb, err = GatherViews(nw, 5) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +279,7 @@ func TestCustomIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	views, _, err := GatherViews(nw, 4, Sequential)
+	views, _, err := GatherViews(nw, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Classic LOCAL building blocks kept as simulator fixtures for this
-// package's protocol, engine-equivalence and word-accounting tests: leader
+// package's protocol, engine-agreement and word-accounting tests: leader
 // election by minimum identifier and BFS-tree construction rooted at the
 // leader. Both are textbook flooding protocols with easily predictable
 // round counts.
@@ -61,8 +61,8 @@ func (p *leaderProcess) Output() any {
 }
 
 // ElectLeader runs the protocol and returns the per-vertex results.
-func ElectLeader(nw *Network, horizon int, engine Engine) ([]LeaderResult, Stats, error) {
-	res, err := nw.Run(engine, func(int) Process { return NewLeaderProcess(horizon) }, horizon+1)
+func ElectLeader(nw *Network, horizon int) ([]LeaderResult, Stats, error) {
+	res, err := nw.Run(func(int) Process { return NewLeaderProcess(horizon) }, horizon+1)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -153,8 +153,8 @@ func (p *bfsTreeProcess) Output() any {
 }
 
 // BuildBFSTree runs the protocol and returns the per-vertex results.
-func BuildBFSTree(nw *Network, rootID, horizon int, engine Engine) ([]BFSTreeResult, Stats, error) {
-	res, err := nw.Run(engine, func(int) Process { return NewBFSTreeProcess(rootID, horizon) }, horizon+1)
+func BuildBFSTree(nw *Network, rootID, horizon int) ([]BFSTreeResult, Stats, error) {
+	res, err := nw.Run(func(int) Process { return NewBFSTreeProcess(rootID, horizon) }, horizon+1)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -171,7 +171,7 @@ func TestElectLeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, stats, err := ElectLeader(nw, g.Diameter()+2, Sequential)
+	results, stats, err := ElectLeader(nw, g.Diameter()+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,13 @@ func TestElectLeaderEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, sa, err := ElectLeader(nw, 10, Sequential)
+	var a, b []LeaderResult
+	var sa, sb Stats
+	atProcs(1, func() { a, sa, err = ElectLeader(nw, 10) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := ElectLeader(nw, 10, Parallel)
+	atProcs(4, func() { b, sb, err = ElectLeader(nw, 10) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +227,7 @@ func TestBuildBFSTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := BuildBFSTree(nw, 0, g.Diameter()+2, Sequential)
+	results, _, err := BuildBFSTree(nw, 0, g.Diameter()+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func TestBuildBFSTreeGridDepths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := BuildBFSTree(nw, 0, g.Diameter()+2, Parallel)
+	results, _, err := BuildBFSTree(nw, 0, g.Diameter()+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +270,7 @@ func TestBuildBFSTreeShortHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := BuildBFSTree(nw, 0, 3, Sequential)
+	results, _, err := BuildBFSTree(nw, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +288,7 @@ func TestWordAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := GatherViews(nw, 4, Sequential)
+	_, stats, err := GatherViews(nw, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +300,7 @@ func TestWordAccounting(t *testing.T) {
 	}
 	// Min-ID leader election floods single identifiers: one word each,
 	// within CONGEST's O(log n)-bit limit.
-	_, stats, err = ElectLeader(nw, g.Diameter()+2, Sequential)
+	_, stats, err = ElectLeader(nw, g.Diameter()+2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,7 +245,7 @@ func (p *gatherProcess) Output() any { return p.g.View() }
 // port-indexed buffers (neighbor ids, own-record space, outbox) sliced out
 // of shared arrays sized by the total degree — a handful of allocations
 // for the whole network instead of several per vertex.
-func GatherViews(nw *Network, rounds int, engine Engine) ([]*View, Stats, error) {
+func GatherViews(nw *Network, rounds int) ([]*View, Stats, error) {
 	n := nw.c.N()
 	offsets := nw.c.Offsets
 	total := int(offsets[n])
@@ -268,7 +268,7 @@ func GatherViews(nw *Network, rounds int, engine Engine) ([]*View, Stats, error)
 		g.msgBuf[0].records = recs[r0 : r0 : r0+recordBufCap]
 		g.msgBuf[1].records = recs[r0+recordBufCap : r0+recordBufCap : r0+2*recordBufCap]
 	}
-	res, err := nw.Run(engine, func(v int) Process { return &procs[v] }, rounds+1)
+	res, err := nw.Run(func(v int) Process { return &procs[v] }, rounds+1)
 	if err != nil {
 		return nil, Stats{}, err
 	}

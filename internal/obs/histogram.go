@@ -86,9 +86,6 @@ func (h *Histogram) Snapshot() (cumulative []uint64, sum float64, count uint64) 
 	return cumulative, math.Float64frombits(h.sum.Load()), h.count.Load()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // formatBound renders a bucket bound the way Prometheus clients do:
 // shortest float form.
 func formatBound(b float64) string {
@@ -96,34 +93,28 @@ func formatBound(b float64) string {
 }
 
 // renderInto writes the histogram's series in canonical order. labels is
-// the rendered label set without braces ("" or `route="/v1/solve"`);
-// every series of one family must come from the same Render call so
-// HELP/TYPE appear once.
+// the rendered label set without braces ("" or `route="/v1/solve"`); an
+// unlabeled histogram's _sum and _count carry no braces. Every series of
+// one family must come from the same Render call so HELP/TYPE appear once.
 func (h *Histogram) renderInto(b *strings.Builder, name, labels string) {
 	cum, sum, count := h.Snapshot()
-	sep := ""
+	sep, set := "", ""
 	if labels != "" {
-		sep = ","
+		sep, set = ",", "{"+labels+"}"
 	}
 	for i, bound := range h.bounds {
 		fmt.Fprintf(b, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, formatBound(bound), cum[i])
 	}
 	fmt.Fprintf(b, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum[len(cum)-1])
-	fmt.Fprintf(b, "%s_sum{%s} %s\n", name, labels, strconv.FormatFloat(sum, 'g', -1, 64))
-	fmt.Fprintf(b, "%s_count{%s} %d\n", name, labels, count)
+	fmt.Fprintf(b, "%s_sum%s %s\n", name, set, strconv.FormatFloat(sum, 'g', -1, 64))
+	fmt.Fprintf(b, "%s_count%s %d\n", name, set, count)
 }
 
 // Render emits one unlabeled histogram family: HELP, TYPE, buckets,
 // sum, count.
 func (h *Histogram) Render(b *strings.Builder, name, help string) {
 	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	cum, sum, count := h.Snapshot()
-	for i, bound := range h.bounds {
-		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, formatBound(bound), cum[i])
-	}
-	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum[len(cum)-1])
-	fmt.Fprintf(b, "%s_sum %s\n", name, strconv.FormatFloat(sum, 'g', -1, 64))
-	fmt.Fprintf(b, "%s_count %d\n", name, count)
+	h.renderInto(b, name, "")
 }
 
 // HistogramVec is a family of histograms keyed by one or more label

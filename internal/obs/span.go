@@ -76,9 +76,6 @@ func NewTrace(id, rootName string, opt TraceOptions) (*Trace, *Span) {
 	return tr, root
 }
 
-// ID returns the trace ID.
-func (t *Trace) ID() string { return t.id }
-
 // Dropped returns how many spans were discarded over MaxSpans.
 func (t *Trace) Dropped() int {
 	t.mu.Lock()

@@ -4,70 +4,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"time"
-
-	"localmds/internal/core"
 )
 
-// stageTotals accumulates per-stage latency across every computed (non-
-// cached) solve, for GET /metrics.
-type stageTotals struct {
-	mu     sync.Mutex
-	order  []string // first-seen stage order (matches pipeline order)
-	wall   map[string]time.Duration
-	runs   map[string]int64
-	solves int64 // pipeline executions (the recompute counter cache tests assert on)
-}
-
-func newStageTotals() *stageTotals {
-	return &stageTotals{
-		wall: map[string]time.Duration{},
-		runs: map[string]int64{},
-	}
-}
-
-// record adds one pipeline run's stage stats.
-func (st *stageTotals) record(stats core.StageStats) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.solves++
-	for _, s := range stats {
-		if _, seen := st.wall[s.Name]; !seen {
-			st.order = append(st.order, s.Name)
-		}
-		st.wall[s.Name] += s.Wall
-		st.runs[s.Name]++
-	}
-}
-
-// Computations returns the number of pipeline executions so far — cache
-// hits do not advance it.
-func (st *stageTotals) Computations() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.solves
-}
-
-// snapshot copies the accumulated totals in stage order.
-func (st *stageTotals) snapshot() (order []string, wall map[string]time.Duration, runs map[string]int64, solves int64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	order = append([]string(nil), st.order...)
-	wall = make(map[string]time.Duration, len(st.wall))
-	runs = make(map[string]int64, len(st.runs))
-	for k, v := range st.wall {
-		wall[k] = v
-	}
-	for k, v := range st.runs {
-		runs[k] = v
-	}
-	return order, wall, runs, st.solves
-}
-
 // renderMetrics emits the Prometheus text exposition of the server's
-// counters: queue depth, job tallies, cache effectiveness, and per-stage
-// latency totals.
+// counters: queue depth, job tallies, cache effectiveness and computed
+// solves; renderObsMetrics adds the latency histograms, per-stage wall
+// time among them.
 func (s *Server) renderMetrics() string {
 	var b strings.Builder
 
@@ -166,19 +108,9 @@ func (s *Server) renderMetrics() string {
 		fmt.Fprintf(&b, "mdsd_tenant_jobs_inflight{tenant=%q} %d\n", tn.name, tn.jobs.Load())
 	}
 
-	order, wall, runs, solves := s.stages.snapshot()
 	fmt.Fprintf(&b, "# HELP mdsd_computations_total Pipeline executions (cache hits excluded).\n")
 	fmt.Fprintf(&b, "# TYPE mdsd_computations_total counter\n")
-	fmt.Fprintf(&b, "mdsd_computations_total %d\n", solves)
-	fmt.Fprintf(&b, "# HELP mdsd_stage_wall_seconds_total Cumulative wall time per pipeline stage.\n")
-	fmt.Fprintf(&b, "# TYPE mdsd_stage_wall_seconds_total counter\n")
-	for _, name := range order {
-		fmt.Fprintf(&b, "mdsd_stage_wall_seconds_total{stage=%q} %.9f\n", name, wall[name].Seconds())
-	}
-	fmt.Fprintf(&b, "# TYPE mdsd_stage_runs_total counter\n")
-	for _, name := range order {
-		fmt.Fprintf(&b, "mdsd_stage_runs_total{stage=%q} %d\n", name, runs[name])
-	}
+	fmt.Fprintf(&b, "mdsd_computations_total %d\n", s.computations.Load())
 
 	s.renderObsMetrics(&b)
 	return b.String()

@@ -137,7 +137,6 @@ type Server struct {
 	pool     *runner.Pool
 	cache    *resultCache
 	jobs     *jobStore
-	stages   *stageTotals
 	started  time.Time
 	baseCtx  context.Context
 	cancel   context.CancelFunc
@@ -169,6 +168,9 @@ type Server struct {
 	// memoHits counts the cache hits found from the request body's digest
 	// (submitBody), without decoding or parsing it.
 	memoHits atomic.Int64
+	// computations counts pipeline executions that finished without error
+	// (Computations, mdsd_computations_total).
+	computations atomic.Int64
 
 	// Observability core (obs.go): the job-lifecycle event bus behind
 	// /v1/events, latency histograms rendered into /metrics, the runtime
@@ -208,7 +210,6 @@ func New(cfg Config) *Server {
 		pool:     runner.NewPool(cfg.Workers, cfg.QueueDepth),
 		cache:    newResultCache(cfg.CacheEntries),
 		jobs:     newJobStore(cfg.JobRetention),
-		stages:   newStageTotals(),
 		started:  time.Now(),
 		baseCtx:  ctx,
 		cancel:   cancel,
@@ -259,7 +260,7 @@ func (s *Server) Close() {
 // Computations returns the number of pipeline executions the server has
 // performed; cache hits and deduplicated waiters do not advance it.
 // Tests assert on it to prove a cache hit skips recompute.
-func (s *Server) Computations() int64 { return s.stages.Computations() }
+func (s *Server) Computations() int64 { return s.computations.Load() }
 
 // submitRejection classifies why submit refused a solve, so handlers map
 // it to the right deterministic status code.
@@ -440,7 +441,7 @@ func (s *Server) runJob(j *Job, ps *parsedSolve, tenant string) {
 	}
 	var out *SolveOutcome
 	if err == nil {
-		s.stages.record(res.StageStats)
+		s.computations.Add(1)
 		for _, st := range res.StageStats {
 			s.stageDur.With(st.Name).ObserveDuration(st.Wall)
 		}

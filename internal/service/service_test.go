@@ -433,11 +433,18 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"mdsd_computations_total 1",
 		"mdsd_inflight_dedup_total 0",
 		`mdsd_jobs_total{status="done"} 2`,
-		`mdsd_stage_wall_seconds_total{stage="TwinReduce"}`,
-		`mdsd_stage_runs_total{stage="Stitch"} 1`,
+		`mdsd_stage_duration_seconds_count{stage="Stitch"} 1`,
+		`mdsd_stage_duration_seconds_sum{stage="TwinReduce"} `,
 	} {
 		if !strings.Contains(text, w) {
 			t.Fatalf("metrics missing %q:\n%s", w, text)
+		}
+	}
+	// The per-stage wall time and run count are the histogram's _sum and
+	// _count; no second family repeats them.
+	for _, gone := range []string{"mdsd_stage_wall_seconds_total", "mdsd_stage_runs_total"} {
+		if strings.Contains(text, gone) {
+			t.Fatalf("metrics still expose %s:\n%s", gone, text)
 		}
 	}
 }

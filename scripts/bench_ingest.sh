@@ -6,7 +6,7 @@
 # components) at INGEST_EDGES edges, then measures every stage: text parse
 # at 1 worker and at INGEST_WORKERS workers, csrbin mmap load and the
 # core.Alg1CSR solve through cmd/mdsingest, and the text→csrbin
-# conversion through cmd/graphgen (graphgen -in huge.edges -oformat
+# conversion through cmd/graphgen (graphgen -in huge.edges -format
 # csrbin), the repository's one converter. The JSON records one entry per
 # stage (wall time; peak RSS and fingerprint where mdsingest computes
 # them; the convert entry has wall time only) plus the two headline
@@ -55,9 +55,9 @@ run_stage() {
 run_stage -mode gen -edges "$edges" -o "$edgefile"
 run_stage -mode parse -in "$edgefile" -workers 1 -fingerprint
 run_stage -mode parse -in "$edgefile" -workers "$workers" -fingerprint
-echo ">> graphgen -in $edgefile -oformat csrbin -o $binfile" >&2
+echo ">> graphgen -in $edgefile -format csrbin -o $binfile" >&2
 start="$(date +%s.%N)"
-GOMAXPROCS="$workers" "$work/graphgen" -in "$edgefile" -oformat csrbin -o "$binfile"
+GOMAXPROCS="$workers" "$work/graphgen" -in "$edgefile" -format csrbin -o "$binfile"
 jq -cn --argjson s "$start" --argjson e "$(date +%s.%N)" --argjson w "$workers" \
 	'{mode: "convert", workers: $w, wall_seconds: ($e - $s)}' | tee -a "$results"
 run_stage -mode load -in "$binfile" -fingerprint
