@@ -120,7 +120,7 @@ func TestOutputMatchesSourceFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := g.Freeze().Fingerprint()
+		want := g.Fingerprint()
 		for _, f := range formats {
 			src := filepath.Join(dir, kind+"."+f)
 			args := []string{"-kind", kind, "-n", "50", "-seed", "3", "-format", f, "-o", src}

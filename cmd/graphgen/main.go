@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	graphgen -kind ding|cactus|tree|cycle|grid|outerplanar|cliquependants|gnp \
+//	graphgen -kind ding|cactus|tree|cycle|grid|grids|outerplanar|cliquependants|gnp \
 //	         [-n N] [-t T] [-seed S] [-p P] \
 //	         [-in graph|-] [-informat auto|json|edgelist|dimacs|csrbin] \
 //	         [-format json|dot|edgelist|dimacs|csrbin] [-o out]
@@ -19,6 +19,11 @@
 // into csrbin (graphgen -in huge.edges -format csrbin -o huge.csrbin) and
 // re-solved cheaply through mdsrun's mmap loader. This is the repository's
 // one converter.
+//
+// -kind grids is ⌊n/144⌋ disjoint 12×12 grids, tiled straight into the
+// CSR arrays: the near-planar, component-parallel huge instance of
+// scripts/bench_ingest.sh. A DOT graph is named after -kind, or after the
+// -in file's base name.
 package main
 
 import (
@@ -28,7 +33,9 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 
 	"localmds/internal/gen"
 	"localmds/internal/graph"
@@ -82,11 +89,15 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	name := *kind
+	if *in != "" {
+		name = strings.TrimSuffix(filepath.Base(*in), filepath.Ext(*in))
+	}
 	switch {
 	case *format == "dot" && *out == "":
-		_, err = io.WriteString(stdout, c.DOT(*kind, nil))
+		_, err = io.WriteString(stdout, c.DOT(name, nil))
 	case *format == "dot":
-		err = os.WriteFile(*out, []byte(c.DOT(*kind, nil)), 0o666)
+		err = os.WriteFile(*out, []byte(c.DOT(name, nil)), 0o666)
 	case *out == "":
 		err = graphio.Write(stdout, c, f)
 	default:
@@ -96,15 +107,10 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // loadOrGenerate parses -in (any graphio format) straight to a CSR, or
-// generates through the shared gen.FromKind dispatch and freezes the
-// result.
+// generates one through the shared gen.FromKind dispatch.
 func loadOrGenerate(in, informat, kind string, n, tParam int, p float64, seed int64) (*graph.CSR, error) {
 	if in == "" {
-		g, err := gen.FromKind(kind, n, tParam, p, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return nil, err
-		}
-		return g.Freeze(), nil
+		return gen.FromKind(kind, n, tParam, p, rand.New(rand.NewSource(seed)))
 	}
 	f, err := graphio.ParseFormat(informat)
 	if err != nil {

@@ -41,8 +41,22 @@ func TestGenerateDOT(t *testing.T) {
 	if err := run([]string{"-kind", "grid", "-n", "9", "-format", "dot"}, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.HasPrefix(out.String(), "graph ") {
-		t.Errorf("DOT output does not start with a graph header: %q", out.String()[:20])
+	if !strings.HasPrefix(out.String(), "graph grid {\n") {
+		t.Errorf("DOT output does not start with the generator's graph header: %q", out.String()[:20])
+	}
+
+	// A converted graph is named after its input file, not after the
+	// unused -kind default.
+	in := filepath.Join(t.TempDir(), "road.net.edges")
+	if err := os.WriteFile(in, []byte("0 1\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-in", in, "-format", "dot"}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !strings.HasPrefix(out.String(), "graph road_net {\n") {
+		t.Errorf("DOT output of %s does not start with its base name: %q", in, out.String()[:20])
 	}
 }
 

@@ -1,29 +1,23 @@
-// Command mdsingest generates and benchmarks huge-graph instances for the
-// ingestion pipeline (text parse → csrbin → mmap → Alg1CSR solve). Every
-// invocation performs one mode and emits a single JSON report on stdout,
-// so a shell script can compose runs into a BENCH_ingest.json without
-// parsing human-readable logs. It does not convert: the one text→csrbin
-// converter is graphgen -in huge.edges -format csrbin -o huge.csrbin.
+// Command mdsingest times the two load paths that scripts/bench_ingest.sh
+// gates on: the chunked text parse on its own, and the unverified csrbin
+// mmap open, which no production loader runs. Every invocation performs
+// one mode and emits a single JSON report on stdout, so the script can
+// compose runs into a BENCH_ingest.json without parsing human-readable
+// logs. The other stages are the repository's own CLIs: graphgen -kind
+// grids generates the instance, graphgen -in huge.edges -format csrbin
+// converts it, and mdsrun -in huge.csrbin -alg alg1 solves it.
 //
 // Usage:
 //
-//	mdsingest -mode gen -edges E -o huge.edges
-//	mdsingest -mode parse     -in huge.edges [-workers W] [-fingerprint]
-//	mdsingest -mode load      -in huge.csrbin [-fingerprint]
-//	mdsingest -mode solve     -in huge.csrbin [-workers W] [-r1 R] [-r2 R]
+//	mdsingest -mode parse -in huge.edges [-workers W] [-fingerprint]
+//	mdsingest -mode load  -in huge.csrbin [-fingerprint]
 //
 // Modes:
 //
-//   - gen: write a deterministic near-planar edge list — disjoint 12x12
-//     grid components replicated until the target edge count — without
-//     ever holding the graph in memory.
 //   - parse: the chunked text parser (graphio.ParseCSRFile) at W workers;
 //     -workers 1 is the single-core baseline.
 //   - load: OpenCSRBin — mmap on supported platforms, so the wall time is
 //     independent of the graph size; the data is not verified.
-//   - solve: graphio.LoadCSR (mmap plus one verifying pass over the data
-//     for csrbin, parallel parse for text), the loader mdsrun -in uses
-//     too, then core.Alg1CSR on the loaded CSR, validated against it.
 //
 // wall_seconds always times the mode's headline operation only;
 // -fingerprint hashes the loaded CSR *outside* the timed window (it
@@ -32,7 +26,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,10 +36,8 @@ import (
 	"strings"
 	"time"
 
-	"localmds/internal/core"
 	"localmds/internal/graph"
 	"localmds/internal/graphio"
-	"localmds/internal/mds"
 )
 
 func main() {
@@ -67,24 +58,16 @@ type report struct {
 	WallSeconds  float64 `json:"wall_seconds"`
 	Mapped       *bool   `json:"mapped,omitempty"`
 	Fingerprint  string  `json:"fingerprint,omitempty"`
-	SolveSeconds float64 `json:"solve_seconds,omitempty"`
-	SolutionSize int     `json:"solution_size,omitempty"`
-	Valid        *bool   `json:"valid,omitempty"`
 	PeakRSSBytes int64   `json:"peak_rss_bytes"`
 }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mdsingest", flag.ContinueOnError)
-	mode := fs.String("mode", "", "gen|parse|load|solve")
+	mode := fs.String("mode", "", "parse|load")
 	in := fs.String("in", "", "input graph file")
-	out := fs.String("o", "", "output file (gen)")
-	format := fs.String("format", "auto", "input encoding: auto|json|edgelist|dimacs|csrbin")
-	edges := fs.Int("edges", 100_000_000, "target edge count (gen)")
-	workers := fs.Int("workers", 0, "worker count for parallel modes (0: GOMAXPROCS)")
+	format := fs.String("format", "auto", "input encoding (parse): auto|json|edgelist|dimacs|csrbin")
+	workers := fs.Int("workers", 0, "parse worker count (0: GOMAXPROCS)")
 	fingerprint := fs.Bool("fingerprint", false, "hash the loaded CSR (outside the timed window)")
-	practical := core.PracticalParams()
-	r1 := fs.Int("r1", practical.R1, "domination radius (solve; the default is core.PracticalParams)")
-	r2 := fs.Int("r2", practical.R2, "independence radius (solve; the default is core.PracticalParams)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -95,17 +78,12 @@ func run(args []string, stdout io.Writer) error {
 	rep := report{Mode: *mode, File: *in}
 	var err error
 	switch *mode {
-	case "gen":
-		rep.File = *out
-		err = runGen(&rep, *out, *edges)
 	case "parse":
 		err = runParse(&rep, *in, *format, *workers, *fingerprint)
 	case "load":
 		err = runLoad(&rep, *in, *fingerprint)
-	case "solve":
-		err = runSolve(&rep, *in, *format, *workers, core.Params{R1: *r1, R2: *r2})
 	default:
-		return fmt.Errorf("unknown -mode %q (want gen|parse|load|solve)", *mode)
+		return fmt.Errorf("unknown -mode %q (want parse|load)", *mode)
 	}
 	if err != nil {
 		return err
@@ -113,68 +91,6 @@ func run(args []string, stdout io.Writer) error {
 	rep.PeakRSSBytes = peakRSS()
 	enc := json.NewEncoder(stdout)
 	return enc.Encode(rep)
-}
-
-// Grid component shape for -mode gen: a 12x12 grid has 144 vertices and
-// 264 edges, is planar, and reduces well under the pipeline — replicating
-// it keeps the instance near-planar and component-parallel at any scale.
-const (
-	gridSide      = 12
-	gridVertices  = gridSide * gridSide
-	gridEdgeCount = 2 * gridSide * (gridSide - 1)
-)
-
-// runGen streams k disjoint grid components to out until the edge target
-// is met. Purely deterministic and O(1) memory: nothing is ever a Graph.
-func runGen(rep *report, out string, edges int) error {
-	if out == "" {
-		return fmt.Errorf("-mode gen requires -o")
-	}
-	if edges < 1 {
-		return fmt.Errorf("-edges must be >= 1, got %d", edges)
-	}
-	comps := (edges + gridEdgeCount - 1) / gridEdgeCount
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	start := time.Now()
-	buf := make([]byte, 0, 32)
-	for c := 0; c < comps; c++ {
-		base := c * gridVertices
-		for row := 0; row < gridSide; row++ {
-			for col := 0; col < gridSide; col++ {
-				v := base + row*gridSide + col
-				if col+1 < gridSide {
-					buf = appendEdge(buf[:0], v, v+1)
-					w.Write(buf)
-				}
-				if row+1 < gridSide {
-					buf = appendEdge(buf[:0], v, v+gridSide)
-					w.Write(buf)
-				}
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	rep.WallSeconds = time.Since(start).Seconds()
-	rep.N = comps * gridVertices
-	rep.M = comps * gridEdgeCount
-	return nil
-}
-
-func appendEdge(b []byte, u, v int) []byte {
-	b = strconv.AppendInt(b, int64(u), 10)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(v), 10)
-	return append(b, '\n')
 }
 
 func runParse(rep *report, in, format string, workers int, fingerprint bool) error {
@@ -206,38 +122,7 @@ func runLoad(rep *report, in string, fingerprint bool) error {
 	return nil
 }
 
-func runSolve(rep *report, in, format string, workers int, p core.Params) error {
-	rep.Workers = workers
-
-	f, err := graphio.ParseFormat(format)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	csr, m, err := graphio.LoadCSR(in, f, graphio.CSROptions{Workers: workers})
-	if err != nil {
-		return err
-	}
-	if m != nil {
-		defer m.Close()
-		rep.Mapped = &m.Mapped
-	}
-	rep.WallSeconds = time.Since(start).Seconds()
-
-	solveStart := time.Now()
-	res, err := core.Alg1CSR(csr, p, core.PipelineOptions{Workers: workers})
-	if err != nil {
-		return err
-	}
-	rep.SolveSeconds = time.Since(solveStart).Seconds()
-	rep.SolutionSize = len(res.S)
-	valid := mds.IsDominatingSetCSR(csr, res.S)
-	rep.Valid = &valid
-	finishCSR(rep, csr, false)
-	return nil
-}
-
-// finishCSR records the graph-shaped fields shared by every loading mode.
+// finishCSR records the graph-shaped fields shared by both modes.
 func finishCSR(rep *report, c *graph.CSR, fingerprint bool) {
 	rep.N = c.N()
 	rep.M = c.M()

@@ -96,14 +96,14 @@ func writeGrid(t *testing.T) (csrbinPath, edgesPath string, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := graphio.WriteFile(csrbinPath, g.Freeze(), graphio.FormatCSRBin); err != nil {
+	if err := graphio.WriteFile(csrbinPath, g, graphio.FormatCSRBin); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Create(edgesPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := graphio.Write(f, g.Freeze(), graphio.FormatEdgeList); err != nil {
+	if err := graphio.Write(f, g, graphio.FormatEdgeList); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -196,6 +196,52 @@ func TestRunCSRBinOptAndDot(t *testing.T) {
 		}
 		if !strings.Contains(dots[0], "graph solution") || dots[0] != dots[1] {
 			t.Errorf("-alg %s: -dot files differ:\n%s\nvs\n%s", alg, dots[0], dots[1])
+		}
+	}
+}
+
+// TestRunPicksMmapByMagic: with -format auto, -in maps a csrbin file by
+// its magic bytes whatever it is called, and parses a text file as text
+// even when it carries the .csrbin suffix; both give the same solution.
+func TestRunPicksMmapByMagic(t *testing.T) {
+	dir := t.TempDir()
+	c, err := gen.FromKind("grids", 288, 5, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(dir, "g.bin")
+	disguised := filepath.Join(dir, "t.csrbin")
+	if err := graphio.WriteFile(bin, c, graphio.FormatCSRBin); err != nil {
+		t.Fatal(err)
+	}
+	if err := graphio.WriteFile(disguised, c, graphio.FormatEdgeList); err != nil {
+		t.Fatal(err)
+	}
+
+	// The default radii (R1 = R2 = 4) leave the 12x12 components whole;
+	// at R1 = 1 every grid vertex is a local cut and S = V on any loader.
+	var mapped, parsed strings.Builder
+	if err := run([]string{"-in", bin, "-alg", "alg1"}, &mapped); err != nil {
+		t.Fatalf("run(-in %s): %v", bin, err)
+	}
+	if runtime.GOOS == "linux" && !strings.Contains(mapped.String(), "csr: mmap-backed") {
+		t.Fatalf("csrbin named %s was not mmap'd:\n%s", bin, mapped.String())
+	}
+	if reportLine(t, mapped.String(), "solution size:") == fmt.Sprintf("solution size: %d", c.N()) {
+		t.Fatalf("csrbin solve took every vertex:\n%s", mapped.String())
+	}
+	if err := run([]string{"-in", disguised, "-alg", "alg1"}, &parsed); err != nil {
+		t.Fatalf("run(-in %s): %v", disguised, err)
+	}
+	if strings.Contains(parsed.String(), "csr: mmap-backed") {
+		t.Fatalf("edge list named %s was opened as csrbin:\n%s", disguised, parsed.String())
+	}
+	if !strings.Contains(parsed.String(), "valid dominating set: true") {
+		t.Fatalf("text solve did not validate:\n%s", parsed.String())
+	}
+	for _, prefix := range []string{"solution size:", "solution digest:"} {
+		if got, want := reportLine(t, parsed.String(), prefix), reportLine(t, mapped.String(), prefix); got != want {
+			t.Fatalf("text solve %q does not match the csrbin solve %q", got, want)
 		}
 	}
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	mdsrun -alg alg1|alg1-local|d2|d2-local|tree|greedy|exact|mvc-alg1|mvc-d2 \
-//	       [-graph ding|cactus|tree|cycle|grid|outerplanar|cliquependants|gnp] \
+//	       [-graph ding|cactus|tree|cycle|grid|grids|outerplanar|cliquependants|gnp] \
 //	       [-in graph|-] [-format auto|json|edgelist|dimacs|csrbin] \
 //	       [-n N] [-t T] [-seed S] [-p P] [-r1 R] [-r2 R] [-workers W] \
 //	       [-opt] [-stages] [-trace out.json] [-dot out.dot]
@@ -128,11 +128,10 @@ func run(args []string, stdout io.Writer) error {
 	var csr *graph.CSR
 	var mapped *graphio.MappedCSR
 	if *in == "" {
-		g, err := gen.FromKind(*kind, *n, *tParam, *p, rand.New(rand.NewSource(*seed)))
-		if err != nil {
+		var err error
+		if csr, err = gen.FromKind(*kind, *n, *tParam, *p, rand.New(rand.NewSource(*seed))); err != nil {
 			return err
 		}
-		csr = g.Freeze()
 	} else {
 		f, err := graphio.ParseFormat(*format)
 		if err != nil {

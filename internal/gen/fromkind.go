@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"localmds/internal/ding"
@@ -9,42 +10,82 @@ import (
 )
 
 // Kinds lists the workload names FromKind accepts, for CLI usage strings.
-const Kinds = "ding|cactus|tree|cycle|grid|outerplanar|cliquependants|gnp"
+const Kinds = "ding|cactus|tree|cycle|grid|grids|outerplanar|cliquependants|gnp"
 
-// FromKind builds one of the named CLI workloads — the single dispatch
-// shared by cmd/graphgen and cmd/mdsrun. Generator panics (gen and graph
-// reject impossible sizes that way) are converted into errors so invalid
-// flag combinations exit cleanly instead of dumping a stack trace. The
-// grid kind uses the largest square with at most n vertices; tParam only
-// affects ding, p only gnp.
-func FromKind(kind string, n, tParam int, p float64, rng *rand.Rand) (g *graph.Graph, err error) {
+// gridsSide is the side of every component of the grids kind: a 12×12
+// grid has 144 vertices and 264 edges, is planar, and reduces well under
+// the pipeline, so tiling it keeps an instance near-planar and
+// component-parallel at any scale.
+const gridsSide = 12
+
+// FromKind builds one of the named CLI workloads, frozen — the single
+// dispatch shared by cmd/graphgen, cmd/mdsrun and the service's
+// generator requests. Generator panics (gen and graph reject impossible
+// sizes that way) are converted into errors so invalid flag combinations
+// exit cleanly instead of dumping a stack trace. The grid kind uses the
+// largest square with at most n vertices; grids is ⌊n/144⌋ disjoint 12×12
+// grids (n >= 144); tParam only affects ding, p only gnp.
+func FromKind(kind string, n, tParam int, p float64, rng *rand.Rand) (c *graph.CSR, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			g, err = nil, fmt.Errorf("cannot generate %q with n=%d: %v", kind, n, r)
+			c, err = nil, fmt.Errorf("cannot generate %q with n=%d: %v", kind, n, r)
 		}
 	}()
+	var g *graph.Graph
 	switch kind {
 	case "ding":
-		return ding.Generate(ding.Config{Kind: ding.Mixed, N: n, T: tParam}, rng)
+		if g, err = ding.Generate(ding.Config{Kind: ding.Mixed, N: n, T: tParam}, rng); err != nil {
+			return nil, err
+		}
 	case "cactus":
-		return RandomCactus(n, rng), nil
+		g = RandomCactus(n, rng)
 	case "tree":
-		return RandomTree(n, rng), nil
+		g = RandomTree(n, rng)
 	case "cycle":
-		return Cycle(n), nil
+		g = Cycle(n)
 	case "grid":
 		side := 1
 		for (side+1)*(side+1) <= n {
 			side++
 		}
-		return Grid(side, side), nil
+		g = Grid(side, side)
+	case "grids":
+		return disjointGrids(n)
 	case "outerplanar":
-		return MaximalOuterplanar(n, rng), nil
+		g = MaximalOuterplanar(n, rng)
 	case "cliquependants":
-		return CliquePendants(n / 2), nil
+		g = CliquePendants(n / 2)
 	case "gnp":
-		return GNPConnected(n, p, rng), nil
+		g = GNPConnected(n, p, rng)
 	default:
 		return nil, fmt.Errorf("unknown generator %q (want %s)", kind, Kinds)
 	}
+	return g.Freeze(), nil
+}
+
+// disjointGrids returns ⌊n/144⌋ disjoint copies of Grid(12, 12), copy i
+// on vertices 144i … 144i+143. It tiles the one frozen component's
+// arrays straight into the result, so the union is never a *graph.Graph.
+func disjointGrids(n int) (*graph.CSR, error) {
+	one := Grid(gridsSide, gridsSide).Freeze()
+	nv, arcs := one.N(), len(one.Targets)
+	if n < nv {
+		return nil, fmt.Errorf("cannot generate \"grids\" with n=%d: need n >= %d (one %dx%d component)", n, nv, gridsSide, gridsSide)
+	}
+	k := n / nv
+	if k > math.MaxInt32/arcs {
+		return nil, fmt.Errorf("cannot generate \"grids\" with n=%d: %d arcs exceed the CSR's int32 range", n, k*arcs)
+	}
+	c := &graph.CSR{Offsets: make([]int32, k*nv+1), Targets: make([]int32, k*arcs)}
+	for i := 0; i < k; i++ {
+		base, off := int32(i*nv), int32(i*arcs)
+		for v, o := range one.Offsets[:nv] {
+			c.Offsets[i*nv+v] = off + o
+		}
+		for j, u := range one.Targets {
+			c.Targets[i*arcs+j] = base + u
+		}
+	}
+	c.Offsets[k*nv] = int32(k * arcs)
+	return c, nil
 }

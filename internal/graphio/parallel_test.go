@@ -198,10 +198,10 @@ func TestServicePayloadsMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	var edges, dimacs bytes.Buffer
-	if err := Write(&edges, g.Freeze(), FormatEdgeList); err != nil {
+	if err := Write(&edges, g, FormatEdgeList); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&dimacs, g.Freeze(), FormatDIMACS); err != nil {
+	if err := Write(&dimacs, g, FormatDIMACS); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {

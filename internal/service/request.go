@@ -138,11 +138,9 @@ func parseSolve(req *SolveRequest) (*parsedSolve, error) {
 			return nil, badRequestf("generator: \"p\" must be a probability in [0, 1], got %g", spec.P)
 		}
 		source = "generator:" + spec.Kind
-		g, err := gen.FromKind(spec.Kind, spec.N, t, spec.P, rand.New(rand.NewSource(spec.Seed)))
-		if err != nil {
+		if csr, err = gen.FromKind(spec.Kind, spec.N, t, spec.P, rand.New(rand.NewSource(spec.Seed))); err != nil {
 			return nil, badRequestf("generator: %v", err)
 		}
-		csr = g.Freeze()
 	}
 
 	return &parsedSolve{

@@ -99,17 +99,17 @@ func TestParseSolveMatchesReadLimited(t *testing.T) {
 		t.Fatal(err)
 	}
 	var edges, dimacs, bin bytes.Buffer
-	if err := graphio.Write(&edges, g.Freeze(), graphio.FormatEdgeList); err != nil {
+	if err := graphio.Write(&edges, g, graphio.FormatEdgeList); err != nil {
 		t.Fatal(err)
 	}
-	if err := graphio.Write(&dimacs, g.Freeze(), graphio.FormatDIMACS); err != nil {
+	if err := graphio.Write(&dimacs, g, graphio.FormatDIMACS); err != nil {
 		t.Fatal(err)
 	}
-	if err := graphio.Write(&bin, g.Freeze(), graphio.FormatCSRBin); err != nil {
+	if err := graphio.Write(&bin, g, graphio.FormatCSRBin); err != nil {
 		t.Fatal(err)
 	}
 	var inline bytes.Buffer
-	if err := graphio.Write(&inline, g.Freeze(), graphio.FormatJSON); err != nil {
+	if err := graphio.Write(&inline, g, graphio.FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	reqs := []SolveRequest{

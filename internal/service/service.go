@@ -49,6 +49,15 @@ import (
 	"localmds/internal/store"
 )
 
+const (
+	// jobRetention caps remembered finished jobs.
+	jobRetention = 1024
+	// traceMaxSpans caps retained spans per job trace (huge instances can
+	// produce one span per residual component). Spans over the cap are
+	// counted, not stored.
+	traceMaxSpans = 4096
+)
+
 // Config tunes the daemon.
 type Config struct {
 	// Workers bounds the solver pool; <= 0 means GOMAXPROCS.
@@ -68,8 +77,6 @@ type Config struct {
 	// default 1 keeps one request on one core so concurrent requests
 	// scale by request, not within one.
 	PipelineWorkers int
-	// JobRetention caps remembered finished jobs; <= 0 selects 1024.
-	JobRetention int
 	// Tokens maps tenant names to bearer tokens (see LoadTokens). When
 	// empty, every request runs as the anonymous tenant; when set, /v1/*
 	// requires "Authorization: Bearer <token>" and unknown tokens are 401.
@@ -92,10 +99,6 @@ type Config struct {
 	// Version is reported in the mdsd_build_info metric; empty selects
 	// "dev".
 	Version string
-	// TraceMaxSpans caps retained spans per job trace (huge instances can
-	// produce one span per residual component); <= 0 selects 4096. Spans
-	// over the cap are counted, not stored.
-	TraceMaxSpans int
 	// Store is the optional disk tier under the memory result cache
 	// (internal/store): completed solves are persisted before their jobs
 	// finish and a restart on the same directory serves them without
@@ -115,17 +118,11 @@ func (c Config) withDefaults() Config {
 	if c.PipelineWorkers <= 0 {
 		c.PipelineWorkers = 1
 	}
-	if c.JobRetention <= 0 {
-		c.JobRetention = 1024
-	}
 	if c.EventBuffer <= 0 {
 		c.EventBuffer = 256
 	}
 	if c.Version == "" {
 		c.Version = "dev"
-	}
-	if c.TraceMaxSpans <= 0 {
-		c.TraceMaxSpans = 4096
 	}
 	return c
 }
@@ -209,7 +206,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		pool:     runner.NewPool(cfg.Workers, cfg.QueueDepth),
 		cache:    newResultCache(cfg.CacheEntries),
-		jobs:     newJobStore(cfg.JobRetention),
+		jobs:     newJobStore(jobRetention),
 		started:  time.Now(),
 		baseCtx:  ctx,
 		cancel:   cancel,
@@ -299,7 +296,7 @@ func (s *Server) submit(ps *parsedSolve, tn *tenantState) (*Job, submitRejection
 	}
 	// The job's span tree is rooted at its deterministic ID, so two runs
 	// of the same request sequence trace identically.
-	tr, root := obs.NewTrace(j.ID, "job", obs.TraceOptions{MaxSpans: s.cfg.TraceMaxSpans})
+	tr, root := obs.NewTrace(j.ID, "job", obs.TraceOptions{MaxSpans: traceMaxSpans})
 	root.SetStart(jobCreated(j))
 	root.SetAttr("source", ps.source)
 	root.SetAttr("fingerprint", ps.key.fp.String())

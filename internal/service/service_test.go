@@ -105,14 +105,14 @@ func TestSolveMatchesLibraryUnderConcurrency(t *testing.T) {
 		{Kind: "cactus", N: 40, Seed: 3},
 	}
 	want := make([]*core.Alg1Result, len(specs))
-	graphs := make([]*graph.Graph, len(specs))
+	graphs := make([]*graph.CSR, len(specs))
 	for i, spec := range specs {
 		g, err := gen.FromKind(spec.Kind, spec.N, spec.T, spec.P, rand.New(rand.NewSource(spec.Seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		graphs[i] = g
-		res, err := core.Alg1CSR(g.Freeze(), core.PracticalParams(), core.PipelineOptions{})
+		res, err := core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,13 +124,13 @@ func TestSolveMatchesLibraryUnderConcurrency(t *testing.T) {
 	expect := make([]int, 0, 12)
 	for i, g := range graphs {
 		var gj, el, dim bytes.Buffer
-		if err := graphio.Write(&gj, g.Freeze(), graphio.FormatJSON); err != nil {
+		if err := graphio.Write(&gj, g, graphio.FormatJSON); err != nil {
 			t.Fatal(err)
 		}
-		if err := graphio.Write(&el, g.Freeze(), graphio.FormatEdgeList); err != nil {
+		if err := graphio.Write(&el, g, graphio.FormatEdgeList); err != nil {
 			t.Fatal(err)
 		}
-		if err := graphio.Write(&dim, g.Freeze(), graphio.FormatDIMACS); err != nil {
+		if err := graphio.Write(&dim, g, graphio.FormatDIMACS); err != nil {
 			t.Fatal(err)
 		}
 		requests = append(requests,

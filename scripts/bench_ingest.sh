@@ -3,14 +3,17 @@
 # BENCH_ingest.json.
 #
 # The run generates a near-planar instance (disjoint 12x12 grid
-# components) at INGEST_EDGES edges, then measures every stage: text parse
-# at 1 worker and at INGEST_WORKERS workers, csrbin mmap load and the
-# core.Alg1CSR solve through cmd/mdsingest, and the text→csrbin
-# conversion through cmd/graphgen (graphgen -in huge.edges -format
-# csrbin), the repository's one converter. The JSON records one entry per
-# stage (wall time; peak RSS and fingerprint where mdsingest computes
-# them; the convert entry has wall time only) plus the two headline
-# ratios:
+# components, graphgen -kind grids) of at least INGEST_EDGES edges, then
+# measures every stage: text parse at 1 worker and at INGEST_WORKERS
+# workers and the unverified csrbin mmap load through cmd/mdsingest, the
+# text→csrbin conversion through cmd/graphgen (graphgen -in huge.edges
+# -format csrbin), the repository's one converter, and the Algorithm 1
+# solve through mdsrun -in huge.csrbin -alg alg1. The JSON records one
+# entry per stage: wall time and peak RSS (mdsingest reports its own;
+# the gen, convert and solve entries are timed by a python3 wrapper that
+# takes the child's ru_maxrss), fingerprints from the parse and load
+# stages, and n, m, mapped, solution_size and valid read from mdsrun's
+# report for the solve stage. Plus the two headline ratios:
 #
 #   - load_speedup:  1-worker text parse wall / csrbin mmap load wall
 #     (the format's reason to exist — must be >= 50x at full scale)
@@ -44,25 +47,57 @@ edgefile="$work/huge.edges"
 binfile="$work/huge.csrbin"
 results="$work/results.jsonl"
 
-go build -o "$work/mdsingest" ./cmd/mdsingest
-go build -o "$work/graphgen" ./cmd/graphgen
+for cmd in mdsingest graphgen mdsrun; do
+	go build -o "$work/$cmd" "./cmd/$cmd"
+done
 
-run_stage() {
-	echo ">> $*" >&2
+# ingest ARGS...: one mdsingest stage; its JSON report goes to $results.
+ingest() {
+	echo ">> mdsingest $*" >&2
 	"$work/mdsingest" "$@" | tee -a "$results"
 }
 
-run_stage -mode gen -edges "$edges" -o "$edgefile"
-run_stage -mode parse -in "$edgefile" -workers 1 -fingerprint
-run_stage -mode parse -in "$edgefile" -workers "$workers" -fingerprint
-echo ">> graphgen -in $edgefile -format csrbin -o $binfile" >&2
-start="$(date +%s.%N)"
-GOMAXPROCS="$workers" "$work/graphgen" -in "$edgefile" -format csrbin -o "$binfile"
-jq -cn --argjson s "$start" --argjson e "$(date +%s.%N)" --argjson w "$workers" \
-	'{mode: "convert", workers: $w, wall_seconds: ($e - $s)}' | tee -a "$results"
-run_stage -mode load -in "$binfile" -fingerprint
+# timed MODE CMD...: run CMD (its stdout is echoed to stderr) and print
+# one JSON stage entry: MODE, the wall time and the child's peak RSS
+# (ru_maxrss), plus for an mdsrun report its n, m, mapped, solution size
+# and validity.
+timed() {
+	python3 - "$@" <<'PY'
+import json, re, resource, subprocess, sys, time
+
+mode, cmd = sys.argv[1], sys.argv[2:]
+print(">> " + " ".join(cmd), file=sys.stderr)
+start = time.monotonic()
+proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+wall = time.monotonic() - start
+sys.stderr.write(proc.stdout)
+if proc.returncode != 0:
+    sys.exit(f"bench_ingest: {cmd[0]} exited {proc.returncode}")
+rep = {"mode": mode, "wall_seconds": wall}
+graph = re.search(r"^graph: Graph\(n=(\d+), m=(\d+)\)", proc.stdout, re.M)
+if graph:
+    rep["n"], rep["m"] = int(graph[1]), int(graph[2])
+    rep["mapped"] = "\ncsr: mmap-backed\n" in proc.stdout
+    rep["solution_size"] = int(re.search(r"^solution size: (\d+)$", proc.stdout, re.M)[1])
+    rep["valid"] = re.search(r"^valid dominating set: (\w+)$", proc.stdout, re.M)[1] == "true"
+# Linux reports ru_maxrss in KiB.
+rep["peak_rss_bytes"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+print(json.dumps(rep))
+PY
+}
+
+# graphgen -kind grids emits floor(n/144) components of 264 edges each.
+comps=$(( (edges + 263) / 264 ))
+timed gen "$work/graphgen" -kind grids -n $((comps * 144)) -format edgelist -o "$edgefile" |
+	jq -c --argjson n $((comps * 144)) --argjson m $((comps * 264)) '. + {n: $n, m: $m}' | tee -a "$results"
+ingest -mode parse -in "$edgefile" -workers 1 -fingerprint
+ingest -mode parse -in "$edgefile" -workers "$workers" -fingerprint
+GOMAXPROCS="$workers" timed convert "$work/graphgen" -in "$edgefile" -format csrbin -o "$binfile" |
+	jq -c --argjson w "$workers" '. + {workers: $w}' | tee -a "$results"
+ingest -mode load -in "$binfile" -fingerprint
 if [ "$solve" != "0" ]; then
-	run_stage -mode solve -in "$binfile" -workers "$workers" -r1 "$r1" -r2 "$r2"
+	timed solve "$work/mdsrun" -in "$binfile" -alg alg1 -workers "$workers" -r1 "$r1" -r2 "$r2" |
+		jq -c --argjson w "$workers" '. + {workers: $w}' | tee -a "$results"
 fi
 
 jq -s --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" --argjson edges "$edges" --argjson workers "$workers" '
