@@ -6,8 +6,10 @@
 // vertices by disjoint fans and strips).
 //
 // The package builds provably K_{2,t}-minor-free graphs from these gadgets
-// as experiment workloads (Generate). Its tests check the type-I
-// conditions of §5.4 on fans and strips.
+// as experiment workloads (GenerateCSR, and Generate for an adjacency-list
+// view): each gadget emits its edges into one list, built into a CSR
+// once. Its tests check the type-I conditions of §5.4 on fans and strips;
+// gen's tests check every generator against its per-edge reference.
 package ding
 
 import (
@@ -29,19 +31,13 @@ type Fan struct {
 // NewFan builds a fan of the given length (number of path vertices, >= 2):
 // vertices 0 = center, 1..length = the path. The paper measures fan length
 // in chords; a length-k path fan has k-2 chords plus the two cycle edges at
-// the center.
+// the center. Generate glues fans through the same edge emitter; only
+// tests call NewFan: ding's and gen's.
 func NewFan(length int) (*Fan, error) {
 	if length < 2 {
 		return nil, fmt.Errorf("ding: fan length %d < 2", length)
 	}
-	g := graph.New(length + 1)
-	for i := 1; i <= length; i++ {
-		g.AddEdge(0, i)
-		if i > 1 {
-			g.AddEdge(i-1, i)
-		}
-	}
-	return &Fan{G: g, Center: 0, End1: 1, End2: length}, nil
+	return &Fan{G: gadgetGraph(length+1, fanEdges, length), Center: 0, End1: 1, End2: length}, nil
 }
 
 // Strip describes a strip: a ladder-like type-I graph with four corners.
@@ -55,20 +51,21 @@ type Strip struct {
 
 // NewStrip builds a ladder strip with the given number of rungs (>= 2):
 // top path x_0..x_{k-1}, bottom path y_0..y_{k-1}, rung edges x_i y_i.
-// Corners are (a, b, c, d) = (x_0, y_0, x_{k-1}, y_{k-1}).
+// Vertex x_i is 2i and y_i is 2i+1, so the corners (a, b, c, d) =
+// (x_0, y_0, x_{k-1}, y_{k-1}) are 0, 1, 2k-2 and 2k-1. Generate glues
+// strips through the same edge emitter; only tests call NewStrip: ding's,
+// gen's and the root package's benchmarks.
 func NewStrip(rungs int) (*Strip, error) {
 	if rungs < 2 {
 		return nil, fmt.Errorf("ding: strip needs >= 2 rungs, got %d", rungs)
 	}
-	g := graph.New(2 * rungs)
-	top := func(i int) int { return 2 * i }
-	bot := func(i int) int { return 2*i + 1 }
-	for i := 0; i < rungs; i++ {
-		g.AddEdge(top(i), bot(i))
-		if i+1 < rungs {
-			g.AddEdge(top(i), top(i+1))
-			g.AddEdge(bot(i), bot(i+1))
-		}
-	}
-	return &Strip{G: g, A: top(0), B: bot(0), C: top(rungs - 1), D: bot(rungs - 1)}, nil
+	return &Strip{G: gadgetGraph(2*rungs, stripEdges, rungs), A: 0, B: 1, C: 2*rungs - 2, D: 2*rungs - 1}, nil
+}
+
+// gadgetGraph builds one gadget on its own: the graph on n vertices whose
+// edges emitEdges emits for the gadget's size parameter.
+func gadgetGraph(n int, emitEdges func(size int, emit func(u, v int)), size int) *graph.Graph {
+	var edges [][2]int
+	emitEdges(size, func(u, v int) { edges = append(edges, [2]int{u, v}) })
+	return graph.FromCSR(graph.CSRFromEdges(n, edges))
 }

@@ -18,9 +18,11 @@ const Kinds = "ding|cactus|tree|cycle|grid|grids|outerplanar|cliquependants|gnp"
 // component-parallel at any scale.
 const gridsSide = 12
 
-// FromKind builds one of the named CLI workloads, frozen — the single
+// FromKind builds one of the named CLI workloads as a CSR — the single
 // dispatch shared by cmd/graphgen, cmd/mdsrun and the service's
-// generator requests. Generator panics (gen and graph reject impossible
+// generator requests. No *graph.Graph is built on the way: every kind
+// is one CSRFromEdges over the generator's edge list (grids tiles one
+// such CSR). Generator panics (gen and graph reject impossible
 // sizes that way) are converted into errors so invalid flag combinations
 // exit cleanly instead of dumping a stack trace. The grid kind uses the
 // largest square with at most n vertices; grids is ⌊n/144⌋ disjoint 12×12
@@ -31,43 +33,42 @@ func FromKind(kind string, n, tParam int, p float64, rng *rand.Rand) (c *graph.C
 			c, err = nil, fmt.Errorf("cannot generate %q with n=%d: %v", kind, n, r)
 		}
 	}()
-	var g *graph.Graph
+	var nv int
+	var edges [][2]int
 	switch kind {
 	case "ding":
-		if g, err = ding.Generate(ding.Config{Kind: ding.Mixed, N: n, T: tParam}, rng); err != nil {
-			return nil, err
-		}
+		return ding.GenerateCSR(ding.Config{Kind: ding.Mixed, N: n, T: tParam}, rng)
 	case "cactus":
-		g = RandomCactus(n, rng)
+		nv, edges = cactusEdges(n, rng)
 	case "tree":
-		g = RandomTree(n, rng)
+		nv, edges = n, treeEdges(n, rng)
 	case "cycle":
-		g = Cycle(n)
+		nv, edges = n, cycleEdges(n)
 	case "grid":
 		side := 1
 		for (side+1)*(side+1) <= n {
 			side++
 		}
-		g = Grid(side, side)
+		nv, edges = side*side, gridEdges(side, side)
 	case "grids":
 		return disjointGrids(n)
 	case "outerplanar":
-		g = MaximalOuterplanar(n, rng)
+		nv, edges = n, outerplanarEdges(n, rng)
 	case "cliquependants":
-		g = CliquePendants(n / 2)
+		nv, edges = cliquePendantsEdges(n / 2)
 	case "gnp":
-		g = GNPConnected(n, p, rng)
+		nv, edges = n, gnpConnectedEdges(n, p, rng)
 	default:
 		return nil, fmt.Errorf("unknown generator %q (want %s)", kind, Kinds)
 	}
-	return g.Freeze(), nil
+	return graph.CSRFromEdges(nv, edges), nil
 }
 
 // disjointGrids returns ⌊n/144⌋ disjoint copies of Grid(12, 12), copy i
 // on vertices 144i … 144i+143. It tiles the one frozen component's
-// arrays straight into the result, so the union is never a *graph.Graph.
+// arrays straight into the result.
 func disjointGrids(n int) (*graph.CSR, error) {
-	one := Grid(gridsSide, gridsSide).Freeze()
+	one := graph.CSRFromEdges(gridsSide*gridsSide, gridEdges(gridsSide, gridsSide))
 	nv, arcs := one.N(), len(one.Targets)
 	if n < nv {
 		return nil, fmt.Errorf("cannot generate \"grids\" with n=%d: need n >= %d (one %dx%d component)", n, nv, gridsSide, gridsSide)

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -44,5 +45,30 @@ func TestFromKindGrids(t *testing.T) {
 		if _, err := FromKind("grids", n, 5, 0, nil); err == nil || !strings.Contains(err.Error(), "n >= 144") {
 			t.Fatalf("n=%d: want an n >= 144 error, got %v", n, err)
 		}
+	}
+}
+
+// BenchmarkFromKind times every kind's generation at n = 10⁴, and ding's
+// at 10⁶ (the graphgen scale), from RNG seed to CSR. Run it with
+// -benchmem: the allocations are the per-layer attribution of input
+// generation, which end-to-end runs count in their set-up time.
+func BenchmarkFromKind(b *testing.B) {
+	type size struct {
+		kind string
+		n    int
+	}
+	var sizes []size
+	for _, kind := range strings.Split(Kinds, "|") {
+		sizes = append(sizes, size{kind, 10_000})
+	}
+	sizes = append(sizes, size{"ding", 1_000_000})
+	for _, s := range sizes {
+		b.Run(fmt.Sprintf("%s/n=%d", s.kind, s.n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := FromKind(s.kind, s.n, 5, 0.05, rand.New(rand.NewSource(int64(i)))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -12,28 +12,37 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"localmds/internal/graph"
 )
 
+// Each generator that a CLI or the service reaches appends its edges to
+// one list, keeping a running vertex count, and builds it once with
+// graph.CSRFromEdges: FromKind takes that CSR, and the exported
+// constructors return its adjacency-list view.
+
 // Path returns the path P_n on n vertices (n-1 edges).
-func Path(n int) *graph.Graph {
-	g := graph.New(n)
+func Path(n int) *graph.Graph { return graph.FromCSR(graph.CSRFromEdges(n, pathEdges(n))) }
+
+// pathEdges leaves room for Cycle's closing edge.
+func pathEdges(n int) [][2]int {
+	edges := make([][2]int, 0, max(n, 0))
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		edges = append(edges, [2]int{i, i + 1})
 	}
-	return g
+	return edges
 }
 
 // Cycle returns the cycle C_n; it panics for n < 3.
-func Cycle(n int) *graph.Graph {
+func Cycle(n int) *graph.Graph { return graph.FromCSR(graph.CSRFromEdges(n, cycleEdges(n))) }
+
+func cycleEdges(n int) [][2]int {
 	if n < 3 {
 		panic(fmt.Sprintf("gen: cycle needs n >= 3, got %d", n))
 	}
-	g := Path(n)
-	g.AddEdge(n-1, 0)
-	return g
+	return append(pathEdges(n), [2]int{n - 1, 0})
 }
 
 // Star returns K_{1,n}: center 0 joined to leaves 1..n.
@@ -47,14 +56,19 @@ func Star(n int) *graph.Graph {
 }
 
 // Complete returns the clique K_n.
-func Complete(n int) *graph.Graph {
-	g := graph.New(n)
+func Complete(n int) *graph.Graph { return graph.FromCSR(graph.CSRFromEdges(n, completeEdges(n))) }
+
+func completeEdges(n int) [][2]int {
+	return appendCompleteEdges(make([][2]int, 0, max(n*(n-1)/2, 0)), n)
+}
+
+func appendCompleteEdges(edges [][2]int, n int) [][2]int {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j)
+			edges = append(edges, [2]int{i, j})
 		}
 	}
-	return g
+	return edges
 }
 
 // CompleteBipartite returns K_{s,t} with parts {0..s-1} and {s..s+t-1}.
@@ -71,19 +85,23 @@ func CompleteBipartite(s, t int) *graph.Graph {
 
 // Grid returns the rows×cols grid graph, a canonical planar instance.
 func Grid(rows, cols int) *graph.Graph {
-	g := graph.New(rows * cols)
+	return graph.FromCSR(graph.CSRFromEdges(rows*cols, gridEdges(rows, cols)))
+}
+
+func gridEdges(rows, cols int) [][2]int {
+	edges := make([][2]int, 0, max(rows*(cols-1)+cols*(rows-1), 0))
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.AddEdge(id(r, c), id(r, c+1))
+				edges = append(edges, [2]int{id(r, c), id(r, c+1)})
 			}
 			if r+1 < rows {
-				g.AddEdge(id(r, c), id(r+1, c))
+				edges = append(edges, [2]int{id(r, c), id(r+1, c)})
 			}
 		}
 	}
-	return g
+	return edges
 }
 
 // RandomTree returns a uniformly random labelled tree on n vertices via a
@@ -92,11 +110,16 @@ func Grid(rows, cols int) *graph.Graph {
 // labelled trees, but well-spread and cheap, which is what the workloads
 // need.
 func RandomTree(n int, rng *rand.Rand) *graph.Graph {
-	g := graph.New(n)
+	return graph.FromCSR(graph.CSRFromEdges(n, treeEdges(n, rng)))
+}
+
+// treeEdges returns RandomTree's edges: edges[i-1] = {i, parent(i)}.
+func treeEdges(n int, rng *rand.Rand) [][2]int {
+	edges := make([][2]int, 0, max(n-1, 0))
 	for i := 1; i < n; i++ {
-		g.AddEdge(i, rng.Intn(i))
+		edges = append(edges, [2]int{i, rng.Intn(i)})
 	}
-	return g
+	return edges
 }
 
 // Caterpillar returns a caterpillar tree: a spine path of spine vertices
@@ -135,30 +158,33 @@ func BinaryTree(levels int) *graph.Graph {
 // paper. The construction repeatedly glues cycles and pendant edges onto a
 // growing graph at random attachment vertices.
 func RandomCactus(n int, rng *rand.Rand) *graph.Graph {
-	g := graph.New(1)
-	for g.N() < n {
-		attach := rng.Intn(g.N())
+	return graph.FromCSR(graph.CSRFromEdges(cactusEdges(n, rng)))
+}
+
+func cactusEdges(n int, rng *rand.Rand) (int, [][2]int) {
+	// A cycle adds clen-1 vertices and clen edges, so m <= 1.5(nv-1),
+	// and the last step overshoots n by at most 5 vertices.
+	nv := 1
+	edges := make([][2]int, 0, 3*(max(n, 1)+5)/2)
+	for nv < n {
+		attach := rng.Intn(nv)
 		if rng.Intn(2) == 0 {
 			// Pendant edge.
-			v := g.AddVertex()
-			g.AddEdge(attach, v)
+			edges = append(edges, [2]int{attach, nv})
+			nv++
 			continue
 		}
 		// A cycle of length 3..6 glued at attach.
 		clen := 3 + rng.Intn(4)
 		prev := attach
-		first := -1
 		for i := 0; i < clen-1; i++ {
-			v := g.AddVertex()
-			if first < 0 {
-				first = v
-			}
-			g.AddEdge(prev, v)
-			prev = v
+			edges = append(edges, [2]int{prev, nv})
+			prev = nv
+			nv++
 		}
-		g.AddEdge(prev, attach)
+		edges = append(edges, [2]int{prev, attach})
 	}
-	return g
+	return nv, edges
 }
 
 // MaximalOuterplanar returns a maximal outerplanar graph (a triangulation
@@ -166,35 +192,32 @@ func RandomCactus(n int, rng *rand.Rand) *graph.Graph {
 // fan/ear triangulation of its interior. Outerplanar graphs are exactly the
 // {K_4, K_{2,3}}-minor-free graphs.
 func MaximalOuterplanar(n int, rng *rand.Rand) *graph.Graph {
+	return graph.FromCSR(graph.CSRFromEdges(n, outerplanarEdges(n, rng)))
+}
+
+func outerplanarEdges(n int, rng *rand.Rand) [][2]int {
 	if n < 3 {
 		panic(fmt.Sprintf("gen: outerplanar needs n >= 3, got %d", n))
 	}
-	g := Cycle(n)
+	// The cycle and its n-3 chords, with room for the chords of each
+	// split that repeat an edge.
+	edges := append(make([][2]int, 0, 3*n), cycleEdges(n)...)
 	// Triangulate the polygon by recursive random ear splitting. Each
-	// polygon arc [i..j] (along the cycle) is split at a random interior
-	// vertex k with chords (i,k), (k,j) as needed.
-	var split func(verts []int)
-	split = func(verts []int) {
-		if len(verts) <= 3 {
+	// polygon arc lo..hi (along the cycle) is split at a random interior
+	// vertex k with chords (lo, k), (k, hi); a chord that is already a
+	// cycle edge or an earlier chord is collapsed by CSRFromEdges.
+	var split func(lo, hi int)
+	split = func(lo, hi int) {
+		if hi-lo < 3 {
 			return
 		}
-		i, j := 0, len(verts)-1
-		k := 1 + rng.Intn(len(verts)-2)
-		if !g.HasEdge(verts[i], verts[k]) {
-			g.AddEdge(verts[i], verts[k])
-		}
-		if !g.HasEdge(verts[k], verts[j]) {
-			g.AddEdge(verts[k], verts[j])
-		}
-		split(verts[:k+1])
-		split(verts[k:])
+		k := lo + 1 + rng.Intn(hi-lo-1)
+		edges = append(edges, [2]int{lo, k}, [2]int{k, hi})
+		split(lo, k)
+		split(k, hi)
 	}
-	verts := make([]int, n)
-	for i := range verts {
-		verts[i] = i
-	}
-	split(verts)
-	return g
+	split(0, n-1)
+	return edges
 }
 
 // CliquePendants returns the adversarial instance from §4 of the paper: a
@@ -204,16 +227,19 @@ func MaximalOuterplanar(n int, rng *rand.Rand) *graph.Graph {
 // 2-cut {0, v}, so Ω(n) vertices live in 2-cuts — motivating the paper's
 // "interesting vertex" restriction.
 func CliquePendants(q int) *graph.Graph {
+	return graph.FromCSR(graph.CSRFromEdges(cliquePendantsEdges(q)))
+}
+
+func cliquePendantsEdges(q int) (int, [][2]int) {
 	if q < 2 {
 		panic(fmt.Sprintf("gen: CliquePendants needs q >= 2, got %d", q))
 	}
-	g := Complete(q)
+	edges := appendCompleteEdges(make([][2]int, 0, q*(q-1)/2+2*(q-1)), q)
 	for v := 1; v < q; v++ {
-		x := g.AddVertex()
-		g.AddEdge(x, 0)
-		g.AddEdge(x, v)
+		x := q + v - 1
+		edges = append(edges, [2]int{x, 0}, [2]int{x, v})
 	}
-	return g
+	return 2*q - 1, edges
 }
 
 // GNP returns an Erdős–Rényi G(n, p) graph — the negative control used to
@@ -234,15 +260,31 @@ func GNP(n int, p float64, rng *rand.Rand) *graph.Graph {
 // GNPConnected returns a connected G(n, p) sample by adding a uniform random
 // spanning-tree skeleton first.
 func GNPConnected(n int, p float64, rng *rand.Rand) *graph.Graph {
-	g := RandomTree(n, rng)
+	return graph.FromCSR(graph.CSRFromEdges(n, gnpConnectedEdges(n, p, rng)))
+}
+
+// gnpReserveCap bounds the coin edges gnpConnectedEdges reserves up
+// front (512 MB of list); past it the list grows by appending.
+const gnpReserveCap = 1 << 25
+
+func gnpConnectedEdges(n int, p float64, rng *rand.Rand) [][2]int {
+	// Reserve the tree and the expected coin edges plus four standard
+	// deviations, so the list is seldom copied as it grows.
+	reserve := max(n-1, 0)
+	if coins := p * float64(reserve) * float64(max(n-2, 0)) / 2; coins > 0 {
+		reserve += int(min(coins+4*math.Sqrt(coins)+16, gnpReserveCap))
+	}
+	edges := append(make([][2]int, 0, reserve), treeEdges(n, rng)...)
+	// For i < j, {i, j} is a tree edge exactly when i is j's parent,
+	// edges[j-1][1]; only the other pairs draw a coin.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if !g.HasEdge(i, j) && rng.Float64() < p {
-				g.AddEdge(i, j)
+			if edges[j-1][1] != i && rng.Float64() < p {
+				edges = append(edges, [2]int{i, j})
 			}
 		}
 	}
-	return g
+	return edges
 }
 
 // RegularLike returns a connected graph where every vertex has degree

@@ -8,7 +8,10 @@ import (
 // CSRFromEdges batch-builds the frozen CSR view of the simple undirected
 // graph on n vertices directly from an edge list, skipping the
 // adjacency-list *Graph intermediate entirely. It is the huge-graph
-// ingestion primitive: where FromEdgesUnchecked materializes n slice
+// ingestion primitive (graphio's parsers reach it through
+// CSRFromEdgeChunks) and the one build of every generator in gen and
+// ding, whose edge lists may repeat an edge (gen's MaximalOuterplanar
+// does). Where FromEdgesUnchecked materializes n slice
 // headers plus a shared backing array before Freeze flattens them again,
 // CSRFromEdges runs a two-pass counting sort straight into the final flat
 // arrays — one degree-count pass, one placement pass, then an in-place

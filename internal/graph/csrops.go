@@ -595,9 +595,12 @@ func (c *CSR) distBFS(s int32, a *Arena) ([]int32, int) {
 }
 
 // FromCSR builds an adjacency-list Graph from a CSR in O(n + m) with two
-// allocations (the row table and one shared backing buffer). FromEdges and
-// graphio's Read, ReadLimited and ReadFile use it to hand a *Graph to
-// callers that want one; the solvers run on the CSR and need no bridge.
+// allocations (the row table and one shared backing buffer). FromEdges,
+// graphio's Read, ReadLimited and ReadFile, ding's Generate, NewFan and
+// NewStrip, and gen's batch-built constructors (Path, Cycle, Grid,
+// Complete, RandomTree, RandomCactus, MaximalOuterplanar, CliquePendants,
+// GNPConnected) use it to hand a *Graph to callers that want one; the
+// solvers run on the CSR and need no bridge.
 // The graph shares no storage with c, so c may be refilled or unmapped
 // afterwards.
 func FromCSR(c *CSR) *Graph {

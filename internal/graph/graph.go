@@ -2,10 +2,12 @@
 // localmds repository. It has two representations. CSR is the immutable
 // flat graph every solver, loader and writer holds: traversals,
 // neighborhood balls, connectivity, twin reduction, diameters and the
-// content fingerprint run on it. Graph is the mutable adjacency-list
-// builder that the generators (gen, ding) grow edge by edge and that the
-// spec oracles (cuts' global and reference checks, spqr, asdim, minor)
-// read; Freeze turns it into a CSR.
+// content fingerprint run on it. The generators (gen, ding) emit edge
+// lists that CSRFromEdges builds once. Graph is the mutable adjacency-list
+// graph that the spec oracles (cuts' global and reference checks, spqr,
+// asdim, minor) read and tests grow edge by edge; the generators'
+// exported constructors hand it out through FromCSR, and Freeze turns it
+// back into a CSR.
 //
 // Vertices are dense integers 0..n-1. All graphs are simple (no loops, no
 // multi-edges) and undirected. Mutating constructors normalize edge input;
@@ -19,9 +21,11 @@ import (
 )
 
 // Graph is a simple undirected graph over vertices 0..n-1 stored as sorted
-// adjacency lists: the mutable builder of the generators and the input of
-// the spec oracles. The zero value is the empty graph. Freeze builds the
-// CSR that everything past generation holds; the two never share storage.
+// adjacency lists: the input of the spec oracles, and the mutable graph
+// that tests, the test-only generators and the per-edge reference
+// generators grow with AddEdge. The zero value is the empty graph. Freeze
+// builds the CSR that everything past generation holds; the two never
+// share storage.
 type Graph struct {
 	adj [][]int
 	m   int

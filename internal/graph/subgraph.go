@@ -46,13 +46,27 @@ func (g *Graph) InducedBall(v, r int) (*Graph, []int) {
 }
 
 // DisjointUnion returns the disjoint union of g and h; vertices of h are
-// shifted by g.N().
+// shifted by g.N(). Both operands' rows are copied into one backing array
+// (h's shifted, which keeps them sorted), with no per-edge insertion.
 func DisjointUnion(g, h *Graph) *Graph {
-	u := New(g.N() + h.N())
-	g.VisitEdges(func(a, b int) { u.AddEdge(a, b) })
 	off := g.N()
-	h.VisitEdges(func(a, b int) { u.AddEdge(a+off, b+off) })
-	return u
+	adj := make([][]int, off+h.N())
+	buf := make([]int, 2*(g.m+h.m))
+	k := 0
+	for v, a := range g.adj {
+		adj[v] = buf[k : k+len(a) : k+len(a)]
+		copy(adj[v], a)
+		k += len(a)
+	}
+	for v, a := range h.adj {
+		row := buf[k : k+len(a) : k+len(a)]
+		for i, u := range a {
+			row[i] = u + off
+		}
+		adj[off+v] = row
+		k += len(a)
+	}
+	return &Graph{adj: adj, m: g.m + h.m}
 }
 
 // IdentifyVertices returns the graph obtained from g by identifying every

@@ -79,6 +79,44 @@ func TestDisjointUnion(t *testing.T) {
 	}
 }
 
+// refDisjointUnion is DisjointUnion as it was: every edge of both
+// operands re-added to an empty graph.
+func refDisjointUnion(g, h *Graph) *Graph {
+	u := New(g.N() + h.N())
+	g.VisitEdges(func(a, b int) { u.AddEdge(a, b) })
+	off := g.N()
+	h.VisitEdges(func(a, b int) { u.AddEdge(a+off, b+off) })
+	return u
+}
+
+// TestDisjointUnionMatchesReference compares the row-copying union with
+// the per-edge reference on random operands, empty and edgeless ones
+// included, and checks that the union shares no storage with them.
+func TestDisjointUnionMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		g := randomGraph(int(seed%9), 0.4, seed)
+		h := randomGraph(int(seed*7%23), 0.2, seed+1000)
+		got, want := DisjointUnion(g, h), refDisjointUnion(g, h)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("seed %d: union %v differs from the reference %v", seed, got, want)
+		}
+		a, b := got.Freeze(), want.Freeze()
+		if !slices.Equal(a.Offsets, b.Offsets) || !slices.Equal(a.Targets, b.Targets) {
+			t.Fatalf("seed %d: union CSR differs from the reference", seed)
+		}
+		gc, hc := g.Clone(), h.Clone()
+		for _, e := range got.Edges() {
+			got.RemoveEdge(e[0], e[1])
+		}
+		if !g.Equal(gc) || !h.Equal(hc) {
+			t.Fatalf("seed %d: emptying the union changed an operand", seed)
+		}
+	}
+}
+
 func TestIdentifyVertices(t *testing.T) {
 	// Two disjoint edges; identify one endpoint of each -> path of 3.
 	g := MustFromEdges(4, [][2]int{{0, 1}, {2, 3}})

@@ -50,6 +50,22 @@ const maxRequestVertices = 2_000_000
 // the 64 MB body could ever deliver, and the parsers preallocate from it.
 const maxRequestEdges = 20_000_000
 
+// generatorMaxEdges is the worst-case edge count of the generators whose
+// edges, and work, grow quadratically in n: gnp visits all n(n-1)/2
+// pairs, and cliquependants builds a clique on q = n/2 vertices plus two
+// edges per pendant. parseSolve holds it to maxRequestEdges before it
+// generates anything; every other kind has O(n) edges.
+func generatorMaxEdges(kind string, n int) int {
+	switch kind {
+	case "gnp":
+		return n * (n - 1) / 2
+	case "cliquependants":
+		q := n / 2
+		return q*(q-1)/2 + 2*(q-1)
+	}
+	return 0
+}
+
 // badRequestError marks client errors (HTTP 400) as opposed to solver
 // failures (HTTP 500).
 type badRequestError struct{ msg string }
@@ -126,6 +142,9 @@ func parseSolve(req *SolveRequest) (*parsedSolve, error) {
 		}
 		if spec.N > maxRequestVertices {
 			return nil, badRequestf("generator: \"n\" = %d exceeds the limit %d", spec.N, maxRequestVertices)
+		}
+		if m := generatorMaxEdges(spec.Kind, spec.N); m > maxRequestEdges {
+			return nil, badRequestf("generator: %q with \"n\" = %d can produce %d edges, over the limit %d", spec.Kind, spec.N, m, maxRequestEdges)
 		}
 		t := spec.T
 		if t == 0 {

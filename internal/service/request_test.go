@@ -180,3 +180,34 @@ func TestParseSolveMatchesReadLimited(t *testing.T) {
 		}
 	}
 }
+
+// TestGeneratorMaxEdges pins the worst-case edge bound at the limit's
+// boundary: gnp's largest accepted n is 6325 (19,999,650 pairs), and
+// cliquependants' is 12,647 (q = 6323: 19,987,003 clique edges and
+// 12,644 pendant edges).
+// parseSolve is not run on the accepted sizes, which would generate.
+func TestGeneratorMaxEdges(t *testing.T) {
+	cases := []struct {
+		kind string
+		n    int
+		over bool
+	}{
+		{"gnp", 6325, false}, {"gnp", 6326, true},
+		{"cliquependants", 12_647, false}, {"cliquependants", 12_648, true},
+		{"ding", maxRequestVertices, false}, {"grid", maxRequestVertices, false},
+	}
+	for _, c := range cases {
+		if m := generatorMaxEdges(c.kind, c.n); (m > maxRequestEdges) != c.over {
+			t.Errorf("%s n=%d: %d edges, over the limit = %v, want %v", c.kind, c.n, m, m > maxRequestEdges, c.over)
+		}
+	}
+	for _, c := range cases {
+		if !c.over {
+			continue
+		}
+		_, err := parseSolve(&SolveRequest{Generator: &GeneratorSpec{Kind: c.kind, N: c.n}})
+		if err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("%s n=%d: want a limit error, got %v", c.kind, c.n, err)
+		}
+	}
+}

@@ -281,6 +281,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad generator", SolveRequest{Generator: &GeneratorSpec{Kind: "warp", N: 10}}, "warp"},
 		{"bad params", SolveRequest{Generator: &GeneratorSpec{Kind: "grid", N: 9}, Params: &core.Params{R1: 0, R2: 1}}, "invalid radii"},
 		{"oversized generator", SolveRequest{Generator: &GeneratorSpec{Kind: "grid", N: 2_000_001}}, "limit"},
+		{"quadratic gnp", SolveRequest{Generator: &GeneratorSpec{Kind: "gnp", N: 2_000_000, P: 0.001}}, "limit"},
+		{"quadratic cliquependants", SolveRequest{Generator: &GeneratorSpec{Kind: "cliquependants", N: 2_000_000}}, "limit"},
 		{"oversized graph", SolveRequest{Graph: json.RawMessage(`{"n":2000000001,"edges":[]}`)}, "limit"},
 		{"oversized edgelist", SolveRequest{Data: "2000000001\n0 1\n"}, "limit"},
 		{"oversized dimacs", SolveRequest{Data: "p edge 2000000001 0\n", Format: "dimacs"}, "limit"},
