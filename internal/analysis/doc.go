@@ -6,8 +6,9 @@
 // rests on coding rules that used to be enforced by hand. The analyzers
 // turn those rules into machine-checked invariants:
 //
-//   - mapiter: no order-sensitive `for range` over maps in the
-//     deterministic solver packages.
+//   - mapiter: no `for range` over a map in the deterministic solver
+//     packages; iterate slices.Sorted(maps.Keys(m)), or state why order
+//     cannot matter in a directive.
 //   - seedflow: all randomness is seeded through gen.DeriveSeed /
 //     experiments.TaskSeed; no global math/rand state, no clock seeds.
 //   - errpath: internal/service handlers route every response through

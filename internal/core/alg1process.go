@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"maps"
 	"slices"
-	"sort"
+	"sync"
 
 	"localmds/internal/cuts"
 	"localmds/internal/graph"
@@ -58,6 +60,56 @@ type floodProcess struct {
 	records map[int]partRecord // flooded so far, participants only
 	scratch []floodRecord      // reused per-round fresh-record buffer
 	inS     bool
+	memo    *solveMemo // shared by one run's processes; nil solves alone
+}
+
+// solveMemo shares component solves among the processes of one run.
+// Residual components are disjoint and every member floods the same
+// immutable records, so a component's sorted member identifiers name its
+// instance: the first member to close solves it, and the others read the
+// picks. The per-key sync.Once makes members that close in the same
+// round on different workers wait for that one solve.
+type solveMemo struct {
+	mu    sync.Mutex
+	byKey map[string]*memoEntry
+}
+
+type memoEntry struct {
+	once  sync.Once
+	picks []int
+}
+
+// do returns solve's picks for the component of the given sorted
+// members, calling solve once per component across the run. A nil memo
+// calls solve every time. The returned slice is shared: callers only
+// read it.
+func (m *solveMemo) do(members []int, solve func() []int) []int {
+	if m == nil {
+		return solve()
+	}
+	key := make([]byte, 0, 4*len(members))
+	for _, id := range members {
+		key = binary.AppendVarint(key, int64(id))
+	}
+	m.mu.Lock()
+	e := m.byKey[string(key)]
+	if e == nil {
+		e = &memoEntry{}
+		m.byKey[string(key)] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.picks = solve() })
+	return e.picks
+}
+
+// runFlood runs the flood process of rule on c. Its processes share one
+// solveMemo, so each residual component is solved once per run rather
+// than once per member.
+func runFlood(c *graph.CSR, ids []int, rule floodRule, gatherRounds int) ([]int, local.Stats, error) {
+	memo := &solveMemo{byKey: make(map[string]*memoEntry)}
+	return runBooleanProcess(c, ids, func(int) local.Process {
+		return &floodProcess{rule: rule, gatherRounds: gatherRounds, memo: memo}
+	})
 }
 
 // NewAlg1Process returns the Algorithm 1 process for the given parameters.
@@ -92,13 +144,8 @@ func (a *floodProcess) Round(round int, inbox []local.Message) ([]local.Message,
 	// Flooding phase (participants only).
 	fresh := a.scratch[:0]
 	if round == a.gatherRounds+1 {
-		// Seed with the own record (the only one present after decide).
-		// Sorting pins the broadcast order even if seeding ever grows to
-		// multiple records: message contents must not depend on map order.
-		for id, rec := range a.records {
-			fresh = append(fresh, floodRecord{ID: id, Rec: rec})
-		}
-		sort.Slice(fresh, func(i, j int) bool { return fresh[i].ID < fresh[j].ID })
+		// Seed with the own record, the only one present after decide.
+		fresh = append(fresh, floodRecord{ID: a.info.ID, Rec: a.records[a.info.ID]})
 	}
 	for _, m := range inbox {
 		fm, ok := m.(*floodMsg)
@@ -131,6 +178,7 @@ func (a *floodProcess) Output() any { return a.inS }
 // closed reports whether the flooding knowledge covers the whole residual
 // component: every known record's participating neighbors are known.
 func (a *floodProcess) closed() bool {
+	//mdsvet:ignore mapiter -- a ∀ scan: every early exit returns false, so visit order cannot change the answer
 	for _, rec := range a.records {
 		for _, id := range rec.PartNbrs {
 			if _, ok := a.records[id]; !ok {
@@ -143,15 +191,18 @@ func (a *floodProcess) closed() bool {
 
 // componentPicks solves the flooded component with the rule's dispatch and
 // returns the picks as identifiers. Every member computes the same set
-// from the same records; with identity identifiers the members are
-// labelled in the centralized driver's order, so both solve the same
-// instance and fall back on the same components.
+// from the same records (the run's memo lets one of them compute it for
+// all); with identity identifiers the members are labelled in the
+// centralized driver's order, so both solve the same instance and fall
+// back on the same components.
 func (a *floodProcess) componentPicks() []int {
-	members := make([]int, 0, len(a.records))
-	for id := range a.records {
-		members = append(members, id)
-	}
-	sort.Ints(members)
+	members := slices.Sorted(maps.Keys(a.records))
+	return a.memo.do(members, func() []int { return a.solveComponent(members) })
+}
+
+// solveComponent runs the rule's solve on the component of the given
+// sorted members.
+func (a *floodProcess) solveComponent(members []int) []int {
 	pos := make(map[int]int, len(members))
 	for i, id := range members {
 		pos[id] = i
@@ -220,5 +271,5 @@ func RunAlg1(c *graph.CSR, ids []int, p Params) ([]int, local.Stats, error) {
 	if err != nil {
 		return nil, local.Stats{}, err
 	}
-	return runBooleanProcess(c, ids, func(int) local.Process { return NewAlg1Process(p) })
+	return runFlood(c, ids, mdsFlood{p}, p.GatherRadius()+2)
 }

@@ -6,22 +6,21 @@ import (
 	"localmds/internal/local"
 )
 
-// Regression test for the flood-seed map walk in floodProcess.Round
+// Regression test for the flood seed in floodProcess.Round
 // (alg1process.go), run once per rule: the first flooding-phase broadcast
-// is seeded from the records map, and its wire order must not depend on Go's randomized
-// map iteration. With 16 records, an unsorted seed would produce a
-// differing order within a few repetitions with overwhelming
-// probability.
+// carries exactly the process's own record, the only one present after
+// decide, so its wire contents cannot depend on Go's randomized map
+// iteration.
 
-// seedRecords returns a records map whose PartNbrs reference an unknown
-// vertex, so the component never closes and Round stops after the
-// broadcast (no componentPicks).
+// seedID is the identifier of the process under test.
+const seedID = 29
+
+// seedRecords returns the records map as decide leaves it: the own
+// record alone, whose PartNbrs reference an unknown vertex, so the
+// component never closes and Round stops after the broadcast (no
+// componentPicks).
 func seedRecords() map[int]partRecord {
-	m := make(map[int]partRecord)
-	for _, id := range []int{11, 3, 29, 7, 23, 2, 17, 5, 31, 13, 19, 37, 41, 43, 47, 53} {
-		m[id] = partRecord{PartNbrs: []int{999}, Undominated: id%2 == 0}
-	}
-	return m
+	return map[int]partRecord{seedID: {PartNbrs: []int{999}, Undominated: true}}
 }
 
 // broadcastIDs extracts the record IDs of the first outgoing flood
@@ -42,24 +41,10 @@ func broadcastIDs(t *testing.T, out []local.Message) []int {
 	return ids
 }
 
-func assertStableSeedOrder(t *testing.T, run func() []int) {
+func assertOwnSeed(t *testing.T, got []int) {
 	t.Helper()
-	first := run()
-	for i := 1; i < len(first); i++ {
-		if first[i-1] >= first[i] {
-			t.Fatalf("seed broadcast not sorted by ID: %v", first)
-		}
-	}
-	for rep := 0; rep < 50; rep++ {
-		got := run()
-		if len(got) != len(first) {
-			t.Fatalf("rep %d: %d records, want %d", rep, len(got), len(first))
-		}
-		for i := range got {
-			if got[i] != first[i] {
-				t.Fatalf("rep %d: broadcast order changed: %v vs %v", rep, got, first)
-			}
-		}
+	if len(got) != 1 || got[0] != seedID {
+		t.Fatalf("seed broadcast carries records %v, want only the own record [%d]", got, seedID)
 	}
 }
 
@@ -71,7 +56,7 @@ func floodSeedOrder(t *testing.T, rule floodRule) []int {
 		rule:         rule,
 		gatherRounds: 0,
 		records:      seedRecords(),
-		info:         local.NodeInfo{ID: 1, Ports: 2, N: 64},
+		info:         local.NodeInfo{ID: seedID, Ports: 2, N: 64},
 	}
 	out, done := a.Round(1, nil)
 	if done {
@@ -81,9 +66,9 @@ func floodSeedOrder(t *testing.T, rule floodRule) []int {
 }
 
 func TestAlg1FloodSeedDeterministic(t *testing.T) {
-	assertStableSeedOrder(t, func() []int { return floodSeedOrder(t, mdsFlood{}) })
+	assertOwnSeed(t, floodSeedOrder(t, mdsFlood{}))
 }
 
 func TestMVCAlg1FloodSeedDeterministic(t *testing.T) {
-	assertStableSeedOrder(t, func() []int { return floodSeedOrder(t, mvcFlood{}) })
+	assertOwnSeed(t, floodSeedOrder(t, mvcFlood{}))
 }

@@ -70,5 +70,5 @@ func RunMVCAlg1(c *graph.CSR, ids []int, p Params) ([]int, local.Stats, error) {
 	if err != nil {
 		return nil, local.Stats{}, err
 	}
-	return runBooleanProcess(c, ids, func(int) local.Process { return NewMVCAlg1Process(p) })
+	return runFlood(c, ids, mvcFlood{p}, MVCAlg1GatherRounds(p))
 }

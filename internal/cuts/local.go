@@ -1,6 +1,8 @@
 package cuts
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"localmds/internal/graph"
@@ -100,12 +102,7 @@ func LocallyInterestingVertices(g *graph.Graph, r int) []int {
 			}
 		}
 	}
-	out := make([]int, 0, len(interesting))
-	for v := range interesting {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	return slices.Sorted(maps.Keys(interesting))
 }
 
 func indexOf(sorted []int, v int) int {

@@ -1,7 +1,8 @@
 package cuts
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"localmds/internal/graph"
 )
@@ -186,10 +187,5 @@ func GloballyInterestingVertices(g *graph.Graph) []int {
 			interesting[c.V] = true
 		}
 	}
-	out := make([]int, 0, len(interesting))
-	for v := range interesting {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	return slices.Sorted(maps.Keys(interesting))
 }

@@ -1,22 +1,26 @@
 package graph
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 // TrueTwinClasses partitions V(g) into true-twin equivalence classes,
 // returned as sorted slices ordered by smallest member. Singleton classes
 // are included.
 func (g *Graph) TrueTwinClasses() [][]int {
 	// Group by closed-neighborhood fingerprint. Two vertices with equal
-	// closed neighborhoods necessarily hash to the same key.
+	// closed neighborhoods necessarily hash to the same key. Members are
+	// appended in ascending order, so each class is already sorted.
 	byKey := make(map[string][]int, g.N())
 	for v := 0; v < g.N(); v++ {
 		key := fingerprint(g.ClosedNeighborhood(v))
 		byKey[key] = append(byKey[key], v)
 	}
 	classes := make([][]int, 0, len(byKey))
-	for _, c := range byKey {
-		sort.Ints(c)
-		classes = append(classes, c)
+	for _, key := range slices.Sorted(maps.Keys(byKey)) {
+		classes = append(classes, byKey[key])
 	}
 	sort.Slice(classes, func(i, j int) bool { return classes[i][0] < classes[j][0] })
 	return classes

@@ -2,8 +2,8 @@
 // stack: in-process span trees with deterministic IDs (span.go, exported
 // as JSON or Chrome trace events for Perfetto), fixed-bucket Prometheus
 // histograms with canonical text rendering (histogram.go), a ring-buffered
-// publish/subscribe bus for job lifecycle events (events.go), and a
-// background sampler for runtime gauges (runtime.go).
+// publish/subscribe bus for job lifecycle events (events.go), and the
+// runtime gauges that /metrics reads at scrape time (runtime.go).
 //
 // The package imports only the standard library, so every layer — core's
 // staged solvers, the runner pool, the mdsd service, and the CLIs — can

@@ -14,15 +14,9 @@ import (
 // cardinality bounded, and the rendering of the observability families
 // into /metrics (renderMetrics in metrics.go calls renderObsMetrics).
 
-// runtimeSampleInterval paces the background runtime-gauge collector. The
-// sample itself is a handful of runtime/metrics reads, so a scrape-scale
-// interval costs nothing measurable.
-const runtimeSampleInterval = 5 * time.Second
-
 // initObs wires the observability core into a freshly constructed Server.
 func (s *Server) initObs() {
 	s.bus = obs.NewBus(s.cfg.EventBuffer, nil)
-	s.collector = obs.StartCollector(runtimeSampleInterval)
 	s.reqLatency = obs.NewHistogramVec(
 		"mdsd_request_duration_seconds",
 		"HTTP request latency by route and outcome class.",
@@ -72,11 +66,11 @@ func (s *Server) renderObsMetrics(b *strings.Builder) {
 	fmt.Fprintf(b, "# TYPE mdsd_build_info gauge\n")
 	fmt.Fprintf(b, "mdsd_build_info{version=%q,go=%q} 1\n", s.cfg.Version, runtime.Version())
 
-	snap := s.collector.Last()
-	fmt.Fprintf(b, "# HELP mdsd_goroutines Live goroutines at the last runtime sample.\n")
+	snap := obs.SampleRuntime()
+	fmt.Fprintf(b, "# HELP mdsd_goroutines Live goroutines at scrape time.\n")
 	fmt.Fprintf(b, "# TYPE mdsd_goroutines gauge\n")
 	fmt.Fprintf(b, "mdsd_goroutines %d\n", snap.Goroutines)
-	fmt.Fprintf(b, "# HELP mdsd_heap_bytes Live heap object bytes at the last runtime sample.\n")
+	fmt.Fprintf(b, "# HELP mdsd_heap_bytes Live heap object bytes at scrape time.\n")
 	fmt.Fprintf(b, "# TYPE mdsd_heap_bytes gauge\n")
 	fmt.Fprintf(b, "mdsd_heap_bytes %d\n", snap.HeapBytes)
 	fmt.Fprintf(b, "# HELP mdsd_gc_pause_seconds_total Cumulative stop-the-world GC pause time.\n")

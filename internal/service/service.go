@@ -170,10 +170,9 @@ type Server struct {
 	computations atomic.Int64
 
 	// Observability core (obs.go): the job-lifecycle event bus behind
-	// /v1/events, latency histograms rendered into /metrics, the runtime
-	// gauge collector, and the busy-worker gauge.
+	// /v1/events, latency histograms rendered into /metrics, and the
+	// busy-worker gauge.
 	bus         *obs.Bus
-	collector   *obs.Collector
 	reqLatency  *obs.HistogramVec // route × outcome class
 	queueWait   *obs.Histogram
 	solveWall   *obs.Histogram
@@ -242,7 +241,6 @@ func (s *Server) Drain() {
 	// Every accepted job is terminal now, so subscribers have every
 	// terminal event buffered before their streams close.
 	s.bus.Close()
-	s.collector.Stop()
 }
 
 // Close aborts in-flight jobs via context cancellation, then drains.
@@ -251,7 +249,6 @@ func (s *Server) Close() {
 	s.cancel()
 	s.pool.Close()
 	s.bus.Close()
-	s.collector.Stop()
 }
 
 // Computations returns the number of pipeline executions the server has

@@ -15,7 +15,8 @@ package spqr
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"localmds/internal/cuts"
 	"localmds/internal/graph"
@@ -203,12 +204,7 @@ func splitGroups(edges []Edge, u, v int) (comps [][]Edge, directs []Edge) {
 		}
 		groups[find(i)] = append(groups[find(i)], e)
 	}
-	keys := make([]int, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(groups)) {
 		comps = append(comps, groups[k])
 	}
 	return comps, directs
