@@ -26,8 +26,7 @@ type Alg1Result struct {
 	MaxComponentDiameter int `json:"max_component_diameter"`
 	// RoundsEstimate is the number of LOCAL rounds the distributed
 	// implementation needs on this instance: the gather phase plus the
-	// component flooding phase (see NewAlg1Process, which measures it for
-	// real).
+	// component flooding phase (see RunAlg1, which measures it for real).
 	RoundsEstimate int `json:"rounds_estimate"`
 	// BruteFallbacks counts components solved greedily instead of
 	// exactly: those that exceeded MaxBruteComponent, and those under it

@@ -60,7 +60,7 @@ type floodProcess struct {
 	records map[int]partRecord // flooded so far, participants only
 	scratch []floodRecord      // reused per-round fresh-record buffer
 	inS     bool
-	memo    *solveMemo // shared by one run's processes; nil solves alone
+	memo    *solveMemo // shared by one run's processes
 }
 
 // solveMemo shares component solves among the processes of one run.
@@ -80,13 +80,9 @@ type memoEntry struct {
 }
 
 // do returns solve's picks for the component of the given sorted
-// members, calling solve once per component across the run. A nil memo
-// calls solve every time. The returned slice is shared: callers only
-// read it.
+// members, calling solve once per component across the run. The
+// returned slice is shared: callers only read it.
 func (m *solveMemo) do(members []int, solve func() []int) []int {
-	if m == nil {
-		return solve()
-	}
 	key := make([]byte, 0, 4*len(members))
 	for _, id := range members {
 		key = binary.AppendVarint(key, int64(id))
@@ -110,12 +106,6 @@ func runFlood(c *graph.CSR, ids []int, rule floodRule, gatherRounds int) ([]int,
 	return runBooleanProcess(c, ids, func(int) local.Process {
 		return &floodProcess{rule: rule, gatherRounds: gatherRounds, memo: memo}
 	})
-}
-
-// NewAlg1Process returns the Algorithm 1 process for the given parameters.
-// Outputs are booleans: membership in the returned dominating set.
-func NewAlg1Process(p Params) local.Process {
-	return &floodProcess{rule: mdsFlood{p}, gatherRounds: p.GatherRadius() + 2}
 }
 
 func (a *floodProcess) Init(info local.NodeInfo) {

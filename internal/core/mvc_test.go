@@ -151,7 +151,11 @@ func TestMVCAlg1NodeBudgetFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := &floodProcess{rule: mvcFlood{norm}, records: map[int]partRecord{}}
+	proc := &floodProcess{
+		rule:    mvcFlood{norm},
+		records: map[int]partRecord{},
+		memo:    &solveMemo{byKey: map[string]*memoEntry{}},
+	}
 	for v := range g.N() {
 		proc.records[v] = partRecord{PartNbrs: g.Neighbors(v)}
 	}

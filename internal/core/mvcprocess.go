@@ -37,14 +37,6 @@ func MVCAlg1GatherRounds(p Params) int {
 	return r + 2 + 2
 }
 
-// NewMVCAlg1Process returns the distributed Algorithm 1 MVC process:
-// gather, take local 1-cuts and all local 2-cut vertices, then flood
-// residual components (vertices with an uncovered incident edge) and solve
-// vertex cover per component.
-func NewMVCAlg1Process(p Params) local.Process {
-	return &floodProcess{rule: mvcFlood{p}, gatherRounds: MVCAlg1GatherRounds(p)}
-}
-
 // mvcFlood is the vertex-cover variant's rule: MVCAlg1's Cuts and
 // Partition on the view.
 type mvcFlood struct{ p Params }
@@ -64,7 +56,10 @@ func (r mvcFlood) solve(sub *graph.CSR, _ []int) []int {
 	return chosen
 }
 
-// RunMVCAlg1 executes the distributed Algorithm 1 MVC variant.
+// RunMVCAlg1 executes the distributed Algorithm 1 MVC variant: each
+// process gathers, takes local 1-cuts and all local 2-cut vertices, then
+// floods its residual component (vertices with an uncovered incident
+// edge) and solves vertex cover on it.
 func RunMVCAlg1(c *graph.CSR, ids []int, p Params) ([]int, local.Stats, error) {
 	p, err := p.normalized()
 	if err != nil {

@@ -1,28 +1,24 @@
 package graph
 
-import (
-	"maps"
-	"slices"
-	"sort"
-)
-
 // TrueTwinClasses partitions V(g) into true-twin equivalence classes,
 // returned as sorted slices ordered by smallest member. Singleton classes
 // are included.
 func (g *Graph) TrueTwinClasses() [][]int {
 	// Group by closed-neighborhood fingerprint. Two vertices with equal
-	// closed neighborhoods necessarily hash to the same key. Members are
-	// appended in ascending order, so each class is already sorted.
-	byKey := make(map[string][]int, g.N())
+	// closed neighborhoods necessarily hash to the same key. Vertices are
+	// visited in ascending order, so each class is sorted and the classes
+	// come out ordered by smallest member.
+	var classes [][]int
+	index := make(map[string]int, g.N())
 	for v := 0; v < g.N(); v++ {
 		key := fingerprint(g.ClosedNeighborhood(v))
-		byKey[key] = append(byKey[key], v)
+		if i, ok := index[key]; ok {
+			classes[i] = append(classes[i], v)
+		} else {
+			index[key] = len(classes)
+			classes = append(classes, []int{v})
+		}
 	}
-	classes := make([][]int, 0, len(byKey))
-	for _, key := range slices.Sorted(maps.Keys(byKey)) {
-		classes = append(classes, byKey[key])
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i][0] < classes[j][0] })
 	return classes
 }
 
