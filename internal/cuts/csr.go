@@ -2,8 +2,9 @@
 // (r-local minimal 1-cuts, and r-interesting vertices or, for the
 // vertex-cover variant, all local 2-cut vertices) over a frozen
 // graph.CSR. No ball is ever copied out: a ball is a generation stamp over
-// the host CSR's own vertex ids (graph.CSR.MarkBall), and the cut tests
-// are searches restricted to it: one articulation-point DFS per ball
+// the host CSR's own vertex ids (graph.CSR.MarkBall, or MarkBlockBall for
+// the part of a ball inside one block), and the cut tests are searches
+// restricted to it: one articulation-point DFS per ball
 // (graph.CSR.AppendSeparators) and one component labeling per tested cut
 // (graph.CSR.LabelComponents), from which every test reads its answer.
 // The kernel makes two passes over the vertices, each split across a
@@ -11,7 +12,9 @@
 // table, the second tests only the pairs the table admits from both ends.
 // Each detector returns exactly the set its *graph.Graph counterpart
 // returns (for C2: the endpoints of IsLocalTwoCut's pairs), at every
-// worker count; csr_test.go checks that on the Table 1 families.
+// worker count; csr_test.go checks that on the Table 1 and block-rich
+// families, and blocks_test.go and FuzzLocalCuts check the kernel against
+// its whole-graph form (oracle_test.go).
 package cuts
 
 import (
@@ -114,13 +117,29 @@ func (twoCutRule) record(c2 []bool, u, v int, _, _ bool, _, _ int) {
 // localCuts is the kernel behind both entry points. It returns X and the
 // vertices rule flags in pass 2, both ascending.
 //
-// Pass 1 visits every vertex u once. On the ball N^r2[u] it records in a
-// separator table the set S(u) of ball vertices v for which u's neighbors
-// lie in two components of N^r2[u] - {u, v} (graph.CSR.AppendSeparators)
-// — or "all" when they already do in N^r2[u] - u, which is the 1-cut test
-// on that ball. That answers the 1-cut test at r1 whenever N^r1[u] is the
-// same ball: when r1 = r2, or when both balls cover u's component, as at
-// the paper's radii. Otherwise the test labels N^r1[u] - u.
+// It first finds c's blocks and articulation points (graph.CSR.Blocks) and
+// keeps every search it can inside one block. Two facts make that exact.
+// A path between two vertices of a block that leaves it returns through
+// the articulation point it left by, so the vertices of a block joined
+// inside some ball are joined inside the part of the ball in the block;
+// and a shortest path between two vertices of a block stays in it, so
+// that part is the ball of the block (graph.CSR.MarkBlockBall).
+//
+// Pass 1 visits every vertex u once. An articulation point u has
+// neighbors in two blocks, which lie apart in every ball: u is an r1-local
+// 1-cut at every r1 >= 1, and every ball vertex is a partner ("all"). It
+// opens no ball for its row; instead it summarizes, once, the components
+// of N^r2[u] - u on each of its blocks' sides (blockSides), which pass 2
+// adds to a pair's counts. Every other vertex u with two neighbors has
+// them all in one block B, and its separator row is read from the ball of
+// B alone: it records the set S(u) of ball vertices v for which u's
+// neighbors lie in two components of N^r2[u] - {u, v}
+// (graph.CSR.AppendSeparators) — or "all" when they already do in
+// N^r2[u] - u, which is the 1-cut test on that ball. Outside B no vertex
+// separates them, inside it the components that matter are the same. That
+// answers the 1-cut test at r1 whenever N^r1[u] ∩ B is the same ball:
+// when r1 = r2, or when both balls cover u's block, as at the paper's
+// radii. Otherwise the test labels N^r1[u] ∩ B - u.
 //
 // Pass 2 tests each unordered pair {u, v} at distance at most r2 once,
 // from its smaller end, and only when v ∈ S(u) (or u is "all") and
@@ -136,11 +155,21 @@ func (twoCutRule) record(c2 []bool, u, v int, _, _ bool, _, _ int) {
 //  2. The pair ball's components are labeled once (LabelComponents), and
 //     one scan of each end's row counts the components it touches and
 //     those it does not cover (ComponentsSeenBy). Every component holds a
-//     neighbor of u or v, so the labeling sees them all.
+//     neighbor of u or v, so the labeling sees them all. When u and v share
+//     a block B the labeling runs on the ball of B (pairCounts): the parts
+//     of the pair ball hanging off an articulation point c ∉ {u, v} of B
+//     join c's component and are adjacent to neither end, so c's component
+//     counts as uncovered when they exist, that is when
+//     dist_B(c, {u, v}) < r2; an articulation end x adds its sides beyond
+//     B, which no other vertex reaches. A pair that shares no block is
+//     labeled on its whole ball, unless both ends are articulation points
+//     with no common neighbor, whose counts need no labeling.
 //  3. The pair is a minimal 2-cut iff both ends touch two components;
 //     rule.record then flags what it decides.
 func localCuts(c *graph.CSR, r1, r2, workers int, a *graph.Arena, rule pairRule) (x, flagged []int) {
 	n := c.N()
+	bt := c.Blocks(a)
+	sides := newBlockSides(bt)
 	arenas := workerArenas{a}
 	t := sepTable{off: make([]int32, n+1)}
 	var parts []*sepRows
@@ -152,7 +181,16 @@ func localCuts(c *graph.CSR, r1, r2, workers int, a *graph.Arena, rule pairRule)
 			if c.Degree(u) < 2 {
 				return // u cannot have neighbors in two components
 			}
-			ball := len(c.MarkBall(u, -1, r2, a))
+			if bt.Art[u] {
+				w.ent = append(w.ent, allPartners)
+				t.off[u+1] = 1
+				cut[u] = r1 != 0
+				sides.summarize(c, bt, u, r2, a)
+				return
+			}
+			b := int(bt.Label[u])
+			ball, _ := c.MarkBlockBall(u, -1, r2, bt, b, a)
+			size := len(ball)
 			start := len(w.ent)
 			var ok bool
 			w.ent, ok = c.AppendSeparators(w.ent, u, a)
@@ -160,8 +198,11 @@ func localCuts(c *graph.CSR, r1, r2, workers int, a *graph.Arena, rule pairRule)
 				w.ent = append(w.ent, allPartners)
 			}
 			t.off[u+1] = int32(len(w.ent) - start)
-			if r1 == r2 || len(c.MarkBall(u, -1, r1, a)) == ball {
-				cut[u] = !ok // N^r1[u] is the separator ball
+			if r1 != r2 {
+				ball, _ = c.MarkBlockBall(u, -1, r1, bt, b, a)
+			}
+			if len(ball) == size {
+				cut[u] = !ok // N^r1[u] ∩ B is the separator ball
 			} else {
 				cut[u] = c.LabelComponents(u, -1, a) >= 2 // as isOneCut
 			}
@@ -182,17 +223,18 @@ func localCuts(c *graph.CSR, r1, r2, workers int, a *graph.Arena, rule pairRule)
 			}
 			for _, v32 := range partners {
 				v := int(v32)
-				if v <= u || c.Degree(v) < 2 || !t.admits(v, u) {
+				if v <= u || c.Degree(v) < 2 {
+					continue
+				}
+				b := bt.Shared(u, v)
+				if !t.admits(v, u, b >= 0) {
 					continue
 				}
 				needU, needV := rule.need(c, u, v, flags)
 				if !needU && !needV {
 					continue
 				}
-				c.MarkBall(u, v, r2, a)
-				c.LabelComponents(u, v, a)
-				touchedU, uncoveredU := c.ComponentsSeenBy(u, a)
-				touchedV, uncoveredV := c.ComponentsSeenBy(v, a)
+				touchedU, uncoveredU, touchedV, uncoveredV := sides.pairCounts(c, bt, u, v, b, r2, a)
 				if touchedU < 2 || touchedV < 2 {
 					continue
 				}
@@ -201,6 +243,114 @@ func localCuts(c *graph.CSR, r1, r2, workers int, a *graph.Arena, rule pairRule)
 		}
 	})
 	return x, flagged
+}
+
+// side counts the components of N^r[x] - x, for an articulation point x,
+// that lie on the side of some of x's blocks: k of them, m of which hold
+// a vertex not adjacent to x.
+type side struct{ k, m int32 }
+
+// blockSides is pass 1's summary of every articulation point's sides: for
+// x, total[x] over all its blocks and own[x] for its parent block; for a
+// block b, child[b] for its parent articulation point. Each entry is
+// written only by the visit of its articulation point, so workers never
+// share one, and pass 2 reads them all. A graph without articulation
+// points gets no arrays.
+type blockSides struct {
+	own, total, child []side
+}
+
+func newBlockSides(bt *graph.BlockTree) *blockSides {
+	if !slices.Contains(bt.Art, true) {
+		return &blockSides{}
+	}
+	n := len(bt.Art)
+	return &blockSides{own: make([]side, n), total: make([]side, n), child: make([]side, len(bt.Parent))}
+}
+
+// summarize fills x's entries from one ball: the union of x's block balls
+// N^r_b[x], whose components are those of N^r[x] - x, each with the parts
+// beyond its open articulation points attached and each on the side of
+// the one block of x that holds its neighbors of x.
+func (s *blockSides) summarize(c *graph.CSR, bt *graph.BlockTree, x, r int, a *graph.Arena) {
+	_, open := c.MarkBlockBall(x, -1, r, bt, -1, a)
+	c.LabelComponents(x, -1, a)
+	a.OpenComponents(open)
+	c.EachComponentSeenBy(x, a, func(y int32, uncovered bool) {
+		entry := &s.own[x]
+		if b := bt.Shared(x, int(y)); b != int(bt.Label[x]) {
+			entry = &s.child[b]
+		}
+		total := &s.total[x]
+		entry.k++
+		total.k++
+		if uncovered {
+			entry.m++
+			total.m++
+		}
+	})
+}
+
+// beyond returns x's sides on blocks other than b, to which b's vertices
+// other than x are not adjacent; zero unless x is an articulation point.
+func (s *blockSides) beyond(bt *graph.BlockTree, x, b int) side {
+	if !bt.Art[x] {
+		return side{}
+	}
+	in := s.child[b]
+	if b == int(bt.Label[x]) {
+		in = s.own[x]
+	}
+	return side{s.total[x].k - in.k, s.total[x].m - in.m}
+}
+
+// pairCounts labels the components of N^r[{u, v}] - {u, v} and returns,
+// for each end, how many it touches and how many it does not cover
+// (graph.CSR.ComponentsSeenBy), inside the block b that u and v share, or
+// on the whole ball when b < 0: the components beyond an articulation end
+// x are touched by x, uncovered by the other end, and uncovered by x when
+// beyond's m says so.
+//
+// Pass 2 compares every count with 2 only, and two articulation points
+// that share no block and no neighbor need no labeling: each has
+// neighbors in two of its blocks, none of them the other end, so each
+// touches two components, and at distance three or more none of those
+// neighbors is adjacent to the other end, so each leaves two uncovered.
+// pairCounts then returns 2 for every count.
+func (s *blockSides) pairCounts(c *graph.CSR, bt *graph.BlockTree, u, v, b, r int, a *graph.Arena) (touchedU, uncoveredU, touchedV, uncoveredV int) {
+	var open []int32
+	var su, sv side
+	if b < 0 {
+		if bt.Art[u] && bt.Art[v] && !shareNeighbor(c, u, v) {
+			return 2, 2, 2, 2
+		}
+		c.MarkBall(u, v, r, a)
+	} else {
+		_, open = c.MarkBlockBall(u, v, r, bt, b, a)
+		su, sv = s.beyond(bt, u, b), s.beyond(bt, v, b)
+	}
+	c.LabelComponents(u, v, a)
+	a.OpenComponents(open)
+	touchedU, uncoveredU = c.ComponentsSeenBy(u, a)
+	touchedV, uncoveredV = c.ComponentsSeenBy(v, a)
+	return touchedU + int(su.k), uncoveredU + int(su.m+sv.k), touchedV + int(sv.k), uncoveredV + int(sv.m+su.k)
+}
+
+// shareNeighbor reports whether u and v have a common neighbor, by one
+// merge of their sorted rows.
+func shareNeighbor(c *graph.CSR, u, v int) bool {
+	ru, rv := c.Row(u), c.Row(v)
+	for i, j := 0, 0; i < len(ru) && j < len(rv); {
+		switch {
+		case ru[i] == rv[j]:
+			return true
+		case ru[i] < rv[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
 }
 
 // allPartners is the single entry of a separator-table row whose vertex
@@ -270,11 +420,13 @@ func (t *sepTable) row(u int) (s []int32, all bool) {
 	return s, len(s) == 1 && s[0] == allPartners
 }
 
-// admits reports whether v is a candidate partner in u's row.
-func (t *sepTable) admits(u, v int) bool {
+// admits reports whether v is a candidate partner in u's row; shared
+// tells whether u and v share a block. A row that is not "all" lists
+// vertices of u's own block only.
+func (t *sepTable) admits(u, v int, shared bool) bool {
 	s, all := t.row(u)
-	if all {
-		return true
+	if all || !shared {
+		return all
 	}
 	_, ok := slices.BinarySearch(s, int32(v))
 	return ok

@@ -91,73 +91,89 @@ func cutFamilies() map[string]*graph.CSR {
 }
 
 // TestLocalCutsC2MatchSpec runs LocalCutsC2Workers on the unreduced
-// families (the vertex-cover variant has no TwinReduce) at r1 ∈ 1..4,
-// r2 ∈ 2..4 and 1/2/3/8 workers, and compares X with LocalOneCuts and C2
-// with the endpoints of the pairs IsLocalTwoCut admits.
+// differential and block-rich families (the vertex-cover variant has no
+// TwinReduce) at every radiusPairs pair and 1/2/3/8 workers, and compares
+// X with LocalOneCuts and C2 with the endpoints of the pairs
+// IsLocalTwoCut admits.
 func TestLocalCutsC2MatchSpec(t *testing.T) {
-	for name, g := range rawCutFamilies() {
+	for name, g := range specFamilies() {
 		c := g.Freeze()
 		want1 := map[int][]int{}
 		want2 := map[int][]int{}
-		for r := 1; r <= 4; r++ {
-			want1[r] = LocalOneCuts(g, r)
-			if r >= 2 {
-				for _, p := range LocalTwoCuts(g, r) {
-					want2[r] = append(want2[r], p.U, p.V)
+		for _, rr := range radiusPairs() {
+			if _, ok := want1[rr[0]]; !ok {
+				want1[rr[0]] = LocalOneCuts(g, rr[0])
+			}
+			if _, ok := want2[rr[1]]; !ok {
+				var ends []int
+				for _, p := range LocalTwoCuts(g, rr[1]) {
+					ends = append(ends, p.U, p.V)
 				}
-				want2[r] = graph.Dedup(want2[r])
+				want2[rr[1]] = graph.Dedup(ends)
 			}
 		}
-		for r1 := 1; r1 <= 4; r1++ {
-			for r2 := 2; r2 <= 4; r2++ {
-				for _, w := range []int{1, 2, 3, 8} {
-					x, c2 := LocalCutsC2Workers(c, r1, r2, w, graph.NewArena())
-					if !graph.EqualSets(x, want1[r1]) {
-						t.Errorf("%s r1=%d r2=%d workers=%d: X = %v, spec %v", name, r1, r2, w, x, want1[r1])
-					}
-					if !graph.EqualSets(c2, want2[r2]) {
-						t.Errorf("%s r1=%d r2=%d workers=%d: C2 = %v, spec %v", name, r1, r2, w, c2, want2[r2])
-					}
+		for _, rr := range radiusPairs() {
+			r1, r2 := rr[0], rr[1]
+			for _, w := range []int{1, 2, 3, 8} {
+				x, c2 := LocalCutsC2Workers(c, r1, r2, w, graph.NewArena())
+				if !graph.EqualSets(x, want1[r1]) {
+					t.Errorf("%s r1=%d r2=%d workers=%d: X = %v, spec %v", name, r1, r2, w, x, want1[r1])
+				}
+				if !graph.EqualSets(c2, want2[r2]) {
+					t.Errorf("%s r1=%d r2=%d workers=%d: C2 = %v, spec %v", name, r1, r2, w, c2, want2[r2])
 				}
 			}
 		}
 	}
 }
 
-// TestCutsCSRMatchSpecAtEveryWorkerCount runs LocalCutsWorkers at every
-// pair of radii r1 ∈ 1..4, r2 ∈ 2..4 and compares X and I with the
-// *graph.Graph spec detectors, and every worker count with one worker.
+// TestCutsCSRMatchSpecAtEveryWorkerCount runs LocalCutsWorkers on the
+// twin-reduced differential and block-rich families at every radiusPairs
+// pair and compares X and I with the *graph.Graph spec detectors, and
+// every worker count with one worker.
 func TestCutsCSRMatchSpecAtEveryWorkerCount(t *testing.T) {
-	for name, c := range cutFamilies() {
+	for name, g := range specFamilies() {
+		c, _ := graph.TwinReduceCSR(g.Freeze())
 		spec := graph.FromCSR(c)
 		want1 := map[int][]int{}
 		want2 := map[int][]int{}
-		for r := 1; r <= 4; r++ {
-			want1[r] = LocalOneCuts(spec, r)
-			if r >= 2 {
-				want2[r] = LocallyInterestingVertices(spec, r)
+		for _, rr := range radiusPairs() {
+			if _, ok := want1[rr[0]]; !ok {
+				want1[rr[0]] = LocalOneCuts(spec, rr[0])
+			}
+			if _, ok := want2[rr[1]]; !ok {
+				want2[rr[1]] = LocallyInterestingVertices(spec, rr[1])
 			}
 		}
-		for r1 := 1; r1 <= 4; r1++ {
-			for r2 := 2; r2 <= 4; r2++ {
-				var one1, one2 []int
-				for _, w := range []int{1, 2, 3, 8} {
-					got1, got2 := LocalCutsWorkers(c, r1, r2, w, graph.NewArena())
-					if !graph.EqualSets(got1, want1[r1]) {
-						t.Errorf("%s r1=%d r2=%d workers=%d: X = %v, spec %v", name, r1, r2, w, got1, want1[r1])
-					}
-					if !graph.EqualSets(got2, want2[r2]) {
-						t.Errorf("%s r1=%d r2=%d workers=%d: I = %v, spec %v", name, r1, r2, w, got2, want2[r2])
-					}
-					if w == 1 {
-						one1, one2 = got1, got2
-					} else if !graph.EqualSets(got1, one1) || !graph.EqualSets(got2, one2) {
-						t.Errorf("%s r1=%d r2=%d: at %d workers X, I = %v, %v; at 1 = %v, %v", name, r1, r2, w, got1, got2, one1, one2)
-					}
+		for _, rr := range radiusPairs() {
+			r1, r2 := rr[0], rr[1]
+			var one1, one2 []int
+			for _, w := range []int{1, 2, 3, 8} {
+				got1, got2 := LocalCutsWorkers(c, r1, r2, w, graph.NewArena())
+				if !graph.EqualSets(got1, want1[r1]) {
+					t.Errorf("%s r1=%d r2=%d workers=%d: X = %v, spec %v", name, r1, r2, w, got1, want1[r1])
+				}
+				if !graph.EqualSets(got2, want2[r2]) {
+					t.Errorf("%s r1=%d r2=%d workers=%d: I = %v, spec %v", name, r1, r2, w, got2, want2[r2])
+				}
+				if w == 1 {
+					one1, one2 = got1, got2
+				} else if !graph.EqualSets(got1, one1) || !graph.EqualSets(got2, one2) {
+					t.Errorf("%s r1=%d r2=%d: at %d workers X, I = %v, %v; at 1 = %v, %v", name, r1, r2, w, got1, got2, one1, one2)
 				}
 			}
 		}
 	}
+}
+
+// specFamilies returns the differential families together with the
+// block-rich ones.
+func specFamilies() map[string]*graph.Graph {
+	out := rawCutFamilies()
+	for name, g := range blockRichFamilies() {
+		out[name] = g
+	}
+	return out
 }
 
 func TestLocalCutsCSREdgeCases(t *testing.T) {

@@ -3,12 +3,33 @@
 // and their crossing relation (§5.3), and — the paper's new notion —
 // r-local k-cuts (Definition 2.1) together with r-interesting vertices
 // (§3.2).
+//
+// The Cuts kernel behind Algorithm 1's steps 2 and 3 (csr.go) keeps its
+// searches inside the blocks of the input (graph.CSR.Blocks). A global
+// articulation point is an r-local 1-cut at every r >= 1, since its
+// neighbors in different blocks lie apart in every ball, and it admits
+// every partner, so it opens no pass-1 ball. Every other vertex u has all
+// its neighbors in one block B: a path between two of them that leaves B
+// returns through the articulation point it left by, and distances inside
+// B are realised inside B, so u's separators and its 1-cut test read the
+// same from the ball of B. A pass-2 pair {u, v} that shares a block B is
+// labeled inside B: a component holding an articulation point c ∉ {u, v}
+// with dist_B(c, {u, v}) < r also holds vertices beyond c and counts as
+// uncovered, and an articulation end adds the components of its ball on
+// its other blocks, summarized once in pass 1. Pairs that share no block
+// are labeled on their whole ball, except two articulation points with no
+// common neighbor: each touches two components through its own blocks,
+// and none of those neighbors is adjacent to the other end.
 package cuts
 
 import "localmds/internal/graph"
 
 // ArticulationPoints returns the cut vertices (minimal 1-cuts) of g in
-// ascending order, via Tarjan's low-link DFS.
+// ascending order, via Tarjan's low-link DFS. Code on the CSR reads the
+// Art flags of graph.CSR.Blocks instead; this *graph.Graph form is kept
+// for the spec IsLocalOneCut, spqr's is2Connected check, the structure
+// example and tests (cuts' tarjan_test.go, edgecases_test.go,
+// local_test.go and blocks_test.go, and the root bench_test.go).
 func ArticulationPoints(g *graph.Graph) []int {
 	n := g.N()
 	disc := make([]int, n)

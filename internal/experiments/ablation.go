@@ -27,7 +27,10 @@ func RadiusAblationSpec(n int, radii []int) Spec {
 	}
 	s.Tasks = append(s.Tasks, Task{Row: "sweep", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
-		g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng).Freeze()
+		g, err := ding.GenerateCSR(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng)
+		if err != nil {
+			return nil, err
+		}
 		opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("radius ablation opt: %w", err)
@@ -65,7 +68,10 @@ func RoundsVsTSpec(n int, ts []int) Spec {
 			rng := rand.New(rand.NewSource(seed))
 			paper := core.PaperParams(tt)
 			scaled := core.Params{R1: tt, R2: tt}
-			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: tt}, rng).Freeze()
+			g, err := ding.GenerateCSR(ding.Config{Kind: ding.Mixed, N: n, T: tt}, rng)
+			if err != nil {
+				return nil, err
+			}
 			_, stats, err := core.RunAlg1(g, nil, scaled)
 			if err != nil {
 				return nil, fmt.Errorf("rounds-vs-t t=%d: %w", tt, err)
@@ -105,7 +111,10 @@ func ScalingSpec(ns []int) Spec {
 	for _, n := range ns {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
-			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng).Freeze()
+			g, err := ding.GenerateCSR(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng)
+			if err != nil {
+				return nil, err
+			}
 			res, err := core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("scaling n=%d: %w", n, err)
@@ -163,7 +172,10 @@ func MessageFootprintSpec(n int) Spec {
 	}
 	s.Tasks = append(s.Tasks, Task{Row: "footprint", Run: func(seed int64) ([][]string, error) {
 		rng := rand.New(rand.NewSource(seed))
-		c := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng).Freeze()
+		c, err := ding.GenerateCSR(ding.Config{Kind: ding.Mixed, N: n, T: 5}, rng)
+		if err != nil {
+			return nil, err
+		}
 		_, d2stats, err := core.RunD2(c, nil)
 		if err != nil {
 			return nil, err

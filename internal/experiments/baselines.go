@@ -22,7 +22,10 @@ func BaselinesSpec(ns []int) Spec {
 	for _, n := range ns {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
-			g := ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: n, T: 5}, rng).Freeze()
+			g, err := ding.GenerateCSR(ding.Config{Kind: ding.StripChain, N: n, T: 5}, rng)
+			if err != nil {
+				return nil, err
+			}
 			greedySol, phases := core.GreedyDistributed(g)
 			d2 := core.D2(g)
 			alg1, err := core.Alg1CSR(g, core.PracticalParams(), core.PipelineOptions{})

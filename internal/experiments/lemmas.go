@@ -116,7 +116,10 @@ func Lemma42Spec(ns []int) Spec {
 	for _, n := range ns {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
-			g := ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: n, T: 5}, rng).Freeze()
+			g, err := ding.GenerateCSR(ding.Config{Kind: ding.StripChain, N: n, T: 5}, rng)
+			if err != nil {
+				return nil, err
+			}
 			var rows [][]string
 			for _, r := range []int{2, 4, 8} {
 				res, err := core.Alg1CSR(g, core.Params{R1: r, R2: r}, core.PipelineOptions{})
@@ -144,7 +147,10 @@ func Lemma518Spec(ns []int, tParam int) Spec {
 	for _, n := range ns {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
-			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: n, T: tParam}, rng).Freeze()
+			g, err := ding.GenerateCSR(ding.Config{Kind: ding.Mixed, N: n, T: tParam}, rng)
+			if err != nil {
+				return nil, err
+			}
 			res, err := core.BuildMinorBound(g)
 			if err != nil {
 				return nil, fmt.Errorf("lemma518 n=%d: %w", n, err)
@@ -168,11 +174,16 @@ func CycleLocalCutsSpec(ns []int, r int) Spec {
 	}
 	for _, n := range ns {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("n%d", n), Run: func(int64) ([][]string, error) {
-			g := gen.Cycle(n)
-			locals := cuts.LocalOneCutsCSR(g.Freeze(), r, graph.NewArena())
-			arts := cuts.ArticulationPoints(g)
+			c, a := gen.Cycle(n).Freeze(), graph.NewArena()
+			locals := cuts.LocalOneCutsCSR(c, r, a)
+			arts := 0
+			for _, art := range c.Blocks(a).Art {
+				if art {
+					arts++
+				}
+			}
 			optSize := (n + 2) / 3 // MDS of a cycle is ceil(n/3)
-			return [][]string{{fmt.Sprint(n), fmt.Sprint(len(locals)), fmt.Sprint(len(arts)),
+			return [][]string{{fmt.Sprint(n), fmt.Sprint(len(locals)), fmt.Sprint(arts),
 				fmt.Sprint(optSize), fmt.Sprintf("%.2f", float64(len(locals))/float64(optSize))}}, nil
 		}})
 	}

@@ -117,8 +117,14 @@ func Table1Spec(cfg Table1Config) Spec {
 	for _, tt := range []int{3, 4, 5, 6} {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("k2t-t%d", tt), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
-			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng).Freeze()
-			small := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.ProcessN, T: tt}, rng).Freeze()
+			g, err := ding.GenerateCSR(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng)
+			if err != nil {
+				return nil, err
+			}
+			small, err := ding.GenerateCSR(ding.Config{Kind: ding.Mixed, N: cfg.ProcessN, T: tt}, rng)
+			if err != nil {
+				return nil, err
+			}
 			opt, err := mds.ExactMDS(g, mds.ExactOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("k2t opt: %w", err)
@@ -178,7 +184,10 @@ func MVCTableSpec(cfg Table1Config) Spec {
 	for _, tt := range []int{3, 4, 5} {
 		s.Tasks = append(s.Tasks, Task{Row: fmt.Sprintf("k2t-t%d", tt), Run: func(seed int64) ([][]string, error) {
 			rng := rand.New(rand.NewSource(seed))
-			g := ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng).Freeze()
+			g, err := ding.GenerateCSR(ding.Config{Kind: ding.Mixed, N: cfg.N, T: tt}, rng)
+			if err != nil {
+				return nil, err
+			}
 			opt, err := mds.ExactMVC(g, mds.ExactOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("mvc opt: %w", err)

@@ -48,3 +48,24 @@ func BenchmarkBFSFromCSRDense(b *testing.B) {
 	g.Freeze()
 	benchBFS(b, g)
 }
+
+// BenchmarkBlocks times the block-tree DFS the Cuts kernel runs once per
+// call, on a one-block grid and on a cactus, which is nearly all blocks.
+func BenchmarkBlocks(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid12x12", gen.Grid(12, 12)},
+		{"cactus2000", gen.RandomCactus(2000, rand.New(rand.NewSource(1)))},
+	} {
+		c := tc.g.Freeze()
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			a := graph.NewArena()
+			for b.Loop() {
+				c.Blocks(a)
+			}
+		})
+	}
+}

@@ -35,9 +35,11 @@ type Arena struct {
 	seenGen  int32
 	labels   []int32 // component labels or DFS indices, valid where seen[v] == seenGen
 	compSize []int32 // vertex count per label of the last labeling
-	compHits []int32 // ComponentsSeenBy scratch, one slot per label
+	compHits []int32 // hitsOf scratch, one slot per label
 
-	sepStack []sepFrame // AppendSeparators DFS frames, one per tree vertex on the path
+	sepStack   []sepFrame   // AppendSeparators DFS frames, one per tree vertex on the path
+	open       []int32      // MarkBlockBall's open articulation points
+	blockStack []blockFrame // Blocks DFS frames
 
 	dmax  []int32 // Diameter: per vertex, the largest distance to a sweep source
 	order []int32 // Diameter: the central vertex's BFS order
@@ -293,6 +295,37 @@ func (c *CSR) LabelComponents(u, v int, a *Arena) int {
 // a vertex not adjacent to x (uncovered: x's neighbors in the component
 // are not all of it).
 func (c *CSR) ComponentsSeenBy(x int, a *Arena) (touched, uncovered int) {
+	for l, h := range a.hitsOf(c, x) {
+		if h > 0 {
+			touched++
+		}
+		if h < a.compSize[l] {
+			uncovered++
+		}
+	}
+	return touched, uncovered
+}
+
+// EachComponentSeenBy reads the last LabelComponents call from x's row
+// and calls f once for every component that holds a neighbor of x, with
+// the first such neighbor y in the row and whether the component holds a
+// vertex not adjacent to x.
+func (c *CSR) EachComponentSeenBy(x int, a *Arena, f func(y int32, uncovered bool)) {
+	hits := a.hitsOf(c, x)
+	for _, y := range c.Row(x) {
+		if a.seen[y] != a.seenGen || a.labels[y] < 0 {
+			continue
+		}
+		if l := a.labels[y]; hits[l] > 0 {
+			f(y, hits[l] < a.compSize[l])
+			hits[l] = 0
+		}
+	}
+}
+
+// hitsOf counts x's neighbors in each component of the last labeling, in
+// arena scratch indexed by label.
+func (a *Arena) hitsOf(c *CSR, x int) []int32 {
 	num := len(a.compSize)
 	if cap(a.compHits) < num {
 		a.compHits = make([]int32, num)
@@ -304,15 +337,7 @@ func (c *CSR) ComponentsSeenBy(x int, a *Arena) (touched, uncovered int) {
 			hits[a.labels[y]]++
 		}
 	}
-	for l, h := range hits {
-		if h > 0 {
-			touched++
-		}
-		if h < a.compSize[l] {
-			uncovered++
-		}
-	}
-	return touched, uncovered
+	return hits
 }
 
 // ClosedSubset reports whether N[v] ⊆ N[u] (closed neighborhoods in c),
